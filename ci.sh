@@ -24,6 +24,21 @@ cargo test -q --offline
 echo "== workspace tests =="
 cargo test -q --workspace --offline
 
+echo "== repo benchmark (BENCHMARK.json): unit tests, smoke, frozen cell fingerprints =="
+# benchmark/ is a package of its own, outside the workspace. The smoke runs
+# every workload at quick length (invariants, plane-bypass assertions,
+# serial == --jobs), but compares no frozen fingerprint; one full-length rep
+# of each serial workload at the default seed does. Those 20 cells — native
+# client path in paper_*, sharded front with row and shared-log backends in
+# planes_on — are the byte contract for any refactor of amdb-core.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+benchmark/check.sh --smoke >/dev/null
+for workload in paper_5050 paper_8020 planes_on; do
+  benchmark/run.sh --workload "$workload" --seconds 1 --trace 0 \
+    --out benchmark/out/ci >/dev/null \
+    || { echo "$workload: a cell left its frozen fingerprint"; exit 1; }
+done
+
 echo "== consistency suite (amdb-consistency + core acceptance properties) =="
 cargo test -q --offline -p amdb-consistency
 cargo test -q --offline -p amdb-core --test consistency

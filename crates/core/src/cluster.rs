@@ -9,6 +9,12 @@
 //! the network → the target VM executes the operation's statements when its
 //! FIFO CPU reaches the job → response travels back → stats → next think.
 //!
+//! The user half of that loop (think, generate, pool, stats) is the
+//! `users::UserLoop`. From the proxy onward there is one chain —
+//! `dispatch` → [`Job::ClientOp`] → [`ClusterEvent::ClientOpDone`] →
+//! `schedule_response` — and every client operation takes it, whether one
+//! of this cluster's users or the sharded front issued it ([`Origin`]).
+//!
 //! Master writes append binlog events; at the write's *commit* (job
 //! completion) new events ship to every slave over the network (FIFO per
 //! slave). A slave's relay queue feeds one apply job per event into the same
@@ -24,6 +30,7 @@
 
 use crate::config::{BalancerKind, ClusterConfig};
 use crate::report::{ConsistencyReport, DelayReport, RunReport, SharedLogReport};
+use crate::users::{UserLoop, WorkGen};
 use amdb_clock::WALL_EPOCH_MICROS;
 use amdb_cloud::{Instance, InstanceType, Provider};
 use amdb_cloudstone::{build_template, OpClass, OpGenerator, Operation, Phases, UserSessions};
@@ -33,7 +40,6 @@ use amdb_consistency::{
 use amdb_metrics::{trimmed_mean, OnlineStats, Summary};
 use amdb_net::{NetModel, Proximity, Zone};
 use amdb_obs::{BottleneckReport, Component, FlowPhase, MetricId, Obs, ResourceUsage};
-use amdb_pool::{Acquire, PoolConfig, SimPool, Ticket};
 use amdb_proxy::{
     Balancer, LatencyAware, LeastOutstanding, OpClass as ProxyClass, Proxy, RandomPick, RoundRobin,
     Route,
@@ -47,7 +53,7 @@ use amdb_sql::binlog::{BinlogEvent, Lsn};
 use amdb_sql::cost::CostModel;
 use amdb_sql::{Engine, ForkRole, Session};
 use amdb_telemetry::{AlertKind, SloSample, Telemetry};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 pub type S = Sim<Cluster, ClusterEvent>;
 
@@ -56,8 +62,21 @@ pub type S = Sim<Cluster, ClusterEvent>;
 /// hot path stays an ergonomic closure.
 pub type ClusterFn = Box<dyn FnOnce(&mut Cluster, &mut dyn ClusterHost)>;
 
-/// A completed injected operation, reported back to the sharded front
-/// router (see [`ClusterHost::notify_front`]).
+/// Who issued a client operation. Every op carries its origin through the
+/// one dispatch → service → completion chain; only the decisions that
+/// really differ between the two look at it, each a commented `match`.
+#[derive(Debug, Clone, Copy)]
+pub enum Origin {
+    /// One of this cluster's own closed-loop users, who issued it at
+    /// `issued`.
+    User { user: u32, issued: SimTime },
+    /// The sharded front, which correlates the completion by `id` (one id
+    /// per logical op; scatter-gather reuses it across every fan-out leg).
+    Front { id: u64 },
+}
+
+/// A completed [`Origin::Front`] operation, reported back to the sharded
+/// front router (see [`ClusterHost::notify_front`]).
 #[derive(Debug, Clone, Copy)]
 pub struct InjectedDone {
     /// The front's operation id (one id per logical op; scatter-gather
@@ -87,9 +106,9 @@ pub trait ClusterHost {
     fn now(&self) -> SimTime;
     /// Schedule a typed cluster event at an absolute instant.
     fn schedule_event_at(&mut self, at: SimTime, ev: ClusterEvent);
-    /// Deliver a completed injected operation back to the front router at
-    /// `at`. Only a sharded host routes these; a standalone cluster never
-    /// injects, so its kernel implementation is unreachable.
+    /// Deliver a completed [`Origin::Front`] operation back to the front
+    /// router at `at`. Only a sharded host routes these; a standalone
+    /// cluster has no front, so its kernel implementation is unreachable.
     fn notify_front(&mut self, at: SimTime, done: InjectedDone);
 
     /// Schedule a typed cluster event after a delay.
@@ -118,7 +137,7 @@ impl ClusterHost for S {
     }
 
     fn notify_front(&mut self, _at: SimTime, _done: InjectedDone) {
-        unreachable!("injected operations only exist under a sharded host");
+        unreachable!("front-issued operations only exist under a sharded host");
     }
 }
 
@@ -137,9 +156,8 @@ pub enum ClusterEvent {
     ClientOpDone {
         node_idx: usize,
         gen: u64,
-        user: u32,
+        origin: Origin,
         class: OpClass,
-        issued: SimTime,
         routed_slave: Option<usize>,
         trace: u64,
     },
@@ -153,7 +171,7 @@ pub enum ClusterEvent {
     },
     /// CPU service for a master housekeeping job (heartbeat) finished.
     MasterJobDone { node_idx: usize, gen: u64 },
-    /// The response for an operation reaches the client.
+    /// The response for a user's operation reaches the user.
     Respond {
         user: u32,
         class: OpClass,
@@ -170,20 +188,9 @@ pub enum ClusterEvent {
     },
     /// A consistency-layer read retries after its wait interval.
     DispatchWithWait {
-        user: u32,
+        origin: Origin,
         op: Operation,
-        issued: SimTime,
         waited_ms: f64,
-    },
-    /// CPU service for a front-injected operation finished on `node_idx`
-    /// (sharded worlds only).
-    InjectedOpDone {
-        node_idx: usize,
-        gen: u64,
-        id: u64,
-        class: OpClass,
-        routed_slave: Option<usize>,
-        trace: u64,
     },
     /// A shared-log replica's append acknowledgement lands at the master
     /// (shared-log backend only; instants come from [`ack_time_us`]).
@@ -208,12 +215,11 @@ impl ClusterEvent {
             ClusterEvent::ClientOpDone {
                 node_idx,
                 gen,
-                user,
+                origin,
                 class,
-                issued,
                 routed_slave,
                 trace,
-            } => w.client_op_done(sim, node_idx, gen, user, class, issued, routed_slave, trace),
+            } => w.client_op_done(sim, node_idx, gen, origin, class, routed_slave, trace),
             ClusterEvent::ApplyDone {
                 node_idx,
                 gen,
@@ -235,36 +241,12 @@ impl ClusterEvent {
                 events,
             } => w.deliver(sim, slave, epoch, events),
             ClusterEvent::DispatchWithWait {
-                user,
+                origin,
                 op,
-                issued,
                 waited_ms,
-            } => w.dispatch_with_wait(sim, user, op, issued, waited_ms),
-            ClusterEvent::InjectedOpDone {
-                node_idx,
-                gen,
-                id,
-                class,
-                routed_slave,
-                trace,
-            } => w.injected_op_done(sim, node_idx, gen, id, class, routed_slave, trace),
+            } => w.dispatch(sim, origin, op, waited_ms, false),
             ClusterEvent::LogAck { replica, upto } => w.log_ack(sim, replica, upto),
             ClusterEvent::Closure(f) => f(w, sim),
-        }
-    }
-}
-
-/// The active operation generator (the two workload classes).
-enum WorkGen {
-    Cloudstone(OpGenerator),
-    Web10(amdb_cloudstone::Web10Generator),
-}
-
-impl WorkGen {
-    fn generate(&mut self, mix: amdb_cloudstone::MixConfig) -> Operation {
-        match self {
-            WorkGen::Cloudstone(g) => g.generate(mix),
-            WorkGen::Web10(g) => g.generate(),
         }
     }
 }
@@ -301,20 +283,11 @@ impl Node {
 /// Work items served by a node's FIFO CPU.
 pub enum Job {
     ClientOp {
-        user: u32,
+        origin: Origin,
         op: Operation,
-        issued: SimTime,
         /// Slave index the proxy routed a read to (for feedback), if any.
         routed_slave: Option<usize>,
         /// Telemetry trace id for tracked writes (0 = untracked).
-        trace: u64,
-    },
-    /// A front-injected operation (sharded worlds): no tree-local user; the
-    /// completion is reported to the front via [`ClusterHost::notify_front`].
-    Injected {
-        id: u64,
-        op: Operation,
-        routed_slave: Option<usize>,
         trace: u64,
     },
     /// Apply the next relay-queue event on slave `slave`.
@@ -352,10 +325,10 @@ struct ConsistencyLayer {
     /// True staleness (vs the master binlog) of every slave-served read,
     /// measured at CPU-service start.
     served_staleness: OnlineStats,
-    /// Session token shared by all front-injected operations (sharded
-    /// worlds): the front is one logical client of the tree, so its
-    /// session guarantees span all injected ops.
-    injected: SessionToken,
+    /// Session token shared by all [`Origin::Front`] operations: the front
+    /// is one logical client of the tree, so its session guarantees span
+    /// every op it issues.
+    front: SessionToken,
 }
 
 impl ConsistencyLayer {
@@ -370,7 +343,7 @@ impl ConsistencyLayer {
             sla_violations: 0,
             sla_violations_steady: 0,
             served_staleness: OnlineStats::new(),
-            injected: SessionToken::new(),
+            front: SessionToken::new(),
         }
     }
 }
@@ -468,18 +441,11 @@ impl TelemetryLayer {
 
 #[derive(Default)]
 struct Stats {
-    steady_ops: u64,
-    steady_reads: u64,
-    steady_writes: u64,
-    steady_slave_reads: u64,
-    latencies_ms: Vec<f64>,
     peak_relay_backlog: u64,
     master_util: f64,
     slave_utils: Vec<f64>,
     /// Peak CPU queue depth per node slot over the steady window.
     steady_peak_queue: Vec<usize>,
-    /// Peak pool-waiter count over the steady window.
-    steady_peak_waiting: usize,
     /// (heartbeat id, emission sim-time) pairs.
     hb_emitted: Vec<(i64, SimTime)>,
     /// Apply batches dispatched across all slaves (== events applied when
@@ -510,8 +476,8 @@ pub struct Cluster {
     /// jitter, like a TCP connection).
     chan_clear: Vec<SimTime>,
     proxy: Proxy,
-    pool: SimPool,
-    gen: WorkGen,
+    /// This cluster's own closed-loop users (none under a sharded front).
+    users: UserLoop,
     hb: HeartbeatPlugin,
     mode: ReplMode,
     /// Apply workers per slave; 1 = the classic serial SQL thread.
@@ -522,8 +488,6 @@ pub struct Cluster {
     /// `apply_workers == 1`.
     sched: amdb_apply::ApplyScheduler,
     pending_sync: Vec<SyncWait>,
-    parked: HashMap<Ticket, (u32, Operation, SimTime)>,
-    rng_think: Rng,
     rng_ntp: Rng,
     /// Provider handle kept for dynamic slave launches (failover/autoscale).
     provider: Provider,
@@ -534,10 +498,9 @@ pub struct Cluster {
     /// master's binlog are discarded (its LSNs would collide with the new
     /// master's fresh log).
     repl_epoch: u64,
-    /// Write ops parked while the master is down (failover in progress).
-    awaiting_master: Vec<(u32, Operation, SimTime)>,
-    /// Front-injected ops parked while the master is down (sharded worlds).
-    awaiting_master_injected: Vec<(u64, Operation)>,
+    /// Master-routed ops parked while the master is down (failover in
+    /// progress).
+    awaiting_master: Vec<(Origin, Operation)>,
     /// Committed-but-unreplicated writes lost in failovers (§II data loss).
     lost_writes: u64,
     stats: Stats,
@@ -625,15 +588,6 @@ impl Cluster {
         };
         let proxy = Proxy::new(cfg.n_slaves, balancer);
 
-        let pool_size = if cfg.pool_max_active == 0 {
-            cfg.workload.concurrent_users as usize
-        } else {
-            cfg.pool_max_active
-        };
-        let pool = SimPool::new(PoolConfig {
-            max_active: pool_size,
-        });
-
         let mut shipped0 = Lsn(0);
         let gen = match cfg.workload_kind {
             crate::config::WorkloadKind::Cloudstone => {
@@ -718,6 +672,7 @@ impl Cluster {
                 layer.wm.set_source(SeqSource::QuorumDurable);
             }
         }
+        let users = UserLoop::new(&cfg, gen, &root);
         Self {
             shared_log,
             master_failed_at: None,
@@ -730,7 +685,6 @@ impl Cluster {
             last_scale_action: SimTime::ZERO,
             repl_epoch: 0,
             awaiting_master: Vec::new(),
-            awaiting_master_injected: Vec::new(),
             lost_writes: 0,
             cost: cfg.cost.clone(),
             client_zone: cfg.client_zone.unwrap_or(master_zone),
@@ -745,12 +699,9 @@ impl Cluster {
             shipped_upto: shipped0,
             chan_clear: vec![SimTime::ZERO; n],
             proxy,
-            pool,
-            gen,
+            users,
             hb: HeartbeatPlugin::new(),
             pending_sync: Vec::new(),
-            parked: HashMap::new(),
-            rng_think: root.derive("think"),
             rng_ntp: root.derive("ntp"),
             stats: Stats::default(),
             sketch_ids: Vec::new(),
@@ -806,13 +757,9 @@ impl Cluster {
             Box::new(|w: &mut Cluster, sim| w.heartbeat_tick(sim)),
         );
 
-        // Users, staggered linearly over the ramp-up.
-        let users = self.cfg.workload.concurrent_users;
-        let ramp = self.phases.ramp_up;
-        let start = self.phases.load_start();
-        for u in 0..users {
-            let at = start + SimDuration::from_micros(ramp.as_micros() * u as u64 / users as u64);
-            sim.schedule_event_at(at, ClusterEvent::UserNextOp { user: u });
+        // Users, staggered over the ramp-up.
+        for (at, user) in self.users.start_times() {
+            sim.schedule_event_at(at, ClusterEvent::UserNextOp { user });
         }
 
         // Planned slave failures (availability experiments).
@@ -918,15 +865,11 @@ impl Cluster {
             self.obs
                 .tsdb_record(Component::Cpu, inst, "utilization", now, util);
         }
+        let pool = self.users.pool();
         self.obs
-            .counter(Component::Pool, 0, "active", now, self.pool.active() as f64);
-        self.obs.counter(
-            Component::Pool,
-            0,
-            "waiting",
-            now,
-            self.pool.waiting() as f64,
-        );
+            .counter(Component::Pool, 0, "active", now, pool.active() as f64);
+        self.obs
+            .counter(Component::Pool, 0, "waiting", now, pool.waiting() as f64);
         for s in 0..self.relays.len() {
             let inst = s as u32;
             let depth = self.relays[s].backlog() as f64;
@@ -1050,11 +993,15 @@ impl Cluster {
                 .base_one_way(Proximity::of(self.cfg.master_zone, slave_zone))
                 .as_millis_f64();
         let rtt_class = self.cfg.placement.label(self.cfg.master_zone);
+        // `ops_per_s` and `pool_waiting` sample this cluster's own user
+        // loop. Under a sharded front that loop is idle, so both read 0
+        // and the per-shard `throughput_collapse` / `pool_backlog` rules
+        // cannot fire (DESIGN.md §16, deviation 6).
         let fired = tl.t.slo.observe(&SloSample {
             at: now,
             delay_ms: &delay_ms,
             cpu_util: &cpu_util,
-            pool_waiting: self.pool.waiting() as f64,
+            pool_waiting: self.users.pool().waiting() as f64,
             ops_per_s,
             sla_violation_rate: sla_rate,
             rows: &rows,
@@ -1111,73 +1058,69 @@ impl Cluster {
     // ------------------------------------------------------------------
 
     fn user_next_op(&mut self, sim: &mut dyn ClusterHost, user: u32) {
-        if sim.now() >= self.phases.load_end() {
-            return; // ramp-down: user retires
-        }
-        let op = self.gen.generate(self.cfg.mix);
         let issued = sim.now();
-        match self.pool.acquire(issued) {
-            Acquire::Ready => self.dispatch(sim, user, op, issued),
-            Acquire::Queued(t) => {
-                self.obs.incr(Component::Pool, 0, "checkout_waits", 1);
-                if self.phases.in_steady(issued) {
-                    self.stats.steady_peak_waiting =
-                        self.stats.steady_peak_waiting.max(self.pool.waiting());
-                }
-                self.parked.insert(t, (user, op, issued));
-            }
+        if let Some(op) = self.users.next_op(issued, user, &mut self.obs) {
+            self.dispatch(sim, Origin::User { user, issued }, op, 0.0, false);
         }
     }
 
-    fn dispatch(&mut self, sim: &mut dyn ClusterHost, user: u32, op: Operation, issued: SimTime) {
-        self.dispatch_with_wait(sim, user, op, issued, 0.0);
-    }
-
-    /// Dispatch one operation, routing reads through the consistency layer
-    /// when one is configured. `waited_ms` accumulates across
-    /// wait-for-catchup parks of the same read (0 on first attempt).
-    fn dispatch_with_wait(
+    /// Dispatch one client operation: route it — reads through the
+    /// consistency layer when one is configured — and send it to the chosen
+    /// node. `waited_ms` accumulates across wait-for-catchup parks of the
+    /// same read (0 on first attempt). `pin_master` bypasses the balancer
+    /// and the consistency router: the sharded front's all-legs-filtered
+    /// fallback re-runs a scattered read against this tree's master, whose
+    /// copy is fresh by definition.
+    pub(crate) fn dispatch(
         &mut self,
         sim: &mut dyn ClusterHost,
-        user: u32,
+        origin: Origin,
         op: Operation,
-        issued: SimTime,
         waited_ms: f64,
+        pin_master: bool,
     ) {
         let class = match op.class {
             OpClass::Read => ProxyClass::Read,
             OpClass::Write => ProxyClass::Write,
         };
         let route = match (&mut self.consistency, class) {
+            _ if pin_master => Route::Master,
             (Some(layer), ProxyClass::Read) => {
                 let now_ms = sim.now().as_millis_f64();
-                let session = layer.sessions.token(user as usize);
-                match layer
-                    .cfg
-                    .decide_read(&mut self.proxy, &layer.wm, session, now_ms, waited_ms)
-                {
-                    ReadDecision::Route(r) => r,
-                    ReadDecision::RedirectMaster => {
+                let session = match origin {
+                    // Session guarantees are per client: each user has its
+                    // own token, and the front is one client of this tree.
+                    Origin::User { user, .. } => layer.sessions.token(user as usize),
+                    Origin::Front { .. } => &layer.front,
+                };
+                let decision =
+                    layer
+                        .cfg
+                        .decide_read(&mut self.proxy, &layer.wm, session, now_ms, waited_ms);
+                match (decision, origin) {
+                    (ReadDecision::Route(r), _) => r,
+                    // A user's read parks here and retries; the front holds
+                    // no per-leg retry timer, so it trades the wait for the
+                    // master's fresh copy.
+                    (ReadDecision::WaitRetry { recheck_ms }, Origin::User { .. }) => {
+                        layer.waits += 1;
+                        layer.wait_ms_total += recheck_ms;
+                        self.obs.incr(Component::Proxy, 0, "consistency_waits", 1);
+                        sim.schedule_event_in(
+                            SimDuration::from_millis_f64(recheck_ms),
+                            ClusterEvent::DispatchWithWait {
+                                origin,
+                                op,
+                                waited_ms: waited_ms + recheck_ms,
+                            },
+                        );
+                        return;
+                    }
+                    (ReadDecision::RedirectMaster | ReadDecision::WaitRetry { .. }, _) => {
                         layer.redirects_master += 1;
                         self.obs
                             .incr(Component::Proxy, 0, "consistency_redirect_master", 1);
                         Route::Master
-                    }
-                    ReadDecision::WaitRetry { recheck_ms } => {
-                        layer.waits += 1;
-                        layer.wait_ms_total += recheck_ms;
-                        self.obs.incr(Component::Proxy, 0, "consistency_waits", 1);
-                        let next_waited = waited_ms + recheck_ms;
-                        sim.schedule_event_in(
-                            SimDuration::from_millis_f64(recheck_ms),
-                            ClusterEvent::DispatchWithWait {
-                                user,
-                                op,
-                                issued,
-                                waited_ms: next_waited,
-                            },
-                        );
-                        return;
                     }
                 }
             }
@@ -1187,7 +1130,7 @@ impl Cluster {
             Route::Master => {
                 if self.nodes[0].failed {
                     // Failover in progress: park until promotion completes.
-                    self.awaiting_master.push((user, op, issued));
+                    self.awaiting_master.push((origin, op));
                     return;
                 }
                 self.obs.incr(Component::Proxy, 0, "routed_to_master", 1);
@@ -1202,7 +1145,14 @@ impl Cluster {
         // The proxy's routing decision happens here, at `sim.now()`.
         let trace = match self.telemetry.as_mut() {
             Some(tl) if op.class == OpClass::Write && routed_slave.is_none() => {
-                tl.t.waterfall.begin_write(issued, sim.now())
+                let routed = sim.now();
+                let issued = match origin {
+                    Origin::User { issued, .. } => issued,
+                    // The front already spent its pool wait and routing hop
+                    // before the op reached this tree: issue == route time.
+                    Origin::Front { .. } => routed,
+                };
+                tl.t.waterfall.begin_write(issued, routed)
             }
             _ => 0,
         };
@@ -1214,114 +1164,9 @@ impl Cluster {
             ClusterEvent::EnqueueJob {
                 node: node_idx,
                 job: Job::ClientOp {
-                    user,
-                    op,
-                    issued,
-                    routed_slave,
-                    trace,
-                },
-            },
-        );
-    }
-
-    /// Entry point for a sharded front-end: inject one operation into this
-    /// tree, identified by an opaque `id` the host correlates on completion.
-    /// Mirrors `dispatch_with_wait`, except the finished op is reported via
-    /// `ClusterHost::notify_front` instead of driving a user loop. Injected
-    /// reads share one tree-wide session token, and a `WaitRetry` decision
-    /// degrades to a master redirect — the front holds no per-leg retry
-    /// timer, so waiting is traded for the master's fresh copy.
-    pub(crate) fn inject_op(&mut self, sim: &mut dyn ClusterHost, id: u64, op: Operation) {
-        let class = match op.class {
-            OpClass::Read => ProxyClass::Read,
-            OpClass::Write => ProxyClass::Write,
-        };
-        let route = match (&mut self.consistency, class) {
-            (Some(layer), ProxyClass::Read) => {
-                let now_ms = sim.now().as_millis_f64();
-                let decision =
-                    layer
-                        .cfg
-                        .decide_read(&mut self.proxy, &layer.wm, &layer.injected, now_ms, 0.0);
-                match decision {
-                    ReadDecision::Route(r) => r,
-                    ReadDecision::RedirectMaster | ReadDecision::WaitRetry { .. } => {
-                        layer.redirects_master += 1;
-                        self.obs
-                            .incr(Component::Proxy, 0, "consistency_redirect_master", 1);
-                        Route::Master
-                    }
-                }
-            }
-            _ => self.proxy.route(class),
-        };
-        let (node_idx, routed_slave) = match route {
-            Route::Master => {
-                if self.nodes[0].failed {
-                    // Failover in progress: park until promotion completes.
-                    self.awaiting_master_injected.push((id, op));
-                    return;
-                }
-                self.obs.incr(Component::Proxy, 0, "routed_to_master", 1);
-                (0, None)
-            }
-            Route::Slave(s) => {
-                self.obs.incr(Component::Proxy, s as u32, "routed_reads", 1);
-                (self.slave_node(s), Some(s))
-            }
-        };
-        let now = sim.now();
-        // Telemetry: injected writes open their causal trace at injection —
-        // the front's routing hop already happened, so issue == route time.
-        let trace = match self.telemetry.as_mut() {
-            Some(tl) if op.class == OpClass::Write && routed_slave.is_none() => {
-                tl.t.waterfall.begin_write(now, now)
-            }
-            _ => 0,
-        };
-        let delay = self
-            .net
-            .delay(self.client_zone, self.nodes[node_idx].inst.zone());
-        sim.schedule_event_in(
-            delay,
-            ClusterEvent::EnqueueJob {
-                node: node_idx,
-                job: Job::Injected {
-                    id,
+                    origin,
                     op,
                     routed_slave,
-                    trace,
-                },
-            },
-        );
-    }
-
-    /// [`Self::inject_op`] pinned to the master, bypassing the balancer and
-    /// the consistency router — the sharded front's all-legs-filtered
-    /// fallback: when every scatter leg was dropped by the staleness
-    /// filter, the read re-runs against this tree's master, whose copy is
-    /// fresh by definition. Parks like any master-routed op while a
-    /// failover is in progress.
-    pub(crate) fn inject_op_master(&mut self, sim: &mut dyn ClusterHost, id: u64, op: Operation) {
-        if self.nodes[0].failed {
-            self.awaiting_master_injected.push((id, op));
-            return;
-        }
-        self.obs.incr(Component::Proxy, 0, "routed_to_master", 1);
-        let now = sim.now();
-        let trace = match self.telemetry.as_mut() {
-            Some(tl) if op.class == OpClass::Write => tl.t.waterfall.begin_write(now, now),
-            _ => 0,
-        };
-        let delay = self.net.delay(self.client_zone, self.nodes[0].inst.zone());
-        sim.schedule_event_in(
-            delay,
-            ClusterEvent::EnqueueJob {
-                node: 0,
-                job: Job::Injected {
-                    id,
-                    op,
-                    routed_slave: None,
                     trace,
                 },
             },
@@ -1349,17 +1194,13 @@ impl Cluster {
         }
         if self.nodes[node_idx].failed {
             // A failed VM serves nothing; drop queued work. Client ops get
-            // an immediate error response so their users retry elsewhere.
+            // an immediate error response and retry through the proxy, which
+            // has already marked this replica dead (and reset its
+            // outstanding count).
             let dropped: Vec<Job> = self.nodes[node_idx].queue.drain(..).collect();
             for job in dropped {
-                match job {
-                    Job::ClientOp {
-                        user, op, issued, ..
-                    } => self.retry_elsewhere(sim, user, op, issued),
-                    // Injected ops re-route through the proxy, which has
-                    // already marked this replica dead.
-                    Job::Injected { id, op, .. } => self.inject_op(sim, id, op),
-                    _ => {}
+                if let Job::ClientOp { origin, op, .. } = job {
+                    self.dispatch(sim, origin, op, 0.0, false);
                 }
             }
             return;
@@ -1386,9 +1227,8 @@ impl Cluster {
 
         match job {
             Job::ClientOp {
-                user,
+                origin,
                 op,
-                issued,
                 routed_slave,
                 trace,
             } => {
@@ -1398,27 +1238,7 @@ impl Cluster {
                     ClusterEvent::ClientOpDone {
                         node_idx,
                         gen,
-                        user,
-                        class: op.class,
-                        issued,
-                        routed_slave,
-                        trace,
-                    },
-                );
-            }
-            Job::Injected {
-                id,
-                op,
-                routed_slave,
-                trace,
-            } => {
-                let done = self.start_client_service(node_idx, &op, routed_slave, trace, now);
-                sim.schedule_event_at(
-                    done,
-                    ClusterEvent::InjectedOpDone {
-                        node_idx,
-                        gen,
-                        id,
+                        origin,
                         class: op.class,
                         routed_slave,
                         trace,
@@ -1633,11 +1453,9 @@ impl Cluster {
         demand_us
     }
 
-    /// Begin functional service of a client-visible operation on `node_idx`:
+    /// Begin functional service of a client operation on `node_idx`:
     /// telemetry/consistency service-start accounting, functional statement
-    /// execution, and CPU submission. Returns the completion time. Shared by
-    /// user-loop ops (`Job::ClientOp`) and front-injected ops
-    /// (`Job::Injected`), which differ only in their completion events.
+    /// execution, and CPU submission. Returns the completion time.
     fn start_client_service(
         &mut self,
         node_idx: usize,
@@ -1724,18 +1542,17 @@ impl Cluster {
         sim: &mut dyn ClusterHost,
         node_idx: usize,
         gen: u64,
-        user: u32,
+        origin: Origin,
         class: OpClass,
-        issued: SimTime,
         routed_slave: Option<usize>,
         trace: u64,
     ) {
         if self.nodes[node_idx].gen != gen {
             // The node at this slot was swapped/replaced mid-service
             // (failover). The op's functional work already happened; just
-            // deliver the response so the user's loop continues.
+            // deliver the response so the client's loop continues.
             let now = sim.now();
-            self.schedule_response(sim, now, user, class, issued, routed_slave);
+            self.schedule_response(sim, now, origin, class, routed_slave);
             return;
         }
         self.nodes[node_idx].busy = false;
@@ -1750,7 +1567,12 @@ impl Cluster {
                 _ => self.nodes[0].engine.binlog().head().0,
             };
             if let Some(layer) = self.consistency.as_mut() {
-                let token = layer.sessions.token_mut(user as usize);
+                let token = match origin {
+                    // The same per-client token the op's read was judged
+                    // by in `dispatch`.
+                    Origin::User { user, .. } => layer.sessions.token_mut(user as usize),
+                    Origin::Front { .. } => &mut layer.front,
+                };
                 match class {
                     OpClass::Write => token.observe_write(seq),
                     OpClass::Read => token.observe_read(seq),
@@ -1773,175 +1595,115 @@ impl Cluster {
             }
             // Master job: commit point — ship new binlog events.
             let deliveries = self.ship_new(sim);
-            // Shared-log backend: a write is acknowledged at its quorum
-            // instant, whatever the ReplMode — durability lives in the log
-            // service, not in slave receipt/apply acks.
-            if class == OpClass::Write {
-                if let Some(q_at) = self
-                    .shared_log
-                    .as_ref()
-                    .and_then(|sl| sl.last_publish_quorum)
-                {
-                    self.schedule_response(sim, q_at, user, class, issued, routed_slave);
-                    self.try_start(sim, node_idx);
-                    return;
-                }
-            }
-            match (class, self.mode) {
-                (OpClass::Write, ReplMode::SemiSync) if !deliveries.is_empty() => {
-                    // Respond when the first receipt ack returns.
-                    let mut first_ack = SimTime::from_micros(u64::MAX);
-                    for &(s, d) in &deliveries {
-                        let back = self
-                            .net
-                            .delay(self.nodes[self.slave_node(s)].inst.zone(), self.client_zone);
-                        first_ack = first_ack.min(d + back);
+            match origin {
+                // The front's durability contract is ack-at-commit under
+                // every `ReplMode` and backend: a scatter leg cannot block
+                // on per-tree acks without a front-side ack protocol
+                // (DESIGN.md §14).
+                Origin::Front { .. } => {}
+                // A user's write is acknowledged when its durability
+                // setting says so; `true` means that ack is now scheduled.
+                Origin::User { user, issued } => {
+                    if class == OpClass::Write
+                        && self.hold_write_ack(sim, user, issued, routed_slave, &deliveries)
+                    {
+                        self.try_start(sim, node_idx);
+                        return;
                     }
-                    let at = first_ack.max(now);
-                    sim.schedule_event_at(
-                        at,
-                        ClusterEvent::Respond {
-                            user,
-                            class,
-                            issued,
-                            routed_slave,
-                        },
-                    );
-                    self.try_start(sim, node_idx);
-                    return;
                 }
-                (OpClass::Write, ReplMode::Sync) if !self.relays.is_empty() => {
-                    // Respond when every live slave has applied this write.
-                    let last_lsn = Lsn(self.shipped_upto.0.saturating_sub(1));
-                    let mut acked = vec![false; self.relays.len()];
-                    // Slaves that have already applied past it (possible for
-                    // read-only ops that logged nothing) ack immediately;
-                    // failed slaves cannot be waited on.
-                    for (s, r) in self.relays.iter().enumerate() {
-                        if r.applied_upto() > last_lsn || self.nodes[s + 1].failed {
-                            acked[s] = true;
-                        }
-                    }
-                    if acked.iter().all(|&a| a) {
-                        self.schedule_response(sim, now, user, class, issued, routed_slave);
-                    } else {
-                        self.pending_sync.push(SyncWait {
-                            user,
-                            issued,
-                            routed_slave,
-                            class,
-                            last_lsn,
-                            acked,
-                            latest_ack: now,
-                        });
-                    }
-                    self.try_start(sim, node_idx);
-                    return;
-                }
-                _ => {}
             }
         }
 
-        self.schedule_response(sim, now, user, class, issued, routed_slave);
+        self.schedule_response(sim, now, origin, class, routed_slave);
         self.try_start(sim, node_idx);
     }
 
-    /// Completion of a front-injected op: mirrors `client_op_done`, but the
-    /// finished op flows back to the host front instead of a user loop, and
-    /// writes always respond at commit — the sharded front's durability
-    /// contract is async regardless of `ReplMode`, because a scatter leg
-    /// cannot block on per-tree sync acks without a front-side ack protocol
-    /// (documented in DESIGN.md §14).
-    #[allow(clippy::too_many_arguments)]
-    fn injected_op_done(
+    /// A user's write just committed on the master: if its acknowledgement
+    /// waits on more than the commit — the shared log's quorum instant, a
+    /// semi-sync receipt, or every live slave's apply — arrange that ack and
+    /// return `true`. `false` means the write acks now, at commit.
+    fn hold_write_ack(
         &mut self,
         sim: &mut dyn ClusterHost,
-        node_idx: usize,
-        gen: u64,
-        id: u64,
-        class: OpClass,
+        user: u32,
+        issued: SimTime,
         routed_slave: Option<usize>,
-        trace: u64,
-    ) {
-        if self.nodes[node_idx].gen != gen {
-            // Slot swapped mid-service (failover); the functional work is
-            // done, so just deliver the completion to the front.
-            let now = sim.now();
-            self.injected_response(sim, now, id, routed_slave);
-            return;
+        deliveries: &[(usize, SimTime)],
+    ) -> bool {
+        let (now, class) = (sim.now(), OpClass::Write);
+        let origin = Origin::User { user, issued };
+        // Shared-log backend: a write is acknowledged at its quorum
+        // instant, whatever the ReplMode — durability lives in the log
+        // service, not in slave receipt/apply acks.
+        if let Some(q_at) = self
+            .shared_log
+            .as_ref()
+            .and_then(|sl| sl.last_publish_quorum)
+        {
+            self.schedule_response(sim, q_at, origin, class, routed_slave);
+            return true;
         }
-        self.nodes[node_idx].busy = false;
-        let now = sim.now();
-
-        // Session guarantees for the tree-wide injected token.
-        if self.consistency.is_some() {
-            let seq = match (class, routed_slave) {
-                (OpClass::Read, Some(s)) => self.relays[s].applied_upto().0,
-                _ => self.nodes[0].engine.binlog().head().0,
-            };
-            if let Some(layer) = self.consistency.as_mut() {
-                match class {
-                    OpClass::Write => layer.injected.observe_write(seq),
-                    OpClass::Read => layer.injected.observe_read(seq),
+        match self.mode {
+            ReplMode::SemiSync if !deliveries.is_empty() => {
+                // Respond when the first receipt ack returns.
+                let mut first_ack = SimTime::from_micros(u64::MAX);
+                for &(s, d) in deliveries {
+                    let back = self
+                        .net
+                        .delay(self.nodes[self.slave_node(s)].inst.zone(), self.client_zone);
+                    first_ack = first_ack.min(d + back);
                 }
+                let at = first_ack.max(now);
+                sim.schedule_event_at(
+                    at,
+                    ClusterEvent::Respond {
+                        user,
+                        class,
+                        issued,
+                        routed_slave,
+                    },
+                );
+                true
             }
-        }
-
-        if node_idx == 0 {
-            if trace != 0 {
-                let committed = self
-                    .telemetry
-                    .as_mut()
-                    .and_then(|tl| tl.t.waterfall.on_commit(trace, now));
-                if committed.is_some() {
-                    self.obs
-                        .flow(FlowPhase::Start, Component::Cpu, 0, "writeset", now, trace);
+            ReplMode::Sync if !self.relays.is_empty() => {
+                // Respond when every live slave has applied this write.
+                let last_lsn = Lsn(self.shipped_upto.0.saturating_sub(1));
+                let mut acked = vec![false; self.relays.len()];
+                // Slaves that have already applied past it (possible for
+                // read-only ops that logged nothing) ack immediately;
+                // failed slaves cannot be waited on.
+                for (s, r) in self.relays.iter().enumerate() {
+                    if r.applied_upto() > last_lsn || self.nodes[s + 1].failed {
+                        acked[s] = true;
+                    }
                 }
+                if acked.iter().all(|&a| a) {
+                    self.schedule_response(sim, now, origin, class, routed_slave);
+                } else {
+                    self.pending_sync.push(SyncWait {
+                        user,
+                        issued,
+                        routed_slave,
+                        class,
+                        last_lsn,
+                        acked,
+                        latest_ack: now,
+                    });
+                }
+                true
             }
-            // Master job: commit point — ship new binlog events.
-            self.ship_new(sim);
+            _ => false,
         }
-
-        self.injected_response(sim, now, id, routed_slave);
-        self.try_start(sim, node_idx);
     }
 
-    /// Deliver an injected op's completion to the host front after the
-    /// serving-replica→client network hop (mirrors `schedule_response`).
-    fn injected_response(
-        &mut self,
-        sim: &mut dyn ClusterHost,
-        at: SimTime,
-        id: u64,
-        routed_slave: Option<usize>,
-    ) {
-        let from = match routed_slave {
-            Some(s) => self.nodes[self.slave_node(s)].inst.zone(),
-            None => self.nodes[0].inst.zone(),
-        };
-        let staleness_ms = match routed_slave {
-            Some(s) => self.observed_staleness_ms(s),
-            None => 0.0,
-        };
-        let back = self.net.delay(from, self.client_zone);
-        let respond_at = at.max(sim.now()) + back;
-        sim.notify_front(
-            respond_at,
-            InjectedDone {
-                id,
-                routed_slave,
-                staleness_ms,
-            },
-        );
-    }
-
+    /// Send a finished op's completion back to its client, leaving the
+    /// serving replica at `at` and crossing the replica→client network hop.
     fn schedule_response(
         &mut self,
         sim: &mut dyn ClusterHost,
         at: SimTime,
-        user: u32,
+        origin: Origin,
         class: OpClass,
-        issued: SimTime,
         routed_slave: Option<usize>,
     ) {
         let from = match routed_slave {
@@ -1950,15 +1712,30 @@ impl Cluster {
         };
         let back = self.net.delay(from, self.client_zone);
         let respond_at = at.max(sim.now()) + back;
-        sim.schedule_event_at(
-            respond_at,
-            ClusterEvent::Respond {
-                user,
-                class,
-                issued,
-                routed_slave,
-            },
-        );
+        match origin {
+            // A user's response re-enters this cluster's own user loop.
+            Origin::User { user, issued } => sim.schedule_event_at(
+                respond_at,
+                ClusterEvent::Respond {
+                    user,
+                    class,
+                    issued,
+                    routed_slave,
+                },
+            ),
+            // The front runs the user loop: hand the completion to it, with
+            // the serving replica's heartbeat-observed staleness — exactly
+            // the signal an application-managed router would have to judge
+            // a scatter leg by.
+            Origin::Front { id } => sim.notify_front(
+                respond_at,
+                InjectedDone {
+                    id,
+                    routed_slave,
+                    staleness_ms: routed_slave.map_or(0.0, |s| self.observed_staleness_ms(s)),
+                },
+            ),
+        }
     }
 
     fn respond(
@@ -1983,38 +1760,16 @@ impl Cluster {
             self.obs
                 .observe_sketch(Component::Proxy, inst, "client_latency_ms", latency_ms);
         }
-        if self.phases.in_steady(now) {
-            self.stats.steady_ops += 1;
-            match class {
-                OpClass::Read => {
-                    self.stats.steady_reads += 1;
-                    if routed_slave.is_some() {
-                        self.stats.steady_slave_reads += 1;
-                    }
-                }
-                OpClass::Write => self.stats.steady_writes += 1,
-            }
-            self.stats.latencies_ms.push(latency_ms);
+        let (handoff, think) =
+            self.users
+                .complete(now, class, issued, routed_slave.is_some(), &mut self.obs);
+        if let Some((parked, op, queued_at)) = handoff {
+            let origin = Origin::User {
+                user: parked,
+                issued: queued_at,
+            };
+            self.dispatch(sim, origin, op, 0.0, false);
         }
-        // Return the connection; hand it straight to a parked user if any.
-        if let Some(ticket) = self.pool.release(now) {
-            if let Some((u2, op2, issued2)) = self.parked.remove(&ticket) {
-                // The parked user queued at `issued2`; the handoff ends its
-                // checkout wait.
-                self.obs.observe_sketch(
-                    Component::Pool,
-                    0,
-                    "checkout_wait_ms",
-                    (now - issued2).as_millis_f64(),
-                );
-                self.dispatch(sim, u2, op2, issued2);
-            }
-        }
-        // Think, then next op.
-        let think = SimDuration::from_secs_f64(
-            self.rng_think
-                .exp(self.cfg.workload.think_time.as_secs_f64()),
-        );
         sim.schedule_event_in(think, ClusterEvent::UserNextOp { user });
     }
 
@@ -2418,18 +2173,26 @@ impl Cluster {
     // Membership: failures, replacement, autoscaling
     // ------------------------------------------------------------------
 
-    /// A client op was aimed at a node that failed before serving it; the
-    /// driver reroutes it through the proxy (counting it as a retry).
-    fn retry_elsewhere(
-        &mut self,
-        sim: &mut dyn ClusterHost,
-        user: u32,
-        op: Operation,
-        issued: SimTime,
-    ) {
-        // The original routing decremented nothing; outstanding counts for
-        // the dead slave are reset by fail_slave. Re-dispatch afresh.
-        self.dispatch(sim, user, op, issued);
+    /// Failover swapped or re-seeded the node at `node` under its queue:
+    /// push the queued client ops back through the proxy (their clients
+    /// would hang otherwise). Queued apply and heartbeat jobs belong to the
+    /// old replication stream and are dropped.
+    fn redispatch_queue(&mut self, sim: &mut dyn ClusterHost, node: usize) {
+        let orphans: Vec<Job> = self.nodes[node].queue.drain(..).collect();
+        for job in orphans {
+            if let Job::ClientOp {
+                origin,
+                op,
+                routed_slave,
+                ..
+            } = job
+            {
+                if let Some(rs) = routed_slave {
+                    self.proxy.read_done(rs, 1.0);
+                }
+                self.dispatch(sim, origin, op, 0.0, false);
+            }
+        }
     }
 
     /// Kill slave `s`: it stops serving reads and applying writesets.
@@ -2554,35 +2317,7 @@ impl Cluster {
         // The promoted node's queued work (it was serving reads) and the
         // corpse's queued work both re-enter dispatch.
         for node in [0usize, best_node] {
-            let orphans: Vec<Job> = self.nodes[node].queue.drain(..).collect();
-            for job in orphans {
-                match job {
-                    Job::ClientOp {
-                        user,
-                        op,
-                        issued,
-                        routed_slave,
-                        ..
-                    } => {
-                        if let Some(rs) = routed_slave {
-                            self.proxy.read_done(rs, 1.0);
-                        }
-                        self.dispatch(sim, user, op, issued);
-                    }
-                    Job::Injected {
-                        id,
-                        op,
-                        routed_slave,
-                        ..
-                    } => {
-                        if let Some(rs) = routed_slave {
-                            self.proxy.read_done(rs, 1.0);
-                        }
-                        self.inject_op(sim, id, op);
-                    }
-                    _ => {}
-                }
-            }
+            self.redispatch_queue(sim, node);
         }
 
         // New replication stream: fresh binlog, fresh epoch; every live
@@ -2592,7 +2327,7 @@ impl Cluster {
         if let Some(layer) = self.consistency.as_mut() {
             layer.wm.reset_all(0);
             layer.sessions.reset_all();
-            layer.injected = SessionToken::new();
+            layer.front = SessionToken::new();
         }
         self.repl_epoch += 1;
         self.shipped_upto = Lsn(0);
@@ -2608,37 +2343,7 @@ impl Cluster {
             if !self.nodes[node].failed {
                 let snapshot = self.nodes[0].engine.fork(ForkRole::Slave);
                 self.nodes[node].engine = snapshot;
-                // Queued reads must not be dropped silently — their users
-                // would hang; push them back through the proxy.
-                let orphans: Vec<Job> = self.nodes[node].queue.drain(..).collect();
-                for job in orphans {
-                    match job {
-                        Job::ClientOp {
-                            user,
-                            op,
-                            issued,
-                            routed_slave,
-                            ..
-                        } => {
-                            if let Some(rs) = routed_slave {
-                                self.proxy.read_done(rs, 1.0);
-                            }
-                            self.dispatch(sim, user, op, issued);
-                        }
-                        Job::Injected {
-                            id,
-                            op,
-                            routed_slave,
-                            ..
-                        } => {
-                            if let Some(rs) = routed_slave {
-                                self.proxy.read_done(rs, 1.0);
-                            }
-                            self.inject_op(sim, id, op);
-                        }
-                        _ => {}
-                    }
-                }
+                self.redispatch_queue(sim, node);
             }
         }
         // Honest rebuild cost: while a slave resyncs from the new master's
@@ -2679,11 +2384,8 @@ impl Cluster {
         ));
 
         // Release parked writes.
-        for (user, op, issued) in std::mem::take(&mut self.awaiting_master) {
-            self.dispatch(sim, user, op, issued);
-        }
-        for (id, op) in std::mem::take(&mut self.awaiting_master_injected) {
-            self.inject_op(sim, id, op);
+        for (origin, op) in std::mem::take(&mut self.awaiting_master) {
+            self.dispatch(sim, origin, op, 0.0, false);
         }
     }
 
@@ -2762,35 +2464,7 @@ impl Cluster {
         // were queued on the promoted slave reroute; the corpse's queue
         // drains the same way the binlog path does it).
         for node in [0usize, best_node] {
-            let orphans: Vec<Job> = self.nodes[node].queue.drain(..).collect();
-            for job in orphans {
-                match job {
-                    Job::ClientOp {
-                        user,
-                        op,
-                        issued,
-                        routed_slave,
-                        ..
-                    } => {
-                        if let Some(rs) = routed_slave {
-                            self.proxy.read_done(rs, 1.0);
-                        }
-                        self.dispatch(sim, user, op, issued);
-                    }
-                    Job::Injected {
-                        id,
-                        op,
-                        routed_slave,
-                        ..
-                    } => {
-                        if let Some(rs) = routed_slave {
-                            self.proxy.read_done(rs, 1.0);
-                        }
-                        self.inject_op(sim, id, op);
-                    }
-                    _ => {}
-                }
-            }
+            self.redispatch_queue(sim, node);
         }
 
         // Charge the replay to the new master's CPU: parked writes released
@@ -2828,11 +2502,8 @@ impl Cluster {
         ));
 
         // Release parked writes; they run after the replay drains.
-        for (user, op, issued) in std::mem::take(&mut self.awaiting_master) {
-            self.dispatch(sim, user, op, issued);
-        }
-        for (id, op) in std::mem::take(&mut self.awaiting_master_injected) {
-            self.inject_op(sim, id, op);
+        for (origin, op) in std::mem::take(&mut self.awaiting_master) {
+            self.dispatch(sim, origin, op, 0.0, false);
         }
     }
 
@@ -3013,6 +2684,8 @@ impl Cluster {
             });
         }
 
+        let users = self.users.stats();
+        let pool = self.users.pool();
         RunReport {
             users: self.cfg.workload.concurrent_users,
             n_slaves: self.cfg.n_slaves,
@@ -3023,12 +2696,12 @@ impl Cluster {
                 .map(|(t, e)| (t.as_secs_f64(), e.clone()))
                 .collect(),
             lost_writes: self.lost_writes,
-            steady_ops: self.stats.steady_ops,
-            steady_reads: self.stats.steady_reads,
-            steady_writes: self.stats.steady_writes,
-            steady_slave_reads: self.stats.steady_slave_reads,
-            throughput_ops_s: self.stats.steady_ops as f64 / steady_secs,
-            latency_ms: Summary::of(&self.stats.latencies_ms),
+            steady_ops: users.steady_ops,
+            steady_reads: users.steady_reads,
+            steady_writes: users.steady_writes,
+            steady_slave_reads: users.steady_slave_reads,
+            throughput_ops_s: users.steady_ops as f64 / steady_secs,
+            latency_ms: Summary::of(&users.latencies_ms),
             master_utilization: self.stats.master_util,
             slave_utilizations: self.stats.slave_utils.clone(),
             delays,
@@ -3036,7 +2709,7 @@ impl Cluster {
             peak_relay_backlog: self.stats.peak_relay_backlog,
             apply_batches: self.stats.apply_batches,
             apply_events: self.stats.apply_events,
-            pool_stats: (self.pool.total_acquired(), self.pool.total_waited()),
+            pool_stats: (pool.total_acquired(), pool.total_waited()),
             consistency: self.consistency.as_ref().map(|l| ConsistencyReport {
                 policy: l.cfg.policy.label(),
                 fallback: l.cfg.fallback.label(),
@@ -3139,7 +2812,7 @@ impl Cluster {
         }
         // Pool "utilization": peak checkouts over capacity. Saturation here
         // means users queue for connections before any CPU is even asked.
-        let (peak_active, _) = self.pool.peaks();
+        let (peak_active, _) = self.users.pool().peaks();
         let capacity = if self.cfg.pool_max_active == 0 {
             self.cfg.workload.concurrent_users as usize
         } else {
@@ -3154,7 +2827,7 @@ impl Cluster {
             } else {
                 0.0
             },
-            peak_queue: self.stats.steady_peak_waiting,
+            peak_queue: self.users.stats().steady_peak_waiting,
         });
         rep
     }

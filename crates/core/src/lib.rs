@@ -26,6 +26,7 @@ pub mod cluster;
 pub mod config;
 pub mod report;
 pub mod sharded;
+mod users;
 
 pub use amdb_consistency::{ConsistencyConfig, ConsistencyPolicy, FallbackPolicy, SeqSource};
 pub use amdb_obs::ObsConfig;

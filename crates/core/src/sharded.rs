@@ -18,11 +18,32 @@
 //!
 //! All trees share one discrete-event kernel: each tree's events are
 //! wrapped as [`ShardedEvent::Tree`] and dispatched back through
-//! [`ClusterEvent::fire_on`] with a per-tree [`TreeHost`], so a tree cannot
-//! tell whether it runs standalone or sharded. With `shards = 1` the world
-//! degenerates to exactly the standalone cluster: same seed, same RNG
-//! stream labels, same event order — byte-identical reports (pinned by a
-//! test below).
+//! [`ClusterEvent::fire_on`] with a per-tree [`TreeHost`]. The front owns
+//! the run's users — the same `UserLoop` a standalone cluster drives — and
+//! hands each operation to a tree's one `Cluster::dispatch` tagged
+//! [`Origin::Front`]; the tree's own user loop has zero users and stays
+//! idle. With `shards = 1` and a config that reaches none of the
+//! `Origin::Front` arms below, the world is the standalone cluster: same
+//! seed, same RNG stream labels, same event order — byte-identical reports
+//! (pinned by a test below).
+//!
+//! # What a front-issued op does differently
+//!
+//! Five decisions in `cluster.rs` look at the origin, each pinned by
+//! `front_origin_divergences_are_deliberate` below:
+//!
+//! * **session token** — the front is one client of a tree, so all its ops
+//!   share one tree-wide token where standalone users have one each;
+//! * **wait-for-catchup** — the front holds no per-leg retry timer, so a
+//!   `WaitRetry` verdict becomes a master redirect;
+//! * **write ack** — at master commit under every `ReplMode` and backend: a
+//!   scatter leg cannot block on per-tree sync or quorum acks without a
+//!   front-side ack protocol (DESIGN.md §14, §16);
+//! * **completion** — reported to the front through
+//!   [`ClusterHost::notify_front`] with the serving replica's
+//!   heartbeat-observed staleness, instead of a tree-local `Respond`;
+//! * **traced write's issue time** — the dispatch instant: the front's pool
+//!   wait and routing hop are over before the op reaches the tree.
 //!
 //! # Determinism
 //!
@@ -32,26 +53,20 @@
 //! front draws from its own `"ops"`/`"think"`/`"cross"` streams. No
 //! ambient randomness, no wall clock: the same config yields the same
 //! report bit-for-bit at any `--jobs` level.
-//!
-//! # Durability contract for injected writes
-//!
-//! Injected writes always respond at master commit (async), regardless of
-//! the tree's `ReplMode` — a scatter leg cannot block on per-tree sync
-//! acks without a front-side ack protocol (DESIGN.md §14).
 
-use crate::cluster::{Cluster, ClusterEvent, ClusterHost, InjectedDone};
+use crate::cluster::{Cluster, ClusterEvent, ClusterHost, InjectedDone, Origin};
 use crate::config::{ClusterConfig, WorkloadKind};
 use crate::report::RunReport;
+use crate::users::{UserLoop, WorkGen};
 use amdb_cloudstone::{
-    build_template, shard_key_of, DataCounters, MixConfig, OpClass, OpGenerator, Operation, Phases,
+    build_template, shard_key_of, DataCounters, OpClass, OpGenerator, Operation,
 };
 use amdb_consistency::ConsistencyPolicy;
 use amdb_metrics::Summary;
 use amdb_net::Zone;
 use amdb_obs::{Component, FlowPhase, Obs, Tsdb};
-use amdb_pool::{Acquire, PoolConfig, SimPool, Ticket};
 use amdb_shard::{Gather, RangeOverride, ShardMap};
-use amdb_sim::{Event, Rng, Sim, SimDuration, SimTime};
+use amdb_sim::{Event, Rng, Sim, SimTime};
 use amdb_sql::Engine;
 use amdb_telemetry::FleetTelemetry;
 use std::collections::HashMap;
@@ -126,7 +141,7 @@ fn tree_seed(cfg: &ShardedConfig, k: u32) -> u64 {
 }
 
 /// Tree `k`'s cluster config: the base template with no users of its own
-/// (the front drives it via injection), its balancer cursor staggered by
+/// (the front issues every op), its balancer cursor staggered by
 /// shard id, and — under `spread_masters` — its master cycled across zone
 /// letters while clients (the front) stay in the base master zone.
 fn tree_config(cfg: &ShardedConfig, k: u32) -> ClusterConfig {
@@ -154,8 +169,8 @@ pub enum ShardedEvent {
     Tree(u32, ClusterEvent),
     /// A front user's think time elapsed; generate the next operation.
     UserNextOp { user: u32 },
-    /// Tree `shard` completed one injected operation (one scatter leg, or a
-    /// whole single-shard op).
+    /// Tree `shard` completed one front-issued operation (one scatter leg,
+    /// or a whole single-shard op).
     OpDone { shard: u32, done: InjectedDone },
 }
 
@@ -173,8 +188,8 @@ impl Event<ShardedWorld> for ShardedEvent {
 }
 
 /// The [`ClusterHost`] one tree sees: wraps the tree's events with its
-/// shard id so N trees multiplex onto one kernel, and routes injected-op
-/// completions back to the front.
+/// shard id so N trees multiplex onto one kernel, and routes front-issued
+/// ops' completions back to the front.
 struct TreeHost<'a> {
     sim: &'a mut ShardedSim,
     shard: u32,
@@ -209,8 +224,8 @@ struct InFlight {
     issued: SimTime,
     /// Legs still outstanding.
     pending: u32,
-    /// True while every completed leg was slave-served (mirrors the
-    /// standalone `routed_slave.is_some()` slave-read accounting).
+    /// True while every completed leg was slave-served (the standalone
+    /// `routed_slave.is_some()` slave-read accounting, across legs).
     all_slave: bool,
     /// Scatter legs only: per-leg consistency filter + staleness tracking.
     gather: Option<Gather<()>>,
@@ -221,12 +236,6 @@ struct InFlight {
 
 #[derive(Default)]
 struct FrontStats {
-    steady_ops: u64,
-    steady_reads: u64,
-    steady_writes: u64,
-    steady_slave_reads: u64,
-    latencies_ms: Vec<f64>,
-    steady_peak_waiting: usize,
     scatter_reads: u64,
     scatter_reads_steady: u64,
     scatter_legs: u64,
@@ -237,24 +246,16 @@ struct FrontStats {
     scatter_master_fallbacks: u64,
 }
 
-/// The shard-aware front: user loops, connection pool, shard map, and the
-/// scatter-gather router. Plays the role the user/pool half of `Cluster`
-/// plays standalone — deliberately mirroring its order of operations so a
-/// one-shard world replays the standalone event sequence exactly.
+/// The shard-aware front: the run's users (the same [`UserLoop`] a
+/// standalone `Cluster` drives), the shard map, and the scatter-gather
+/// router.
 struct Front {
-    phases: Phases,
-    mix: MixConfig,
-    think_time: SimDuration,
-    users: u32,
+    users: UserLoop,
     map: ShardMap,
     cross_fraction: f64,
     /// Policy scatter legs are judged against (the base consistency
     /// policy; `Eventual` when no consistency layer is configured).
     leg_policy: ConsistencyPolicy,
-    gen: OpGenerator,
-    pool: SimPool,
-    parked: HashMap<Ticket, (u32, Operation, SimTime)>,
-    rng_think: Rng,
     rng_cross: Rng,
     next_id: u64,
     inflight: HashMap<u64, InFlight>,
@@ -283,17 +284,9 @@ impl ShardedWorld {
             .map(|k| Cluster::with_template(tree_config(cfg, k), template, counters.clone()))
             .collect();
         let root = Rng::new(cfg.base.seed);
-        let users = cfg.base.workload.concurrent_users;
-        let pool_size = if cfg.base.pool_max_active == 0 {
-            users as usize
-        } else {
-            cfg.base.pool_max_active
-        };
+        let gen = WorkGen::Cloudstone(OpGenerator::new(counters, root.derive("ops")));
         let front = Front {
-            phases: cfg.base.workload.phases,
-            mix: cfg.base.mix,
-            think_time: cfg.base.workload.think_time,
-            users,
+            users: UserLoop::new(&cfg.base, gen, &root),
             map: ShardMap::with_overrides(cfg.shards, cfg.overrides.clone()),
             cross_fraction: cfg.cross_shard_read_fraction,
             leg_policy: cfg
@@ -301,12 +294,6 @@ impl ShardedWorld {
                 .consistency
                 .as_ref()
                 .map_or(ConsistencyPolicy::Eventual, |c| c.policy),
-            gen: OpGenerator::new(counters, root.derive("ops")),
-            pool: SimPool::new(PoolConfig {
-                max_active: pool_size,
-            }),
-            parked: HashMap::new(),
-            rng_think: root.derive("think"),
             rng_cross: root.derive("cross"),
             next_id: 1,
             inflight: HashMap::new(),
@@ -328,34 +315,15 @@ impl ShardedWorld {
             };
             self.trees[k].schedule_timeline(&mut host);
         }
-        let users = self.front.users;
-        let ramp = self.front.phases.ramp_up;
-        let start = self.front.phases.load_start();
-        for u in 0..users {
-            let at = start + SimDuration::from_micros(ramp.as_micros() * u as u64 / users as u64);
-            sim.schedule_event_at(at, ShardedEvent::UserNextOp { user: u });
+        for (at, user) in self.front.users.start_times() {
+            sim.schedule_event_at(at, ShardedEvent::UserNextOp { user });
         }
     }
 
     fn user_next_op(&mut self, sim: &mut ShardedSim, user: u32) {
         let now = sim.now();
-        if now >= self.front.phases.load_end() {
-            return; // ramp-down: user retires
-        }
-        let op = self.front.gen.generate(self.front.mix);
-        match self.front.pool.acquire(now) {
-            Acquire::Ready => self.dispatch_front(sim, user, op, now),
-            Acquire::Queued(t) => {
-                self.front.obs.incr(Component::Pool, 0, "checkout_waits", 1);
-                if self.front.phases.in_steady(now) {
-                    self.front.stats.steady_peak_waiting = self
-                        .front
-                        .stats
-                        .steady_peak_waiting
-                        .max(self.front.pool.waiting());
-                }
-                self.front.parked.insert(t, (user, op, now));
-            }
+        if let Some(op) = self.front.users.next_op(now, user, &mut self.front.obs) {
+            self.dispatch_front(sim, user, op, now);
         }
     }
 
@@ -373,7 +341,7 @@ impl ShardedWorld {
             && self.front.rng_cross.chance(self.front.cross_fraction);
         if scatter {
             self.front.stats.scatter_reads += 1;
-            if self.front.phases.in_steady(issued) {
+            if self.front.users.phases().in_steady(issued) {
                 self.front.stats.scatter_reads_steady += 1;
             }
             self.front.stats.scatter_legs += n as u64;
@@ -402,7 +370,7 @@ impl ShardedWorld {
                     sim: &mut *sim,
                     shard: k as u32,
                 };
-                self.trees[k].inject_op(&mut host, id, op.clone());
+                self.trees[k].dispatch(&mut host, Origin::Front { id }, op.clone(), 0.0, false);
             }
         } else {
             let shard = self.front.map.shard_of_opt(shard_key_of(&op)) as usize;
@@ -422,13 +390,14 @@ impl ShardedWorld {
                 sim: &mut *sim,
                 shard: shard as u32,
             };
-            self.trees[shard].inject_op(&mut host, id, op);
+            self.trees[shard].dispatch(&mut host, Origin::Front { id }, op, 0.0, false);
         }
     }
 
-    /// One leg of an in-flight op completed on `shard`. Mirrors the
-    /// standalone `respond` exactly (per-leg balancer feedback, then stats,
-    /// pool handoff, think) so a one-shard world replays its sequence.
+    /// One leg of an in-flight op completed on `shard`: per-leg balancer
+    /// feedback, gather bookkeeping, and — once the last leg is in — the
+    /// user loop's completion (stats, pool handoff, think), in the order a
+    /// standalone cluster's `respond` runs them.
     fn op_done(&mut self, sim: &mut ShardedSim, shard: u32, done: InjectedDone) {
         let now = sim.now();
         let fl = self
@@ -476,8 +445,8 @@ impl ShardedWorld {
                 leg_latency_ms,
             );
         }
-        // Per-leg feedback into the serving tree's balancer, exactly as the
-        // standalone respond path does before touching stats.
+        // Per-leg feedback into the serving tree's balancer, before any
+        // stats — where a standalone cluster's `respond` does it.
         if let Some(s) = done.routed_slave {
             self.trees[shard as usize].note_read_done(s, leg_latency_ms);
         }
@@ -523,7 +492,8 @@ impl ShardedWorld {
                     sim: &mut *sim,
                     shard: home as u32,
                 };
-                self.trees[home].inject_op_master(&mut host, done.id, op);
+                let origin = Origin::Front { id: done.id };
+                self.trees[home].dispatch(&mut host, origin, op, 0.0, true);
                 return;
             }
         }
@@ -564,38 +534,13 @@ impl ShardedWorld {
                     .tsdb_observe(Component::Proxy, 0, "scatter_tax_ms", now, tax_ms);
             }
         }
-        let latency_ms = (now - fl.issued).as_millis_f64();
-        if self.front.phases.in_steady(now) {
-            self.front.stats.steady_ops += 1;
-            match fl.class {
-                OpClass::Read => {
-                    self.front.stats.steady_reads += 1;
-                    if fl.all_slave {
-                        self.front.stats.steady_slave_reads += 1;
-                    }
-                }
-                OpClass::Write => self.front.stats.steady_writes += 1,
-            }
-            self.front.stats.latencies_ms.push(latency_ms);
-        }
-        // Return the connection; hand it straight to a parked user if any.
-        if let Some(ticket) = self.front.pool.release(now) {
-            if let Some((u2, op2, issued2)) = self.front.parked.remove(&ticket) {
-                self.front.obs.observe_sketch(
-                    Component::Pool,
-                    0,
-                    "checkout_wait_ms",
-                    (now - issued2).as_millis_f64(),
-                );
-                self.dispatch_front(sim, u2, op2, issued2);
-            }
-        }
-        // Think, then next op.
-        let think = SimDuration::from_secs_f64(
+        let (handoff, think) =
             self.front
-                .rng_think
-                .exp(self.front.think_time.as_secs_f64()),
-        );
+                .users
+                .complete(now, fl.class, fl.issued, fl.all_slave, &mut self.front.obs);
+        if let Some((parked, op, queued_at)) = handoff {
+            self.dispatch_front(sim, parked, op, queued_at);
+        }
         sim.schedule_event_at(now + think, ShardedEvent::UserNextOp { user: fl.user });
     }
 
@@ -630,7 +575,7 @@ impl ShardedWorld {
 
     /// Assemble the sharded report (after the simulation has drained).
     fn report(&mut self, sim_events: u64) -> ShardedReport {
-        let phases = self.front.phases;
+        let phases = self.front.users.phases();
         let steady_secs = (phases.steady_end() - phases.steady_start()).as_secs_f64();
         // Per-tree sim_events are meaningless on a shared kernel: report 0.
         let per_shard: Vec<RunReport> = self.trees.iter_mut().map(|t| t.report(0)).collect();
@@ -644,25 +589,24 @@ impl ShardedWorld {
             })
             .collect();
         let s = &self.front.stats;
+        let users = self.front.users.stats();
+        let pool = self.front.users.pool();
         ShardedReport {
             shards: self.trees.len() as u32,
-            users: self.front.users,
-            steady_ops: s.steady_ops,
-            steady_reads: s.steady_reads,
-            steady_writes: s.steady_writes,
-            steady_slave_reads: s.steady_slave_reads,
-            throughput_ops_s: s.steady_ops as f64 / steady_secs,
-            latency_ms: Summary::of(&s.latencies_ms),
+            users: self.front.users.users(),
+            steady_ops: users.steady_ops,
+            steady_reads: users.steady_reads,
+            steady_writes: users.steady_writes,
+            steady_slave_reads: users.steady_slave_reads,
+            throughput_ops_s: users.steady_ops as f64 / steady_secs,
+            latency_ms: Summary::of(&users.latencies_ms),
             scatter_reads: s.scatter_reads,
             scatter_reads_steady: s.scatter_reads_steady,
             scatter_legs: s.scatter_legs,
             scatter_filtered_legs: s.scatter_filtered_legs,
             scatter_master_fallbacks: s.scatter_master_fallbacks,
-            pool_stats: (
-                self.front.pool.total_acquired(),
-                self.front.pool.total_waited(),
-            ),
-            peak_pool_waiting: s.steady_peak_waiting,
+            pool_stats: (pool.total_acquired(), pool.total_waited()),
+            peak_pool_waiting: users.steady_peak_waiting,
             per_shard,
             per_shard_bottleneck,
             sim_events,
@@ -829,6 +773,9 @@ mod tests {
     use super::*;
     use crate::cluster::run_cluster;
     use amdb_cloudstone::{DataSize, WorkloadConfig};
+    use amdb_consistency::ConsistencyConfig;
+    use amdb_repl::{BackendKind, ReplMode};
+    use amdb_sql::binlog::BinlogFormat;
 
     fn quick_cfg(users: u32, slaves: usize, seed: u64) -> ClusterConfig {
         ClusterConfig::builder()
@@ -841,33 +788,108 @@ mod tests {
 
     /// The headline identity: one shard replays the standalone cluster's
     /// event sequence bit-for-bit — same ops, same routing, same latencies,
-    /// same heartbeat-measured replication delays.
+    /// same heartbeat-measured replication delays — on the default config
+    /// and through the apply and consistency planes.
     #[test]
     fn one_shard_is_bit_identical_to_the_standalone_cluster() {
-        let base = quick_cfg(40, 2, 7);
-        let solo = run_cluster(base.clone());
-        let sharded = run_sharded_cluster(ShardedConfig::new(1, base));
-        assert_eq!(sharded.steady_ops, solo.steady_ops);
-        assert_eq!(sharded.steady_reads, solo.steady_reads);
-        assert_eq!(sharded.steady_writes, solo.steady_writes);
-        assert_eq!(sharded.steady_slave_reads, solo.steady_slave_reads);
-        assert_eq!(
-            sharded.throughput_ops_s.to_bits(),
-            solo.throughput_ops_s.to_bits()
-        );
-        assert_eq!(
-            format!("{:?}", sharded.latency_ms),
-            format!("{:?}", solo.latency_ms)
-        );
-        let tree = &sharded.per_shard[0];
-        assert_eq!(
-            format!("{:?}", tree.delays),
-            format!("{:?}", solo.delays),
-            "replication-delay measurements must match"
-        );
-        assert_eq!(tree.reads_per_slave, solo.reads_per_slave);
-        assert_eq!(sharded.scatter_reads, 0, "one shard never scatters");
-        assert_eq!(sharded.pool_stats, solo.pool_stats);
+        let quick = || {
+            ClusterConfig::builder()
+                .slaves(2)
+                .workload(WorkloadConfig::quick(40))
+                .data_size(DataSize { scale: 30 })
+                .seed(7)
+        };
+        let bounded = ConsistencyPolicy::BoundedStaleness { max_ms: 250.0 };
+        for base in [
+            quick().build(),
+            quick().format(BinlogFormat::Row).apply_workers(4).build(),
+            quick().consistency(ConsistencyConfig::new(bounded)).build(),
+        ] {
+            let solo = run_cluster(base.clone());
+            let sharded = run_sharded_cluster(ShardedConfig::new(1, base));
+            assert_eq!(sharded.steady_ops, solo.steady_ops);
+            assert_eq!(sharded.steady_reads, solo.steady_reads);
+            assert_eq!(sharded.steady_writes, solo.steady_writes);
+            assert_eq!(sharded.steady_slave_reads, solo.steady_slave_reads);
+            assert_eq!(
+                sharded.throughput_ops_s.to_bits(),
+                solo.throughput_ops_s.to_bits()
+            );
+            assert_eq!(
+                format!("{:?}", sharded.latency_ms),
+                format!("{:?}", solo.latency_ms)
+            );
+            let tree = &sharded.per_shard[0];
+            assert_eq!(
+                format!("{:?}", tree.delays),
+                format!("{:?}", solo.delays),
+                "replication-delay measurements must match"
+            );
+            assert_eq!(tree.reads_per_slave, solo.reads_per_slave);
+            assert_eq!(sharded.scatter_reads, 0, "one shard never scatters");
+            assert_eq!(sharded.pool_stats, solo.pool_stats);
+        }
+    }
+
+    /// Where a one-shard world is *not* the standalone cluster: one case
+    /// per `Origin::Front` arm in `cluster.rs`. Each divergence is a
+    /// documented contract of the front (DESIGN.md §14, §16), pinned here
+    /// so a refactor of the shared client-operation path cannot move it.
+    #[test]
+    fn front_origin_divergences_are_deliberate() {
+        let quick = || {
+            ClusterConfig::builder()
+                .slaves(2)
+                .workload(WorkloadConfig::quick(40))
+                .data_size(DataSize { scale: 30 })
+                .seed(7)
+        };
+        let both = |base: ClusterConfig| {
+            let solo = run_cluster(base.clone());
+            (solo, run_sharded_cluster(ShardedConfig::new(1, base)))
+        };
+        let mean = |s: &Option<Summary>| s.as_ref().expect("latencies recorded").mean;
+
+        // Session token: the front is one client of the tree, so every
+        // user's write raises the floor every other user's read is held to.
+        let ryw = ConsistencyConfig::new(ConsistencyPolicy::ReadYourWrites);
+        let (solo, sharded) = both(quick().consistency(ryw).build());
+        let redirects = |r: &RunReport| r.consistency.as_ref().expect("layer on").redirects_master;
+        assert!(redirects(&sharded.per_shard[0]) > redirects(&solo));
+        assert_ne!(sharded.steady_ops, solo.steady_ops);
+
+        // Write ack: front writes respond at master commit, not when every
+        // slave has applied them.
+        let (solo, sharded) = both(quick().mode(ReplMode::Sync).build());
+        assert!(mean(&sharded.latency_ms) < mean(&solo.latency_ms));
+
+        // Write ack under the shared log: at commit, not at the quorum
+        // instant — and with no fault planned nothing is lost either way.
+        let (solo, sharded) = both(quick().backend(BackendKind::SharedLog).build());
+        assert!(mean(&sharded.latency_ms) < mean(&solo.latency_ms));
+        assert_eq!(sharded.per_shard[0].lost_writes, 0);
+        assert_eq!(solo.lost_writes, 0);
+
+        // WaitRetry: the front holds no per-leg retry timer, so a wait
+        // verdict becomes a master redirect.
+        let wait = ConsistencyConfig::new(ConsistencyPolicy::BoundedStaleness { max_ms: 0.0 })
+            .with_wait(200.0);
+        let (solo, sharded) = both(quick().consistency(wait).build());
+        assert!(solo.consistency.as_ref().expect("layer on").waits > 0);
+        let tree = sharded.per_shard[0].consistency.as_ref().expect("layer on");
+        assert_eq!(tree.waits, 0);
+        assert!(tree.redirects_master > 0);
+
+        // Traced write's issue time: a user's waterfall shows its pool wait
+        // as the issue → route leg; the front's pool wait is over before
+        // the op reaches the tree, so there the leg is zero.
+        let pooled = quick().pool_max_active(4).build();
+        let (solo, _, _, t) = crate::cluster::run_cluster_telemetry(pooled.clone());
+        assert!(solo.pool_stats.1 > 0, "the pool made users wait");
+        assert!(t.waterfall.client().route_ms.max() > Some(0.0));
+        let (_, fleet) = run_sharded_telemetry(ShardedConfig::new(1, pooled));
+        let (_, t) = fleet.telemetry.shards().next().expect("one tree");
+        assert_eq!(t.waterfall.client().route_ms.max(), Some(0.0));
     }
 
     /// With no cross-shard reads every op goes to exactly one tree, and the
@@ -901,13 +923,9 @@ mod tests {
         let mut world = ShardedWorld::new(&cfg, &template, counters);
         // One scattered read in flight, bound 1 ms; shard 0's leg already
         // arrived 50 ms stale (filtered), shard 1's is about to.
-        let op = world.front.gen.generate_read();
-        // The completion path releases a pool slot; hold one for the
-        // synthetic op like dispatch_front would have.
-        assert!(matches!(
-            world.front.pool.acquire(sim.now()),
-            Acquire::Ready
-        ));
+        // The completion path releases a pool slot, so the synthetic op
+        // holds one like a generated op would.
+        let op = world.front.users.checkout_read(sim.now());
         let mut g = Gather::new(2, ConsistencyPolicy::BoundedStaleness { max_ms: 1.0 });
         g.offer(0, 50.0, Vec::new());
         world.front.inflight.insert(
