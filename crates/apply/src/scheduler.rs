@@ -210,8 +210,8 @@ impl ApplyScheduler {
 /// planner's counters.
 ///
 /// The flattened group sequence is always the input LSN order — the
-/// in-order-commit invariant — which tests and the `micro_apply` bench
-/// assert rather than assume.
+/// in-order-commit invariant — which `commit_order_is_lsn_order` asserts
+/// rather than assumes.
 pub fn simulate(
     events: &[BinlogEvent],
     workers: usize,

@@ -30,8 +30,8 @@ impl Phases {
         }
     }
 
-    /// A proportionally shrunk run for fast tests and Criterion benches
-    /// (shapes survive; absolute counts shrink).
+    /// A proportionally shrunk run for fast tests (shapes survive; absolute
+    /// counts shrink).
     pub fn quick() -> Self {
         Self {
             idle: SimDuration::from_secs(40),

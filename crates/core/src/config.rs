@@ -309,8 +309,8 @@ pub struct ClusterConfig {
     pub consistency: Option<ConsistencyConfig>,
     /// Per-engine statement→plan cache (on by default). The cache is
     /// behaviour-transparent — results are byte-identical either way — so
-    /// this knob exists for A/B timing (`BENCH_hotpath.json`) and for the
-    /// CI cross-check that proves the transparency claim.
+    /// this knob exists for the test that proves the transparency claim
+    /// (`tests/hotpath.rs`).
     pub plan_cache: bool,
     pub seed: u64,
 }

@@ -70,7 +70,7 @@ pub enum Fidelity {
     /// time per figure.
     Full,
     /// Shrunk phases and thinned grids; shapes survive, absolute sample
-    /// counts shrink. Used by tests and Criterion benches.
+    /// counts shrink. Used by tests and the bins' default grids.
     Quick,
 }
 

@@ -13,7 +13,7 @@
 
 use amdb_experiments::{sweep, Fidelity};
 
-/// FNV-1a, matching `bench_simcore`'s fingerprint.
+/// FNV-1a.
 fn fnv64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

@@ -5,18 +5,13 @@
 //! connections that have been released by other users ... to save the
 //! overhead of creating a new connection for each operation" (§III-A).
 //!
-//! Two implementations are provided:
-//!
-//! * [`SimPool`] — a deterministic, event-loop-friendly pool used inside the
-//!   discrete-event simulation: acquisition either succeeds immediately or
-//!   returns a ticket that the caller parks until a release wakes it (the
-//!   DES harness resumes the waiter).
-//! * [`Pool`] — a thread-safe object pool with RAII guards for ordinary
-//!   (non-simulated) library use, demonstrated by the examples.
+//! [`SimPool`] is a deterministic, event-loop-friendly pool used inside the
+//! discrete-event simulation: acquisition either succeeds immediately or
+//! returns a ticket that the caller parks until a release wakes it (the
+//! DES harness resumes the waiter).
 
 use amdb_sim::SimTime;
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
 
 /// Pool sizing configuration (DBCP-style).
 #[derive(Debug, Clone)]
@@ -144,124 +139,6 @@ impl SimPool {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Thread-safe object pool (for non-simulated, real-world style use)
-// ---------------------------------------------------------------------------
-
-struct PoolInner<T> {
-    idle: Mutex<Vec<T>>,
-    cond: Condvar,
-    max_active: usize,
-    outstanding: Mutex<usize>,
-}
-
-/// A thread-safe, blocking object pool with RAII checkout guards.
-///
-/// ```
-/// use amdb_pool::Pool;
-/// let pool = Pool::new(2, || String::from("conn"));
-/// let a = pool.get();
-/// let b = pool.get();
-/// assert_eq!(pool.outstanding(), 2);
-/// drop(a);
-/// assert_eq!(pool.outstanding(), 1);
-/// drop(b);
-/// ```
-pub struct Pool<T: Send + 'static> {
-    inner: Arc<PoolInner<T>>,
-    factory: Arc<dyn Fn() -> T + Send + Sync>,
-}
-
-impl<T: Send + 'static> Clone for Pool<T> {
-    fn clone(&self) -> Self {
-        Self {
-            inner: Arc::clone(&self.inner),
-            factory: Arc::clone(&self.factory),
-        }
-    }
-}
-
-impl<T: Send + 'static> Pool<T> {
-    /// Create a pool that lazily builds up to `max_active` objects with
-    /// `factory`.
-    pub fn new(max_active: usize, factory: impl Fn() -> T + Send + Sync + 'static) -> Self {
-        assert!(max_active > 0, "pool must allow at least one object");
-        Self {
-            inner: Arc::new(PoolInner {
-                idle: Mutex::new(Vec::new()),
-                cond: Condvar::new(),
-                max_active,
-                outstanding: Mutex::new(0),
-            }),
-            factory: Arc::new(factory),
-        }
-    }
-
-    /// Check out an object, blocking until one is available.
-    pub fn get(&self) -> Pooled<T> {
-        loop {
-            {
-                let mut idle = self.inner.idle.lock().expect("pool lock poisoned");
-                if let Some(obj) = idle.pop() {
-                    *self.inner.outstanding.lock().expect("pool lock poisoned") += 1;
-                    return Pooled {
-                        obj: Some(obj),
-                        pool: Arc::clone(&self.inner),
-                    };
-                }
-            }
-            {
-                let mut out = self.inner.outstanding.lock().expect("pool lock poisoned");
-                if *out < self.inner.max_active {
-                    *out += 1;
-                    drop(out);
-                    let obj = (self.factory)();
-                    return Pooled {
-                        obj: Some(obj),
-                        pool: Arc::clone(&self.inner),
-                    };
-                }
-                // Wait for a return (spurious wakeups just re-run the loop).
-                let _out = self.inner.cond.wait(out).expect("pool lock poisoned");
-            }
-        }
-    }
-
-    /// Objects currently checked out.
-    pub fn outstanding(&self) -> usize {
-        *self.inner.outstanding.lock().expect("pool lock poisoned")
-    }
-}
-
-/// RAII guard: derefs to the pooled object and returns it on drop.
-pub struct Pooled<T: Send + 'static> {
-    obj: Option<T>,
-    pool: Arc<PoolInner<T>>,
-}
-
-impl<T: Send + 'static> std::ops::Deref for Pooled<T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        self.obj.as_ref().expect("present until drop")
-    }
-}
-
-impl<T: Send + 'static> std::ops::DerefMut for Pooled<T> {
-    fn deref_mut(&mut self) -> &mut T {
-        self.obj.as_mut().expect("present until drop")
-    }
-}
-
-impl<T: Send + 'static> Drop for Pooled<T> {
-    fn drop(&mut self) {
-        if let Some(obj) = self.obj.take() {
-            self.pool.idle.lock().expect("pool lock poisoned").push(obj);
-            *self.pool.outstanding.lock().expect("pool lock poisoned") -= 1;
-            self.pool.cond.notify_one();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -334,42 +211,5 @@ mod tests {
         }
         let (peak_active, _) = p.peaks();
         assert!(peak_active <= 4);
-    }
-
-    #[test]
-    fn thread_safe_pool_blocks_and_recycles() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc as StdArc;
-        let built = StdArc::new(AtomicUsize::new(0));
-        let b2 = StdArc::clone(&built);
-        let pool = Pool::new(2, move || {
-            b2.fetch_add(1, Ordering::SeqCst);
-            42u32
-        });
-        let a = pool.get();
-        let b = pool.get();
-        assert_eq!(*a, 42);
-        assert_eq!(built.load(Ordering::SeqCst), 2);
-        drop(a);
-        let c = pool.get();
-        assert_eq!(*c, 42);
-        assert_eq!(built.load(Ordering::SeqCst), 2, "recycled, not rebuilt");
-        drop(b);
-        drop(c);
-        assert_eq!(pool.outstanding(), 0);
-    }
-
-    #[test]
-    fn thread_safe_pool_cross_thread() {
-        let pool = Pool::new(1, || 7u8);
-        let guard = pool.get();
-        let p2 = pool.clone();
-        let h = std::thread::spawn(move || {
-            let g = p2.get(); // blocks until main thread drops
-            *g
-        });
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        drop(guard);
-        assert_eq!(h.join().unwrap(), 7);
     }
 }

@@ -80,23 +80,6 @@ pub struct Engine {
 /// steady state never evicts.
 const DEFAULT_PLAN_CACHE_CAPACITY: usize = 256;
 
-/// Plan-cache capacity for new engines: `AMDB_PLAN_CACHE=off` (or `0`)
-/// disables caching, a number overrides the capacity, anything else — and
-/// the common case of the variable being unset — selects the default.
-fn default_plan_cache_capacity() -> usize {
-    match std::env::var("AMDB_PLAN_CACHE") {
-        Ok(v) => {
-            let v = v.trim();
-            if v.eq_ignore_ascii_case("off") || v.eq_ignore_ascii_case("false") {
-                0
-            } else {
-                v.parse().unwrap_or(DEFAULT_PLAN_CACHE_CAPACITY)
-            }
-        }
-        Err(_) => DEFAULT_PLAN_CACHE_CAPACITY,
-    }
-}
-
 impl Engine {
     /// A master engine with the given binlog format.
     pub fn new_master(format: BinlogFormat) -> Self {
@@ -105,7 +88,7 @@ impl Engine {
             binlog: Binlog::new(),
             format,
             log_writes: true,
-            plan_cache: PlanCache::new(default_plan_cache_capacity()),
+            plan_cache: PlanCache::new(DEFAULT_PLAN_CACHE_CAPACITY),
             ddl_serial: 0,
         }
     }
@@ -117,7 +100,7 @@ impl Engine {
             binlog: Binlog::new(),
             format: BinlogFormat::Statement,
             log_writes: false,
-            plan_cache: PlanCache::new(default_plan_cache_capacity()),
+            plan_cache: PlanCache::new(DEFAULT_PLAN_CACHE_CAPACITY),
             ddl_serial: 0,
         }
     }

@@ -73,7 +73,7 @@ fn trace_covers_all_stack_layers() {
 #[test]
 fn sweeps_are_byte_identical_across_jobs_counts() {
     // fig3/fig6's deepest quick cells (450 users × 11 slaves) cost minutes;
-    // thin that grid here — bench_sweep exercises the full quick grids.
+    // thin that grid here — `simcore_fingerprint` exercises the full quick grids.
     let mut spec36 = SweepSpec::fig3_fig6(Fidelity::Quick);
     spec36.users = vec![50, 250];
     spec36.slaves = vec![1, 5];
@@ -274,24 +274,40 @@ fn parallel_apply_traces_carry_worker_spans_and_bounds() {
     );
 }
 
-/// The time-series store is config-gated, deterministic, and mergeable:
-/// same seed ⇒ byte-identical CSV; `tsdb: false` detaches it entirely.
+/// The time-series store is config-gated, deterministic, and pure
+/// measurement: same seed ⇒ byte-identical CSV; `tsdb: false` detaches it
+/// entirely; attaching it changes no run result.
 #[test]
 fn tsdb_store_is_deterministic_and_config_gated() {
     use amdb::core::run_cluster_telemetry;
     let run = |tsdb: bool| {
-        let (_, mut obs, _, _) = run_cluster_telemetry(row_apply_cfg(4, tsdb, 11));
-        obs.take_tsdb()
+        let (report, mut obs, bottleneck, telemetry) =
+            run_cluster_telemetry(row_apply_cfg(4, tsdb, 11));
+        let results = format!(
+            "ops={} tput={:016x} delays={:?}\n{}\n{}",
+            report.steady_ops,
+            report.throughput_ops_s.to_bits(),
+            report.delays,
+            bottleneck.render(),
+            telemetry.alert_table().to_csv(),
+        );
+        (results, obs.take_tsdb())
     };
-    let a = run(true).expect("tsdb attached");
-    let b = run(true).expect("tsdb attached");
+    let (results_on, a) = run(true);
+    let (_, b) = run(true);
+    let (a, b) = (a.expect("tsdb attached"), b.expect("tsdb attached"));
     assert!(!a.is_empty(), "the run records time-series tracks");
     assert_eq!(
         a.csv(),
         b.csv(),
         "same-seed tsdb exports match byte for byte"
     );
-    assert!(run(false).is_none(), "tsdb: false must detach the store");
+    let (results_off, detached) = run(false);
+    assert!(detached.is_none(), "tsdb: false must detach the store");
+    assert_eq!(
+        results_on, results_off,
+        "attaching the time-series store changes no result"
+    );
 }
 
 /// Flow events (the causal write arrows) appear in the export exactly when
