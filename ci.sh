@@ -42,7 +42,7 @@ for workload in paper_5050 paper_8020 planes_on; do
     --out benchmark/out/ci >/dev/null \
     || { echo "$workload: a cell left its frozen fingerprint"; exit 1; }
 done
-# Two timing contracts, read from the smoke's layer ledger rather than
+# Timing contracts, read from the smoke's layer ledger rather than
 # re-measured: a disabled obs probe is a discriminant test (sub-ns), and a
 # plan-cache hit beats parse+plan by at least 5x.
 awk '$1 == "metric" { m[$2] = $3 }
@@ -50,6 +50,16 @@ awk '$1 == "metric" { m[$2] = $3 }
         if (p == "" || p + 0 >= 1) { print "obs.disabled_probe_ns = " p ", want < 1"; bad = 1 }
         if (h == "" || c + 0 < 5 * h) { print "sql.prepare_cold_ns = " c " < 5 x sql.prepare_hit_ns = " h; bad = 1 }
         exit bad }' benchmark/out/smoke/paper_5050.trace1.txt
+# A third, on the read-heavy workload (the smoke traces only paper_5050, so
+# its tracing pass runs here): a SELECT costs at most 8 INSERTs. Both numbers
+# come from one process, so host speed cancels; it was 10-13 x before the
+# plan-time SELECT pipeline (DESIGN.md section 11) and is 4-5 x with it.
+benchmark/run.sh --workload paper_8020 --trace 1 --smoke --out benchmark/out/smoke >/dev/null
+awk '$1 == "metric" { m[$2] = $3 }
+  END { r = m["sql.read_ns_per_stmt"]; w = m["sql.write_ns_per_stmt"]
+        if (r == "" || w == "" || r + 0 > 8 * w) {
+          print "sql.read_ns_per_stmt = " r " > 8 x sql.write_ns_per_stmt = " w; exit 1 } }' \
+  benchmark/out/smoke/paper_8020.trace1.txt
 
 echo "== byte-identity table: same tables and CSVs for any --jobs, AMDB_JOBS, --backend statement =="
 # The bins write results/ relative to cwd; each (bin, flags) pair runs once,

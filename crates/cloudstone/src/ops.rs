@@ -318,8 +318,12 @@ mod tests {
     use amdb_sql::{ForkRole, Session};
 
     fn generator() -> (OpGenerator, amdb_sql::Engine) {
-        let mut rng = Rng::new(11);
-        let (template, counters) = build_template(DataSize { scale: 10 }, &mut rng);
+        generator_at(DataSize { scale: 10 }, 11)
+    }
+
+    fn generator_at(size: DataSize, seed: u64) -> (OpGenerator, amdb_sql::Engine) {
+        let mut rng = Rng::new(seed);
+        let (template, counters) = build_template(size, &mut rng);
         let engine = template.fork(ForkRole::Master(amdb_sql::BinlogFormat::Statement));
         (OpGenerator::new(counters, rng.derive("ops")), engine)
     }
@@ -394,6 +398,67 @@ mod tests {
             .map(|t| engine.table_rows(t))
             .collect();
         assert_eq!(snapshot, after);
+    }
+
+    /// Σ `rows_examined` and Σ returned rows per read statement shape
+    /// (`op#statement`) over 2 000 `generate_read()` ops.
+    fn read_shape_totals(size: DataSize, seed: u64) -> Vec<(String, u64, u64)> {
+        let (mut g, mut engine) = generator_at(size, seed);
+        let mut session = Session::new();
+        let mut totals = std::collections::BTreeMap::<String, (u64, u64)>::new();
+        for _ in 0..2_000 {
+            let op = g.generate_read();
+            for (i, (sql, params)) in op.statements.iter().enumerate() {
+                let res = engine.execute(&mut session, sql, params).unwrap();
+                let t = totals.entry(format!("{}#{i}", op.name)).or_default();
+                t.0 += res.rows_examined;
+                t.1 += res.rows.len() as u64;
+            }
+        }
+        totals.into_iter().map(|(k, (e, r))| (k, e, r)).collect()
+    }
+
+    /// `rows_examined` is the cost model's input, so the simulated results
+    /// depend on it: the executor may get cheaper per row but must fetch and
+    /// count every candidate it did before (no early termination under
+    /// LIMIT). The constants were recorded before PR 14's executor rewrite.
+    #[test]
+    fn rows_examined_per_read_shape_is_pinned() {
+        const TINY_TOTALS: [(&str, u64, u64); 9] = [
+            ("event_detail#0", 540, 540),
+            ("event_detail#1", 2160, 1080),
+            ("event_detail#2", 818, 540),
+            ("event_detail#3", 2160, 1080),
+            ("person_detail#0", 300, 300),
+            ("person_detail#1", 516, 516),
+            ("person_detail#2", 1800, 900),
+            ("tag_search#0", 6726, 2242),
+            ("upcoming_by_zip#0", 1167, 1167),
+        ];
+        const SMALL_TOTALS: [(&str, u64, u64); 9] = [
+            ("event_detail#0", 483, 483),
+            ("event_detail#1", 1932, 966),
+            ("event_detail#2", 715, 483),
+            ("event_detail#3", 1932, 966),
+            ("person_detail#0", 312, 312),
+            ("person_detail#1", 598, 598),
+            ("person_detail#2", 1872, 936),
+            ("tag_search#0", 86115, 11920),
+            ("upcoming_by_zip#0", 36338, 6090),
+        ];
+        let tiny = read_shape_totals(DataSize { scale: 10 }, 11);
+        let small = read_shape_totals(DataSize::SMALL, 42);
+        for (got, want) in [(tiny, &TINY_TOTALS[..]), (small, &SMALL_TOTALS[..])] {
+            assert_eq!(got.len(), want.len(), "nine read statement shapes");
+            for ((shape, examined, rows), (w_shape, w_examined, w_rows)) in got.iter().zip(want) {
+                assert_eq!(shape, w_shape);
+                assert_eq!(
+                    (examined, rows),
+                    (w_examined, w_rows),
+                    "{shape}: (rows_examined, rows returned)"
+                );
+            }
+        }
     }
 
     #[test]

@@ -2,10 +2,12 @@
 
 use crate::ast::*;
 use crate::error::SqlError;
-use crate::expr::{eval, eval_cow, eval_truth, ColumnResolver, EvalCtx, NoColumns, Truth};
-use crate::plan::{choose_path, Path};
+use crate::expr::{
+    eval, eval_cow, eval_truth, ColumnResolver, EvalCtx, NoColumns, Truth, NULL_VALUE,
+};
+use crate::plan::{choose_path, into_conjuncts, Path};
 use crate::storage::{RowId, Table};
-use crate::value::Value;
+use crate::value::{DataType, Value};
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
 
@@ -132,9 +134,18 @@ impl Capture {
 /// list ([`Table::col_names`]): binding a table costs a refcount bump, not
 /// one `String` clone per column.
 #[derive(Debug, Clone)]
-struct Binding {
+pub(crate) struct Binding {
     name: String,
     columns: std::sync::Arc<[String]>,
+}
+
+impl Binding {
+    pub(crate) fn new(name: &str, table: &Table) -> Self {
+        Binding {
+            name: name.to_string(),
+            columns: table.col_names(),
+        }
+    }
 }
 
 /// Row scope across all FROM bindings; `None` = NULL-extended (LEFT JOIN) or
@@ -196,7 +207,7 @@ impl ColumnResolver for Scope<'_> {
     fn resolve_idx_ref(&self, binding: usize, col: usize) -> Result<&Value, SqlError> {
         Ok(match self.rows[binding] {
             Some(row) => &row[col],
-            None => &crate::expr::NULL_VALUE,
+            None => &NULL_VALUE,
         })
     }
 }
@@ -264,87 +275,89 @@ impl<'t> Iterator for CandsIter<'t, '_> {
     }
 }
 
-/// Produce candidate row ids for a table access, preferring the given
-/// path and gracefully falling back to a full scan when a key expression
-/// cannot be evaluated in the current scope.
+/// Does an index equality probe with `key` on a column of type `ty` decide
+/// `col = key`, so that the executor need not evaluate the predicate on the
+/// candidates? Stored values carry their column's type (`Table::validate`
+/// coerces), and for these pairs the index's `index_cmp` equality is
+/// `sql_cmp` equality. Any pair involving DOUBLE is not exact: the integer
+/// index rounds a probe (`2.0` finds `2`) and `index_cmp` calls a TIMESTAMP
+/// and a DOUBLE equal where `sql_cmp` calls them incomparable.
+fn probe_is_exact(ty: DataType, key: &Value) -> bool {
+    matches!(
+        (ty, key),
+        (
+            DataType::Int | DataType::Timestamp,
+            Value::Int(_) | Value::Timestamp(_)
+        ) | (DataType::Text, Value::Text(_))
+            | (DataType::Bool, Value::Bool(_))
+    )
+}
+
+/// Produce candidate rows for a table access along the planned path, and
+/// whether the probe was exact ([`probe_is_exact`]; range probes and scans
+/// never are). The planner only accepts keys over earlier bindings, so a key
+/// always evaluates in `scope`.
 fn candidates<'t>(
     table: &'t Table,
     path: &Path,
     ctx: &EvalCtx,
     scope: &Scope<'_>,
-) -> Result<Cands<'t>, SqlError> {
-    // Keys evaluate through the borrowing evaluator: an equality probe
-    // against a `Text` literal or parameter must not clone the string just
-    // to hash it.
-    fn eval_key<'e>(
-        key: &'e Expr,
-        ctx: &'e EvalCtx,
-        scope: &'e Scope<'_>,
-    ) -> Result<Option<std::borrow::Cow<'e, Value>>, SqlError> {
-        match eval_cow(key, ctx, scope) {
-            Ok(v) => Ok(Some(v)),
-            Err(SqlError::UnknownColumn(_)) => Ok(None), // not evaluable yet
-            Err(e) => Err(e),
-        }
-    }
+) -> Result<(Cands<'t>, bool), SqlError> {
+    let col_ty = |col: usize| table.schema().columns[col].ty;
     Ok(match path {
-        Path::FullScan => Cands::Scan,
-        Path::PkEq { key } => match eval_key(key, ctx, scope)? {
-            Some(v) if !v.is_null() => match table.pk_lookup(&v) {
-                Some(rid) => Cands::One(rid),
-                None => Cands::Empty,
-            },
-            Some(_) => Cands::Empty,
-            None => Cands::Scan,
-        },
-        Path::IndexEq { column, key } => match eval_key(key, ctx, scope)? {
-            Some(v) if !v.is_null() => {
+        Path::FullScan => (Cands::Scan, false),
+        // Keys evaluate through the borrowing evaluator: an equality probe
+        // against a `Text` literal or parameter must not clone the string
+        // just to hash it.
+        Path::PkEq { key } => {
+            let v = eval_cow(key, ctx, scope)?;
+            let cands = match table.pk_lookup(&v) {
+                Some(rid) if !v.is_null() => Cands::One(rid),
+                _ => Cands::Empty,
+            };
+            let pk = table.schema().pk_index().expect("planned pk exists");
+            (cands, probe_is_exact(col_ty(pk), &v))
+        }
+        Path::IndexEq { column, key } => {
+            let v = eval_cow(key, ctx, scope)?;
+            let cands = if v.is_null() {
+                Cands::Empty
+            } else {
                 let ix = table.index_on(*column).expect("planned index exists");
                 Cands::Slice(ix.lookup_eq(&v))
+            };
+            (cands, probe_is_exact(col_ty(*column), &v))
+        }
+        Path::PkRange { lo, hi } => {
+            let (lo, hi) = (eval_bound(lo, ctx, scope)?, eval_bound(hi, ctx, scope)?);
+            match table.pk_range(as_bound(&lo), as_bound(&hi)) {
+                Some(iter) => (Cands::Owned(iter.collect()), false),
+                None => (Cands::Scan, false),
             }
-            Some(_) => Cands::Empty,
-            None => Cands::Scan,
-        },
-        Path::PkRange { lo, hi } => match eval_bounds(lo, hi, ctx, scope)? {
-            Some((lo_b, hi_b)) => match table.pk_range(as_bound(&lo_b), as_bound(&hi_b)) {
-                Some(iter) => Cands::Owned(iter.collect()),
-                None => Cands::Scan,
-            },
-            None => Cands::Scan,
-        },
-        Path::IndexRange { column, lo, hi } => match eval_bounds(lo, hi, ctx, scope)? {
-            Some((lo_b, hi_b)) => {
-                let ix = table.index_on(*column).expect("planned index exists");
-                Cands::Owned(ix.lookup_range(as_bound(&lo_b), as_bound(&hi_b)).collect())
-            }
-            None => Cands::Scan,
-        },
+        }
+        Path::IndexRange { column, lo, hi } => {
+            let (lo, hi) = (eval_bound(lo, ctx, scope)?, eval_bound(hi, ctx, scope)?);
+            let ix = table.index_on(*column).expect("planned index exists");
+            let rids = ix.lookup_range(as_bound(&lo), as_bound(&hi)).collect();
+            (Cands::Owned(rids), false)
+        }
     })
 }
 
 type EvaluatedBound = Option<(Value, bool)>;
 
-fn eval_bounds(
-    lo: &Option<(Expr, bool)>,
-    hi: &Option<(Expr, bool)>,
+/// Evaluate one range bound; a NULL bound leaves its side unbounded (the
+/// predicate, evaluated on every candidate, then rejects them all).
+fn eval_bound(
+    bound: &Option<(Expr, bool)>,
     ctx: &EvalCtx,
     scope: &Scope<'_>,
-) -> Result<Option<(EvaluatedBound, EvaluatedBound)>, SqlError> {
-    let one = |b: &Option<(Expr, bool)>| -> Result<Option<EvaluatedBound>, SqlError> {
-        match b {
-            None => Ok(Some(None)),
-            Some((e, incl)) => match eval(e, ctx, scope) {
-                Ok(v) if v.is_null() => Ok(Some(None)), // NULL bound: unbounded side
-                Ok(v) => Ok(Some(Some((v, *incl)))),
-                Err(SqlError::UnknownColumn(_)) => Ok(None),
-                Err(e) => Err(e),
-            },
-        }
+) -> Result<EvaluatedBound, SqlError> {
+    let Some((e, inclusive)) = bound else {
+        return Ok(None);
     };
-    match (one(lo)?, one(hi)?) {
-        (Some(l), Some(h)) => Ok(Some((l, h))),
-        _ => Ok(None),
-    }
+    let v = eval(e, ctx, scope)?;
+    Ok((!v.is_null()).then_some((v, *inclusive)))
 }
 
 fn as_bound(b: &EvaluatedBound) -> Bound<&Value> {
@@ -367,28 +380,56 @@ struct PlannedSource {
     /// Lower-cased catalog key.
     table_key: String,
     kind: JoinKind,
-    on: Option<Expr>,
+    /// Conjuncts of the ON predicate. Empty for the base table, whose
+    /// predicate is the plan's WHERE.
+    on: Vec<Expr>,
     path: Path,
+    /// The conjunct of this source's predicate that `path` probes for: an
+    /// exact probe has decided it, so only the others are evaluated.
+    consumed: Option<usize>,
 }
 
-/// A fully planned SELECT: resolved FROM sources with chosen access paths,
-/// the expanded projection list, and the schema stamp of every table the
-/// plan reads (for cache invalidation).
+/// One ORDER BY key, located at plan time.
+#[derive(Debug, Clone)]
+struct SortKey {
+    src: KeySrc,
+    desc: bool,
+}
+
+#[derive(Debug, Clone)]
+enum KeySrc {
+    /// A plain column: compared in place in the borrowed scope row.
+    Stored { binding: usize, col: usize },
+    /// Anything else (always, in aggregate mode): evaluated once per row
+    /// into slot `slot` of that row's stretch of the computed-key buffer. A
+    /// key that names an output column carries that item's expression and,
+    /// for aggregate results, which already hold its value, the position.
+    Computed {
+        expr: Expr,
+        output: Option<usize>,
+        slot: usize,
+    },
+}
+
+/// A fully planned SELECT — everything about the statement that does not
+/// depend on row data: FROM sources with access paths over positional keys,
+/// predicates split into conjuncts, the expanded projection list, located
+/// sort keys, and the schema stamp of every table the plan reads (for cache
+/// invalidation).
 #[derive(Debug, Clone)]
 pub struct SelectPlan {
     sources: Vec<PlannedSource>,
     bindings: Vec<Binding>,
-    filter: Option<Expr>,
+    /// Conjuncts of the WHERE predicate.
+    filter: Vec<Expr>,
     out_cols: std::sync::Arc<[String]>,
     item_exprs: Vec<(Expr, String)>, // (expr, name) expanded
     aggregate_mode: bool,
     group_by: Vec<Expr>,
     having: Option<Expr>,
-    order_by: Vec<OrderKey>,
-    /// True when any ORDER BY key names an output column (alias); those
-    /// keys read the projected row, so projection cannot be deferred past
-    /// the sort.
-    order_refs_output: bool,
+    order_by: Vec<SortKey>,
+    /// Number of [`KeySrc::Computed`] keys in `order_by`.
+    computed_keys: usize,
     distinct: bool,
     limit: Option<u64>,
     offset: Option<u64>,
@@ -409,7 +450,7 @@ impl SelectPlan {
 /// pure fast path: per-plan scans replace per-row scans. Unknown and
 /// ambiguous names are left as-is — [`Scope::resolve`] must still raise the
 /// same error at the same point in execution.
-fn resolve_columns(e: &mut Expr, bindings: &[Binding]) {
+pub(crate) fn resolve_columns(e: &mut Expr, bindings: &[Binding]) {
     match e {
         Expr::Column { qualifier, name } => {
             let hit = match qualifier {
@@ -475,45 +516,50 @@ fn resolve_columns(e: &mut Expr, bindings: &[Binding]) {
     }
 }
 
-/// Plan a SELECT: resolve tables, choose access paths, expand the
-/// projection. Everything here depends only on catalog schemas and index
-/// definitions, so the result stays valid until a schema-affecting DDL runs.
+/// A predicate as the planner and executor want it: names resolved to
+/// positions, split into conjuncts.
+fn resolved_conjuncts(pred: Option<&Expr>, bindings: &[Binding]) -> Vec<Expr> {
+    let Some(pred) = pred else {
+        return Vec::new();
+    };
+    let mut pred = pred.clone();
+    resolve_columns(&mut pred, bindings);
+    into_conjuncts(pred)
+}
+
+/// Plan a SELECT: resolve tables and column names, choose access paths,
+/// expand the projection, locate the sort keys. Everything here depends only
+/// on catalog schemas and index definitions, so the result stays valid until
+/// a schema-affecting DDL runs.
 pub fn plan_select(catalog: &Catalog, sel: &SelectStmt) -> Result<SelectPlan, SqlError> {
-    let mut sources: Vec<PlannedSource> = Vec::new();
-    let mut bindings: Vec<Binding> = Vec::new();
-    let mut deps: Vec<(String, u64)> = Vec::new();
+    // FROM: every binding first, so that predicates resolve against all.
+    let mut refs: Vec<(&TableRef, JoinKind, Option<&Expr>)> = Vec::new();
     if let Some(from) = &sel.from {
-        let base_table = get_table(catalog, &from.base.table)?;
-        let base_binding = from.base.binding().to_string();
+        refs.push((&from.base, JoinKind::Inner, None));
+        refs.extend(from.joins.iter().map(|j| (&j.table, j.kind, Some(&j.on))));
+    }
+    let mut tables: Vec<&Table> = Vec::with_capacity(refs.len());
+    let mut bindings: Vec<Binding> = Vec::with_capacity(refs.len());
+    for (r, ..) in &refs {
+        let table = get_table(catalog, &r.table)?;
+        bindings.push(Binding::new(r.binding(), table));
+        tables.push(table);
+    }
+    let filter = resolved_conjuncts(sel.filter.as_ref(), &bindings);
+    let mut sources: Vec<PlannedSource> = Vec::with_capacity(refs.len());
+    let mut deps: Vec<(String, u64)> = Vec::with_capacity(refs.len());
+    for (i, (r, kind, on)) in refs.iter().enumerate() {
+        let on = resolved_conjuncts(*on, &bindings);
+        let (path, consumed) = choose_path(tables[i], i, if i == 0 { &filter } else { &on });
+        let table_key = r.table.to_ascii_lowercase();
+        deps.push((table_key.clone(), tables[i].schema_serial()));
         sources.push(PlannedSource {
-            table_key: from.base.table.to_ascii_lowercase(),
-            kind: JoinKind::Inner,
-            on: None,
-            path: choose_path(base_table, &base_binding, sel.filter.as_ref()),
+            table_key,
+            kind: *kind,
+            on,
+            path,
+            consumed,
         });
-        deps.push((
-            from.base.table.to_ascii_lowercase(),
-            base_table.schema_serial(),
-        ));
-        bindings.push(Binding {
-            name: base_binding,
-            columns: base_table.col_names(),
-        });
-        for j in &from.joins {
-            let t = get_table(catalog, &j.table.table)?;
-            let binding = j.table.binding().to_string();
-            sources.push(PlannedSource {
-                table_key: j.table.table.to_ascii_lowercase(),
-                kind: j.kind,
-                on: Some(j.on.clone()),
-                path: choose_path(t, &binding, Some(&j.on)),
-            });
-            deps.push((j.table.table.to_ascii_lowercase(), t.schema_serial()));
-            bindings.push(Binding {
-                name: binding,
-                columns: t.col_names(),
-            });
-        }
     }
 
     // Output columns.
@@ -522,16 +568,10 @@ pub fn plan_select(catalog: &Catalog, sel: &SelectStmt) -> Result<SelectPlan, Sq
     for (i, item) in sel.items.iter().enumerate() {
         match item {
             SelectItem::Wildcard => {
-                for (bi, b) in bindings.iter().enumerate() {
-                    for c in b.columns.iter() {
+                for (binding, b) in bindings.iter().enumerate() {
+                    for (col, c) in b.columns.iter().enumerate() {
                         out_cols.push(c.clone());
-                        item_exprs.push((
-                            Expr::Column {
-                                qualifier: Some(bindings[bi].name.clone()),
-                                name: c.clone(),
-                            },
-                            c.clone(),
-                        ));
+                        item_exprs.push((Expr::Resolved { binding, col }, c.clone()));
                     }
                 }
             }
@@ -542,7 +582,9 @@ pub fn plan_select(catalog: &Catalog, sel: &SelectStmt) -> Result<SelectPlan, Sq
                     _ => format!("col{}", i + 1),
                 });
                 out_cols.push(name.clone());
-                item_exprs.push((expr.clone(), name));
+                let mut expr = expr.clone();
+                resolve_columns(&mut expr, &bindings);
+                item_exprs.push((expr, name));
             }
         }
     }
@@ -556,26 +598,6 @@ pub fn plan_select(catalog: &Catalog, sel: &SelectStmt) -> Result<SelectPlan, Sq
         ));
     }
 
-    let order_refs_output = sel.order_by.iter().any(|ok| {
-        matches!(&ok.expr, Expr::Column { qualifier: None, name }
-            if out_cols.iter().any(|c| c.eq_ignore_ascii_case(name)))
-    });
-
-    // Pre-resolve column names to positions everywhere except ORDER BY keys:
-    // those resolve output aliases ahead of table columns, so they must stay
-    // named until the projection exists.
-    let mut filter = sel.filter.clone();
-    if let Some(f) = &mut filter {
-        resolve_columns(f, &bindings);
-    }
-    for src in &mut sources {
-        if let Some(on) = &mut src.on {
-            resolve_columns(on, &bindings);
-        }
-    }
-    for (e, _) in &mut item_exprs {
-        resolve_columns(e, &bindings);
-    }
     let mut group_by = sel.group_by.clone();
     for g in &mut group_by {
         resolve_columns(g, &bindings);
@@ -583,6 +605,40 @@ pub fn plan_select(catalog: &Catalog, sel: &SelectStmt) -> Result<SelectPlan, Sq
     let mut having = sel.having.clone();
     if let Some(h) = &mut having {
         resolve_columns(h, &bindings);
+    }
+
+    // ORDER BY keys resolve output names ahead of table columns; a key that
+    // names an output column sorts by that item's expression.
+    let mut computed_keys = 0;
+    let mut order_by = Vec::with_capacity(sel.order_by.len());
+    for ok in &sel.order_by {
+        let output = match &ok.expr {
+            Expr::Column {
+                qualifier: None,
+                name,
+            } => out_cols.iter().position(|c| c.eq_ignore_ascii_case(name)),
+            _ => None,
+        };
+        let expr = match output {
+            Some(pos) => item_exprs[pos].0.clone(),
+            None => {
+                let mut expr = ok.expr.clone();
+                resolve_columns(&mut expr, &bindings);
+                expr
+            }
+        };
+        let src = match expr {
+            Expr::Resolved { binding, col } if !aggregate_mode => KeySrc::Stored { binding, col },
+            expr => {
+                computed_keys += 1;
+                KeySrc::Computed {
+                    expr,
+                    output,
+                    slot: computed_keys - 1,
+                }
+            }
+        };
+        order_by.push(SortKey { src, desc: ok.desc });
     }
 
     Ok(SelectPlan {
@@ -594,8 +650,8 @@ pub fn plan_select(catalog: &Catalog, sel: &SelectStmt) -> Result<SelectPlan, Sq
         aggregate_mode,
         group_by,
         having,
-        order_by: sel.order_by.clone(),
-        order_refs_output,
+        order_by,
+        computed_keys,
         distinct: sel.distinct,
         limit: sel.limit,
         offset: sel.offset,
@@ -617,13 +673,170 @@ pub fn exec_select(
 /// (the group's first, used to evaluate non-aggregate expressions).
 type AggGroup<'t> = (Vec<AggAcc>, Vec<Option<&'t [Value]>>);
 
+/// Sink receiving each surviving scope row from the join driver.
+type RowSink<'s, 't> = dyn FnMut(&[Option<&'t [Value]>]) -> Result<(), SqlError> + 's;
+
+/// SQL AND over `conjuncts` except `skip`, as the AND tree they were split
+/// from evaluates it: in order, every conjunct up to the first False.
+fn all_true(
+    conjuncts: &[Expr],
+    skip: Option<usize>,
+    ctx: &EvalCtx,
+    scope: &Scope<'_>,
+) -> Result<bool, SqlError> {
+    let mut all = true;
+    for (i, conjunct) in conjuncts.iter().enumerate() {
+        if Some(i) != skip {
+            match eval_truth(conjunct, ctx, scope)? {
+                Truth::True => {}
+                Truth::False => return Ok(false),
+                Truth::Unknown => all = false,
+            }
+        }
+    }
+    Ok(all)
+}
+
+/// Index-nested-loop join over the planned sources. Rows are borrowed
+/// straight out of storage; nothing is cloned until a sink decides it must
+/// keep something.
+struct Join<'a, 't> {
+    plan: &'a SelectPlan,
+    /// The planned tables, re-resolved against the live catalog.
+    tables: Vec<&'t Table>,
+    ctx: &'a EvalCtx<'a>,
+    /// The WHERE conjunct the base table's probe has decided, if it has.
+    where_skip: Option<usize>,
+    /// Every row fetched from storage, whatever became of it.
+    rows_examined: u64,
+}
+
+impl<'t> Join<'_, 't> {
+    /// Feed each joined scope row that passes WHERE to `sink`.
+    fn run(&mut self, sink: &mut RowSink<'_, 't>) -> Result<(), SqlError> {
+        if self.plan.sources.is_empty() {
+            // A FROM-less SELECT yields exactly one row over an empty scope;
+            // the padding entry is never read (there are no bindings).
+            return sink(&[None]);
+        }
+        let mut scope_rows = vec![None; self.plan.sources.len()];
+        self.recurse(0, &mut scope_rows, sink)
+    }
+
+    /// Bind source `idx` to each of its candidates in turn.
+    fn recurse(
+        &mut self,
+        idx: usize,
+        scope_rows: &mut Vec<Option<&'t [Value]>>,
+        sink: &mut RowSink<'_, 't>,
+    ) -> Result<(), SqlError> {
+        let (plan, ctx) = (self.plan, self.ctx);
+        let bindings = &plan.bindings[..];
+        if idx == plan.sources.len() {
+            let scope = Scope {
+                bindings,
+                rows: scope_rows,
+            };
+            if all_true(&plan.filter, self.where_skip, ctx, &scope)? {
+                sink(scope_rows)?;
+            }
+            return Ok(());
+        }
+        let src = &plan.sources[idx];
+        let table = self.tables[idx];
+        let (cands, exact) = {
+            let scope = Scope {
+                bindings,
+                rows: scope_rows,
+            };
+            candidates(table, &src.path, ctx, &scope)?
+        };
+        // An exact probe has decided its conjunct for every candidate; the
+        // rest of the predicate (the path may be a superset) is evaluated.
+        let skip = if exact { src.consumed } else { None };
+        if idx == 0 {
+            self.where_skip = skip;
+        }
+        let mut matched = false;
+        for (_rid, row) in cands.rows(table) {
+            self.rows_examined += 1;
+            scope_rows[idx] = Some(row);
+            let scope = Scope {
+                bindings,
+                rows: scope_rows,
+            };
+            if all_true(&src.on, skip, ctx, &scope)? {
+                matched = true;
+                self.recurse(idx + 1, scope_rows, sink)?;
+            }
+        }
+        scope_rows[idx] = None;
+        if !matched && src.kind == JoinKind::Left {
+            self.recurse(idx + 1, scope_rows, sink)?;
+        }
+        Ok(())
+    }
+}
+
+/// Evaluate the projection list over one scope row.
+fn project(
+    plan: &SelectPlan,
+    ctx: &EvalCtx,
+    scope_rows: &[Option<&[Value]>],
+) -> Result<Vec<Value>, SqlError> {
+    let scope = Scope {
+        bindings: &plan.bindings,
+        rows: scope_rows,
+    };
+    let mut out_row = Vec::with_capacity(plan.item_exprs.len());
+    for (e, _) in &plan.item_exprs {
+        out_row.push(eval(e, ctx, &scope)?);
+    }
+    Ok(out_row)
+}
+
+/// Apply ORDER BY, then OFFSET / LIMIT, to the row numbers in `order`
+/// (ascending = emission order); `key(row, k)` is row `row`'s `k`-th sort
+/// key. The row number is the last sort key, so ties keep emission order
+/// and an unstable sort is as good as a stable one; with a LIMIT only the
+/// rows up to the window's end are selected and sorted.
+fn sorted_window<'v>(
+    mut order: Vec<usize>,
+    plan: &SelectPlan,
+    key: impl Fn(usize, usize) -> &'v Value,
+) -> Vec<usize> {
+    let start = (plan.offset.unwrap_or(0) as usize).min(order.len());
+    let end = match plan.limit {
+        Some(limit) => start.saturating_add(limit as usize).min(order.len()),
+        None => order.len(),
+    };
+    if !plan.order_by.is_empty() {
+        let cmp = |a: &usize, b: &usize| {
+            for (k, sk) in plan.order_by.iter().enumerate() {
+                let ord = key(*a, k).index_cmp(key(*b, k));
+                if ord != std::cmp::Ordering::Equal {
+                    return if sk.desc { ord.reverse() } else { ord };
+                }
+            }
+            a.cmp(b)
+        };
+        if end < order.len() {
+            order.select_nth_unstable_by(end, cmp);
+        }
+        order.truncate(end);
+        order.sort_unstable_by(cmp);
+    }
+    order.truncate(end);
+    order.drain(..start);
+    order
+}
+
 /// Execute a previously planned SELECT against the catalog.
 pub fn exec_select_planned<'c>(
     catalog: &'c Catalog,
     plan: &SelectPlan,
     ctx: &EvalCtx,
 ) -> Result<QueryResult, SqlError> {
-    // Re-resolve the planned tables against the live catalog.
     let mut tables: Vec<&'c Table> = Vec::with_capacity(plan.sources.len());
     for s in &plan.sources {
         tables.push(
@@ -632,153 +845,30 @@ pub fn exec_select_planned<'c>(
                 .ok_or_else(|| SqlError::UnknownTable(s.table_key.clone()))?,
         );
     }
+    let mut join = Join {
+        plan,
+        tables,
+        ctx,
+        where_skip: None,
+        rows_examined: 0,
+    };
     let bindings = &plan.bindings;
-    let out_cols = &plan.out_cols;
-    let item_exprs = &plan.item_exprs;
 
-    // Stream scope rows (with WHERE applied) into a per-mode sink. Rows are
-    // borrowed straight out of storage; nothing is cloned until a sink
-    // decides it must keep something.
-    let mut rows_examined: u64 = 0;
-
-    /// Sink receiving each surviving scope row from the join driver.
-    type RowSink<'s, 't> = dyn FnMut(&[Option<&'t [Value]>]) -> Result<(), SqlError> + 's;
-
-    // Nested-loop join over per-source candidate lists.
-    #[allow(clippy::too_many_arguments)]
-    fn recurse<'t>(
-        sources: &[PlannedSource],
-        tables: &[&'t Table],
-        bindings: &[Binding],
-        idx: usize,
-        scope_rows: &mut Vec<Option<&'t [Value]>>,
-        ctx: &EvalCtx,
-        filter: Option<&Expr>,
-        rows_examined: &mut u64,
-        sink: &mut RowSink<'_, 't>,
-    ) -> Result<(), SqlError> {
-        if idx == sources.len() {
-            if let Some(f) = filter {
-                let scope = Scope {
-                    bindings,
-                    rows: scope_rows,
-                };
-                if eval_truth(f, ctx, &scope)? != Truth::True {
-                    return Ok(());
-                }
-            }
-            return sink(scope_rows);
-        }
-        let src = &sources[idx];
-        let table = tables[idx];
-        let cands = {
-            let scope = Scope {
-                bindings,
-                rows: scope_rows,
-            };
-            candidates(table, &src.path, ctx, &scope)?
-        };
-        let mut matched = false;
-        for (_rid, row) in cands.rows(table) {
-            *rows_examined += 1;
-            scope_rows[idx] = Some(row);
-            // Re-check the ON predicate (the path may be a superset).
-            if let Some(on) = &src.on {
-                let scope = Scope {
-                    bindings,
-                    rows: scope_rows,
-                };
-                if eval_truth(on, ctx, &scope)? != Truth::True {
-                    scope_rows[idx] = None;
-                    continue;
-                }
-            }
-            matched = true;
-            recurse(
-                sources,
-                tables,
-                bindings,
-                idx + 1,
-                scope_rows,
-                ctx,
-                filter,
-                rows_examined,
-                sink,
-            )?;
-            scope_rows[idx] = None;
-        }
-        if !matched && src.kind == JoinKind::Left {
-            scope_rows[idx] = None;
-            recurse(
-                sources,
-                tables,
-                bindings,
-                idx + 1,
-                scope_rows,
-                ctx,
-                filter,
-                rows_examined,
-                sink,
-            )?;
-        }
-        Ok(())
-    }
-
-    /// Drive the join, feeding each surviving scope row to `sink`.
-    fn drive<'t>(
-        plan: &SelectPlan,
-        tables: &[&'t Table],
-        ctx: &EvalCtx,
-        rows_examined: &mut u64,
-        sink: &mut RowSink<'_, 't>,
-    ) -> Result<(), SqlError> {
-        if plan.sources.is_empty() {
-            // A FROM-less SELECT yields exactly one row over an empty scope;
-            // the padding entry is never read (there are no bindings).
-            return sink(&[None]);
-        }
-        let mut scope_rows: Vec<Option<&'t [Value]>> = vec![None; plan.sources.len()];
-        recurse(
-            &plan.sources,
-            tables,
-            &plan.bindings,
-            0,
-            &mut scope_rows,
-            ctx,
-            plan.filter.as_ref(),
-            rows_examined,
-            sink,
-        )
-    }
-
-    // Project (and aggregate).
-    // Each output row carries its sort keys, computed pre-projection.
-    let mut result_rows: Vec<(Vec<Value>, Vec<Value>)> = Vec::new(); // (sort_keys, out_row)
-
-    let order_key_exprs: Vec<&OrderKey> = plan.order_by.iter().collect();
-
-    let compute_sort_keys =
-        |out_row: &[Value], scope: &dyn ColumnResolver| -> Result<Vec<Value>, SqlError> {
-            let mut keys = Vec::with_capacity(order_key_exprs.len());
-            for ok in &order_key_exprs {
-                // Alias / output-name reference?
-                if let Expr::Column {
-                    qualifier: None,
-                    name,
-                } = &ok.expr
-                {
-                    if let Some(pos) = out_cols.iter().position(|c| c.eq_ignore_ascii_case(name)) {
-                        keys.push(out_row[pos].clone());
-                        continue;
-                    }
-                }
-                keys.push(eval(&ok.expr, ctx, scope)?);
-            }
-            Ok(keys)
-        };
+    // What the join leaves behind, one entry per emitted row: the borrowed
+    // scope rows (`flat`, chunks of `n_srcs`) unless aggregating, the
+    // projected row where it had to be materialised (aggregates, DISTINCT),
+    // and the computed sort keys (chunks of `plan.computed_keys`).
+    let n_srcs = plan.sources.len().max(1);
+    let mut flat: Vec<Option<&'c [Value]>> = Vec::new();
+    let mut out_rows: Vec<Vec<Value>> = Vec::new();
+    let mut computed: Vec<Value> = Vec::new();
 
     if plan.aggregate_mode {
-        let specs = collect_agg_specs(item_exprs, &plan.order_by, plan.having.as_ref());
+        let key_exprs = plan.order_by.iter().filter_map(|sk| match &sk.src {
+            KeySrc::Computed { expr, .. } => Some(expr),
+            KeySrc::Stored { .. } => None,
+        });
+        let specs = collect_agg_specs(&plan.item_exprs, key_exprs, plan.having.as_ref());
         // (accumulators, representative scope rows); output order is group
         // discovery order, so the index map can be an unordered HashMap.
         let mut groups: Vec<AggGroup<'c>> = Vec::new();
@@ -818,7 +908,7 @@ pub fn exec_select_planned<'c>(
             }
             Ok(())
         };
-        drive(plan, &tables, ctx, &mut rows_examined, &mut sink)?;
+        join.run(&mut sink)?;
         // A global aggregate over zero rows still yields one group.
         if groups.is_empty() && global {
             groups.push((
@@ -840,146 +930,91 @@ pub fn exec_select_planned<'c>(
                     continue;
                 }
             }
-            let mut out_row = Vec::with_capacity(item_exprs.len());
-            for (e, _) in item_exprs {
+            let mut out_row = Vec::with_capacity(plan.item_exprs.len());
+            for (e, _) in &plan.item_exprs {
                 let rewritten = substitute_aggs(e, &specs, &agg_values);
                 out_row.push(eval(&rewritten, ctx, &scope)?);
             }
             // Sort keys may contain aggregates too.
-            let mut keys = Vec::with_capacity(order_key_exprs.len());
-            for ok in &order_key_exprs {
-                if let Expr::Column {
-                    qualifier: None,
-                    name,
-                } = &ok.expr
-                {
-                    if let Some(pos) = out_cols.iter().position(|c| c.eq_ignore_ascii_case(name)) {
-                        keys.push(out_row[pos].clone());
-                        continue;
-                    }
+            for sk in &plan.order_by {
+                if let KeySrc::Computed { expr, output, .. } = &sk.src {
+                    computed.push(match output {
+                        Some(pos) => out_row[*pos].clone(),
+                        None => eval(&substitute_aggs(expr, &specs, &agg_values), ctx, &scope)?,
+                    });
                 }
-                let rewritten = substitute_aggs(&ok.expr, &specs, &agg_values);
-                keys.push(eval(&rewritten, ctx, &scope)?);
             }
-            result_rows.push((keys, out_row));
+            out_rows.push(out_row);
         }
     } else {
         // Sorting needs every emitted row at once, so the non-aggregate path
-        // materializes — but into one flat buffer of borrowed row slices
-        // (chunks of `n_srcs`), not a Vec-per-row.
-        let n_srcs = plan.sources.len().max(1);
-        let mut flat: Vec<Option<&'c [Value]>> = Vec::new();
-        let mut sink = |scope_rows: &[Option<&'c [Value]>]| -> Result<(), SqlError> {
+        // materializes — but as borrowed row slices in one flat buffer, not
+        // a Vec-per-row, and unprojected: projection clones every value, so
+        // it waits until the window is known.
+        join.run(&mut |scope_rows| {
             flat.extend_from_slice(scope_rows);
             Ok(())
-        };
-        drive(plan, &tables, ctx, &mut rows_examined, &mut sink)?;
-
-        // Windowed fast path: with OFFSET/LIMIT, no DISTINCT, and sort keys
-        // that don't read the projected row, sort the borrowed scope rows
-        // first and project only the window's survivors — projection is the
-        // expensive step (it clones every projected value).
-        let windowed = (plan.limit.is_some() || plan.offset.is_some())
-            && !plan.distinct
-            && !plan.order_refs_output;
-        if windowed {
-            let mut keyed: Vec<(Vec<Value>, usize)> = Vec::with_capacity(flat.len() / n_srcs);
-            for (i, scope_rows) in flat.chunks(n_srcs).enumerate() {
+        })?;
+        if plan.computed_keys > 0 || plan.distinct {
+            for scope_rows in flat.chunks(n_srcs) {
                 let scope = Scope {
                     bindings,
                     rows: scope_rows,
                 };
-                let mut keys = Vec::with_capacity(order_key_exprs.len());
-                for ok in &order_key_exprs {
-                    keys.push(eval(&ok.expr, ctx, &scope)?);
+                for sk in &plan.order_by {
+                    if let KeySrc::Computed { expr, .. } = &sk.src {
+                        computed.push(eval(expr, ctx, &scope)?);
+                    }
                 }
-                keyed.push((keys, i));
-            }
-            if !plan.order_by.is_empty() {
-                keyed.sort_by(|(ka, _), (kb, _)| cmp_sort_keys(&plan.order_by, ka, kb));
-            }
-            let offset = plan.offset.unwrap_or(0) as usize;
-            let take = plan.limit.map(|l| l as usize).unwrap_or(usize::MAX);
-            let mut rows = Vec::new();
-            for (_, i) in keyed.into_iter().skip(offset).take(take) {
-                let scope = Scope {
-                    bindings,
-                    rows: &flat[i * n_srcs..(i + 1) * n_srcs],
-                };
-                let mut out_row = Vec::with_capacity(item_exprs.len());
-                for (e, _) in item_exprs {
-                    out_row.push(eval(e, ctx, &scope)?);
+                if plan.distinct {
+                    out_rows.push(project(plan, ctx, scope_rows)?);
                 }
-                rows.push(out_row);
             }
-            return Ok(QueryResult {
-                columns: out_cols.clone(),
-                rows,
-                rows_affected: 0,
-                last_insert_id: None,
-                rows_examined,
-            });
-        }
-
-        for scope_rows in flat.chunks(n_srcs) {
-            let scope = Scope {
-                bindings,
-                rows: scope_rows,
-            };
-            let mut out_row = Vec::with_capacity(item_exprs.len());
-            for (e, _) in item_exprs {
-                out_row.push(eval(e, ctx, &scope)?);
-            }
-            let keys = compute_sort_keys(&out_row, &scope)?;
-            result_rows.push((keys, out_row));
         }
     }
 
+    let materialised = plan.aggregate_mode || plan.distinct;
+    let emitted = if materialised {
+        out_rows.len()
+    } else {
+        flat.len() / n_srcs
+    };
+    let mut order: Vec<usize> = (0..emitted).collect();
     // DISTINCT: keep the first occurrence of each projected row.
     if plan.distinct {
         let mut seen: std::collections::HashSet<GroupKey> = std::collections::HashSet::new();
-        result_rows.retain(|(_, row)| {
+        order.retain(|&i| {
             seen.insert(GroupKey(
-                row.iter().map(|v| ValueKey::from(v.clone())).collect(),
+                out_rows[i]
+                    .iter()
+                    .map(|v| ValueKey::from(v.clone()))
+                    .collect(),
             ))
         });
     }
-
-    // ORDER BY.
-    if !plan.order_by.is_empty() {
-        result_rows.sort_by(|(ka, _), (kb, _)| cmp_sort_keys(&plan.order_by, ka, kb));
+    let order = sorted_window(order, plan, |row, k| match &plan.order_by[k].src {
+        KeySrc::Stored { binding, col } => match flat[row * n_srcs + binding] {
+            Some(values) => &values[*col],
+            None => &NULL_VALUE,
+        },
+        KeySrc::Computed { slot, .. } => &computed[row * plan.computed_keys + slot],
+    });
+    let mut rows = Vec::with_capacity(order.len());
+    for i in order {
+        rows.push(if materialised {
+            std::mem::take(&mut out_rows[i])
+        } else {
+            project(plan, ctx, &flat[i * n_srcs..(i + 1) * n_srcs])?
+        });
     }
 
-    // OFFSET / LIMIT.
-    let offset = plan.offset.unwrap_or(0) as usize;
-    let rows: Vec<Vec<Value>> = result_rows
-        .into_iter()
-        .map(|(_, r)| r)
-        .skip(offset)
-        .take(plan.limit.map(|l| l as usize).unwrap_or(usize::MAX))
-        .collect();
-
     Ok(QueryResult {
-        columns: out_cols.clone(),
+        columns: plan.out_cols.clone(),
         rows,
         rows_affected: 0,
         last_insert_id: None,
-        rows_examined,
+        rows_examined: join.rows_examined,
     })
-}
-
-/// Compare two pre-computed sort-key rows under an ORDER BY spec. `sort_by`
-/// is stable, so equal keys keep emission order with or without deferred
-/// projection.
-fn cmp_sort_keys(order_by: &[OrderKey], ka: &[Value], kb: &[Value]) -> std::cmp::Ordering {
-    for (i, ok) in order_by.iter().enumerate() {
-        let ord = ka[i].index_cmp(&kb[i]);
-        let ord = if ok.desc { ord.reverse() } else { ord };
-        if ord != std::cmp::Ordering::Equal {
-            return ord;
-        }
-    }
-    std::cmp::Ordering::Equal
 }
 
 /// Exact-value grouping / DISTINCT key. Equality must distinguish exactly
@@ -1017,8 +1052,8 @@ impl From<Value> for ValueKey {
     }
 }
 
-/// Execute an EXPLAIN: report each table access with its chosen path,
-/// mirroring the planner decisions `exec_select` would make.
+/// Execute an EXPLAIN: report each table access of the plan `exec_select`
+/// would run, with its chosen path.
 pub fn explain_select(catalog: &Catalog, sel: &SelectStmt) -> Result<QueryResult, SqlError> {
     let mut res = QueryResult {
         columns: vec!["table".into(), "binding".into(), "access".into()].into(),
@@ -1032,22 +1067,13 @@ pub fn explain_select(catalog: &Catalog, sel: &SelectStmt) -> Result<QueryResult
         ]);
         return Ok(res);
     };
-    let base = get_table(catalog, &from.base.table)?;
-    let base_binding = from.base.binding();
-    let path = choose_path(base, base_binding, sel.filter.as_ref());
-    res.rows.push(vec![
-        Value::Text(from.base.table.clone()),
-        Value::Text(base_binding.to_string()),
-        Value::Text(path.describe()),
-    ]);
-    for j in &from.joins {
-        let t = get_table(catalog, &j.table.table)?;
-        let binding = j.table.binding();
-        let path = choose_path(t, binding, Some(&j.on));
+    let plan = plan_select(catalog, sel)?;
+    let refs = std::iter::once(&from.base).chain(from.joins.iter().map(|j| &j.table));
+    for (r, src) in refs.zip(&plan.sources) {
         res.rows.push(vec![
-            Value::Text(j.table.table.clone()),
-            Value::Text(binding.to_string()),
-            Value::Text(path.describe()),
+            Value::Text(r.table.clone()),
+            Value::Text(r.binding().to_string()),
+            Value::Text(src.path.describe()),
         ]);
     }
     Ok(res)
@@ -1064,9 +1090,9 @@ struct AggSpec {
     star: bool,
 }
 
-fn collect_agg_specs(
+fn collect_agg_specs<'e>(
     items: &[(Expr, String)],
-    order_by: &[OrderKey],
+    order_by: impl Iterator<Item = &'e Expr>,
     having: Option<&Expr>,
 ) -> Vec<AggSpec> {
     let mut specs: Vec<AggSpec> = Vec::new();
@@ -1089,8 +1115,8 @@ fn collect_agg_specs(
     for (e, _) in items {
         add_from(e);
     }
-    for ok in order_by {
-        add_from(&ok.expr);
+    for e in order_by {
+        add_from(e);
     }
     if let Some(h) = having {
         add_from(h);
@@ -1373,30 +1399,23 @@ fn matching_rows(
     ctx: &EvalCtx,
     rows_examined: &mut u64,
 ) -> Result<Vec<RowId>, SqlError> {
-    let path = choose_path(table, binding, filter);
-    let bindings = [Binding {
-        name: binding.to_string(),
-        columns: table.col_names(),
-    }];
-    let empty_rows = [None];
+    let bindings = [Binding::new(binding, table)];
+    let filter = resolved_conjuncts(filter, &bindings);
+    let (path, consumed) = choose_path(table, 0, &filter);
     let scope = Scope {
         bindings: &bindings,
-        rows: &empty_rows,
+        rows: &[None],
     };
-    let cands = candidates(table, &path, ctx, &scope)?;
+    let (cands, exact) = candidates(table, &path, ctx, &scope)?;
+    let skip = if exact { consumed } else { None };
     let mut out = Vec::new();
     for (rid, row) in cands.rows(table) {
         *rows_examined += 1;
-        let rows_holder = [Some(row)];
         let scope = Scope {
             bindings: &bindings,
-            rows: &rows_holder,
+            rows: &[Some(row)],
         };
-        let keep = match filter {
-            Some(f) => eval_truth(f, ctx, &scope)? == Truth::True,
-            None => true,
-        };
-        if keep {
+        if all_true(&filter, skip, ctx, &scope)? {
             out.push(rid);
         }
     }
@@ -1423,11 +1442,7 @@ pub fn exec_update(
                     .ok_or_else(|| SqlError::UnknownColumn(c.clone()))?,
             );
         }
-        let bindings = [Binding {
-            name: table_name.to_string(),
-            columns: table.col_names(),
-        }];
-        (set_positions, bindings)
+        (set_positions, [Binding::new(table_name, table)])
     };
 
     let mut outcome = WriteOutcome::default();

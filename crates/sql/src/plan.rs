@@ -4,7 +4,9 @@
 //! it picks, in order of preference, a primary-key point lookup, a secondary
 //! index point lookup, a primary-key range, a secondary index range, or a
 //! full scan. Join lookups reuse the same machinery with the "constant" side
-//! allowed to reference columns of already-bound tables.
+//! allowed to reference columns of already-bound tables. The planner works
+//! on expressions whose column names are already positions
+//! ([`Expr::Resolved`]), so "already bound" is a comparison of indices.
 
 use crate::ast::{BinOp, Expr};
 use crate::storage::Table;
@@ -44,66 +46,67 @@ impl Path {
     }
 }
 
-/// Split a boolean expression into top-level AND conjuncts.
-pub fn split_conjuncts(expr: &Expr) -> Vec<&Expr> {
-    let mut out = Vec::new();
-    fn rec<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
-        if let Expr::Binary(a, BinOp::And, b) = e {
-            rec(a, out);
-            rec(b, out);
-        } else {
-            out.push(e);
+/// Split a boolean expression into its top-level AND conjuncts, in
+/// evaluation order.
+pub fn into_conjuncts(expr: Expr) -> Vec<Expr> {
+    fn rec(e: Expr, out: &mut Vec<Expr>) {
+        match e {
+            Expr::Binary(a, BinOp::And, b) => {
+                rec(*a, out);
+                rec(*b, out);
+            }
+            other => out.push(other),
         }
     }
+    let mut out = Vec::new();
     rec(expr, &mut out);
     out
 }
 
-/// Does `expr` reference any column *of this binding*? A column belongs to
-/// the binding when its qualifier names the binding, or when it is
-/// unqualified and the table's schema has a column of that name.
-fn references_binding(expr: &Expr, binding: &str, table: &Table) -> bool {
-    let mut found = false;
-    expr.walk(&mut |e| {
-        if let Expr::Column { qualifier, name } = e {
-            let belongs = match qualifier {
-                Some(q) => q.eq_ignore_ascii_case(binding),
-                None => table.schema().column_index(name).is_some(),
-            };
-            if belongs {
-                found = true;
-            }
-        }
+/// Can `key` be evaluated before source `source` is scanned? Only if every
+/// column in it is bound by an earlier source. A name the planner could not
+/// resolve disqualifies the key too: the predicate must still reach the
+/// evaluator and raise its error there.
+fn bound_before(key: &Expr, source: usize) -> bool {
+    let mut ok = true;
+    key.walk(&mut |e| match e {
+        Expr::Resolved { binding, .. } => ok &= *binding < source,
+        Expr::Column { .. } => ok = false,
+        _ => {}
     });
-    found
+    ok
 }
 
-/// If `expr` is a column of this binding, return its column index.
-fn own_column(expr: &Expr, binding: &str, table: &Table) -> Option<usize> {
-    if let Expr::Column { qualifier, name } = expr {
-        let qualifies = match qualifier {
-            Some(q) => q.eq_ignore_ascii_case(binding),
-            None => true,
-        };
-        if qualifies {
-            return table.schema().column_index(name);
-        }
+/// If `expr` is a column of source `source`, return its column index.
+fn own_column(expr: &Expr, source: usize) -> Option<usize> {
+    match expr {
+        Expr::Resolved { binding, col } if *binding == source => Some(*col),
+        _ => None,
     }
-    None
 }
 
-/// A sargable conjunct: `column <op> key` where `key` does not reference the
-/// binding (so it can be evaluated before scanning the table).
+/// A sargable conjunct: `column <op> key` where `key` is evaluable before
+/// the table is scanned (see [`bound_before`]).
 #[derive(Debug, Clone)]
 struct Sarg {
     column: usize,
     op: BinOp,
     key: Expr,
+    /// Index of the conjunct this sarg came from.
+    conjunct: usize,
 }
 
-fn extract_sargs(filter: &Expr, binding: &str, table: &Table) -> Vec<Sarg> {
+fn extract_sargs(conjuncts: &[Expr], source: usize) -> Vec<Sarg> {
     let mut sargs = Vec::new();
-    for conj in split_conjuncts(filter) {
+    for (conjunct, conj) in conjuncts.iter().enumerate() {
+        let mut push = |column: usize, op: BinOp, key: &Expr| {
+            sargs.push(Sarg {
+                column,
+                op,
+                key: key.clone(),
+                conjunct,
+            })
+        };
         let (lhs, op, rhs) = match conj {
             Expr::Binary(a, op, b)
                 if matches!(
@@ -115,92 +118,64 @@ fn extract_sargs(filter: &Expr, binding: &str, table: &Table) -> Vec<Sarg> {
             }
             Expr::Between { expr, lo, hi } => {
                 // col BETWEEN lo AND hi -> two sargs.
-                if let Some(col) = own_column(expr, binding, table) {
-                    if !references_binding(lo, binding, table)
-                        && !references_binding(hi, binding, table)
-                    {
-                        sargs.push(Sarg {
-                            column: col,
-                            op: BinOp::GtEq,
-                            key: (**lo).clone(),
-                        });
-                        sargs.push(Sarg {
-                            column: col,
-                            op: BinOp::LtEq,
-                            key: (**hi).clone(),
-                        });
+                if let Some(col) = own_column(expr, source) {
+                    if bound_before(lo, source) && bound_before(hi, source) {
+                        push(col, BinOp::GtEq, lo);
+                        push(col, BinOp::LtEq, hi);
                     }
                 }
                 continue;
             }
             _ => continue,
         };
-        // col <op> key
-        if let Some(col) = own_column(lhs, binding, table) {
-            if !references_binding(rhs, binding, table) {
-                sargs.push(Sarg {
-                    column: col,
-                    op,
-                    key: rhs.clone(),
-                });
-                continue;
-            }
-        }
-        // key <op> col (flip)
-        if let Some(col) = own_column(rhs, binding, table) {
-            if !references_binding(lhs, binding, table) {
-                let flipped = match op {
-                    BinOp::Eq => BinOp::Eq,
-                    BinOp::Lt => BinOp::Gt,
-                    BinOp::LtEq => BinOp::GtEq,
-                    BinOp::Gt => BinOp::Lt,
-                    BinOp::GtEq => BinOp::LtEq,
-                    _ => unreachable!(),
-                };
-                sargs.push(Sarg {
-                    column: col,
-                    op: flipped,
-                    key: lhs.clone(),
-                });
-            }
+        if let (Some(col), true) = (own_column(lhs, source), bound_before(rhs, source)) {
+            push(col, op, rhs); // col <op> key
+        } else if let (Some(col), true) = (own_column(rhs, source), bound_before(lhs, source)) {
+            let flipped = match op {
+                BinOp::Eq => BinOp::Eq,
+                BinOp::Lt => BinOp::Gt,
+                BinOp::LtEq => BinOp::GtEq,
+                BinOp::Gt => BinOp::Lt,
+                BinOp::GtEq => BinOp::LtEq,
+                _ => unreachable!(),
+            };
+            push(col, flipped, lhs); // key <op> col
         }
     }
     sargs
 }
 
-/// Choose the access path for one table given a filter (WHERE for the base
-/// table, ON for a join target). `binding` is the alias the table is bound
-/// under in the query.
-pub fn choose_path(table: &Table, binding: &str, filter: Option<&Expr>) -> Path {
-    let Some(filter) = filter else {
-        return Path::FullScan;
-    };
-    let sargs = extract_sargs(filter, binding, table);
-    if sargs.is_empty() {
-        return Path::FullScan;
-    }
+/// Choose the access path for FROM source number `source` given the
+/// conjuncts of its predicate (WHERE for the base table, ON for a join
+/// target), with column names already resolved to positions. Also returns
+/// the index of the conjunct an equality path consumed: when the probe is
+/// exact the executor need not evaluate that conjunct again.
+pub fn choose_path(table: &Table, source: usize, conjuncts: &[Expr]) -> (Path, Option<usize>) {
+    let sargs = extract_sargs(conjuncts, source);
     let pk_col = table.schema().pk_index();
 
     // 1. PK equality.
-    if let Some(pk) = pk_col {
-        if let Some(s) = sargs.iter().find(|s| s.column == pk && s.op == BinOp::Eq) {
-            return Path::PkEq { key: s.key.clone() };
-        }
+    if let Some(s) = sargs
+        .iter()
+        .find(|s| Some(s.column) == pk_col && s.op == BinOp::Eq)
+    {
+        return (Path::PkEq { key: s.key.clone() }, Some(s.conjunct));
     }
     // 2. Secondary-index equality.
     for s in &sargs {
         if s.op == BinOp::Eq && table.index_on(s.column).is_some() {
-            return Path::IndexEq {
+            let path = Path::IndexEq {
                 column: s.column,
                 key: s.key.clone(),
             };
+            return (path, Some(s.conjunct));
         }
     }
     // 3. PK range.
     if let Some(pk) = pk_col {
         let (lo, hi) = range_bounds(&sargs, pk);
         if lo.is_some() || hi.is_some() {
-            return Path::PkRange { lo, hi };
+            return (Path::PkRange { lo, hi }, None);
         }
     }
     // 4. Secondary-index range.
@@ -208,15 +183,16 @@ pub fn choose_path(table: &Table, binding: &str, filter: Option<&Expr>) -> Path 
         if table.index_on(s.column).is_some() {
             let (lo, hi) = range_bounds(&sargs, s.column);
             if lo.is_some() || hi.is_some() {
-                return Path::IndexRange {
+                let path = Path::IndexRange {
                     column: s.column,
                     lo,
                     hi,
                 };
+                return (path, None);
             }
         }
     }
-    Path::FullScan
+    (Path::FullScan, None)
 }
 
 type OptBound = Option<(Expr, bool)>;
@@ -243,6 +219,7 @@ fn range_bounds(sargs: &[Sarg], column: usize) -> (OptBound, OptBound) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::{resolve_columns, Binding};
     use crate::parser::parse;
     use crate::schema::{Column, TableSchema};
     use crate::value::DataType;
@@ -262,42 +239,54 @@ mod tests {
         t
     }
 
-    fn where_of(sql: &str) -> Expr {
+    /// WHERE conjuncts of `sql`, names resolved against `bindings`, each of
+    /// which binds a `table_with_index()`.
+    fn where_of(sql: &str, bindings: &[&str]) -> Vec<Expr> {
+        let bindings: Vec<Binding> = bindings
+            .iter()
+            .map(|b| Binding::new(b, &table_with_index()))
+            .collect();
         match parse(sql).unwrap() {
-            crate::ast::Statement::Select(s) => s.filter.unwrap(),
+            crate::ast::Statement::Select(s) => {
+                let mut f = s.filter.unwrap();
+                resolve_columns(&mut f, &bindings);
+                into_conjuncts(f)
+            }
             _ => panic!(),
         }
     }
 
+    /// The path chosen for `events` as the only source.
+    fn events_path(sql: &str) -> Path {
+        choose_path(&table_with_index(), 0, &where_of(sql, &["events"])).0
+    }
+
     #[test]
     fn pk_eq_preferred() {
-        let t = table_with_index();
-        let f = where_of("SELECT * FROM events WHERE title = 'x' AND id = 5");
-        assert_eq!(choose_path(&t, "events", Some(&f)).describe(), "pk eq");
+        let f = where_of(
+            "SELECT * FROM events WHERE title = 'x' AND id = 5",
+            &["events"],
+        );
+        let (path, consumed) = choose_path(&table_with_index(), 0, &f);
+        assert_eq!(path.describe(), "pk eq");
+        assert_eq!(consumed, Some(1), "the second conjunct is the probe");
     }
 
     #[test]
     fn index_eq_when_no_pk_predicate() {
-        let t = table_with_index();
-        let f = where_of("SELECT * FROM events WHERE created_by = 3");
-        assert_eq!(
-            choose_path(&t, "events", Some(&f)).describe(),
-            "index eq col1"
-        );
+        let path = events_path("SELECT * FROM events WHERE created_by = 3");
+        assert_eq!(path.describe(), "index eq col1");
     }
 
     #[test]
     fn flipped_operands_recognized() {
-        let t = table_with_index();
-        let f = where_of("SELECT * FROM events WHERE 5 = id");
-        assert_eq!(choose_path(&t, "events", Some(&f)).describe(), "pk eq");
+        let path = events_path("SELECT * FROM events WHERE 5 = id");
+        assert_eq!(path.describe(), "pk eq");
     }
 
     #[test]
     fn pk_range_from_inequalities() {
-        let t = table_with_index();
-        let f = where_of("SELECT * FROM events WHERE id > 10 AND id <= 20");
-        match choose_path(&t, "events", Some(&f)) {
+        match events_path("SELECT * FROM events WHERE id > 10 AND id <= 20") {
             Path::PkRange { lo, hi } => {
                 assert!(!lo.unwrap().1, "lo exclusive");
                 assert!(hi.unwrap().1, "hi inclusive");
@@ -308,52 +297,67 @@ mod tests {
 
     #[test]
     fn between_becomes_range() {
-        let t = table_with_index();
-        let f = where_of("SELECT * FROM events WHERE id BETWEEN 1 AND 9");
         assert!(matches!(
-            choose_path(&t, "events", Some(&f)),
+            events_path("SELECT * FROM events WHERE id BETWEEN 1 AND 9"),
             Path::PkRange { .. }
         ));
     }
 
     #[test]
     fn unindexed_predicate_full_scans() {
-        let t = table_with_index();
-        let f = where_of("SELECT * FROM events WHERE title = 'x'");
-        assert_eq!(choose_path(&t, "events", Some(&f)), Path::FullScan);
+        let path = events_path("SELECT * FROM events WHERE title = 'x'");
+        assert_eq!(path, Path::FullScan);
     }
 
     #[test]
-    fn foreign_column_key_is_usable_for_join_lookup() {
-        // ON e.created_by = u.id — planning access to `e`, the key `u.id`
-        // is foreign and therefore evaluable before the lookup.
-        let t = table_with_index();
-        let f = where_of("SELECT * FROM x WHERE e.created_by = u.id");
-        match choose_path(&t, "e", Some(&f)) {
-            Path::IndexEq { column: 1, key } => {
-                assert!(matches!(key, Expr::Column { .. }));
+    fn key_over_an_earlier_binding_is_usable_for_join_lookup() {
+        // ON e.created_by = u.id with `u` bound first: planning access to
+        // `e`, the key `u.id` is evaluable before the lookup.
+        let f = where_of("SELECT * FROM x WHERE e.created_by = u.id", &["u", "e"]);
+        match choose_path(&table_with_index(), 1, &f) {
+            (Path::IndexEq { column: 1, key }, Some(0)) => {
+                assert_eq!(key, Expr::Resolved { binding: 0, col: 0 });
             }
             other => panic!("got {other:?}"),
         }
     }
 
     #[test]
+    fn key_over_a_later_binding_is_not_a_sarg() {
+        // The same predicate with `u` bound after `e`: `u.id` has no value
+        // while `e` is scanned, so the conjunct cannot drive the lookup.
+        let f = where_of("SELECT * FROM x WHERE e.created_by = u.id", &["e", "u"]);
+        assert_eq!(choose_path(&table_with_index(), 0, &f).0, Path::FullScan);
+        // The next usable sarg is taken instead.
+        let f = where_of(
+            "SELECT * FROM x WHERE e.id = u.created_by AND e.created_by = 7",
+            &["e", "u"],
+        );
+        let (path, consumed) = choose_path(&table_with_index(), 0, &f);
+        assert_eq!(
+            (path.describe().as_str(), consumed),
+            ("index eq col1", Some(1))
+        );
+    }
+
+    #[test]
     fn own_column_on_both_sides_not_sargable() {
-        let t = table_with_index();
-        let f = where_of("SELECT * FROM events WHERE id = created_by");
-        assert_eq!(choose_path(&t, "events", Some(&f)), Path::FullScan);
+        let path = events_path("SELECT * FROM events WHERE id = created_by");
+        assert_eq!(path, Path::FullScan);
     }
 
     #[test]
     fn or_disables_sargs() {
-        let t = table_with_index();
-        let f = where_of("SELECT * FROM events WHERE id = 1 OR created_by = 2");
-        assert_eq!(choose_path(&t, "events", Some(&f)), Path::FullScan);
+        let path = events_path("SELECT * FROM events WHERE id = 1 OR created_by = 2");
+        assert_eq!(path, Path::FullScan);
     }
 
     #[test]
     fn conjuncts_split() {
-        let f = where_of("SELECT * FROM t WHERE a = 1 AND b = 2 AND (c = 3 OR d = 4)");
-        assert_eq!(split_conjuncts(&f).len(), 3);
+        let f = where_of(
+            "SELECT * FROM t WHERE a = 1 AND b = 2 AND (c = 3 OR d = 4)",
+            &[],
+        );
+        assert_eq!(f.len(), 3);
     }
 }

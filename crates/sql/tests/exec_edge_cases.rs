@@ -281,3 +281,249 @@ fn left_join_where_on_inner_column_filters_null_rows() {
         .unwrap();
     assert_eq!(r.rows[0][0], Value::Int(5));
 }
+
+// ---------------------------------------------------------------------------
+// Plan-time pipeline: exact probes, residual predicates, the sort window
+// ---------------------------------------------------------------------------
+
+/// Every kind of index the exactness rule tells apart — INT primary key,
+/// index on a TIMESTAMP column, unique index on a TEXT column, plain INT
+/// index — and a child table to join. Titles sort opposite to ids.
+fn indexed_engine() -> (Engine, Session) {
+    let mut e = Engine::new_master(BinlogFormat::Statement);
+    let mut s = Session::new();
+    e.execute_batch(
+        &mut s,
+        "CREATE TABLE events (id INT PRIMARY KEY, title TEXT NOT NULL, ts TIMESTAMP NOT NULL, zip INT NOT NULL);
+         CREATE INDEX ix_ts ON events (ts);
+         CREATE UNIQUE INDEX uq_title ON events (title);
+         CREATE INDEX ix_zip ON events (zip);
+         INSERT INTO events VALUES
+           (1, 'e5', 30, 7), (2, 'e4', 10, 7), (3, 'e3', 20, 7), (4, 'e2', 10, 8), (5, 'e1', 20, 7);
+         CREATE TABLE notes (id INT PRIMARY KEY, event_id INT NOT NULL, stars INT NOT NULL);
+         CREATE INDEX ix_note_event ON notes (event_id);
+         INSERT INTO notes VALUES (1, 1, 5), (2, 1, 2), (3, 2, 4), (4, 9, 1)",
+    )
+    .expect("setup");
+    (e, s)
+}
+
+fn rows_of(e: &mut Engine, s: &mut Session, sql: &str, params: &[Value]) -> Vec<Vec<Value>> {
+    e.execute(s, sql, params)
+        .unwrap_or_else(|err| panic!("{sql}: {err}"))
+        .rows
+}
+
+/// `indexed` probes an index; `scanned` is the same query with the column
+/// wrapped so that no index applies and every row meets the full predicate.
+/// Both must return `want`.
+fn assert_probe_agrees(indexed: &str, scanned: &str, params: &[Value], want: &[i64]) {
+    let (mut e, mut s) = indexed_engine();
+    let want: Vec<Vec<Value>> = want.iter().map(|&i| vec![Value::Int(i)]).collect();
+    assert_eq!(
+        rows_of(&mut e, &mut s, indexed, params),
+        want,
+        "{indexed} {params:?}"
+    );
+    assert_eq!(
+        rows_of(&mut e, &mut s, scanned, params),
+        want,
+        "{scanned} {params:?}"
+    );
+}
+
+#[test]
+fn pk_probe_agrees_with_the_predicate_for_every_key_type() {
+    for (key, want) in [
+        (Value::Int(2), &[2][..]),
+        (Value::Double(2.0), &[2]), // the integer index rounds; sql_cmp agrees
+        (Value::Double(2.5), &[]),
+        (Value::from("2"), &[]), // incomparable: unknown, not an error
+        (Value::Null, &[]),
+    ] {
+        assert_probe_agrees(
+            "SELECT id FROM events WHERE id = ?",
+            "SELECT id FROM events WHERE id + 0 = ?",
+            &[key],
+            want,
+        );
+    }
+}
+
+#[test]
+fn timestamp_index_probe_keeps_the_recheck_for_inexact_keys() {
+    // COALESCE(ts, ts) defeats the index and keeps the TIMESTAMP type.
+    let indexed = "SELECT id FROM events WHERE ts = ? ORDER BY id";
+    let scanned = "SELECT id FROM events WHERE COALESCE(ts, ts) = ? ORDER BY id";
+    assert_probe_agrees(indexed, scanned, &[Value::Int(10)], &[2, 4]);
+    assert_probe_agrees(indexed, scanned, &[Value::Timestamp(20)], &[3, 5]);
+    // The index orders a DOUBLE key equal to a TIMESTAMP it cannot be
+    // compared with, so the probe returns rows the predicate must reject.
+    assert_probe_agrees(indexed, scanned, &[Value::Double(10.0)], &[]);
+    let (mut e, mut s) = indexed_engine();
+    let r = e.execute(&mut s, indexed, &[Value::Double(10.0)]).unwrap();
+    assert!(r.rows_examined > 0, "the probe did return candidates");
+}
+
+#[test]
+fn text_unique_index_probe() {
+    let indexed = "SELECT id FROM events WHERE title = ?";
+    let scanned = "SELECT id FROM events WHERE LOWER(title) = ?";
+    assert_probe_agrees(indexed, scanned, &[Value::from("e3")], &[3]);
+    assert_probe_agrees(indexed, scanned, &[Value::from("nope")], &[]);
+    assert_probe_agrees(indexed, scanned, &[Value::Null], &[]);
+    // An INT key is incomparable with TEXT.
+    assert_probe_agrees(
+        indexed,
+        "SELECT id FROM events WHERE COALESCE(title, title) = ?",
+        &[Value::Int(3)],
+        &[],
+    );
+}
+
+#[test]
+fn join_probe_leaves_the_rest_of_on_to_evaluate() {
+    let scanned = "SELECT n.id FROM events e INNER JOIN notes n \
+                   ON n.event_id + 0 = e.id AND n.stars > 2 WHERE e.zip = 7 ORDER BY n.id";
+    for on in [
+        "n.event_id = e.id AND n.stars > 2",
+        "n.stars > 2 AND e.id = n.event_id", // path conjunct second, written key = col
+    ] {
+        let indexed = format!(
+            "SELECT n.id FROM events e INNER JOIN notes n ON {on} WHERE e.zip = 7 ORDER BY n.id"
+        );
+        assert_probe_agrees(&indexed, scanned, &[], &[1, 3]);
+    }
+}
+
+#[test]
+fn left_join_probe_miss_still_emits_the_null_extended_row() {
+    let (mut e, mut s) = indexed_engine();
+    let q = |on: &str, filter: &str| {
+        format!("SELECT e.id, n.id FROM events e LEFT JOIN notes n ON {on} {filter} ORDER BY e.id, n.id")
+    };
+    for filter in ["", "WHERE n.stars > 0", "WHERE n.stars IS NULL"] {
+        let indexed = rows_of(&mut e, &mut s, &q("n.event_id = e.id", filter), &[]);
+        let scanned = rows_of(&mut e, &mut s, &q("n.event_id + 0 = e.id", filter), &[]);
+        assert_eq!(indexed, scanned, "{filter}");
+        let unmatched = indexed.iter().filter(|r| r[1] == Value::Null).count();
+        // Events 3, 4 and 5 have no notes; a WHERE on the inner column that
+        // NULL cannot satisfy removes them again.
+        assert_eq!(unmatched, if filter == "WHERE n.stars > 0" { 0 } else { 3 });
+    }
+}
+
+#[test]
+fn order_by_alias_that_shadows_a_table_column() {
+    let (mut e, mut s) = indexed_engine();
+    // `title` is the output column (= id), not events.title, which sorts
+    // the other way round.
+    let r = rows_of(
+        &mut e,
+        &mut s,
+        "SELECT id AS title FROM events ORDER BY title LIMIT 3",
+        &[],
+    );
+    assert_eq!(r, [[Value::Int(1)], [Value::Int(2)], [Value::Int(3)]]);
+    let r = rows_of(
+        &mut e,
+        &mut s,
+        "SELECT id FROM events ORDER BY events.title LIMIT 3",
+        &[],
+    );
+    assert_eq!(r, [[Value::Int(5)], [Value::Int(4)], [Value::Int(3)]]);
+}
+
+#[test]
+fn every_window_is_a_slice_of_the_full_stable_sort() {
+    let mut e = Engine::new_master(BinlogFormat::Statement);
+    let mut s = Session::new();
+    e.execute_batch(
+        &mut s,
+        "CREATE TABLE w (id INT PRIMARY KEY, k INT NOT NULL)",
+    )
+    .unwrap();
+    // Emission order is id order; k has four values, so ties abound.
+    for id in 0..23 {
+        e.execute(
+            &mut s,
+            "INSERT INTO w VALUES (?, ?)",
+            &[Value::Int(id), Value::Int(id * 7 % 4)],
+        )
+        .unwrap();
+    }
+    // ORDER BY a plain column, a non-column expression, and both directions.
+    for (order, key, desc) in [
+        ("k", 1i64, false),
+        ("k DESC", 1, true),
+        ("0 - k", -1, false),
+        ("k * 2 DESC", 2, true),
+    ] {
+        let mut want: Vec<i64> = (0..23).collect();
+        want.sort_by_key(|id| {
+            let k = key * (id * 7 % 4);
+            if desc {
+                -k
+            } else {
+                k
+            }
+        }); // stable: ties keep emission order
+        let full = rows_of(
+            &mut e,
+            &mut s,
+            &format!("SELECT id FROM w ORDER BY {order}"),
+            &[],
+        );
+        let full: Vec<i64> = full
+            .iter()
+            .map(|r| match r[0] {
+                Value::Int(i) => i,
+                _ => panic!(),
+            })
+            .collect();
+        assert_eq!(full, want, "ORDER BY {order}");
+        for offset in [0usize, 1, 5, 22, 23, 40] {
+            for limit in [0usize, 1, 4, 23, 100] {
+                let got = rows_of(
+                    &mut e,
+                    &mut s,
+                    &format!("SELECT id FROM w ORDER BY {order} LIMIT {limit} OFFSET {offset}"),
+                    &[],
+                );
+                let window: Vec<Vec<Value>> = want
+                    .iter()
+                    .skip(offset)
+                    .take(limit)
+                    .map(|&i| vec![Value::Int(i)])
+                    .collect();
+                assert_eq!(
+                    got, window,
+                    "ORDER BY {order} LIMIT {limit} OFFSET {offset}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn sarg_key_over_a_later_table_does_not_drive_the_lookup() {
+    let mut e = Engine::new_master(BinlogFormat::Statement);
+    let mut s = Session::new();
+    e.execute_batch(
+        &mut s,
+        "CREATE TABLE a (id INT PRIMARY KEY, x INT NOT NULL);
+         CREATE INDEX ix ON a (x);
+         CREATE TABLE b (id INT PRIMARY KEY, a_id INT NOT NULL, y INT NOT NULL);
+         INSERT INTO a VALUES (1, 10), (2, 20);
+         INSERT INTO b VALUES (1, 1, 10), (2, 2, 99)",
+    )
+    .unwrap();
+    // `b` is bound after `a`: while `a` is scanned `b.y` / `b.a_id` have no
+    // value, so neither conjunct may become a's index key (it used to, with
+    // a NULL key, and the query returned nothing).
+    let join = "SELECT a.id, b.id FROM a INNER JOIN b ON b.a_id = a.id";
+    for filter in ["a.x = b.y", "a.x + 0 = b.y", "a.id = b.a_id AND b.y = 10"] {
+        let r = rows_of(&mut e, &mut s, &format!("{join} WHERE {filter}"), &[]);
+        assert_eq!(r, [[Value::Int(1), Value::Int(1)]], "WHERE {filter}");
+    }
+}

@@ -17,7 +17,10 @@ fn seed_users(e: &mut Engine, s: &mut Session) {
            (1, 'alice', 10.0),
            (2, 'bob',   20.0),
            (3, 'alice', 30.0),
-           (4, 'carol', 40.0)",
+           (4, 'carol', 40.0);
+         CREATE TABLE badges (id INT PRIMARY KEY, user_id INT NOT NULL, label TEXT);
+         CREATE INDEX idx_badge_user ON badges (user_id);
+         INSERT INTO badges VALUES (1, 1, 'gold'), (2, 1, 'tin'), (3, 3, 'gold'), (4, 4, NULL), (5, 9, 'lost')",
     )
     .expect("seed");
 }
@@ -144,6 +147,8 @@ const TEMPLATES: &[&str] = &[
     "SELECT id, name, score FROM users WHERE id = ?",
     "SELECT name, COUNT(*), SUM(score) FROM users GROUP BY name ORDER BY name",
     "SELECT id FROM users WHERE score > ? ORDER BY id DESC LIMIT 2",
+    "SELECT u.id AS k, b.label FROM users u INNER JOIN badges b ON b.user_id = u.id \
+     WHERE u.score > ? ORDER BY k DESC LIMIT 3",
     "INSERT INTO users (id, name, score) VALUES (?, 'dave', ?)",
     "UPDATE users SET score = ? WHERE id = ?",
     "DELETE FROM users WHERE id = ?",
