@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Local CI: formatting, lints, tier-1 build + full test suite, the repo
+# Local CI: formatting, lints, rustdoc, tier-1 build + full test suite, the repo
 # benchmark's own checks, the byte-identity table, artifact determinism.
 # Everything runs offline against the vendored dependency shims.
 set -euo pipefail
@@ -10,6 +10,10 @@ cargo fmt --all -- --check
 
 echo "== cargo clippy (workspace, warnings are errors) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
+
+echo "== cargo doc (a dangling intra-doc link is an error) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline \
+  --exclude proptest --exclude bytes
 
 echo "== tier-1: release build =="
 cargo build --release --offline

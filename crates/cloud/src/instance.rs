@@ -103,7 +103,6 @@ impl CpuModel {
 pub struct Instance {
     id: InstanceId,
     zone: Zone,
-    itype: InstanceType,
     cpu_model: CpuModel,
     /// The instance's FIFO CPU; its speed folds together ECU, host model and
     /// residual noisy-neighbour noise.
@@ -118,7 +117,6 @@ impl Instance {
     pub(crate) fn new(
         id: InstanceId,
         zone: Zone,
-        itype: InstanceType,
         cpu_model: CpuModel,
         cpu: FifoCpu,
         clock: DriftingClock,
@@ -127,7 +125,6 @@ impl Instance {
         Self {
             id,
             zone,
-            itype,
             cpu_model,
             cpu,
             clock,
@@ -143,11 +140,6 @@ impl Instance {
     /// Placement zone.
     pub fn zone(&self) -> Zone {
         self.zone
-    }
-
-    /// Instance size.
-    pub fn instance_type(&self) -> InstanceType {
-        self.itype
     }
 
     /// Physical host CPU model this VM landed on.

@@ -95,7 +95,7 @@ impl Provider {
         );
         let ntp = NtpClient::sample(&self.cfg.ntp, &mut self.rng);
 
-        Instance::new(id, zone, itype, model, FifoCpu::new(speed), clock, ntp)
+        Instance::new(id, zone, model, FifoCpu::new(speed), clock, ntp)
     }
 
     /// Launch an instance pinned to a specific host CPU model (used by the
@@ -112,7 +112,6 @@ impl Provider {
         Instance::new(
             id,
             zone,
-            itype,
             model,
             FifoCpu::new(itype.ecu() * model.speed_factor()),
             clock,

@@ -9,7 +9,6 @@
 //! small (much further: the master ceiling moves out by roughly the ratio
 //! of the write fractions).
 
-use crate::load::DataCounters;
 use crate::ops::{OpClass, Operation};
 use amdb_sim::Rng;
 use amdb_sql::{Engine, Session, SqlError, Value};
@@ -226,12 +225,6 @@ impl Web10Generator {
             ],
         }
     }
-}
-
-/// Convenience: derive an items count from the calendar's [`DataCounters`]
-/// scale so both workloads see comparable data volumes.
-pub fn items_for(counters: &DataCounters) -> u32 {
-    ((counters.next_event - 1) as u32).max(100)
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@
 //!   to the master or waiting (with a deadline) for a slave to catch up.
 //!
 //! The decision procedure ([`ConsistencyConfig::decide_read`]) is pure
-//! bookkeeping over [`Proxy`] state: it schedules nothing and consumes no
+//! bookkeeping over [`amdb_proxy::Proxy`] state: it schedules nothing and consumes no
 //! randomness beyond the one balancer pick the unfiltered proxy would make,
 //! so wiring it into a deterministic simulation cannot perturb runs that do
 //! not opt in — and `Eventual` is byte-identical to no policy at all.

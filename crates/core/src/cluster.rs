@@ -57,11 +57,6 @@ use std::collections::VecDeque;
 
 pub type S = Sim<Cluster, ClusterEvent>;
 
-/// Boxed fallback event for cold control-plane scheduling (startup wiring,
-/// failover choreography, monitor ticks): anything off the per-operation
-/// hot path stays an ergonomic closure.
-pub type ClusterFn = Box<dyn FnOnce(&mut Cluster, &mut dyn ClusterHost)>;
-
 /// Who issued a client operation. Every op carries its origin through the
 /// one dispatch → service → completion chain; only the decisions that
 /// really differ between the two look at it, each a commented `match`.
@@ -116,15 +111,6 @@ pub trait ClusterHost {
         let at = self.now() + d;
         self.schedule_event_at(at, ev);
     }
-    /// Schedule a boxed closure event at an absolute instant (cold paths).
-    fn schedule_at(&mut self, at: SimTime, f: ClusterFn) {
-        self.schedule_event_at(at, ClusterEvent::Closure(f));
-    }
-    /// Schedule a boxed closure event after a delay (cold paths).
-    fn schedule_in(&mut self, d: SimDuration, f: ClusterFn) {
-        let at = self.now() + d;
-        self.schedule_event_at(at, ClusterEvent::Closure(f));
-    }
 }
 
 impl ClusterHost for S {
@@ -141,14 +127,15 @@ impl ClusterHost for S {
     }
 }
 
-/// Typed agenda events for the simulation's hot paths.
+/// Every event a cluster can put on the agenda, by name.
 ///
 /// The per-operation lifecycle (dispatch → service → respond → think) and
 /// the replication pipeline (ship → deliver → apply) schedule several
-/// events per simulated operation — millions per sweep. Representing them
-/// as enum variants stores their few words of payload inline in the
-/// agenda's slab instead of boxing a fresh closure per event; rare events
-/// ride the [`ClusterEvent::Closure`] escape hatch unchanged.
+/// events per simulated operation — millions per sweep — so payloads are a
+/// few words stored inline in the agenda's slab. The control plane (ticks,
+/// window markers, fault and failover choreography) carries at most a slave
+/// index: intervals and plans are read from the cluster's config when the
+/// event fires.
 pub enum ClusterEvent {
     /// A job arrives at a node's serial queue after the client→node hop.
     EnqueueJob { node: usize, job: Job },
@@ -195,8 +182,29 @@ pub enum ClusterEvent {
     /// A shared-log replica's append acknowledgement lands at the master
     /// (shared-log backend only; instants come from [`ack_time_us`]).
     LogAck { replica: usize, upto: Lsn },
-    /// Cold-path escape hatch: a boxed closure event.
-    Closure(ClusterFn),
+    /// Periodic NTP discipline of every node (`ntp_interval`).
+    NtpTick,
+    /// The master emits a heartbeat row (`heartbeat_interval`).
+    HeartbeatTick,
+    /// Observability sampler: one gauge record per tracked series.
+    ObsSampleTick,
+    /// The staleness-driven autoscaling controller evaluates its rule.
+    AutoscaleTick,
+    /// The steady measurement window opens.
+    SteadyStart,
+    /// The steady measurement window closes.
+    SteadyEnd,
+    /// A planned slave failure fires.
+    FailSlave { slave: usize },
+    /// A failed slave's replacement VM attaches.
+    ReplaceSlave { slave: usize },
+    /// The planned master failure fires.
+    FailMaster,
+    /// Failure detection elapsed: promote the most caught-up slave.
+    PromoteBestSlave,
+    /// A slave finished its initial sync (scale-out) or its post-failover
+    /// resync and re-enters the proxy's rotation.
+    SlaveInRotation { slave: usize, resynced: bool },
 }
 
 impl Event<Cluster> for ClusterEvent {
@@ -246,7 +254,19 @@ impl ClusterEvent {
                 waited_ms,
             } => w.dispatch(sim, origin, op, waited_ms, false),
             ClusterEvent::LogAck { replica, upto } => w.log_ack(sim, replica, upto),
-            ClusterEvent::Closure(f) => f(w, sim),
+            ClusterEvent::NtpTick => w.ntp_tick(sim),
+            ClusterEvent::HeartbeatTick => w.heartbeat_tick(sim),
+            ClusterEvent::ObsSampleTick => w.obs_sample_tick(sim),
+            ClusterEvent::AutoscaleTick => w.autoscale_tick(sim),
+            ClusterEvent::SteadyStart => w.steady_start(sim.now()),
+            ClusterEvent::SteadyEnd => w.steady_end(sim.now()),
+            ClusterEvent::FailSlave { slave } => w.fail_slave(sim, slave),
+            ClusterEvent::ReplaceSlave { slave } => w.replace_slave(sim, slave),
+            ClusterEvent::FailMaster => w.fail_master(sim),
+            ClusterEvent::PromoteBestSlave => w.promote_best_slave(sim),
+            ClusterEvent::SlaveInRotation { slave, resynced } => {
+                w.slave_in_rotation(sim.now(), slave, resynced)
+            }
         }
     }
 }
@@ -745,17 +765,11 @@ impl Cluster {
             ntp.sync(clock, SimTime::ZERO, &mut self.rng_ntp);
         }
         if let Some(interval) = self.cfg.ntp_interval {
-            sim.schedule_in(
-                interval,
-                Box::new(move |w: &mut Cluster, sim| w.ntp_tick(sim, interval)),
-            );
+            sim.schedule_event_in(interval, ClusterEvent::NtpTick);
         }
 
         // Heartbeats from t=0 (idle baseline needs them).
-        sim.schedule_at(
-            SimTime::ZERO,
-            Box::new(|w: &mut Cluster, sim| w.heartbeat_tick(sim)),
-        );
+        sim.schedule_event_at(SimTime::ZERO, ClusterEvent::HeartbeatTick);
 
         // Users, staggered over the ramp-up.
         for (at, user) in self.users.start_times() {
@@ -763,94 +777,64 @@ impl Cluster {
         }
 
         // Planned slave failures (availability experiments).
-        for fault in self.cfg.faults.clone() {
+        for (i, fault) in self.cfg.faults.iter().enumerate() {
+            assert!(
+                fault.slave < self.cfg.n_slaves,
+                "faults[{i}].slave = {} but the cluster has {} slave(s)",
+                fault.slave,
+                self.cfg.n_slaves
+            );
             let fail_at = SimTime::ZERO + fault.fail_at;
             let slave = fault.slave;
-            sim.schedule_at(
-                fail_at,
-                Box::new(move |w: &mut Cluster, sim| {
-                    w.fail_slave(sim, slave);
-                }),
-            );
+            sim.schedule_event_at(fail_at, ClusterEvent::FailSlave { slave });
             if let Some(after) = fault.recover_after {
-                sim.schedule_at(
-                    fail_at + after,
-                    Box::new(move |w: &mut Cluster, sim| {
-                        w.replace_slave(sim, slave);
-                    }),
-                );
+                sim.schedule_event_at(fail_at + after, ClusterEvent::ReplaceSlave { slave });
             }
         }
 
         // Planned master failure with automatic failover.
-        if let Some(mf) = self.cfg.master_fault.clone() {
+        if let Some(mf) = &self.cfg.master_fault {
             let fail_at = SimTime::ZERO + mf.fail_at;
-            sim.schedule_at(
-                fail_at,
-                Box::new(move |w: &mut Cluster, sim| {
-                    w.fail_master(sim);
-                }),
-            );
-            sim.schedule_at(
-                fail_at + mf.detection_delay,
-                Box::new(|w: &mut Cluster, sim| {
-                    w.promote_best_slave(sim);
-                }),
-            );
+            sim.schedule_event_at(fail_at, ClusterEvent::FailMaster);
+            sim.schedule_event_at(fail_at + mf.detection_delay, ClusterEvent::PromoteBestSlave);
         }
 
         // Staleness-driven autoscaling controller.
-        if let Some(auto) = self.cfg.autoscale.clone() {
-            let interval = auto.check_interval;
-            sim.schedule_in(
-                interval,
-                Box::new(move |w: &mut Cluster, sim| {
-                    w.autoscale_tick(sim, auto.clone());
-                }),
-            );
+        if let Some(auto) = &self.cfg.autoscale {
+            sim.schedule_event_in(auto.check_interval, ClusterEvent::AutoscaleTick);
         }
 
         // Measurement window markers.
-        sim.schedule_at(
-            self.phases.steady_start(),
-            Box::new(|w: &mut Cluster, sim| {
-                let now = sim.now();
-                for node in &mut w.nodes {
-                    node.inst.cpu.reset_window(now);
-                }
-                w.stats.steady_peak_queue = vec![0; w.nodes.len()];
-                w.obs.instant(Component::Cluster, 0, "steady_start", now);
-            }),
-        );
-        sim.schedule_at(
-            self.phases.steady_end(),
-            Box::new(|w: &mut Cluster, sim| {
-                let now = sim.now();
-                w.stats.master_util = w.nodes[0].inst.cpu.utilization(now);
-                w.stats.slave_utils = w.nodes[1..]
-                    .iter()
-                    .map(|n| n.inst.cpu.utilization(now))
-                    .collect();
-                w.obs.instant(Component::Cluster, 0, "steady_end", now);
-            }),
-        );
+        sim.schedule_event_at(self.phases.steady_start(), ClusterEvent::SteadyStart);
+        sim.schedule_event_at(self.phases.steady_end(), ClusterEvent::SteadyEnd);
 
         // Observability sampler: periodic gauges for queue depths,
         // utilization, pool occupancy, relay backlogs, and staleness.
         if self.obs.is_enabled() {
-            let interval = SimDuration::from_millis(self.cfg.obs.sample_interval_ms.max(1));
-            sim.schedule_at(
-                SimTime::ZERO,
-                Box::new(move |w: &mut Cluster, sim| {
-                    w.obs_sample_tick(sim, interval);
-                }),
-            );
+            sim.schedule_event_at(SimTime::ZERO, ClusterEvent::ObsSampleTick);
         }
+    }
+
+    fn steady_start(&mut self, now: SimTime) {
+        for node in &mut self.nodes {
+            node.inst.cpu.reset_window(now);
+        }
+        self.stats.steady_peak_queue = vec![0; self.nodes.len()];
+        self.obs.instant(Component::Cluster, 0, "steady_start", now);
+    }
+
+    fn steady_end(&mut self, now: SimTime) {
+        self.stats.master_util = self.nodes[0].inst.cpu.utilization(now);
+        self.stats.slave_utils = self.nodes[1..]
+            .iter()
+            .map(|n| n.inst.cpu.utilization(now))
+            .collect();
+        self.obs.instant(Component::Cluster, 0, "steady_end", now);
     }
 
     /// Periodic observability sample: one counter record per tracked gauge.
     /// Only scheduled when observability is enabled.
-    fn obs_sample_tick(&mut self, sim: &mut dyn ClusterHost, interval: SimDuration) {
+    fn obs_sample_tick(&mut self, sim: &mut dyn ClusterHost) {
         let now = sim.now();
         for (i, node) in self.nodes.iter().enumerate() {
             let depth = node.queue.len() + usize::from(node.busy);
@@ -901,13 +885,9 @@ impl Cluster {
             }
         }
         self.telemetry_sample_tick(now);
+        let interval = SimDuration::from_millis(self.cfg.obs.sample_interval_ms.max(1));
         if now + interval <= self.phases.hard_end() {
-            sim.schedule_in(
-                interval,
-                Box::new(move |w: &mut Cluster, sim| {
-                    w.obs_sample_tick(sim, interval);
-                }),
-            );
+            sim.schedule_event_in(interval, ClusterEvent::ObsSampleTick);
         }
     }
 
@@ -1028,17 +1008,18 @@ impl Cluster {
             .tsdb_record(Component::Cluster, 0, "wf_evicted", now, wf_evicted as f64);
     }
 
-    fn ntp_tick(&mut self, sim: &mut dyn ClusterHost, interval: SimDuration) {
+    fn ntp_tick(&mut self, sim: &mut dyn ClusterHost) {
         let now = sim.now();
         for node in &mut self.nodes {
             let (clock, ntp) = (&mut node.inst.clock, &mut node.inst.ntp);
             ntp.sync(clock, now, &mut self.rng_ntp);
         }
+        let interval = self
+            .cfg
+            .ntp_interval
+            .expect("NtpTick is only scheduled with an interval");
         if now + interval <= self.phases.hard_end() {
-            sim.schedule_in(
-                interval,
-                Box::new(move |w: &mut Cluster, sim| w.ntp_tick(sim, interval)),
-            );
+            sim.schedule_event_in(interval, ClusterEvent::NtpTick);
         }
     }
 
@@ -1046,10 +1027,7 @@ impl Cluster {
         self.enqueue_job(sim, 0, Job::Heartbeat);
         let interval = self.cfg.heartbeat_interval;
         if sim.now() + interval <= self.phases.hard_end() {
-            sim.schedule_in(
-                interval,
-                Box::new(|w: &mut Cluster, sim| w.heartbeat_tick(sim)),
-            );
+            sim.schedule_event_in(interval, ClusterEvent::HeartbeatTick);
         }
     }
 
@@ -2257,15 +2235,16 @@ impl Cluster {
         self.obs
             .instant(Component::Cluster, 0, "master_failed", sim.now());
         self.events_log.push((sim.now(), "master failed".into()));
+        let now = sim.now();
         for wait in std::mem::take(&mut self.pending_sync) {
-            let (user, class, issued, routed) =
-                (wait.user, wait.class, wait.issued, wait.routed_slave);
-            let now = sim.now();
-            sim.schedule_at(
+            sim.schedule_event_at(
                 now,
-                Box::new(move |w: &mut Cluster, sim| {
-                    w.respond(sim, user, class, issued, routed);
-                }),
+                ClusterEvent::Respond {
+                    user: wait.user,
+                    class: wait.class,
+                    issued: wait.issued,
+                    routed_slave: wait.routed_slave,
+                },
             );
         }
         // Drop queued master work (heartbeats pause; client writes that were
@@ -2359,13 +2338,12 @@ impl Cluster {
                     self.proxy.set_alive(s, false);
                     self.events_log
                         .push((sim.now(), format!("slave {s} out of rotation (resync)")));
-                    sim.schedule_in(
+                    sim.schedule_event_in(
                         resync,
-                        Box::new(move |w: &mut Cluster, sim| {
-                            w.proxy.set_alive(s, true);
-                            w.events_log
-                                .push((sim.now(), format!("slave {s} resynced, in rotation")));
-                        }),
+                        ClusterEvent::SlaveInRotation {
+                            slave: s,
+                            resynced: true,
+                        },
                     );
                 }
             }
@@ -2540,15 +2518,26 @@ impl Cluster {
         self.events_log
             .push((sim.now(), format!("slave {s} launched (autoscale)")));
         // Serve reads once the initial sync window elapses.
-        sim.schedule_in(
+        sim.schedule_event_in(
             sync_duration,
-            Box::new(move |w: &mut Cluster, sim| {
-                w.proxy.set_alive(s, true);
-                w.events_log
-                    .push((sim.now(), format!("slave {s} in rotation")));
-            }),
+            ClusterEvent::SlaveInRotation {
+                slave: s,
+                resynced: false,
+            },
         );
         s
+    }
+
+    /// Slave `s` serves reads again: its initial sync (scale-out) or its
+    /// post-failover resync window elapsed.
+    fn slave_in_rotation(&mut self, now: SimTime, s: usize, resynced: bool) {
+        self.proxy.set_alive(s, true);
+        let what = if resynced {
+            "resynced, in rotation"
+        } else {
+            "in rotation"
+        };
+        self.events_log.push((now, format!("slave {s} {what}")));
     }
 
     /// Observed staleness of slave `s` in milliseconds, estimated from the
@@ -2593,9 +2582,14 @@ impl Cluster {
         }
     }
 
-    fn autoscale_tick(&mut self, sim: &mut dyn ClusterHost, auto: crate::config::AutoscaleConfig) {
+    fn autoscale_tick(&mut self, sim: &mut dyn ClusterHost) {
         let now = sim.now();
         if now < self.phases.load_end() {
+            let auto = self
+                .cfg
+                .autoscale
+                .clone()
+                .expect("AutoscaleTick is only scheduled with an autoscale config");
             let worst = (0..self.relays.len())
                 .filter(|&s| !self.nodes[self.slave_node(s)].failed)
                 .map(|s| self.observed_staleness_ms(s))
@@ -2605,23 +2599,13 @@ impl Cluster {
                 self.last_scale_action = now;
                 self.add_slave(sim, auto.sync_duration);
             }
-            sim.schedule_in(
-                auto.check_interval,
-                Box::new(move |w: &mut Cluster, sim| {
-                    w.autoscale_tick(sim, auto.clone());
-                }),
-            );
+            sim.schedule_event_in(auto.check_interval, ClusterEvent::AutoscaleTick);
         }
     }
 
     /// Membership timeline (failures, replacements, scale-outs).
     pub fn events_log(&self) -> &[(SimTime, String)] {
         &self.events_log
-    }
-
-    /// Current number of attached slaves (grows under autoscaling).
-    pub fn current_slaves(&self) -> usize {
-        self.relays.len()
     }
 
     // ------------------------------------------------------------------
@@ -2762,11 +2746,6 @@ impl Cluster {
         &self.obs
     }
 
-    /// Mutable recorder access (custom timelines recording their own marks).
-    pub fn obs_mut(&mut self) -> &mut Obs {
-        &mut self.obs
-    }
-
     /// Detach the recorder, leaving [`Obs::Null`] behind. Call after the
     /// run to export traces without keeping the whole world alive.
     pub fn take_obs(&mut self) -> Obs {
@@ -2887,6 +2866,25 @@ mod tests {
             .data_size(DataSize { scale: 30 })
             .seed(7)
             .build()
+    }
+
+    /// The agenda stores events inline in its slab, so this is the slot
+    /// size every scheduled event pays for.
+    #[test]
+    fn cluster_event_fits_its_slab_slot() {
+        assert!(std::mem::size_of::<ClusterEvent>() <= 96);
+    }
+
+    #[test]
+    #[should_panic(expected = "faults[0].slave")]
+    fn fault_plan_naming_a_missing_slave_is_rejected_up_front() {
+        let mut cfg = quick_cfg(4, 2);
+        cfg.faults.push(crate::config::FaultPlan {
+            slave: 2,
+            fail_at: SimDuration::from_secs(60),
+            recover_after: None,
+        });
+        run_cluster(cfg);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!
 //! All trees share one discrete-event kernel: each tree's events are
 //! wrapped as [`ShardedEvent::Tree`] and dispatched back through
-//! [`ClusterEvent::fire_on`] with a per-tree [`TreeHost`]. The front owns
+//! `ClusterEvent::fire_on` with a per-tree `TreeHost`. The front owns
 //! the run's users — the same `UserLoop` a standalone cluster drives — and
 //! hands each operation to a tree's one `Cluster::dispatch` tagged
 //! [`Origin::Front`]; the tree's own user loop has zero users and stays
@@ -165,7 +165,7 @@ fn tree_config(cfg: &ShardedConfig, k: u32) -> ClusterConfig {
 
 /// Agenda events of the sharded world.
 pub enum ShardedEvent {
-    /// An event of tree `k`, dispatched through its [`TreeHost`].
+    /// An event of tree `k`, dispatched through its `TreeHost`.
     Tree(u32, ClusterEvent),
     /// A front user's think time elapsed; generate the next operation.
     UserNextOp { user: u32 },
@@ -772,9 +772,11 @@ fn run_sharded_collected(cfg: ShardedConfig) -> (ShardedReport, FleetObsBundle) 
 mod tests {
     use super::*;
     use crate::cluster::run_cluster;
+    use crate::config::{FaultPlan, MasterFaultPlan};
     use amdb_cloudstone::{DataSize, WorkloadConfig};
     use amdb_consistency::ConsistencyConfig;
     use amdb_repl::{BackendKind, ReplMode};
+    use amdb_sim::SimDuration;
     use amdb_sql::binlog::BinlogFormat;
 
     fn quick_cfg(users: u32, slaves: usize, seed: u64) -> ClusterConfig {
@@ -890,6 +892,41 @@ mod tests {
         let (_, fleet) = run_sharded_telemetry(ShardedConfig::new(1, pooled));
         let (_, t) = fleet.telemetry.shards().next().expect("one tree");
         assert_eq!(t.waterfall.client().route_ms.max(), Some(0.0));
+    }
+
+    /// Control-plane events under the sharded host: every tree's planned
+    /// slave fault, replacement and master failover ride the shared agenda
+    /// as `ShardedEvent::Tree` payloads. Both faults land in the ramp-up,
+    /// so steady-window writes prove the promoted masters took over.
+    #[test]
+    fn planned_faults_and_failover_fire_in_every_tree() {
+        let base = ClusterConfig::builder()
+            .slaves(3)
+            .workload(WorkloadConfig::quick(24))
+            .data_size(DataSize { scale: 30 })
+            .seed(13)
+            .fault(FaultPlan {
+                slave: 2,
+                fail_at: SimDuration::from_secs(50),
+                recover_after: Some(SimDuration::from_secs(20)),
+            })
+            .master_fault(MasterFaultPlan {
+                fail_at: SimDuration::from_secs(60),
+                detection_delay: SimDuration::from_secs(5),
+            })
+            .build();
+        let r = run_sharded_cluster(ShardedConfig::new(2, base));
+        for (k, tree) in r.per_shard.iter().enumerate() {
+            for what in ["failed", "replaced", "promoted"] {
+                assert!(
+                    tree.membership_events.iter().any(|(_, e)| e.contains(what)),
+                    "shard {k} logged no {what:?} event: {:?}",
+                    tree.membership_events
+                );
+            }
+            assert!(tree.recovery_ms.is_some(), "shard {k} recovered");
+        }
+        assert!(r.steady_writes > 0, "writes resumed after the failovers");
     }
 
     /// With no cross-shard reads every op goes to exactly one tree, and the

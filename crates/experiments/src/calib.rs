@@ -29,9 +29,6 @@ pub fn paper_cost_model() -> CostModel {
     CostModel::default()
 }
 
-/// Mean think time (seconds) used by all workloads (Cloudstone-style).
-pub const THINK_TIME_S: f64 = 6.0;
-
 #[cfg(test)]
 mod tests {
     use super::*;

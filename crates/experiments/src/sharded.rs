@@ -11,7 +11,7 @@
 //!
 //! The `shards = 1` column is *byte-identical to the unsharded sweep
 //! machinery* on the same (placement, slaves, users) cell: the cell seed
-//! uses the same derivation label as [`SweepSpec::cell_seed`], and a
+//! uses the same derivation label as [`crate::sweep::SweepSpec::cell_seed`], and a
 //! one-shard world replays the standalone cluster's event sequence
 //! bit-for-bit (pinned by tests here and in `amdb-core`).
 

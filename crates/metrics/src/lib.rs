@@ -3,20 +3,18 @@
 //! Statistics utilities used throughout the reproduction: trimmed means (the
 //! paper cuts the top and bottom 5 % of replication-delay samples as outliers,
 //! §IV-B.1), medians, standard deviations, percentiles, online (Welford)
-//! accumulation, fixed-bucket histograms, time series, and simple table /
-//! CSV rendering for the experiment harnesses.
+//! accumulation, streaming quantile sketches, time series, and simple
+//! table / CSV rendering for the experiment harnesses.
 //!
 //! All functions are deterministic and allocation-conscious: the sorting
 //! helpers sort *copies* only when the caller cannot give up its data, and the
 //! online accumulators never allocate after construction.
 
-pub mod histogram;
 pub mod series;
 pub mod sketch;
 pub mod summary;
 pub mod table;
 
-pub use histogram::Histogram;
 pub use series::TimeSeries;
 pub use sketch::{QuantileSketch, SketchConfig};
 pub use summary::{OnlineStats, Summary};

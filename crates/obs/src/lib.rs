@@ -11,8 +11,8 @@
 //!   instant, and counter records ([`Record`]) collected in event order;
 //! * [`Obs`] — an enum dispatcher over the recorders whose methods compile
 //!   to a single discriminant test (and nothing else) when disabled;
-//! * [`MetricsRegistry`] — counters, gauges, time series, and fixed-bucket
-//!   histograms (reusing [`amdb_metrics`]) keyed by `(component, instance,
+//! * [`MetricsRegistry`] — counters, gauges, time series, and quantile
+//!   sketches (reusing [`amdb_metrics`]) keyed by `(component, instance,
 //!   name)` in a `BTreeMap`, so iteration order — and therefore every
 //!   export — is deterministic;
 //! * [`Tsdb`] — a fixed-interval, bounded-memory time-series store whose
@@ -226,26 +226,6 @@ impl Obs {
     pub fn gauge(&mut self, comp: Component, inst: u32, name: &'static str, value: f64) {
         if let Obs::Trace(t) = self {
             t.registry_mut().gauge(comp, inst, name, value);
-        }
-    }
-
-    /// Record a histogram observation. The histogram is created on first
-    /// use with range `[lo, hi)` and `buckets` buckets.
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub fn observe(
-        &mut self,
-        comp: Component,
-        inst: u32,
-        name: &'static str,
-        value: f64,
-        lo: f64,
-        hi: f64,
-        buckets: usize,
-    ) {
-        if let Obs::Trace(t) = self {
-            t.registry_mut()
-                .observe(comp, inst, name, value, lo, hi, buckets);
         }
     }
 

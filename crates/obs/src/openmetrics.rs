@@ -13,7 +13,6 @@
 //! |---------------|-----------------------------------------------------|
 //! | `Counter`     | `counter` — sample `<fam>_total`                    |
 //! | `Gauge`       | `gauge` — last value, plus a `<fam>_max` gauge      |
-//! | `Histogram`   | `histogram` — cumulative `_bucket{le=…}` + `_count` |
 //! | `Sketch`      | `summary` — q 0.5/0.9/0.95/0.99 + `_count`/`_sum`   |
 //! | `Series`      | `gauge` — last sample, with its sim timestamp       |
 //!
@@ -109,24 +108,6 @@ pub fn openmetrics_text_multi(parts: &[(&str, &MetricsRegistry)]) -> String {
                         .lines
                         .push(format!("{fam_max}{{{labels}}} {max}"));
                 }
-                Metric::Histogram(h) => {
-                    let f = family(&mut fams, base.clone(), "histogram");
-                    // Cumulative buckets; underflow folds into the first
-                    // bucket's `le`, overflow only into `+Inf` — the
-                    // format requires the +Inf count to equal _count.
-                    let mut cum = h.underflow();
-                    for (_, hi, c) in h.iter_bounds() {
-                        cum += c;
-                        f.lines
-                            .push(format!("{base}_bucket{{{labels},le=\"{hi}\"}} {cum}"));
-                    }
-                    f.lines.push(format!(
-                        "{base}_bucket{{{labels},le=\"+Inf\"}} {}",
-                        h.count()
-                    ));
-                    f.lines
-                        .push(format!("{base}_count{{{labels}}} {}", h.count()));
-                }
                 Metric::Sketch(s) => {
                     let f = family(&mut fams, base.clone(), "summary");
                     for q in SUMMARY_QUANTILES {
@@ -174,8 +155,6 @@ mod tests {
         r.incr(Component::Proxy, 0, "routed_reads", 7);
         r.gauge(Component::Pool, 0, "active", 3.0);
         r.gauge(Component::Pool, 0, "active", 2.0);
-        r.observe(Component::Sql, 0, "demand_us", 150.0, 0.0, 200.0, 4);
-        r.observe(Component::Sql, 0, "demand_us", 999.0, 0.0, 200.0, 4);
         for i in 0..50 {
             r.observe_sketch(Component::Repl, 1, "apply_ms", (i + 1) as f64);
         }
@@ -228,30 +207,11 @@ mod tests {
         assert!(text.contains("# TYPE amdb_pool_active gauge"));
         assert!(text.contains("amdb_pool_active{component=\"pool\",instance=\"0\"} 2"));
         assert!(text.contains("amdb_pool_active_max{component=\"pool\",instance=\"0\"} 3"));
-        assert!(text.contains("# TYPE amdb_sql_demand_us histogram"));
-        assert!(text.contains("le=\"+Inf\"} 2"));
-        assert!(text.contains("amdb_sql_demand_us_count{component=\"sql\",instance=\"0\"} 2"));
         assert!(text.contains("# TYPE amdb_repl_apply_ms summary"));
         assert!(text.contains("quantile=\"0.95\""));
         assert!(text.contains("amdb_repl_apply_ms_count{component=\"repl\",instance=\"1\"} 50"));
         // Series: last sample with its simulated timestamp.
         assert!(text.contains("amdb_cpu_util{component=\"cpu\",instance=\"0\"} 0.75 1"));
-    }
-
-    #[test]
-    fn histogram_inf_bucket_matches_count() {
-        let mut r = MetricsRegistry::new();
-        r.observe(Component::Sql, 0, "d", -5.0, 0.0, 10.0, 2); // underflow
-        r.observe(Component::Sql, 0, "d", 5.0, 0.0, 10.0, 2);
-        r.observe(Component::Sql, 0, "d", 50.0, 0.0, 10.0, 2); // overflow
-        let text = openmetrics_text(&r);
-        assert!(
-            text.contains("le=\"5\"} 1"),
-            "underflow folds into bucket 1"
-        );
-        assert!(text.contains("le=\"10\"} 2"));
-        assert!(text.contains("le=\"+Inf\"} 3"));
-        assert!(text.contains("amdb_sql_d_count{component=\"sql\",instance=\"0\"} 3"));
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //!
 //! Metrics are keyed by `(component, instance, name)` in a `BTreeMap`, so
 //! every iteration — and every table/CSV export built from one — visits keys
-//! in the same order on every run. Histograms and time series reuse the
+//! in the same order on every run. Sketches and time series reuse the
 //! `amdb-metrics` implementations.
 
 use crate::Component;
-use amdb_metrics::{Histogram, QuantileSketch, Table, TimeSeries};
+use amdb_metrics::{QuantileSketch, Table, TimeSeries};
 use std::collections::BTreeMap;
 
 /// Registry key: which metric on which component instance.
@@ -29,8 +29,6 @@ pub enum Metric {
     Gauge { last: f64, max: f64 },
     /// Timestamped samples (seconds of simulated time).
     Series(TimeSeries),
-    /// Fixed-bucket distribution.
-    Histogram(Histogram),
     /// Log-bucket streaming quantile sketch — the bounded-memory
     /// replacement for full-sample percentile paths on hot probes.
     Sketch(QuantileSketch),
@@ -44,7 +42,7 @@ pub enum Metric {
 pub struct MetricId(usize);
 
 /// Deterministically ordered collection of counters, gauges, series, and
-/// histograms.
+/// sketches.
 ///
 /// Storage is split: `slots` holds the metric values (probe writes are an
 /// index away), `index` maps keys to slots and — being a `BTreeMap` —
@@ -160,33 +158,10 @@ impl MetricsRegistry {
         }
     }
 
-    /// Record a histogram observation; the histogram is created over
-    /// `[lo, hi)` with `buckets` buckets on first use (later calls ignore
-    /// the bounds).
-    #[allow(clippy::too_many_arguments)]
-    pub fn observe(
-        &mut self,
-        comp: Component,
-        inst: u32,
-        name: &'static str,
-        value: f64,
-        lo: f64,
-        hi: f64,
-        buckets: usize,
-    ) {
-        let i = self.slot_of(comp, inst, name, || {
-            Metric::Histogram(Histogram::new(lo, hi, buckets))
-        });
-        match &mut self.slots[i] {
-            Metric::Histogram(h) => h.record(value),
-            other => panic!("metric {comp}/{inst}/{name} is not a histogram: {other:?}"),
-        }
-    }
-
     /// Record an observation into a streaming quantile sketch, created with
     /// the [`amdb_metrics::SketchConfig::LATENCY`] layout on first use.
-    /// Unlike [`Self::observe`] the memory is bounded and the quantile
-    /// estimate tracks the exact percentile to within one bucket width.
+    /// Memory is bounded and the quantile estimate tracks the exact
+    /// percentile to within one bucket width.
     pub fn observe_sketch(&mut self, comp: Component, inst: u32, name: &'static str, value: f64) {
         let i = self.slot_of(comp, inst, name, || {
             Metric::Sketch(QuantileSketch::latency())
@@ -240,7 +215,7 @@ impl MetricsRegistry {
         self.index.is_empty()
     }
 
-    /// Scalar summary table: one row per counter/gauge/histogram (series are
+    /// Scalar summary table: one row per counter/gauge/sketch (series are
     /// exported separately by [`Self::series_table`]).
     pub fn summary_table(&self) -> Table {
         let mut t = Table::new(
@@ -258,14 +233,6 @@ impl MetricsRegistry {
             let (kind, value, max) = match m {
                 Metric::Counter(c) => ("counter", c.to_string(), "-".to_string()),
                 Metric::Gauge { last, max } => ("gauge", format!("{last:.3}"), format!("{max:.3}")),
-                Metric::Histogram(h) => (
-                    "histogram",
-                    format!("n={}", h.count()),
-                    match h.approx_quantile(0.95) {
-                        Some(q) => format!("p95={q:.3}"),
-                        None => "-".to_string(),
-                    },
-                ),
                 Metric::Sketch(s) => (
                     "sketch",
                     format!("n={}", s.count()),
@@ -346,18 +313,6 @@ mod tests {
             r.gauge_value(Component::Pool, 0, "waiters"),
             Some((2.0, 9.0))
         );
-    }
-
-    #[test]
-    fn histogram_created_on_first_observe() {
-        let mut r = MetricsRegistry::new();
-        r.observe(Component::Sql, 0, "demand_read_us", 150.0, 0.0, 1000.0, 10);
-        r.observe(Component::Sql, 0, "demand_read_us", 250.0, 0.0, 1.0, 1); // bounds ignored
-        let Some(Metric::Histogram(h)) = r.get(Component::Sql, 0, "demand_read_us") else {
-            panic!("expected histogram");
-        };
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.buckets().len(), 10);
     }
 
     #[test]

@@ -254,11 +254,6 @@ impl Proxy {
         self.slaves.len()
     }
 
-    /// The active policy's name.
-    pub fn policy_name(&self) -> &'static str {
-        self.balancer.name()
-    }
-
     /// Route one operation. Reads go to a slave chosen by the policy (master
     /// as a last resort); writes always go to the master.
     pub fn route(&mut self, class: OpClass) -> Route {

@@ -2,44 +2,21 @@
 //!
 //! The agenda is a slab of pending events indexed by a 4-ary implicit
 //! min-heap of packed `(time, seq)` keys, plus a same-instant batch buffer.
-//! Compared to the original `BinaryHeap<Box<dyn FnOnce>>` agenda this
-//! executes the identical event order (the keys are the same) while keeping
-//! the schedule→pop→execute cycle allocation-free for typed events: slab
-//! slots and heap entries are recycled, and events scheduled *at* the
-//! current instant while a batch is draining append to the batch directly
-//! without touching the heap at all.
+//! The schedule→pop→execute cycle allocates nothing: slab slots and heap
+//! entries are recycled, and events scheduled *at* the current instant while
+//! a batch is draining append to the batch directly without touching the
+//! heap at all.
 
 use crate::time::{SimDuration, SimTime};
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 
 /// A typed simulation event: fired once with the world and the kernel (so it
-/// can schedule follow-ups). World crates define an `enum` of their hot
-/// events and keep a boxed-closure variant as the escape hatch for cold
-/// paths; [`BoxedEvent`] is the degenerate "everything is a closure" case
-/// that preserves the original kernel API.
+/// can schedule follow-ups). A world crate defines one `enum` naming every
+/// event it can schedule; the payload lives inline in the agenda's slab.
 pub trait Event<W>: Sized {
     /// Execute the event.
     fn fire(self, world: &mut W, sim: &mut Sim<W, Self>);
-}
-
-/// An event closure: the escape hatch payload (and the default event type).
-pub type EventFn<W, E = BoxedEvent<W>> = Box<dyn FnOnce(&mut W, &mut Sim<W, E>)>;
-
-/// The default event type: a boxed one-shot closure, exactly the original
-/// kernel's representation.
-pub struct BoxedEvent<W>(pub EventFn<W>);
-
-impl<W> Event<W> for BoxedEvent<W> {
-    fn fire(self, world: &mut W, sim: &mut Sim<W, Self>) {
-        (self.0)(world, sim)
-    }
-}
-
-impl<W> From<EventFn<W>> for BoxedEvent<W> {
-    fn from(f: EventFn<W>) -> Self {
-        BoxedEvent(f)
-    }
 }
 
 /// Heap key: `(time, seq)` packed so one `u128` compare orders the agenda.
@@ -62,19 +39,23 @@ fn key_time(key: u128) -> u64 {
 /// keeps runs deterministic.
 ///
 /// ```
-/// use amdb_sim::{Sim, SimDuration, SimTime};
+/// use amdb_sim::{Event, Sim, SimDuration, SimTime};
 ///
 /// struct World { ticks: u32 }
-/// let mut sim: Sim<World> = Sim::new();
+/// struct Tick;
+/// impl Event<World> for Tick {
+///     fn fire(self, w: &mut World, sim: &mut Sim<World, Tick>) {
+///         w.ticks += 1;
+///         assert_eq!(sim.now(), SimTime::from_secs(1));
+///     }
+/// }
+/// let mut sim: Sim<World, Tick> = Sim::new();
 /// let mut world = World { ticks: 0 };
-/// sim.schedule_in(SimDuration::from_secs(1), |w: &mut World, sim| {
-///     w.ticks += 1;
-///     assert_eq!(sim.now(), SimTime::from_secs(1));
-/// });
+/// sim.schedule_event_in(SimDuration::from_secs(1), Tick);
 /// sim.run(&mut world);
 /// assert_eq!(world.ticks, 1);
 /// ```
-pub struct Sim<W, E = BoxedEvent<W>> {
+pub struct Sim<W, E> {
     now: SimTime,
     seq: u64,
     executed: u64,
@@ -273,33 +254,6 @@ impl<W, E: Event<W>> Sim<W, E> {
     }
 }
 
-/// Closure scheduling: available whenever the event type has a boxed-closure
-/// escape hatch (the default [`BoxedEvent`], or a world enum with a
-/// `From<Box<dyn FnOnce..>>` closure variant). This keeps the original
-/// closure API source-compatible for every caller.
-impl<W, E> Sim<W, E>
-where
-    E: Event<W> + From<Box<dyn FnOnce(&mut W, &mut Sim<W, E>)>>,
-{
-    /// Schedule a closure event at an absolute instant.
-    ///
-    /// # Panics
-    /// Panics when `at` is in the past.
-    pub fn schedule_at(&mut self, at: SimTime, f: impl FnOnce(&mut W, &mut Sim<W, E>) + 'static) {
-        let boxed: EventFn<W, E> = Box::new(f);
-        self.schedule_event_at(at, E::from(boxed));
-    }
-
-    /// Schedule a closure event after a relative delay.
-    pub fn schedule_in(
-        &mut self,
-        delay: SimDuration,
-        f: impl FnOnce(&mut W, &mut Sim<W, E>) + 'static,
-    ) {
-        self.schedule_at(self.now + delay, f);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,16 +263,33 @@ mod tests {
         log: Vec<(u64, &'static str)>,
     }
 
+    /// Test-only event: a boxed one-shot closure, so each test states its
+    /// events inline.
+    struct Call(Box<CallFn>);
+    type CallFn = dyn FnOnce(&mut W, &mut Sim<W, Call>);
+
+    impl Event<W> for Call {
+        fn fire(self, w: &mut W, sim: &mut Sim<W, Call>) {
+            (self.0)(w, sim)
+        }
+    }
+
+    fn call(f: impl FnOnce(&mut W, &mut Sim<W, Call>) + 'static) -> Call {
+        Call(Box::new(f))
+    }
+
     #[test]
     fn events_run_in_time_order() {
-        let mut sim: Sim<W> = Sim::new();
+        let mut sim: Sim<W, Call> = Sim::new();
         let mut w = W::default();
-        sim.schedule_at(SimTime::from_secs(2), |w: &mut W, s| {
-            w.log.push((s.now().as_micros(), "b"))
-        });
-        sim.schedule_at(SimTime::from_secs(1), |w: &mut W, s| {
-            w.log.push((s.now().as_micros(), "a"))
-        });
+        sim.schedule_event_at(
+            SimTime::from_secs(2),
+            call(|w, s| w.log.push((s.now().as_micros(), "b"))),
+        );
+        sim.schedule_event_at(
+            SimTime::from_secs(1),
+            call(|w, s| w.log.push((s.now().as_micros(), "a"))),
+        );
         sim.run(&mut w);
         assert_eq!(
             w.log,
@@ -330,12 +301,13 @@ mod tests {
 
     #[test]
     fn same_time_fifo_order() {
-        let mut sim: Sim<W> = Sim::new();
+        let mut sim: Sim<W, Call> = Sim::new();
         let mut w = W::default();
         for name in ["first", "second", "third"] {
-            sim.schedule_at(SimTime::from_secs(1), move |w: &mut W, _| {
-                w.log.push((0, name))
-            });
+            sim.schedule_event_at(
+                SimTime::from_secs(1),
+                call(move |w, _| w.log.push((0, name))),
+            );
         }
         sim.run(&mut w);
         let names: Vec<_> = w.log.iter().map(|&(_, n)| n).collect();
@@ -344,13 +316,17 @@ mod tests {
 
     #[test]
     fn events_can_schedule_events() {
-        let mut sim: Sim<W> = Sim::new();
+        let mut sim: Sim<W, Call> = Sim::new();
         let mut w = W::default();
-        sim.schedule_in(SimDuration::from_secs(1), |_: &mut W, s| {
-            s.schedule_in(SimDuration::from_secs(1), |w: &mut W, s| {
-                w.log.push((s.now().as_micros(), "nested"));
-            });
-        });
+        sim.schedule_event_in(
+            SimDuration::from_secs(1),
+            call(|_, s| {
+                s.schedule_event_in(
+                    SimDuration::from_secs(1),
+                    call(|w, s| w.log.push((s.now().as_micros(), "nested"))),
+                );
+            }),
+        );
         sim.run(&mut w);
         assert_eq!(w.log, vec![(2_000_000, "nested")]);
     }
@@ -359,16 +335,18 @@ mod tests {
     fn same_instant_scheduling_appends_to_batch() {
         // Three events at t=1; the first schedules a fourth *at* t=1 while
         // the batch holds the other two — it must run last, after them.
-        let mut sim: Sim<W> = Sim::new();
+        let mut sim: Sim<W, Call> = Sim::new();
         let mut w = W::default();
-        sim.schedule_at(SimTime::from_secs(1), |w: &mut W, s| {
-            w.log.push((0, "a"));
-            s.schedule_at(SimTime::from_secs(1), |w: &mut W, _| {
-                w.log.push((0, "late"));
-            });
-        });
-        sim.schedule_at(SimTime::from_secs(1), |w: &mut W, _| w.log.push((0, "b")));
-        sim.schedule_at(SimTime::from_secs(1), |w: &mut W, _| w.log.push((0, "c")));
+        let t1 = SimTime::from_secs(1);
+        sim.schedule_event_at(
+            t1,
+            call(move |w, s| {
+                w.log.push((0, "a"));
+                s.schedule_event_at(t1, call(|w, _| w.log.push((0, "late"))));
+            }),
+        );
+        sim.schedule_event_at(t1, call(|w, _| w.log.push((0, "b"))));
+        sim.schedule_event_at(t1, call(|w, _| w.log.push((0, "c"))));
         sim.run(&mut w);
         let names: Vec<_> = w.log.iter().map(|&(_, n)| n).collect();
         assert_eq!(names, vec!["a", "b", "c", "late"]);
@@ -376,12 +354,10 @@ mod tests {
 
     #[test]
     fn run_until_stops_and_advances_clock() {
-        let mut sim: Sim<W> = Sim::new();
+        let mut sim: Sim<W, Call> = Sim::new();
         let mut w = W::default();
-        sim.schedule_at(SimTime::from_secs(1), |w: &mut W, _| w.log.push((0, "in")));
-        sim.schedule_at(SimTime::from_secs(10), |w: &mut W, _| {
-            w.log.push((0, "out"))
-        });
+        sim.schedule_event_at(SimTime::from_secs(1), call(|w, _| w.log.push((0, "in"))));
+        sim.schedule_event_at(SimTime::from_secs(10), call(|w, _| w.log.push((0, "out"))));
         sim.run_until(&mut w, SimTime::from_secs(5));
         assert_eq!(w.log.len(), 1);
         assert_eq!(sim.now(), SimTime::from_secs(5));
@@ -394,17 +370,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "past")]
     fn scheduling_into_past_panics() {
-        let mut sim: Sim<W> = Sim::new();
+        let mut sim: Sim<W, Call> = Sim::new();
         let mut w = W::default();
-        sim.schedule_at(SimTime::from_secs(1), |_: &mut W, s| {
-            s.schedule_at(SimTime::ZERO, |_, _| {});
-        });
+        sim.schedule_event_at(
+            SimTime::from_secs(1),
+            call(|_, s| s.schedule_event_at(SimTime::ZERO, call(|_, _| {}))),
+        );
         sim.run(&mut w);
     }
 
     #[test]
     fn step_on_empty_returns_false() {
-        let mut sim: Sim<W> = Sim::new();
+        let mut sim: Sim<W, Call> = Sim::new();
         let mut w = W::default();
         assert!(!sim.step(&mut w));
     }
@@ -443,12 +420,13 @@ mod tests {
 
     #[test]
     fn slab_slots_are_recycled() {
-        let mut sim: Sim<W> = Sim::new();
+        let mut sim: Sim<W, Call> = Sim::new();
         let mut w = W::default();
         for round in 0..100u64 {
-            sim.schedule_at(SimTime::from_micros(round + 1), |w: &mut W, _| {
-                w.log.push((0, "e"))
-            });
+            sim.schedule_event_at(
+                SimTime::from_micros(round + 1),
+                call(|w, _| w.log.push((0, "e"))),
+            );
             sim.step(&mut w);
         }
         assert!(
@@ -462,18 +440,22 @@ mod tests {
     fn heavy_interleaving_is_deterministic() {
         // Two identical runs produce identical logs.
         fn run_once() -> Vec<(u64, &'static str)> {
-            let mut sim: Sim<W> = Sim::new();
+            let mut sim: Sim<W, Call> = Sim::new();
             let mut w = W::default();
             for i in 0..100u64 {
                 let at = SimTime::from_micros((i * 37) % 500);
-                sim.schedule_at(at, move |w: &mut W, s| {
-                    w.log.push((s.now().as_micros(), "e"));
-                    if s.now() < SimTime::from_micros(400) {
-                        s.schedule_in(SimDuration::from_micros(13), |w: &mut W, s| {
-                            w.log.push((s.now().as_micros(), "n"));
-                        });
-                    }
-                });
+                sim.schedule_event_at(
+                    at,
+                    call(|w, s| {
+                        w.log.push((s.now().as_micros(), "e"));
+                        if s.now() < SimTime::from_micros(400) {
+                            s.schedule_event_in(
+                                SimDuration::from_micros(13),
+                                call(|w, s| w.log.push((s.now().as_micros(), "n"))),
+                            );
+                        }
+                    }),
+                );
             }
             sim.run(&mut w);
             w.log

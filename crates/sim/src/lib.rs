@@ -11,9 +11,10 @@
 //! * [`SimTime`] / [`SimDuration`] — microsecond-resolution virtual time
 //!   newtypes (MySQL's second-resolution `NOW()` forced the paper's authors to
 //!   write a microsecond UDF, §III-A, so the kernel resolution matches it).
-//! * [`Sim`] — an agenda of `(time, seq, FnOnce)` events over a caller-owned
-//!   world `W`. Components live inside `W`; events are closures that mutate
-//!   `W` and schedule follow-up events.
+//! * [`Sim`] — an agenda of `(time, seq, event)` entries over a caller-owned
+//!   world `W`. Components live inside `W`; the world crate names its events
+//!   in one `enum` implementing [`Event`], and firing one mutates `W` and
+//!   schedules follow-up events.
 //! * [`FifoCpu`] — a non-preemptive FIFO single-server CPU model; database
 //!   service times, saturation and queueing delay all emerge from it.
 //! * [`rng`] — a self-contained, seedable PRNG with the distributions the
@@ -26,7 +27,7 @@ pub mod resource;
 pub mod rng;
 pub mod time;
 
-pub use kernel::{BoxedEvent, Event, EventFn, Sim};
+pub use kernel::{Event, Sim};
 pub use resource::FifoCpu;
 pub use rng::Rng;
 pub use time::{SimDuration, SimTime};

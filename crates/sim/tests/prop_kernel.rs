@@ -1,29 +1,45 @@
 //! Property tests for the DES kernel, CPU model, and RNG.
 
-use amdb_sim::{FifoCpu, Rng, Sim, SimDuration, SimTime};
+use amdb_sim::{Event, FifoCpu, Rng, Sim, SimDuration, SimTime};
 use proptest::prelude::*;
-use std::cell::RefCell;
-use std::rc::Rc;
+
+/// The world of the kernel tests: a log of `(fire time µs, event id)`.
+#[derive(Default)]
+struct Log(Vec<(u64, u32)>);
+
+/// The one event shape they need: log itself, then optionally schedule a
+/// child `(delay µs, id)` — possibly at the current tick (delay 0).
+struct Emit {
+    id: u32,
+    child: Option<(u64, u32)>,
+}
+
+impl Event<Log> for Emit {
+    fn fire(self, w: &mut Log, sim: &mut Sim<Log, Emit>) {
+        w.0.push((sim.now().as_micros(), self.id));
+        if let Some((delay, id)) = self.child {
+            sim.schedule_event_in(SimDuration::from_micros(delay), Emit { id, child: None });
+        }
+    }
+}
 
 proptest! {
     /// Events always fire in non-decreasing timestamp order, whatever the
     /// scheduling order was.
     #[test]
     fn events_fire_in_time_order(times in prop::collection::vec(0u64..1_000_000, 1..200)) {
-        struct W { fired: Vec<u64> }
-        let mut sim: Sim<W> = Sim::new();
-        let mut w = W { fired: Vec::new() };
+        let mut sim: Sim<Log, Emit> = Sim::new();
+        let mut w = Log::default();
         for &t in &times {
-            sim.schedule_at(SimTime::from_micros(t), move |w: &mut W, s| {
-                w.fired.push(s.now().as_micros());
-            });
+            sim.schedule_event_at(SimTime::from_micros(t), Emit { id: 0, child: None });
         }
         sim.run(&mut w);
-        prop_assert_eq!(w.fired.len(), times.len());
-        prop_assert!(w.fired.windows(2).all(|p| p[0] <= p[1]));
+        let fired: Vec<u64> = w.0.iter().map(|&(at, _)| at).collect();
+        prop_assert_eq!(fired.len(), times.len());
+        prop_assert!(fired.windows(2).all(|p| p[0] <= p[1]));
         let mut sorted = times.clone();
         sorted.sort_unstable();
-        prop_assert_eq!(w.fired, sorted);
+        prop_assert_eq!(fired, sorted);
     }
 
     /// run_until never executes events beyond the horizon, and resuming
@@ -33,21 +49,17 @@ proptest! {
         times in prop::collection::vec(0u64..1_000_000, 1..100),
         horizon in 0u64..1_000_000,
     ) {
-        struct W { n_before: usize, n_after: usize }
-        let mut sim: Sim<W> = Sim::new();
-        let mut w = W { n_before: 0, n_after: 0 };
-        let h = SimTime::from_micros(horizon);
+        let mut sim: Sim<Log, Emit> = Sim::new();
+        let mut w = Log::default();
         for &t in &times {
-            sim.schedule_at(SimTime::from_micros(t), move |w: &mut W, s| {
-                if s.now() <= h { w.n_before += 1 } else { w.n_after += 1 }
-            });
+            sim.schedule_event_at(SimTime::from_micros(t), Emit { id: 0, child: None });
         }
-        sim.run_until(&mut w, h);
+        sim.run_until(&mut w, SimTime::from_micros(horizon));
         let expected_before = times.iter().filter(|&&t| t <= horizon).count();
-        prop_assert_eq!(w.n_before, expected_before);
-        prop_assert_eq!(w.n_after, 0);
+        prop_assert_eq!(w.0.len(), expected_before);
+        prop_assert!(w.0.iter().all(|&(at, _)| at <= horizon));
         sim.run(&mut w);
-        prop_assert_eq!(w.n_before + w.n_after, times.len());
+        prop_assert_eq!(w.0.len(), times.len());
     }
 
     /// FIFO CPU: completions are non-decreasing, each job takes at least its
@@ -96,25 +108,15 @@ proptest! {
 
         // Real kernel: every event logs (now, payload); every third payload
         // schedules one child, possibly at the current tick (delay 0).
-        type Log = Rc<RefCell<Vec<(u64, u32)>>>;
-        struct W { log: Log }
-        let log: Log = Rc::new(RefCell::new(Vec::new()));
-        let mut sim: Sim<W> = Sim::new();
-        let mut w = W { log: log.clone() };
+        let mut sim: Sim<Log, Emit> = Sim::new();
+        let mut w = Log::default();
         for (i, &t) in times.iter().enumerate() {
             let p = i as u32;
-            let d = delay(i);
-            sim.schedule_at(SimTime::from_micros(t), move |w: &mut W, s| {
-                w.log.borrow_mut().push((s.now().as_micros(), p));
-                if p.is_multiple_of(3) {
-                    s.schedule_in(SimDuration::from_micros(d), move |w: &mut W, s| {
-                        w.log.borrow_mut().push((s.now().as_micros(), n + p));
-                    });
-                }
-            });
+            let child = p.is_multiple_of(3).then(|| (delay(i), n + p));
+            sim.schedule_event_at(SimTime::from_micros(t), Emit { id: p, child });
         }
         sim.run(&mut w);
-        let real = log.borrow().clone();
+        let real = w.0;
 
         // Reference model: min-heap keyed (time, seq) with seq assigned in
         // the same order the kernel saw the schedule calls.
@@ -162,34 +164,21 @@ proptest! {
     }
 }
 
-/// Non-proptest sanity: nested event scheduling preserves determinism with
-/// interior mutability in the world (the pattern the cluster uses).
+/// Non-proptest sanity: nested event scheduling is deterministic.
 #[test]
 fn nested_scheduling_deterministic() {
-    type Log = Rc<RefCell<Vec<(u64, u32)>>>;
     fn run() -> Vec<(u64, u32)> {
-        struct W {
-            log: Log,
-        }
-        let log: Log = Rc::new(RefCell::new(Vec::new()));
-        let mut sim: Sim<W> = Sim::new();
-        let mut w = W { log: log.clone() };
+        let mut sim: Sim<Log, Emit> = Sim::new();
+        let mut w = Log::default();
         for i in 0..50u32 {
-            sim.schedule_at(
+            let child = (i % 3 == 0).then_some((11, 1000 + i));
+            sim.schedule_event_at(
                 SimTime::from_micros((i as u64 * 131) % 997),
-                move |w: &mut W, s| {
-                    w.log.borrow_mut().push((s.now().as_micros(), i));
-                    if i % 3 == 0 {
-                        s.schedule_in(SimDuration::from_micros(11), move |w: &mut W, s| {
-                            w.log.borrow_mut().push((s.now().as_micros(), 1000 + i));
-                        });
-                    }
-                },
+                Emit { id: i, child },
             );
         }
         sim.run(&mut w);
-        let result = log.borrow().clone();
-        result
+        w.0
     }
     assert_eq!(run(), run());
 }

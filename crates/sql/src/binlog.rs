@@ -52,17 +52,6 @@ pub enum EventPayload {
     Rows { changes: Vec<RowChange> },
 }
 
-impl EventPayload {
-    /// Number of row changes (1 for a statement event, which the slave
-    /// re-executes as a unit).
-    pub fn change_count(&self) -> usize {
-        match self {
-            EventPayload::Statement { .. } => 1,
-            EventPayload::Rows { changes } => changes.len(),
-        }
-    }
-}
-
 /// One replication event: an LSN, the master commit timestamp (master local
 /// clock, µs), and the payload.
 #[derive(Debug, Clone, PartialEq)]

@@ -159,16 +159,6 @@ impl Engine {
         self.log_writes
     }
 
-    /// Binlog format in use.
-    pub fn binlog_format(&self) -> BinlogFormat {
-        self.format
-    }
-
-    /// Does a table exist?
-    pub fn has_table(&self, name: &str) -> bool {
-        self.catalog.contains_key(&name.to_ascii_lowercase())
-    }
-
     /// Row count of a table (testing/monitoring aid).
     pub fn table_rows(&self, name: &str) -> Option<usize> {
         self.catalog

@@ -9,7 +9,7 @@
 //! deep-cloning strings and tree nodes; a fork pays for exactly the rows
 //! it later writes. Primary keys on INT or
 //! TIMESTAMP columns (every table the Cloudstone workload creates) go
-//! through [`IntMap`], a fixed-seed open-addressing `i64 → rid` map whose
+//! through `IntMap`, a fixed-seed open-addressing `i64 → rid` map whose
 //! probe is one multiply, a shift and a compare — no `Value` clone, no
 //! canonicalization, no hasher state. Non-integer primary keys and all
 //! secondary indexes use ordered `BTreeMap`s keyed by `index_cmp`; those
@@ -451,11 +451,6 @@ impl Table {
         self.live
     }
 
-    /// The next auto-increment value that would be assigned.
-    pub fn peek_auto_increment(&self) -> i64 {
-        self.next_auto_inc
-    }
-
     /// Add a secondary index over `column`; backfills existing rows.
     pub fn create_index(
         &mut self,
@@ -705,17 +700,6 @@ impl Table {
             Some(v) => v <= applied_lsn,
             None => false,
         }
-    }
-
-    /// Highest last-writer LSN stamped on any live row.
-    pub fn max_row_version(&self) -> u64 {
-        self.versions
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| self.rows.get(i).map(Option::is_some).unwrap_or(false))
-            .map(|(_, &v)| v)
-            .max()
-            .unwrap_or(0)
     }
 
     /// Delete a row by id; returns the deleted image (shared, not cloned).

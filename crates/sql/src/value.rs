@@ -54,18 +54,6 @@ impl Value {
         matches!(self, Value::Null)
     }
 
-    /// The value's natural data type (`None` for NULL).
-    pub fn data_type(&self) -> Option<DataType> {
-        match self {
-            Value::Null => None,
-            Value::Int(_) => Some(DataType::Int),
-            Value::Double(_) => Some(DataType::Double),
-            Value::Text(_) => Some(DataType::Text),
-            Value::Bool(_) => Some(DataType::Bool),
-            Value::Timestamp(_) => Some(DataType::Timestamp),
-        }
-    }
-
     /// Coerce to the column type `ty`, applying the engine's (small) set of
     /// implicit conversions: Int↔Double, Int→Timestamp, Bool→Int.
     pub fn coerce_to(self, ty: DataType) -> Result<Value, SqlError> {
