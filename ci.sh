@@ -18,7 +18,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline \
 echo "== tier-1: release build =="
 cargo build --release --offline
 # The root package build skips workspace-member bins; the table below
-# drives the experiment binaries, so build them explicitly.
+# drives the one experiment binary, `amdb`, so build it explicitly.
 cargo build --release --offline -p amdb-experiments
 # The quickstart example regenerates the quickstart_trace.json artifact.
 cargo build --release --offline --example quickstart
@@ -57,7 +57,7 @@ awk '$1 == "metric" { m[$2] = $3 }
 # A third, on the read-heavy workload (the smoke traces only paper_5050, so
 # its tracing pass runs here): a SELECT costs at most 8 INSERTs. Both numbers
 # come from one process, so host speed cancels; it was 10-13 x before the
-# plan-time SELECT pipeline (DESIGN.md section 11) and is 4-5 x with it.
+# plan-time SELECT pipeline (DESIGN.md, "SQL engine hot path"), 4-5 x with it.
 benchmark/run.sh --workload paper_8020 --trace 1 --smoke --out benchmark/out/smoke >/dev/null
 awk '$1 == "metric" { m[$2] = $3 }
   END { r = m["sql.read_ns_per_stmt"]; w = m["sql.write_ns_per_stmt"]
@@ -66,15 +66,15 @@ awk '$1 == "metric" { m[$2] = $3 }
   benchmark/out/smoke/paper_8020.trace1.txt
 
 echo "== byte-identity table: same tables and CSVs for any --jobs, AMDB_JOBS, --backend statement =="
-# The bins write results/ relative to cwd; each (bin, flags) pair runs once,
-# in a scratch dir of its own, so quick-fidelity output never clobbers the
-# committed full-fidelity CSVs.
+# amdb writes results/ relative to cwd; each (subcommand, flags) pair runs
+# once, in a scratch dir of its own, so quick-fidelity output never clobbers
+# the committed full-fidelity CSVs.
 BIN="$PWD/target/release"
 SMOKE="$(mktemp -d)"
 trap 'rm -rf "$SMOKE"' EXIT
 
-# once <bin> <flags>: run it in $SMOKE/<bin>/<flags, spaces as _> unless that
-# run exists; sets $dir. A NAME=value word in <flags> is exported, not passed.
+# once <subcommand> <flags>: run it in $SMOKE/<subcommand>/<flags, spaces as _> unless
+# that run exists; sets $dir. A NAME=value word in <flags> is exported, not passed.
 once() {
   dir="$SMOKE/$1/${2// /_}"
   [ ! -d "$dir" ] || return 0
@@ -84,24 +84,24 @@ once() {
    for word in $2; do
      case "$word" in *=*) export "$word" ;; *) args+=("$word") ;; esac
    done
-   "$BIN/$1" "${args[@]}" >stdout 2>/dev/null) || { echo "$1 $2 failed"; exit 1; }
+   "$BIN/amdb" "$1" "${args[@]}" >stdout 2>/dev/null) || { echo "amdb $1 $2 failed"; exit 1; }
 }
 
-# identical <bin> <flags-a> <flags-b> [artifact…]: stdout and every named
-# file under results/ are byte-identical between the two runs.
+# identical <subcommand> <flags-a> <flags-b> [artifact…]: stdout and every
+# named file under results/ are byte-identical between the two runs.
 identical() {
-  local bin=$1 a b file
-  once "$bin" "$2"; a=$dir
-  once "$bin" "$3"; b=$dir
+  local cmd=$1 a b file
+  once "$cmd" "$2"; a=$dir
+  once "$cmd" "$3"; b=$dir
   shift 3
   for file in stdout "${@/#/results/}"; do
-    cmp "$a/$file" "$b/$file" || { echo "$bin: $file differs"; exit 1; }
+    cmp "$a/$file" "$b/$file" || { echo "amdb $cmd: $file differs"; exit 1; }
   done
 }
 
-while IFS='|' read -r bin a b artifacts; do
+while IFS='|' read -r cmd a b artifacts; do
   # shellcheck disable=SC2086 # artifacts is a space-separated list
-  identical "$bin" "$a" "$b" $artifacts
+  identical "$cmd" "$a" "$b" $artifacts
 done <<'TABLE'
 fig2|--jobs 1|--jobs 2|
 fig5|--jobs 1|AMDB_JOBS=2|
@@ -114,6 +114,12 @@ fig2_sharded|--jobs 1|--jobs 2|fig2_sharded.csv fig2_sharded_p95.csv fig2_sharde
 extensions_shared_log|--jobs 1|--jobs 2|extensions_shared_log_backends.csv extensions_shared_log_failover.csv extensions_shared_log_faults.csv
 fleet_report|--jobs 1|--jobs 2|fleet_report.csv fleet_alerts.csv fleet_metrics.prom
 TABLE
+# A command line amdb cannot parse exits 2; it never falls back to a default run.
+for line in nosuch "fig2 --job 2" "rtt --backend row"; do
+  # shellcheck disable=SC2086 # line is a space-separated command line
+  (cd "$SMOKE" && "$BIN/amdb" $line >/dev/null 2>&1) && status=0 || status=$?
+  [ "$status" = 2 ] || { echo "amdb $line: exit $status, want 2"; exit 1; }
+done
 # The fault grid's acceptance invariant: no cell loses an acked write.
 once extensions_shared_log "--jobs 1"
 awk -F, 'NR>1 && $NF != 0 { print "fault cell " $1 " lost acked writes"; bad=1 } END { exit bad }' \
@@ -124,35 +130,28 @@ tail -n 1 "$dir/results/fleet_metrics.prom" | grep -qx '# EOF' \
   || { echo "fleet_metrics.prom does not end with # EOF"; exit 1; }
 
 echo "== trace artifacts regenerate deterministically =="
-# quickstart_trace.json and results/obs_trace.json + obs_series.csv are
-# regenerable (gitignored) artifacts; two fresh regenerations must agree
-# byte-for-byte, and a repo-root copy — when present — must be fresh.
-mkdir -p "$SMOKE/art1" "$SMOKE/art2"
-(cd "$SMOKE/art1" && "$BIN/examples/quickstart" >quickstart.out 2>/dev/null)
-(cd "$SMOKE/art2" && "$BIN/examples/quickstart" >quickstart.out 2>/dev/null)
-cmp "$SMOKE/art1/quickstart.out" "$SMOKE/art2/quickstart.out" \
-  || { echo "quickstart output not deterministic"; exit 1; }
-cmp "$SMOKE/art1/quickstart_trace.json" "$SMOKE/art2/quickstart_trace.json" \
-  || { echo "quickstart_trace.json not deterministic"; exit 1; }
-if [ -f quickstart_trace.json ]; then
-  cmp quickstart_trace.json "$SMOKE/art1/quickstart_trace.json" \
-    || { echo "stale quickstart_trace.json — rerun the quickstart example"; exit 1; }
-fi
-(cd "$SMOKE/art1" && "$BIN/obs_report" >obs_report.out 2>/dev/null)
-(cd "$SMOKE/art2" && "$BIN/obs_report" >obs_report.out 2>/dev/null)
-cmp "$SMOKE/art1/obs_report.out" "$SMOKE/art2/obs_report.out" \
-  || { echo "obs_report output not deterministic"; exit 1; }
-for art in obs_trace.json obs_series.csv; do
-  cmp "$SMOKE/art1/results/$art" "$SMOKE/art2/results/$art" \
-    || { echo "$art not deterministic"; exit 1; }
-  if [ -f "results/$art" ]; then
-    cmp "results/$art" "$SMOKE/art1/results/$art" \
-      || { echo "stale results/$art — rerun obs_report"; exit 1; }
+# quickstart_trace.json (the quickstart example) and results/obs_trace.json +
+# obs_series.csv (amdb obs_report) are regenerable, gitignored artifacts: two
+# fresh regenerations must agree byte-for-byte, stdout included, and a
+# repo-root copy — when present — must be fresh.
+for run in art1 art2; do
+  mkdir -p "$SMOKE/$run"
+  (cd "$SMOKE/$run" && "$BIN/examples/quickstart" >quickstart.out 2>/dev/null \
+    && "$BIN/amdb" obs_report >obs_report.out 2>/dev/null)
+done
+for art in quickstart.out quickstart_trace.json obs_report.out \
+  results/obs_trace.json results/obs_series.csv; do
+  cmp "$SMOKE/art1/$art" "$SMOKE/art2/$art" || { echo "$art not deterministic"; exit 1; }
+  if [ -f "$art" ]; then
+    cmp "$art" "$SMOKE/art1/$art" || { echo "stale $art — regenerate it"; exit 1; }
   fi
 done
 
 echo "== committed results and the benchmark are untouched =="
-dirty=$(git status --porcelain results/ benchmark/ 'BENCH*.json')
+# benchmark/Cargo.lock is exempt: it still lists amdb-clock (folded into
+# amdb-cloud), cargo drops that entry on every build, and only a benchmark PR
+# may commit the refreshed file.
+dirty=$(git status --porcelain results/ benchmark/ ':!benchmark/Cargo.lock' 'BENCH*.json')
 [ -z "$dirty" ] || { echo "$dirty"; exit 1; }
 
 echo "CI OK"

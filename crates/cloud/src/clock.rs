@@ -1,4 +1,4 @@
-//! # amdb-clock — per-VM clocks, drift, and NTP synchronization
+//! Per-VM clocks, drift, and NTP synchronization
 //!
 //! §IV-B.1 of the paper is entirely about clocks: the replication delay is
 //! computed as the difference between a timestamp committed on the master and
@@ -11,7 +11,7 @@
 //! * with NTP applied every second, the offset stays between ≈1 and ≈8 ms
 //!   (median 3.30 ms, σ 1.19 ms).
 //!
-//! This crate models exactly those mechanics: a [`DriftingClock`] with a
+//! This module models exactly those mechanics: a [`DriftingClock`] with a
 //! per-instance frequency error (drift, in parts-per-million) and an
 //! [`NtpClient`] that periodically snaps the offset to a residual error drawn
 //! from a per-instance bias plus sync noise (the bias models the asymmetric

@@ -1,6 +1,6 @@
 //! Instance types, physical CPU models, and the launched-instance handle.
 
-use amdb_clock::{DriftingClock, NtpClient};
+use crate::clock::{DriftingClock, NtpClient};
 use amdb_net::Zone;
 use amdb_sim::FifoCpu;
 

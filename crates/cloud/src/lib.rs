@@ -15,8 +15,9 @@
 //! [`Provider::launch`] reproduces both: each launched instance draws a
 //! physical CPU model from a weighted catalog plus residual multiplicative
 //! noise, giving a calibrated speed distribution; it also gets its own
-//! drifting clock and NTP client (see `amdb-clock`).
+//! drifting clock and NTP client (see [`clock`]).
 
+pub mod clock;
 pub mod instance;
 pub mod provider;
 

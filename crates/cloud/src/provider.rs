@@ -1,7 +1,7 @@
 //! The provider: launching instances with calibrated performance variation.
 
+use crate::clock::{DriftingClock, NtpClient, NtpConfig};
 use crate::instance::{CpuModel, Instance, InstanceId, InstanceType};
-use amdb_clock::{DriftingClock, NtpClient, NtpConfig};
 use amdb_net::Zone;
 use amdb_sim::{FifoCpu, Rng};
 

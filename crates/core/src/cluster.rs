@@ -28,10 +28,10 @@
 //! in the idle baseline and thus cancelled by the paper's relative-delay
 //! metric.)
 
-use crate::config::{BalancerKind, ClusterConfig};
+use crate::config::{BalancerKind, ClusterConfig, ConfigError};
 use crate::report::{ConsistencyReport, DelayReport, RunReport, SharedLogReport};
 use crate::users::{UserLoop, WorkGen};
-use amdb_clock::WALL_EPOCH_MICROS;
+use amdb_cloud::clock::WALL_EPOCH_MICROS;
 use amdb_cloud::{Instance, InstanceType, Provider};
 use amdb_cloudstone::{build_template, OpClass, OpGenerator, Operation, Phases, UserSessions};
 use amdb_consistency::{
@@ -550,9 +550,7 @@ impl Cluster {
     /// Build the world: launch instances, load + fork the database, wire the
     /// proxy and pool, but schedule nothing yet.
     pub fn new(cfg: ClusterConfig) -> Self {
-        let root = Rng::new(cfg.seed);
-        let mut load_rng = root.derive("load");
-        let (template, counters) = build_template(cfg.data_size, &mut load_rng);
+        let (template, counters) = load_template(cfg.seed, cfg.data_size);
         Self::with_template(cfg, &template, counters)
     }
 
@@ -580,21 +578,14 @@ impl Cluster {
             Some(m) => provider.launch_on_host(master_zone, InstanceType::Small, m),
             None => provider.launch(master_zone, InstanceType::Small),
         };
-        let mut master_engine = template.fork(ForkRole::Master(cfg.format));
-        if !cfg.plan_cache {
-            master_engine.set_plan_cache_capacity(0);
-        }
+        let master_engine = template.fork(ForkRole::Master(cfg.format));
         let mut nodes = vec![Node::new(master_inst, master_engine)];
         for _ in 0..cfg.n_slaves {
             let inst = match cfg.pin_slave_host {
                 Some(m) => provider.launch_on_host(slave_zone, InstanceType::Small, m),
                 None => provider.launch(slave_zone, InstanceType::Small),
             };
-            let mut engine = template.fork(ForkRole::Slave);
-            if !cfg.plan_cache {
-                engine.set_plan_cache_capacity(0);
-            }
-            nodes.push(Node::new(inst, engine));
+            nodes.push(Node::new(inst, template.fork(ForkRole::Slave)));
         }
 
         // `starting_at(0)` is exactly the historical default constructor;
@@ -755,6 +746,15 @@ impl Cluster {
     // Timeline setup
     // ------------------------------------------------------------------
 
+    /// Schedule the full timeline on a fresh kernel and run it until the
+    /// agenda drains; returns the number of events executed.
+    pub fn run_timeline(&mut self) -> u64 {
+        let mut sim: S = Sim::new();
+        self.schedule_timeline(&mut sim);
+        sim.run(self);
+        sim.events_executed()
+    }
+
     /// Schedule the full timeline: NTP, heartbeats, users, window markers.
     pub fn schedule_timeline(&mut self, sim: &mut dyn ClusterHost) {
         // Initial NTP sync for everyone (instances boot disciplined once),
@@ -777,13 +777,7 @@ impl Cluster {
         }
 
         // Planned slave failures (availability experiments).
-        for (i, fault) in self.cfg.faults.iter().enumerate() {
-            assert!(
-                fault.slave < self.cfg.n_slaves,
-                "faults[{i}].slave = {} but the cluster has {} slave(s)",
-                fault.slave,
-                self.cfg.n_slaves
-            );
+        for fault in &self.cfg.faults {
             let fail_at = SimTime::ZERO + fault.fail_at;
             let slave = fault.slave;
             sim.schedule_event_at(fail_at, ClusterEvent::FailSlave { slave });
@@ -976,7 +970,7 @@ impl Cluster {
         // `ops_per_s` and `pool_waiting` sample this cluster's own user
         // loop. Under a sharded front that loop is idle, so both read 0
         // and the per-shard `throughput_collapse` / `pool_backlog` rules
-        // cannot fire (DESIGN.md §16, deviation 6).
+        // cannot fire (EXPERIMENTS.md, deviation 6).
         let fired = tl.t.slo.observe(&SloSample {
             at: now,
             delay_ms: &delay_ms,
@@ -1577,7 +1571,7 @@ impl Cluster {
                 // The front's durability contract is ack-at-commit under
                 // every `ReplMode` and backend: a scatter leg cannot block
                 // on per-tree acks without a front-side ack protocol
-                // (DESIGN.md §14).
+                // (DESIGN.md, "Sharding").
                 Origin::Front { .. } => {}
                 // A user's write is acknowledged when its durability
                 // setting says so; `true` means that ack is now scheduled.
@@ -2812,46 +2806,55 @@ impl Cluster {
     }
 }
 
-/// Execute one full benchmark run for `cfg` and return its report.
+/// A pre-loaded database and its id counters, as
+/// `amdb_cloudstone::build_template` returns them.
+pub type Template = (Engine, amdb_cloudstone::DataCounters);
+
+/// The template a run with seed `seed` forks its replicas off: loaded from
+/// the seed's `"load"` stream. A grid loads it once from the grid seed and
+/// hands it to every cell.
+pub fn load_template(seed: u64, size: amdb_cloudstone::DataSize) -> Template {
+    build_template(size, &mut Rng::new(seed).derive("load"))
+}
+
+/// Everything one standalone run produces. `obs` is [`Obs::Null`] unless
+/// `cfg.obs.enabled` (or telemetry, which implies it); `telemetry` is `None`
+/// unless `cfg.telemetry.enabled`.
+pub struct CellRun {
+    pub report: RunReport,
+    /// Steady-window bottleneck attribution.
+    pub bottleneck: BottleneckReport,
+    /// The detached observability recorder.
+    pub obs: Obs,
+    /// The detached telemetry bundle (waterfall + alerts).
+    pub telemetry: Option<Telemetry>,
+}
+
+/// The one way to run a standalone cluster: validate `cfg`, fork the
+/// replicas off `template` (or load one from `cfg.seed` when `None`), run
+/// the full timeline (idle baseline → ramp-up → measured steady stage →
+/// ramp-down → drain) and detach everything the run produced.
+pub fn run_cell(cfg: ClusterConfig, template: Option<&Template>) -> Result<CellRun, ConfigError> {
+    cfg.validate()?;
+    let mut world = match template {
+        Some((engine, counters)) => Cluster::with_template(cfg, engine, counters.clone()),
+        None => Cluster::new(cfg),
+    };
+    let events = world.run_timeline();
+    Ok(CellRun {
+        report: world.report(events),
+        bottleneck: world.bottleneck_report(),
+        obs: world.take_obs(),
+        telemetry: world.take_telemetry(),
+    })
+}
+
+/// [`run_cell`] on a template loaded from `cfg.seed`, keeping the report only.
+///
+/// # Panics
+/// Panics when `cfg` does not validate.
 pub fn run_cluster(cfg: ClusterConfig) -> RunReport {
-    let mut sim: S = Sim::new();
-    let mut world = Cluster::new(cfg);
-    world.schedule_timeline(&mut sim);
-    sim.run(&mut world);
-    let events = sim.events_executed();
-    world.report(events)
-}
-
-/// Like [`run_cluster`], but also returns the observability recorder and the
-/// steady-window bottleneck report. Forces `cfg.obs.enabled = true`.
-pub fn run_cluster_observed(mut cfg: ClusterConfig) -> (RunReport, Obs, BottleneckReport) {
-    cfg.obs.enabled = true;
-    let mut sim: S = Sim::new();
-    let mut world = Cluster::new(cfg);
-    world.schedule_timeline(&mut sim);
-    sim.run(&mut world);
-    let events = sim.events_executed();
-    let report = world.report(events);
-    let bottleneck = world.bottleneck_report();
-    (report, world.take_obs(), bottleneck)
-}
-
-/// Like [`run_cluster_observed`], but with telemetry enabled too: causal
-/// write tracing (the staleness waterfall) and the SLO/alert engine.
-/// Forces `cfg.telemetry.enabled = true` (which implies observability).
-pub fn run_cluster_telemetry(
-    mut cfg: ClusterConfig,
-) -> (RunReport, Obs, BottleneckReport, Telemetry) {
-    cfg.telemetry.enabled = true;
-    let mut sim: S = Sim::new();
-    let mut world = Cluster::new(cfg);
-    world.schedule_timeline(&mut sim);
-    sim.run(&mut world);
-    let events = sim.events_executed();
-    let report = world.report(events);
-    let bottleneck = world.bottleneck_report();
-    let telemetry = world.take_telemetry().expect("telemetry was enabled");
-    (report, world.take_obs(), bottleneck, telemetry)
+    run_cell(cfg, None).unwrap_or_else(|e| panic!("{e}")).report
 }
 
 #[cfg(test)]
@@ -2868,6 +2871,13 @@ mod tests {
             .build()
     }
 
+    /// Run `cfg` with observability on, and telemetry too when asked.
+    fn run_observed(mut cfg: ClusterConfig, telemetry: bool) -> CellRun {
+        cfg.obs.enabled = true;
+        cfg.telemetry.enabled = telemetry;
+        run_cell(cfg, None).expect("valid config")
+    }
+
     /// The agenda stores events inline in its slab, so this is the slot
     /// size every scheduled event pays for.
     #[test]
@@ -2875,16 +2885,27 @@ mod tests {
         assert!(std::mem::size_of::<ClusterEvent>() <= 96);
     }
 
+    /// A zero tick interval used to re-schedule its tick at the same
+    /// instant forever; a fault plan naming a missing slave used to panic
+    /// minutes into the run. Both are now refused before anything is built.
     #[test]
-    #[should_panic(expected = "faults[0].slave")]
-    fn fault_plan_naming_a_missing_slave_is_rejected_up_front() {
+    fn runner_rejects_bad_configs_up_front() {
+        let mut cfg = quick_cfg(4, 2);
+        cfg.heartbeat_interval = SimDuration::ZERO;
+        assert_eq!(
+            run_cell(cfg, None).err(),
+            Some(ConfigError::ZeroHeartbeatInterval)
+        );
         let mut cfg = quick_cfg(4, 2);
         cfg.faults.push(crate::config::FaultPlan {
             slave: 2,
             fail_at: SimDuration::from_secs(60),
             recover_after: None,
         });
-        run_cluster(cfg);
+        assert!(matches!(
+            run_cell(cfg, None).err(),
+            Some(ConfigError::FaultNamesMissingSlave { fault: 0, .. })
+        ));
     }
 
     #[test]
@@ -2928,11 +2949,8 @@ mod tests {
 
     #[test]
     fn replicas_converge_after_drain() {
-        let cfg = quick_cfg(10, 2);
-        let mut sim: S = Sim::new();
-        let mut world = Cluster::new(cfg);
-        world.schedule_timeline(&mut sim);
-        sim.run(&mut world);
+        let mut world = Cluster::new(quick_cfg(10, 2));
+        world.run_timeline();
         // After drain every relay must be empty and replica row counts match
         // the master exactly (eventual consistency reached).
         for s in 0..2 {
@@ -2994,7 +3012,12 @@ mod tests {
 
     #[test]
     fn observed_run_traces_all_layers() {
-        let (r, obs, bn) = run_cluster_observed(quick_cfg(10, 2));
+        let CellRun {
+            report: r,
+            obs,
+            bottleneck: bn,
+            ..
+        } = run_observed(quick_cfg(10, 2), false);
         assert!(r.steady_ops > 0, "observed run still completes");
         let rec = obs.recorder().expect("recorder present when observed");
         assert!(!rec.records().is_empty());
@@ -3018,7 +3041,7 @@ mod tests {
         // Observability must not perturb the simulation: same seed, same
         // physics, with and without the recorder.
         let plain = run_cluster(quick_cfg(8, 2));
-        let (observed, _, _) = run_cluster_observed(quick_cfg(8, 2));
+        let observed = run_observed(quick_cfg(8, 2), false).report;
         assert_eq!(plain.steady_ops, observed.steady_ops);
         assert_eq!(plain.steady_writes, observed.steady_writes);
         assert_eq!(
@@ -3027,7 +3050,8 @@ mod tests {
         );
         // Telemetry is measurement-only too: tracing every write and
         // running the SLO engine must leave the workload results untouched.
-        let (telem, _, _, t) = run_cluster_telemetry(quick_cfg(8, 2));
+        let traced = run_observed(quick_cfg(8, 2), true);
+        let (telem, t) = (traced.report, traced.telemetry.expect("telemetry on"));
         assert_eq!(plain.steady_ops, telem.steady_ops);
         assert_eq!(plain.steady_writes, telem.steady_writes);
         assert_eq!(plain.latency_ms, telem.latency_ms);
@@ -3040,7 +3064,8 @@ mod tests {
 
     #[test]
     fn telemetry_traces_full_write_pipeline() {
-        let (_, obs, _, t) = run_cluster_telemetry(quick_cfg(8, 2));
+        let traced = run_observed(quick_cfg(8, 2), true);
+        let (obs, t) = (traced.obs, traced.telemetry.expect("telemetry on"));
         // Every leg of the waterfall saw traffic on both slaves.
         assert_eq!(t.waterfall.n_slaves(), 2);
         for leg in t.waterfall.legs() {
@@ -3075,7 +3100,7 @@ mod tests {
         // vector measure different windows (sketch = whole run, report =
         // steady window), so compare the sketch against itself via its
         // error contract: p50 ≤ p95 ≤ p99 ≤ max, and the mean is finite.
-        let (report, obs, _, _) = run_cluster_telemetry(quick_cfg(8, 1));
+        let CellRun { report, obs, .. } = run_observed(quick_cfg(8, 1), true);
         let rec = obs.recorder().unwrap();
         let mut total = amdb_metrics::QuantileSketch::latency();
         for (key, metric) in rec.registry().iter() {

@@ -307,11 +307,6 @@ pub struct ClusterConfig {
     /// routes every read through the plain proxy; `Some(Eventual)` is
     /// byte-identical to `None` (the policy layer only does bookkeeping).
     pub consistency: Option<ConsistencyConfig>,
-    /// Per-engine statement→plan cache (on by default). The cache is
-    /// behaviour-transparent — results are byte-identical either way — so
-    /// this knob exists for the test that proves the transparency claim
-    /// (`tests/hotpath.rs`).
-    pub plan_cache: bool,
     pub seed: u64,
 }
 
@@ -320,7 +315,91 @@ impl ClusterConfig {
     pub fn builder() -> ClusterBuilder {
         ClusterBuilder::default()
     }
+
+    /// Reject a config that would hang the run or die late in it. The
+    /// runners call this once, before anything is built.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        // A tick re-schedules itself `interval` after it fires; at 0 that is
+        // the same instant, forever.
+        if self.heartbeat_interval == SimDuration::ZERO {
+            return Err(ConfigError::ZeroHeartbeatInterval);
+        }
+        if self.ntp_interval == Some(SimDuration::ZERO) {
+            return Err(ConfigError::ZeroNtpInterval);
+        }
+        if let Some((fault, plan)) = self
+            .faults
+            .iter()
+            .enumerate()
+            .find(|(_, plan)| plan.slave >= self.n_slaves)
+        {
+            return Err(ConfigError::FaultNamesMissingSlave {
+                fault,
+                slave: plan.slave,
+                n_slaves: self.n_slaves,
+            });
+        }
+        if self.apply_workers == 0 {
+            return Err(ConfigError::ZeroApplyWorkers);
+        }
+        if self.log_faults.is_some() && self.backend != BackendKind::SharedLog {
+            return Err(ConfigError::LogFaultsWithoutSharedLog(self.backend));
+        }
+        Ok(())
+    }
 }
+
+/// Why a [`ClusterConfig`] or a `ShardedConfig` cannot be run.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ConfigError {
+    /// `heartbeat_interval` is zero: the heartbeat tick never advances.
+    ZeroHeartbeatInterval,
+    /// `ntp_interval` is `Some(0)`: the NTP tick never advances.
+    ZeroNtpInterval,
+    /// `faults[fault].slave` names a slave the cluster does not start with.
+    FaultNamesMissingSlave {
+        fault: usize,
+        slave: usize,
+        n_slaves: usize,
+    },
+    /// `apply_workers` is zero: a slave needs at least its serial thread.
+    ZeroApplyWorkers,
+    /// `log_faults` is set but only the shared-log backend has log replicas.
+    LogFaultsWithoutSharedLog(BackendKind),
+    /// `shards` is zero: a sharded world needs at least one tree.
+    ZeroShards,
+    /// `cross_shard_read_fraction` is not a probability.
+    CrossShardReadFraction(f64),
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::ZeroHeartbeatInterval => write!(f, "heartbeat_interval must be positive"),
+            Self::ZeroNtpInterval => write!(f, "ntp_interval must be positive when set"),
+            Self::FaultNamesMissingSlave {
+                fault,
+                slave,
+                n_slaves,
+            } => write!(
+                f,
+                "faults[{fault}].slave = {slave} but the cluster has {n_slaves} slave(s)"
+            ),
+            Self::ZeroApplyWorkers => write!(f, "apply_workers must be at least 1"),
+            Self::LogFaultsWithoutSharedLog(backend) => write!(
+                f,
+                "log_faults needs the shared-log backend, not {}",
+                backend.name()
+            ),
+            Self::ZeroShards => write!(f, "shards must be at least 1"),
+            Self::CrossShardReadFraction(x) => {
+                write!(f, "cross_shard_read_fraction = {x} is not in [0, 1]")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 /// Builder for [`ClusterConfig`] with the paper's defaults.
 #[derive(Debug, Clone)]
@@ -364,7 +443,6 @@ impl Default for ClusterBuilder {
                 obs: ObsConfig::default(),
                 telemetry: TelemetryConfig::default(),
                 consistency: None,
-                plan_cache: true,
                 seed: 42,
             },
         }
@@ -582,12 +660,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Enable or disable the per-engine statement→plan cache.
-    pub fn plan_cache(mut self, enabled: bool) -> Self {
-        self.cfg.plan_cache = enabled;
-        self
-    }
-
     /// Master experiment seed.
     pub fn seed(mut self, s: u64) -> Self {
         self.cfg.seed = s;
@@ -644,6 +716,58 @@ mod tests {
         assert_eq!(
             c.placement.slave_zone(c.master_zone).region,
             Region::ApNortheast1
+        );
+    }
+
+    #[test]
+    fn validate_names_each_way_a_config_cannot_run() {
+        let ok = || ClusterConfig::builder().slaves(2);
+        assert_eq!(ok().build().validate(), Ok(()));
+        assert_eq!(
+            ok().heartbeat_interval(SimDuration::ZERO)
+                .build()
+                .validate(),
+            Err(ConfigError::ZeroHeartbeatInterval)
+        );
+        assert_eq!(
+            ok().ntp_interval(Some(SimDuration::ZERO))
+                .build()
+                .validate(),
+            Err(ConfigError::ZeroNtpInterval)
+        );
+        assert_eq!(ok().ntp_interval(None).build().validate(), Ok(()));
+        let fault = |slave| FaultPlan {
+            slave,
+            fail_at: SimDuration::from_secs(60),
+            recover_after: None,
+        };
+        let err = ok().fault(fault(1)).fault(fault(2)).build().validate();
+        assert_eq!(
+            err,
+            Err(ConfigError::FaultNamesMissingSlave {
+                fault: 1,
+                slave: 2,
+                n_slaves: 2
+            })
+        );
+        assert_eq!(
+            err.unwrap_err().to_string(),
+            "faults[1].slave = 2 but the cluster has 2 slave(s)"
+        );
+        let mut no_workers = ok().build();
+        no_workers.apply_workers = 0;
+        assert_eq!(no_workers.validate(), Err(ConfigError::ZeroApplyWorkers));
+        let faulty_log = || ok().log_faults(LogFaultPlan::default());
+        assert_eq!(
+            faulty_log().backend(BackendKind::Row).build().validate(),
+            Err(ConfigError::LogFaultsWithoutSharedLog(BackendKind::Row))
+        );
+        assert_eq!(
+            faulty_log()
+                .backend(BackendKind::SharedLog)
+                .build()
+                .validate(),
+            Ok(())
         );
     }
 

@@ -12,11 +12,16 @@
 //!   of slaves, their geographic placement, read/write mix, data size,
 //!   workload, replication mode/format, balancing policy, and all
 //!   calibration knobs;
-//! * [`run_cluster`] — execute one full benchmark run (idle baseline →
-//!   ramp-up → measured steady stage → ramp-down → drain) in simulated time
-//!   and return a [`RunReport`] with end-to-end throughput, latency,
-//!   per-slave replication delay (absolute and *relative*, the paper's
-//!   headline staleness metric), utilizations and routing statistics;
+//! * [`run_cell`] — validate a config, execute one full benchmark run (idle
+//!   baseline → ramp-up → measured steady stage → ramp-down → drain) in
+//!   simulated time and return a [`CellRun`]: the [`RunReport`] with
+//!   end-to-end throughput, latency, per-slave replication delay (absolute
+//!   and *relative*, the paper's headline staleness metric), utilizations
+//!   and routing statistics, plus the bottleneck attribution and whatever
+//!   `cfg.obs` / `cfg.telemetry` switched on. [`run_cluster`] is the same
+//!   run keeping the report only;
+//! * [`run_sharded_cell`] — the same for N trees behind a scatter-gather
+//!   front ([`ShardedConfig`]);
 //! * [`Cluster`] — the simulation world itself, for callers who want to
 //!   script custom timelines.
 //!
@@ -32,13 +37,12 @@ pub use amdb_consistency::{ConsistencyConfig, ConsistencyPolicy, FallbackPolicy,
 pub use amdb_obs::ObsConfig;
 pub use amdb_repl::{BackendKind, FaultTimeline, LogStoreConfig, RetryPolicy};
 pub use amdb_telemetry::{Telemetry, TelemetryConfig};
-pub use cluster::{run_cluster, run_cluster_observed, run_cluster_telemetry, Cluster};
+pub use cluster::{load_template, run_cell, run_cluster, CellRun, Cluster, Template};
 pub use config::{
-    AutoscaleConfig, BalancerKind, ClusterBuilder, ClusterConfig, FaultPlan, LogFaultPlan,
-    MasterFaultPlan, Placement, WorkloadKind,
+    AutoscaleConfig, BalancerKind, ClusterBuilder, ClusterConfig, ConfigError, FaultPlan,
+    LogFaultPlan, MasterFaultPlan, Placement, WorkloadKind,
 };
 pub use report::{ConsistencyReport, DelayReport, RunReport, SharedLogReport};
 pub use sharded::{
-    run_sharded_cluster, run_sharded_observed, run_sharded_telemetry, run_sharded_with_template,
-    FleetObsBundle, ShardedConfig, ShardedReport,
+    run_sharded_cell, run_sharded_telemetry, FleetObsBundle, ShardedConfig, ShardedReport,
 };

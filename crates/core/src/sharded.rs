@@ -38,7 +38,7 @@
 //!   `WaitRetry` verdict becomes a master redirect;
 //! * **write ack** — at master commit under every `ReplMode` and backend: a
 //!   scatter leg cannot block on per-tree sync or quorum acks without a
-//!   front-side ack protocol (DESIGN.md §14, §16);
+//!   front-side ack protocol (DESIGN.md, "Sharding");
 //! * **completion** — reported to the front through
 //!   [`ClusterHost::notify_front`] with the serving replica's
 //!   heartbeat-observed staleness, instead of a tree-local `Respond`;
@@ -54,13 +54,13 @@
 //! ambient randomness, no wall clock: the same config yields the same
 //! report bit-for-bit at any `--jobs` level.
 
-use crate::cluster::{Cluster, ClusterEvent, ClusterHost, InjectedDone, Origin};
-use crate::config::{ClusterConfig, WorkloadKind};
+use crate::cluster::{
+    load_template, Cluster, ClusterEvent, ClusterHost, InjectedDone, Origin, Template,
+};
+use crate::config::{ClusterConfig, ConfigError, WorkloadKind};
 use crate::report::RunReport;
 use crate::users::{UserLoop, WorkGen};
-use amdb_cloudstone::{
-    build_template, shard_key_of, DataCounters, OpClass, OpGenerator, Operation,
-};
+use amdb_cloudstone::{shard_key_of, DataCounters, OpClass, OpGenerator, Operation};
 use amdb_consistency::ConsistencyPolicy;
 use amdb_metrics::Summary;
 use amdb_net::Zone;
@@ -121,6 +121,20 @@ impl ShardedConfig {
     pub fn overrides(mut self, overrides: Vec<RangeOverride>) -> Self {
         self.overrides = overrides;
         self
+    }
+
+    /// Reject a config that cannot be run: the front's own knobs, then the
+    /// per-tree template (every tree inherits its intervals and fault plans).
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.shards == 0 {
+            return Err(ConfigError::ZeroShards);
+        }
+        if !(0.0..=1.0).contains(&self.cross_shard_read_fraction) {
+            return Err(ConfigError::CrossShardReadFraction(
+                self.cross_shard_read_fraction,
+            ));
+        }
+        self.base.validate()
     }
 }
 
@@ -271,14 +285,9 @@ pub struct ShardedWorld {
 
 impl ShardedWorld {
     fn new(cfg: &ShardedConfig, template: &Engine, counters: DataCounters) -> Self {
-        assert!(cfg.shards >= 1, "a sharded world needs at least one tree");
         assert!(
             matches!(cfg.base.workload_kind, WorkloadKind::Cloudstone),
             "the sharded front routes the Cloudstone workload"
-        );
-        assert!(
-            (0.0..=1.0).contains(&cfg.cross_shard_read_fraction),
-            "cross_shard_read_fraction must be a probability"
         );
         let trees: Vec<Cluster> = (0..cfg.shards)
             .map(|k| Cluster::with_template(tree_config(cfg, k), template, counters.clone()))
@@ -714,58 +723,42 @@ impl FleetObsBundle {
     }
 }
 
-/// Execute one sharded run for `cfg` and return its report.
-pub fn run_sharded_cluster(cfg: ShardedConfig) -> ShardedReport {
-    let root = Rng::new(cfg.base.seed);
-    let mut load_rng = root.derive("load");
-    let (template, counters) = build_template(cfg.base.data_size, &mut load_rng);
-    run_sharded_with_template(&cfg, &template, counters)
-}
-
-/// Like [`run_sharded_cluster`], but forking every tree off a pre-built
-/// template database (sweeps load the template once per data size).
-pub fn run_sharded_with_template(
+/// The one way to run a sharded world: validate `cfg`, fork every tree off
+/// `template` (or load one from `cfg.base.seed` when `None`), run all trees
+/// and the front on one kernel until the agenda drains, and detach the
+/// report plus every observability artifact. What the bundle holds follows
+/// `cfg.base.obs` / `cfg.base.telemetry`; with both off it is empty.
+pub fn run_sharded_cell(
     cfg: &ShardedConfig,
-    template: &Engine,
-    counters: DataCounters,
-) -> ShardedReport {
+    template: Option<&Template>,
+) -> Result<(ShardedReport, FleetObsBundle), ConfigError> {
+    cfg.validate()?;
+    let loaded;
+    let (engine, counters) = match template {
+        Some(t) => t,
+        None => {
+            loaded = load_template(cfg.base.seed, cfg.base.data_size);
+            &loaded
+        }
+    };
     let mut sim: ShardedSim = Sim::new();
-    let mut world = ShardedWorld::new(cfg, template, counters);
+    let mut world = ShardedWorld::new(cfg, engine, counters.clone());
     world.schedule_timeline(&mut sim);
     sim.run(&mut world);
-    let events = sim.events_executed();
-    world.report(events)
+    let report = world.report(sim.events_executed());
+    Ok((report, world.take_fleet_obs()))
 }
 
-/// Like [`run_sharded_cluster`], but with observability forced on: returns
-/// the report plus the detached [`FleetObsBundle`] (recorders + per-shard
-/// time-series stores).
-pub fn run_sharded_observed(mut cfg: ShardedConfig) -> (ShardedReport, FleetObsBundle) {
-    cfg.base.obs.enabled = true;
-    run_sharded_collected(cfg)
-}
-
-/// Like [`run_sharded_observed`], but with telemetry enabled on every tree
-/// too: each tree runs its own waterfall + shard-stamped SLO engine, rolled
-/// into the bundle's [`FleetTelemetry`].
+/// [`run_sharded_cell`] with observability and telemetry forced on in every
+/// tree: each runs its own waterfall + shard-stamped SLO engine, rolled into
+/// the bundle's [`FleetTelemetry`].
+///
+/// # Panics
+/// Panics when `cfg` does not validate.
 pub fn run_sharded_telemetry(mut cfg: ShardedConfig) -> (ShardedReport, FleetObsBundle) {
     cfg.base.obs.enabled = true;
     cfg.base.telemetry.enabled = true;
-    run_sharded_collected(cfg)
-}
-
-fn run_sharded_collected(cfg: ShardedConfig) -> (ShardedReport, FleetObsBundle) {
-    let root = Rng::new(cfg.base.seed);
-    let mut load_rng = root.derive("load");
-    let (template, counters) = build_template(cfg.base.data_size, &mut load_rng);
-    let mut sim: ShardedSim = Sim::new();
-    let mut world = ShardedWorld::new(&cfg, &template, counters);
-    world.schedule_timeline(&mut sim);
-    sim.run(&mut world);
-    let events = sim.events_executed();
-    let report = world.report(events);
-    let bundle = world.take_fleet_obs();
-    (report, bundle)
+    run_sharded_cell(&cfg, None).unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[cfg(test)]
@@ -786,6 +779,26 @@ mod tests {
             .data_size(DataSize { scale: 30 })
             .seed(seed)
             .build()
+    }
+
+    fn run_sharded_cluster(cfg: ShardedConfig) -> ShardedReport {
+        run_sharded_cell(&cfg, None).expect("valid config").0
+    }
+
+    #[test]
+    fn validate_checks_the_front_then_the_tree_template() {
+        let cfg = |shards| ShardedConfig::new(shards, quick_cfg(8, 1, 3));
+        assert_eq!(cfg(2).validate(), Ok(()));
+        assert_eq!(cfg(0).validate(), Err(ConfigError::ZeroShards));
+        for bad in [-0.1, 1.5, f64::NAN] {
+            assert!(matches!(
+                run_sharded_cell(&cfg(2).cross_shard_read_fraction(bad), None).err(),
+                Some(ConfigError::CrossShardReadFraction(_))
+            ));
+        }
+        let mut hangs = cfg(2);
+        hangs.base.ntp_interval = Some(SimDuration::ZERO);
+        assert_eq!(hangs.validate(), Err(ConfigError::ZeroNtpInterval));
     }
 
     /// The headline identity: one shard replays the standalone cluster's
@@ -835,7 +848,7 @@ mod tests {
 
     /// Where a one-shard world is *not* the standalone cluster: one case
     /// per `Origin::Front` arm in `cluster.rs`. Each divergence is a
-    /// documented contract of the front (DESIGN.md §14, §16), pinned here
+    /// documented contract of the front (DESIGN.md, "Sharding"), pinned here
     /// so a refactor of the shared client-operation path cannot move it.
     #[test]
     fn front_origin_divergences_are_deliberate() {
@@ -886,8 +899,11 @@ mod tests {
         // as the issue → route leg; the front's pool wait is over before
         // the op reaches the tree, so there the leg is zero.
         let pooled = quick().pool_max_active(4).build();
-        let (solo, _, _, t) = crate::cluster::run_cluster_telemetry(pooled.clone());
-        assert!(solo.pool_stats.1 > 0, "the pool made users wait");
+        let mut traced = pooled.clone();
+        traced.telemetry.enabled = true;
+        let solo = crate::cluster::run_cell(traced, None).expect("valid config");
+        assert!(solo.report.pool_stats.1 > 0, "the pool made users wait");
+        let t = solo.telemetry.expect("telemetry on");
         assert!(t.waterfall.client().route_ms.max() > Some(0.0));
         let (_, fleet) = run_sharded_telemetry(ShardedConfig::new(1, pooled));
         let (_, t) = fleet.telemetry.shards().next().expect("one tree");
@@ -953,9 +969,7 @@ mod tests {
     fn all_filtered_scatter_falls_back_to_master_leg() {
         let base = quick_cfg(8, 1, 17);
         let cfg = ShardedConfig::new(2, base).cross_shard_read_fraction(1.0);
-        let root = Rng::new(cfg.base.seed);
-        let mut load_rng = root.derive("load");
-        let (template, counters) = build_template(cfg.base.data_size, &mut load_rng);
+        let (template, counters) = load_template(cfg.base.seed, cfg.base.data_size);
         let mut sim: ShardedSim = Sim::new();
         let mut world = ShardedWorld::new(&cfg, &template, counters);
         // One scattered read in flight, bound 1 ms; shard 0's leg already

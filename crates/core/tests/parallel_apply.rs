@@ -12,7 +12,7 @@
 //!   fires later (or never) — the paper's Fig 5/6 surge flattening.
 
 use amdb_cloudstone::{DataSize, MixConfig, WorkloadConfig};
-use amdb_core::{run_cluster, run_cluster_telemetry, ClusterConfig, RunReport};
+use amdb_core::{run_cell, run_cluster, ClusterConfig, RunReport};
 use amdb_sql::binlog::BinlogFormat;
 use amdb_telemetry::AlertKind;
 use proptest::prelude::*;
@@ -97,6 +97,7 @@ fn surge_cfg(workers: usize) -> ClusterConfig {
         .data_size(DataSize::SMALL)
         .format(BinlogFormat::Row)
         .apply_workers(workers)
+        .telemetry_on(true)
         .build()
 }
 
@@ -105,9 +106,10 @@ fn waterfall_apply_delay_shrinks_and_surge_onset_recedes() {
     // One saturated cell at 1, 2 and 4 workers. The workload replays
     // identically (the seed does not depend on the worker count), so every
     // delta below is the scheduler's doing.
-    let runs: Vec<_> = [1usize, 2, 4]
+    let runs: Vec<(RunReport, amdb_telemetry::Telemetry)> = [1usize, 2, 4]
         .into_iter()
-        .map(|w| run_cluster_telemetry(surge_cfg(w)))
+        .map(|w| run_cell(surge_cfg(w), None).expect("valid config"))
+        .map(|run| (run.report, run.telemetry.expect("telemetry on")))
         .collect();
 
     // The waterfall's per-slave delay decomposition: the queueing leg
@@ -115,7 +117,7 @@ fn waterfall_apply_delay_shrinks_and_surge_onset_recedes() {
     // monotonically with the worker count on a saturated cell.
     let leg_means: Vec<(f64, f64)> = runs
         .iter()
-        .map(|(_, _, _, t)| {
+        .map(|(_, t)| {
             let leg = &t.waterfall.legs()[0];
             (
                 leg.queue_ms.mean().expect("writes were traced"),
@@ -140,7 +142,7 @@ fn waterfall_apply_delay_shrinks_and_surge_onset_recedes() {
     // few more ops when applies speed up — so compare ratios, not counts.)
     let mean_batch: Vec<f64> = runs
         .iter()
-        .map(|(r, _, _, _)| r.apply_events as f64 / r.apply_batches as f64)
+        .map(|(r, _)| r.apply_events as f64 / r.apply_batches as f64)
         .collect();
     assert_eq!(mean_batch[0], 1.0, "serial apply never batches");
     assert!(
@@ -161,8 +163,8 @@ fn waterfall_apply_delay_shrinks_and_surge_onset_recedes() {
             .find(|a| a.rule == "delay_surge" && a.kind == AlertKind::Fire)
             .map(|a| a.at)
     };
-    let serial_onset = onset(&runs[0].3).expect("serial baseline must surge");
-    match onset(&runs[2].3) {
+    let serial_onset = onset(&runs[0].1).expect("serial baseline must surge");
+    match onset(&runs[2].1) {
         None => {} // surge eliminated entirely
         Some(batched_onset) => assert!(
             batched_onset > serial_onset,

@@ -12,23 +12,19 @@ use crate::calib::paper_cost_model;
 use crate::exec::{parallel_map, Progress};
 use crate::Fidelity;
 
-use amdb_cloudstone::{DataSize, MixConfig, WorkloadConfig};
+use amdb_cloudstone::{DataSize, MixConfig};
 use amdb_core::{run_cluster, BalancerKind, ClusterConfig, Placement, RunReport};
 use amdb_metrics::Table;
 use amdb_repl::ReplMode;
 use amdb_sql::binlog::BinlogFormat;
 
 fn base_cfg(users: u32, slaves: usize, fidelity: Fidelity) -> ClusterConfig {
-    let workload = match fidelity {
-        Fidelity::Full => WorkloadConfig::paper(users),
-        Fidelity::Quick => WorkloadConfig::quick(users),
-    };
     ClusterConfig::builder()
         .slaves(slaves)
         .placement(Placement::SameZone)
         .mix(MixConfig::RW_50_50)
         .data_size(DataSize::SMALL)
-        .workload(workload)
+        .workload(fidelity.workload(users))
         .cost(paper_cost_model())
         .seed(23)
         .build()

@@ -17,17 +17,14 @@
 //! the trade-off is attributable to the knob alone.
 
 use crate::calib::paper_cost_model;
-use crate::exec::parallel_map;
-use crate::sweep::SweepOptions;
+use crate::grid::{cross2, run_grid, run_tree, SweepOptions};
 use crate::Fidelity;
-use amdb_cloudstone::{build_template, DataCounters, DataSize, MixConfig, Phases, WorkloadConfig};
+use amdb_cloudstone::{DataSize, MixConfig, Phases, WorkloadConfig};
 use amdb_core::{
-    Cluster, ClusterConfig, ConsistencyConfig, ConsistencyPolicy, Placement, RunReport,
+    load_template, ClusterConfig, ConsistencyConfig, ConsistencyPolicy, Placement, RunReport,
 };
 use amdb_metrics::Table;
-use amdb_sim::{Rng, Sim};
-use amdb_sql::Engine;
-use std::sync::Arc;
+use amdb_sim::Rng;
 
 /// The swept staleness bounds: `Some(ms)` = `BoundedStaleness`, `None` =
 /// `Eventual` (the unbounded reference arm).
@@ -106,12 +103,6 @@ impl ConsistencySpec {
             .seed(self.placement_seed(placement))
             .build()
     }
-
-    /// The shared template database for this sweep.
-    pub fn template(&self) -> (Engine, DataCounters) {
-        let mut load_rng = Rng::new(self.seed).derive("load");
-        build_template(self.data_size, &mut load_rng)
-    }
 }
 
 /// One cell's outcome.
@@ -142,47 +133,25 @@ pub fn slave_read_share(r: &RunReport) -> f64 {
 /// (placement, bound) grid order — output is byte-identical for any jobs
 /// count.
 pub fn run(spec: &ConsistencySpec, opts: &SweepOptions) -> Vec<ConsistencyCell> {
-    let template = Arc::new(spec.template());
-    let mut cells: Vec<(Placement, Bound)> =
-        Vec::with_capacity(spec.placements.len() * spec.bounds.len());
-    for &placement in &spec.placements {
-        for &bound in &spec.bounds {
-            cells.push((placement, bound));
-        }
-    }
-    let template_ref = Arc::clone(&template);
-    let reports = parallel_map(
-        &cells,
-        opts.jobs,
-        &opts.progress,
-        move |_, &(placement, bound), sink| {
-            let (tpl, counters) = &*template_ref;
-            let cfg = spec.cell_config(placement, bound);
-            let label = placement.label(cfg.master_zone);
-            let mut sim = Sim::new();
-            let mut world = Cluster::with_template(cfg, tpl, counters.clone());
-            world.schedule_timeline(&mut sim);
-            sim.run(&mut world);
-            let events = sim.events_executed();
-            let report = world.report(events);
-            sink.emit(format!(
-                "{label} bound={}: {:.1} ops/s, slave share {:.2}",
-                bound_label(bound),
-                report.throughput_ops_s,
-                slave_read_share(&report)
-            ));
-            report
-        },
-    );
-    cells
-        .into_iter()
-        .zip(reports)
-        .map(|((placement, bound), report)| ConsistencyCell {
+    let template = load_template(spec.seed, spec.data_size);
+    let keys = cross2(&spec.placements, &spec.bounds);
+    run_grid(&keys, opts, |&(placement, bound)| {
+        let cfg = spec.cell_config(placement, bound);
+        let label = placement.label(cfg.master_zone);
+        let report = run_tree(cfg, Some(&template)).report;
+        let line = format!(
+            "{label} bound={}: {:.1} ops/s, slave share {:.2}",
+            bound_label(bound),
+            report.throughput_ops_s,
+            slave_read_share(&report)
+        );
+        let cell = ConsistencyCell {
             placement,
             bound,
             report,
-        })
-        .collect()
+        };
+        (cell, line)
+    })
 }
 
 /// Render the sweep: one row per (placement, bound).

@@ -31,72 +31,6 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// The value of flag `name` in `args`, given as `--k v` or `--k=v`; `None`
-/// when the flag is absent. A trailing `--k` reads as the empty value,
-/// which no flag accepts.
-fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == name {
-            return Some(it.next().map_or("", String::as_str));
-        }
-        if let Some(v) = a.strip_prefix(name).and_then(|r| r.strip_prefix('=')) {
-            return Some(v);
-        }
-    }
-    None
-}
-
-/// Flag `name` parsed by `parse`: `Ok(None)` when absent, `Err` with a
-/// one-line message naming what was `expected` when the value is not one.
-fn parse_flag<T>(
-    args: &[String],
-    name: &str,
-    expected: &str,
-    parse: impl Fn(&str) -> Option<T>,
-) -> Result<Option<T>, String> {
-    flag_value(args, name)
-        .map(|v| parse(v).ok_or_else(|| format!("{name}: expected {expected}, got '{v}'")))
-        .transpose()
-}
-
-/// This process's flag `name`; a value that does not parse is a usage
-/// error: one line on stderr, exit status 2.
-fn flag_from_argv<T>(name: &str, expected: &str, parse: impl Fn(&str) -> Option<T>) -> Option<T> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    parse_flag(&args, name, expected, parse).unwrap_or_else(|msg| {
-        eprintln!("{msg}");
-        std::process::exit(2)
-    })
-}
-
-/// Resolve the job count for a binary: an explicit `--jobs N` (or
-/// `--jobs=N`) on the command line beats `AMDB_JOBS` beats available
-/// parallelism.
-pub fn jobs_from_args() -> usize {
-    flag_from_argv("--jobs", "a job count", |v| v.parse::<usize>().ok())
-        .map_or_else(default_jobs, |n| n.max(1))
-}
-
-/// `--shards N` / `--shards=N` from argv: binaries that support a sharded
-/// front use it to pick (or restrict to) one shard count. `None` when the
-/// flag is absent — the binary's flat/default path.
-pub fn shards_from_args() -> Option<u32> {
-    flag_from_argv("--shards", "a shard count", |v| v.parse::<u32>().ok()).map(|n| n.max(1))
-}
-
-/// `--backend statement|row|shared-log` (or `--backend=<name>`) from argv:
-/// binaries that support the replication-backend knob use it to re-run
-/// their grid under a different backend. `None` when absent — the binary's
-/// default (statement) path, byte-identical to pre-knob output.
-pub fn backend_from_args() -> Option<amdb_repl::BackendKind> {
-    flag_from_argv(
-        "--backend",
-        "statement, row or shared-log",
-        amdb_repl::BackendKind::parse,
-    )
-}
-
 /// Where progress lines go.
 #[derive(Debug, Clone)]
 pub enum Progress {
@@ -159,8 +93,10 @@ where
     parallel_map_capped(items, jobs.min(cap), progress, f)
 }
 
-/// [`parallel_map`] without the host-parallelism clamp — the test hook that
-/// keeps the pool path exercised even on single-core hosts.
+/// [`parallel_map`] without the host-parallelism clamp. Load-bearing as the
+/// single-core test hook: on a one-core host [`parallel_map`] always takes
+/// the inline path, so the order and serial/parallel-agreement tests below
+/// call this to put real worker threads behind the result slots.
 fn parallel_map_capped<T, R, F>(items: &[T], jobs: usize, progress: &Progress, f: F) -> Vec<R>
 where
     T: Sync,
@@ -295,43 +231,11 @@ mod tests {
     }
 
     #[test]
-    fn flags_parse_both_spellings_and_reject_bad_values() {
-        let argv = |s: &str| s.split_whitespace().map(String::from).collect::<Vec<_>>();
-        let jobs = |s: &str| {
-            parse_flag(&argv(s), "--jobs", "a job count", |v| {
-                v.parse::<usize>().ok()
-            })
-        };
-        assert_eq!(jobs("--full"), Ok(None), "absent flag");
-        assert_eq!(jobs("--full --jobs 3"), Ok(Some(3)));
-        assert_eq!(jobs("--jobs=4 --full"), Ok(Some(4)));
-        assert_eq!(jobs("--jobsx 4"), Ok(None), "a longer flag is another flag");
-        assert_eq!(
-            jobs("--jobs x"),
-            Err("--jobs: expected a job count, got 'x'".to_string())
-        );
-        assert!(jobs("--jobs=").is_err());
-        assert!(jobs("--full --jobs").is_err(), "flag without a value");
-        let backend = |s: &str| {
-            parse_flag(
-                &argv(s),
-                "--backend",
-                "a backend",
-                amdb_repl::BackendKind::parse,
-            )
-        };
-        assert_eq!(
-            backend("--backend shared-log"),
-            Ok(Some(amdb_repl::BackendKind::SharedLog))
-        );
-        assert!(backend("--backend shard-log").is_err());
-    }
-
-    #[test]
     fn jobs_env_parsing_prefers_positive_values() {
         // default_jobs falls back to host parallelism when unset; we only
-        // assert it is positive (the env var itself is exercised in ci.sh,
-        // not here, to keep tests hermetic under parallel test runners).
+        // assert it is positive (the env var itself is exercised by
+        // tests/cli.rs in a child process, to keep tests hermetic under
+        // parallel test runners).
         assert!(default_jobs() >= 1);
     }
 }

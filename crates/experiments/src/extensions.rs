@@ -9,29 +9,20 @@
 
 use crate::calib::paper_cost_model;
 use crate::exec::{parallel_map, Progress};
+use crate::grid::cross2;
 use crate::Fidelity;
-use amdb_cloudstone::{DataSize, MixConfig, WorkloadConfig};
+use amdb_cloudstone::{DataSize, MixConfig};
 use amdb_core::{run_cluster, AutoscaleConfig, ClusterConfig, FaultPlan, Placement, RunReport};
 use amdb_metrics::Table;
 use amdb_sim::SimDuration;
 
-fn workload(users: u32, fidelity: Fidelity) -> WorkloadConfig {
-    match fidelity {
-        Fidelity::Full => WorkloadConfig::paper(users),
-        Fidelity::Quick => WorkloadConfig::quick(users),
-    }
-}
-
 /// Run the failover experiment: 3 slaves, one fails at the start of the
 /// steady stage and is replaced half-way through.
 pub fn failover(fidelity: Fidelity) -> RunReport {
-    let w = workload(
-        match fidelity {
-            Fidelity::Full => 150,
-            Fidelity::Quick => 60,
-        },
-        fidelity,
-    );
+    let w = fidelity.workload(match fidelity {
+        Fidelity::Full => 150,
+        Fidelity::Quick => 60,
+    });
     let fail_at = w.phases.steady_start() - amdb_sim::SimTime::ZERO;
     let recover_after = (w.phases.steady_end() - w.phases.steady_start()) / 2;
     run_cluster(
@@ -66,7 +57,7 @@ pub fn autoscale(fidelity: Fidelity, jobs: usize) -> (RunReport, RunReport) {
             .placement(Placement::SameZone)
             .mix(MixConfig::RW_80_20)
             .data_size(DataSize { scale: 100 })
-            .workload(workload(users, fidelity))
+            .workload(fidelity.workload(users))
             .cost(paper_cost_model())
             .seed(42);
         if let Some(a) = auto {
@@ -154,7 +145,7 @@ pub fn autoscale_table(static_run: &RunReport, auto_run: &RunReport) -> Table {
 pub fn master_failover(fidelity: Fidelity, jobs: usize) -> (RunReport, RunReport) {
     let users = 175;
     let run = |slaves: usize| {
-        let w = workload(users, fidelity);
+        let w = fidelity.workload(users);
         let fail_at = w.phases.steady_start() - amdb_sim::SimTime::ZERO
             + (w.phases.steady_end() - w.phases.steady_start()) / 2;
         run_cluster(
@@ -221,8 +212,7 @@ pub fn workload_classes(fidelity: Fidelity, jobs: usize) -> Vec<(&'static str, u
         Fidelity::Full => 300,
         Fidelity::Quick => 120,
     };
-    let mut cells: Vec<(&'static str, amdb_core::WorkloadKind, MixConfig, usize)> = Vec::new();
-    for (name, kind, mix) in [
+    let classes = [
         (
             "web2.0 (cloudstone 50/50)",
             amdb_core::WorkloadKind::Cloudstone,
@@ -233,23 +223,19 @@ pub fn workload_classes(fidelity: Fidelity, jobs: usize) -> Vec<(&'static str, u
             amdb_core::WorkloadKind::Web10,
             MixConfig::RW_50_50, // ignored by Web10
         ),
-    ] {
-        for slaves in [1usize, 2, 4, 6] {
-            cells.push((name, kind, mix, slaves));
-        }
-    }
+    ];
     parallel_map(
-        &cells,
+        &cross2(&classes, &[1usize, 2, 4, 6]),
         jobs,
         &Progress::Silent,
-        |_, &(name, kind, mix, slaves), _| {
+        |_, &((name, kind, mix), slaves), _| {
             let cfg = ClusterConfig::builder()
                 .slaves(slaves)
                 .placement(Placement::SameZone)
                 .mix(mix)
                 .workload_kind(kind)
                 .data_size(DataSize { scale: 100 })
-                .workload(workload(users, fidelity))
+                .workload(fidelity.workload(users))
                 .cost(paper_cost_model())
                 .seed(55)
                 .build();

@@ -6,7 +6,7 @@
 //! σ 12.31); synced every second, samples "mostly rest in between of 1
 //! millisecond and 8 milliseconds" (median 3.30 ms, σ 1.19).
 
-use amdb_clock::{DriftingClock, NtpClient};
+use amdb_cloud::clock::{DriftingClock, NtpClient};
 use amdb_metrics::{median, stddev, Table, TimeSeries};
 use amdb_sim::{Rng, SimTime};
 
@@ -127,6 +127,28 @@ pub fn summary_table(r: &Fig4Result) -> Table {
             format!("{:.2}", run.median_ms),
             format!("{:.2}", run.stddev_ms),
             format!("{:.2}", run.drift_slope_ms_per_s * 60.0),
+        ]);
+    }
+    t
+}
+
+/// Both arms' series downsampled to 10 s, for plotting.
+pub fn series_table(r: &Fig4Result) -> Table {
+    let mut t = Table::new(
+        "fig4 series (downsampled to 10 s)",
+        vec![
+            "t (s)".into(),
+            "sync once (ms)".into(),
+            "sync 1s (ms)".into(),
+        ],
+    );
+    let once = r.sync_once.series.downsample(10);
+    let every = r.sync_every_second.series.downsample(10);
+    for (a, b) in once.points().iter().zip(every.points()) {
+        t.push_row(vec![
+            format!("{:.0}", a.0),
+            format!("{:.2}", a.1),
+            format!("{:.2}", b.1),
         ]);
     }
     t

@@ -16,12 +16,11 @@
 //! for any `--jobs` count.
 
 use crate::calib::paper_cost_model;
-use crate::exec::parallel_map;
-use crate::sweep::SweepOptions;
+use crate::grid::{cross2, run_fleet, run_grid, SweepOptions};
 use crate::Fidelity;
 use amdb_cloudstone::{DataSize, MixConfig, Phases, WorkloadConfig};
 use amdb_core::sharded::FleetObsBundle;
-use amdb_core::{run_sharded_telemetry, ClusterConfig, ShardedConfig, ShardedReport};
+use amdb_core::{ClusterConfig, ShardedConfig, ShardedReport};
 use amdb_metrics::{QuantileSketch, Table};
 use amdb_obs::{openmetrics_text_multi, Component, ObsConfig, Tsdb};
 use amdb_sim::Rng;
@@ -120,40 +119,25 @@ pub struct FleetCell {
 /// Run the grid, fanning cells across `opts.jobs` workers. Cells gather in
 /// (slaves, users) grid order.
 pub fn run(spec: &FleetSpec, opts: &SweepOptions) -> Vec<FleetCell> {
-    let mut cells: Vec<(usize, u32)> = Vec::new();
-    for &slaves in &spec.slave_counts {
-        for &users in &spec.user_counts {
-            cells.push((slaves, users));
-        }
-    }
-    let results = parallel_map(
-        &cells,
-        opts.jobs,
-        &opts.progress,
-        move |_, &(slaves, users), sink| {
-            let cfg = spec.cell_config(slaves, users);
-            let (report, bundle) = run_sharded_telemetry(cfg);
-            sink.emit(format!(
-                "shards={} slaves={slaves} users={users}: {:.1} ops/s, {} scatter reads, \
-                 {} fleet alert transition(s)",
-                spec.shards,
-                report.throughput_ops_s,
-                report.scatter_reads,
-                bundle.telemetry.alerts().len(),
-            ));
-            (report, bundle)
-        },
-    );
-    cells
-        .into_iter()
-        .zip(results)
-        .map(|((slaves, users), (report, bundle))| FleetCell {
+    let keys = cross2(&spec.slave_counts, &spec.user_counts);
+    run_grid(&keys, opts, |&(slaves, users)| {
+        let (report, bundle) = run_fleet(&spec.cell_config(slaves, users), None);
+        let line = format!(
+            "shards={} slaves={slaves} users={users}: {:.1} ops/s, {} scatter reads, \
+             {} fleet alert transition(s)",
+            spec.shards,
+            report.throughput_ops_s,
+            report.scatter_reads,
+            bundle.telemetry.alerts().len(),
+        );
+        let cell = FleetCell {
             slaves,
             users,
             report,
             bundle,
-        })
-        .collect()
+        };
+        (cell, line)
+    })
 }
 
 /// Sum of a sketch-cell track's observations (count × mean per slot).

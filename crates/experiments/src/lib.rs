@@ -1,35 +1,25 @@
-//! # amdb-experiments — one runner per paper figure/table
+//! # amdb-experiments — the paper's evaluation, one way to run it
 //!
-//! Each module regenerates one experiment from the paper's evaluation
-//! (§IV); the binaries in `src/bin/` print the same rows/series the paper
-//! plots. See DESIGN.md §4 for the experiment index and EXPERIMENTS.md for
-//! paper-vs-measured results.
-//!
-//! | module | paper artifact |
-//! |---|---|
-//! | [`sweep`]   | Figs 2 & 3 (throughput) and 5 & 6 (relative delay) |
-//! | [`fig4`]    | Fig 4 (clock sync / NTP) |
-//! | [`rtt`]     | §IV-B.2 in-text ½-RTT table |
-//! | [`perfvar`] | §IV-A instance performance variation |
-//! | [`ablations`] | A1 sync modes, A2 balancers, A3 binlog formats |
-//! | [`extensions`] | E-F failover, E-A staleness-SLO autoscaling |
-//! | [`consistency`] | E-C throughput vs staleness bound (amdb-consistency) |
-//! | [`parallel_apply`] | E-PA staleness vs apply workers (amdb-apply) |
-//! | [`sharded`] | fig2_sharded scale-out past the single-master ceiling (amdb-shard) |
-//! | [`shared_log`] | E-SL backend comparison + fault-injected quorum recovery (amdb-repl) |
-//! | [`calib`]   | calibration constants + their derivation checks |
-//! | [`obs_report`] | observed run + steady-window bottleneck attribution |
-//! | [`obs_slo`] | online SLO/alert sweep with delay-surge attribution |
-//! | [`fleet`] | fleet_report: per-shard top table + OpenMetrics dump |
-//! | [`exec`]    | deterministic parallel executor behind the sweeps |
+//! Each module regenerates one experiment from the paper's evaluation (§IV)
+//! or one extension; [`cli::COMMANDS`] is the experiment table (subcommand,
+//! module, what it regenerates — `amdb --list` prints it) and the `amdb`
+//! binary runs a row of it. Every module builds configs, hands its cells to
+//! the one grid runner in [`grid`] (which runs each through
+//! `amdb_core::run_cell` / `run_sharded_cell` on the [`exec`] worker pool)
+//! and renders tables; [`emit`] and [`write_artifact`] put them on stdout
+//! and under `results/`. [`calib`] holds the calibration constants and
+//! their derivation checks. EXPERIMENTS.md compares paper and measured
+//! results.
 
 pub mod ablations;
 pub mod calib;
+pub mod cli;
 pub mod consistency;
 pub mod exec;
 pub mod extensions;
 pub mod fig4;
 pub mod fleet;
+pub mod grid;
 pub mod obs_report;
 pub mod obs_slo;
 pub mod parallel_apply;
@@ -39,27 +29,44 @@ pub mod sharded;
 pub mod shared_log;
 pub mod sweep;
 
-/// Write a results table as CSV under `results/` (best-effort: failures to
-/// create the directory or file are reported to stderr, not fatal — the
-/// rendered table already went to stdout).
-pub fn write_results_csv(figure: &str, label: &str, table: &amdb_metrics::Table) {
+use amdb_metrics::Table;
+use std::path::{Path, PathBuf};
+
+/// Write `bytes` to `results/<name>` (relative to cwd), creating the
+/// directory. Best-effort: a failure is reported on stderr, not fatal —
+/// whatever was rendered already went to stdout.
+fn write_result_file(name: &str, bytes: &[u8]) -> Option<PathBuf> {
+    let path = Path::new("results").join(name);
+    match std::fs::create_dir_all("results").and_then(|()| std::fs::write(&path, bytes)) {
+        Ok(()) => Some(path),
+        Err(e) => {
+            eprintln!("{}: {e}", path.display());
+            None
+        }
+    }
+}
+
+/// Write a table to `results/<figure>_<label>.csv`, the label slugged to
+/// alphanumerics and `_`.
+pub fn write_results_csv(figure: &str, label: &str, table: &Table) {
     let slug: String = label
         .chars()
         .map(|c| if c.is_alphanumeric() { c } else { '_' })
         .collect();
-    let dir = std::path::Path::new("results");
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("results/: {e}");
-        return;
-    }
-    let path = dir.join(format!("{figure}_{slug}.csv"));
-    match std::fs::File::create(&path) {
-        Ok(mut f) => {
-            if let Err(e) = amdb_metrics::write_csv(table, &mut f) {
-                eprintln!("{}: {e}", path.display());
-            }
-        }
-        Err(e) => eprintln!("{}: {e}", path.display()),
+    write_result_file(&format!("{figure}_{slug}.csv"), table.to_csv().as_bytes());
+}
+
+/// Print a table and write it to `results/<figure>_<label>.csv`.
+pub fn emit(figure: &str, label: &str, table: &Table) {
+    println!("{}", table.render());
+    write_results_csv(figure, label, table);
+}
+
+/// Write a non-table artifact to `results/<name>` and report its size on
+/// stdout, `note` appended to the line.
+pub fn write_artifact(name: &str, contents: &str, note: &str) {
+    if let Some(path) = write_result_file(name, contents.as_bytes()) {
+        println!("wrote {} ({} bytes){note}", path.display(), contents.len());
     }
 }
 
@@ -70,17 +77,17 @@ pub enum Fidelity {
     /// time per figure.
     Full,
     /// Shrunk phases and thinned grids; shapes survive, absolute sample
-    /// counts shrink. Used by tests and the bins' default grids.
+    /// counts shrink. Used by tests and as the `amdb` default.
     Quick,
 }
 
 impl Fidelity {
-    /// Parse from a CLI flag (`--full` anywhere in args → Full).
-    pub fn from_args() -> Fidelity {
-        if std::env::args().any(|a| a == "--full") {
-            Fidelity::Full
-        } else {
-            Fidelity::Quick
+    /// `users` closed-loop users over the paper's 10/20/5-minute phases, or
+    /// over the shrunk quick ones.
+    pub fn workload(self, users: u32) -> amdb_cloudstone::WorkloadConfig {
+        match self {
+            Fidelity::Full => amdb_cloudstone::WorkloadConfig::paper(users),
+            Fidelity::Quick => amdb_cloudstone::WorkloadConfig::quick(users),
         }
     }
 }

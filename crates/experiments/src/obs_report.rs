@@ -9,13 +9,10 @@
 //! hot spot.
 
 use crate::calib::paper_cost_model;
+use crate::grid::{run_fleet, run_tree};
 use amdb_cloudstone::{DataSize, MixConfig, Phases, WorkloadConfig};
-use amdb_core::sharded::FleetObsBundle;
-use amdb_core::{
-    run_cluster_observed, run_sharded_observed, ClusterConfig, RunReport, ShardedConfig,
-    ShardedReport,
-};
-use amdb_obs::{BottleneckReport, Obs, ObsConfig};
+use amdb_core::{CellRun, ClusterConfig, FleetObsBundle, ShardedConfig, ShardedReport};
+use amdb_obs::ObsConfig;
 
 /// Fig2-style cell (50/50 mix, data size 300, quick phases) with
 /// observability enabled.
@@ -37,25 +34,10 @@ pub fn observed_cell_config(slaves: usize, users: u32, seed: u64) -> ClusterConf
         .build()
 }
 
-/// One observed run's full output.
-pub struct ObservedCell {
-    pub slaves: usize,
-    pub users: u32,
-    pub report: RunReport,
-    pub bottleneck: BottleneckReport,
-    pub obs: Obs,
-}
-
-/// Run one observed fig2-style cell.
-pub fn run_observed_cell(slaves: usize, users: u32, seed: u64) -> ObservedCell {
-    let (report, obs, bottleneck) = run_cluster_observed(observed_cell_config(slaves, users, seed));
-    ObservedCell {
-        slaves,
-        users,
-        report,
-        bottleneck,
-        obs,
-    }
+/// Run one observed fig2-style cell: report, bottleneck attribution and the
+/// detached recorder.
+pub fn run_observed_cell(slaves: usize, users: u32, seed: u64) -> CellRun {
+    run_tree(observed_cell_config(slaves, users, seed), None)
 }
 
 /// Run the same observed cell behind a `shards`-tree sharded front:
@@ -70,7 +52,7 @@ pub fn run_observed_sharded_cell(
 ) -> (ShardedReport, FleetObsBundle) {
     let cfg = ShardedConfig::new(shards, observed_cell_config(slaves, users, seed))
         .cross_shard_read_fraction(0.20);
-    run_sharded_observed(cfg)
+    run_fleet(&cfg, None)
 }
 
 #[cfg(test)]

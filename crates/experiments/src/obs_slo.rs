@@ -14,15 +14,15 @@
 //! byte-identical for any `--jobs` count.
 
 use crate::calib::paper_cost_model;
-use crate::exec::parallel_map;
-use crate::sweep::SweepOptions;
+use crate::grid::{cross3, run_fleet, run_grid, run_tree, SweepOptions};
 use crate::Fidelity;
-use amdb_cloudstone::{build_template, DataCounters, DataSize, MixConfig, Phases, WorkloadConfig};
-use amdb_core::{Cluster, ClusterConfig, ObsConfig, Placement, RunReport, Telemetry};
-use amdb_sim::{Rng, Sim};
-use amdb_sql::Engine;
+use amdb_cloudstone::{DataSize, MixConfig, Phases, WorkloadConfig};
+use amdb_core::{
+    load_template, ClusterConfig, ObsConfig, Placement, RunReport, ShardedConfig, Telemetry,
+};
+use amdb_metrics::Table;
+use amdb_sim::Rng;
 use amdb_telemetry::{AlertEvent, AlertKind};
-use std::sync::Arc;
 
 /// Grid specification for the SLO sweep.
 #[derive(Debug, Clone)]
@@ -91,12 +91,6 @@ impl ObsSloSpec {
             .seed(self.cell_seed(placement, slaves, users))
             .build()
     }
-
-    /// The shared template database for this sweep.
-    pub fn template(&self) -> (Engine, DataCounters) {
-        let mut load_rng = Rng::new(self.seed).derive("load");
-        build_template(DataSize::SMALL, &mut load_rng)
-    }
 }
 
 /// One cell's outcome: the run report plus the telemetry bundle.
@@ -119,62 +113,41 @@ impl ObsSloCell {
     }
 }
 
+impl ObsSloSpec {
+    /// The grid in (placement, slaves, users) order.
+    fn keys(&self) -> Vec<(Placement, usize, u32)> {
+        cross3(&self.placements, &self.slave_counts, &self.user_counts)
+    }
+}
+
 /// Run the sweep, fanning cells across `opts.jobs` workers. Cells gather
 /// in (placement, slaves, users) grid order.
 pub fn run(spec: &ObsSloSpec, opts: &SweepOptions) -> Vec<ObsSloCell> {
-    let template = Arc::new(spec.template());
-    let mut cells: Vec<(Placement, usize, u32)> = Vec::new();
-    for &placement in &spec.placements {
-        for &slaves in &spec.slave_counts {
-            for &users in &spec.user_counts {
-                cells.push((placement, slaves, users));
-            }
-        }
-    }
-    let template_ref = Arc::clone(&template);
-    let results = parallel_map(
-        &cells,
-        opts.jobs,
-        &opts.progress,
-        move |_, &(placement, slaves, users), sink| {
-            let (tpl, counters) = &*template_ref;
-            let cfg = spec.cell_config(placement, slaves, users);
-            let label = placement.label(cfg.master_zone);
-            let mut sim = Sim::new();
-            let mut world = Cluster::with_template(cfg, tpl, counters.clone());
-            world.schedule_timeline(&mut sim);
-            sim.run(&mut world);
-            let events = sim.events_executed();
-            let report = world.report(events);
-            let telemetry = world.take_telemetry().expect("telemetry was enabled");
-            let surges = telemetry
-                .slo
-                .alerts()
-                .iter()
-                .filter(|a| a.rule == "delay_surge" && a.kind == AlertKind::Fire)
-                .count();
-            sink.emit(format!(
-                "{label} slaves={slaves} users={users}: {:.1} ops/s, {} alert transition(s), {} delay surge(s)",
-                report.throughput_ops_s,
-                telemetry.slo.alerts().len(),
-                surges,
-            ));
-            (report, telemetry)
-        },
-    );
-    cells
-        .into_iter()
-        .zip(results)
-        .map(
-            |((placement, slaves, users), (report, telemetry))| ObsSloCell {
-                placement,
-                slaves,
-                users,
-                report,
-                telemetry,
-            },
-        )
-        .collect()
+    let template = load_template(spec.seed, DataSize::SMALL);
+    run_grid(&spec.keys(), opts, |&(placement, slaves, users)| {
+        let cfg = spec.cell_config(placement, slaves, users);
+        let label = placement.label(cfg.master_zone);
+        let run = run_tree(cfg, Some(&template));
+        let cell = ObsSloCell {
+            placement,
+            slaves,
+            users,
+            report: run.report,
+            telemetry: run.telemetry.expect("the cell config enables telemetry"),
+        };
+        let alerts = cell.telemetry.slo.alerts();
+        let surges = alerts
+            .iter()
+            .filter(|a| a.rule == "delay_surge" && a.kind == AlertKind::Fire)
+            .count();
+        let line = format!(
+            "{label} slaves={slaves} users={users}: {:.1} ops/s, {} alert transition(s), {} delay surge(s)",
+            cell.report.throughput_ops_s,
+            alerts.len(),
+            surges,
+        );
+        (cell, line)
+    })
 }
 
 /// One sharded cell's outcome: the sharded report plus the fleet alert
@@ -191,111 +164,89 @@ pub struct ObsSloShardedCell {
 /// front (no scatter-gather: the story here is per-shard surge attribution,
 /// `(shard, component, instance)` on every alert).
 pub fn run_sharded(spec: &ObsSloSpec, shards: u32, opts: &SweepOptions) -> Vec<ObsSloShardedCell> {
-    let mut cells: Vec<(Placement, usize, u32)> = Vec::new();
-    for &placement in &spec.placements {
-        for &slaves in &spec.slave_counts {
-            for &users in &spec.user_counts {
-                cells.push((placement, slaves, users));
-            }
-        }
-    }
-    let results = parallel_map(
-        &cells,
-        opts.jobs,
-        &opts.progress,
-        move |_, &(placement, slaves, users), sink| {
-            let base = spec.cell_config(placement, slaves, users);
-            let label = placement.label(base.master_zone);
-            let (report, bundle) =
-                amdb_core::run_sharded_telemetry(amdb_core::ShardedConfig::new(shards, base));
-            sink.emit(format!(
-                "{label} shards={shards} slaves={slaves} users={users}: {:.1} ops/s, \
-                 {} fleet alert transition(s)",
-                report.throughput_ops_s,
-                bundle.telemetry.alerts().len(),
-            ));
-            (report, bundle.telemetry)
-        },
-    );
-    cells
-        .into_iter()
-        .zip(results)
-        .map(
-            |((placement, slaves, users), (report, fleet))| ObsSloShardedCell {
-                placement,
-                slaves,
-                users,
-                report,
-                fleet,
-            },
-        )
-        .collect()
+    run_grid(&spec.keys(), opts, |&(placement, slaves, users)| {
+        let base = spec.cell_config(placement, slaves, users);
+        let label = placement.label(base.master_zone);
+        let (report, bundle) = run_fleet(&ShardedConfig::new(shards, base), None);
+        let line = format!(
+            "{label} shards={shards} slaves={slaves} users={users}: {:.1} ops/s, \
+             {} fleet alert transition(s)",
+            report.throughput_ops_s,
+            bundle.telemetry.alerts().len(),
+        );
+        let cell = ObsSloShardedCell {
+            placement,
+            slaves,
+            users,
+            report,
+            fleet: bundle.telemetry,
+        };
+        (cell, line)
+    })
 }
 
-/// Render the sharded sweep as an alert table: the flat table's columns
-/// plus a `shard` column, fires paired per `(shard, rule, inst)`.
-pub fn sharded_table(
-    spec: &ObsSloSpec,
-    shards: u32,
-    cells: &[ObsSloShardedCell],
-) -> amdb_metrics::Table {
-    let mut t = amdb_metrics::Table::new(
-        format!("{} — fleet alert timeline ({shards} shards)", spec.name),
-        vec![
-            "placement".into(),
-            "slaves".into(),
-            "users".into(),
-            "shard".into(),
-            "rule".into(),
-            "inst".into(),
-            "t_fire (s)".into(),
-            "t_clear (s)".into(),
-            "value".into(),
-            "attribution".into(),
-        ],
-    );
-    let zone = amdb_core::ClusterConfig::builder().build().master_zone;
-    for c in cells {
-        let alerts = c.fleet.alerts();
+/// One grid cell's key and its alert transitions in time order.
+type CellAlerts<'a> = ((Placement, usize, u32), Vec<&'a AlertEvent>);
+
+/// The alert-timeline table: per cell one row per fire, carrying the time of
+/// the next clear of the same `(shard, rule, inst)` when the rule cleared
+/// before the run ended, or one `no alerts` row for a quiet cell. The
+/// sharded table has a `shard` column after the cell key.
+fn timeline_table<'a>(
+    title: String,
+    shard_column: bool,
+    cells: impl Iterator<Item = CellAlerts<'a>>,
+) -> Table {
+    let shard_header = shard_column.then_some("shard");
+    let header = ["placement", "slaves", "users"]
+        .into_iter()
+        .chain(shard_header)
+        .chain([
+            "rule",
+            "inst",
+            "t_fire (s)",
+            "t_clear (s)",
+            "value",
+            "attribution",
+        ]);
+    let mut t = Table::new(title, header.map(String::from).collect());
+    let t_clear = t.header().len() - 3;
+    let zone = ClusterConfig::builder().build().master_zone;
+    for ((placement, slaves, users), alerts) in cells {
+        let lead = [placement.label(zone), slaves.to_string(), users.to_string()];
+        let row = |shard: String, rest: [String; 6]| -> Vec<String> {
+            let shard = shard_column.then_some(shard);
+            lead.iter().cloned().chain(shard).chain(rest).collect()
+        };
         let mut open: std::collections::BTreeMap<(u32, &str, u32), usize> = Default::default();
         let mut rows: Vec<Vec<String>> = Vec::new();
         for a in alerts {
             match a.kind {
                 AlertKind::Fire => {
-                    rows.push(vec![
-                        c.placement.label(zone),
-                        c.slaves.to_string(),
-                        c.users.to_string(),
+                    open.insert((a.shard, a.rule, a.inst), rows.len());
+                    rows.push(row(
                         a.shard.to_string(),
-                        a.rule.to_string(),
-                        a.inst.to_string(),
-                        format!("{:.2}", a.at.as_secs_f64()),
-                        "-".into(),
-                        format!("{:.1}", a.value),
-                        a.attribution.clone().unwrap_or_else(|| "-".into()),
-                    ]);
-                    open.insert((a.shard, a.rule, a.inst), rows.len() - 1);
+                        [
+                            a.rule.to_string(),
+                            a.inst.to_string(),
+                            format!("{:.2}", a.at.as_secs_f64()),
+                            "-".into(),
+                            format!("{:.1}", a.value),
+                            a.attribution.clone().unwrap_or_else(|| "-".into()),
+                        ],
+                    ));
                 }
                 AlertKind::Clear => {
                     if let Some(i) = open.remove(&(a.shard, a.rule, a.inst)) {
-                        rows[i][7] = format!("{:.2}", a.at.as_secs_f64());
+                        rows[i][t_clear] = format!("{:.2}", a.at.as_secs_f64());
                     }
                 }
             }
         }
         if rows.is_empty() {
-            rows.push(vec![
-                c.placement.label(zone),
-                c.slaves.to_string(),
-                c.users.to_string(),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-                "no alerts".into(),
-            ]);
+            let dash = || "-".to_string();
+            let rest = [dash(), dash(), dash(), dash(), dash(), "no alerts".into()];
+            rows.push(row(dash(), rest));
         }
         for row in rows {
             t.push_row(row);
@@ -304,70 +255,25 @@ pub fn sharded_table(
     t
 }
 
+/// Render the sharded sweep as an alert table: the flat table's columns
+/// plus a `shard` column, fires paired per `(shard, rule, inst)`.
+pub fn sharded_table(spec: &ObsSloSpec, shards: u32, cells: &[ObsSloShardedCell]) -> Table {
+    let title = format!("{} — fleet alert timeline ({shards} shards)", spec.name);
+    let cells = cells
+        .iter()
+        .map(|c| ((c.placement, c.slaves, c.users), c.fleet.alerts()));
+    timeline_table(title, true, cells)
+}
+
 /// Render the sweep as an alert table: one row per fire, with the matching
 /// clear time when the rule cleared before the run ended.
-pub fn table(spec: &ObsSloSpec, cells: &[ObsSloCell]) -> amdb_metrics::Table {
-    let mut t = amdb_metrics::Table::new(
-        format!("{} — alert timeline per cell", spec.name),
-        vec![
-            "placement".into(),
-            "slaves".into(),
-            "users".into(),
-            "rule".into(),
-            "inst".into(),
-            "t_fire (s)".into(),
-            "t_clear (s)".into(),
-            "value".into(),
-            "attribution".into(),
-        ],
-    );
-    let zone = amdb_core::ClusterConfig::builder().build().master_zone;
-    for c in cells {
-        // Pair each fire with the next clear of the same (rule, inst).
-        let alerts = c.telemetry.slo.alerts();
-        let mut open: std::collections::BTreeMap<(&str, u32), usize> = Default::default();
-        let mut rows: Vec<Vec<String>> = Vec::new();
-        for a in alerts {
-            match a.kind {
-                AlertKind::Fire => {
-                    rows.push(vec![
-                        c.placement.label(zone),
-                        c.slaves.to_string(),
-                        c.users.to_string(),
-                        a.rule.to_string(),
-                        a.inst.to_string(),
-                        format!("{:.2}", a.at.as_secs_f64()),
-                        "-".into(),
-                        format!("{:.1}", a.value),
-                        a.attribution.clone().unwrap_or_else(|| "-".into()),
-                    ]);
-                    open.insert((a.rule, a.inst), rows.len() - 1);
-                }
-                AlertKind::Clear => {
-                    if let Some(i) = open.remove(&(a.rule, a.inst)) {
-                        rows[i][6] = format!("{:.2}", a.at.as_secs_f64());
-                    }
-                }
-            }
-        }
-        if rows.is_empty() {
-            rows.push(vec![
-                c.placement.label(zone),
-                c.slaves.to_string(),
-                c.users.to_string(),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-                "no alerts".into(),
-            ]);
-        }
-        for row in rows {
-            t.push_row(row);
-        }
-    }
-    t
+pub fn table(spec: &ObsSloSpec, cells: &[ObsSloCell]) -> Table {
+    let title = format!("{} — alert timeline per cell", spec.name);
+    let cells = cells.iter().map(|c| {
+        let alerts = c.telemetry.slo.alerts().iter().collect();
+        ((c.placement, c.slaves, c.users), alerts)
+    });
+    timeline_table(title, false, cells)
 }
 
 #[cfg(test)]

@@ -28,18 +28,16 @@
 //! workload and the staleness deltas are the scheduler's doing alone.
 
 use crate::calib::paper_cost_model;
-use crate::exec::parallel_map;
-use crate::sweep::SweepOptions;
+use crate::grid::{run_grid, run_tree, SweepOptions};
 use crate::Fidelity;
-use amdb_cloudstone::{build_template, DataCounters, DataSize, MixConfig, Phases, WorkloadConfig};
+use amdb_cloudstone::{DataSize, MixConfig, Phases, WorkloadConfig};
 use amdb_core::{
-    Cluster, ClusterConfig, ConsistencyConfig, ConsistencyPolicy, Placement, RunReport,
+    load_template, ClusterConfig, ConsistencyConfig, ConsistencyPolicy, Placement, RunReport,
+    Template,
 };
 use amdb_metrics::Table;
-use amdb_sim::{Rng, Sim};
+use amdb_sim::Rng;
 use amdb_sql::binlog::BinlogFormat;
-use amdb_sql::Engine;
-use std::sync::Arc;
 
 /// One user-load column family: a mix, a data size and the user counts to
 /// sweep at that mix.
@@ -144,12 +142,6 @@ impl ParallelApplySpec {
             .seed(self.column_seed(grid, users))
             .build()
     }
-
-    /// The shared template database for one grid.
-    pub fn grid_template(&self, grid: &ApplyGrid) -> (Engine, DataCounters) {
-        let mut load_rng = Rng::new(self.seed).derive("load");
-        build_template(grid.data_size, &mut load_rng)
-    }
 }
 
 /// One cell's outcome.
@@ -190,56 +182,40 @@ pub fn staleness_mean_ms(r: &RunReport) -> f64 {
 /// in (grid, users, workers) order — output is byte-identical for any jobs
 /// count.
 pub fn run(spec: &ParallelApplySpec, opts: &SweepOptions) -> Vec<ApplyCell> {
-    // One template per grid (grids may differ in data size), shared
-    // immutably by that grid's cells.
-    let templates: Vec<Arc<(Engine, DataCounters)>> = spec
+    // One template per grid (grids may differ in data size), borrowed by
+    // that grid's cells.
+    let templates: Vec<Template> = spec
         .grids
         .iter()
-        .map(|g| Arc::new(spec.grid_template(g)))
+        .map(|g| load_template(spec.seed, g.data_size))
         .collect();
-    let mut cells: Vec<(usize, u32, usize)> = Vec::new();
+    let mut keys: Vec<(usize, u32, usize)> = Vec::new();
     for (gi, grid) in spec.grids.iter().enumerate() {
         for &users in &grid.users {
             for &workers in &spec.workers {
-                cells.push((gi, users, workers));
+                keys.push((gi, users, workers));
             }
         }
     }
-    let templates_ref = templates.clone();
-    let reports = parallel_map(
-        &cells,
-        opts.jobs,
-        &opts.progress,
-        move |_, &(gi, users, workers), sink| {
-            let grid = &spec.grids[gi];
-            let (tpl, counters) = &*templates_ref[gi];
-            let cfg = spec.cell_config(grid, users, workers);
-            let mut sim = Sim::new();
-            let mut world = Cluster::with_template(cfg, tpl, counters.clone());
-            world.schedule_timeline(&mut sim);
-            sim.run(&mut world);
-            let events = sim.events_executed();
-            let report = world.report(events);
-            sink.emit(format!(
-                "{} users={users} workers={workers}: {:.1} ops/s, stale max {:.1} ms, batch {:.2}",
-                grid.label,
-                report.throughput_ops_s,
-                staleness_max_ms(&report),
-                mean_batch(&report)
-            ));
-            report
-        },
-    );
-    cells
-        .into_iter()
-        .zip(reports)
-        .map(|((gi, users, workers), report)| ApplyCell {
-            grid: spec.grids[gi].label,
+    run_grid(&keys, opts, |&(gi, users, workers)| {
+        let grid = &spec.grids[gi];
+        let cfg = spec.cell_config(grid, users, workers);
+        let report = run_tree(cfg, Some(&templates[gi])).report;
+        let line = format!(
+            "{} users={users} workers={workers}: {:.1} ops/s, stale max {:.1} ms, batch {:.2}",
+            grid.label,
+            report.throughput_ops_s,
+            staleness_max_ms(&report),
+            mean_batch(&report)
+        );
+        let cell = ApplyCell {
+            grid: grid.label,
             users,
             workers,
             report,
-        })
-        .collect()
+        };
+        (cell, line)
+    })
 }
 
 /// Render the sweep: one row per (grid, users, workers).

@@ -4,7 +4,7 @@
 //! Every grid cell is one complete sharded benchmark run (N independent
 //! replication trees behind one scatter-gather front, see
 //! `amdb-core::sharded`). Cells are independent deterministic simulations
-//! and fan out across the [`crate::exec`] worker pool exactly like the
+//! and fan out through [`crate::grid`] exactly like the
 //! fig2/fig3 sweeps: one shared template database, per-cell derived seeds,
 //! results gathered in grid order — byte-identical for every `--jobs`
 //! count.
@@ -16,16 +16,12 @@
 //! bit-for-bit (pinned by tests here and in `amdb-core`).
 
 use crate::calib::paper_cost_model;
-use crate::exec::parallel_map;
-use crate::sweep::SweepOptions;
+use crate::grid::{counted, cross2, pivot_table, run_fleet, run_grid, SweepOptions};
 use crate::Fidelity;
-use amdb_cloudstone::{build_template, DataCounters, DataSize, MixConfig, Phases, WorkloadConfig};
-use amdb_core::sharded::run_sharded_with_template;
-use amdb_core::{ClusterConfig, Placement, ShardedConfig, ShardedReport};
+use amdb_cloudstone::{DataSize, MixConfig, Phases, WorkloadConfig};
+use amdb_core::{load_template, ClusterConfig, Placement, ShardedConfig, ShardedReport, Template};
 use amdb_metrics::Table;
 use amdb_sim::Rng;
-use amdb_sql::Engine;
-use std::sync::Arc;
 
 /// Grid specification for one sharded sweep.
 #[derive(Debug, Clone)]
@@ -150,9 +146,8 @@ impl ShardedSweepSpec {
 
     /// The shared template database (same derivation as the unsharded
     /// sweeps: sweep seed → `"load"` stream).
-    pub fn template(&self) -> (Engine, DataCounters) {
-        let mut load_rng = Rng::new(self.seed).derive("load");
-        build_template(self.data_size, &mut load_rng)
+    pub fn template(&self) -> Template {
+        load_template(self.seed, self.data_size)
     }
 }
 
@@ -170,84 +165,102 @@ pub struct ShardedSweepResult {
 /// Run the full sharded grid, fanning cells across `opts.jobs` workers.
 /// Results are gathered in grid order: byte-identical for any jobs count.
 pub fn run_sharded_sweep(spec: &ShardedSweepSpec, opts: &SweepOptions) -> ShardedSweepResult {
-    let template = Arc::new(spec.template());
+    let template = spec.template();
+    let keys = cross2(&spec.shards, &spec.users);
+    let mut flat = run_grid(&keys, opts, |&(shards, users)| {
+        let (report, _) = run_fleet(&spec.cell_config(shards, users), Some(&template));
+        let line = format!(
+            "shards={shards} users={users}: {:.1} ops/s, p95 {:?} ms, \
+             scatter {} reads / {} legs ({} filtered), bottleneck {}",
+            report.throughput_ops_s,
+            report.latency_ms.as_ref().map(|s| s.p95.round()),
+            report.scatter_reads,
+            report.scatter_legs,
+            report.scatter_filtered_legs,
+            report.busiest_shard_label(),
+        );
+        (report, line)
+    })
+    .into_iter();
 
-    let mut cells: Vec<(u32, u32)> = Vec::with_capacity(spec.shards.len() * spec.users.len());
-    for &shards in &spec.shards {
-        for &users in &spec.users {
-            cells.push((shards, users));
-        }
-    }
-
-    let reports_flat: Vec<ShardedReport> = {
-        let template = Arc::clone(&template);
-        parallel_map(
-            &cells,
-            opts.jobs,
-            &opts.progress,
-            move |_, &(shards, users), sink| {
-                let (tpl, counters) = &*template;
-                let cfg = spec.cell_config(shards, users);
-                let report = run_sharded_with_template(&cfg, tpl, counters.clone());
-                sink.emit(format!(
-                    "shards={shards} users={users}: {:.1} ops/s, p95 {:?} ms, \
-                     scatter {} reads / {} legs ({} filtered), bottleneck {}",
-                    report.throughput_ops_s,
-                    report.latency_ms.as_ref().map(|s| s.p95.round()),
-                    report.scatter_reads,
-                    report.scatter_legs,
-                    report.scatter_filtered_legs,
-                    report.busiest_shard_label(),
-                ));
-                report
-            },
-        )
-    };
-
-    // Reassemble `reports[shard_idx][user_idx]` and render the tables.
-    let mut header = vec!["users".to_string()];
-    for &k in &spec.shards {
-        header.push(format!("{k} shard{}", if k == 1 { "" } else { "s" }));
-    }
-    let label = format!("cross{}pct", (spec.cross_fraction * 100.0).round() as u32);
-    let mut throughput = Table::new(
-        format!("{} — end-to-end throughput (ops/s)", spec.name),
-        header.clone(),
-    );
-    let mut latency_p95 = Table::new(format!("{} — p95 latency (ms)", spec.name), header);
-
-    let mut flat = reports_flat.into_iter();
-    let mut reports: Vec<Vec<ShardedReport>> = Vec::with_capacity(spec.shards.len());
-    for _ in &spec.shards {
-        let row: Vec<ShardedReport> = flat.by_ref().take(spec.users.len()).collect();
-        debug_assert_eq!(row.len(), spec.users.len());
-        reports.push(row);
-    }
-
-    for (ui, &users) in spec.users.iter().enumerate() {
-        let t_cells: Vec<Option<f64>> = (0..spec.shards.len())
-            .map(|si| Some(reports[si][ui].throughput_ops_s))
-            .collect();
-        throughput.push_float_row(users.to_string(), &t_cells, 1);
-        let l_cells: Vec<Option<f64>> = (0..spec.shards.len())
-            .map(|si| reports[si][ui].latency_ms.as_ref().map(|s| s.p95))
-            .collect();
-        latency_p95.push_float_row(users.to_string(), &l_cells, 1);
-    }
-
+    // Reassemble `reports[shard_idx][user_idx]` and pivot it into the tables.
+    let reports: Vec<Vec<ShardedReport>> = spec
+        .shards
+        .iter()
+        .map(|_| flat.by_ref().take(spec.users.len()).collect())
+        .collect();
+    let columns = || spec.shards.iter().map(|&k| counted(k as usize, "shard"));
     ShardedSweepResult {
-        label,
-        throughput,
-        latency_p95,
+        label: format!("cross{}pct", (spec.cross_fraction * 100.0).round() as u32),
+        throughput: pivot_table(
+            format!("{} — end-to-end throughput (ops/s)", spec.name),
+            columns(),
+            &spec.users,
+            |si, ui| Some(reports[si][ui].throughput_ops_s),
+        ),
+        latency_p95: pivot_table(
+            format!("{} — p95 latency (ms)", spec.name),
+            columns(),
+            &spec.users,
+            |si, ui| reports[si][ui].latency_ms.as_ref().map(|s| s.p95),
+        ),
         reports,
     }
 }
 
+/// The cross-shard read ablation: one sweep per fraction in
+/// [`ShardedSweepSpec::ablation_fractions`] over the same trees and user
+/// streams (cell seeds exclude the fraction), so only the scattered share
+/// moves. Returns the arms in fraction order.
+pub fn run_cross_ablation(
+    fidelity: Fidelity,
+    opts: &SweepOptions,
+) -> Vec<(f64, ShardedSweepResult)> {
+    ShardedSweepSpec::ablation_fractions()
+        .into_iter()
+        .map(|cross| {
+            let spec = ShardedSweepSpec::cross_ablation(fidelity, cross);
+            (cross, run_sharded_sweep(&spec, opts))
+        })
+        .collect()
+}
+
+/// The ablation as one table pair: rows = users, columns = cross fractions;
+/// `(throughput ops/s, p95 latency ms)`.
+pub fn cross_ablation_tables(
+    fidelity: Fidelity,
+    arms: &[(f64, ShardedSweepResult)],
+) -> (Table, Table) {
+    let spec = ShardedSweepSpec::cross_ablation(fidelity, 0.0);
+    let shards = spec.shards[0];
+    let columns = || {
+        arms.iter()
+            .map(|(cross, _)| format!("cross {}%", (cross * 100.0).round() as u32))
+    };
+    let throughput = pivot_table(
+        format!("fig2_sharded — throughput vs cross-shard read fraction ({shards} shards, ops/s)"),
+        columns(),
+        &spec.users,
+        |arm, ui| Some(arms[arm].1.reports[0][ui].throughput_ops_s),
+    );
+    let p95 = pivot_table(
+        format!("fig2_sharded — p95 latency vs cross-shard read fraction ({shards} shards, ms)"),
+        columns(),
+        &spec.users,
+        |arm, ui| {
+            arms[arm].1.reports[0][ui]
+                .latency_ms
+                .as_ref()
+                .map(|s| s.p95)
+        },
+    );
+    (throughput, p95)
+}
+
 /// Run one grid cell exactly as the sweep would (shared-template fork +
-/// per-cell seed). Used by tests and the bench binary.
+/// per-cell seed).
 pub fn run_sharded_cell(spec: &ShardedSweepSpec, shards: u32, users: u32) -> ShardedReport {
-    let (template, counters) = spec.template();
-    run_sharded_with_template(&spec.cell_config(shards, users), &template, counters)
+    run_fleet(&spec.cell_config(shards, users), Some(&spec.template())).0
 }
 
 #[cfg(test)]

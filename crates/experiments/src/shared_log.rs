@@ -16,8 +16,9 @@
 
 use crate::calib::paper_cost_model;
 use crate::exec::{parallel_map, Progress};
+use crate::grid::cross2;
 use crate::Fidelity;
-use amdb_cloudstone::{DataSize, MixConfig, WorkloadConfig};
+use amdb_cloudstone::{DataSize, MixConfig};
 use amdb_core::{
     run_cluster, BackendKind, ClusterConfig, LogFaultPlan, MasterFaultPlan, Placement, RunReport,
 };
@@ -31,20 +32,13 @@ pub const BACKENDS: [BackendKind; 3] = [
     BackendKind::SharedLog,
 ];
 
-fn workload(users: u32, fidelity: Fidelity) -> WorkloadConfig {
-    match fidelity {
-        Fidelity::Full => WorkloadConfig::paper(users),
-        Fidelity::Quick => WorkloadConfig::quick(users),
-    }
-}
-
 fn base(users: u32, slaves: usize, fidelity: Fidelity) -> amdb_core::ClusterBuilder {
     ClusterConfig::builder()
         .slaves(slaves)
         .placement(Placement::SameZone)
         .mix(MixConfig::RW_50_50)
         .data_size(DataSize::SMALL)
-        .workload(workload(users, fidelity))
+        .workload(fidelity.workload(users))
         .cost(paper_cost_model())
         .seed(71)
 }
@@ -59,12 +53,7 @@ pub fn backends(fidelity: Fidelity, jobs: usize) -> Vec<(BackendKind, usize, Run
         Fidelity::Full => &[1, 2, 3, 4],
         Fidelity::Quick => &[1, 2, 4],
     };
-    let mut cells: Vec<(BackendKind, usize)> = Vec::new();
-    for &b in &BACKENDS {
-        for &s in slaves {
-            cells.push((b, s));
-        }
-    }
+    let cells = cross2(&BACKENDS, slaves);
     parallel_map(&cells, jobs, &Progress::Silent, |_, &(b, slaves), _| {
         let r = run_cluster(base(users, slaves, fidelity).backend(b).build());
         (b, slaves, r)
@@ -116,18 +105,12 @@ pub fn backends_table(results: &[(BackendKind, usize, RunReport)]) -> Table {
 pub fn failover(fidelity: Fidelity, jobs: usize) -> Vec<(BackendKind, &'static str, RunReport)> {
     let users = 175;
     let arms: [(&'static str, usize); 2] = [("2 healthy slaves", 2), ("1 saturated slave", 1)];
-    let mut cells: Vec<(BackendKind, &'static str, usize)> = Vec::new();
-    for &b in &BACKENDS {
-        for &(arm, slaves) in &arms {
-            cells.push((b, arm, slaves));
-        }
-    }
     parallel_map(
-        &cells,
+        &cross2(&BACKENDS, &arms),
         jobs,
         &Progress::Silent,
-        |_, &(b, arm, slaves), _| {
-            let w = workload(users, fidelity);
+        |_, &(b, (arm, slaves)), _| {
+            let w = fidelity.workload(users);
             // Mid-steady: the log's quorum-append stream is in full flight.
             let fail_at = w.phases.steady_start() - amdb_sim::SimTime::ZERO
                 + (w.phases.steady_end() - w.phases.steady_start()) / 2;

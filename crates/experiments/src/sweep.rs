@@ -8,21 +8,20 @@
 //! paper, so Fig 2 pairs with Fig 5 and Fig 3 with Fig 6.
 //!
 //! Grid cells are independent deterministic simulations, so the sweep fans
-//! them out across the [`crate::exec`] worker pool: the template database is
-//! loaded once and shared immutably ([`Arc`]), each cell's RNG streams
-//! derive from the cell's own (seed, placement, slaves, users) key, and
-//! results are gathered back in grid order — tables and CSVs are
-//! byte-identical for every `--jobs` count.
+//! them out through [`crate::grid`]: the template database is loaded once
+//! and borrowed by every worker, each cell's RNG streams derive from the
+//! cell's own (seed, placement, slaves, users) key, and results are gathered
+//! back in grid order — tables and CSVs are byte-identical for every
+//! `--jobs` count.
 
 use crate::calib::paper_cost_model;
-use crate::exec::{parallel_map, Progress};
+use crate::grid::{counted, cross3, pivot_table, run_grid, run_tree, SweepOptions};
 use crate::Fidelity;
-use amdb_cloudstone::{build_template, DataCounters, DataSize, MixConfig, Phases, WorkloadConfig};
-use amdb_core::{BackendKind, Cluster, ClusterConfig, Placement, RunReport};
+use amdb_cloudstone::{DataCounters, DataSize, MixConfig, Phases, WorkloadConfig};
+use amdb_core::{load_template, BackendKind, ClusterConfig, Placement, RunReport};
 use amdb_metrics::Table;
-use amdb_sim::{Rng, Sim};
+use amdb_sim::Rng;
 use amdb_sql::Engine;
-use std::sync::Arc;
 
 /// Grid specification for one figure pair.
 #[derive(Debug, Clone)]
@@ -128,8 +127,7 @@ impl SweepSpec {
     /// The shared template database for this sweep: loaded once from the
     /// sweep seed, then forked (copy-on-run) by every cell.
     pub fn template(&self) -> (Engine, DataCounters) {
-        let mut load_rng = Rng::new(self.seed).derive("load");
-        build_template(self.data_size, &mut load_rng)
+        load_template(self.seed, self.data_size)
     }
 }
 
@@ -146,167 +144,70 @@ pub struct PlacementResult {
     pub reports: Vec<Vec<RunReport>>,
 }
 
-/// How a sweep executes: worker count and progress reporting. The result is
-/// identical for every `jobs` value — options only affect wall-clock and
-/// stderr chatter.
-#[derive(Debug, Clone)]
-pub struct SweepOptions {
-    pub jobs: usize,
-    pub progress: Progress,
-}
-
-impl SweepOptions {
-    /// Single-threaded, silent — the baseline the determinism tests and
-    /// benches compare against.
-    pub fn serial() -> SweepOptions {
-        SweepOptions {
-            jobs: 1,
-            progress: Progress::Silent,
-        }
-    }
-
-    /// `jobs` workers, silent.
-    pub fn silent(jobs: usize) -> SweepOptions {
-        SweepOptions {
-            jobs,
-            progress: Progress::Silent,
-        }
-    }
-
-    /// `jobs` workers, progress lines prefixed with `prefix` on stderr.
-    pub fn with_progress(jobs: usize, prefix: &'static str) -> SweepOptions {
-        SweepOptions {
-            jobs,
-            progress: Progress::Stderr(prefix),
-        }
-    }
-}
-
-/// Run one grid cell against a pre-built template.
-fn run_cell_with_template(
-    spec: &SweepSpec,
-    template: &Engine,
-    counters: &DataCounters,
-    placement: Placement,
-    slaves: usize,
-    users: u32,
-) -> RunReport {
-    let cfg = spec.cell_config(placement, slaves, users);
-    let mut sim = Sim::new();
-    let mut world = Cluster::with_template(cfg, template, counters.clone());
-    world.schedule_timeline(&mut sim);
-    sim.run(&mut world);
-    let events = sim.events_executed();
-    world.report(events)
-}
-
 /// Run the full sweep, fanning the grid cells across `opts.jobs` worker
-/// threads. The template database is loaded once and shared immutably;
-/// every cell forks it. Results are gathered back in grid order, so the
-/// returned tables are byte-identical for any jobs count.
+/// threads. The template database is loaded once and borrowed by every
+/// cell, which forks it. Cells run in (placement, slaves, users) order and
+/// are gathered back in it, so the returned tables are byte-identical for
+/// any jobs count.
 pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Vec<PlacementResult> {
-    // Load the template database once; every cell forks it. `Engine` is
-    // plain owned data (no interior mutability), so sharing `&template`
-    // across the worker pool is sound by construction.
-    let (template, counters) = spec.template();
-    let template = Arc::new((template, counters));
+    let template = spec.template();
+    let keys = cross3(&spec.placements, &spec.slaves, &spec.users);
+    let mut flat = run_grid(&keys, opts, |&(placement, slaves, users)| {
+        let cfg = spec.cell_config(placement, slaves, users);
+        let label = placement.label(cfg.master_zone);
+        let report = run_tree(cfg, Some(&template)).report;
+        let line = format!(
+            "{label} slaves={slaves} users={users}: {:.1} ops/s, delay {:?} ms",
+            report.throughput_ops_s,
+            report.avg_relative_delay_ms().map(|d| d.round())
+        );
+        (report, line)
+    })
+    .into_iter();
 
-    // Flatten the grid in (placement, slaves, users) order — the same order
-    // the old serial loop used — and fan it out.
-    let mut cells: Vec<(Placement, usize, u32)> =
-        Vec::with_capacity(spec.placements.len() * spec.slaves.len() * spec.users.len());
-    for &placement in &spec.placements {
-        for &slaves in &spec.slaves {
-            for &users in &spec.users {
-                cells.push((placement, slaves, users));
+    // Reassemble `reports[slave_idx][user_idx]` per placement and pivot it
+    // into the two tables.
+    spec.placements
+        .iter()
+        .map(|&placement| {
+            let label = placement.label(spec.cell_config(placement, 1, 1).master_zone);
+            let reports: Vec<Vec<RunReport>> = spec
+                .slaves
+                .iter()
+                .map(|_| flat.by_ref().take(spec.users.len()).collect())
+                .collect();
+            let columns = || spec.slaves.iter().map(|&s| counted(s, "slave"));
+            let throughput = pivot_table(
+                format!("{} — end-to-end throughput (ops/s) — {label}", spec.name),
+                columns(),
+                &spec.users,
+                |si, ui| Some(reports[si][ui].throughput_ops_s),
+            );
+            let delay = pivot_table(
+                format!(
+                    "{} — avg relative replication delay (ms) — {label}",
+                    spec.name
+                ),
+                columns(),
+                &spec.users,
+                |si, ui| reports[si][ui].avg_relative_delay_ms(),
+            );
+            PlacementResult {
+                placement,
+                label,
+                throughput,
+                delay,
+                reports,
             }
-        }
-    }
-
-    let reports_flat: Vec<RunReport> = {
-        let template = Arc::clone(&template);
-        parallel_map(
-            &cells,
-            opts.jobs,
-            &opts.progress,
-            move |_, &(placement, slaves, users), sink| {
-                let (tpl, counters) = &*template;
-                let report = run_cell_with_template(spec, tpl, counters, placement, slaves, users);
-                let label = placement.label(spec.cell_config(placement, 1, 1).master_zone);
-                sink.emit(format!(
-                    "{label} slaves={slaves} users={users}: {:.1} ops/s, delay {:?} ms",
-                    report.throughput_ops_s,
-                    report.avg_relative_delay_ms().map(|d| d.round())
-                ));
-                report
-            },
-        )
-    };
-
-    // Reassemble `reports[slave_idx][user_idx]` per placement and render the
-    // two tables, exactly as the serial loop did.
-    let per_placement = spec.slaves.len() * spec.users.len();
-    let mut flat = reports_flat.into_iter();
-    let mut out = Vec::with_capacity(spec.placements.len());
-    for &placement in &spec.placements {
-        let label = placement.label(spec.cell_config(placement, 1, 1).master_zone);
-        let mut header = vec!["users".to_string()];
-        for &s in &spec.slaves {
-            header.push(format!("{s} slave{}", if s == 1 { "" } else { "s" }));
-        }
-        let mut throughput = Table::new(
-            format!("{} — end-to-end throughput (ops/s) — {label}", spec.name),
-            header.clone(),
-        );
-        let mut delay = Table::new(
-            format!(
-                "{} — avg relative replication delay (ms) — {label}",
-                spec.name
-            ),
-            header,
-        );
-
-        let mut reports: Vec<Vec<RunReport>> = Vec::with_capacity(spec.slaves.len());
-        for _ in &spec.slaves {
-            let row: Vec<RunReport> = flat.by_ref().take(spec.users.len()).collect();
-            debug_assert_eq!(row.len(), spec.users.len());
-            reports.push(row);
-        }
-        debug_assert_eq!(reports.len() * spec.users.len(), per_placement);
-
-        for (ui, &users) in spec.users.iter().enumerate() {
-            let t_cells: Vec<Option<f64>> = spec
-                .slaves
-                .iter()
-                .enumerate()
-                .map(|(si, _)| Some(reports[si][ui].throughput_ops_s))
-                .collect();
-            throughput.push_float_row(users.to_string(), &t_cells, 1);
-            let d_cells: Vec<Option<f64>> = spec
-                .slaves
-                .iter()
-                .enumerate()
-                .map(|(si, _)| reports[si][ui].avg_relative_delay_ms())
-                .collect();
-            delay.push_float_row(users.to_string(), &d_cells, 1);
-        }
-
-        out.push(PlacementResult {
-            placement,
-            label,
-            throughput,
-            delay,
-            reports,
-        });
-    }
-    out
+        })
+        .collect()
 }
 
-/// Convenience used by tests and benches: run a single cell exactly as the
-/// sweep would (shared-template fork + per-cell seed).
+/// Run a single cell exactly as the sweep would (shared-template fork +
+/// per-cell seed).
 pub fn run_cell(spec: &SweepSpec, placement: Placement, slaves: usize, users: u32) -> RunReport {
-    let (template, counters) = spec.template();
-    run_cell_with_template(spec, &template, &counters, placement, slaves, users)
+    let cfg = spec.cell_config(placement, slaves, users);
+    run_tree(cfg, Some(&spec.template())).report
 }
 
 #[cfg(test)]

@@ -11,6 +11,7 @@
 //! ignored under `debug_assertions`; CI runs it via
 //! `cargo test --release -p amdb-experiments --test simcore_fingerprint`.
 
+use amdb_experiments::grid::SweepOptions;
 use amdb_experiments::{sweep, Fidelity};
 
 /// FNV-1a.
@@ -56,13 +57,13 @@ fn quick_grid_bytes_are_pinned_across_jobs() {
         ),
     ];
     for (name, spec, expect) in grids {
-        let serial = render_all(&sweep::run_sweep(&spec, &sweep::SweepOptions::serial()));
+        let serial = render_all(&sweep::run_sweep(&spec, &SweepOptions::serial()));
         let got = fnv64(serial.as_bytes());
         assert_eq!(
             got, expect,
             "{name} quick-grid bytes changed: fp {got:016x} != pinned {expect:016x}"
         );
-        let parallel = render_all(&sweep::run_sweep(&spec, &sweep::SweepOptions::silent(4)));
+        let parallel = render_all(&sweep::run_sweep(&spec, &SweepOptions::silent(4)));
         assert_eq!(
             serial, parallel,
             "{name} diverges between --jobs 1 and --jobs 4"

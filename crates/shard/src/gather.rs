@@ -21,8 +21,8 @@ struct Leg<T> {
 /// `max_ms` stale is *filtered*: its rows are dropped from the merge and it
 /// counts toward [`Gather::filtered_legs`]. Filtering never blocks
 /// completion — a scattered read finishes when every leg has reported,
-/// fresh or not (the front has no per-leg retry protocol; see DESIGN.md
-/// §14).
+/// fresh or not (the front has no per-leg retry protocol; see DESIGN.md,
+/// "Sharding").
 ///
 /// [`Gather::merge_by`] returns the surviving rows in deterministic order:
 /// sorted by the caller's key, ties broken by (shard, arrival position

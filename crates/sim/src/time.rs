@@ -5,7 +5,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
 /// An instant in simulated time, measured in microseconds since the start of
 /// the simulation. The experiment clock substrate maps this "true time" to
-/// per-VM local clocks (which drift; see `amdb-clock`).
+/// per-VM local clocks (which drift; see `amdb_cloud::clock`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 

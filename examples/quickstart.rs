@@ -18,7 +18,7 @@
 //! arrows tying each traced write to its applies on every slave.
 
 use amdb::cloudstone::{DataSize, MixConfig, WorkloadConfig};
-use amdb::core::{run_cluster_telemetry, ClusterConfig, ObsConfig};
+use amdb::core::{run_cell, CellRun, ClusterConfig, ObsConfig};
 use amdb::repl::ReplicatedDb;
 use amdb::sql::{BinlogFormat, Value};
 use amdb::telemetry::AlertKind;
@@ -121,7 +121,12 @@ fn main() {
     // on. Same architecture, but users/pool/proxy/CPUs/replication all run
     // under the discrete-event clock, every layer traces what it does, and
     // the online SLO engine watches the replication delay as it runs.
-    let (report, obs, bottleneck, telemetry) = run_cluster_telemetry(
+    let CellRun {
+        report,
+        obs,
+        bottleneck,
+        telemetry,
+    } = run_cell(
         ClusterConfig::builder()
             .slaves(2)
             .mix(MixConfig::RW_50_50)
@@ -134,9 +139,13 @@ fn main() {
                 sample_interval_ms: 1_000,
                 tsdb: true,
             })
+            .telemetry_on(true)
             .seed(42)
             .build(),
-    );
+        None,
+    )
+    .expect("the config validates");
+    let telemetry = telemetry.expect("telemetry was enabled");
     println!();
     println!(
         "timed run: {:.1} ops/s steady, staleness {:?} ms",

@@ -4,8 +4,8 @@
 //! for the high-level API and `DESIGN.md` for the architecture.
 
 pub use amdb_apply as apply;
-pub use amdb_clock as clock;
 pub use amdb_cloud as cloud;
+pub use amdb_cloud::clock;
 pub use amdb_cloudstone as cloudstone;
 pub use amdb_consistency as consistency;
 pub use amdb_core as core;

@@ -173,7 +173,6 @@ fn master_failover_promotes_and_resumes_writes() {
 #[test]
 fn master_failover_converges_on_new_master() {
     use amdb::core::Cluster;
-    use amdb::sim::Sim;
 
     let cfg = base(30, 3)
         .master_fault(amdb::core::MasterFaultPlan {
@@ -182,10 +181,8 @@ fn master_failover_converges_on_new_master() {
         })
         .seed(13)
         .build();
-    let mut sim = Sim::new();
     let mut world = Cluster::new(cfg);
-    world.schedule_timeline(&mut sim);
-    sim.run(&mut world);
+    world.run_timeline();
 
     // All relays drained, and every live replica matches the new master
     // exactly; the corpse (the deposed master, identifiable because its
@@ -249,7 +246,6 @@ fn slave_failover_mid_batch_replays_from_committed_lsn() {
     // the replacement bootstraps from the last in-order-committed LSN and
     // replays cleanly — nothing skipped, nothing applied twice.
     use amdb::core::Cluster;
-    use amdb::sim::Sim;
     use amdb::sql::binlog::BinlogFormat;
 
     let cfg = base(90, 2)
@@ -261,11 +257,8 @@ fn slave_failover_mid_batch_replays_from_committed_lsn() {
             recover_after: Some(SimDuration::from_secs(60)),
         })
         .build();
-    let mut sim = Sim::new();
     let mut world = Cluster::new(cfg);
-    world.schedule_timeline(&mut sim);
-    sim.run(&mut world);
-    let events = sim.events_executed();
+    let events = world.run_timeline();
     let r = world.report(events);
 
     assert!(
@@ -309,7 +302,6 @@ fn master_failover_mid_batch_converges_on_new_master() {
     // the promoted replica's binlog position is its last in-order-committed
     // LSN, and the survivors re-sync from it without divergence.
     use amdb::core::Cluster;
-    use amdb::sim::Sim;
     use amdb::sql::binlog::BinlogFormat;
 
     let cfg = base(60, 3)
@@ -321,10 +313,8 @@ fn master_failover_mid_batch_converges_on_new_master() {
         })
         .seed(13)
         .build();
-    let mut sim = Sim::new();
     let mut world = Cluster::new(cfg);
-    world.schedule_timeline(&mut sim);
-    sim.run(&mut world);
+    world.run_timeline();
 
     for s in 0..3 {
         assert_eq!(world.relay(s).backlog(), 0, "slave {s} drained");

@@ -3,21 +3,50 @@
 //! cache off — same seed, same workload, same report, down to the float
 //! bits. Any divergence means the cache changed behaviour, not just speed.
 
-use amdb::cloudstone::{DataSize, MixConfig, WorkloadConfig};
-use amdb::core::{run_cluster, ClusterConfig, Placement, RunReport};
+use amdb::cloudstone::{build_template, DataSize, MixConfig, WorkloadConfig};
+use amdb::core::{load_template, run_cell, ClusterConfig, Placement, RunReport};
+use amdb::sim::Rng;
 
+/// One run off a template whose plan cache is on or off: every replica
+/// forked from it inherits the template's cache capacity.
 fn run(users: u32, slaves: usize, plan_cache: bool) -> RunReport {
-    run_cluster(
-        ClusterConfig::builder()
-            .slaves(slaves)
-            .placement(Placement::SameZone)
-            .mix(MixConfig::RW_50_50)
-            .data_size(DataSize { scale: 100 })
-            .workload(WorkloadConfig::quick(users))
-            .plan_cache(plan_cache)
-            .seed(42)
-            .build(),
-    )
+    let cfg = ClusterConfig::builder()
+        .slaves(slaves)
+        .placement(Placement::SameZone)
+        .mix(MixConfig::RW_50_50)
+        .data_size(DataSize { scale: 100 })
+        .workload(WorkloadConfig::quick(users))
+        .seed(42)
+        .build();
+    // The template a run without one would load for itself.
+    let mut template = load_template(cfg.seed, cfg.data_size);
+    if !plan_cache {
+        template.0.set_plan_cache_capacity(0);
+    }
+    run_cell(cfg, Some(&template))
+        .expect("the config validates")
+        .report
+}
+
+/// The premise of `run(.., false)`: a replica forked from an uncached
+/// template caches nothing either.
+#[test]
+fn forks_inherit_the_templates_plan_cache_capacity() {
+    use amdb::sql::{ForkRole, Session};
+    let (mut template, _) = build_template(DataSize { scale: 10 }, &mut Rng::new(1));
+    for (capacity_zero, cached) in [(false, 1), (true, 0)] {
+        if capacity_zero {
+            template.set_plan_cache_capacity(0);
+        }
+        let mut slave = template.fork(ForkRole::Slave);
+        let mut session = Session::new();
+        for _ in 0..2 {
+            slave
+                .execute(&mut session, "SELECT COUNT(*) FROM users", &[])
+                .expect("the template has a users table");
+        }
+        assert_eq!(slave.plan_cache_stats().entries, cached);
+    }
 }
 
 fn assert_bit_identical(on: &RunReport, off: &RunReport) {

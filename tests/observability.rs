@@ -3,10 +3,11 @@
 //! the bottleneck attributor.
 
 use amdb::cloudstone::{DataSize, MixConfig, WorkloadConfig};
-use amdb::core::{run_cluster_observed, ClusterConfig, ObsConfig};
+use amdb::core::{run_cell, CellRun, ClusterConfig, ObsConfig};
 use amdb::experiments::exec::{parallel_map, Progress};
+use amdb::experiments::grid::SweepOptions;
 use amdb::experiments::obs_report::run_observed_cell;
-use amdb::experiments::sweep::{run_sweep, SweepOptions, SweepSpec};
+use amdb::experiments::sweep::{run_sweep, SweepSpec};
 use amdb::experiments::Fidelity;
 use amdb::obs::Component;
 
@@ -25,14 +26,24 @@ fn observed_cfg(users: u32, slaves: usize, seed: u64) -> ClusterConfig {
         .build()
 }
 
+fn run(cfg: ClusterConfig) -> CellRun {
+    run_cell(cfg, None).expect("the config validates")
+}
+
+/// `cfg` with the telemetry layer (causal write tracing + SLO engine) on.
+fn traced(mut cfg: ClusterConfig) -> ClusterConfig {
+    cfg.telemetry.enabled = true;
+    cfg
+}
+
 /// Same seed, same config ⇒ byte-identical Chrome-trace export. This is the
 /// determinism contract: every record is stamped with simulated time in
 /// kernel event order, and the JSON encoder is a pure function of the
 /// records.
 #[test]
 fn same_seed_trace_exports_are_byte_identical() {
-    let (_, obs_a, _) = run_cluster_observed(observed_cfg(30, 2, 7));
-    let (_, obs_b, _) = run_cluster_observed(observed_cfg(30, 2, 7));
+    let obs_a = run(observed_cfg(30, 2, 7)).obs;
+    let obs_b = run(observed_cfg(30, 2, 7)).obs;
     let a = obs_a.chrome_trace().expect("trace a");
     let b = obs_b.chrome_trace().expect("trace b");
     assert!(!a.is_empty());
@@ -43,15 +54,15 @@ fn same_seed_trace_exports_are_byte_identical() {
 /// determinism test above proves nothing).
 #[test]
 fn different_seed_changes_the_trace() {
-    let (_, obs_a, _) = run_cluster_observed(observed_cfg(30, 2, 7));
-    let (_, obs_b, _) = run_cluster_observed(observed_cfg(30, 2, 8));
+    let obs_a = run(observed_cfg(30, 2, 7)).obs;
+    let obs_b = run(observed_cfg(30, 2, 8)).obs;
     assert_ne!(obs_a.chrome_trace(), obs_b.chrome_trace());
 }
 
 /// The exported trace carries events from every layer of the stack.
 #[test]
 fn trace_covers_all_stack_layers() {
-    let (_, obs, _) = run_cluster_observed(observed_cfg(30, 2, 7));
+    let obs = run(observed_cfg(30, 2, 7)).obs;
     let rec = obs.recorder().expect("recorder present");
     for comp in [
         Component::Cpu,
@@ -104,12 +115,12 @@ fn sweeps_are_byte_identical_across_jobs_counts() {
 #[test]
 fn observed_traces_are_byte_identical_under_parallel_executor() {
     let cells: Vec<(u32, usize, u64)> = vec![(30, 1, 7), (30, 2, 7), (40, 2, 9), (30, 2, 8)];
-    let run = |_: usize, &(users, slaves, seed): &(u32, usize, u64), _: &_| {
-        let (_, obs, _) = run_cluster_observed(observed_cfg(users, slaves, seed));
+    let trace_of = |_: usize, &(users, slaves, seed): &(u32, usize, u64), _: &_| {
+        let obs = run(observed_cfg(users, slaves, seed)).obs;
         obs.chrome_trace().expect("trace")
     };
-    let serial = parallel_map(&cells, 1, &Progress::Silent, run);
-    let parallel = parallel_map(&cells, 4, &Progress::Silent, run);
+    let serial = parallel_map(&cells, 1, &Progress::Silent, trace_of);
+    let parallel = parallel_map(&cells, 4, &Progress::Silent, trace_of);
     assert_eq!(serial.len(), cells.len());
     for (i, (s, p)) in serial.iter().zip(&parallel).enumerate() {
         assert!(!s.is_empty());
@@ -148,19 +159,19 @@ fn bottleneck_migrates_from_slave_to_master() {
 /// events); a different seed must change the alert timeline's trace.
 #[test]
 fn telemetry_outputs_are_byte_identical_for_same_seed() {
-    use amdb::core::run_cluster_telemetry;
-    let run = |seed: u64| {
-        let (_, obs, _, t) = run_cluster_telemetry(observed_cfg(30, 2, seed));
+    let outputs = |seed: u64| {
+        let CellRun { obs, telemetry, .. } = run(traced(observed_cfg(30, 2, seed)));
+        let t = telemetry.expect("telemetry on");
         (obs.chrome_trace().expect("trace"), t.render())
     };
-    let (trace_a, render_a) = run(7);
-    let (trace_b, render_b) = run(7);
+    let (trace_a, render_a) = outputs(7);
+    let (trace_b, render_b) = outputs(7);
     assert_eq!(trace_a, trace_b, "same-seed telemetry traces match");
     assert_eq!(
         render_a, render_b,
         "same-seed alert/waterfall output matches"
     );
-    let (trace_c, _) = run(8);
+    let (trace_c, _) = outputs(8);
     assert_ne!(trace_a, trace_c, "different seed changes the trace");
 }
 
@@ -179,6 +190,7 @@ fn row_apply_cfg(workers: usize, tsdb: bool, seed: u64) -> ClusterConfig {
             sample_interval_ms: 1_000,
             tsdb,
         })
+        .telemetry_on(true)
         .seed(seed)
         .build()
 }
@@ -190,13 +202,13 @@ fn row_apply_cfg(workers: usize, tsdb: bool, seed: u64) -> ClusterConfig {
 /// grow) the queue and end-to-end legs.
 #[test]
 fn apply_waterfall_legs_shrink_with_workers() {
-    use amdb::core::run_cluster_telemetry;
     use amdb::metrics::QuantileSketch;
     let mut queue_p95 = Vec::new();
     let mut e2e_p95 = Vec::new();
     let mut applied = Vec::new();
     for workers in [1usize, 2, 4] {
-        let (_, _, _, t) = run_cluster_telemetry(row_apply_cfg(workers, true, 11));
+        let t = run(row_apply_cfg(workers, true, 11)).telemetry;
+        let t = t.expect("telemetry on");
         let legs = t.waterfall.legs();
         assert_eq!(legs.len(), 2);
         for (s, leg) in legs.iter().enumerate() {
@@ -244,8 +256,7 @@ fn apply_waterfall_legs_shrink_with_workers() {
 /// counters that attribute why each batch closed.
 #[test]
 fn parallel_apply_traces_carry_worker_spans_and_bounds() {
-    use amdb::core::run_cluster_telemetry;
-    let (_, obs, _, _) = run_cluster_telemetry(row_apply_cfg(4, true, 11));
+    let obs = run(row_apply_cfg(4, true, 11)).obs;
     let json = obs.chrome_trace().expect("trace");
     assert!(
         json.contains("apply_worker"),
@@ -279,10 +290,14 @@ fn parallel_apply_traces_carry_worker_spans_and_bounds() {
 /// entirely; attaching it changes no run result.
 #[test]
 fn tsdb_store_is_deterministic_and_config_gated() {
-    use amdb::core::run_cluster_telemetry;
-    let run = |tsdb: bool| {
-        let (report, mut obs, bottleneck, telemetry) =
-            run_cluster_telemetry(row_apply_cfg(4, tsdb, 11));
+    let outputs = |tsdb: bool| {
+        let CellRun {
+            report,
+            mut obs,
+            bottleneck,
+            telemetry,
+        } = run(row_apply_cfg(4, tsdb, 11));
+        let telemetry = telemetry.expect("telemetry on");
         let results = format!(
             "ops={} tput={:016x} delays={:?}\n{}\n{}",
             report.steady_ops,
@@ -293,8 +308,8 @@ fn tsdb_store_is_deterministic_and_config_gated() {
         );
         (results, obs.take_tsdb())
     };
-    let (results_on, a) = run(true);
-    let (_, b) = run(true);
+    let (results_on, a) = outputs(true);
+    let (_, b) = outputs(true);
     let (a, b) = (a.expect("tsdb attached"), b.expect("tsdb attached"));
     assert!(!a.is_empty(), "the run records time-series tracks");
     assert_eq!(
@@ -302,7 +317,7 @@ fn tsdb_store_is_deterministic_and_config_gated() {
         b.csv(),
         "same-seed tsdb exports match byte for byte"
     );
-    let (results_off, detached) = run(false);
+    let (results_off, detached) = outputs(false);
     assert!(detached.is_none(), "tsdb: false must detach the store");
     assert_eq!(
         results_on, results_off,
@@ -315,10 +330,9 @@ fn tsdb_store_is_deterministic_and_config_gated() {
 /// committed obs_report artifacts are unaffected by the telemetry layer.
 #[test]
 fn flow_events_appear_only_with_telemetry() {
-    use amdb::core::run_cluster_telemetry;
-    let (_, obs_plain, _) = run_cluster_observed(observed_cfg(30, 2, 7));
+    let obs_plain = run(observed_cfg(30, 2, 7)).obs;
     assert!(!obs_plain.chrome_trace().unwrap().contains("\"ph\":\"s\""));
-    let (_, obs_telem, _, _) = run_cluster_telemetry(observed_cfg(30, 2, 7));
+    let obs_telem = run(traced(observed_cfg(30, 2, 7))).obs;
     let json = obs_telem.chrome_trace().unwrap();
     assert!(json.contains("\"ph\":\"s\""), "flow start events present");
     assert!(json.contains("\"ph\":\"f\""), "flow end events present");

@@ -63,13 +63,10 @@ fn shared_log_run_completes_and_drains_durable() {
 #[test]
 fn shared_log_slaves_converge_on_master() {
     use amdb::core::Cluster;
-    use amdb::sim::Sim;
 
     let cfg = base(50, 2).backend(BackendKind::SharedLog).build();
-    let mut sim = Sim::new();
     let mut world = Cluster::new(cfg);
-    world.schedule_timeline(&mut sim);
-    sim.run(&mut world);
+    world.run_timeline();
 
     for s in 0..2 {
         assert_eq!(world.relay(s).backlog(), 0, "slave {s} drained");
