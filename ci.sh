@@ -31,6 +31,10 @@ cargo test -q --workspace --offline
 # Release-only: fingerprints every rendered table of the quick fig2/5 and
 # fig3/6 grids, serial and --jobs 4, against the constants pinned in the test.
 cargo test -q --release --offline -p amdb-experiments --test simcore_fingerprint
+# Release too: a replica that diverges only where a `debug_assert` would have
+# fired is invisible to the debug run above, and release is what every
+# experiment runs.
+cargo test -q --release --offline --test shared_log
 
 echo "== repo benchmark (BENCHMARK.json): unit tests, smoke, frozen cell fingerprints =="
 # benchmark/ is a package of its own, outside the workspace. The smoke runs

@@ -45,15 +45,14 @@ use amdb_proxy::{
     Route,
 };
 use amdb_repl::{
-    ack_time_us, collect_samples, AckResult, BackendKind, FaultTimeline, HeartbeatPlugin, LogStore,
-    RelayQueue, ReplMode,
+    collect_samples, AckResult, BackendKind, FaultTimeline, HeartbeatPlugin, LogStore, RelayQueue,
+    ReplMode,
 };
 use amdb_sim::{Event, Rng, Sim, SimDuration, SimTime};
 use amdb_sql::binlog::{BinlogEvent, Lsn};
 use amdb_sql::cost::CostModel;
 use amdb_sql::{Engine, ForkRole, Session};
 use amdb_telemetry::{AlertKind, SloSample, Telemetry};
-use std::collections::VecDeque;
 
 pub type S = Sim<Cluster, ClusterEvent>;
 
@@ -180,7 +179,7 @@ pub enum ClusterEvent {
         waited_ms: f64,
     },
     /// A shared-log replica's append acknowledgement lands at the master
-    /// (shared-log backend only; instants come from [`ack_time_us`]).
+    /// (shared-log backend only; instants come from [`LogStore::append_at`]).
     LogAck { replica: usize, upto: Lsn },
     /// Periodic NTP discipline of every node (`ntp_interval`).
     NtpTick,
@@ -383,49 +382,23 @@ impl ConsistencyLayer {
 /// fire. Failover is a *reattach*: the log outlives the master, so the LSN
 /// space, the watermarks, and every session token survive promotion.
 struct SharedLogState {
-    /// Untimed quorum protocol state (who persisted what, durable prefix).
+    /// Quorum protocol state over the per-replica fault schedules (drawn
+    /// once at build from `root.derive("logstore")` streams). It holds both
+    /// cursors — published is its append head, durable its quorum prefix —
+    /// and no events: a newly durable range is read from the binlog that
+    /// logged it.
     log: LogStore,
-    /// Per-log-replica fault schedule over the run horizon, drawn once at
-    /// build from `root.derive("logstore")` streams.
-    timelines: Vec<FaultTimeline>,
-    /// Master binlog events published (appended) to the log service.
-    published_upto: Lsn,
-    /// Durable prefix already processed by [`Cluster::log_ack`] (delivered
-    /// to slave relays + stamped into the watermark table).
-    durable_upto: Lsn,
-    /// Published-but-not-yet-durable events awaiting quorum, in LSN order.
-    pending: VecDeque<BinlogEvent>,
-    /// Per-replica FIFO ack clearance: a log replica persists appends in
-    /// order, so a later batch's ack can never land before an earlier one's
-    /// (mirrors `chan_clear` for the shipping channels).
-    ack_clear: Vec<SimTime>,
-    /// Monotone quorum completion across batches (appends are FIFO).
-    last_quorum_at: SimTime,
     /// Quorum instant of the most recent publish — the write-ack gate
     /// `client_op_done` reads right after `ship_new`. `None` when the last
     /// publish appended nothing.
     last_publish_quorum: Option<SimTime>,
-    stats: SharedLogStats,
-    /// Set by the reattach recovery path: (reattach LSN, events replayed).
-    recovery: Option<(Lsn, u64)>,
-}
-
-#[derive(Default)]
-struct SharedLogStats {
-    /// Publish batches appended to the log.
+    /// Publish batches appended to the log, and the records in them.
     appends: u64,
-    /// Records (binlog events) appended.
     records: u64,
-    /// Transport-level retry attempts beyond each first try.
-    ack_retries: u64,
-    /// Application-level re-sends after a full attempt sequence gave up
-    /// (sustained partition outlasting the bounded retry budget).
-    ack_resends: u64,
-    /// Publishes whose quorum never formed within the retry budget
-    /// (availability loss; only possible with 2+ replicas partitioned).
-    quorum_failures: u64,
     /// Client-visible quorum wait per publish (ms).
     quorum_waits: OnlineStats,
+    /// Set by the reattach recovery path: (reattach LSN, events replayed).
+    recovery: Option<(Lsn, u64)>,
 }
 
 /// Cluster-side telemetry state: the `amdb-telemetry` bundle plus the
@@ -578,7 +551,7 @@ impl Cluster {
             Some(m) => provider.launch_on_host(master_zone, InstanceType::Small, m),
             None => provider.launch(master_zone, InstanceType::Small),
         };
-        let master_engine = template.fork(ForkRole::Master(cfg.format));
+        let master_engine = template.fork(ForkRole::Master(cfg.backend.format()));
         let mut nodes = vec![Node::new(master_inst, master_engine)];
         for _ in 0..cfg.n_slaves {
             let inst = match cfg.pin_slave_host {
@@ -642,7 +615,6 @@ impl Cluster {
         // only when opted in — this whole block draws no RNG and allocates
         // nothing otherwise, keeping binlog-backend runs bit-identical.
         let shared_log = (cfg.backend == BackendKind::SharedLog).then(|| {
-            cfg.log_store.validate();
             let horizon_us = phases.hard_end().as_micros();
             let log_rng = root.derive("logstore");
             let timelines: Vec<FaultTimeline> = (0..cfg.log_store.replicas)
@@ -654,7 +626,7 @@ impl Cluster {
                     }
                 })
                 .collect();
-            let mut log = LogStore::new(cfg.log_store);
+            let mut log = LogStore::with_timelines(cfg.log_store, timelines);
             // Pre-loaded data (web10 loader events) is durable before t=0:
             // align the log's LSN space with the binlog's.
             if shipped0.0 > 0 {
@@ -665,14 +637,10 @@ impl Cluster {
             }
             SharedLogState {
                 log,
-                timelines,
-                published_upto: shipped0,
-                durable_upto: shipped0,
-                pending: VecDeque::new(),
-                ack_clear: vec![SimTime::ZERO; cfg.log_store.replicas],
-                last_quorum_at: SimTime::ZERO,
                 last_publish_quorum: None,
-                stats: SharedLogStats::default(),
+                appends: 0,
+                records: 0,
+                quorum_waits: OnlineStats::new(),
                 recovery: None,
             }
         });
@@ -1416,7 +1384,7 @@ impl Cluster {
             // instead and slaves tail the log service — its commit cost is
             // independent of the slave count (the disaggregation offload).
             let (published, fanout) = match self.shared_log.as_ref() {
-                Some(sl) => (sl.published_upto, sl.log.config().replicas),
+                Some(sl) => (sl.log.appended_upto(), sl.log.config().replicas),
                 None => (self.shipped_upto, self.relays.len()),
             };
             let new_events = node.engine.binlog().head().0 - published.0;
@@ -1864,27 +1832,46 @@ impl Cluster {
         let events: Vec<BinlogEvent> = self.nodes[0].engine.binlog_from(self.shipped_upto).to_vec();
         self.shipped_upto = head;
         let master_zone = self.nodes[0].inst.zone();
+        self.fan_out(sim, master_zone, events)
+    }
+
+    /// Send `events` from `from` to every live slave's relay, each over its
+    /// FIFO channel; returns the per-slave delivery times. Both backends
+    /// ship through here — the binlog ones at commit, the shared log at
+    /// quorum — so the watermark, waterfall and apply-scheduler planes see
+    /// the same [`ClusterEvent::Deliver`] → apply pipeline either way.
+    fn fan_out(
+        &mut self,
+        sim: &mut dyn ClusterHost,
+        from: Zone,
+        mut events: Vec<BinlogEvent>,
+    ) -> Vec<(usize, SimTime)> {
+        // A failed slave has no I/O thread to ship to; its replacement
+        // resyncs (binlog) or reattaches via its relay cursor (shared log).
+        let failed = |w: &Self, s: usize| w.nodes[w.slave_node(s)].failed;
+        // The last receiver takes the batch itself, the others a clone.
+        let last = (0..self.relays.len()).rev().find(|&s| !failed(self, s));
         let mut deliveries = Vec::with_capacity(self.relays.len());
         for s in 0..self.relays.len() {
-            if self.nodes[self.slave_node(s)].failed {
-                continue; // no I/O thread to ship to; resync happens on replace
+            if failed(self, s) {
+                continue;
             }
             let zone = self.nodes[self.slave_node(s)].inst.zone();
-            let mut at = sim.now() + self.net.delay(master_zone, zone);
             // FIFO channel: batches may not overtake each other.
-            if at < self.chan_clear[s] {
-                at = self.chan_clear[s];
-            }
+            let at = (sim.now() + self.net.delay(from, zone)).max(self.chan_clear[s]);
             self.chan_clear[s] = at;
             deliveries.push((s, at));
-            let evs = events.clone();
-            let epoch = self.repl_epoch;
+            let events = if Some(s) == last {
+                std::mem::take(&mut events)
+            } else {
+                events.clone()
+            };
             sim.schedule_event_at(
                 at,
                 ClusterEvent::Deliver {
                     slave: s,
-                    epoch,
-                    events: evs,
+                    epoch: self.repl_epoch,
+                    events,
                 },
             );
         }
@@ -1950,128 +1937,57 @@ impl Cluster {
     // Shared-log backend: publish → quorum → tail delivery
     // ------------------------------------------------------------------
 
-    /// Publish the master's new binlog events to the shared log: append
-    /// them, compute each log replica's ack instant analytically from its
-    /// fault timeline (retry/timeout/backoff, with an application-level
-    /// re-send after the transport budget under a sustained partition), and
-    /// schedule the [`ClusterEvent::LogAck`] stream. The quorum instant —
-    /// the write's durability point and client-ack gate — is the quorum-th
-    /// smallest ack, clamped monotone across batches (FIFO appends).
+    /// Publish the master's new binlog events to the shared log: one timed
+    /// append ([`LogStore::append_at`] computes each log replica's ack
+    /// instant and the quorum instant — the write's durability point and
+    /// client-ack gate), one [`ClusterEvent::LogAck`] per replica.
     fn publish_to_log(&mut self, sim: &mut dyn ClusterHost) {
         let head = self.nodes[0].engine.binlog().head();
-        let published = self
+        let sl = self
             .shared_log
-            .as_ref()
-            .expect("publish_to_log is gated on the shared-log backend")
-            .published_upto;
-        if head == published {
-            self.shared_log
-                .as_mut()
-                .expect("probed above")
-                .last_publish_quorum = None;
+            .as_mut()
+            .expect("publish_to_log is gated on the shared-log backend");
+        let new = head.0 - sl.log.appended_upto().0;
+        if new == 0 {
+            sl.last_publish_quorum = None;
             return;
         }
-        let events = self.nodes[0].engine.binlog_from(published).to_vec();
         let now = sim.now();
-        let now_us = now.as_micros();
-
-        let sl = self.shared_log.as_mut().expect("probed above");
-        sl.published_upto = head;
-        sl.log.append(events.len() as u64);
-        debug_assert_eq!(
-            sl.log.appended_upto(),
-            head,
-            "log and binlog LSN spaces stay aligned"
-        );
-        sl.stats.appends += 1;
-        sl.stats.records += events.len() as u64;
-        sl.pending.extend(events);
-
-        let service_us = sl.log.config().append_service_us;
-        let policy = sl.log.config().retry;
-        let quorum = sl.log.config().quorum;
-        let mut ack_instants: Vec<u64> = Vec::with_capacity(sl.timelines.len());
-        for r in 0..sl.timelines.len() {
-            // Analytic ack with re-send: when the bounded transport retry
-            // sequence gives up (sustained partition), the master buffers
-            // the append and re-sends once the replica heals — durability
-            // needs only the quorum, but the replica is not abandoned.
-            let mut sent_us = now_us;
-            let acked = loop {
-                let ack = ack_time_us(&sl.timelines[r], &policy, sent_us, service_us);
-                sl.stats.ack_retries += u64::from(ack.attempts.saturating_sub(1));
-                match ack.acked_at_us {
-                    Some(t) => break Some(t),
-                    None => {
-                        let give_up = sent_us.saturating_add(policy.give_up_after_us());
-                        match sl.timelines[r].next_up(give_up) {
-                            Some(up) => {
-                                sl.stats.ack_resends += 1;
-                                sent_us = up;
-                            }
-                            None => break None, // down forever (synthetic)
-                        }
-                    }
-                }
-            };
-            let Some(t) = acked else { continue };
-            // FIFO per replica: a log replica persists appends in order.
-            let at = SimTime::from_micros(t).max(sl.ack_clear[r]);
-            sl.ack_clear[r] = at;
-            ack_instants.push(at.as_micros());
-            sim.schedule_event_at(
-                at,
-                ClusterEvent::LogAck {
-                    replica: r,
+        let timing = sl.log.append_at(new, now.as_micros());
+        sl.appends += 1;
+        sl.records += new;
+        for (replica, at) in timing.acks_us.iter().enumerate() {
+            if let Some(at) = *at {
+                let ack = ClusterEvent::LogAck {
+                    replica,
                     upto: head,
-                },
-            );
+                };
+                sim.schedule_event_at(SimTime::from_micros(at), ack);
+            }
         }
-        ack_instants.sort_unstable();
-        let quorum_at = if ack_instants.len() >= quorum {
-            SimTime::from_micros(ack_instants[quorum - 1])
-        } else {
-            // A quorum of replicas is partitioned past every retry: the
-            // append cannot become durable now. Bounded give-up — ack the
-            // client at the end of the retry budget and count the failure
-            // (an availability event; durability is at risk only if the
-            // master also dies before the partitions heal).
-            sl.stats.quorum_failures += 1;
-            now + SimDuration::from_micros(policy.give_up_after_us())
-        };
-        let quorum_at = quorum_at.max(sl.last_quorum_at);
-        sl.last_quorum_at = quorum_at;
+        let quorum_at = SimTime::from_micros(timing.quorum_at_us);
         sl.last_publish_quorum = Some(quorum_at);
         let wait_ms = (quorum_at - now).as_millis_f64();
-        sl.stats.quorum_waits.push(wait_ms);
+        sl.quorum_waits.push(wait_ms);
         if self.obs.is_enabled() {
+            let lag = head.0 - sl.log.durable_upto().0;
             self.obs
                 .span(Component::Repl, 0, "quorum_wait", now, quorum_at);
             self.obs
                 .observe_sketch(Component::Repl, 0, "quorum_wait_ms", wait_ms);
-            let lag = head.0
-                - self
-                    .shared_log
-                    .as_ref()
-                    .expect("probed above")
-                    .durable_upto
-                    .0;
             self.obs
                 .tsdb_observe(Component::Repl, 0, "log_durable_lag", now, lag as f64);
         }
     }
 
-    /// A log replica's ack lands: advance the untimed quorum state machine,
-    /// and when the durable prefix moves, release the newly durable events —
-    /// stamp the consistency watermark (quorum durability is the master
-    /// sequence under this backend) and deliver the batch to every live
-    /// slave's relay (the log tail the read replicas follow).
+    /// A log replica's ack lands: advance the quorum state machine, and
+    /// when the durable prefix moves, release the newly durable events.
     fn log_ack(&mut self, sim: &mut dyn ClusterHost, replica: usize, upto: Lsn) {
-        let now = sim.now();
         let sl = self
             .shared_log
             .as_mut()
             .expect("LogAck events only exist under the shared-log backend");
+        let was = sl.log.durable_upto();
         let result = sl.log.ack(replica, upto);
         let counter = match result {
             AckResult::Durable(_) => "log_ack_durable",
@@ -2080,65 +1996,46 @@ impl Cluster {
             AckResult::LateAfterQuorum => "log_ack_late",
             AckResult::ReplicaDown => "log_ack_lost",
         };
-        let newly_durable = match result {
-            AckResult::Durable(d) if d > sl.durable_upto => {
-                sl.durable_upto = d;
-                let take = sl.pending.iter().take_while(|ev| ev.lsn < d).count();
-                Some(sl.pending.drain(..take).collect::<Vec<BinlogEvent>>())
-            }
-            _ => None,
-        };
         self.obs.incr(Component::Repl, replica as u32, counter, 1);
-        if let Some(events) = newly_durable {
-            let durable = self.shared_log.as_ref().expect("probed above").durable_upto;
-            if let Some(layer) = self.consistency.as_mut() {
-                layer.wm.note_master_seq(durable.0, now.as_millis_f64());
-            }
-            if self.obs.is_enabled() {
-                self.obs.tsdb_observe(
-                    Component::Repl,
-                    0,
-                    "log_durable_upto",
-                    now,
-                    durable.0 as f64,
-                );
-            }
-            self.deliver_durable(sim, events);
+        if let AckResult::Durable(durable) = result {
+            self.release_durable(sim, 0, was, durable);
         }
     }
 
-    /// Fan the newly durable log events out to every live slave's relay —
-    /// the slaves' log-tail stream. Reuses the FIFO shipping channels and
-    /// the ordinary [`ClusterEvent::Deliver`] → apply pipeline, so the
-    /// watermark, waterfall, and apply-scheduler planes see exactly the
-    /// events a binlog backend would have sent, just gated on quorum.
-    fn deliver_durable(&mut self, sim: &mut dyn ClusterHost, events: Vec<BinlogEvent>) {
-        if events.is_empty() || self.relays.is_empty() {
-            return;
+    /// The log's durable prefix moved from `was` to `durable`: stamp the
+    /// consistency watermark (quorum durability is the master sequence under
+    /// this backend) and deliver the range to every live slave's relay (the
+    /// log tail the read replicas follow). The log service holds no events
+    /// of its own; node `holder`'s binlog logged the range — the master's,
+    /// or at a reattach the dead master's.
+    fn release_durable(
+        &mut self,
+        sim: &mut dyn ClusterHost,
+        holder: usize,
+        was: Lsn,
+        durable: Lsn,
+    ) {
+        let now = sim.now();
+        if let Some(layer) = self.consistency.as_mut() {
+            layer.wm.note_master_seq(durable.0, now.as_millis_f64());
         }
-        // The log service lives in the master's zone (the paper's placement
-        // keeps the write path local; cross-zone cost falls on the tails).
-        let log_zone = self.cfg.master_zone;
-        for s in 0..self.relays.len() {
-            if self.nodes[self.slave_node(s)].failed {
-                continue; // no tailer; a replacement reattaches via its relay cursor
-            }
-            let zone = self.nodes[self.slave_node(s)].inst.zone();
-            let mut at = sim.now() + self.net.delay(log_zone, zone);
-            if at < self.chan_clear[s] {
-                at = self.chan_clear[s];
-            }
-            self.chan_clear[s] = at;
-            let epoch = self.repl_epoch;
-            sim.schedule_event_at(
-                at,
-                ClusterEvent::Deliver {
-                    slave: s,
-                    epoch,
-                    events: events.clone(),
-                },
+        if self.obs.is_enabled() {
+            self.obs.tsdb_observe(
+                Component::Repl,
+                0,
+                "log_durable_upto",
+                now,
+                durable.0 as f64,
             );
         }
+        if self.relays.is_empty() {
+            return;
+        }
+        let range = (durable.0 - was.0) as usize;
+        let events = self.nodes[holder].engine.binlog_from(was)[..range].to_vec();
+        // The log service lives in the master's zone (the paper's placement
+        // keeps the write path local; cross-zone cost falls on the tails).
+        self.fan_out(sim, self.cfg.master_zone, events);
     }
 
     // ------------------------------------------------------------------
@@ -2246,30 +2143,30 @@ impl Cluster {
         self.try_start(sim, 0);
     }
 
-    /// Automatic failover: promote the most up-to-date slave to master,
-    /// count the lost writes, resynchronize every other slave from the new
-    /// master's snapshot, and release parked writes.
+    /// Automatic failover: promote the most up-to-date live slave to master
+    /// and release the parked writes. What is lost, how the new master
+    /// catches up and what is reset differ by backend: the binlog backends
+    /// rebuild every slave from the new master (`rebuild_from_master`), the
+    /// shared log reattaches to the log (`reattach_from_log`).
     pub fn promote_best_slave(&mut self, sim: &mut dyn ClusterHost) {
         debug_assert!(self.nodes[0].failed, "promotion without a dead master");
-        if self.shared_log.is_some() {
-            // Shared-log backend: the log — not the master — is the
-            // authority. Recovery is a reattach, not a rebuild.
-            self.reattach_from_log(sim);
-            return;
-        }
         let Some(best) = (0..self.relays.len())
             .filter(|&s| !self.nodes[self.slave_node(s)].failed)
             .max_by_key(|&s| self.relays[s].applied_upto())
         else {
             return; // no live slave to promote; writes stay parked
         };
+        let now = sim.now();
 
-        // §II data loss: everything the old master logged beyond what the
-        // promoted slave had applied is gone.
+        // §II data loss: everything the old master logged beyond what
+        // survives it is gone. Binlog backends keep what the promoted slave
+        // had applied. The shared log keeps everything published to it:
+        // writes the dead master committed locally but never published were
+        // never client-acked either (the quorum gate fires after publish).
+        let published = self.shared_log.as_ref().map(|sl| sl.log.appended_upto());
+        let survives = published.unwrap_or_else(|| self.relays[best].applied_upto());
         let old_head = self.nodes[0].engine.binlog().head();
-        self.lost_writes += old_head
-            .0
-            .saturating_sub(self.relays[best].applied_upto().0);
+        self.lost_writes += old_head.0.saturating_sub(survives.0);
 
         // Swap the promoted node into slot 0; the dead master takes its
         // slave slot (and stays failed until/unless replaced). Both slots'
@@ -2284,7 +2181,6 @@ impl Cluster {
         self.nodes[0].busy = false;
         self.nodes[best_node].gen += 1;
         self.nodes[best_node].busy = false;
-        self.nodes[0].engine.promote_to_master(self.cfg.format);
         self.proxy.set_alive(best, false); // that slot now holds the corpse
 
         // The promoted node's queued work (it was serving reads) and the
@@ -2293,10 +2189,38 @@ impl Cluster {
             self.redispatch_queue(sim, node);
         }
 
-        // New replication stream: fresh binlog, fresh epoch; every live
-        // slave resyncs from a snapshot of the new master. The old sequence
-        // space is void, and with it every session guarantee (lost writes
-        // cannot be read-your-writes'd back into existence).
+        let (recovered_at, probe, line) = match published {
+            Some(published) => self.reattach_from_log(sim, best, published),
+            None => self.rebuild_from_master(sim, best),
+        };
+        if let Some(failed_at) = self.master_failed_at.take() {
+            self.recovery_ms = Some((recovered_at - failed_at).as_millis_f64());
+        }
+        self.obs
+            .instant(Component::Cluster, best as u32, probe, now);
+        self.events_log.push((now, line));
+
+        // Release parked writes.
+        for (origin, op) in std::mem::take(&mut self.awaiting_master) {
+            self.dispatch(sim, origin, op, 0.0, false);
+        }
+    }
+
+    /// Binlog failover, after slave `best` took slot 0: a new replication
+    /// stream — fresh binlog, fresh epoch — and every live slave resyncs
+    /// from a snapshot of the new master. Returns when the cluster has
+    /// recovered, the trace instant's name and the membership line.
+    fn rebuild_from_master(
+        &mut self,
+        sim: &mut dyn ClusterHost,
+        best: usize,
+    ) -> (SimTime, &'static str, String) {
+        self.nodes[0]
+            .engine
+            .promote_to_master(self.cfg.backend.format());
+        // The old sequence space is void, and with it every session
+        // guarantee (lost writes cannot be read-your-writes'd back into
+        // existence).
         if let Some(layer) = self.consistency.as_mut() {
             layer.wm.reset_all(0);
             layer.sessions.reset_all();
@@ -2342,78 +2266,52 @@ impl Cluster {
                 }
             }
         }
-        if let Some(failed_at) = self.master_failed_at.take() {
-            self.recovery_ms = Some((recovered_at - failed_at).as_millis_f64());
-        }
-        self.obs
-            .instant(Component::Cluster, best as u32, "slave_promoted", sim.now());
-        self.events_log.push((
-            sim.now(),
-            format!(
-                "slave {best} promoted to master ({} write event(s) lost)",
-                self.lost_writes
-            ),
-        ));
-
-        // Release parked writes.
-        for (origin, op) in std::mem::take(&mut self.awaiting_master) {
-            self.dispatch(sim, origin, op, 0.0, false);
-        }
+        let line = format!(
+            "slave {best} promoted to master ({} write event(s) lost)",
+            self.lost_writes
+        );
+        (recovered_at, "slave_promoted", line)
     }
 
-    /// Shared-log failover: promote the most caught-up live slave and
-    /// *reattach* it to the log at the last durable-quorum LSN. The log —
-    /// not the dead master — is the database: every quorum-acked write
-    /// survives (`lost_writes` counts only the never-acked tail past the
-    /// published/durable frontier), the LSN space continues, and therefore
-    /// the watermark table, session tokens, and replication epoch all
-    /// survive too — no snapshot resync, no `reset_all`.
-    fn reattach_from_log(&mut self, sim: &mut dyn ClusterHost) {
-        let Some(best) = (0..self.relays.len())
-            .filter(|&s| !self.nodes[self.slave_node(s)].failed)
-            .max_by_key(|&s| self.relays[s].applied_upto())
-        else {
-            return; // no live slave to promote; writes stay parked
-        };
+    /// Shared-log failover, after slave `best` took slot 0: *reattach* it to
+    /// the log at `published`. The log — not the dead master — is the
+    /// database: everything published survives, the LSN space continues, and
+    /// therefore the watermark table, session tokens and replication epoch
+    /// all survive too — no snapshot resync, no `reset_all`. Returns when
+    /// the cluster has recovered, the trace instant's name and the
+    /// membership line.
+    fn reattach_from_log(
+        &mut self,
+        sim: &mut dyn ClusterHost,
+        best: usize,
+        published: Lsn,
+    ) -> (SimTime, &'static str, String) {
         let now = sim.now();
-        let published = self
-            .shared_log
-            .as_ref()
-            .expect("reattach_from_log is gated on the shared-log backend")
-            .published_upto;
+        let corpse = self.slave_node(best);
+        let sl = self.shared_log.as_mut().expect("caller probed");
 
-        // Writes the dead master committed locally but never published to
-        // the log are gone — and were never client-acked (the quorum gate
-        // fires only after publish). Everything up to `published` is in the
-        // log or in flight to it; the reattach replays it below.
-        let old_head = self.nodes[0].engine.binlog().head();
-        self.lost_writes += old_head.0.saturating_sub(published.0);
+        // Published but not yet quorum-acked at the failure: the log's
+        // surviving replicas hold it, so the reattach makes it durable (acks
+        // still in flight for it land as duplicates) and the other slaves
+        // tail it like any durable range.
+        let was = sl.log.durable_upto();
+        for r in 0..sl.log.config().replicas {
+            sl.log.ack(r, published);
+        }
+        if published > was {
+            self.release_durable(sim, corpse, was, published);
+        }
 
         // Catch the promoted slave up from the log: the tail
         // [applied_upto(best), published) replays from the corpse's binlog
-        // (same record bytes the log holds — the sim keeps one copy).
-        let applied_best = self.relays[best].applied_upto();
-        let missing: Vec<BinlogEvent> = self.nodes[0]
-            .engine
-            .binlog_from(applied_best)
-            .iter()
-            .filter(|ev| ev.lsn < published)
-            .cloned()
-            .collect();
-
-        let best_node = self.slave_node(best);
-        self.nodes.swap(0, best_node);
-        self.nodes[0].gen += 1;
-        self.nodes[0].failed = false;
-        self.nodes[0].busy = false;
-        self.nodes[best_node].gen += 1;
-        self.nodes[best_node].busy = false;
-
-        // Replay the durable tail functionally, then promote at the
-        // published LSN so the new master's binlog continues the space.
+        // (same record bytes the log holds — the sim keeps one copy), then
+        // the new master's binlog continues the LSN space at `published`.
+        let applied = self.relays[best].applied_upto();
+        let missing = (published.0 - applied.0) as usize;
+        let tail = self.nodes[corpse].engine.binlog_from(applied)[..missing].to_vec();
         let mut replay_demand_us = 0.0;
         let now_micros = self.nodes[0].inst.clock.read(now).0;
-        for ev in &missing {
+        for ev in &tail {
             let res = self.nodes[0]
                 .engine
                 .apply_event(ev, now_micros)
@@ -2422,26 +2320,10 @@ impl Cluster {
         }
         self.nodes[0]
             .engine
-            .promote_to_master_at(self.cfg.format, published);
-        self.relays[best] = RelayQueue::starting_at(published);
-        self.chan_clear[best] = now;
-        self.proxy.set_alive(best, false); // that slot now holds the corpse
-        if let Some(layer) = self.consistency.as_mut() {
-            // The slot now holds the dead node; its watermark restarts when
-            // a replacement attaches. No global reset: the LSN space lives.
-            layer.wm.reset_slave(best, published.0);
-        }
-
-        // Both swapped slots' queued work re-enters dispatch (reads that
-        // were queued on the promoted slave reroute; the corpse's queue
-        // drains the same way the binlog path does it).
-        for node in [0usize, best_node] {
-            self.redispatch_queue(sim, node);
-        }
-
-        // Charge the replay to the new master's CPU: parked writes released
-        // below queue behind it on the FIFO core, exactly the recovery
-        // window the experiments measure.
+            .promote_to_master_at(self.cfg.backend.format(), published);
+        // Charge the replay to the new master's CPU: the parked writes
+        // released after this queue behind it on the FIFO core, exactly the
+        // recovery window the experiments measure.
         let replay_done = if replay_demand_us > 0.0 {
             self.nodes[0].inst.cpu.submit(
                 now,
@@ -2450,33 +2332,22 @@ impl Cluster {
         } else {
             now
         };
-        if let Some(failed_at) = self.master_failed_at.take() {
-            self.recovery_ms = Some((replay_done - failed_at).as_millis_f64());
-        }
-        {
-            let sl = self.shared_log.as_mut().expect("probed above");
-            sl.recovery = Some((published, missing.len() as u64));
-            // The new master publishes from `published`; acks already in
-            // flight for ≤ published are still valid (same LSN space).
-            sl.pending.retain(|ev| ev.lsn >= published);
-        }
 
-        self.obs
-            .instant(Component::Cluster, best as u32, "slave_reattached", now);
-        self.events_log.push((
-            now,
-            format!(
-                "slave {best} promoted via log reattach at lsn {} ({} event(s) replayed, {} lost)",
-                published.0,
-                missing.len(),
-                self.lost_writes
-            ),
-        ));
-
-        // Release parked writes; they run after the replay drains.
-        for (origin, op) in std::mem::take(&mut self.awaiting_master) {
-            self.dispatch(sim, origin, op, 0.0, false);
+        // Slot `best` now holds the dead node; its relay and watermark
+        // restart when a replacement attaches. No global reset: the LSN
+        // space lives.
+        self.relays[best] = RelayQueue::starting_at(published);
+        self.chan_clear[best] = now;
+        if let Some(layer) = self.consistency.as_mut() {
+            layer.wm.reset_slave(best, published.0);
         }
+        let sl = self.shared_log.as_mut().expect("caller probed");
+        sl.recovery = Some((published, missing as u64));
+        let line = format!(
+            "slave {best} promoted via log reattach at lsn {} ({missing} event(s) replayed, {} lost)",
+            published.0, self.lost_writes
+        );
+        (replay_done, "slave_reattached", line)
     }
 
     /// Record a per-leg read completion in this tree's proxy latency EWMA —
@@ -2702,20 +2573,19 @@ impl Cluster {
             }),
             shared_log: self.shared_log.as_ref().map(|sl| {
                 let horizon_us = self.phases.hard_end().as_micros();
+                let acks = sl.log.ack_stats();
                 SharedLogReport {
-                    appends: sl.stats.appends,
-                    records: sl.stats.records,
-                    durable_lsn: sl.durable_upto.0,
-                    published_lsn: sl.published_upto.0,
-                    quorum_wait_mean_ms: sl.stats.quorum_waits.mean(),
-                    quorum_wait_max_ms: sl.stats.quorum_waits.max(),
-                    ack_retries: sl.stats.ack_retries,
-                    ack_resends: sl.stats.ack_resends,
-                    quorum_failures: sl.stats.quorum_failures,
-                    replica_downtime_ms: sl
-                        .timelines
-                        .iter()
-                        .map(|tl| tl.downtime_us(horizon_us) as f64 / 1_000.0)
+                    appends: sl.appends,
+                    records: sl.records,
+                    durable_lsn: sl.log.durable_upto().0,
+                    published_lsn: sl.log.appended_upto().0,
+                    quorum_wait_mean_ms: sl.quorum_waits.mean(),
+                    quorum_wait_max_ms: sl.quorum_waits.max(),
+                    ack_retries: acks.retries,
+                    ack_resends: acks.resends,
+                    quorum_failures: acks.quorum_failures,
+                    replica_downtime_ms: (0..sl.log.config().replicas)
+                        .map(|r| sl.log.timeline(r).downtime_us(horizon_us) as f64 / 1_000.0)
                         .collect(),
                     recovery: sl.recovery.map(|(lsn, replayed)| (lsn.0, replayed)),
                 }
@@ -2906,6 +2776,18 @@ mod tests {
             run_cell(cfg, None).err(),
             Some(ConfigError::FaultNamesMissingSlave { fault: 0, .. })
         ));
+        // A quorum the log service cannot reach used to trip an `assert!`
+        // halfway through the build.
+        let mut cfg = quick_cfg(4, 2);
+        cfg.backend = BackendKind::SharedLog;
+        cfg.log_store.quorum = cfg.log_store.replicas + 1;
+        assert_eq!(
+            run_cell(cfg, None).err(),
+            Some(ConfigError::LogQuorumOutOfRange {
+                replicas: 3,
+                quorum: 4
+            })
+        );
     }
 
     #[test]

@@ -7,7 +7,6 @@ use amdb_net::{NetConfig, Region, Zone};
 use amdb_obs::ObsConfig;
 use amdb_repl::{BackendKind, FaultTimeline, LogStoreConfig, ReplMode};
 use amdb_sim::SimDuration;
-use amdb_sql::binlog::BinlogFormat;
 use amdb_sql::cost::CostModel;
 use amdb_telemetry::TelemetryConfig;
 
@@ -233,12 +232,12 @@ pub struct ClusterConfig {
     pub data_size: DataSize,
     pub workload: WorkloadConfig,
     pub mode: ReplMode,
-    pub format: BinlogFormat,
     /// Replication backend: binlog fan-out (statement/row) or the
     /// Taurus-style shared log. `Statement` (the default) is the paper's
-    /// pipeline, bit-identical to pre-backend builds; `Row` is fan-out with
-    /// `format = Row`; `SharedLog` routes commits through a quorum-
-    /// replicated log service and gates delivery on durability.
+    /// pipeline; `Row` is the same fan-out shipping row images;
+    /// `SharedLog` routes commits through a quorum-replicated log service
+    /// and gates delivery on durability. The binlog format follows the
+    /// backend ([`BackendKind::format`]).
     pub backend: BackendKind,
     /// Shape of the shared log service (replica count, quorum, append
     /// service time, retry policy). Ignored unless `backend == SharedLog`.
@@ -345,6 +344,12 @@ impl ClusterConfig {
         if self.log_faults.is_some() && self.backend != BackendKind::SharedLog {
             return Err(ConfigError::LogFaultsWithoutSharedLog(self.backend));
         }
+        if self.backend == BackendKind::SharedLog && !self.log_store.quorum_in_range() {
+            return Err(ConfigError::LogQuorumOutOfRange {
+                replicas: self.log_store.replicas,
+                quorum: self.log_store.quorum,
+            });
+        }
         Ok(())
     }
 }
@@ -366,6 +371,12 @@ pub enum ConfigError {
     ZeroApplyWorkers,
     /// `log_faults` is set but only the shared-log backend has log replicas.
     LogFaultsWithoutSharedLog(BackendKind),
+    /// The shared log's `log_store.quorum` is not in `1..=replicas` (which
+    /// an empty replica set makes impossible): no append could turn durable.
+    LogQuorumOutOfRange { replicas: usize, quorum: usize },
+    /// A sharded front over a workload other than Cloudstone: the front
+    /// routes by Cloudstone's user keys.
+    ShardedWorkload(WorkloadKind),
     /// `shards` is zero: a sharded world needs at least one tree.
     ZeroShards,
     /// `cross_shard_read_fraction` is not a probability.
@@ -390,6 +401,14 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "log_faults needs the shared-log backend, not {}",
                 backend.name()
+            ),
+            Self::LogQuorumOutOfRange { replicas, quorum } => write!(
+                f,
+                "log_store.quorum = {quorum} is not in 1..={replicas} (log_store.replicas)"
+            ),
+            Self::ShardedWorkload(kind) => write!(
+                f,
+                "the sharded front routes the Cloudstone workload, not {kind:?}"
             ),
             Self::ZeroShards => write!(f, "shards must be at least 1"),
             Self::CrossShardReadFraction(x) => {
@@ -420,7 +439,6 @@ impl Default for ClusterBuilder {
                 data_size: DataSize::SMALL,
                 workload: WorkloadConfig::paper(50),
                 mode: ReplMode::Async,
-                format: BinlogFormat::Statement,
                 backend: BackendKind::Statement,
                 log_store: LogStoreConfig::default(),
                 log_faults: None,
@@ -492,23 +510,10 @@ impl ClusterBuilder {
         self
     }
 
-    /// Binlog format (statement is the paper's setup).
-    pub fn format(mut self, f: BinlogFormat) -> Self {
-        self.cfg.format = f;
-        self
-    }
-
-    /// Replication backend. `SharedLog` also forces the row binlog format
-    /// (log records are physical); `Row` forces `format = Row`; `Statement`
-    /// leaves the format untouched so existing configs stay bit-identical.
+    /// Replication backend, and with it the binlog format (statement is
+    /// the paper's setup; the row and shared-log backends ship row images).
     pub fn backend(mut self, b: BackendKind) -> Self {
         self.cfg.backend = b;
-        match b {
-            BackendKind::Statement => {}
-            BackendKind::Row | BackendKind::SharedLog => {
-                self.cfg.format = BinlogFormat::Row;
-            }
-        }
         self
     }
 
@@ -532,8 +537,8 @@ impl ClusterBuilder {
     }
 
     /// Simulated apply workers per slave (1 = serial SQL thread). Pair with
-    /// [`Self::format`]`(BinlogFormat::Row)` — statement events carry no
-    /// writesets, so extra workers change nothing under statement format.
+    /// a row-image [`Self::backend`] — statement events carry no writesets,
+    /// so extra workers change nothing under the statement backend.
     ///
     /// # Panics
     /// Panics when `n == 0`.
@@ -691,7 +696,7 @@ mod tests {
     fn builder_defaults_match_paper() {
         let c = ClusterConfig::builder().build();
         assert_eq!(c.mode, ReplMode::Async);
-        assert_eq!(c.format, BinlogFormat::Statement);
+        assert_eq!(c.backend, BackendKind::Statement);
         assert_eq!(
             c.apply_workers, 1,
             "serial apply thread is the paper's setup"
@@ -769,6 +774,24 @@ mod tests {
                 .validate(),
             Ok(())
         );
+        let log_shape = |replicas, quorum| {
+            ok().log_store(LogStoreConfig {
+                replicas,
+                quorum,
+                ..LogStoreConfig::default()
+            })
+        };
+        for (replicas, quorum) in [(0, 0), (3, 0), (3, 4)] {
+            assert_eq!(
+                log_shape(replicas, quorum)
+                    .backend(BackendKind::SharedLog)
+                    .build()
+                    .validate(),
+                Err(ConfigError::LogQuorumOutOfRange { replicas, quorum })
+            );
+            // The binlog backends never build a log service.
+            assert_eq!(log_shape(replicas, quorum).build().validate(), Ok(()));
+        }
     }
 
     #[test]

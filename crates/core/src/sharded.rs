@@ -134,6 +134,9 @@ impl ShardedConfig {
                 self.cross_shard_read_fraction,
             ));
         }
+        if self.base.workload_kind != WorkloadKind::Cloudstone {
+            return Err(ConfigError::ShardedWorkload(self.base.workload_kind));
+        }
         self.base.validate()
     }
 }
@@ -285,10 +288,6 @@ pub struct ShardedWorld {
 
 impl ShardedWorld {
     fn new(cfg: &ShardedConfig, template: &Engine, counters: DataCounters) -> Self {
-        assert!(
-            matches!(cfg.base.workload_kind, WorkloadKind::Cloudstone),
-            "the sharded front routes the Cloudstone workload"
-        );
         let trees: Vec<Cluster> = (0..cfg.shards)
             .map(|k| Cluster::with_template(tree_config(cfg, k), template, counters.clone()))
             .collect();
@@ -770,7 +769,6 @@ mod tests {
     use amdb_consistency::ConsistencyConfig;
     use amdb_repl::{BackendKind, ReplMode};
     use amdb_sim::SimDuration;
-    use amdb_sql::binlog::BinlogFormat;
 
     fn quick_cfg(users: u32, slaves: usize, seed: u64) -> ClusterConfig {
         ClusterConfig::builder()
@@ -796,6 +794,12 @@ mod tests {
                 Some(ConfigError::CrossShardReadFraction(_))
             ));
         }
+        let mut web10 = cfg(2);
+        web10.base.workload_kind = WorkloadKind::Web10;
+        assert_eq!(
+            run_sharded_cell(&web10, None).err(),
+            Some(ConfigError::ShardedWorkload(WorkloadKind::Web10))
+        );
         let mut hangs = cfg(2);
         hangs.base.ntp_interval = Some(SimDuration::ZERO);
         assert_eq!(hangs.validate(), Err(ConfigError::ZeroNtpInterval));
@@ -817,7 +821,7 @@ mod tests {
         let bounded = ConsistencyPolicy::BoundedStaleness { max_ms: 250.0 };
         for base in [
             quick().build(),
-            quick().format(BinlogFormat::Row).apply_workers(4).build(),
+            quick().backend(BackendKind::Row).apply_workers(4).build(),
             quick().consistency(ConsistencyConfig::new(bounded)).build(),
         ] {
             let solo = run_cluster(base.clone());

@@ -12,8 +12,7 @@
 //!   fires later (or never) — the paper's Fig 5/6 surge flattening.
 
 use amdb_cloudstone::{DataSize, MixConfig, WorkloadConfig};
-use amdb_core::{run_cell, run_cluster, ClusterConfig, RunReport};
-use amdb_sql::binlog::BinlogFormat;
+use amdb_core::{run_cell, run_cluster, BackendKind, ClusterConfig, RunReport};
 use amdb_telemetry::AlertKind;
 use proptest::prelude::*;
 
@@ -62,10 +61,10 @@ proptest! {
     /// run, and the serial thread never groups a batch.
     #[test]
     fn workers_one_is_the_serial_pipeline(seed in 1..1000u64) {
-        let default = run_cluster(quick_cfg(8, 2, seed).format(BinlogFormat::Row).build());
+        let default = run_cluster(quick_cfg(8, 2, seed).backend(BackendKind::Row).build());
         let explicit = run_cluster(
             quick_cfg(8, 2, seed)
-                .format(BinlogFormat::Row)
+                .backend(BackendKind::Row)
                 .apply_workers(1)
                 .build(),
         );
@@ -95,7 +94,7 @@ fn surge_cfg(workers: usize) -> ClusterConfig {
     quick_cfg(150, 2, 424242)
         .mix(MixConfig::RW_50_50)
         .data_size(DataSize::SMALL)
-        .format(BinlogFormat::Row)
+        .backend(BackendKind::Row)
         .apply_workers(workers)
         .telemetry_on(true)
         .build()

@@ -15,8 +15,7 @@ use crate::Fidelity;
 use amdb_cloudstone::{DataSize, MixConfig};
 use amdb_core::{run_cluster, BalancerKind, ClusterConfig, Placement, RunReport};
 use amdb_metrics::Table;
-use amdb_repl::ReplMode;
-use amdb_sql::binlog::BinlogFormat;
+use amdb_repl::{BackendKind, ReplMode};
 
 fn base_cfg(users: u32, slaves: usize, fidelity: Fidelity) -> ClusterConfig {
     ClusterConfig::builder()
@@ -127,15 +126,15 @@ pub fn balancers_table(results: &[(BalancerKind, RunReport)]) -> Table {
 }
 
 /// A3: binlog format comparison under a write-heavy mix.
-pub fn binlog_formats(fidelity: Fidelity, jobs: usize) -> Vec<(BinlogFormat, RunReport)> {
+pub fn binlog_formats(fidelity: Fidelity, jobs: usize) -> Vec<(BackendKind, RunReport)> {
     let users = match fidelity {
         Fidelity::Full => 125,
         Fidelity::Quick => 40,
     };
-    let formats = [BinlogFormat::Statement, BinlogFormat::Row];
+    let formats = [BackendKind::Statement, BackendKind::Row];
     parallel_map(&formats, jobs, &Progress::Silent, |_, &format, _| {
         let mut cfg = base_cfg(users, 2, fidelity);
-        cfg.format = format;
+        cfg.backend = format;
         cfg.mix = MixConfig {
             read_fraction: 0.2, // write-heavy: the apply path dominates
         };
@@ -144,7 +143,7 @@ pub fn binlog_formats(fidelity: Fidelity, jobs: usize) -> Vec<(BinlogFormat, Run
 }
 
 /// Render A3.
-pub fn binlog_formats_table(results: &[(BinlogFormat, RunReport)]) -> Table {
+pub fn binlog_formats_table(results: &[(BackendKind, RunReport)]) -> Table {
     let mut t = Table::new(
         "A3 — binlog format under a 20/80 write-heavy mix (2 slaves)",
         vec![

@@ -20,11 +20,10 @@ use crate::grid::{cross2, run_fleet, run_grid, SweepOptions};
 use crate::Fidelity;
 use amdb_cloudstone::{DataSize, MixConfig, Phases, WorkloadConfig};
 use amdb_core::sharded::FleetObsBundle;
-use amdb_core::{ClusterConfig, ShardedConfig, ShardedReport};
+use amdb_core::{BackendKind, ClusterConfig, ShardedConfig, ShardedReport};
 use amdb_metrics::{QuantileSketch, Table};
 use amdb_obs::{openmetrics_text_multi, Component, ObsConfig, Tsdb};
 use amdb_sim::Rng;
-use amdb_sql::binlog::BinlogFormat;
 
 /// Grid specification for the fleet report.
 #[derive(Debug, Clone)]
@@ -94,7 +93,7 @@ impl FleetSpec {
             .data_size(DataSize::SMALL)
             .workload(workload)
             .cost(paper_cost_model())
-            .format(BinlogFormat::Row)
+            .backend(BackendKind::Row)
             .apply_workers(self.apply_workers)
             .observability(ObsConfig {
                 enabled: true,

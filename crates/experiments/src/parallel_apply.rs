@@ -32,12 +32,11 @@ use crate::grid::{run_grid, run_tree, SweepOptions};
 use crate::Fidelity;
 use amdb_cloudstone::{DataSize, MixConfig, Phases, WorkloadConfig};
 use amdb_core::{
-    load_template, ClusterConfig, ConsistencyConfig, ConsistencyPolicy, Placement, RunReport,
-    Template,
+    load_template, BackendKind, ClusterConfig, ConsistencyConfig, ConsistencyPolicy, Placement,
+    RunReport, Template,
 };
 use amdb_metrics::Table;
 use amdb_sim::Rng;
-use amdb_sql::binlog::BinlogFormat;
 
 /// One user-load column family: a mix, a data size and the user counts to
 /// sweep at that mix.
@@ -134,7 +133,7 @@ impl ParallelApplySpec {
             .data_size(grid.data_size)
             .workload(workload)
             .cost(paper_cost_model())
-            .format(BinlogFormat::Row)
+            .backend(BackendKind::Row)
             .apply_workers(workers)
             // Eventual = oblivious routing, bookkeeping only — opted in
             // purely for the true-staleness probe.

@@ -7,10 +7,10 @@
 //!
 //! The pieces:
 //!
-//! * [`Recorder`] / [`TraceRecorder`] / [`NullRecorder`] — structured span,
-//!   instant, and counter records ([`Record`]) collected in event order;
-//! * [`Obs`] — an enum dispatcher over the recorders whose methods compile
-//!   to a single discriminant test (and nothing else) when disabled;
+//! * [`TraceRecorder`] — structured span, instant, counter and flow
+//!   records ([`Record`]) collected in event order;
+//! * [`Obs`] — the off-or-recording dispatcher whose methods compile to a
+//!   single discriminant test (and nothing else) when disabled;
 //! * [`MetricsRegistry`] — counters, gauges, time series, and quantile
 //!   sketches (reusing [`amdb_metrics`]) keyed by `(component, instance,
 //!   name)` in a `BTreeMap`, so iteration order — and therefore every
@@ -40,7 +40,7 @@ pub use bottleneck::{BottleneckReport, ResourceUsage};
 pub use chrome::chrome_trace_json;
 pub use openmetrics::{openmetrics_text, openmetrics_text_multi};
 pub use registry::{Metric, MetricId, MetricKey, MetricsRegistry};
-pub use trace::{FlowPhase, NullRecorder, Record, Recorder, TraceRecorder};
+pub use trace::{FlowPhase, Record, TraceRecorder};
 pub use tsdb::{Tsdb, TsdbCell, TsdbTrack};
 
 use amdb_sim::SimTime;

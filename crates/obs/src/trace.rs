@@ -83,60 +83,6 @@ impl Record {
     }
 }
 
-/// Sink for observability records.
-///
-/// The concrete implementations are [`TraceRecorder`] (collects) and
-/// [`NullRecorder`] (drops); the cluster dispatches through [`crate::Obs`]
-/// so the disabled path stays monomorphic and branch-only.
-pub trait Recorder {
-    /// Record a completed span `[start, end)`. `end < start` is clamped to
-    /// a zero-length span rather than panicking — probes must never abort a
-    /// run.
-    fn span(
-        &mut self,
-        comp: Component,
-        inst: u32,
-        name: &'static str,
-        start: SimTime,
-        end: SimTime,
-    );
-    /// Record a point-in-time event.
-    fn instant(&mut self, comp: Component, inst: u32, name: &'static str, at: SimTime);
-    /// Record a counter-track sample.
-    fn counter(&mut self, comp: Component, inst: u32, name: &'static str, at: SimTime, value: f64);
-    /// Record one hop of a causal flow. Default drops the hop so recorder
-    /// implementations that predate flows keep compiling.
-    fn flow(
-        &mut self,
-        phase: FlowPhase,
-        comp: Component,
-        inst: u32,
-        name: &'static str,
-        at: SimTime,
-        id: u64,
-    ) {
-        let _ = (phase, comp, inst, name, at, id);
-    }
-    /// Whether this recorder keeps anything.
-    fn is_enabled(&self) -> bool {
-        true
-    }
-}
-
-/// A recorder that drops everything. Exists so generic callers can opt out
-/// without an `Option`; the cluster itself uses [`crate::Obs::Null`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullRecorder;
-
-impl Recorder for NullRecorder {
-    fn span(&mut self, _: Component, _: u32, _: &'static str, _: SimTime, _: SimTime) {}
-    fn instant(&mut self, _: Component, _: u32, _: &'static str, _: SimTime) {}
-    fn counter(&mut self, _: Component, _: u32, _: &'static str, _: SimTime, _: f64) {}
-    fn is_enabled(&self) -> bool {
-        false
-    }
-}
-
 /// Collects records in order and carries the metrics registry, plus an
 /// optional fixed-interval time-series store fed by explicit tsdb probes.
 #[derive(Debug, Default)]
@@ -217,10 +163,11 @@ impl TraceRecorder {
             db.record(comp, inst, name, at, value);
         }
     }
-}
 
-impl Recorder for TraceRecorder {
-    fn span(
+    /// Record a completed span `[start, end)`. `end < start` is clamped to
+    /// a zero-length span rather than panicking — probes must never abort a
+    /// run.
+    pub fn span(
         &mut self,
         comp: Component,
         inst: u32,
@@ -242,7 +189,8 @@ impl Recorder for TraceRecorder {
         });
     }
 
-    fn instant(&mut self, comp: Component, inst: u32, name: &'static str, at: SimTime) {
+    /// Record a point-in-time event.
+    pub fn instant(&mut self, comp: Component, inst: u32, name: &'static str, at: SimTime) {
         self.records.push(Record::Instant {
             comp,
             inst,
@@ -251,7 +199,15 @@ impl Recorder for TraceRecorder {
         });
     }
 
-    fn counter(&mut self, comp: Component, inst: u32, name: &'static str, at: SimTime, value: f64) {
+    /// Record a counter-track sample.
+    pub fn counter(
+        &mut self,
+        comp: Component,
+        inst: u32,
+        name: &'static str,
+        at: SimTime,
+        value: f64,
+    ) {
         // Mirror counter samples into the registry as a time series so CSV
         // export sees them without a second probe at the call site. The
         // tsdb is NOT fed here: it is a curated plane — callers opt a
@@ -269,7 +225,8 @@ impl Recorder for TraceRecorder {
         });
     }
 
-    fn flow(
+    /// Record one hop of a causal flow.
+    pub fn flow(
         &mut self,
         phase: FlowPhase,
         comp: Component,
@@ -353,12 +310,6 @@ mod tests {
             panic!("expected series");
         };
         assert_eq!(s.points().len(), 1);
-    }
-
-    #[test]
-    fn null_recorder_reports_disabled() {
-        assert!(!NullRecorder.is_enabled());
-        assert!(TraceRecorder::new().is_enabled());
     }
 
     #[test]

@@ -1,29 +1,25 @@
-//! The replication backend seam: *how* committed writesets become durable
-//! and reach the replicas.
+//! Which replication backend a cluster runs: *how* committed writesets
+//! become durable and reach the replicas.
 //!
 //! The paper's design (and this repo's original pipeline) is binlog fan-out:
 //! the master's binlog is the only durable copy, slaves pull from it, and
-//! losing the master loses its unshipped tail. ROADMAP item 5 asks for the
-//! modern alternative behind one trait so the same experiments can compare
-//! the designs: a Taurus-style shared log ([`crate::logstore`]) where the
-//! durable copy lives in a quorum-replicated log service, replicas tail the
-//! durable prefix, and failover reattaches to the log instead of rebuilding.
+//! losing the master loses its unshipped tail. The modern alternative is a
+//! Taurus-style shared log ([`crate::logstore`]): the durable copy lives in a
+//! quorum-replicated log service, replicas tail the durable prefix, and
+//! failover reattaches to the log instead of rebuilding.
 //!
-//! [`ReplicationBackend`] captures exactly the seam both designs share:
-//! publish committed events, ask what is durable, serve a tail, and name the
-//! reattach point after master loss. The untimed [`crate::ReplicatedDb`]
-//! pumps through a boxed backend; the timed `amdb_core::Cluster` keeps its
-//! bit-identical direct path for the binlog backends and drives a
-//! [`crate::logstore::LogStore`] for the shared log.
+//! Either way the master's binlog is the one copy of the events. The untimed
+//! [`crate::ReplicatedDb`] tails it directly (below the log's durable prefix
+//! under the shared log); the timed `amdb_core::Cluster` ships from it at
+//! commit, or at quorum.
 
-use crate::logstore::{LogStore, LogStoreConfig};
-use amdb_sql::{BinlogEvent, BinlogFormat, Lsn};
+use amdb_sql::BinlogFormat;
 
 /// Which replication backend a cluster runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum BackendKind {
     /// Statement-shipping binlog fan-out — the paper's setup and this
-    /// repo's baseline. Bit-identical to pre-trait behaviour.
+    /// repo's baseline.
     #[default]
     Statement,
     /// Row-image binlog fan-out (ablation A3's format, same fan-out plane).
@@ -77,213 +73,9 @@ impl std::fmt::Display for BackendKind {
     }
 }
 
-/// The seam between commit and replica delivery.
-///
-/// Contract: `publish` is called with committed events in LSN order, each
-/// batch contiguous with the previous one; `durable_upto() <=
-/// published_upto()` always; `tail_from` serves only the durable prefix —
-/// a replica must never apply a write that a failover could retract.
-pub trait ReplicationBackend {
-    /// Which backend this is.
-    fn kind(&self) -> BackendKind;
-
-    /// Accept newly committed events (contiguous, LSN order).
-    fn publish(&mut self, events: &[BinlogEvent]);
-
-    /// LSN (exclusive) up to which publishes have been accepted.
-    fn published_upto(&self) -> Lsn;
-
-    /// LSN (exclusive) below which events are durable — safe to serve to
-    /// replicas and guaranteed to survive master loss *under this backend's
-    /// failure model*. Binlog fan-out: everything published (durable only as
-    /// long as the master lives). Shared log: the quorum-acked prefix.
-    fn durable_upto(&self) -> Lsn;
-
-    /// The durable events in `[from, durable_upto())`, for a tailing
-    /// replica.
-    fn tail_from(&self, from: Lsn) -> Vec<BinlogEvent>;
-
-    /// Where a new master resumes after the old one is lost. Binlog
-    /// fan-out: `Lsn(0)` — the backend itself preserves nothing; recovery
-    /// falls back to the best replica's applied position (the §II data-loss
-    /// window). Shared log: the reattach LSN of the surviving log replicas.
-    fn recovery_lsn(&self) -> Lsn;
-
-    /// Downcast hook so callers holding a boxed backend can reach concrete
-    /// controls (e.g. [`SharedLogBackend::log_mut`] for fault injection).
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any;
-}
-
-/// The classic pipeline as a backend: publishes are retained and served to
-/// every replica immediately — durability equals publication, and nothing
-/// outlives the master.
-#[derive(Debug, Default)]
-pub struct BinlogFanout {
-    kind: BackendKind,
-    events: Vec<BinlogEvent>,
-    base: u64,
-}
-
-impl BinlogFanout {
-    /// A fan-out backend of the given kind (`Statement` or `Row`).
-    pub fn new(kind: BackendKind) -> Self {
-        assert!(
-            kind != BackendKind::SharedLog,
-            "shared log is not a fan-out backend"
-        );
-        Self {
-            kind,
-            events: Vec::new(),
-            base: 0,
-        }
-    }
-}
-
-impl ReplicationBackend for BinlogFanout {
-    fn kind(&self) -> BackendKind {
-        self.kind
-    }
-
-    fn publish(&mut self, events: &[BinlogEvent]) {
-        if let Some(first) = events.first() {
-            debug_assert_eq!(
-                first.lsn.0,
-                self.base + self.events.len() as u64,
-                "publishes must be contiguous"
-            );
-        }
-        self.events.extend_from_slice(events);
-    }
-
-    fn published_upto(&self) -> Lsn {
-        Lsn(self.base + self.events.len() as u64)
-    }
-
-    fn durable_upto(&self) -> Lsn {
-        self.published_upto()
-    }
-
-    fn tail_from(&self, from: Lsn) -> Vec<BinlogEvent> {
-        let i = (from.0.saturating_sub(self.base) as usize).min(self.events.len());
-        self.events[i..].to_vec()
-    }
-
-    fn recovery_lsn(&self) -> Lsn {
-        Lsn(0)
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-}
-
-/// The shared log as a backend: publishes append to the quorum state
-/// machine; in the untimed model every live replica acks instantly, so the
-/// durable prefix trails publication only while replicas are crashed.
-/// Tests reach through [`SharedLogBackend::log_mut`] to crash, truncate and
-/// heal replicas between pumps.
-#[derive(Debug)]
-pub struct SharedLogBackend {
-    log: LogStore,
-    events: Vec<BinlogEvent>,
-    base: u64,
-}
-
-impl SharedLogBackend {
-    /// A shared-log backend over a fresh log service.
-    pub fn new(cfg: LogStoreConfig) -> Self {
-        Self {
-            log: LogStore::new(cfg),
-            events: Vec::new(),
-            base: 0,
-        }
-    }
-
-    /// The quorum state machine (inject faults, inspect replicas).
-    pub fn log_mut(&mut self) -> &mut LogStore {
-        &mut self.log
-    }
-
-    /// Immutable view of the quorum state machine.
-    pub fn log(&self) -> &LogStore {
-        &self.log
-    }
-}
-
-impl ReplicationBackend for SharedLogBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::SharedLog
-    }
-
-    fn publish(&mut self, events: &[BinlogEvent]) {
-        if events.is_empty() {
-            return;
-        }
-        debug_assert_eq!(
-            events[0].lsn.0,
-            self.base + self.events.len() as u64,
-            "publishes must be contiguous"
-        );
-        let first = self.log.append(events.len() as u64);
-        debug_assert_eq!(first.0, events[0].lsn.0, "log positions track LSNs");
-        self.events.extend_from_slice(events);
-        // Untimed model: every live replica persists and acks in the same
-        // pump. The timed cluster spreads these acks over simulated time.
-        let upto = self.log.appended_upto();
-        for r in 0..self.log.config().replicas {
-            if self.log.replica_alive(r) {
-                let _ = self.log.ack(r, upto);
-            }
-        }
-    }
-
-    fn published_upto(&self) -> Lsn {
-        Lsn(self.base + self.events.len() as u64)
-    }
-
-    fn durable_upto(&self) -> Lsn {
-        self.log.durable_upto()
-    }
-
-    fn tail_from(&self, from: Lsn) -> Vec<BinlogEvent> {
-        let durable = self.log.durable_upto().0;
-        let lo = (from.0.saturating_sub(self.base) as usize).min(self.events.len());
-        let hi = (durable.saturating_sub(self.base) as usize).min(self.events.len());
-        self.events[lo..hi.max(lo)].to_vec()
-    }
-
-    fn recovery_lsn(&self) -> Lsn {
-        self.log.reattach_lsn()
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-}
-
-/// Construct the backend for `kind` with default shared-log configuration.
-pub fn backend_for(kind: BackendKind) -> Box<dyn ReplicationBackend> {
-    match kind {
-        BackendKind::Statement | BackendKind::Row => Box::new(BinlogFanout::new(kind)),
-        BackendKind::SharedLog => Box::new(SharedLogBackend::new(LogStoreConfig::default())),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amdb_sql::EventPayload;
-
-    fn ev(lsn: u64) -> BinlogEvent {
-        BinlogEvent {
-            lsn: Lsn(lsn),
-            commit_ts_micros: lsn as i64,
-            payload: EventPayload::Statement {
-                sql: "x".into(),
-                params: vec![],
-            },
-        }
-    }
 
     #[test]
     fn kind_parse_round_trips() {
@@ -295,36 +87,5 @@ mod tests {
             Some(BackendKind::SharedLog)
         );
         assert_eq!(BackendKind::parse("bogus"), None);
-    }
-
-    #[test]
-    fn fanout_durability_equals_publication() {
-        let mut b = BinlogFanout::new(BackendKind::Statement);
-        b.publish(&[ev(0), ev(1)]);
-        assert_eq!(b.durable_upto(), Lsn(2));
-        assert_eq!(b.tail_from(Lsn(1)).len(), 1);
-        assert_eq!(b.recovery_lsn(), Lsn(0), "nothing survives the master");
-    }
-
-    #[test]
-    fn shared_log_tail_stops_at_durable_prefix() {
-        let mut b = SharedLogBackend::new(LogStoreConfig::default());
-        b.publish(&[ev(0), ev(1)]);
-        assert_eq!(b.durable_upto(), Lsn(2), "all replicas acked");
-        // Two replicas down: quorum unreachable, new publishes stay
-        // non-durable and invisible to tailing replicas.
-        b.log_mut().crash_replica(1);
-        b.log_mut().crash_replica(2);
-        b.publish(&[ev(2)]);
-        assert_eq!(b.published_upto(), Lsn(3));
-        assert_eq!(b.durable_upto(), Lsn(2));
-        assert_eq!(b.tail_from(Lsn(0)).len(), 2, "tail excludes unacked suffix");
-        // One heals: quorum restored, the suffix becomes durable on the
-        // next ack (modelled by a re-publish of nothing + explicit ack).
-        b.log_mut().heal_replica(1);
-        let upto = b.log().appended_upto();
-        b.log_mut().ack(1, upto);
-        assert_eq!(b.durable_upto(), Lsn(3));
-        assert_eq!(b.recovery_lsn(), Lsn(3));
     }
 }

@@ -18,11 +18,11 @@
 //!   and a microsecond local timestamp; statement-based replication
 //!   re-executes the insert on each slave with the slave's own clock, and
 //!   the delay is the difference of the two timestamps (§III-A);
-//! * [`backend`] — the [`ReplicationBackend`] seam: binlog fan-out
-//!   (statement or row) vs. the Taurus-style shared log, behind one trait so
-//!   the experiments can compare the designs;
+//! * [`BackendKind`] — binlog fan-out (statement or row) vs. the
+//!   Taurus-style shared log, so the experiments can compare the designs;
 //! * [`logstore`] — the quorum-replicated shared log service with
-//!   per-replica fault timelines and retry/timeout/backoff;
+//!   per-replica fault timelines, retry/timeout/backoff and the timed
+//!   quorum arithmetic ([`LogStore::append_at`]);
 //! * [`ReplicatedDb`] — an untimed master+slaves bundle for direct library
 //!   use (ship/apply immediately); the *timed* cluster lives in `amdb-core`.
 
@@ -31,12 +31,12 @@ pub mod heartbeat;
 pub mod logstore;
 pub mod relay;
 
-pub use backend::{backend_for, BackendKind, BinlogFanout, ReplicationBackend, SharedLogBackend};
+pub use backend::BackendKind;
 pub use heartbeat::{
     collect_samples, HeartbeatPlugin, HeartbeatSample, HEARTBEAT_SCHEMA, HEARTBEAT_TABLE,
 };
 pub use logstore::{
-    ack_time_us, AckResult, FaultTimeline, LogStore, LogStoreConfig, ReplicaAck, RetryPolicy,
+    AckResult, AckStats, AppendTiming, FaultTimeline, LogStore, LogStoreConfig, RetryPolicy,
 };
 pub use relay::RelayQueue;
 
@@ -79,8 +79,9 @@ pub struct ReplicatedDb {
     master: Engine,
     master_session: Session,
     slaves: Vec<(Engine, RelayQueue)>,
-    /// The publish/tail plane between the master's commits and the relays.
-    backend: Box<dyn ReplicationBackend>,
+    /// The shared log's quorum state; `None` under binlog fan-out. Either
+    /// way the master's binlog is the one copy of the events.
+    log: Option<LogStore>,
     /// Logical clock fed to `NOW_MICROS()`; bump via [`Self::set_now_micros`].
     now_micros: i64,
     /// Simulated apply workers per slave (1 = the classic serial SQL
@@ -108,20 +109,16 @@ impl ReplicatedDb {
             slaves: (0..n_slaves)
                 .map(|_| (Engine::new_slave(), RelayQueue::new()))
                 .collect(),
-            backend: backend_for(kind),
+            log: (kind == BackendKind::SharedLog).then(|| LogStore::new(LogStoreConfig::default())),
             now_micros: 0,
             apply_workers: 1,
         }
     }
 
-    /// The replication backend in use.
-    pub fn backend_kind(&self) -> BackendKind {
-        self.backend.kind()
-    }
-
-    /// Mutable backend access (tests inject log-replica faults here).
-    pub fn backend_mut(&mut self) -> &mut dyn ReplicationBackend {
-        self.backend.as_mut()
+    /// The shared log's quorum state machine, `None` under binlog fan-out
+    /// (tests crash, truncate and heal log replicas here between pumps).
+    pub fn log_mut(&mut self) -> Option<&mut LogStore> {
+        self.log.as_mut()
     }
 
     /// Number of slaves.
@@ -173,16 +170,34 @@ impl ReplicatedDb {
     }
 
     /// Ship all new binlog events into every slave's relay queue (the I/O
-    /// threads catching up), without applying: newly committed events are
-    /// published to the backend, and each relay tails the backend's
-    /// *durable* prefix — under binlog fan-out that is everything published
-    /// (pre-trait behaviour, bit for bit); under the shared log a relay
-    /// never sees a record the quorum has not acked.
+    /// threads catching up), without applying. Each relay tails the master's
+    /// binlog — all of it under binlog fan-out; under the shared log only
+    /// the *durable* prefix, so a relay never sees a record the quorum has
+    /// not acked (a replica must never apply a write that a failover could
+    /// retract).
     pub fn ship(&mut self) {
-        let new = self.master.binlog_from(self.backend.published_upto());
-        self.backend.publish(new);
+        let head = self.master.binlog().head();
+        let mut durable = head;
+        if let Some(log) = &mut self.log {
+            let new = head.0 - log.appended_upto().0;
+            if new > 0 {
+                // Untimed model: every live replica persists and acks in
+                // the same pump. The timed cluster spreads these acks over
+                // simulated time.
+                log.append(new);
+                for r in 0..log.config().replicas {
+                    if log.replica_alive(r) {
+                        log.ack(r, head);
+                    }
+                }
+            }
+            durable = log.durable_upto();
+        }
         for (_, relay) in &mut self.slaves {
-            relay.receive(self.backend.tail_from(relay.received_upto()));
+            let from = relay.received_upto();
+            let durable_len = durable.0.saturating_sub(from.0) as usize;
+            let tail = &self.master.binlog_from(from)[..durable_len];
+            relay.receive(tail.iter().cloned());
         }
     }
 
@@ -442,22 +457,18 @@ mod tests {
 
     #[test]
     fn shared_log_backend_gates_delivery_on_quorum() {
+        assert!(ReplicatedDb::with_backend(BackendKind::Row, 1)
+            .log_mut()
+            .is_none());
         let mut db = ReplicatedDb::with_backend(BackendKind::SharedLog, 1);
-        assert_eq!(db.backend_kind(), BackendKind::SharedLog);
         db.execute_master("CREATE TABLE t (id INT PRIMARY KEY)", &[])
             .unwrap();
         db.pump().unwrap();
-        fn shared(db: &mut ReplicatedDb) -> &mut SharedLogBackend {
-            db.backend_mut()
-                .as_any_mut()
-                .downcast_mut::<SharedLogBackend>()
-                .expect("shared-log backend")
-        }
         // Two of three log replicas down: quorum unreachable.
         {
-            let sl = shared(&mut db);
-            sl.log_mut().crash_replica(1);
-            sl.log_mut().crash_replica(2);
+            let log = db.log_mut().expect("shared-log backend");
+            log.crash_replica(1);
+            log.crash_replica(2);
         }
         db.execute_master("INSERT INTO t VALUES (1)", &[]).unwrap();
         db.pump().unwrap();
@@ -469,10 +480,10 @@ mod tests {
         );
         // Quorum restored: the suffix becomes durable and ships.
         {
-            let sl = shared(&mut db);
-            sl.log_mut().heal_replica(1);
-            let upto = sl.log().appended_upto();
-            sl.log_mut().ack(1, upto);
+            let log = db.log_mut().expect("shared-log backend");
+            log.heal_replica(1);
+            let upto = log.appended_upto();
+            log.ack(1, upto);
         }
         db.pump().unwrap();
         let r = db.execute_slave(0, "SELECT COUNT(*) FROM t", &[]).unwrap();

@@ -8,13 +8,13 @@
 //! the new master resumes from the last durable quorum LSN instead of
 //! rebuilding peers from a snapshot.
 //!
-//! [`LogStore`] is the untimed protocol state machine: appends assign
-//! positions, per-replica acks advance contiguous persisted prefixes, and
+//! [`LogStore`] is the protocol state machine: appends assign positions,
+//! per-replica acks advance contiguous persisted prefixes, and
 //! `durable_upto` is the quorum-th highest prefix. The *timed* behaviour
-//! (when each ack lands on the simulated clock) is computed analytically by
-//! [`ack_time_us`] from a per-replica [`FaultTimeline`] and a [`RetryPolicy`]
-//! — no retained event state, so the hot path of a statement-backend run
-//! never touches any of this.
+//! (when each ack lands on the simulated clock, and when the quorum forms)
+//! is computed analytically by [`LogStore::append_at`] from each replica's
+//! [`FaultTimeline`] and the [`RetryPolicy`] — no retained event state, so
+//! the hot path of a statement-backend run never touches any of this.
 
 use amdb_sql::Lsn;
 
@@ -43,15 +43,10 @@ impl Default for LogStoreConfig {
 }
 
 impl LogStoreConfig {
-    /// Panics unless `1 <= quorum <= replicas`.
-    pub fn validate(&self) {
-        assert!(self.replicas >= 1, "log store needs at least one replica");
-        assert!(
-            (1..=self.replicas).contains(&self.quorum),
-            "quorum {} out of range for {} replicas",
-            self.quorum,
-            self.replicas
-        );
+    /// Whether `1 <= quorum <= replicas` (which also rules out an empty
+    /// replica set) — the only shape a [`LogStore`] can be built from.
+    pub fn quorum_in_range(&self) -> bool {
+        (1..=self.replicas).contains(&self.quorum)
     }
 }
 
@@ -95,7 +90,7 @@ impl RetryPolicy {
     }
 
     /// Hard bound on one full attempt sequence: the offset (µs) past the
-    /// send instant at which [`ack_time_us`] gives up. Every inter-attempt
+    /// send instant at which an append gives up on a replica. Every inter-attempt
     /// delay is `timeout + backoff` with the backoff capped, so the sum is
     /// finite — the no-unbounded-retry guarantee, in closed form.
     pub fn give_up_after_us(&self) -> u64 {
@@ -170,12 +165,12 @@ impl FaultTimeline {
 
 /// Outcome of one append attempt sequence against one replica.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReplicaAck {
+struct ReplicaAck {
     /// Instant the ack lands at the master, µs. `None`: the append abandoned
     /// this replica (attempt cap under sustained partition).
-    pub acked_at_us: Option<u64>,
+    acked_at_us: Option<u64>,
     /// Attempts spent (1 = first try succeeded).
-    pub attempts: u32,
+    attempts: u32,
 }
 
 /// Analytically compute when replica `timeline`'s ack for an append issued
@@ -184,7 +179,7 @@ pub struct ReplicaAck {
 /// time) burns the full `timeout_us`, then waits the capped backoff; an
 /// attempt issued while up completes in `service_us` stretched by the
 /// slow-disk factor. Pure function of its inputs — determinism for free.
-pub fn ack_time_us(
+fn ack_time_us(
     timeline: &FaultTimeline,
     policy: &RetryPolicy,
     sent_us: u64,
@@ -237,12 +232,41 @@ struct LogReplicaState {
     /// Persisted (fsynced + acked) up to this LSN, exclusive.
     persisted_upto: u64,
     alive: bool,
+    /// Fault schedule the timed appends run against.
+    timeline: FaultTimeline,
+    /// FIFO ack clearance, µs: a log replica persists appends in order, so
+    /// a later batch's ack can never land before an earlier one's.
+    ack_clear_us: u64,
 }
 
-/// The untimed quorum state machine: who has what, and what is durable.
+/// When the acks of one [`LogStore::append_at`] land.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AppendTiming {
+    /// Per replica, in replica order: the instant (µs) its ack reaches the
+    /// master; `None` for a replica that stays down forever.
+    pub acks_us: Vec<Option<u64>>,
+    /// The batch's durability instant (µs) — the client-ack gate.
+    pub quorum_at_us: u64,
+}
+
+/// Cumulative cost of the fault windows the timed appends rode through.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AckStats {
+    /// Transport-level retry attempts beyond each first try.
+    pub retries: u64,
+    /// Application-level re-sends after a full attempt sequence gave up
+    /// (sustained partition outlasting the bounded retry budget).
+    pub resends: u64,
+    /// Appends whose quorum never formed within the retry budget
+    /// (availability loss; needs `replicas - quorum + 1` replicas down).
+    pub quorum_failures: u64,
+}
+
+/// The quorum state machine: who has what, and what is durable.
 ///
-/// The timed cluster drives this with acks whose *instants* come from
-/// [`ack_time_us`]; unit and property tests drive it directly to pin the
+/// The timed cluster appends through [`Self::append_at`] and feeds each ack
+/// back through [`Self::ack`] at the instant that call computed; unit and
+/// property tests drive [`Self::append`] / [`Self::ack`] directly to pin the
 /// protocol edges (duplicate/late acks, death between append and ack,
 /// truncated-replica reattach).
 #[derive(Debug, Clone)]
@@ -253,22 +277,47 @@ pub struct LogStore {
     /// Durable prefix: quorum-acked up to here, exclusive. Monotone.
     durable_upto: u64,
     replicas: Vec<LogReplicaState>,
+    /// Monotone quorum completion across timed appends (appends are FIFO).
+    last_quorum_us: u64,
+    ack_stats: AckStats,
 }
 
 impl LogStore {
-    /// Fresh log service, all replicas alive and empty.
+    /// Fresh log service, all replicas alive, empty and never faulting.
+    ///
+    /// # Panics
+    /// Panics unless `1 <= quorum <= replicas`.
     pub fn new(cfg: LogStoreConfig) -> Self {
-        cfg.validate();
+        Self::with_timelines(cfg, vec![FaultTimeline::healthy(); cfg.replicas])
+    }
+
+    /// Fresh log service whose replica `r` follows `timelines[r]`.
+    ///
+    /// # Panics
+    /// Panics unless `1 <= quorum <= replicas == timelines.len()`.
+    pub fn with_timelines(cfg: LogStoreConfig, timelines: Vec<FaultTimeline>) -> Self {
+        assert!(
+            cfg.quorum_in_range(),
+            "quorum {} out of range for {} replicas",
+            cfg.quorum,
+            cfg.replicas
+        );
+        assert_eq!(timelines.len(), cfg.replicas, "one timeline per replica");
         Self {
-            replicas: (0..cfg.replicas)
-                .map(|_| LogReplicaState {
+            replicas: timelines
+                .into_iter()
+                .map(|timeline| LogReplicaState {
                     persisted_upto: 0,
                     alive: true,
+                    timeline,
+                    ack_clear_us: 0,
                 })
                 .collect(),
             cfg,
             appended_upto: 0,
             durable_upto: 0,
+            last_quorum_us: 0,
+            ack_stats: AckStats::default(),
         }
     }
 
@@ -283,6 +332,67 @@ impl LogStore {
         let first = self.appended_upto;
         self.appended_upto += count;
         Lsn(first)
+    }
+
+    /// Timed append: assign positions for `count` records sent at `now_us`
+    /// and compute, from each replica's fault timeline, when its ack lands.
+    ///
+    /// A replica whose bounded transport retry sequence gives up (sustained
+    /// partition) is not abandoned: the master buffers the append and
+    /// re-sends once the replica heals. Acks are FIFO per replica. The
+    /// quorum instant is the quorum-th smallest ack, clamped monotone across
+    /// appends; when fewer than a quorum of replicas ever ack, the append
+    /// cannot become durable now — the client is acked at the end of the
+    /// retry budget and the failure counted (an availability event;
+    /// durability is at risk only if the master also dies before the
+    /// partitions heal).
+    pub fn append_at(&mut self, count: u64, now_us: u64) -> AppendTiming {
+        self.append(count);
+        let (policy, service_us) = (self.cfg.retry, self.cfg.append_service_us);
+        let stats = &mut self.ack_stats;
+        let acks_us: Vec<Option<u64>> = self
+            .replicas
+            .iter_mut()
+            .map(|rep| {
+                let mut sent_us = now_us;
+                let acked_us = loop {
+                    let ack = ack_time_us(&rep.timeline, &policy, sent_us, service_us);
+                    stats.retries += u64::from(ack.attempts.saturating_sub(1));
+                    if let Some(t) = ack.acked_at_us {
+                        break t;
+                    }
+                    let give_up = sent_us.saturating_add(policy.give_up_after_us());
+                    sent_us = rep.timeline.next_up(give_up)?; // down forever
+                    stats.resends += 1;
+                };
+                rep.ack_clear_us = rep.ack_clear_us.max(acked_us);
+                Some(rep.ack_clear_us)
+            })
+            .collect();
+        let mut landed: Vec<u64> = acks_us.iter().flatten().copied().collect();
+        landed.sort_unstable();
+        let quorum_at_us = match landed.get(self.cfg.quorum - 1) {
+            Some(&at) => at,
+            None => {
+                stats.quorum_failures += 1;
+                now_us + policy.give_up_after_us()
+            }
+        };
+        self.last_quorum_us = self.last_quorum_us.max(quorum_at_us);
+        AppendTiming {
+            acks_us,
+            quorum_at_us: self.last_quorum_us,
+        }
+    }
+
+    /// Retries, re-sends and quorum failures of every timed append so far.
+    pub fn ack_stats(&self) -> AckStats {
+        self.ack_stats
+    }
+
+    /// Replica `r`'s fault schedule.
+    pub fn timeline(&self, r: usize) -> &FaultTimeline {
+        &self.replicas[r].timeline
     }
 
     /// Append head (next LSN to be assigned).
@@ -566,5 +676,103 @@ mod tests {
         assert_eq!(tl.next_up(250), Some(250));
         assert_eq!(tl.downtime_us(500), 100 + 200);
         assert_eq!(tl.downtime_us(2_000), 100 + 700);
+    }
+
+    /// Three replicas whose first append (sent at 0) acks at 400, 2 000 and
+    /// 800 µs: one healthy, two on slow disks.
+    fn uneven_store() -> LogStore {
+        let slow = |factor| FaultTimeline::from_windows(vec![], vec![(0, 1_000, factor)]);
+        LogStore::with_timelines(
+            LogStoreConfig::default(),
+            vec![FaultTimeline::healthy(), slow(5.0), slow(2.0)],
+        )
+    }
+
+    #[test]
+    fn quorum_instant_is_the_quorum_th_smallest_ack() {
+        let mut s = uneven_store();
+        let t = s.append_at(2, 0);
+        assert_eq!(s.appended_upto(), Lsn(2), "a timed append is an append");
+        assert_eq!(t.acks_us, vec![Some(400), Some(2_000), Some(800)]);
+        assert_eq!(t.quorum_at_us, 800, "2 of 3: the second-smallest ack");
+        assert_eq!(s.ack_stats(), AckStats::default());
+        // Feeding the acks back in instant order makes the batch durable
+        // exactly at the quorum-th one.
+        assert_eq!(s.ack(0, Lsn(2)), AckResult::Pending);
+        assert_eq!(s.ack(2, Lsn(2)), AckResult::Durable(Lsn(2)));
+        assert_eq!(s.ack(1, Lsn(2)), AckResult::LateAfterQuorum);
+    }
+
+    #[test]
+    fn acks_and_quorum_instants_are_fifo_across_batches() {
+        let mut s = uneven_store();
+        let first = s.append_at(1, 0);
+        // Sent after the slow windows closed: every replica would ack at
+        // 1 600, but replica 1 is still persisting the first batch.
+        let second = s.append_at(1, 1_200);
+        assert_eq!(second.acks_us, vec![Some(1_600), Some(2_000), Some(1_600)]);
+        for (a, b) in first.acks_us.iter().zip(&second.acks_us) {
+            assert!(a <= b, "per-replica acks never reorder: {a:?} then {b:?}");
+        }
+        assert_eq!(second.quorum_at_us, 1_600);
+        assert!(first.quorum_at_us <= second.quorum_at_us);
+    }
+
+    #[test]
+    fn one_replica_down_past_the_retry_budget_is_resent_not_failed() {
+        let cfg = LogStoreConfig::default();
+        let give_up = cfg.retry.give_up_after_us();
+        let heal = give_up + 50_000;
+        let mut s = LogStore::with_timelines(
+            cfg,
+            vec![
+                FaultTimeline::healthy(),
+                FaultTimeline::healthy(),
+                FaultTimeline::from_windows(vec![(0, heal)], vec![]),
+            ],
+        );
+        let t = s.append_at(1, 0);
+        assert_eq!(t.quorum_at_us, 400, "the healthy pair forms the quorum");
+        assert_eq!(
+            t.acks_us[2],
+            Some(heal + 400),
+            "re-sent the instant the replica heals"
+        );
+        let stats = s.ack_stats();
+        assert_eq!(stats.resends, 1);
+        assert_eq!(stats.quorum_failures, 0);
+        assert_eq!(
+            stats.retries,
+            u64::from(cfg.retry.max_attempts - 1),
+            "one exhausted attempt sequence, then a first-try success"
+        );
+    }
+
+    #[test]
+    fn too_many_replicas_down_forever_fails_the_quorum_at_the_budget() {
+        let cfg = LogStoreConfig::default();
+        let dead = || FaultTimeline::from_windows(vec![(0, u64::MAX)], vec![]);
+        // replicas - quorum + 1 = 2 replicas never ack.
+        let mut s = LogStore::with_timelines(cfg, vec![FaultTimeline::healthy(), dead(), dead()]);
+        let t = s.append_at(1, 1_000);
+        assert_eq!(t.acks_us, vec![Some(1_400), None, None]);
+        assert_eq!(t.quorum_at_us, 1_000 + cfg.retry.give_up_after_us());
+        let stats = s.ack_stats();
+        assert_eq!(stats.quorum_failures, 1);
+        assert_eq!(stats.resends, 0, "nothing to re-send to: never up again");
+    }
+
+    #[test]
+    fn log_store_refuses_an_unreachable_quorum() {
+        let shape = |replicas, quorum| LogStoreConfig {
+            replicas,
+            quorum,
+            ..LogStoreConfig::default()
+        };
+        assert!(shape(3, 2).quorum_in_range());
+        assert!(shape(1, 1).quorum_in_range());
+        for bad in [shape(0, 0), shape(0, 1), shape(3, 0), shape(3, 4)] {
+            assert!(!bad.quorum_in_range(), "{bad:?}");
+        }
     }
 }

@@ -60,12 +60,16 @@ impl RelayQueue {
 
     /// Receive shipped events. Events below `received_upto` (duplicates from
     /// a re-ship) are discarded; events must otherwise arrive in LSN order.
+    ///
+    /// # Panics
+    /// Panics on a gap — in every build profile: a relay that skipped an
+    /// event would apply the rest and silently diverge from the master.
     pub fn receive(&mut self, events: impl IntoIterator<Item = BinlogEvent>) {
         for ev in events {
             if ev.lsn < self.received_upto {
                 continue; // duplicate delivery
             }
-            debug_assert_eq!(
+            assert_eq!(
                 ev.lsn, self.received_upto,
                 "relay gap: got {:?}, expected {:?}",
                 ev.lsn, self.received_upto

@@ -207,10 +207,11 @@ fn int_key(v: &Value) -> Option<i64> {
     }
 }
 
-/// Primary-key index. Tables whose pk column is INT or TIMESTAMP (all of
-/// them, in this workload) use the open-addressing [`IntMap`]; any other pk
-/// type — or an integer-keyed table that somehow receives a non-integer key
-/// — uses the ordered fallback (see [`Table::degrade_pk`]).
+/// Primary-key index, chosen once at [`Table::new`]. Tables whose pk column
+/// is INT or TIMESTAMP (all of them, in this workload) use the
+/// open-addressing [`IntMap`]; any other pk type uses the ordered map.
+/// `Table::validate` coerces every stored row to its column types first, so
+/// an `Ints` index only ever sees integer keys.
 #[derive(Debug, Clone)]
 enum PkIndex {
     Ints(IntMap),
@@ -227,12 +228,12 @@ impl PkIndex {
         }
     }
 
-    /// Claim `key → rid`; `false` if the key is taken. Callers must route
-    /// non-integer keys away from the `Ints` arm first ([`Table::degrade_pk`]).
+    /// Claim `key → rid`; `false` if the key is taken. `key` comes from a
+    /// validated row, so under the `Ints` arm it is an integer.
     fn try_insert(&mut self, key: &Value, rid: RowId) -> bool {
         match self {
             PkIndex::Ints(m) => {
-                let k = int_key(key).expect("non-integer pk keys degrade the index first");
+                let k = int_key(key).expect("validated rows carry integer keys for an INT pk");
                 m.try_insert(k, rid.0)
             }
             PkIndex::General(m) => match m.entry(Key(key.clone())) {
@@ -542,11 +543,6 @@ impl Table {
         // slot (the claim is undone below on the rare secondary unique
         // violation, keeping failed inserts free of side effects).
         let pk_idx = self.schema.pk_index();
-        if let (Some(PkIndex::Ints(_)), Some(pki)) = (self.pk.as_ref(), pk_idx) {
-            if int_key(&row[pki]).is_none() {
-                self.degrade_pk();
-            }
-        }
         let pk_claimed = if let (Some(pk_map), Some(pk_idx)) = (&mut self.pk, pk_idx) {
             if !pk_map.try_insert(&row[pk_idx], rid) {
                 return Err(SqlError::DuplicateKey(format!(
@@ -629,13 +625,6 @@ impl Table {
             }
         }
 
-        // Degrade (cold, at most once per table) before the old image is
-        // detached: the rebuild scans the row heap.
-        if let Some(pk_idx) = self.schema.pk_index() {
-            if matches!(self.pk, Some(PkIndex::Ints(_))) && int_key(&new_row[pk_idx]).is_none() {
-                self.degrade_pk();
-            }
-        }
         let old = self.rows[rid.0 as usize].take().expect("checked above");
         if let (Some(pk_map), Some(pk_idx)) = (&mut self.pk, self.schema.pk_index()) {
             if old[pk_idx] != new_row[pk_idx] {
@@ -725,11 +714,6 @@ impl Table {
     /// Re-insert a row under a specific id (used by transaction rollback;
     /// the row must have been previously validated by this table).
     pub fn restore(&mut self, rid: RowId, row: Arc<[Value]>) {
-        if let (Some(PkIndex::Ints(_)), Some(pk_idx)) = (self.pk.as_ref(), self.schema.pk_index()) {
-            if int_key(&row[pk_idx]).is_none() {
-                self.degrade_pk();
-            }
-        }
         if let (Some(pk_map), Some(pk_idx)) = (&mut self.pk, self.schema.pk_index()) {
             let _ = pk_map.try_insert(&row[pk_idx], rid);
         }
@@ -782,21 +766,6 @@ impl Table {
                 .collect(),
         };
         Some(ids.into_iter())
-    }
-
-    /// Rebuild the pk index as the ordered fallback. Cold and at most once
-    /// per table: reached only if a non-integer key arrives at an
-    /// `IntMap`-backed index, which `validate`'s column-type coercion makes
-    /// unreachable for the workload's schemas.
-    fn degrade_pk(&mut self) {
-        let pk_idx = self.schema.pk_index().expect("degrade implies a pk");
-        let mut m = BTreeMap::new();
-        for (i, slot) in self.rows.iter().enumerate() {
-            if let Some(row) = slot {
-                m.insert(Key(row[pk_idx].clone()), RowId(i as u64));
-            }
-        }
-        self.pk = Some(PkIndex::General(m));
     }
 }
 
@@ -1144,6 +1113,32 @@ mod tests {
             })
             .collect();
         assert_eq!(keys, vec!["a", "b"], "range in key order");
+    }
+
+    #[test]
+    fn uncoercible_int_pk_is_an_error_not_a_panic() {
+        // `validate` coerces the pk to its declared type before the index
+        // is probed, so the integer index never meets a non-integer key.
+        let mut t = table();
+        let text_pk = |name: &str| {
+            vec![
+                Value::Text("seven".into()),
+                Value::Text(name.into()),
+                Value::Double(0.0),
+            ]
+        };
+        let err = t.insert(text_pk("a")).unwrap_err();
+        assert!(matches!(err, SqlError::TypeMismatch(_)), "{err:?}");
+        let rid = t.insert(row(Some(1), "a", 0.0)).unwrap();
+        let err = t.update(rid, text_pk("b")).unwrap_err();
+        assert!(matches!(err, SqlError::TypeMismatch(_)), "{err:?}");
+        assert_eq!(t.row_count(), 1, "neither attempt left a trace");
+        assert_eq!(t.pk_lookup(&Value::Int(1)), Some(rid));
+        // A fractional double is coerced (truncated), not rejected.
+        let mut half = row(None, "c", 0.0);
+        half[0] = Value::Double(2.5);
+        let rid = t.insert(half).unwrap();
+        assert_eq!(t.get(rid).unwrap()[0], Value::Int(2));
     }
 
     #[test]

@@ -18,23 +18,23 @@
 //! arrows tying each traced write to its applies on every slave.
 
 use amdb::cloudstone::{DataSize, MixConfig, WorkloadConfig};
-use amdb::core::{run_cell, CellRun, ClusterConfig, ObsConfig};
+use amdb::core::{run_cell, BackendKind, CellRun, ClusterConfig, ObsConfig};
 use amdb::repl::ReplicatedDb;
-use amdb::sql::{BinlogFormat, Value};
+use amdb::sql::Value;
 use amdb::telemetry::AlertKind;
 
 /// `--binlog-format {statement|row}` and `--apply-workers N`. The defaults
 /// (statement, 1) reproduce MySQL's classic serial-apply setup; row format
 /// with N > 1 turns on the writeset-dependency parallel apply scheduler.
-fn parse_args() -> (BinlogFormat, usize) {
-    let (mut format, mut workers) = (BinlogFormat::Statement, 1usize);
+fn parse_args() -> (BackendKind, usize) {
+    let (mut format, mut workers) = (BackendKind::Statement, 1usize);
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--binlog-format" => {
                 format = match args.next().as_deref() {
-                    Some("row") => BinlogFormat::Row,
-                    Some("statement") => BinlogFormat::Statement,
+                    Some("row") => BackendKind::Row,
+                    Some("statement") => BackendKind::Statement,
                     other => panic!("--binlog-format expects statement|row, got {other:?}"),
                 }
             }
@@ -55,7 +55,7 @@ fn main() {
     let (format, workers) = parse_args();
     // One master, two slaves, MySQL-style replication (statement-based by
     // default; `--binlog-format row` ships row images instead).
-    let mut db = ReplicatedDb::new(format, 2);
+    let mut db = ReplicatedDb::with_backend(format, 2);
     db.set_apply_workers(workers);
 
     db.execute_master(
@@ -132,7 +132,7 @@ fn main() {
             .mix(MixConfig::RW_50_50)
             .data_size(DataSize { scale: 100 })
             .workload(WorkloadConfig::quick(120))
-            .format(format)
+            .backend(format)
             .apply_workers(workers)
             .observability(ObsConfig {
                 enabled: true,

@@ -245,11 +245,11 @@ fn slave_failover_mid_batch_replays_from_committed_lsn() {
     // in-order (a batch's LSN range commits atomically and sequentially),
     // the replacement bootstraps from the last in-order-committed LSN and
     // replays cleanly — nothing skipped, nothing applied twice.
+    use amdb::core::BackendKind;
     use amdb::core::Cluster;
-    use amdb::sql::binlog::BinlogFormat;
 
     let cfg = base(90, 2)
-        .format(BinlogFormat::Row)
+        .backend(BackendKind::Row)
         .apply_workers(4)
         .fault(FaultPlan {
             slave: 0,
@@ -301,11 +301,11 @@ fn master_failover_mid_batch_converges_on_new_master() {
     // The master dies while every slave is group-committing row batches;
     // the promoted replica's binlog position is its last in-order-committed
     // LSN, and the survivors re-sync from it without divergence.
+    use amdb::core::BackendKind;
     use amdb::core::Cluster;
-    use amdb::sql::binlog::BinlogFormat;
 
     let cfg = base(60, 3)
-        .format(BinlogFormat::Row)
+        .backend(BackendKind::Row)
         .apply_workers(8)
         .master_fault(amdb::core::MasterFaultPlan {
             fail_at: SimDuration::from_secs(150),

@@ -177,13 +177,13 @@ fn telemetry_outputs_are_byte_identical_for_same_seed() {
 
 /// Row-format cell with a parallel apply pipeline, telemetry on.
 fn row_apply_cfg(workers: usize, tsdb: bool, seed: u64) -> ClusterConfig {
-    use amdb::sql::binlog::BinlogFormat;
+    use amdb::core::BackendKind;
     ClusterConfig::builder()
         .slaves(2)
         .mix(MixConfig::RW_50_50)
         .data_size(DataSize { scale: 100 })
         .workload(WorkloadConfig::quick(120))
-        .format(BinlogFormat::Row)
+        .backend(BackendKind::Row)
         .apply_workers(workers)
         .observability(ObsConfig {
             enabled: true,

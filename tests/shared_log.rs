@@ -206,3 +206,58 @@ fn shared_log_quorum_gates_write_latency() {
         "a 20 ms log append must raise mean op latency: {s:.2} vs {f:.2}"
     );
 }
+
+#[test]
+fn reattach_delivers_the_published_but_not_yet_durable_tail() {
+    // A slow log service (50 ms appends) and a fast failure detector (5 ms):
+    // the master dies with a batch published but not yet quorum-acked. The
+    // reattach replays that batch on the promoted slave, so the log's
+    // surviving replicas must hold it — and every other slave must tail it
+    // too. Dropping it used to leave a gap in their relays (a panic in debug
+    // builds, silent divergence in release).
+    use amdb::core::Cluster;
+
+    let phases = WorkloadConfig::quick(1).phases;
+    let cfg = base(60, 3)
+        .mix(MixConfig::RW_50_50)
+        .backend(BackendKind::SharedLog)
+        .log_store(LogStoreConfig {
+            append_service_us: 50_000,
+            ..LogStoreConfig::default()
+        })
+        .master_fault(MasterFaultPlan {
+            fail_at: phases.steady_start() - amdb::sim::SimTime::ZERO,
+            detection_delay: SimDuration::from_millis(5),
+        })
+        .build();
+    let mut world = Cluster::new(cfg);
+    let events = world.run_timeline();
+    let report = world.report(events);
+    let sl = report.shared_log.as_ref().expect("shared-log report");
+    let (_, replayed) = sl.recovery.expect("failover reattached to the log");
+    assert!(
+        replayed > 0,
+        "the scenario must reattach past the durable frontier: {:?}",
+        report.membership_events
+    );
+    assert_eq!(sl.durable_lsn, sl.published_lsn, "drained durable");
+
+    let master = world.engine_mut(0).fingerprint();
+    let live: Vec<usize> = (0..3)
+        .filter(|s| {
+            !report
+                .membership_events
+                .iter()
+                .any(|(_, e)| e.starts_with(&format!("slave {s} promoted")))
+        })
+        .collect();
+    assert_eq!(live.len(), 2, "one slave slot holds the dead master");
+    for s in live {
+        assert_eq!(world.relay(s).backlog(), 0, "slave {s} drained");
+        assert_eq!(
+            world.engine_mut(s + 1).fingerprint(),
+            master,
+            "slave {s} diverged from the master"
+        );
+    }
+}
