@@ -158,4 +158,11 @@ echo "== committed results and the benchmark are untouched =="
 dirty=$(git status --porcelain results/ benchmark/ ':!benchmark/Cargo.lock' 'BENCH*.json')
 [ -z "$dirty" ] || { echo "$dirty"; exit 1; }
 
+echo "== non-test lines per crate (each file up to its first #[cfg(test)]; informational) =="
+# The one line count CHANGES.md quotes; it never fails the run.
+for crate in crates/*/; do
+  find "${crate}src" -name '*.rs' -print0 | xargs -0 awk -v c="$(basename "$crate")" \
+    'FNR == 1 { t = 0 } /#\[cfg\(test\)\]/ { t = 1 } !t { n++ } END { printf "%-14s %6d\n", c, n }'
+done | awk '{ print; s += $2 } END { printf "%-14s %6d\n", "workspace", s }' || true
+
 echo "CI OK"

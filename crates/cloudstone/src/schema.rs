@@ -113,17 +113,6 @@ impl DataSize {
     pub fn zips(self) -> u32 {
         100
     }
-
-    /// Total seeded rows across all tables (for load verification).
-    pub fn total_rows(self) -> u64 {
-        let e = self.events() as u64;
-        let u = self.users() as u64;
-        u + e
-            + self.tags() as u64
-            + e * self.tags_per_event() as u64
-            + u * self.attendances_per_user() as u64
-            + e * self.comments_per_event() as u64
-    }
 }
 
 #[cfg(test)]
@@ -134,7 +123,6 @@ mod tests {
     fn sizes_scale_linearly() {
         assert_eq!(DataSize::SMALL.users() * 2, DataSize::LARGE.users());
         assert_eq!(DataSize::SMALL.events() * 2, DataSize::LARGE.events());
-        assert!(DataSize::LARGE.total_rows() > DataSize::SMALL.total_rows());
     }
 
     #[test]

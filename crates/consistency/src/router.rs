@@ -65,23 +65,23 @@ pub enum ReadDecision {
     RedirectMaster,
 }
 
+/// Floor for wait-for-catchup rechecks (ms), so a near-zero ETA cannot
+/// busy-spin the scheduler.
+const MIN_WAIT_MS: f64 = 5.0;
+
 /// The complete policy configuration for a deployment.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConsistencyConfig {
     pub policy: ConsistencyPolicy,
     pub fallback: FallbackPolicy,
-    /// Floor for wait-for-catchup rechecks (ms), so a near-zero ETA cannot
-    /// busy-spin the scheduler.
-    pub min_wait_ms: f64,
 }
 
 impl ConsistencyConfig {
-    /// Policy with the redirect fallback and default wait floor.
+    /// Policy with the redirect fallback.
     pub fn new(policy: ConsistencyPolicy) -> Self {
         Self {
             policy,
             fallback: FallbackPolicy::RedirectToMaster,
-            min_wait_ms: 5.0,
         }
     }
 
@@ -148,7 +148,7 @@ impl ConsistencyConfig {
                     .map(|s| self.eta_to_eligible_ms(wm, session, s))
                     .fold(f64::INFINITY, f64::min);
                 let budget = deadline_ms - waited_ms;
-                let recheck_ms = eta.clamp(self.min_wait_ms, budget.max(self.min_wait_ms));
+                let recheck_ms = eta.clamp(MIN_WAIT_MS, budget.max(MIN_WAIT_MS));
                 ReadDecision::WaitRetry { recheck_ms }
             }
         }
@@ -283,14 +283,14 @@ mod tests {
         else {
             panic!("must wait")
         };
-        assert!(recheck_ms >= cfg.min_wait_ms, "floor applies: {recheck_ms}");
+        assert!(recheck_ms >= MIN_WAIT_MS, "floor applies: {recheck_ms}");
         // Nearly exhausted budget still clamps to the floor, not below.
         let ReadDecision::WaitRetry { recheck_ms } =
             cfg.decide_read(&mut p, &wm, &SessionToken::new(), 0.0, 49.9)
         else {
             panic!("must wait")
         };
-        assert!(recheck_ms >= cfg.min_wait_ms);
+        assert!(recheck_ms >= MIN_WAIT_MS);
     }
 
     #[test]

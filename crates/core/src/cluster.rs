@@ -32,7 +32,7 @@ use crate::config::{BalancerKind, ClusterConfig, ConfigError};
 use crate::report::{ConsistencyReport, DelayReport, RunReport, SharedLogReport};
 use crate::users::{UserLoop, WorkGen};
 use amdb_cloud::clock::WALL_EPOCH_MICROS;
-use amdb_cloud::{Instance, InstanceType, Provider};
+use amdb_cloud::{CpuModel, Instance, InstanceType, Provider};
 use amdb_cloudstone::{build_template, OpClass, OpGenerator, Operation, Phases, UserSessions};
 use amdb_consistency::{
     ConsistencyConfig, ConsistencyPolicy, ReadDecision, SeqSource, SessionToken, WatermarkTable,
@@ -181,9 +181,9 @@ pub enum ClusterEvent {
     /// A shared-log replica's append acknowledgement lands at the master
     /// (shared-log backend only; instants come from [`LogStore::append_at`]).
     LogAck { replica: usize, upto: Lsn },
-    /// Periodic NTP discipline of every node (`ntp_interval`).
+    /// Periodic NTP discipline of every node (every `NTP_INTERVAL`).
     NtpTick,
-    /// The master emits a heartbeat row (`heartbeat_interval`).
+    /// The master emits a heartbeat row (every `HEARTBEAT_INTERVAL`).
     HeartbeatTick,
     /// Observability sampler: one gauge record per tracked series.
     ObsSampleTick,
@@ -448,12 +448,30 @@ struct Stats {
     apply_events: u64,
 }
 
-/// The simulation world for one benchmark run.
 /// Slots in a node's cached demand-sketch handle array.
 const SK_READ: usize = 0;
 const SK_WRITE: usize = 1;
 const SK_APPLY: usize = 2;
 
+/// The paper's fixed environment (§III-B): every instance's clock is
+/// NTP-disciplined once a second, the master inserts one heartbeat row a
+/// second, and the master runs on one host model so its capacity is the same
+/// in every cell of a sweep.
+pub(crate) const NTP_INTERVAL: SimDuration = SimDuration::from_secs(1);
+pub(crate) const HEARTBEAT_INTERVAL: SimDuration = SimDuration::from_secs(1);
+pub(crate) const MASTER_HOST: CpuModel = CpuModel::XeonE5430;
+
+/// Launch one slave VM in the placement's zone, on the pinned host model when
+/// the config pins one.
+fn launch_slave_vm(provider: &mut Provider, cfg: &ClusterConfig) -> Instance {
+    let zone = cfg.placement.slave_zone(cfg.master_zone);
+    match cfg.pin_slave_host {
+        Some(m) => provider.launch_on_host(zone, InstanceType::Small, m),
+        None => provider.launch(zone, InstanceType::Small),
+    }
+}
+
+/// The simulation world for one benchmark run.
 pub struct Cluster {
     cfg: ClusterConfig,
     phases: Phases,
@@ -541,23 +559,15 @@ impl Cluster {
             cfg.obs.enabled = true;
         }
         let root = Rng::new(cfg.seed);
-        let mut provider = Provider::new(cfg.provider.clone(), root.derive("provider"));
-        let net = NetModel::new(cfg.net.clone(), root.derive("net"));
+        let mut provider = Provider::with_defaults(root.derive("provider"));
+        let net = NetModel::with_defaults(root.derive("net"));
 
         let master_zone = cfg.master_zone;
-        let slave_zone = cfg.placement.slave_zone(master_zone);
-
-        let master_inst = match cfg.pin_master_host {
-            Some(m) => provider.launch_on_host(master_zone, InstanceType::Small, m),
-            None => provider.launch(master_zone, InstanceType::Small),
-        };
+        let master_inst = provider.launch_on_host(master_zone, InstanceType::Small, MASTER_HOST);
         let master_engine = template.fork(ForkRole::Master(cfg.backend.format()));
         let mut nodes = vec![Node::new(master_inst, master_engine)];
         for _ in 0..cfg.n_slaves {
-            let inst = match cfg.pin_slave_host {
-                Some(m) => provider.launch_on_host(slave_zone, InstanceType::Small, m),
-                None => provider.launch(slave_zone, InstanceType::Small),
-            };
+            let inst = launch_slave_vm(&mut provider, &cfg);
             nodes.push(Node::new(inst, template.fork(ForkRole::Slave)));
         }
 
@@ -726,15 +736,13 @@ impl Cluster {
     /// Schedule the full timeline: NTP, heartbeats, users, window markers.
     pub fn schedule_timeline(&mut self, sim: &mut dyn ClusterHost) {
         // Initial NTP sync for everyone (instances boot disciplined once),
-        // then the periodic chain if configured.
+        // then the periodic chain.
         for i in 0..self.nodes.len() {
             let node = &mut self.nodes[i];
             let (clock, ntp) = (&mut node.inst.clock, &mut node.inst.ntp);
             ntp.sync(clock, SimTime::ZERO, &mut self.rng_ntp);
         }
-        if let Some(interval) = self.cfg.ntp_interval {
-            sim.schedule_event_in(interval, ClusterEvent::NtpTick);
-        }
+        sim.schedule_event_in(NTP_INTERVAL, ClusterEvent::NtpTick);
 
         // Heartbeats from t=0 (idle baseline needs them).
         sim.schedule_event_at(SimTime::ZERO, ClusterEvent::HeartbeatTick);
@@ -976,20 +984,15 @@ impl Cluster {
             let (clock, ntp) = (&mut node.inst.clock, &mut node.inst.ntp);
             ntp.sync(clock, now, &mut self.rng_ntp);
         }
-        let interval = self
-            .cfg
-            .ntp_interval
-            .expect("NtpTick is only scheduled with an interval");
-        if now + interval <= self.phases.hard_end() {
-            sim.schedule_event_in(interval, ClusterEvent::NtpTick);
+        if now + NTP_INTERVAL <= self.phases.hard_end() {
+            sim.schedule_event_in(NTP_INTERVAL, ClusterEvent::NtpTick);
         }
     }
 
     fn heartbeat_tick(&mut self, sim: &mut dyn ClusterHost) {
         self.enqueue_job(sim, 0, Job::Heartbeat);
-        let interval = self.cfg.heartbeat_interval;
-        if sim.now() + interval <= self.phases.hard_end() {
-            sim.schedule_event_in(interval, ClusterEvent::HeartbeatTick);
+        if sim.now() + HEARTBEAT_INTERVAL <= self.phases.hard_end() {
+            sim.schedule_event_in(HEARTBEAT_INTERVAL, ClusterEvent::HeartbeatTick);
         }
     }
 
@@ -2065,7 +2068,7 @@ impl Cluster {
     }
 
     /// Kill slave `s`: it stops serving reads and applying writesets.
-    pub fn fail_slave(&mut self, sim: &mut dyn ClusterHost, s: usize) {
+    fn fail_slave(&mut self, sim: &mut dyn ClusterHost, s: usize) {
         let node_idx = self.slave_node(s);
         if self.nodes[node_idx].failed {
             return;
@@ -2081,27 +2084,43 @@ impl Cluster {
         self.try_start(sim, node_idx);
     }
 
+    /// Launch a slave VM and seed it from a snapshot of the master as of
+    /// `now`: fork the master's engine, start the relay at its binlog head
+    /// (replication resumes from there), clear the channel, start the
+    /// watermark. `slot` re-seeds that slave, one generation on; `None`
+    /// appends a new one. Returns the head.
+    fn seed_slave_from_master(&mut self, now: SimTime, slot: Option<usize>) -> Lsn {
+        let inst = launch_slave_vm(&mut self.provider, &self.cfg);
+        let mut node = Node::new(inst, self.nodes[0].engine.fork(ForkRole::Slave));
+        let head = self.nodes[0].engine.binlog().head();
+        let relay = RelayQueue::starting_at(head);
+        match slot {
+            Some(s) => {
+                let node_idx = self.slave_node(s);
+                node.gen = self.nodes[node_idx].gen + 1;
+                self.nodes[node_idx] = node;
+                self.relays[s] = relay;
+                self.chan_clear[s] = now;
+                if let Some(layer) = self.consistency.as_mut() {
+                    layer.wm.reset_slave(s, head.0);
+                }
+            }
+            None => {
+                self.nodes.push(node);
+                self.relays.push(relay);
+                self.chan_clear.push(now);
+                if let Some(layer) = self.consistency.as_mut() {
+                    layer.wm.push_slave(head.0);
+                }
+            }
+        }
+        head
+    }
+
     /// Replace a failed slave: launch a fresh VM in the same zone, seed it
     /// from a master snapshot, and re-enter rotation after the initial sync.
-    pub fn replace_slave(&mut self, sim: &mut dyn ClusterHost, s: usize) {
-        let node_idx = self.slave_node(s);
-        let zone = self.cfg.placement.slave_zone(self.cfg.master_zone);
-        let inst = match self.cfg.pin_slave_host {
-            Some(m) => self.provider.launch_on_host(zone, InstanceType::Small, m),
-            None => self.provider.launch(zone, InstanceType::Small),
-        };
-        // Snapshot of the master's current state; replication resumes from
-        // the current binlog head.
-        let engine = self.nodes[0].engine.fork(ForkRole::Slave);
-        let head = self.nodes[0].engine.binlog().head();
-        let gen = self.nodes[node_idx].gen + 1;
-        self.nodes[node_idx] = Node::new(inst, engine);
-        self.nodes[node_idx].gen = gen;
-        self.relays[s] = RelayQueue::starting_at(head);
-        self.chan_clear[s] = sim.now();
-        if let Some(layer) = self.consistency.as_mut() {
-            layer.wm.reset_slave(s, head.0);
-        }
+    fn replace_slave(&mut self, sim: &mut dyn ClusterHost, s: usize) {
+        let head = self.seed_slave_from_master(sim.now(), Some(s));
         self.obs
             .instant(Component::Cluster, s as u32, "slave_replaced", sim.now());
         self.events_log.push((
@@ -2117,7 +2136,7 @@ impl Cluster {
     /// waiting for acks are answered immediately (their commit outcome on
     /// the dead master is already fixed; clients observe an error-and-retry
     /// as a completed interaction here).
-    pub fn fail_master(&mut self, sim: &mut dyn ClusterHost) {
+    fn fail_master(&mut self, sim: &mut dyn ClusterHost) {
         if self.nodes[0].failed {
             return;
         }
@@ -2148,7 +2167,7 @@ impl Cluster {
     /// catches up and what is reset differ by backend: the binlog backends
     /// rebuild every slave from the new master (`rebuild_from_master`), the
     /// shared log reattaches to the log (`reattach_from_log`).
-    pub fn promote_best_slave(&mut self, sim: &mut dyn ClusterHost) {
+    fn promote_best_slave(&mut self, sim: &mut dyn ClusterHost) {
         debug_assert!(self.nodes[0].failed, "promotion without a dead master");
         let Some(best) = (0..self.relays.len())
             .filter(|&s| !self.nodes[self.slave_node(s)].failed)
@@ -2357,21 +2376,9 @@ impl Cluster {
         self.proxy.read_done(s, latency_ms);
     }
 
-    /// Launch an additional slave (scale-out). Returns its index.
-    pub fn add_slave(&mut self, sim: &mut dyn ClusterHost, sync_duration: SimDuration) -> usize {
-        let zone = self.cfg.placement.slave_zone(self.cfg.master_zone);
-        let inst = match self.cfg.pin_slave_host {
-            Some(m) => self.provider.launch_on_host(zone, InstanceType::Small, m),
-            None => self.provider.launch(zone, InstanceType::Small),
-        };
-        let engine = self.nodes[0].engine.fork(ForkRole::Slave);
-        let head = self.nodes[0].engine.binlog().head();
-        self.nodes.push(Node::new(inst, engine));
-        self.relays.push(RelayQueue::starting_at(head));
-        self.chan_clear.push(sim.now());
-        if let Some(layer) = self.consistency.as_mut() {
-            layer.wm.push_slave(head.0);
-        }
+    /// Launch an additional slave (scale-out).
+    fn add_slave(&mut self, sim: &mut dyn ClusterHost, sync_duration: SimDuration) {
+        self.seed_slave_from_master(sim.now(), None);
         let s = self.proxy.add_slave();
         debug_assert_eq!(s + 2, self.nodes.len(), "proxy and node lists in step");
         if let Some(tl) = self.telemetry.as_mut() {
@@ -2390,7 +2397,6 @@ impl Cluster {
                 resynced: false,
             },
         );
-        s
     }
 
     /// Slave `s` serves reads again: its initial sync (scale-out) or its
@@ -2420,7 +2426,7 @@ impl Cluster {
             .table_rows("heartbeat")
             .unwrap_or(0) as i64;
         let behind = (issued - applied).max(0) as f64;
-        behind * self.cfg.heartbeat_interval.as_millis_f64()
+        behind * HEARTBEAT_INTERVAL.as_millis_f64()
     }
 
     /// The *true* staleness of slave `s` right now (ms): the age of the
@@ -2755,16 +2761,27 @@ mod tests {
         assert!(std::mem::size_of::<ClusterEvent>() <= 96);
     }
 
-    /// A zero tick interval used to re-schedule its tick at the same
-    /// instant forever; a fault plan naming a missing slave used to panic
-    /// minutes into the run. Both are now refused before anything is built.
+    /// A zero autoscale interval re-schedules its tick at the same instant
+    /// forever; a fault plan naming a missing slave used to panic minutes
+    /// into the run. Both are refused before anything is built.
     #[test]
     fn runner_rejects_bad_configs_up_front() {
         let mut cfg = quick_cfg(4, 2);
-        cfg.heartbeat_interval = SimDuration::ZERO;
+        cfg.autoscale = Some(crate::config::AutoscaleConfig {
+            check_interval: SimDuration::ZERO,
+            ..Default::default()
+        });
         assert_eq!(
             run_cell(cfg, None).err(),
-            Some(ConfigError::ZeroHeartbeatInterval)
+            Some(ConfigError::ZeroAutoscaleInterval)
+        );
+        let mut cfg = quick_cfg(4, 2);
+        cfg.placement = crate::config::Placement::DifferentRegion(cfg.master_zone.region);
+        assert_eq!(
+            run_cell(cfg, None).err(),
+            Some(ConfigError::PlacementRegionIsMasters(
+                amdb_net::Region::UsWest1
+            ))
         );
         let mut cfg = quick_cfg(4, 2);
         cfg.faults.push(crate::config::FaultPlan {

@@ -1,9 +1,9 @@
 //! Cluster configuration and builder.
 
-use amdb_cloud::{CpuModel, ProviderConfig};
+use amdb_cloud::CpuModel;
 use amdb_cloudstone::{DataSize, MixConfig, WorkloadConfig};
 use amdb_consistency::ConsistencyConfig;
-use amdb_net::{NetConfig, Region, Zone};
+use amdb_net::{Region, Zone};
 use amdb_obs::ObsConfig;
 use amdb_repl::{BackendKind, FaultTimeline, LogStoreConfig, ReplMode};
 use amdb_sim::SimDuration;
@@ -276,19 +276,9 @@ pub struct ClusterConfig {
     /// Pool size; defaults to one connection per emulated user.
     pub pool_max_active: usize,
     pub cost: CostModel,
-    pub net: NetConfig,
-    pub provider: ProviderConfig,
     /// Pin every slave to a specific physical host model (the §IV-A
     /// performance-variation experiment); `None` samples the fleet mix.
     pub pin_slave_host: Option<CpuModel>,
-    /// Pin the master's host too (keeps master capacity constant across a
-    /// sweep so throughput differences are attributable to the swept knob).
-    pub pin_master_host: Option<CpuModel>,
-    /// NTP discipline interval; `None` disables periodic sync (Fig. 4's
-    /// "sync once at beginning" arm).
-    pub ntp_interval: Option<SimDuration>,
-    /// Heartbeat insertion interval (paper: periodic; we default 1 s).
-    pub heartbeat_interval: SimDuration,
     /// Planned slave failures.
     pub faults: Vec<FaultPlan>,
     /// Planned master failure with automatic failover, if any.
@@ -318,13 +308,17 @@ impl ClusterConfig {
     /// Reject a config that would hang the run or die late in it. The
     /// runners call this once, before anything is built.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        // A tick re-schedules itself `interval` after it fires; at 0 that is
-        // the same instant, forever.
-        if self.heartbeat_interval == SimDuration::ZERO {
-            return Err(ConfigError::ZeroHeartbeatInterval);
+        // The autoscale tick re-schedules itself `check_interval` after it
+        // fires; at 0 that is the same instant, forever.
+        if matches!(&self.autoscale, Some(a) if a.check_interval == SimDuration::ZERO) {
+            return Err(ConfigError::ZeroAutoscaleInterval);
         }
-        if self.ntp_interval == Some(SimDuration::ZERO) {
-            return Err(ConfigError::ZeroNtpInterval);
+        // "Different region" naming the master's own region would launch the
+        // slaves in the master's zone under the wrong label.
+        if self.placement == Placement::DifferentRegion(self.master_zone.region) {
+            return Err(ConfigError::PlacementRegionIsMasters(
+                self.master_zone.region,
+            ));
         }
         if let Some((fault, plan)) = self
             .faults
@@ -357,10 +351,10 @@ impl ClusterConfig {
 /// Why a [`ClusterConfig`] or a `ShardedConfig` cannot be run.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ConfigError {
-    /// `heartbeat_interval` is zero: the heartbeat tick never advances.
-    ZeroHeartbeatInterval,
-    /// `ntp_interval` is `Some(0)`: the NTP tick never advances.
-    ZeroNtpInterval,
+    /// `autoscale.check_interval` is zero: the autoscale tick never advances.
+    ZeroAutoscaleInterval,
+    /// `Placement::DifferentRegion` names the master's own region.
+    PlacementRegionIsMasters(Region),
     /// `faults[fault].slave` names a slave the cluster does not start with.
     FaultNamesMissingSlave {
         fault: usize,
@@ -386,8 +380,14 @@ pub enum ConfigError {
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Self::ZeroHeartbeatInterval => write!(f, "heartbeat_interval must be positive"),
-            Self::ZeroNtpInterval => write!(f, "ntp_interval must be positive when set"),
+            Self::ZeroAutoscaleInterval => {
+                write!(f, "autoscale.check_interval must be positive")
+            }
+            Self::PlacementRegionIsMasters(region) => write!(
+                f,
+                "placement DifferentRegion({}) is the master's own region",
+                region.name()
+            ),
             Self::FaultNamesMissingSlave {
                 fault,
                 slave,
@@ -449,12 +449,7 @@ impl Default for ClusterBuilder {
                 client_zone: None,
                 pool_max_active: 0, // 0 = one per user
                 cost: CostModel::default(),
-                net: NetConfig::default(),
-                provider: ProviderConfig::default(),
                 pin_slave_host: Some(CpuModel::XeonE5430),
-                pin_master_host: Some(CpuModel::XeonE5430),
-                ntp_interval: Some(SimDuration::from_secs(1)),
-                heartbeat_interval: SimDuration::from_secs(1),
                 faults: Vec::new(),
                 master_fault: None,
                 autoscale: None,
@@ -548,24 +543,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Proxy balancing policy.
-    pub fn balancer(mut self, b: BalancerKind) -> Self {
-        self.cfg.balancer = b;
-        self
-    }
-
-    /// Starting cursor for rotating balancers (modulo the slave count).
-    pub fn balancer_start(mut self, cursor: usize) -> Self {
-        self.cfg.balancer_start = cursor;
-        self
-    }
-
-    /// Place the clients in a specific zone (default: the master's zone).
-    pub fn client_zone(mut self, z: Zone) -> Self {
-        self.cfg.client_zone = Some(z);
-        self
-    }
-
     /// Connection-pool size (0 = one per user).
     pub fn pool_max_active(mut self, n: usize) -> Self {
         self.cfg.pool_max_active = n;
@@ -578,40 +555,10 @@ impl ClusterBuilder {
         self
     }
 
-    /// Network-latency override.
-    pub fn net(mut self, n: NetConfig) -> Self {
-        self.cfg.net = n;
-        self
-    }
-
-    /// Provider override (perf variation, clock parameters).
-    pub fn provider(mut self, p: ProviderConfig) -> Self {
-        self.cfg.provider = p;
-        self
-    }
-
     /// Pin slaves to a host model (None = sample the fleet; the default
     /// pins to the E5430 so sweeps are noise-free).
     pub fn pin_slave_host(mut self, m: Option<CpuModel>) -> Self {
         self.cfg.pin_slave_host = m;
-        self
-    }
-
-    /// Pin the master's host model.
-    pub fn pin_master_host(mut self, m: Option<CpuModel>) -> Self {
-        self.cfg.pin_master_host = m;
-        self
-    }
-
-    /// NTP sync interval (None = sync only at launch).
-    pub fn ntp_interval(mut self, i: Option<SimDuration>) -> Self {
-        self.cfg.ntp_interval = i;
-        self
-    }
-
-    /// Heartbeat interval.
-    pub fn heartbeat_interval(mut self, i: SimDuration) -> Self {
-        self.cfg.heartbeat_interval = i;
         self
     }
 
@@ -639,21 +586,7 @@ impl ClusterBuilder {
         self
     }
 
-    /// Shorthand: switch trace/metric collection on or off with the
-    /// default sampling period.
-    pub fn observe(mut self, enabled: bool) -> Self {
-        self.cfg.obs.enabled = enabled;
-        self
-    }
-
-    /// Telemetry configuration (causal tracing + SLO/alert engine).
-    pub fn telemetry(mut self, t: TelemetryConfig) -> Self {
-        self.cfg.telemetry = t;
-        self
-    }
-
-    /// Shorthand: switch telemetry on or off with the paper rule set.
-    /// Enabling telemetry implies observability.
+    /// Switch telemetry on or off. Enabling telemetry implies observability.
     pub fn telemetry_on(mut self, enabled: bool) -> Self {
         self.cfg.telemetry.enabled = enabled;
         self
@@ -680,6 +613,7 @@ impl ClusterBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::{HEARTBEAT_INTERVAL, MASTER_HOST, NTP_INTERVAL};
 
     #[test]
     fn placement_zones() {
@@ -702,8 +636,11 @@ mod tests {
             "serial apply thread is the paper's setup"
         );
         assert_eq!(c.master_zone.name(), "us-west-1a");
-        assert_eq!(c.heartbeat_interval, SimDuration::from_secs(1));
-        assert!(c.ntp_interval.is_some());
+        // Fixed by the paper, so constants rather than fields.
+        assert_eq!(HEARTBEAT_INTERVAL, SimDuration::from_secs(1));
+        assert_eq!(NTP_INTERVAL, SimDuration::from_secs(1));
+        assert_eq!(MASTER_HOST, CpuModel::XeonE5430);
+        assert_eq!(c.pin_slave_host, Some(MASTER_HOST));
     }
 
     #[test]
@@ -712,12 +649,10 @@ mod tests {
             .slaves(7)
             .placement(Placement::DifferentRegion(Region::ApNortheast1))
             .mode(ReplMode::Sync)
-            .balancer(BalancerKind::LatencyAware)
             .seed(7)
             .build();
         assert_eq!(c.n_slaves, 7);
         assert_eq!(c.mode, ReplMode::Sync);
-        assert_eq!(c.balancer, BalancerKind::LatencyAware);
         assert_eq!(
             c.placement.slave_zone(c.master_zone).region,
             Region::ApNortheast1
@@ -728,19 +663,30 @@ mod tests {
     fn validate_names_each_way_a_config_cannot_run() {
         let ok = || ClusterConfig::builder().slaves(2);
         assert_eq!(ok().build().validate(), Ok(()));
+        let autoscale = |check_interval| {
+            ok().autoscale(AutoscaleConfig {
+                check_interval,
+                ..AutoscaleConfig::default()
+            })
+        };
         assert_eq!(
-            ok().heartbeat_interval(SimDuration::ZERO)
-                .build()
-                .validate(),
-            Err(ConfigError::ZeroHeartbeatInterval)
+            autoscale(SimDuration::ZERO).build().validate(),
+            Err(ConfigError::ZeroAutoscaleInterval)
         );
         assert_eq!(
-            ok().ntp_interval(Some(SimDuration::ZERO))
-                .build()
-                .validate(),
-            Err(ConfigError::ZeroNtpInterval)
+            autoscale(SimDuration::from_micros(1)).build().validate(),
+            Ok(())
         );
-        assert_eq!(ok().ntp_interval(None).build().validate(), Ok(()));
+        let region = |r| ok().placement(Placement::DifferentRegion(r)).build();
+        assert_eq!(
+            region(Region::UsWest1).validate(),
+            Err(ConfigError::PlacementRegionIsMasters(Region::UsWest1))
+        );
+        assert_eq!(
+            region(Region::UsWest1).validate().unwrap_err().to_string(),
+            "placement DifferentRegion(us-west-1) is the master's own region"
+        );
+        assert_eq!(region(Region::EuWest1).validate(), Ok(()));
         let fault = |slave| FaultPlan {
             slave,
             fail_at: SimDuration::from_secs(60),

@@ -10,8 +10,10 @@
 //!
 //! * [`ClusterConfig`] / [`ClusterBuilder`] — describe a deployment: number
 //!   of slaves, their geographic placement, read/write mix, data size,
-//!   workload, replication mode/format, balancing policy, and all
-//!   calibration knobs;
+//!   workload, replication mode and backend, balancing policy, cost model,
+//!   fault plans and the optional planes. What the paper fixes (1 s
+//!   heartbeat and NTP ticks, the master's host model, network and provider
+//!   calibration) is a constant, not a field;
 //! * [`run_cell`] — validate a config, execute one full benchmark run (idle
 //!   baseline → ramp-up → measured steady stage → ramp-down → drain) in
 //!   simulated time and return a [`CellRun`]: the [`RunReport`] with

@@ -4,9 +4,8 @@
 //! The paper's single-master architecture saturates once the write stream
 //! fills one CPU (fig2's ceiling). This module goes past that ceiling by
 //! partitioning the Cloudstone keyspace across `shards` replication trees
-//! with a deterministic [`ShardMap`] (jump consistent hash + range
-//! overrides, see `amdb-shard`) and routing every operation at a front
-//! proxy:
+//! with a deterministic [`ShardMap`] (jump consistent hash, see
+//! `amdb-shard`) and routing every operation at a front proxy:
 //!
 //! * **single-shard ops** (the common case — every Cloudstone op carries a
 //!   shard key) go to the owning tree alone;
@@ -65,7 +64,7 @@ use amdb_consistency::ConsistencyPolicy;
 use amdb_metrics::Summary;
 use amdb_net::Zone;
 use amdb_obs::{Component, FlowPhase, Obs, Tsdb};
-use amdb_shard::{Gather, RangeOverride, ShardMap};
+use amdb_shard::{Gather, ShardMap};
 use amdb_sim::{Event, Rng, Sim, SimTime};
 use amdb_sql::Engine;
 use amdb_telemetry::FleetTelemetry;
@@ -85,23 +84,15 @@ pub struct ShardedConfig {
     /// Fraction of reads scatter-gathered across every shard (writes are
     /// always single-shard; the schema gives every write one owner).
     pub cross_shard_read_fraction: f64,
-    /// Cycle tree masters across zone letters a–d (`shards > 1` only), so
-    /// shard scale-out also spreads masters across failure domains.
-    pub spread_masters: bool,
-    /// Range-override table pinning id ranges to chosen shards.
-    pub overrides: Vec<RangeOverride>,
 }
 
 impl ShardedConfig {
-    /// A sharded config with the default knobs: no cross-shard reads,
-    /// masters spread across zones, no overrides.
+    /// A sharded config with no cross-shard reads.
     pub fn new(shards: u32, base: ClusterConfig) -> Self {
         Self {
             shards,
             base,
             cross_shard_read_fraction: 0.0,
-            spread_masters: true,
-            overrides: Vec::new(),
         }
     }
 
@@ -111,20 +102,9 @@ impl ShardedConfig {
         self
     }
 
-    /// Enable/disable master zone spreading.
-    pub fn spread_masters(mut self, yes: bool) -> Self {
-        self.spread_masters = yes;
-        self
-    }
-
-    /// Install a range-override table.
-    pub fn overrides(mut self, overrides: Vec<RangeOverride>) -> Self {
-        self.overrides = overrides;
-        self
-    }
-
     /// Reject a config that cannot be run: the front's own knobs, then the
-    /// per-tree template (every tree inherits its intervals and fault plans).
+    /// per-tree template (every tree inherits its placement, autoscale rule
+    /// and fault plans).
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.shards == 0 {
             return Err(ConfigError::ZeroShards);
@@ -159,8 +139,9 @@ fn tree_seed(cfg: &ShardedConfig, k: u32) -> u64 {
 
 /// Tree `k`'s cluster config: the base template with no users of its own
 /// (the front issues every op), its balancer cursor staggered by
-/// shard id, and — under `spread_masters` — its master cycled across zone
-/// letters while clients (the front) stay in the base master zone.
+/// shard id, and — with more than one shard — its master cycled across zone
+/// letters a–d, so shard scale-out also spreads masters across failure
+/// domains, while clients (the front) stay in the base master zone.
 fn tree_config(cfg: &ShardedConfig, k: u32) -> ClusterConfig {
     let mut c = cfg.base.clone();
     c.workload.concurrent_users = 0;
@@ -172,7 +153,7 @@ fn tree_config(cfg: &ShardedConfig, k: u32) -> ClusterConfig {
     // defaults — part of the identity contract).
     c.telemetry.shard = k;
     c.telemetry.shards = cfg.shards;
-    if cfg.spread_masters && cfg.shards > 1 {
+    if cfg.shards > 1 {
         let letters = ['a', 'b', 'c', 'd'];
         c.master_zone = Zone::new(cfg.base.master_zone.region, letters[k as usize % 4]);
     }
@@ -295,7 +276,7 @@ impl ShardedWorld {
         let gen = WorkGen::Cloudstone(OpGenerator::new(counters, root.derive("ops")));
         let front = Front {
             users: UserLoop::new(&cfg.base, gen, &root),
-            map: ShardMap::with_overrides(cfg.shards, cfg.overrides.clone()),
+            map: ShardMap::new(cfg.shards),
             cross_fraction: cfg.cross_shard_read_fraction,
             leg_policy: cfg
                 .base
@@ -764,9 +745,10 @@ pub fn run_sharded_telemetry(mut cfg: ShardedConfig) -> (ShardedReport, FleetObs
 mod tests {
     use super::*;
     use crate::cluster::run_cluster;
-    use crate::config::{FaultPlan, MasterFaultPlan};
+    use crate::config::{FaultPlan, MasterFaultPlan, Placement};
     use amdb_cloudstone::{DataSize, WorkloadConfig};
     use amdb_consistency::ConsistencyConfig;
+    use amdb_net::Region;
     use amdb_repl::{BackendKind, ReplMode};
     use amdb_sim::SimDuration;
 
@@ -801,8 +783,17 @@ mod tests {
             Some(ConfigError::ShardedWorkload(WorkloadKind::Web10))
         );
         let mut hangs = cfg(2);
-        hangs.base.ntp_interval = Some(SimDuration::ZERO);
-        assert_eq!(hangs.validate(), Err(ConfigError::ZeroNtpInterval));
+        hangs.base.autoscale = Some(crate::config::AutoscaleConfig {
+            check_interval: SimDuration::ZERO,
+            ..Default::default()
+        });
+        assert_eq!(hangs.validate(), Err(ConfigError::ZeroAutoscaleInterval));
+        let mut mislabelled = cfg(2);
+        mislabelled.base.placement = Placement::DifferentRegion(Region::UsWest1);
+        assert_eq!(
+            run_sharded_cell(&mislabelled, None).err(),
+            Some(ConfigError::PlacementRegionIsMasters(Region::UsWest1))
+        );
     }
 
     /// The headline identity: one shard replays the standalone cluster's

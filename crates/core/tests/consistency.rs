@@ -9,9 +9,7 @@
 //! * tightening the bound never *increases* the slave-served read share.
 
 use amdb_cloudstone::{DataSize, WorkloadConfig};
-use amdb_core::{
-    run_cluster, ClusterConfig, ConsistencyConfig, ConsistencyPolicy, FallbackPolicy, RunReport,
-};
+use amdb_core::{run_cluster, ClusterConfig, ConsistencyConfig, ConsistencyPolicy, RunReport};
 use proptest::prelude::*;
 
 fn quick_cfg(users: u32, slaves: usize, seed: u64) -> amdb_core::ClusterBuilder {
@@ -153,11 +151,7 @@ fn session_policies_run_and_report() {
     ] {
         let r = run_cluster(
             quick_cfg(8, 2, 13)
-                .consistency(ConsistencyConfig {
-                    policy,
-                    fallback: FallbackPolicy::RedirectToMaster,
-                    min_wait_ms: 5.0,
-                })
+                .consistency(ConsistencyConfig::new(policy))
                 .build(),
         );
         assert!(r.steady_ops > 0, "{policy:?} run made progress");

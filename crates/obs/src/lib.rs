@@ -254,34 +254,12 @@ impl Obs {
         }
     }
 
-    /// Pre-resolve a counter handle for a hot probe site (`None` when off;
-    /// same lazy-resolution caveat as [`Self::sketch_handle`]).
-    pub fn counter_handle(
-        &mut self,
-        comp: Component,
-        inst: u32,
-        name: &'static str,
-    ) -> Option<MetricId> {
-        match self {
-            Obs::Trace(t) => Some(t.registry_mut().counter_handle(comp, inst, name)),
-            _ => None,
-        }
-    }
-
     /// Record into a pre-resolved sketch — one array index instead of a
     /// keyed map lookup per observation.
     #[inline]
     pub fn observe_sketch_id(&mut self, id: MetricId, value: f64) {
         if let Obs::Trace(t) = self {
             t.registry_mut().observe_sketch_id(id, value);
-        }
-    }
-
-    /// Add to a pre-resolved counter.
-    #[inline]
-    pub fn incr_id(&mut self, id: MetricId, by: u64) {
-        if let Obs::Trace(t) = self {
-            t.registry_mut().incr_id(id, by);
         }
     }
 

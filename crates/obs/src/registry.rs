@@ -82,29 +82,13 @@ impl MetricsRegistry {
         }
     }
 
-    /// Pre-resolve a counter handle (creating the counter at zero). Hot
-    /// probes hold the [`MetricId`] and call [`Self::incr_id`] per event.
-    pub fn counter_handle(&mut self, comp: Component, inst: u32, name: &'static str) -> MetricId {
-        MetricId(self.slot_of(comp, inst, name, || Metric::Counter(0)))
-    }
-
-    /// Pre-resolve a sketch handle (creating the sketch on first call).
+    /// Pre-resolve a sketch handle (creating the sketch on first call). Hot
+    /// probes hold the [`MetricId`] and call [`Self::observe_sketch_id`] per
+    /// event.
     pub fn sketch_handle(&mut self, comp: Component, inst: u32, name: &'static str) -> MetricId {
         MetricId(self.slot_of(comp, inst, name, || {
             Metric::Sketch(QuantileSketch::latency())
         }))
-    }
-
-    /// Add `by` to a pre-resolved counter.
-    ///
-    /// # Panics
-    /// Panics if the handle names a non-counter (handle/probe kind bug).
-    #[inline]
-    pub fn incr_id(&mut self, id: MetricId, by: u64) {
-        match &mut self.slots[id.0] {
-            Metric::Counter(c) => *c += by,
-            other => panic!("MetricId does not name a counter: {other:?}"),
-        }
     }
 
     /// Record into a pre-resolved sketch.
@@ -184,19 +168,6 @@ impl MetricsRegistry {
         match self.get(comp, inst, name) {
             Some(Metric::Counter(c)) => *c,
             _ => 0,
-        }
-    }
-
-    /// Gauge `(last, max)`, when present.
-    pub fn gauge_value(
-        &self,
-        comp: Component,
-        inst: u32,
-        name: &'static str,
-    ) -> Option<(f64, f64)> {
-        match self.get(comp, inst, name) {
-            Some(Metric::Gauge { last, max }) => Some((*last, *max)),
-            _ => None,
         }
     }
 
@@ -309,10 +280,10 @@ mod tests {
         r.gauge(Component::Pool, 0, "waiters", 4.0);
         r.gauge(Component::Pool, 0, "waiters", 9.0);
         r.gauge(Component::Pool, 0, "waiters", 2.0);
-        assert_eq!(
-            r.gauge_value(Component::Pool, 0, "waiters"),
-            Some((2.0, 9.0))
-        );
+        assert!(matches!(
+            r.get(Component::Pool, 0, "waiters"),
+            Some(Metric::Gauge { last, max }) if (*last, *max) == (2.0, 9.0)
+        ));
     }
 
     #[test]
@@ -349,10 +320,6 @@ mod tests {
     #[test]
     fn handles_alias_the_name_addressed_metric() {
         let mut r = MetricsRegistry::new();
-        let c = r.counter_handle(Component::Proxy, 0, "routed");
-        r.incr_id(c, 2);
-        r.incr(Component::Proxy, 0, "routed", 3);
-        assert_eq!(r.counter_value(Component::Proxy, 0, "routed"), 5);
         let s = r.sketch_handle(Component::Sql, 1, "demand_read_us");
         r.observe_sketch_id(s, 10.0);
         r.observe_sketch(Component::Sql, 1, "demand_read_us", 20.0);
@@ -361,14 +328,6 @@ mod tests {
         };
         assert_eq!(sk.count(), 2);
         assert_eq!(r.sketch_handle(Component::Sql, 1, "demand_read_us"), s);
-    }
-
-    #[test]
-    #[should_panic(expected = "does not name a counter")]
-    fn handle_kind_mismatch_panics() {
-        let mut r = MetricsRegistry::new();
-        let s = r.sketch_handle(Component::Repl, 0, "x");
-        r.incr_id(MetricId(s.0), 1);
     }
 
     #[test]

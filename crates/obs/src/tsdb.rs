@@ -25,8 +25,8 @@
 use crate::{Component, MetricKey};
 use amdb_metrics::{QuantileSketch, Table};
 use amdb_sim::SimTime;
+use std::collections::HashMap;
 use std::collections::VecDeque;
-use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// FNV-1a hasher for track keys. The record path pays one hash per mirrored
@@ -205,11 +205,6 @@ impl TsdbTrack {
         self.slots.is_empty()
     }
 
-    /// Slots evicted from this track by the ring capacity.
-    pub fn evicted_slots(&self) -> u64 {
-        self.evicted
-    }
-
     /// Iterate `(slot index, cell)` in ascending slot order.
     pub fn samples(&self) -> impl Iterator<Item = (u64, &TsdbCell)> {
         self.slots.iter().map(|(s, c)| (*s, c))
@@ -265,7 +260,7 @@ impl TsdbTrack {
 /// Tracks live in a hash map — the record path runs at probe rate (every
 /// mirrored counter sample pays one lookup), and hashing the short static
 /// key is several times cheaper than a `BTreeMap` walk. Every read path
-/// that iterates (export, merge, rollup) sorts by key first, so exports
+/// that iterates (export, merge) sorts by key first, so exports
 /// stay byte-deterministic and float folds always sum in key order.
 #[derive(Debug, Clone)]
 pub struct Tsdb {
@@ -358,24 +353,6 @@ impl Tsdb {
                     .collect()
             })
             .unwrap_or_default()
-    }
-
-    /// Sum of a scalar metric across all instances of `comp`, per slot —
-    /// the fleet-rollup primitive (total throughput, total backlog).
-    pub fn rollup_sum(&self, comp: Component, name: &'static str) -> Vec<(f64, f64)> {
-        let mut by_slot: BTreeMap<u64, f64> = BTreeMap::new();
-        for (k, track) in self.tracks() {
-            if k.comp != comp || k.name != name {
-                continue;
-            }
-            for (slot, cell) in track.samples() {
-                *by_slot.entry(slot).or_insert(0.0) += cell.mean();
-            }
-        }
-        by_slot
-            .into_iter()
-            .map(|(s, v)| (self.slot_start_secs(s), v))
-            .collect()
     }
 
     /// Total slots evicted across all tracks (0 means no data was lost).
@@ -496,7 +473,6 @@ mod tests {
         }
         let track = db.track(Component::Pool, 0, "waiting").unwrap();
         assert_eq!(track.len(), 4);
-        assert_eq!(track.evicted_slots(), 6);
         assert_eq!(db.total_evicted(), 6);
         let first_live = track.samples().next().unwrap().0;
         assert_eq!(first_live, 6, "oldest slots were evicted first");
@@ -517,16 +493,6 @@ mod tests {
         }
         a.merge(&b);
         assert_eq!(a.csv(), whole.csv(), "merge order-independent of source");
-    }
-
-    #[test]
-    fn rollup_sums_across_instances() {
-        let mut db = Tsdb::new(250);
-        db.record(Component::Cpu, 0, "ops", at(0), 10.0);
-        db.record(Component::Cpu, 1, "ops", at(0), 5.0);
-        db.record(Component::Cpu, 1, "other", at(0), 99.0);
-        let roll = db.rollup_sum(Component::Cpu, "ops");
-        assert_eq!(roll, vec![(0.0, 15.0)]);
     }
 
     #[test]

@@ -266,11 +266,6 @@ impl ReplicatedDb {
     pub fn applied_seq(&self, i: usize) -> u64 {
         self.slaves[i].1.applied_upto().0
     }
-
-    /// Sequence slave `i`'s I/O thread has received up to (relay log tail).
-    pub fn received_seq(&self, i: usize) -> u64 {
-        self.slaves[i].1.received_upto().0
-    }
 }
 
 #[cfg(test)]
@@ -313,10 +308,14 @@ mod tests {
             .unwrap();
         assert_eq!(db.master_seq(), base + 2);
         // Not shipped yet: slaves unchanged on both threads.
-        assert_eq!(db.received_seq(0), base);
+        assert_eq!(db.relay(0).received_upto().0, base);
         assert_eq!(db.applied_seq(1), base);
         db.ship();
-        assert_eq!(db.received_seq(0), base + 2, "I/O thread caught up");
+        assert_eq!(
+            db.relay(0).received_upto().0,
+            base + 2,
+            "I/O thread caught up"
+        );
         assert_eq!(db.applied_seq(0), base, "SQL thread has not");
         db.apply_all().unwrap();
         for i in 0..2 {

@@ -6,7 +6,6 @@ use amdb_consistency::ConsistencyPolicy;
 /// One shard's partial result for a scattered read.
 #[derive(Debug, Clone)]
 struct Leg<T> {
-    staleness_ms: f64,
     rows: Vec<T>,
     /// Simulated arrival time (µs) recorded by [`Gather::offer_at`];
     /// 0 for untimed offers.
@@ -66,7 +65,6 @@ impl<T> Gather<T> {
             _ => true,
         };
         *slot = Some(Leg {
-            staleness_ms,
             rows: if keep { rows } else { Vec::new() },
             arrival_us: at_us,
         });
@@ -103,15 +101,6 @@ impl<T> Gather<T> {
         self.is_complete() && self.filtered as usize == self.legs.len()
     }
 
-    /// The worst (largest) staleness among arrived legs, filtered or not.
-    pub fn max_staleness_ms(&self) -> f64 {
-        self.legs
-            .iter()
-            .flatten()
-            .map(|l| l.staleness_ms)
-            .fold(0.0, f64::max)
-    }
-
     /// `(shard, arrival µs)` of the last-arriving leg so far — the leg the
     /// whole scattered read waited on. Ties break to the lowest shard
     /// index. `None` before any leg arrives (or when offers were untimed
@@ -126,7 +115,7 @@ impl<T> Gather<T> {
 
     /// `(shard, arrival µs)` of the first-arriving leg so far; ties break
     /// to the lowest shard index.
-    pub fn fastest_leg(&self) -> Option<(usize, u64)> {
+    fn fastest_leg(&self) -> Option<(usize, u64)> {
         self.legs
             .iter()
             .enumerate()
@@ -183,7 +172,6 @@ mod tests {
         g.offer(0, 50.0, vec![1, 2]);
         assert!(g.offer(1, 250.0, vec![3, 4]));
         assert_eq!(g.filtered_legs(), 1);
-        assert_eq!(g.max_staleness_ms(), 250.0);
         assert_eq!(g.merge_by(|&v| v), vec![1, 2]);
     }
 

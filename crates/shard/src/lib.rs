@@ -7,9 +7,7 @@
 //!
 //! * [`ShardMap`] — consistent-hash placement (Lamping–Veach jump hash, so
 //!   growing the shard count remaps only ~1/n of the keyspace) over
-//!   [`ShardKey`]s, with an explicit first-match-wins [`RangeOverride`]
-//!   table for pinning contiguous id ranges of one entity keyspace to a
-//!   chosen shard (e.g. colocate a hot zip-code range);
+//!   [`ShardKey`]s;
 //! * [`Gather`] — the scatter-gather merge buffer: one slot per shard,
 //!   per-leg [`ConsistencyPolicy`] filtering (a `BoundedStaleness` bound
 //!   drops legs that served too stale) and a deterministic ordered merge of
@@ -24,4 +22,4 @@ pub mod map;
 pub use amdb_cloudstone::{shard_key_of, ShardKey};
 pub use amdb_consistency::ConsistencyPolicy;
 pub use gather::Gather;
-pub use map::{jump_hash, key_hash, RangeOverride, ShardMap};
+pub use map::{jump_hash, key_hash, ShardMap};

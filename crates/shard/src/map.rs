@@ -1,4 +1,4 @@
-//! The deterministic shard map: jump consistent hash + range overrides.
+//! The deterministic shard map: jump consistent hash over shard keys.
 
 use amdb_cloudstone::ShardKey;
 
@@ -38,58 +38,19 @@ pub fn key_hash(key: ShardKey) -> u64 {
     )
 }
 
-/// Pin a contiguous id range `[lo, hi]` of one entity keyspace to a shard,
-/// bypassing the hash. First matching override wins.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RangeOverride {
-    /// Keyspace tag ([`ShardKey::space_tag`]) the override applies to.
-    pub space: u64,
-    /// Inclusive lower id bound.
-    pub lo: i64,
-    /// Inclusive upper id bound.
-    pub hi: i64,
-    /// Target shard (must be `< shards`).
-    pub shard: u32,
-}
-
-impl RangeOverride {
-    fn matches(&self, key: ShardKey) -> bool {
-        self.space == key.space_tag() && (self.lo..=self.hi).contains(&key.id())
-    }
-}
-
 /// The deterministic shard map: every [`ShardKey`] maps to exactly one shard
-/// in `[0, shards)`, via the override table first and the consistent hash
-/// otherwise. Pure and `Clone`-cheap — the front and any test can evaluate
-/// it independently and agree.
+/// in `[0, shards)` by the consistent hash. Pure and `Clone`-cheap — the
+/// front and any test can evaluate it independently and agree.
 #[derive(Debug, Clone)]
 pub struct ShardMap {
     shards: u32,
-    overrides: Vec<RangeOverride>,
 }
 
 impl ShardMap {
-    /// A hash-only map over `shards` shards.
+    /// A map over `shards` shards.
     pub fn new(shards: u32) -> Self {
         assert!(shards > 0, "a shard map needs at least one shard");
-        Self {
-            shards,
-            overrides: Vec::new(),
-        }
-    }
-
-    /// A map with an explicit override table (first match wins).
-    pub fn with_overrides(shards: u32, overrides: Vec<RangeOverride>) -> Self {
-        assert!(shards > 0, "a shard map needs at least one shard");
-        for o in &overrides {
-            assert!(
-                o.shard < shards,
-                "override {o:?} targets shard {} of {shards}",
-                o.shard
-            );
-            assert!(o.lo <= o.hi, "override {o:?} has an empty range");
-        }
-        Self { shards, overrides }
+        Self { shards }
     }
 
     /// Number of shards.
@@ -98,14 +59,8 @@ impl ShardMap {
     }
 
     /// The owning shard of `key`. Total: every key maps to exactly one
-    /// shard, and the mapping changes only when the shard count (or the
-    /// override table) changes.
+    /// shard, and the mapping changes only when the shard count changes.
     pub fn shard_of(&self, key: ShardKey) -> u32 {
-        for o in &self.overrides {
-            if o.matches(key) {
-                return o.shard;
-            }
-        }
         jump_hash(key_hash(key), self.shards)
     }
 
@@ -156,51 +111,5 @@ mod tests {
             let dev = (c as f64 - expect).abs() / expect;
             assert!(dev < 0.05, "shard {s} holds {c} of {n} (dev {dev:.3})");
         }
-    }
-
-    #[test]
-    fn override_wins_over_hash_and_first_match_rules() {
-        let m = ShardMap::with_overrides(
-            4,
-            vec![
-                RangeOverride {
-                    space: ShardKey::Zip(0).space_tag(),
-                    lo: 100,
-                    hi: 199,
-                    shard: 3,
-                },
-                RangeOverride {
-                    space: ShardKey::Zip(0).space_tag(),
-                    lo: 150,
-                    hi: 400,
-                    shard: 1,
-                },
-            ],
-        );
-        assert_eq!(m.shard_of(ShardKey::Zip(150)), 3, "first match wins");
-        assert_eq!(m.shard_of(ShardKey::Zip(250)), 1);
-        // Outside every range — and in other keyspaces — the hash decides.
-        assert_eq!(
-            m.shard_of(ShardKey::Zip(99)),
-            jump_hash(key_hash(ShardKey::Zip(99)), 4)
-        );
-        assert_eq!(
-            m.shard_of(ShardKey::User(150)),
-            jump_hash(key_hash(ShardKey::User(150)), 4)
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "targets shard")]
-    fn override_to_missing_shard_is_rejected() {
-        let _ = ShardMap::with_overrides(
-            2,
-            vec![RangeOverride {
-                space: 1,
-                lo: 0,
-                hi: 10,
-                shard: 5,
-            }],
-        );
     }
 }

@@ -1,9 +1,9 @@
-//! Property tests for the shard map: totality, stability, minimal
-//! remapping, and override precedence — over both synthetic keys and the
-//! actual Cloudstone operation stream.
+//! Property tests for the shard map: totality, stability and minimal
+//! remapping — over both synthetic keys and the actual Cloudstone operation
+//! stream.
 
 use amdb_cloudstone::{build_template, shard_key_of, DataSize, MixConfig, OpGenerator, ShardKey};
-use amdb_shard::{jump_hash, key_hash, RangeOverride, ShardMap};
+use amdb_shard::{jump_hash, key_hash, ShardMap};
 use amdb_sim::Rng;
 use proptest::prelude::*;
 
@@ -50,36 +50,6 @@ proptest! {
             let k = arb_key(space, id);
             let (b, a) = (before.shard_of(k), after.shard_of(k));
             prop_assert!(a == b || a == shards, "{:?} moved {} -> {} of {}", k, b, a, shards + 1);
-        }
-    }
-
-    /// Overrides win inside their range and keyspace, and never leak
-    /// outside either; first match rules among overlapping entries.
-    #[test]
-    fn overrides_apply_exactly_within_range(
-        shards in 2..16u32,
-        lo in 0..5_000i64,
-        len in 0..2_000i64,
-        target in 0..16u32,
-        probes in prop::collection::vec(-100..8_000i64, 1..100),
-    ) {
-        let target = target % shards;
-        let hi = lo + len;
-        let m = ShardMap::with_overrides(
-            shards,
-            vec![RangeOverride { space: ShardKey::Event(0).space_tag(), lo, hi, shard: target }],
-        );
-        let plain = ShardMap::new(shards);
-        for id in probes {
-            let inside = (lo..=hi).contains(&id);
-            let got = m.shard_of(ShardKey::Event(id));
-            if inside {
-                prop_assert_eq!(got, target);
-            } else {
-                prop_assert_eq!(got, plain.shard_of(ShardKey::Event(id)));
-            }
-            // Other keyspaces never see the override.
-            prop_assert_eq!(m.shard_of(ShardKey::User(id)), plain.shard_of(ShardKey::User(id)));
         }
     }
 

@@ -6,8 +6,8 @@ use crate::binlog::{Binlog, BinlogEvent, BinlogFormat, EventPayload, Lsn};
 use crate::cache::{CacheStats, CachedPlan, PlanCache};
 use crate::error::SqlError;
 use crate::exec::{
-    exec_delete, exec_insert, exec_select, exec_select_planned, exec_update, plan_select, Capture,
-    Catalog, QueryResult, RowChange, RowChangeKind, Undo, UndoEntry, WriteOutcome,
+    exec_delete, exec_insert, exec_select_planned, exec_update, plan_select, Capture, Catalog,
+    QueryResult, RowChange, RowChangeKind, Undo, UndoEntry, WriteOutcome,
 };
 use crate::expr::EvalCtx;
 use crate::parser::parse;
@@ -341,10 +341,10 @@ impl Engine {
             now_micros: session.now_micros,
         };
         match &plan.stmt {
-            Statement::Select(sel) => match &plan.select {
-                Some(p) => exec_select_planned(&self.catalog, p, &ctx),
-                None => exec_select(&self.catalog, sel, &ctx),
-            },
+            Statement::Select(_) => {
+                let select = plan.select.as_ref().expect("prepare plans every SELECT");
+                exec_select_planned(&self.catalog, select, &ctx)
+            }
             Statement::Explain(sel) => crate::exec::explain_select(&self.catalog, sel),
             Statement::Begin => {
                 if session.in_txn {
@@ -668,50 +668,6 @@ fn log_params(param_count: usize, params: &[Value]) -> Result<Vec<Value>, SqlErr
             other => other.clone(),
         })
         .collect())
-}
-
-/// Substitute `?` placeholders with literal values. Quoted strings are
-/// respected. Statement binlogging used this before parameters were shipped
-/// alongside the SQL text; it remains for tooling and tests that need a
-/// self-contained statement string.
-pub fn substitute_params(sql: &str, params: &[Value]) -> Result<String, SqlError> {
-    let mut out = String::with_capacity(sql.len() + params.len() * 8);
-    let mut idx = 0usize;
-    let mut chars = sql.chars().peekable();
-    while let Some(c) = chars.next() {
-        match c {
-            '\'' => {
-                out.push(c);
-                // copy until closing quote, handling '' escapes
-                while let Some(sc) = chars.next() {
-                    out.push(sc);
-                    if sc == '\'' {
-                        if chars.peek() == Some(&'\'') {
-                            out.push(chars.next().expect("peeked"));
-                        } else {
-                            break;
-                        }
-                    }
-                }
-            }
-            '?' => {
-                let v = params.get(idx).ok_or_else(|| {
-                    SqlError::BadParameter(format!("placeholder {} not bound", idx + 1))
-                })?;
-                out.push_str(&v.to_literal());
-                idx += 1;
-            }
-            other => out.push(other),
-        }
-    }
-    if idx != params.len() {
-        return Err(SqlError::BadParameter(format!(
-            "{} parameters bound, {} placeholders found",
-            params.len(),
-            idx
-        )));
-    }
-    Ok(out)
 }
 
 /// Split a batch on top-level semicolons (string literals respected).
@@ -1109,19 +1065,6 @@ mod tests {
     }
 
     #[test]
-    fn substitute_params_respects_strings() {
-        let sql = "INSERT INTO t VALUES ('a?b', ?, '''?', ?)";
-        let out = substitute_params(sql, &[Value::Int(1), Value::from("x")]).unwrap();
-        assert_eq!(out, "INSERT INTO t VALUES ('a?b', 1, '''?', 'x')");
-    }
-
-    #[test]
-    fn substitute_params_arity_checked() {
-        assert!(substitute_params("SELECT ?", &[]).is_err());
-        assert!(substitute_params("SELECT ?", &[Value::Int(1), Value::Int(2)]).is_err());
-    }
-
-    #[test]
     fn split_statements_respects_strings() {
         let parts = split_statements("INSERT INTO t VALUES ('a;b'); SELECT 1");
         assert_eq!(parts.len(), 2);
@@ -1227,14 +1170,10 @@ mod tests {
         e.execute(&mut s, "INSERT INTO users (name) VALUES ('z')", &[])
             .unwrap();
         // Too few parameters, with the placeholder dodging evaluation via OR
-        // short-circuit: only the logging-time arity check can catch it, and
-        // its message must match what literal substitution used to raise.
+        // short-circuit: only the logging-time arity check can catch it.
         let sql = "UPDATE users SET score = 1 WHERE id = 1 OR name = ?";
         let err = e.execute(&mut s, sql, &[]).unwrap_err();
-        assert_eq!(
-            err.to_string(),
-            substitute_params(sql, &[]).unwrap_err().to_string()
-        );
+        assert_eq!(err.to_string(), "bad parameter: placeholder 1 not bound");
         // Too many parameters: evaluation ignores the extras, the logging
         // arity check must not.
         let sql = "UPDATE users SET score = ? WHERE id = 1";
@@ -1242,7 +1181,7 @@ mod tests {
         let err = e.execute(&mut s, sql, &params).unwrap_err();
         assert_eq!(
             err.to_string(),
-            substitute_params(sql, &params).unwrap_err().to_string()
+            "bad parameter: 2 parameters bound, 1 placeholders found"
         );
     }
 

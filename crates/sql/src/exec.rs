@@ -659,16 +659,6 @@ pub fn plan_select(catalog: &Catalog, sel: &SelectStmt) -> Result<SelectPlan, Sq
     })
 }
 
-/// Execute a SELECT against the catalog (plan + execute in one step).
-pub fn exec_select(
-    catalog: &Catalog,
-    sel: &SelectStmt,
-    ctx: &EvalCtx,
-) -> Result<QueryResult, SqlError> {
-    let plan = plan_select(catalog, sel)?;
-    exec_select_planned(catalog, &plan, ctx)
-}
-
 /// One aggregation group: accumulators plus the representative scope row
 /// (the group's first, used to evaluate non-aggregate expressions).
 type AggGroup<'t> = (Vec<AggAcc>, Vec<Option<&'t [Value]>>);
@@ -1052,7 +1042,7 @@ impl From<Value> for ValueKey {
     }
 }
 
-/// Execute an EXPLAIN: report each table access of the plan `exec_select`
+/// Execute an EXPLAIN: report each table access of the plan a SELECT
 /// would run, with its chosen path.
 pub fn explain_select(catalog: &Catalog, sel: &SelectStmt) -> Result<QueryResult, SqlError> {
     let mut res = QueryResult {

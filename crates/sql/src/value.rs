@@ -117,25 +117,6 @@ impl Value {
         }
     }
 
-    /// Render as a SQL literal — used when substituting parameters into
-    /// statement-based binlog text.
-    pub fn to_literal(&self) -> String {
-        match self {
-            Value::Null => "NULL".to_string(),
-            Value::Int(i) => i.to_string(),
-            Value::Double(d) => {
-                if d.fract() == 0.0 && d.is_finite() {
-                    format!("{d:.1}")
-                } else {
-                    format!("{d}")
-                }
-            }
-            Value::Text(s) => format!("'{}'", s.replace('\'', "''")),
-            Value::Bool(b) => (if *b { "TRUE" } else { "FALSE" }).to_string(),
-            Value::Timestamp(t) => t.to_string(),
-        }
-    }
-
     /// Truthiness for WHERE evaluation (NULL is not true).
     pub fn is_true(&self) -> bool {
         match self {
@@ -235,14 +216,6 @@ mod tests {
         assert_eq!(vs[2], Value::Int(1));
         assert_eq!(vs[3], Value::Int(3));
         assert_eq!(vs[4], Value::Text("b".into()));
-    }
-
-    #[test]
-    fn literal_rendering_escapes_quotes() {
-        assert_eq!(Value::Text("it's".into()).to_literal(), "'it''s'");
-        assert_eq!(Value::Null.to_literal(), "NULL");
-        assert_eq!(Value::Int(-5).to_literal(), "-5");
-        assert_eq!(Value::Bool(true).to_literal(), "TRUE");
     }
 
     #[test]

@@ -9,14 +9,12 @@
 //! * a merged alert timeline naming every transition `(shard, component,
 //!   instance)`, sorted deterministically by `(time, shard, rule,
 //!   instance)`;
-//! * fleet-wide staleness-leg distributions, folded from the per-shard
-//!   [`QuantileSketch`]es with [`QuantileSketch::merged`];
 //! * total FIFO-evicted traces, so silent trace loss anywhere in the
 //!   fleet is visible in one number.
 
 use crate::slo::{AlertEvent, AlertKind};
 use crate::Telemetry;
-use amdb_metrics::{QuantileSketch, Table};
+use amdb_metrics::Table;
 
 /// Per-shard telemetry bundles collected after a sharded run.
 #[derive(Debug, Clone, Default)]
@@ -72,34 +70,6 @@ impl FleetTelemetry {
             .collect()
     }
 
-    /// Fleet-wide end-to-end replication-delay distribution (commit →
-    /// applied), folded over every shard's every slave.
-    pub fn merged_e2e(&self) -> QuantileSketch {
-        QuantileSketch::merged(
-            self.shards
-                .iter()
-                .flat_map(|(_, t)| t.waterfall.legs().iter().map(|l| &l.e2e_ms)),
-        )
-    }
-
-    /// Fleet-wide apply-leg distribution (SQL-thread pickup → applied).
-    pub fn merged_apply(&self) -> QuantileSketch {
-        QuantileSketch::merged(
-            self.shards
-                .iter()
-                .flat_map(|(_, t)| t.waterfall.legs().iter().map(|l| &l.apply_ms)),
-        )
-    }
-
-    /// Fleet-wide relay-queue-wait distribution (delivery → pickup).
-    pub fn merged_queue(&self) -> QuantileSketch {
-        QuantileSketch::merged(
-            self.shards
-                .iter()
-                .flat_map(|(_, t)| t.waterfall.legs().iter().map(|l| &l.queue_ms)),
-        )
-    }
-
     /// Writes traced to commit across the fleet.
     pub fn total_committed(&self) -> u64 {
         self.shards.iter().map(|(_, t)| t.waterfall.committed).sum()
@@ -148,8 +118,9 @@ impl FleetTelemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::slo::{Direction, SloMetric, SloRule, SloSample};
+    use crate::slo::{Direction, SloEngine, SloMetric, SloRule, SloSample};
     use crate::TelemetryConfig;
+    use amdb_obs::bottleneck::DEFAULT_SATURATION_THRESHOLD;
     use amdb_obs::Component;
     use amdb_obs::ResourceUsage;
     use amdb_sim::SimTime;
@@ -169,12 +140,11 @@ mod tests {
     fn shard_telemetry(shard: u32, fire_at_ms: u64) -> Telemetry {
         let cfg = TelemetryConfig {
             enabled: true,
-            rules: vec![surge_rule()],
             shard,
             shards: 4,
-            ..TelemetryConfig::default()
         };
         let mut t = Telemetry::new(&cfg, 1);
+        t.slo = SloEngine::new(vec![surge_rule()], DEFAULT_SATURATION_THRESHOLD).with_shard(shard);
         let rows = [ResourceUsage {
             comp: Component::Cpu,
             inst: 1,
@@ -193,15 +163,11 @@ mod tests {
             rtt_ms: 16.0,
             rtt_class: "same zone",
         });
-        // Seed one waterfall trace so leg merges have mass.
+        // One write traced to commit, so the fleet totals have mass.
         let tr = t.waterfall.begin_write(SimTime::ZERO, SimTime::ZERO);
         t.waterfall
             .on_service_start(tr, SimTime::from_millis(1), 0, 1);
         t.waterfall.on_commit(tr, SimTime::from_millis(2));
-        t.waterfall.on_deliver(0, 1, SimTime::from_millis(3));
-        t.waterfall.on_apply_start(0, 1, SimTime::from_millis(3));
-        t.waterfall
-            .on_applied(0, 1, SimTime::from_millis(4 + shard as u64));
         t
     }
 
@@ -226,17 +192,11 @@ mod tests {
     }
 
     #[test]
-    fn merged_legs_fold_every_shard() {
+    fn totals_sum_every_shard() {
         let mut f = FleetTelemetry::new();
         f.absorb(0, shard_telemetry(0, 100));
         f.absorb(1, shard_telemetry(1, 100));
         assert_eq!(f.total_committed(), 2);
         assert_eq!(f.total_evicted(), 0);
-        let e2e = f.merged_e2e();
-        assert_eq!(e2e.count(), 2, "one applied write per shard");
-        // Shard 0 applied at 2 ms delay, shard 1 at 3 ms.
-        assert!(e2e.max().unwrap() > e2e.min().unwrap());
-        assert_eq!(f.merged_apply().count(), 2);
-        assert_eq!(f.merged_queue().count(), 2);
     }
 }

@@ -47,11 +47,6 @@ use amdb_obs::bottleneck::DEFAULT_SATURATION_THRESHOLD;
 pub struct TelemetryConfig {
     /// Trace writes, run the SLO engine, emit flow events.
     pub enabled: bool,
-    /// Alert rules evaluated at every obs sampling tick.
-    pub rules: Vec<SloRule>,
-    /// Utilization at which surge attribution considers a resource
-    /// saturated (the bottleneck attributor's threshold).
-    pub saturation_threshold: f64,
     /// Which shard tree this telemetry instance watches (0 unsharded);
     /// stamped into every alert so fleet timelines name `(shard,
     /// component, instance)`.
@@ -66,8 +61,6 @@ impl Default for TelemetryConfig {
     fn default() -> Self {
         Self {
             enabled: false,
-            rules: paper_rules(),
-            saturation_threshold: DEFAULT_SATURATION_THRESHOLD,
             shard: 0,
             shards: 1,
         }
@@ -75,7 +68,7 @@ impl Default for TelemetryConfig {
 }
 
 impl TelemetryConfig {
-    /// Enabled with the default (paper) rule set.
+    /// Telemetry on.
     pub fn enabled() -> Self {
         Self {
             enabled: true,
@@ -92,15 +85,17 @@ pub struct Telemetry {
 }
 
 impl Telemetry {
-    /// Build from the knob for a cluster with `n_slaves` slaves. The
-    /// waterfall's FIFO cap scales with the fleet's shard count so a
-    /// scatter-gather front fanning out to N trees keeps the same
-    /// per-tree trace retention as an unsharded cluster.
+    /// Build from the knob for a cluster with `n_slaves` slaves: the
+    /// paper's rule set ([`paper_rules`]), evaluated at every obs sampling
+    /// tick, with surge attribution at the bottleneck attributor's
+    /// saturation threshold. The waterfall's FIFO cap scales with the
+    /// fleet's shard count so a scatter-gather front fanning out to N trees
+    /// keeps the same per-tree trace retention as an unsharded cluster.
     pub fn new(cfg: &TelemetryConfig, n_slaves: usize) -> Self {
         let cap = DEFAULT_MAX_INFLIGHT * cfg.shards.max(1) as usize;
         Self {
             waterfall: StalenessWaterfall::with_inflight_cap(n_slaves, cap),
-            slo: SloEngine::new(cfg.rules.clone(), cfg.saturation_threshold).with_shard(cfg.shard),
+            slo: SloEngine::new(paper_rules(), DEFAULT_SATURATION_THRESHOLD).with_shard(cfg.shard),
         }
     }
 
@@ -149,10 +144,10 @@ mod tests {
 
     #[test]
     fn default_config_is_off_with_paper_rules() {
-        let c = TelemetryConfig::default();
-        assert!(!c.enabled);
-        assert_eq!(c.rules, paper_rules());
+        assert!(!TelemetryConfig::default().enabled);
         assert!(TelemetryConfig::enabled().enabled);
+        let t = Telemetry::new(&TelemetryConfig::enabled(), 2);
+        assert_eq!(t.slo.rules(), paper_rules());
     }
 
     #[test]

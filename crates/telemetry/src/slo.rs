@@ -97,7 +97,7 @@ pub struct SloRule {
     pub arm_above: Option<f64>,
 }
 
-/// The default rule set used by `TelemetryConfig`: the paper's §IV signals.
+/// The rule set `Telemetry::new` installs: the paper's §IV signals.
 pub fn paper_rules() -> Vec<SloRule> {
     vec![
         // The delay-surge detector. Fig 5 puts the healthy 3-slave delay
