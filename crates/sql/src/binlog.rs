@@ -418,6 +418,35 @@ mod tests {
         assert_eq!(decoded, ev);
     }
 
+    /// The wire layout is pinned: an FNV-1a hash over the encodings of a
+    /// statement event and a rows event that between them cover every value
+    /// tag and change kind. Recorded before the codec moved onto std slices.
+    #[test]
+    fn encoding_bytes_are_pinned() {
+        let stmt = BinlogEvent {
+            lsn: Lsn(u64::MAX - 3),
+            commit_ts_micros: -1_234_567,
+            payload: EventPayload::Statement {
+                sql: "UPDATE t SET a = ?, b = ? WHERE c = ? -- ü".into(),
+                params: vec![
+                    Value::Null,
+                    Value::Int(i64::MIN),
+                    Value::Double(-0.125),
+                    Value::Text("x".into()),
+                    Value::Bool(true),
+                    Value::Timestamp(1_700_000_000_000_000),
+                ],
+            },
+        };
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for ev in [stmt, sample_rows_event()] {
+            for &b in ev.encode().iter() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        assert_eq!(h, 0x5fc2_f695_3d34_216d);
+    }
+
     #[test]
     fn truncated_event_rejected() {
         let ev = sample_rows_event();
