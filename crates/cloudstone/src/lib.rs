@@ -28,7 +28,6 @@
 pub mod load;
 pub mod ops;
 pub mod schema;
-pub mod sessions;
 pub mod shardkey;
 pub mod web10;
 pub mod workload;
@@ -36,7 +35,6 @@ pub mod workload;
 pub use load::{build_template, DataCounters};
 pub use ops::{MixConfig, OpClass, OpGenerator, Operation};
 pub use schema::{DataSize, SCHEMA_SQL};
-pub use sessions::UserSessions;
 pub use shardkey::{shard_key_of, ShardKey};
 pub use web10::{load_web10, Web10Generator, WEB10_SCHEMA};
 pub use workload::{Phases, WorkloadConfig};

@@ -34,7 +34,7 @@ mod watermark;
 
 pub use router::{ConsistencyConfig, ConsistencyPolicy, FallbackPolicy, ReadDecision};
 pub use session::SessionToken;
-pub use watermark::{SeqSource, WatermarkTable};
+pub use watermark::WatermarkTable;
 
 // Re-exported so policy-layer callers don't need a separate amdb-proxy dep
 // just to match on the decision.

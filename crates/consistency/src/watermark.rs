@@ -39,37 +39,6 @@ impl SlaveWatermark {
     }
 }
 
-/// Where a [`WatermarkTable`]'s master sequence comes from — the LSN source
-/// the consistency plane builds its guarantees on.
-///
-/// * [`SeqSource::MasterHead`]: the binlog backends stamp the master's log
-///   head at ship (= commit) time. The freshest signal, but it can name
-///   writes that die with the master (the §II loss window) — which is why
-///   binlog failover voids the sequence space and resets the table.
-/// * [`SeqSource::QuorumDurable`]: the shared-log backend stamps the log
-///   service's quorum-durable prefix instead. The signal trails the head by
-///   the quorum wait, but every sequence it names survives any fault within
-///   the quorum budget, so a reattach keeps the table — and every session
-///   token — intact.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SeqSource {
-    /// Master binlog head, stamped at ship time (binlog backends).
-    #[default]
-    MasterHead,
-    /// Shared-log quorum-durable prefix, stamped when the quorum forms.
-    QuorumDurable,
-}
-
-impl SeqSource {
-    /// Human-readable label for reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            SeqSource::MasterHead => "master-head",
-            SeqSource::QuorumDurable => "quorum-durable",
-        }
-    }
-}
-
 /// Per-slave apply progress and staleness estimation.
 ///
 /// The master side stamps each committed writeset sequence with its commit
@@ -94,8 +63,6 @@ pub struct WatermarkTable {
     /// Cold-start per-event apply interval (ms) used until a slave has
     /// produced at least one busy-period sample.
     default_interval_ms: f64,
-    /// What the master sequence means (head vs quorum-durable).
-    source: SeqSource,
 }
 
 impl WatermarkTable {
@@ -110,25 +77,12 @@ impl WatermarkTable {
                 .map(|_| SlaveWatermark::at(start_seq))
                 .collect(),
             default_interval_ms: 1.0,
-            source: SeqSource::default(),
         }
     }
 
     /// Override the cold-start apply interval (ms/event).
     pub fn set_default_interval_ms(&mut self, ms: f64) {
         self.default_interval_ms = ms.max(0.0);
-    }
-
-    /// Declare what [`Self::note_master_seq`] is fed with (see [`SeqSource`]).
-    /// Purely descriptive — the estimator math is identical either way; the
-    /// *failover contract* is what differs, and reports surface the label.
-    pub fn set_source(&mut self, source: SeqSource) {
-        self.source = source;
-    }
-
-    /// The declared master-sequence source.
-    pub fn source(&self) -> SeqSource {
-        self.source
     }
 
     /// Number of tracked slaves.

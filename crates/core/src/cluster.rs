@@ -33,9 +33,9 @@ use crate::report::{ConsistencyReport, DelayReport, RunReport, SharedLogReport};
 use crate::users::{UserLoop, WorkGen};
 use amdb_cloud::clock::WALL_EPOCH_MICROS;
 use amdb_cloud::{CpuModel, Instance, InstanceType, Provider};
-use amdb_cloudstone::{build_template, OpClass, OpGenerator, Operation, Phases, UserSessions};
+use amdb_cloudstone::{build_template, OpClass, OpGenerator, Operation, Phases};
 use amdb_consistency::{
-    ConsistencyConfig, ConsistencyPolicy, ReadDecision, SeqSource, SessionToken, WatermarkTable,
+    ConsistencyConfig, ConsistencyPolicy, ReadDecision, SessionToken, WatermarkTable,
 };
 use amdb_metrics::{trimmed_mean, OnlineStats, Summary};
 use amdb_net::{NetModel, Proximity, Zone};
@@ -335,7 +335,9 @@ struct SyncWait {
 struct ConsistencyLayer {
     cfg: ConsistencyConfig,
     wm: WatermarkTable,
-    sessions: UserSessions,
+    /// One session token per emulated user, carried across that user's
+    /// closed-loop request chain.
+    sessions: Vec<SessionToken>,
     redirects_master: u64,
     waits: u64,
     wait_ms_total: f64,
@@ -355,7 +357,7 @@ impl ConsistencyLayer {
         Self {
             cfg,
             wm: WatermarkTable::new(n_slaves, start_seq),
-            sessions: UserSessions::new(n_users as usize),
+            sessions: vec![SessionToken::new(); n_users as usize],
             redirects_master: 0,
             waits: 0,
             wait_ms_total: 0.0,
@@ -614,7 +616,7 @@ impl Cluster {
         let phases = cfg.workload.phases;
         let n = cfg.n_slaves;
         let obs = Obs::from_config(&cfg.obs);
-        let mut consistency = cfg
+        let consistency = cfg
             .consistency
             .map(|c| ConsistencyLayer::new(c, n, shipped0.0, cfg.workload.concurrent_users));
         let telemetry = cfg
@@ -654,13 +656,6 @@ impl Cluster {
                 recovery: None,
             }
         });
-        if shared_log.is_some() {
-            if let Some(layer) = consistency.as_mut() {
-                // The consistency plane's master sequence is the log's
-                // quorum-durable prefix, not the binlog head.
-                layer.wm.set_source(SeqSource::QuorumDurable);
-            }
-        }
         let users = UserLoop::new(&cfg, gen, &root);
         Self {
             shared_log,
@@ -1033,7 +1028,7 @@ impl Cluster {
                 let session = match origin {
                     // Session guarantees are per client: each user has its
                     // own token, and the front is one client of this tree.
-                    Origin::User { user, .. } => layer.sessions.token(user as usize),
+                    Origin::User { user, .. } => &layer.sessions[user as usize],
                     Origin::Front { .. } => &layer.front,
                 };
                 let decision =
@@ -1513,7 +1508,7 @@ impl Cluster {
                 let token = match origin {
                     // The same per-client token the op's read was judged
                     // by in `dispatch`.
-                    Origin::User { user, .. } => layer.sessions.token_mut(user as usize),
+                    Origin::User { user, .. } => &mut layer.sessions[user as usize],
                     Origin::Front { .. } => &mut layer.front,
                 };
                 match class {
@@ -2242,7 +2237,9 @@ impl Cluster {
         // existence).
         if let Some(layer) = self.consistency.as_mut() {
             layer.wm.reset_all(0);
-            layer.sessions.reset_all();
+            for token in &mut layer.sessions {
+                token.reset();
+            }
             layer.front = SessionToken::new();
         }
         self.repl_epoch += 1;
@@ -2804,6 +2801,16 @@ mod tests {
                 replicas: 3,
                 quorum: 4
             })
+        );
+        // Statement events are apply barriers: extra workers would be a
+        // silent no-op, so the pairing is refused.
+        let mut cfg = quick_cfg(4, 2);
+        cfg.apply_workers = 4;
+        assert_eq!(
+            run_cell(cfg, None).err(),
+            Some(ConfigError::ApplyWorkersNeedRowImages(
+                BackendKind::Statement
+            ))
         );
     }
 

@@ -255,9 +255,9 @@ pub struct ClusterConfig {
     /// thread, the paper's MySQL setup). With more workers, each slave
     /// drains its relay in writeset-dependency batches planned by
     /// `amdb-apply` and amortizes per-event dispatch + commit across the
-    /// batch — in-order commit keeps watermarks sequential. Only the row
-    /// binlog format exposes writesets; statement-format events are
-    /// dependency barriers, so extra workers are a no-op there.
+    /// batch — in-order commit keeps watermarks sequential. Only row images
+    /// expose writesets, so more than one worker needs the row or shared-log
+    /// backend ([`ClusterConfig::validate`] refuses statement format).
     pub apply_workers: usize,
     pub balancer: BalancerKind,
     /// Starting cursor for rotating balancers (round-robin and the
@@ -335,6 +335,11 @@ impl ClusterConfig {
         if self.apply_workers == 0 {
             return Err(ConfigError::ZeroApplyWorkers);
         }
+        // Statement events carry no writesets: every one is a scheduling
+        // barrier, so extra workers could never form a batch.
+        if self.apply_workers > 1 && self.backend == BackendKind::Statement {
+            return Err(ConfigError::ApplyWorkersNeedRowImages(self.backend));
+        }
         if self.log_faults.is_some() && self.backend != BackendKind::SharedLog {
             return Err(ConfigError::LogFaultsWithoutSharedLog(self.backend));
         }
@@ -363,6 +368,9 @@ pub enum ConfigError {
     },
     /// `apply_workers` is zero: a slave needs at least its serial thread.
     ZeroApplyWorkers,
+    /// `apply_workers > 1` under a backend whose events carry no row
+    /// images, so no writeset could ever let two events apply together.
+    ApplyWorkersNeedRowImages(BackendKind),
     /// `log_faults` is set but only the shared-log backend has log replicas.
     LogFaultsWithoutSharedLog(BackendKind),
     /// The shared log's `log_store.quorum` is not in `1..=replicas` (which
@@ -397,6 +405,11 @@ impl std::fmt::Display for ConfigError {
                 "faults[{fault}].slave = {slave} but the cluster has {n_slaves} slave(s)"
             ),
             Self::ZeroApplyWorkers => write!(f, "apply_workers must be at least 1"),
+            Self::ApplyWorkersNeedRowImages(backend) => write!(
+                f,
+                "apply_workers > 1 needs row images (the row or shared-log backend), not {}",
+                backend.name()
+            ),
             Self::LogFaultsWithoutSharedLog(backend) => write!(
                 f,
                 "log_faults needs the shared-log backend, not {}",
@@ -531,9 +544,10 @@ impl ClusterBuilder {
         self
     }
 
-    /// Simulated apply workers per slave (1 = serial SQL thread). Pair with
-    /// a row-image [`Self::backend`] — statement events carry no writesets,
-    /// so extra workers change nothing under the statement backend.
+    /// Simulated apply workers per slave (1 = serial SQL thread). More than
+    /// one needs a row-image [`Self::backend`] (row or shared-log):
+    /// statement events carry no writesets, so [`ClusterConfig::validate`]
+    /// refuses that pairing.
     ///
     /// # Panics
     /// Panics when `n == 0`.
@@ -708,6 +722,19 @@ mod tests {
         let mut no_workers = ok().build();
         no_workers.apply_workers = 0;
         assert_eq!(no_workers.validate(), Err(ConfigError::ZeroApplyWorkers));
+        let workers = |backend| ok().backend(backend).apply_workers(4).build().validate();
+        assert_eq!(
+            workers(BackendKind::Statement),
+            Err(ConfigError::ApplyWorkersNeedRowImages(
+                BackendKind::Statement
+            ))
+        );
+        assert_eq!(
+            workers(BackendKind::Statement).unwrap_err().to_string(),
+            "apply_workers > 1 needs row images (the row or shared-log backend), not statement"
+        );
+        assert_eq!(workers(BackendKind::Row), Ok(()));
+        assert_eq!(workers(BackendKind::SharedLog), Ok(()));
         let faulty_log = || ok().log_faults(LogFaultPlan::default());
         assert_eq!(
             faulty_log().backend(BackendKind::Row).build().validate(),

@@ -595,7 +595,6 @@ impl ShardedWorld {
             scatter_filtered_legs: s.scatter_filtered_legs,
             scatter_master_fallbacks: s.scatter_master_fallbacks,
             pool_stats: (pool.total_acquired(), pool.total_waited()),
-            peak_pool_waiting: users.steady_peak_waiting,
             per_shard,
             per_shard_bottleneck,
             sim_events,
@@ -627,8 +626,6 @@ pub struct ShardedReport {
     pub scatter_master_fallbacks: u64,
     /// (total acquired, total waited) at the front's connection pool.
     pub pool_stats: (u64, u64),
-    /// Peak pool-waiter count over the steady window.
-    pub peak_pool_waiting: usize,
     /// One standalone-format report per tree (tree `users` is 0 — users
     /// live at the front; steady op counts are front-side).
     pub per_shard: Vec<RunReport>,
@@ -793,6 +790,14 @@ mod tests {
         assert_eq!(
             run_sharded_cell(&mislabelled, None).err(),
             Some(ConfigError::PlacementRegionIsMasters(Region::UsWest1))
+        );
+        let mut barriers = cfg(2);
+        barriers.base.apply_workers = 4;
+        assert_eq!(
+            run_sharded_cell(&barriers, None).err(),
+            Some(ConfigError::ApplyWorkersNeedRowImages(
+                BackendKind::Statement
+            ))
         );
     }
 

@@ -4,9 +4,6 @@
 //! * `apply_workers = 1` **is** the serial pipeline: the builder default and
 //!   the explicit setting produce bit-identical runs, and every batch holds
 //!   exactly one event;
-//! * statement-format events are scheduling barriers, so extra workers are
-//!   a bit-identical no-op there — the accounting (`rows_examined`, apply
-//!   demand, telemetry instants) cannot drift with the worker count;
 //! * on a saturated row-format cell, the staleness-waterfall delay segments
 //!   shrink monotonically as workers grow, and the `delay_surge` alert
 //!   fires later (or never) — the paper's Fig 5/6 surge flattening.
@@ -71,18 +68,6 @@ proptest! {
         prop_assert_eq!(fingerprint(&default), fingerprint(&explicit));
         prop_assert_eq!(explicit.apply_batches, explicit.apply_events);
         prop_assert!(explicit.apply_events > 0, "the run replicated something");
-    }
-
-    /// Statement events are barriers: 8 workers degenerate to singleton
-    /// batches, and because a singleton batch charges exactly the serial
-    /// demand (`apply_batch_demand_us` delegates), the whole run — CPU
-    /// timings, heartbeat delays, throughput — is bit-identical.
-    #[test]
-    fn statement_format_ignores_worker_count(seed in 1..1000u64) {
-        let serial = run_cluster(quick_cfg(8, 2, seed).build());
-        let wide = run_cluster(quick_cfg(8, 2, seed).apply_workers(8).build());
-        prop_assert_eq!(fingerprint(&serial), fingerprint(&wide));
-        prop_assert_eq!(wide.apply_batches, wide.apply_events);
     }
 }
 

@@ -15,14 +15,13 @@
 //! * **Row-based**: the changed row images are logged; apply is deterministic
 //!   and cheaper, at the price of larger events (ablation A3).
 //!
-//! Events are binary-encoded with a small TLV scheme (via `bytes`) and
-//! round-trip tested, because the replication layer ships *bytes*, not Rust
-//! objects — the event size feeds the network model.
+//! Events are binary-encoded with a small big-endian TLV scheme and
+//! round-trip tested. Replication ships event values, not bytes: the encoding
+//! feeds the benchmark ledger's bytes-per-event rows, not the network model.
 
 use crate::error::SqlError;
 use crate::exec::{RowChange, RowChangeKind};
 use crate::value::Value;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// Log sequence number: the position of an event in the master's binlog.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -63,84 +62,66 @@ pub struct BinlogEvent {
 }
 
 impl BinlogEvent {
-    /// Encode to bytes (the unit shipped over the simulated network).
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(64);
-        buf.put_u64(self.lsn.0);
-        buf.put_i64(self.commit_ts_micros);
+    /// Encode to bytes.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(64);
+        buf.extend_from_slice(&self.lsn.0.to_be_bytes());
+        buf.extend_from_slice(&self.commit_ts_micros.to_be_bytes());
         match &self.payload {
             EventPayload::Statement { sql, params } => {
-                buf.put_u8(0);
+                buf.push(0);
                 put_str(&mut buf, sql);
                 put_row(&mut buf, params);
             }
             EventPayload::Rows { changes } => {
-                buf.put_u8(1);
-                buf.put_u32(changes.len() as u32);
+                buf.push(1);
+                put_len(&mut buf, changes.len());
                 for c in changes {
                     put_str(&mut buf, &c.table);
                     match &c.kind {
                         RowChangeKind::Insert { row } => {
-                            buf.put_u8(0);
+                            buf.push(0);
                             put_row(&mut buf, row);
                         }
                         RowChangeKind::Update { before, after } => {
-                            buf.put_u8(1);
+                            buf.push(1);
                             put_row(&mut buf, before);
                             put_row(&mut buf, after);
                         }
                         RowChangeKind::Delete { row } => {
-                            buf.put_u8(2);
+                            buf.push(2);
                             put_row(&mut buf, row);
                         }
                     }
                 }
             }
         }
-        buf.freeze()
+        buf
     }
 
-    /// Decode from bytes.
-    pub fn decode(mut buf: Bytes) -> Result<BinlogEvent, SqlError> {
-        let need = |buf: &Bytes, n: usize| -> Result<(), SqlError> {
-            if buf.remaining() < n {
-                Err(SqlError::BinlogCorrupt(format!(
-                    "need {n} bytes, have {}",
-                    buf.remaining()
-                )))
-            } else {
-                Ok(())
-            }
-        };
-        need(&buf, 17)?;
-        let lsn = Lsn(buf.get_u64());
-        let commit_ts_micros = buf.get_i64();
-        let tag = buf.get_u8();
-        let payload = match tag {
+    /// Decode from bytes. Truncated or corrupt input is an error, never a
+    /// panic: every read goes through one bounds-checked cursor.
+    pub fn decode(buf: &[u8]) -> Result<BinlogEvent, SqlError> {
+        let mut r = Reader(buf);
+        let lsn = Lsn(u64::from_be_bytes(r.array()?));
+        let commit_ts_micros = i64::from_be_bytes(r.array()?);
+        let payload = match r.u8()? {
             0 => EventPayload::Statement {
-                sql: get_str(&mut buf)?,
-                params: get_row(&mut buf)?,
+                sql: r.str()?,
+                params: r.row()?,
             },
             1 => {
-                need(&buf, 4)?;
-                let n = buf.get_u32() as usize;
-                // Cap the pre-allocation: a corrupt length must not trigger a
-                // huge allocation before the per-change reads detect EOF.
-                let mut changes = Vec::with_capacity(n.min(1024));
+                let n = r.len()?;
+                let mut changes = Vec::new();
                 for _ in 0..n {
-                    let table = get_str(&mut buf)?;
-                    need(&buf, 1)?;
-                    let kind = match buf.get_u8() {
-                        0 => RowChangeKind::Insert {
-                            row: get_row(&mut buf)?,
-                        },
+                    let table = r.str()?;
+                    let kind = match r.u8()? {
+                        0 => RowChangeKind::Insert { row: r.row()? },
                         1 => RowChangeKind::Update {
-                            before: get_row(&mut buf)?,
-                            after: get_row(&mut buf)?,
+                            before: r.row()?,
+                            after: r.row()?,
                         },
-                        2 => RowChangeKind::Delete {
-                            row: get_row(&mut buf)?,
-                        },
+                        2 => RowChangeKind::Delete { row: r.row()? },
                         t => {
                             return Err(SqlError::BinlogCorrupt(format!("unknown change tag {t}")))
                         }
@@ -158,108 +139,108 @@ impl BinlogEvent {
         })
     }
 
-    /// Encoded size in bytes — the replication layer uses this to model
-    /// shipping cost.
+    /// Encoded size in bytes — what the benchmark ledger's bytes-per-event
+    /// rows report for each binlog format.
     pub fn encoded_len(&self) -> usize {
         self.encode().len()
     }
 }
 
-fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32(s.len() as u32);
-    buf.put_slice(s.as_bytes());
+fn put_len(buf: &mut Vec<u8>, n: usize) {
+    buf.extend_from_slice(&(n as u32).to_be_bytes());
 }
 
-fn get_str(buf: &mut Bytes) -> Result<String, SqlError> {
-    if buf.remaining() < 4 {
-        return Err(SqlError::BinlogCorrupt("truncated string length".into()));
-    }
-    let n = buf.get_u32() as usize;
-    if buf.remaining() < n {
-        return Err(SqlError::BinlogCorrupt("truncated string body".into()));
-    }
-    let bytes = buf.copy_to_bytes(n);
-    String::from_utf8(bytes.to_vec())
-        .map_err(|_| SqlError::BinlogCorrupt("invalid utf-8 in string".into()))
+fn put_str(buf: &mut Vec<u8>, s: &str) {
+    put_len(buf, s.len());
+    buf.extend_from_slice(s.as_bytes());
 }
 
-fn put_value(buf: &mut BytesMut, v: &Value) {
+fn put_value(buf: &mut Vec<u8>, v: &Value) {
     match v {
-        Value::Null => buf.put_u8(0),
+        Value::Null => buf.push(0),
         Value::Int(i) => {
-            buf.put_u8(1);
-            buf.put_i64(*i);
+            buf.push(1);
+            buf.extend_from_slice(&i.to_be_bytes());
         }
         Value::Double(d) => {
-            buf.put_u8(2);
-            buf.put_f64(*d);
+            buf.push(2);
+            buf.extend_from_slice(&d.to_be_bytes());
         }
         Value::Text(s) => {
-            buf.put_u8(3);
+            buf.push(3);
             put_str(buf, s);
         }
         Value::Bool(b) => {
-            buf.put_u8(4);
-            buf.put_u8(*b as u8);
+            buf.push(4);
+            buf.push(*b as u8);
         }
         Value::Timestamp(t) => {
-            buf.put_u8(5);
-            buf.put_i64(*t);
+            buf.push(5);
+            buf.extend_from_slice(&t.to_be_bytes());
         }
     }
 }
 
-fn get_value(buf: &mut Bytes) -> Result<Value, SqlError> {
-    if !buf.has_remaining() {
-        return Err(SqlError::BinlogCorrupt("truncated value tag".into()));
-    }
-    let need = |buf: &Bytes, n: usize| -> Result<(), SqlError> {
-        if buf.remaining() < n {
-            Err(SqlError::BinlogCorrupt("truncated value body".into()))
-        } else {
-            Ok(())
-        }
-    };
-    match buf.get_u8() {
-        0 => Ok(Value::Null),
-        1 => {
-            need(buf, 8)?;
-            Ok(Value::Int(buf.get_i64()))
-        }
-        2 => {
-            need(buf, 8)?;
-            Ok(Value::Double(buf.get_f64()))
-        }
-        3 => Ok(Value::Text(get_str(buf)?)),
-        4 => {
-            need(buf, 1)?;
-            Ok(Value::Bool(buf.get_u8() != 0))
-        }
-        5 => {
-            need(buf, 8)?;
-            Ok(Value::Timestamp(buf.get_i64()))
-        }
-        t => Err(SqlError::BinlogCorrupt(format!("unknown value tag {t}"))),
-    }
-}
-
-fn put_row(buf: &mut BytesMut, row: &[Value]) {
-    buf.put_u32(row.len() as u32);
+fn put_row(buf: &mut Vec<u8>, row: &[Value]) {
+    put_len(buf, row.len());
     for v in row {
         put_value(buf, v);
     }
 }
 
-fn get_row(buf: &mut Bytes) -> Result<Vec<Value>, SqlError> {
-    if buf.remaining() < 4 {
-        return Err(SqlError::BinlogCorrupt("truncated row length".into()));
+/// Read cursor over an encoded event. Every read returns `Err` once the
+/// input runs out, so no length check lives anywhere else. Decoded counts
+/// never size an allocation up front: a corrupt count fails at the first
+/// missing byte instead of reserving gigabytes.
+struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], SqlError> {
+        let (head, rest) = self.0.split_at_checked(n).ok_or_else(|| {
+            SqlError::BinlogCorrupt(format!("need {n} bytes, have {}", self.0.len()))
+        })?;
+        self.0 = rest;
+        Ok(head)
     }
-    let n = buf.get_u32() as usize;
-    let mut row = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        row.push(get_value(buf)?);
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], SqlError> {
+        let mut a = [0; N];
+        a.copy_from_slice(self.take(N)?);
+        Ok(a)
     }
-    Ok(row)
+
+    fn u8(&mut self) -> Result<u8, SqlError> {
+        Ok(self.take(1)?[0])
+    }
+
+    /// A big-endian u32 count or length.
+    fn len(&mut self) -> Result<usize, SqlError> {
+        Ok(u32::from_be_bytes(self.array()?) as usize)
+    }
+
+    fn str(&mut self) -> Result<String, SqlError> {
+        let n = self.len()?;
+        std::str::from_utf8(self.take(n)?)
+            .map(str::to_owned)
+            .map_err(|_| SqlError::BinlogCorrupt("invalid utf-8 in string".into()))
+    }
+
+    fn value(&mut self) -> Result<Value, SqlError> {
+        Ok(match self.u8()? {
+            0 => Value::Null,
+            1 => Value::Int(i64::from_be_bytes(self.array()?)),
+            2 => Value::Double(f64::from_be_bytes(self.array()?)),
+            3 => Value::Text(self.str()?),
+            4 => Value::Bool(self.u8()? != 0),
+            5 => Value::Timestamp(i64::from_be_bytes(self.array()?)),
+            t => return Err(SqlError::BinlogCorrupt(format!("unknown value tag {t}"))),
+        })
+    }
+
+    fn row(&mut self) -> Result<Vec<Value>, SqlError> {
+        let n = self.len()?;
+        (0..n).map(|_| self.value()).collect()
+    }
 }
 
 /// The master's append-only binary log.
@@ -387,7 +368,7 @@ mod tests {
                 params: vec![Value::Int(42)],
             },
         };
-        let decoded = BinlogEvent::decode(ev.encode()).unwrap();
+        let decoded = BinlogEvent::decode(&ev.encode()).unwrap();
         assert_eq!(decoded, ev);
     }
 
@@ -408,13 +389,13 @@ mod tests {
                 ],
             },
         };
-        assert_eq!(BinlogEvent::decode(ev.encode()).unwrap(), ev);
+        assert_eq!(BinlogEvent::decode(&ev.encode()).unwrap(), ev);
     }
 
     #[test]
     fn rows_event_round_trips() {
         let ev = sample_rows_event();
-        let decoded = BinlogEvent::decode(ev.encode()).unwrap();
+        let decoded = BinlogEvent::decode(&ev.encode()).unwrap();
         assert_eq!(decoded, ev);
     }
 
@@ -452,9 +433,8 @@ mod tests {
         let ev = sample_rows_event();
         let full = ev.encode();
         for cut in [0usize, 5, 16, 17, full.len() - 1] {
-            let sliced = full.slice(0..cut);
             assert!(
-                BinlogEvent::decode(sliced).is_err(),
+                BinlogEvent::decode(&full[..cut]).is_err(),
                 "cut at {cut} should fail"
             );
         }
@@ -463,10 +443,10 @@ mod tests {
     #[test]
     fn corrupt_tag_rejected() {
         let ev = sample_rows_event();
-        let mut raw = ev.encode().to_vec();
+        let mut raw = ev.encode();
         raw[16] = 9; // payload tag
         assert!(matches!(
-            BinlogEvent::decode(Bytes::from(raw)),
+            BinlogEvent::decode(&raw),
             Err(SqlError::BinlogCorrupt(_))
         ));
     }
@@ -538,6 +518,6 @@ mod tests {
                 params: vec![],
             },
         };
-        assert_eq!(BinlogEvent::decode(ev.encode()).unwrap(), ev);
+        assert_eq!(BinlogEvent::decode(&ev.encode()).unwrap(), ev);
     }
 }

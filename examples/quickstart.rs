@@ -24,8 +24,8 @@ use amdb::sql::Value;
 use amdb::telemetry::AlertKind;
 
 /// `--binlog-format {statement|row}` and `--apply-workers N`. The defaults
-/// (statement, 1) reproduce MySQL's classic serial-apply setup; row format
-/// with N > 1 turns on the writeset-dependency parallel apply scheduler.
+/// (statement, 1) reproduce MySQL's classic serial-apply setup; N > 1 needs
+/// row format and turns on the writeset-dependency parallel apply scheduler.
 fn parse_args() -> (BackendKind, usize) {
     let (mut format, mut workers) = (BackendKind::Statement, 1usize);
     let mut args = std::env::args().skip(1);
@@ -48,6 +48,10 @@ fn parse_args() -> (BackendKind, usize) {
             other => panic!("unknown flag {other}"),
         }
     }
+    assert!(
+        workers == 1 || format == BackendKind::Row,
+        "--apply-workers {workers} needs --binlog-format row: statement events carry no writesets"
+    );
     (format, workers)
 }
 
