@@ -61,11 +61,15 @@ awk '$1 == "metric" { m[$2] = $3 }
 # its tracing pass runs here): a SELECT costs at most 8 INSERTs. Both numbers
 # come from one process, so host speed cancels; it was 10-13 x before the
 # plan-time SELECT pipeline (DESIGN.md, "SQL engine hot path"), 4-5 x with it.
+# And a fork costs at most 20 INSERTs: ~1 000 x while a fork copied the
+# template's tables, ~2 x since forks share its frozen base (DESIGN.md, "Storage").
 benchmark/run.sh --workload paper_8020 --trace 1 --smoke --out benchmark/out/smoke >/dev/null
 awk '$1 == "metric" { m[$2] = $3 }
-  END { r = m["sql.read_ns_per_stmt"]; w = m["sql.write_ns_per_stmt"]
+  END { r = m["sql.read_ns_per_stmt"]; w = m["sql.write_ns_per_stmt"]; f = m["sql.fork_us"]
         if (r == "" || w == "" || r + 0 > 8 * w) {
-          print "sql.read_ns_per_stmt = " r " > 8 x sql.write_ns_per_stmt = " w; exit 1 } }' \
+          print "sql.read_ns_per_stmt = " r " > 8 x sql.write_ns_per_stmt = " w; exit 1 }
+        if (f == "" || f * 1000 > 20 * w) {
+          print "sql.fork_us = " f " > 20 x sql.write_ns_per_stmt = " w " ns"; exit 1 } }' \
   benchmark/out/smoke/paper_8020.trace1.txt
 
 echo "== byte-identity table: same tables and CSVs for any --jobs, AMDB_JOBS, --backend statement =="

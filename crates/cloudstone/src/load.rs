@@ -43,8 +43,9 @@ impl DataCounters {
 /// Insert batch size (rows per multi-row INSERT during loading).
 const BATCH: usize = 500;
 
-/// Build a fully-loaded template engine for `size`. Deterministic in the
-/// RNG seed. Returns the engine and the post-load id counters.
+/// Build a fully-loaded, frozen (`Engine::freeze`) template engine for
+/// `size`: its forks share the loaded tables. Deterministic in the RNG seed.
+/// Returns the engine and the post-load id counters.
 pub fn build_template(size: DataSize, rng: &mut Rng) -> (Engine, DataCounters) {
     let mut engine = Engine::new_master(BinlogFormat::Statement);
     let mut session = Session::new();
@@ -207,13 +208,14 @@ pub fn build_template(size: DataSize, rng: &mut Rng) -> (Engine, DataCounters) {
         &mut rows,
     );
 
+    engine.freeze();
     (engine, DataCounters::after_load(size))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amdb_sql::{ForkRole, Value};
+    use amdb_sql::{ForkRole, Lsn, Value};
 
     fn tiny() -> DataSize {
         DataSize { scale: 10 }
@@ -277,6 +279,63 @@ mod tests {
         assert_eq!(master.binlog().len(), 1);
         assert_ne!(master.table_rows("users"), slave.table_rows("users"));
         let _ = &mut slave;
+    }
+
+    #[test]
+    fn base_row_writes_on_a_fork_stay_private_and_read_like_an_unfrozen_copy() {
+        let (template, _) = build_template(tiny(), &mut Rng::new(4));
+        // The same load replayed into an engine that is never frozen.
+        let mut unfrozen = Engine::new_slave();
+        for event in template.binlog_from(Lsn(0)) {
+            unfrozen.apply_event(event, 0).expect("replay");
+        }
+        let pristine = template.fingerprint();
+        assert_eq!(unfrozen.fingerprint(), pristine);
+        let mut fork = template.fork(ForkRole::Master(BinlogFormat::Statement));
+        let sibling = template.fork(ForkRole::Slave);
+
+        // Updates (pk and indexed columns), deletes, one insert, and one
+        // unique violation — all against rows of the frozen base.
+        let writes = [
+            "UPDATE users SET username = 'renamed', email = NULL WHERE id = 3",
+            "UPDATE events SET zip = 7, created_by = 1 WHERE created_by = 2",
+            "DELETE FROM comments WHERE event_id = 2",
+            "DELETE FROM attendees WHERE user_id = 5",
+            "UPDATE event_tags SET id = 900001 WHERE id = 1",
+            "INSERT INTO users (id, username, created_at) VALUES (900002, 'late', 0)",
+            "UPDATE users SET username = 'user1' WHERE id = 2",
+        ];
+        let reads = [
+            "SELECT id, username, email FROM users WHERE username = 'renamed'",
+            "SELECT id, username FROM users WHERE id = 3",
+            "SELECT id, zip FROM events WHERE created_by = 1",
+            "SELECT id, created_by FROM events WHERE zip = 7",
+            "SELECT COUNT(*) FROM comments WHERE event_id = 2",
+            "SELECT id, event_id FROM attendees WHERE user_id = 5",
+            "SELECT id, tag_id FROM event_tags WHERE event_id = 1",
+            "SELECT id FROM event_tags WHERE id >= 1 AND id < 5",
+            "SELECT * FROM events",
+            "SELECT u.username, COUNT(*) FROM attendees a INNER JOIN users u ON u.id = a.user_id \
+             WHERE a.event_id = 3 GROUP BY u.username",
+        ];
+        let (mut fs, mut us) = (Session::new(), Session::new());
+        for end in ["ROLLBACK", "COMMIT"] {
+            for sql in std::iter::once("BEGIN").chain(writes).chain([end]) {
+                let got = fork.execute(&mut fs, sql, &[]).map(|r| r.rows_affected);
+                let want = unfrozen.execute(&mut us, sql, &[]).map(|r| r.rows_affected);
+                assert_eq!(format!("{got:?}"), format!("{want:?}"), "{sql}");
+            }
+            for sql in reads {
+                let got = fork.execute(&mut fs, sql, &[]).expect(sql);
+                let want = unfrozen.execute(&mut us, sql, &[]).expect(sql);
+                assert_eq!(got.rows, want.rows, "{sql} after {end}");
+                assert_eq!(got.rows_examined, want.rows_examined, "{sql} after {end}");
+            }
+            assert_eq!(template.fingerprint(), pristine, "template after {end}");
+            assert_eq!(sibling.fingerprint(), pristine, "sibling after {end}");
+        }
+        assert_eq!(fork.fingerprint(), unfrozen.fingerprint());
+        assert_ne!(fork.fingerprint(), pristine, "the committed writes landed");
     }
 
     #[test]

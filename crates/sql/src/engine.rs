@@ -110,13 +110,30 @@ impl Engine {
         &self.binlog
     }
 
+    /// Move every table's rows and indexes into its shared frozen base
+    /// ([`crate::storage`]); forks taken afterwards share that base and
+    /// own only a delta. Freezing moves, it copies nothing; a table frozen
+    /// before keeps its base.
+    pub fn freeze(&mut self) {
+        for table in self.catalog.values_mut() {
+            table.freeze();
+        }
+    }
+
     /// Fork a copy of this engine's *data* (catalog incl. indexes and
     /// auto-increment state) with a fresh, empty binlog.
     ///
     /// This is how the experiments realize the paper's requirement that
     /// "both the master and slaves should start with a pre-loaded,
     /// fully-synchronized database" (§III-B): one template engine is loaded
-    /// once, then forked into the master and every slave of each run.
+    /// once, [frozen](Engine::freeze), then forked into the master and every
+    /// slave of each run. Each table of a fork is the template's frozen base
+    /// — shared, never copied — plus an empty delta of its own: a fork costs
+    /// one `Arc` bump per table, its writes land in its delta, and dropping
+    /// it frees only the delta. Scan and index posting order are those of an
+    /// unfrozen copy, so a fork answers every query as a deep copy would. A
+    /// fork of a fork (a slave re-seeded from the master mid-run) shares the
+    /// same base and copies the source's delta.
     pub fn fork(&self, role: ForkRole) -> Engine {
         let (format, log_writes) = match role {
             ForkRole::Master(format) => (format, true),

@@ -6,7 +6,7 @@ use crate::expr::{
     eval, eval_cow, eval_truth, ColumnResolver, EvalCtx, NoColumns, Truth, NULL_VALUE,
 };
 use crate::plan::{choose_path, into_conjuncts, Path};
-use crate::storage::{RowId, Table};
+use crate::storage::{Postings, RowId, Table};
 use crate::value::{DataType, Value};
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
@@ -216,15 +216,15 @@ impl ColumnResolver for Scope<'_> {
 // Candidate iteration (access paths)
 // ---------------------------------------------------------------------------
 
-/// Candidate rows for one table access. Point lookups borrow the index's
-/// posting list directly instead of materializing a fresh `Vec` per access —
+/// Candidate rows for one table access. Point lookups iterate the index's
+/// postings in place instead of materializing a fresh `Vec` per access —
 /// on the index-nested-loop join path that is one allocation per outer row.
 /// Full scans iterate storage directly, skipping both the row-id `Vec` and
 /// the per-id B-tree lookup an id list would cost.
 enum Cands<'t> {
     Empty,
     One(RowId),
-    Slice(&'t [RowId]),
+    Postings(Postings<'t>),
     Owned(Vec<RowId>),
     Scan,
 }
@@ -235,15 +235,16 @@ impl Cands<'_> {
         match self {
             Cands::Empty => CandsIter::Ids(table, IdIter::One(None)),
             Cands::One(rid) => CandsIter::Ids(table, IdIter::One(Some(*rid))),
-            Cands::Slice(s) => CandsIter::Ids(table, IdIter::Slice(s.iter())),
+            Cands::Postings(p) => CandsIter::Ids(table, IdIter::Postings(p.clone())),
             Cands::Owned(v) => CandsIter::Ids(table, IdIter::Slice(v.iter())),
-            Cands::Scan => CandsIter::Scan(table.scan_pairs()),
+            Cands::Scan => CandsIter::Scan(table.scan()),
         }
     }
 }
 
 enum IdIter<'a> {
     One(Option<RowId>),
+    Postings(Postings<'a>),
     Slice(std::slice::Iter<'a, RowId>),
 }
 
@@ -252,6 +253,7 @@ impl Iterator for IdIter<'_> {
     fn next(&mut self) -> Option<RowId> {
         match self {
             IdIter::One(o) => o.take(),
+            IdIter::Postings(it) => it.next(),
             IdIter::Slice(it) => it.next().copied(),
         }
     }
@@ -324,7 +326,7 @@ fn candidates<'t>(
                 Cands::Empty
             } else {
                 let ix = table.index_on(*column).expect("planned index exists");
-                Cands::Slice(ix.lookup_eq(&v))
+                Cands::Postings(ix.lookup_eq(&v))
             };
             (cands, probe_is_exact(col_ty(*column), &v))
         }

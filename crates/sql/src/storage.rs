@@ -1,14 +1,27 @@
-//! In-memory table storage: a slot-vector row heap with purpose-built
-//! primary/secondary indexes.
+//! In-memory table storage: a frozen base shared by every fork, plus a
+//! per-table delta holding what one fork wrote.
 //!
-//! Row ids are dense and monotone, so the row heap is a `Vec<Option<row>>`
-//! addressed directly by id — `get`/`insert`/`scan` touch no tree nodes.
-//! Row images are `Arc<[Value]>` and the secondary-index set is
-//! table-level copy-on-write, so forking an engine off the template (once
-//! per replica per grid cell) shares every row and index instead of
-//! deep-cloning strings and tree nodes; a fork pays for exactly the rows
-//! it later writes. Primary keys on INT or
-//! TIMESTAMP columns (every table the Cloudstone workload creates) go
+//! Every cell of an experiment starts its master and slaves from one
+//! pre-loaded template. [`Table::freeze`] *moves* the template's rows and
+//! indexes into a base behind an `Arc`; a clone then bumps that `Arc` and
+//! starts an empty delta: rows inserted since (row id ≥ the base length), a
+//! delta pk index, delta secondary indexes of the same names and columns (an
+//! index created after the freeze lives only there), and a `shadow` map of
+//! base rows overwritten since — `Some` for an updated or restored row,
+//! which the delta then indexes, `None` for a deleted one. Reads probe the
+//! delta, then the base, dropping base hits on shadowed rows (no check while
+//! the shadow is empty, as under every Cloudstone workload).
+//!
+//! Two rules hold. **The base is shared, never copied**: a fork, a write and
+//! a drop touch only the delta. **Scan and posting order are unchanged**:
+//! scans run in row-id order with shadowed rows substituted, and an index
+//! lists its unshadowed base postings, then its delta postings — the order an
+//! unfrozen table's remove-then-append index maintenance leaves. An unfrozen
+//! table is one whose base is empty.
+//!
+//! Row ids are dense and monotone, so each row heap is a `Vec` of slots
+//! addressed directly by id. Primary keys on INT or TIMESTAMP columns (every
+//! table the Cloudstone workload creates) go
 //! through `IntMap`, a fixed-seed open-addressing `i64 → rid` map whose
 //! probe is one multiply, a shift and a compare — no `Value` clone, no
 //! canonicalization, no hasher state. Non-integer primary keys and all
@@ -23,6 +36,10 @@ use crate::value::{DataType, Value};
 use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::sync::Arc;
+
+/// One row-heap slot: a shared row image, or `None` after a delete (ids are
+/// never reused, keeping scan order stable and fingerprints reproducible).
+type Slot = Option<Arc<[Value]>>;
 
 /// Internal row identifier (stable across updates, unique per table).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -258,6 +275,33 @@ impl PkIndex {
             }
         }
     }
+
+    /// Entries whose key lies within the bounds, in no particular order.
+    fn hits(&self, lo: Bound<&Value>, hi: Bound<&Value>) -> Vec<(Key, RowId)> {
+        match self {
+            PkIndex::Ints(m) => m
+                .iter()
+                .map(|(k, r)| (Key(Value::Int(k)), RowId(r)))
+                .filter(|(k, _)| key_in_bounds(&k.0, lo, hi))
+                .collect(),
+            PkIndex::General(m) => m
+                .range((key_bound(lo), key_bound(hi)))
+                .map(|(k, &rid)| (k.clone(), rid))
+                .collect(),
+        }
+    }
+}
+
+fn unique_violation(index: &str, key: &Value) -> SqlError {
+    SqlError::DuplicateKey(format!("unique index '{index}' value {key}"))
+}
+
+/// An empty primary-key index for `schema`, or `None` if it has no pk.
+fn pk_index_for(schema: &TableSchema) -> Option<PkIndex> {
+    schema.pk_index().map(|i| match schema.columns[i].ty {
+        DataType::Int | DataType::Timestamp => PkIndex::Ints(IntMap::new()),
+        _ => PkIndex::General(BTreeMap::new()),
+    })
 }
 
 /// A secondary index over one column: an ordered map keyed by `index_cmp`.
@@ -265,10 +309,10 @@ impl PkIndex {
 /// cache-hot; a hashed variant measured slower because per-probe key cloning
 /// and hashing cost more than the whole B-tree descent.
 #[derive(Debug, Clone)]
-pub struct SecondaryIndex {
-    pub name: String,
-    pub column: usize,
-    pub unique: bool,
+struct SecondaryIndex {
+    name: String,
+    column: usize,
+    unique: bool,
     map: BTreeMap<Key, Vec<RowId>>,
 }
 
@@ -282,19 +326,9 @@ impl SecondaryIndex {
         }
     }
 
-    fn insert(&mut self, key: Value, rid: RowId) -> Result<(), SqlError> {
-        if self.unique && !key.is_null() {
-            if let Some(v) = self.map.get(&Key(key.clone())) {
-                if !v.is_empty() {
-                    return Err(SqlError::DuplicateKey(format!(
-                        "unique index '{}' value {key}",
-                        self.name
-                    )));
-                }
-            }
-        }
+    /// Append `rid` to `key`'s postings; the table has checked uniqueness.
+    fn insert(&mut self, key: Value, rid: RowId) {
         self.map.entry(Key(key)).or_default().push(rid);
-        Ok(())
     }
 
     fn remove(&mut self, key: &Value, rid: RowId) {
@@ -305,25 +339,89 @@ impl SecondaryIndex {
             }
         }
     }
+}
 
-    /// Row ids with exactly this key value (posting-list order = insertion
-    /// order, i.e. ascending row id for rows indexed at backfill).
-    pub fn lookup_eq(&self, key: &Value) -> &[RowId] {
-        self.map
-            .get(&Key(key.clone()))
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
+/// A table's rows and indexes as they stood at [`Table::freeze`]: shared by
+/// every clone and never changed.
+#[derive(Debug, Default)]
+struct Frozen {
+    rows: Vec<Slot>,
+    pk: Option<PkIndex>,
+    secondary: Vec<SecondaryIndex>,
+}
+
+/// One secondary index of a [`Table`], read across its base and delta.
+#[derive(Debug, Clone, Copy)]
+pub struct IndexView<'t> {
+    base: Option<&'t SecondaryIndex>,
+    delta: &'t SecondaryIndex,
+    shadow: &'t BTreeMap<u64, Slot>,
+}
+
+impl<'t> IndexView<'t> {
+    fn postings(&self, base: &'t [RowId], delta: &'t [RowId]) -> Postings<'t> {
+        Postings {
+            base: base.iter(),
+            delta: delta.iter(),
+            shadow: self.shadow,
+        }
     }
 
-    /// Row ids within an inclusive/exclusive bound range, in key order.
+    /// Row ids with exactly this key value, in posting order (insertion
+    /// order, i.e. ascending row id for rows indexed at backfill).
+    pub fn lookup_eq(&self, key: &Value) -> Postings<'t> {
+        let key = Key(key.clone());
+        let list = |ix: &'t SecondaryIndex| ix.map.get(&key).map_or(&[][..], Vec::as_slice);
+        self.postings(self.base.map_or(&[], list), list(self.delta))
+    }
+
+    /// Row ids within an inclusive/exclusive bound range, in key order (and
+    /// posting order within a key).
     pub fn lookup_range(
-        &self,
+        self,
         lo: Bound<&Value>,
         hi: Bound<&Value>,
-    ) -> impl Iterator<Item = RowId> + '_ {
-        self.map
-            .range((key_bound(lo), key_bound(hi)))
-            .flat_map(|(_, rids)| rids.iter().copied())
+    ) -> impl Iterator<Item = RowId> + 't {
+        let range = (key_bound(lo), key_bound(hi));
+        let base = self
+            .base
+            .into_iter()
+            .flat_map(|ix| ix.map.range(range.clone()));
+        let mut runs: Vec<(&Key, Postings<'t>)> = base
+            .map(|(k, rids)| (k, self.postings(rids, &[])))
+            .chain(
+                self.delta
+                    .map
+                    .range(range.clone())
+                    .map(|(k, rids)| (k, self.postings(&[], rids))),
+            )
+            .collect();
+        // Stable: a key present in both keeps its base postings first.
+        runs.sort_by(|a, b| a.0.cmp(b.0));
+        runs.into_iter().flat_map(|(_, postings)| postings)
+    }
+}
+
+/// Row ids under one key of an [`IndexView`]: the base postings whose row is
+/// not shadowed, then the delta postings.
+#[derive(Debug, Clone)]
+pub struct Postings<'t> {
+    base: std::slice::Iter<'t, RowId>,
+    delta: std::slice::Iter<'t, RowId>,
+    shadow: &'t BTreeMap<u64, Slot>,
+}
+
+impl Iterator for Postings<'_> {
+    type Item = RowId;
+
+    #[inline]
+    fn next(&mut self) -> Option<RowId> {
+        for &rid in self.base.by_ref() {
+            if self.shadow.is_empty() || !self.shadow.contains_key(&rid.0) {
+                return Some(rid);
+            }
+        }
+        self.delta.next().copied()
     }
 }
 
@@ -352,29 +450,36 @@ fn key_in_bounds(k: &Value, lo: Bound<&Value>, hi: Bound<&Value>) -> bool {
     above_lo && below_hi
 }
 
-/// A heap of rows plus indexes, validated against a schema.
+/// A heap of rows plus indexes, validated against a schema: a shared frozen
+/// base and a private delta (see the module doc).
 #[derive(Debug, Clone)]
 pub struct Table {
     schema: TableSchema,
     /// Column names shared out to query scopes: schemas are immutable after
     /// creation, so every statement binding this table can hold the same
     /// allocation instead of cloning one `String` per column per statement.
-    col_names: std::sync::Arc<[String]>,
-    /// Row heap addressed by row id: ids are dense and monotone, so slot `i`
-    /// holds row `RowId(i)` (or `None` after a delete — ids are never
-    /// reused, keeping scan order stable and fingerprints reproducible).
-    /// Images are `Arc`-shared so a forked table clones pointers, not rows.
-    rows: Vec<Option<Arc<[Value]>>>,
-    /// Live-row count (`rows` minus the `None` slots).
+    col_names: Arc<[String]>,
+    /// Rows and indexes as of [`Table::freeze`], shared by every clone.
+    base: Arc<Frozen>,
+    /// Rows inserted since the freeze: slot `i` holds
+    /// `RowId(base.rows.len() + i)`.
+    rows: Vec<Slot>,
+    /// Base rows overwritten since the freeze, by row id: `Some` for an
+    /// updated or restored row (indexed in the delta), `None` for a deleted
+    /// one. Entries are never removed, so a touched base row stays out of
+    /// the base postings — where an unfrozen table's remove-then-append
+    /// would have moved it.
+    shadow: BTreeMap<u64, Slot>,
+    /// Live-row count across base and delta.
     live: usize,
     next_rowid: u64,
     next_auto_inc: i64,
-    /// Unique index over the primary key column, if the schema has one.
+    /// Delta primary-key index (keys of delta rows and `Some` shadow rows),
+    /// if the schema has a primary key.
     pk: Option<PkIndex>,
-    /// Copy-on-write: shared with the fork source until this table's first
-    /// index mutation (`Arc::make_mut`), so read-only tables never pay the
-    /// tree deep-clone.
-    secondary: Arc<Vec<SecondaryIndex>>,
+    /// Delta secondary indexes, aligned by position with `base.secondary`;
+    /// one created after the freeze sits past its end and indexes every row.
+    secondary: Vec<SecondaryIndex>,
     /// Monotone stamp of the last schema-affecting DDL (table creation,
     /// index creation), assigned by the owning engine. Cached plans record
     /// the stamp of every table they depend on and are revalidated against
@@ -400,25 +505,42 @@ pub struct Table {
 impl Table {
     /// Empty table for a schema.
     pub fn new(schema: TableSchema) -> Self {
-        let pk = schema.pk_index().map(|i| match schema.columns[i].ty {
-            DataType::Int | DataType::Timestamp => PkIndex::Ints(IntMap::new()),
-            _ => PkIndex::General(BTreeMap::new()),
-        });
-        let col_names: std::sync::Arc<[String]> =
-            schema.columns.iter().map(|c| c.name.clone()).collect();
+        let col_names: Arc<[String]> = schema.columns.iter().map(|c| c.name.clone()).collect();
         Self {
+            pk: pk_index_for(&schema),
             schema,
             col_names,
+            base: Arc::default(),
             rows: Vec::new(),
+            shadow: BTreeMap::new(),
             live: 0,
             next_rowid: 0,
             next_auto_inc: 1,
-            pk,
-            secondary: Arc::new(Vec::new()),
+            secondary: Vec::new(),
             schema_serial: 0,
             versions: Vec::new(),
             applied_at: Vec::new(),
         }
+    }
+
+    /// Move every row and index into the shared base and start an empty
+    /// delta; clones taken afterwards share the base and copy only their
+    /// delta. A table whose base already holds rows keeps it (folding the
+    /// delta in would copy the base).
+    pub fn freeze(&mut self) {
+        if !self.base.rows.is_empty() {
+            return;
+        }
+        let fresh = self
+            .secondary
+            .iter()
+            .map(|ix| SecondaryIndex::new(ix.name.clone(), ix.column, ix.unique))
+            .collect();
+        self.base = Arc::new(Frozen {
+            rows: std::mem::take(&mut self.rows),
+            pk: std::mem::replace(&mut self.pk, pk_index_for(&self.schema)),
+            secondary: std::mem::replace(&mut self.secondary, fresh),
+        });
     }
 
     /// The table's schema.
@@ -427,7 +549,7 @@ impl Table {
     }
 
     /// Shared column-name list (one allocation for the table's lifetime).
-    pub fn col_names(&self) -> std::sync::Arc<[String]> {
+    pub fn col_names(&self) -> Arc<[String]> {
         self.col_names.clone()
     }
 
@@ -447,7 +569,8 @@ impl Table {
         self.live
     }
 
-    /// Add a secondary index over `column`; backfills existing rows.
+    /// Add a secondary index over `column`; backfills existing rows. The
+    /// index lives only in the delta.
     pub fn create_index(
         &mut self,
         name: impl Into<String>,
@@ -461,20 +584,45 @@ impl Table {
         assert!(column < self.schema.arity(), "index column out of range");
         let mut ix = SecondaryIndex::new(name, column, unique);
         for (rid, row) in self.scan() {
-            ix.insert(row[column].clone(), rid)?;
+            let key = &row[column];
+            if unique && !key.is_null() && ix.map.contains_key(&Key(key.clone())) {
+                return Err(unique_violation(&ix.name, key));
+            }
+            ix.insert(key.clone(), rid);
         }
-        Arc::make_mut(&mut self.secondary).push(ix);
+        self.secondary.push(ix);
         Ok(())
     }
 
     /// Find a secondary index over `column`.
-    pub fn index_on(&self, column: usize) -> Option<&SecondaryIndex> {
-        self.secondary.iter().find(|ix| ix.column == column)
+    pub fn index_on(&self, column: usize) -> Option<IndexView<'_>> {
+        let i = self.secondary.iter().position(|ix| ix.column == column)?;
+        Some(self.view(i))
     }
 
-    /// All secondary indexes.
-    pub fn indexes(&self) -> &[SecondaryIndex] {
-        &self.secondary
+    fn view(&self, i: usize) -> IndexView<'_> {
+        IndexView {
+            base: self.base.secondary.get(i),
+            delta: &self.secondary[i],
+            shadow: &self.shadow,
+        }
+    }
+
+    /// Would indexing `key` in secondary index `i` break its uniqueness?
+    fn clashes(&self, i: usize, key: &Value) -> bool {
+        self.secondary[i].unique && !key.is_null() && self.view(i).lookup_eq(key).next().is_some()
+    }
+
+    /// Fail on the first unique index `row` would collide in, skipping
+    /// columns where the row's `old` image already holds the same value.
+    fn check_unique(&self, row: &[Value], old: Option<&[Value]>) -> Result<(), SqlError> {
+        for (i, ix) in self.secondary.iter().enumerate() {
+            let v = &row[ix.column];
+            if old.is_none_or(|old| old[ix.column] != *v) && self.clashes(i, v) {
+                return Err(unique_violation(&ix.name, v));
+            }
+        }
+        Ok(())
     }
 
     /// Validate a full-width row against the schema (type coercion and NOT
@@ -517,16 +665,82 @@ impl Table {
         Ok(row)
     }
 
-    /// Store `row` in the slot for `rid`, growing the heap as needed.
-    fn put_slot(&mut self, rid: RowId, row: Arc<[Value]>) {
+    /// Is a base row overwritten since the freeze?
+    #[inline]
+    fn shadowed(&self, rid: RowId) -> bool {
+        !self.shadow.is_empty() && self.shadow.contains_key(&rid.0)
+    }
+
+    /// Is `rid` indexed in the delta (a delta row or a `Some` shadow row)?
+    fn in_delta(&self, rid: RowId) -> bool {
+        rid.0 as usize >= self.base.rows.len() || matches!(self.shadow.get(&rid.0), Some(Some(_)))
+    }
+
+    /// The slot of `rid`: in the delta, the shadow, or the base.
+    #[inline]
+    fn slot(&self, rid: RowId) -> Option<&Slot> {
         let i = rid.0 as usize;
-        if i >= self.rows.len() {
-            self.rows.resize_with(i + 1, || None);
+        match i.checked_sub(self.base.rows.len()) {
+            Some(d) => self.rows.get(d),
+            None => Some(self.shadow.get(&rid.0).unwrap_or(&self.base.rows[i])),
         }
-        if self.rows[i].is_none() {
+    }
+
+    /// The writable slot of `rid`: a base row is shadowed on its first write.
+    fn slot_mut(&mut self, rid: RowId) -> &mut Slot {
+        let i = rid.0 as usize;
+        match i.checked_sub(self.base.rows.len()) {
+            Some(d) => {
+                if d >= self.rows.len() {
+                    self.rows.resize_with(d + 1, || None);
+                }
+                &mut self.rows[d]
+            }
+            None => self
+                .shadow
+                .entry(rid.0)
+                .or_insert_with(|| self.base.rows[i].clone()),
+        }
+    }
+
+    /// Store `row` in the slot for `rid`.
+    fn put_slot(&mut self, rid: RowId, row: Arc<[Value]>) {
+        if self.slot_mut(rid).replace(row).is_none() {
             self.live += 1;
         }
-        self.rows[i] = Some(row);
+    }
+
+    /// The live base row holding primary key `key` (a shadowed entry is
+    /// stale: the delta holds that row's current key, if any).
+    fn base_pk_hit(&self, key: &Value) -> Option<RowId> {
+        let rid = self.base.pk.as_ref()?.probe(key)?;
+        (!self.shadowed(rid)).then_some(rid)
+    }
+
+    /// Claim `key → rid` in the delta pk unless a live row holds `key`.
+    fn pk_claim(&mut self, key: &Value, rid: RowId) -> bool {
+        self.base_pk_hit(key).is_none()
+            && self.pk.as_mut().is_some_and(|pk| pk.try_insert(key, rid))
+    }
+
+    /// Drop `row`, stored under `rid`, from the delta secondary indexes that
+    /// hold it: all of them if it was indexed in the delta, else only those
+    /// created after the freeze.
+    fn unindex_secondary(&mut self, rid: RowId, row: &[Value], in_delta: bool) {
+        let from = if in_delta {
+            0
+        } else {
+            self.base.secondary.len()
+        };
+        for ix in &mut self.secondary[from..] {
+            ix.remove(&row[ix.column], rid);
+        }
+    }
+
+    fn index_secondary(&mut self, rid: RowId, row: &[Value]) {
+        for ix in &mut self.secondary {
+            ix.insert(row[ix.column].clone(), rid);
+        }
     }
 
     /// Insert a full-width row; returns its row id.
@@ -534,41 +748,28 @@ impl Table {
         let row = self.validate(row)?;
         let rid = RowId(self.next_rowid);
 
-        // Primary key uniqueness: a single probe both checks and claims the
-        // slot (the claim is undone below on the rare secondary unique
+        // Primary key uniqueness: the delta probe both checks and claims the
+        // key (the claim is undone below on the rare secondary unique
         // violation, keeping failed inserts free of side effects).
         let pk_idx = self.schema.pk_index();
-        let pk_claimed = if let (Some(pk_map), Some(pk_idx)) = (&mut self.pk, pk_idx) {
-            if !pk_map.try_insert(&row[pk_idx], rid) {
+        if let Some(p) = pk_idx {
+            if !self.pk_claim(&row[p], rid) {
                 return Err(SqlError::DuplicateKey(format!(
                     "primary key {} in '{}'",
-                    row[pk_idx], self.schema.name
+                    row[p], self.schema.name
                 )));
             }
-            true
-        } else {
-            false
-        };
+        }
         // Secondary unique checks before any index mutation.
-        for ix in self.secondary.iter() {
-            if ix.unique && !row[ix.column].is_null() && !ix.lookup_eq(&row[ix.column]).is_empty() {
-                if pk_claimed {
-                    if let (Some(pk_map), Some(pk_idx)) = (&mut self.pk, pk_idx) {
-                        pk_map.remove(&row[pk_idx]);
-                    }
-                }
-                return Err(SqlError::DuplicateKey(format!(
-                    "unique index '{}' value {}",
-                    ix.name, row[ix.column]
-                )));
+        if let Err(e) = self.check_unique(&row, None) {
+            if let (Some(pk), Some(p)) = (&mut self.pk, pk_idx) {
+                pk.remove(&row[p]);
             }
+            return Err(e);
         }
 
         self.next_rowid += 1;
-        for ix in Arc::make_mut(&mut self.secondary) {
-            ix.insert(row[ix.column].clone(), rid)
-                .expect("uniqueness pre-checked");
-        }
+        self.index_secondary(rid, &row);
         self.put_slot(rid, Arc::from(row));
         Ok(rid)
     }
@@ -576,66 +777,50 @@ impl Table {
     /// Fetch a row by id.
     #[inline]
     pub fn get(&self, rid: RowId) -> Option<&[Value]> {
-        match self.rows.get(rid.0 as usize)? {
-            Some(row) => Some(row),
-            None => None,
-        }
+        self.slot(rid)?.as_deref()
     }
 
     /// Replace a row in place (same id). Returns the old image (shared, not
     /// cloned — undo logs hold it for free).
     pub fn update(&mut self, rid: RowId, new_row: Vec<Value>) -> Result<Arc<[Value]>, SqlError> {
         let new_row = self.validate(new_row)?;
-        // All fallible checks run against the *borrowed* old row; only once
-        // they pass is the old image moved out of its slot, so the common
-        // path never clones a row.
+        let pk_idx = self.schema.pk_index();
+        // All fallible checks run against the *borrowed* old row.
         {
             let old = self
-                .rows
-                .get(rid.0 as usize)
-                .and_then(Option::as_ref)
+                .get(rid)
                 .ok_or_else(|| SqlError::Constraint(format!("no row {rid:?}")))?;
-            if let Some(pk_idx) = self.schema.pk_index() {
-                if old[pk_idx] != new_row[pk_idx] {
-                    let pk_map = self.pk.as_ref().expect("pk map exists");
-                    if pk_map.probe(&new_row[pk_idx]).is_some() {
-                        return Err(SqlError::DuplicateKey(format!(
-                            "primary key {} in '{}'",
-                            new_row[pk_idx], self.schema.name
-                        )));
-                    }
-                }
-            }
-            for ix in self.secondary.iter() {
-                if ix.unique
-                    && old[ix.column] != new_row[ix.column]
-                    && !new_row[ix.column].is_null()
-                    && !ix.lookup_eq(&new_row[ix.column]).is_empty()
-                {
+            if let Some(p) = pk_idx {
+                if old[p] != new_row[p] && self.pk_lookup(&new_row[p]).is_some() {
                     return Err(SqlError::DuplicateKey(format!(
-                        "unique index '{}' value {}",
-                        ix.name, new_row[ix.column]
+                        "primary key {} in '{}'",
+                        new_row[p], self.schema.name
                     )));
                 }
             }
+            self.check_unique(&new_row, Some(old))?;
         }
 
-        let old = self.rows[rid.0 as usize].take().expect("checked above");
-        if let (Some(pk_map), Some(pk_idx)) = (&mut self.pk, self.schema.pk_index()) {
-            if old[pk_idx] != new_row[pk_idx] {
-                pk_map.remove(&old[pk_idx]);
-                let claimed = pk_map.try_insert(&new_row[pk_idx], rid);
+        let in_delta = self.in_delta(rid);
+        let new: Arc<[Value]> = Arc::from(new_row);
+        // The slot stays occupied throughout, so `live` is untouched.
+        let old = self
+            .slot_mut(rid)
+            .replace(Arc::clone(&new))
+            .expect("checked above");
+        if let (Some(pk), Some(p)) = (&mut self.pk, pk_idx) {
+            // A base row's key enters the delta pk even when unchanged: its
+            // base entry is shadowed from now on.
+            if !in_delta || old[p] != new[p] {
+                if in_delta {
+                    pk.remove(&old[p]);
+                }
+                let claimed = pk.try_insert(&new[p], rid);
                 debug_assert!(claimed, "uniqueness pre-checked");
             }
         }
-        for ix in Arc::make_mut(&mut self.secondary) {
-            ix.remove(&old[ix.column], rid);
-            ix.insert(new_row[ix.column].clone(), rid)
-                .expect("uniqueness pre-checked");
-        }
-        // The slot stayed logically occupied throughout, so `live` is
-        // untouched (`put_slot` would miscount the momentarily-empty slot).
-        self.rows[rid.0 as usize] = Some(Arc::from(new_row));
+        self.unindex_secondary(rid, &old, in_delta);
+        self.index_secondary(rid, &new);
         Ok(old)
     }
 
@@ -688,32 +873,36 @@ impl Table {
 
     /// Delete a row by id; returns the deleted image (shared, not cloned).
     pub fn delete(&mut self, rid: RowId) -> Option<Arc<[Value]>> {
-        let i = rid.0 as usize;
-        let row = self.rows.get_mut(i)?.take()?;
+        self.get(rid)?;
+        let in_delta = self.in_delta(rid);
+        let row = self.slot_mut(rid).take().expect("live row");
         self.live -= 1;
+        let i = rid.0 as usize;
         if i < self.versions.len() {
             self.versions[i] = 0;
         }
         if i < self.applied_at.len() {
             self.applied_at[i] = 0;
         }
-        if let (Some(pk_map), Some(pk_idx)) = (&mut self.pk, self.schema.pk_index()) {
-            pk_map.remove(&row[pk_idx]);
+        if let (true, Some(pk), Some(p)) = (in_delta, &mut self.pk, self.schema.pk_index()) {
+            pk.remove(&row[p]);
         }
-        for ix in Arc::make_mut(&mut self.secondary) {
-            ix.remove(&row[ix.column], rid);
-        }
+        self.unindex_secondary(rid, &row, in_delta);
         Some(row)
     }
 
     /// Re-insert a row under a specific id (used by transaction rollback;
-    /// the row must have been previously validated by this table).
+    /// the row must have been previously validated by this table). A key
+    /// some other row has taken meanwhile stays that row's.
     pub fn restore(&mut self, rid: RowId, row: Arc<[Value]>) {
-        if let (Some(pk_map), Some(pk_idx)) = (&mut self.pk, self.schema.pk_index()) {
-            let _ = pk_map.try_insert(&row[pk_idx], rid);
+        if let Some(p) = self.schema.pk_index() {
+            self.pk_claim(&row[p], rid);
         }
-        for ix in Arc::make_mut(&mut self.secondary) {
-            let _ = ix.insert(row[ix.column].clone(), rid);
+        for i in 0..self.secondary.len() {
+            let key = &row[self.secondary[i].column];
+            if !self.clashes(i, key) {
+                self.secondary[i].insert(key.clone(), rid);
+            }
         }
         self.put_slot(rid, row);
         self.next_rowid = self.next_rowid.max(rid.0 + 1);
@@ -722,51 +911,48 @@ impl Table {
     /// Iterate all `(rid, row)` pairs in row-id order.
     pub fn scan(&self) -> ScanIter<'_> {
         ScanIter {
-            inner: self.rows.iter().enumerate(),
+            base: self.base.rows.iter().enumerate(),
+            shadow: self.shadow.iter().peekable(),
+            delta: self.rows.iter().enumerate(),
+            base_len: self.base.rows.len() as u64,
         }
     }
 
-    /// Concretely-typed variant of [`Table::scan`] for the executor's scan
-    /// fast path, which must name the iterator type to store it in an enum.
-    pub(crate) fn scan_pairs(&self) -> ScanIter<'_> {
-        self.scan()
-    }
-
-    /// Look up row ids by primary key.
+    /// Look up row ids by primary key: the delta first, then the base.
     #[inline]
     pub fn pk_lookup(&self, key: &Value) -> Option<RowId> {
-        self.pk.as_ref()?.probe(key)
+        self.pk
+            .as_ref()?
+            .probe(key)
+            .or_else(|| self.base_pk_hit(key))
     }
 
-    /// Look up row ids by primary key range, in key order. The `IntMap` arm
-    /// collects and sorts on demand — the workload's indexed predicates are
-    /// all equalities, so pk ranges are off the hot path by construction.
+    /// Look up row ids by primary key range, in key order. Collects and
+    /// sorts on demand — the workload's indexed predicates are all
+    /// equalities, so pk ranges are off the hot path by construction.
     pub fn pk_range(
         &self,
         lo: Bound<&Value>,
         hi: Bound<&Value>,
     ) -> Option<std::vec::IntoIter<RowId>> {
-        let ids: Vec<RowId> = match self.pk.as_ref()? {
-            PkIndex::Ints(m) => {
-                let mut hits: Vec<(i64, u64)> = m
-                    .iter()
-                    .filter(|&(k, _)| key_in_bounds(&Value::Int(k), lo, hi))
-                    .collect();
-                hits.sort_unstable_by_key(|&(k, _)| k);
-                hits.into_iter().map(|(_, r)| RowId(r)).collect()
-            }
-            PkIndex::General(m) => m
-                .range((key_bound(lo), key_bound(hi)))
-                .map(|(_, &rid)| rid)
-                .collect(),
-        };
+        let mut hits = self.pk.as_ref()?.hits(lo, hi);
+        if let Some(base) = &self.base.pk {
+            let live = base.hits(lo, hi).into_iter();
+            hits.extend(live.filter(|&(_, rid)| !self.shadowed(rid)));
+        }
+        hits.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let ids: Vec<RowId> = hits.into_iter().map(|(_, rid)| rid).collect();
         Some(ids.into_iter())
     }
 }
 
-/// Row-id-order iterator over the live rows of a [`Table`].
+/// Row-id-order iterator over the live rows of a [`Table`]: base rows, with
+/// shadowed ones substituted, then delta rows.
 pub struct ScanIter<'t> {
-    inner: std::iter::Enumerate<std::slice::Iter<'t, Option<Arc<[Value]>>>>,
+    base: std::iter::Enumerate<std::slice::Iter<'t, Slot>>,
+    shadow: std::iter::Peekable<std::collections::btree_map::Iter<'t, u64, Slot>>,
+    delta: std::iter::Enumerate<std::slice::Iter<'t, Slot>>,
+    base_len: u64,
 }
 
 impl<'t> Iterator for ScanIter<'t> {
@@ -774,9 +960,18 @@ impl<'t> Iterator for ScanIter<'t> {
 
     #[inline]
     fn next(&mut self) -> Option<Self::Item> {
-        for (i, slot) in self.inner.by_ref() {
+        for (i, slot) in self.base.by_ref() {
+            let slot = match self.shadow.next_if(|&(&rid, _)| rid == i as u64) {
+                Some((_, shadowed)) => shadowed,
+                None => slot,
+            };
             if let Some(row) = slot {
                 return Some((RowId(i as u64), row));
+            }
+        }
+        for (i, slot) in self.delta.by_ref() {
+            if let Some(row) = slot {
+                return Some((RowId(self.base_len + i as u64), row));
             }
         }
         None
@@ -912,16 +1107,33 @@ mod tests {
         let r1 = t.insert(row(Some(1), "alice", 0.0)).unwrap();
         let r2 = t.insert(row(Some(2), "alice", 0.0)).unwrap();
         let ix = t.index_on(1).unwrap();
-        assert_eq!(ix.lookup_eq(&Value::Text("alice".into())).len(), 2);
+        assert_eq!(ix.lookup_eq(&Value::Text("alice".into())).count(), 2);
 
         t.update(r1, row(Some(1), "carol", 0.0)).unwrap();
         let ix = t.index_on(1).unwrap();
-        assert_eq!(ix.lookup_eq(&Value::Text("alice".into())), &[r2]);
-        assert_eq!(ix.lookup_eq(&Value::Text("carol".into())), &[r1]);
+        let postings = |key: &str| ix.lookup_eq(&Value::from(key)).collect::<Vec<_>>();
+        assert_eq!(postings("alice"), [r2]);
+        assert_eq!(postings("carol"), [r1]);
 
         t.delete(r2).unwrap();
         let ix = t.index_on(1).unwrap();
-        assert!(ix.lookup_eq(&Value::Text("alice".into())).is_empty());
+        assert_eq!(ix.lookup_eq(&Value::Text("alice".into())).next(), None);
+    }
+
+    #[test]
+    fn clones_of_a_frozen_table_share_its_base_through_writes() {
+        let mut t = table();
+        t.create_index("idx_name", 1, false).unwrap();
+        t.insert(row(Some(1), "a", 0.0)).unwrap();
+        t.freeze();
+        let mut fork = t.clone();
+        assert!(Arc::ptr_eq(&t.base, &fork.base), "a fork copies no base");
+        fork.insert(row(Some(2), "a", 0.0)).unwrap();
+        let rid = fork.pk_lookup(&Value::Int(1)).unwrap();
+        fork.update(rid, row(Some(1), "b", 0.0)).unwrap();
+        assert!(Arc::ptr_eq(&t.base, &fork.base), "writes copy no base");
+        assert_eq!(fork.scan().count(), 2);
+        assert_eq!(t.scan().count(), 1, "the source is unchanged");
     }
 
     #[test]
@@ -943,7 +1155,7 @@ mod tests {
         let idx = t.index_on(1).unwrap();
         for name in ["a", "b"] {
             assert_eq!(
-                idx.lookup_eq(&Value::from(name)).len(),
+                idx.lookup_eq(&Value::from(name)).count(),
                 1,
                 "{name} backfilled"
             );

@@ -1,12 +1,15 @@
 //! Property tests over table storage: after any sequence of inserts,
 //! updates and deletes, secondary indexes stay exactly consistent with a
-//! full scan, and primary-key lookups agree with the heap.
+//! full scan, and primary-key lookups agree with the heap; and a clone of a
+//! frozen table answers every read exactly as a table never frozen does.
 
 use amdb_sql::schema::{Column, TableSchema};
 use amdb_sql::storage::{RowId, Table};
 use amdb_sql::value::{DataType, Value};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::ops::Bound;
+use std::sync::Arc;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -35,6 +38,177 @@ fn table() -> Table {
     let mut t = Table::new(schema);
     t.create_index("idx_grp", 1, false).expect("index");
     t
+}
+
+/// One step against the frozen-fork reference: victims are picked among the
+/// live rows, `Restore` re-inserts the most recently deleted row (as a
+/// rollback would), and `CreateIndex` adds a non-unique index on the pk
+/// column — before the freeze it lands in the base, after it only in the
+/// delta.
+#[derive(Debug, Clone)]
+enum RefOp {
+    Insert {
+        id: i64,
+        group: i64,
+        code: i64,
+    },
+    UpdateGroup {
+        victim: usize,
+        group: i64,
+        code: i64,
+    },
+    UpdatePk {
+        victim: usize,
+        id: i64,
+    },
+    Delete {
+        victim: usize,
+    },
+    Restore,
+    CreateIndex,
+}
+
+fn arb_ref_op() -> impl Strategy<Value = RefOp> {
+    prop_oneof![
+        4 => (0..40i64, 0..6i64, 0..12i64)
+            .prop_map(|(id, group, code)| RefOp::Insert { id, group, code }),
+        3 => (any::<usize>(), 0..6i64, 0..12i64)
+            .prop_map(|(victim, group, code)| RefOp::UpdateGroup { victim, group, code }),
+        2 => (any::<usize>(), 0..40i64).prop_map(|(victim, id)| RefOp::UpdatePk { victim, id }),
+        2 => any::<usize>().prop_map(|victim| RefOp::Delete { victim }),
+        2 => Just(RefOp::Restore),
+        1 => Just(RefOp::CreateIndex),
+    ]
+}
+
+/// `id` (pk), `grp` (non-unique index), `code` (unique index; 0 is NULL, so
+/// NULLs must be exempt from uniqueness on both sides).
+fn ref_table() -> Table {
+    let schema = TableSchema::new(
+        "t",
+        vec![
+            Column::new("id", DataType::Int).primary_key(),
+            Column::new("grp", DataType::Int),
+            Column::new("code", DataType::Int),
+        ],
+    )
+    .expect("valid schema");
+    let mut t = Table::new(schema);
+    t.create_index("idx_grp", 1, false).expect("index");
+    t.create_index("uq_code", 2, true).expect("index");
+    t
+}
+
+fn code(c: i64) -> Value {
+    if c == 0 {
+        Value::Null
+    } else {
+        Value::Int(c)
+    }
+}
+
+type Undo = Vec<(RowId, Arc<[Value]>)>;
+
+/// Apply `op` to `t` and describe the outcome (errors included), so two
+/// tables can be compared step by step.
+fn apply(t: &mut Table, op: &RefOp, undo: &mut Undo) -> String {
+    let live: Vec<RowId> = t.scan().map(|(rid, _)| rid).collect();
+    let mut update = |victim: usize, edit: &dyn Fn(&mut Vec<Value>)| {
+        let rid = live[victim % live.len()];
+        let mut row = t.get(rid).expect("live").to_vec();
+        edit(&mut row);
+        format!("{:?}", t.update(rid, row).map_err(|e| e.to_string()))
+    };
+    match *op {
+        RefOp::Insert { id, group, code: c } => {
+            let row = vec![Value::Int(id), Value::Int(group), code(c)];
+            format!("{:?}", t.insert(row).map_err(|e| e.to_string()))
+        }
+        _ if live.is_empty() && !matches!(op, RefOp::Restore | RefOp::CreateIndex) => {
+            "no rows".into()
+        }
+        RefOp::UpdateGroup {
+            victim,
+            group,
+            code: c,
+        } => update(victim, &|row| {
+            row[1] = Value::Int(group);
+            row[2] = code(c);
+        }),
+        RefOp::UpdatePk { victim, id } => update(victim, &|row| row[0] = Value::Int(id)),
+        RefOp::Delete { victim } => {
+            let rid = live[victim % live.len()];
+            let old = t.delete(rid).expect("live");
+            undo.push((rid, Arc::clone(&old)));
+            format!("{old:?}")
+        }
+        RefOp::Restore => match undo.pop() {
+            // A rollback only ever restores keys nobody has taken since.
+            Some((rid, row))
+                if t.pk_lookup(&row[0]).is_none()
+                    && (row[2].is_null()
+                        || t.index_on(2)
+                            .expect("uq")
+                            .lookup_eq(&row[2])
+                            .next()
+                            .is_none()) =>
+            {
+                t.restore(rid, row);
+                format!("restored {rid:?}")
+            }
+            other => format!("skipped {other:?}"),
+        },
+        RefOp::CreateIndex => format!(
+            "{:?}",
+            t.create_index("idx_id", 0, false)
+                .map_err(|e| e.to_string())
+        ),
+    }
+}
+
+/// Everything a reader can see: scan, count, every pk probe, every posting
+/// list in order, and range reads over each index.
+fn observe(t: &Table) -> Vec<String> {
+    let mut seen = vec![
+        format!("{:?}", t.scan().collect::<Vec<_>>()),
+        format!("count {}", t.row_count()),
+        format!(
+            "{:?}",
+            (0..40)
+                .map(|k| t.pk_lookup(&Value::Int(k)))
+                .collect::<Vec<_>>()
+        ),
+    ];
+    let (two, nine) = (Value::Int(2), Value::Int(9));
+    let ranges = [
+        (Bound::Unbounded, Bound::Unbounded),
+        (Bound::Included(&two), Bound::Excluded(&nine)),
+        (Bound::Excluded(&two), Bound::Included(&nine)),
+    ];
+    for (lo, hi) in ranges {
+        seen.push(format!(
+            "pk {:?}",
+            t.pk_range(lo, hi).map(Iterator::collect::<Vec<_>>)
+        ));
+    }
+    for column in 0..3 {
+        let Some(ix) = t.index_on(column) else {
+            continue;
+        };
+        for k in 0..40 {
+            seen.push(format!(
+                "{column}={k} {:?}",
+                ix.lookup_eq(&Value::Int(k)).collect::<Vec<_>>()
+            ));
+        }
+        for (lo, hi) in ranges {
+            seen.push(format!(
+                "{column} range {:?}",
+                ix.lookup_range(lo, hi).collect::<Vec<_>>()
+            ));
+        }
+    }
+    seen
 }
 
 proptest! {
@@ -90,7 +264,7 @@ proptest! {
             // group distribution.
             let ix = t.index_on(1).expect("index exists");
             for g in 0..10i64 {
-                let via_index = ix.lookup_eq(&Value::Int(g)).len();
+                let via_index = ix.lookup_eq(&Value::Int(g)).count();
                 let via_scan = t
                     .scan()
                     .filter(|(_, row)| row[1] == Value::Int(g))
@@ -121,7 +295,35 @@ proptest! {
             prop_assert!(t.pk_lookup(&Value::Int(id)).is_some());
         }
         let ix = t.index_on(1).expect("index");
-        let total: usize = (0..10i64).map(|g| ix.lookup_eq(&Value::Int(g)).len()).sum();
+        let total: usize = (0..10i64).map(|g| ix.lookup_eq(&Value::Int(g)).count()).sum();
         prop_assert_eq!(total, ids.len());
+    }
+
+    /// The only test of the shadow path (base rows updated, deleted and
+    /// restored after the freeze): no workload drives it.
+    #[test]
+    fn frozen_fork_behaves_like_an_unfrozen_table(
+        ops in prop::collection::vec(arb_ref_op(), 0..90),
+        freeze_at in 0..90usize,
+    ) {
+        let split = freeze_at.min(ops.len());
+        let (mut reference, mut ref_undo) = (ref_table(), Undo::new());
+        let (mut source, mut source_undo) = (ref_table(), Undo::new());
+        for op in &ops[..split] {
+            apply(&mut reference, op, &mut ref_undo);
+            apply(&mut source, op, &mut source_undo);
+        }
+        source.freeze();
+        let mut fork = source.clone();
+        let mut fork_undo = source_undo.clone();
+        let frozen = observe(&source);
+        prop_assert_eq!(observe(&fork), observe(&reference), "right after the freeze");
+        for (step, op) in ops[split..].iter().enumerate() {
+            let want = apply(&mut reference, op, &mut ref_undo);
+            let got = apply(&mut fork, op, &mut fork_undo);
+            prop_assert_eq!(&got, &want, "outcome of step {} ({:?})", split + step, op);
+            prop_assert_eq!(observe(&fork), observe(&reference), "reads after step {}", split + step);
+        }
+        prop_assert_eq!(observe(&source), frozen, "the frozen source never changes");
     }
 }
