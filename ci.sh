@@ -51,11 +51,13 @@ for workload in paper_5050 paper_8020 planes_on; do
 done
 # Timing contracts, read from the smoke's layer ledger rather than
 # re-measured: a disabled obs probe is a discriminant test (sub-ns), and a
-# plan-cache hit beats parse+plan by at least 5x.
-awk '$1 == "metric" { m[$2] = $3 }
+# plan-cache hit beats parse+plan by at least 5x. Both awk checks also hold
+# the exact pool.waited_share at 0: one connection per user never queues.
+awk '$1 == "metric" || $1 == "exact" { m[$2] = $3 }
   END { p = m["obs.disabled_probe_ns"]; c = m["sql.prepare_cold_ns"]; h = m["sql.prepare_hit_ns"]
         if (p == "" || p + 0 >= 1) { print "obs.disabled_probe_ns = " p ", want < 1"; bad = 1 }
         if (h == "" || c + 0 < 5 * h) { print "sql.prepare_cold_ns = " c " < 5 x sql.prepare_hit_ns = " h; bad = 1 }
+        q = m["pool.waited_share"]; if (q == "" || q + 0 != 0) { print "pool.waited_share = " q ", want 0"; bad = 1 }
         exit bad }' benchmark/out/smoke/paper_5050.trace1.txt
 # A third, on the read-heavy workload (the smoke traces only paper_5050, so
 # its tracing pass runs here): a SELECT costs at most 8 INSERTs. Both numbers
@@ -64,8 +66,9 @@ awk '$1 == "metric" { m[$2] = $3 }
 # And a fork costs at most 20 INSERTs: ~1 000 x while a fork copied the
 # template's tables, ~2 x since forks share its frozen base (DESIGN.md, "Storage").
 benchmark/run.sh --workload paper_8020 --trace 1 --smoke --out benchmark/out/smoke >/dev/null
-awk '$1 == "metric" { m[$2] = $3 }
+awk '$1 == "metric" || $1 == "exact" { m[$2] = $3 }
   END { r = m["sql.read_ns_per_stmt"]; w = m["sql.write_ns_per_stmt"]; f = m["sql.fork_us"]
+        q = m["pool.waited_share"]; if (q == "" || q + 0 != 0) { print "pool.waited_share = " q ", want 0"; exit 1 }
         if (r == "" || w == "" || r + 0 > 8 * w) {
           print "sql.read_ns_per_stmt = " r " > 8 x sql.write_ns_per_stmt = " w; exit 1 }
         if (f == "" || f * 1000 > 20 * w) {

@@ -28,5 +28,5 @@
 pub mod scheduler;
 pub mod writeset;
 
-pub use scheduler::{simulate, ApplyPlan, ApplyScheduler, BatchBound, SchedulerStats};
+pub use scheduler::{simulate, ApplyPlan, ApplyScheduler, BatchBound};
 pub use writeset::{writeset_of, RowEvent, RowKey, TableId, TableInterner, Writeset};

@@ -61,51 +61,19 @@ impl BatchBound {
 pub struct ApplyPlan {
     /// Number of events in the batch (0 only when the queue was empty).
     pub len: usize,
-    /// True when the batch is a lone barrier event (statement/DDL or a
-    /// keyless-table change) that must apply serially.
-    pub barrier: bool,
     /// What closed the batch.
     pub bound: BatchBound,
 }
 
-/// Cumulative planning counters, for reports and benches.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct SchedulerStats {
-    /// Batches planned.
-    pub batches: u64,
-    /// Events across all batches.
-    pub events: u64,
-    /// Batches that were a lone barrier event.
-    pub barrier_batches: u64,
-    /// Batches closed early by a writeset conflict with the next event.
-    pub conflict_bounded: u64,
-    /// Batches closed because they reached the worker count.
-    pub capacity_bounded: u64,
-    /// Largest batch planned so far.
-    pub largest_batch: u64,
-}
-
-impl SchedulerStats {
-    /// Mean events per batch — the group-commit amortization factor.
-    pub fn mean_batch(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            self.events as f64 / self.batches as f64
-        }
-    }
-}
-
 /// Writeset-dependency batch planner for one slave.
 ///
-/// Holds only the table-name interner and cumulative counters; batch
+/// Holds only the worker count and the table-name interner; batch
 /// boundaries are a pure function of the queue contents, so the scheduler
 /// needs no reset on failover or epoch change.
 #[derive(Debug)]
 pub struct ApplyScheduler {
     workers: usize,
     interner: TableInterner,
-    stats: SchedulerStats,
 }
 
 impl ApplyScheduler {
@@ -119,18 +87,7 @@ impl ApplyScheduler {
         Self {
             workers,
             interner: TableInterner::new(),
-            stats: SchedulerStats::default(),
         }
-    }
-
-    /// Configured worker count.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Cumulative planning counters.
-    pub fn stats(&self) -> &SchedulerStats {
-        &self.stats
     }
 
     /// Plan the next batch from the head of the relay queue.
@@ -138,8 +95,7 @@ impl ApplyScheduler {
     /// `pending` iterates queued events oldest-first; `pk_of` maps a table
     /// name to its primary-key column index in the slave's current catalog.
     /// Returns how many events from the head form the batch — the caller
-    /// pops exactly that many. An empty queue yields `len == 0` and counts
-    /// toward no statistic.
+    /// pops exactly that many. An empty queue yields `len == 0`.
     pub fn plan_batch<'a>(
         &mut self,
         pending: impl IntoIterator<Item = &'a BinlogEvent>,
@@ -149,19 +105,13 @@ impl ApplyScheduler {
         let Some(first) = iter.next() else {
             return ApplyPlan {
                 len: 0,
-                barrier: false,
                 bound: BatchBound::Drained,
             };
         };
         let first_ws = writeset_of(first, &mut self.interner, &pk_of);
         if first_ws.is_barrier() {
-            self.stats.batches += 1;
-            self.stats.events += 1;
-            self.stats.barrier_batches += 1;
-            self.stats.largest_batch = self.stats.largest_batch.max(1);
             return ApplyPlan {
                 len: 1,
-                barrier: true,
                 bound: BatchBound::Barrier,
             };
         }
@@ -185,29 +135,20 @@ impl ApplyScheduler {
         }
 
         let len = batch.len();
-        self.stats.batches += 1;
-        self.stats.events += len as u64;
-        self.stats.largest_batch = self.stats.largest_batch.max(len as u64);
         let bound = if bounded_by_conflict {
-            self.stats.conflict_bounded += 1;
             BatchBound::Conflict
         } else if len >= self.workers && saw_more {
-            self.stats.capacity_bounded += 1;
             BatchBound::Capacity
         } else {
             BatchBound::Drained
         };
-        ApplyPlan {
-            len,
-            barrier: false,
-            bound,
-        }
+        ApplyPlan { len, bound }
     }
 }
 
 /// Drive a full event sequence through a fresh [`ApplyScheduler`] and
-/// return the planned batches as LSN groups in commit order, plus the
-/// planner's counters.
+/// return the planned batches as LSN groups in commit order, plus what
+/// closed each one.
 ///
 /// The flattened group sequence is always the input LSN order — the
 /// in-order-commit invariant — which `commit_order_is_lsn_order` asserts
@@ -216,9 +157,10 @@ pub fn simulate(
     events: &[BinlogEvent],
     workers: usize,
     pk_of: impl Fn(&str) -> Option<usize>,
-) -> (Vec<Vec<Lsn>>, SchedulerStats) {
+) -> (Vec<Vec<Lsn>>, Vec<BatchBound>) {
     let mut sched = ApplyScheduler::new(workers);
     let mut batches = Vec::new();
+    let mut bounds = Vec::new();
     let mut head = 0usize;
     while head < events.len() {
         let plan = sched.plan_batch(events[head..].iter(), &pk_of);
@@ -229,8 +171,9 @@ pub fn simulate(
             .collect();
         head += plan.len;
         batches.push(group);
+        bounds.push(plan.bound);
     }
-    (batches, *sched.stats())
+    (batches, bounds)
 }
 
 #[cfg(test)]
@@ -277,11 +220,9 @@ mod tests {
             plan,
             ApplyPlan {
                 len: 0,
-                barrier: false,
                 bound: BatchBound::Drained,
             }
         );
-        assert_eq!(s.stats().batches, 0);
     }
 
     #[test]
@@ -293,27 +234,26 @@ mod tests {
     #[test]
     fn workers_one_always_singleton() {
         let events: Vec<_> = (0..20).map(|i| row_event(i, "t", i as i64)).collect();
-        let (batches, stats) = simulate(&events, 1, pk0);
+        let (batches, bounds) = simulate(&events, 1, pk0);
         assert_eq!(batches.len(), 20);
         assert!(batches.iter().all(|b| b.len() == 1));
-        assert_eq!(stats.largest_batch, 1);
-        assert_eq!(stats.conflict_bounded, 0);
+        assert!(!bounds.contains(&BatchBound::Conflict));
     }
 
     #[test]
     fn disjoint_events_fill_to_worker_count() {
         let events: Vec<_> = (0..8).map(|i| row_event(i, "t", i as i64)).collect();
-        let (batches, stats) = simulate(&events, 4, pk0);
+        let (batches, bounds) = simulate(&events, 4, pk0);
         assert_eq!(
             batches.iter().map(Vec::len).collect::<Vec<_>>(),
             vec![4, 4],
             "capacity-bounded batches of exactly `workers` events"
         );
         assert_eq!(
-            stats.capacity_bounded, 1,
+            bounds,
+            vec![BatchBound::Capacity, BatchBound::Drained],
             "only the first batch saw a successor"
         );
-        assert_eq!(stats.mean_batch(), 4.0);
     }
 
     #[test]
@@ -324,13 +264,13 @@ mod tests {
             row_event(2, "t", 1), // conflicts with lsn 0
             row_event(3, "t", 3),
         ];
-        let (batches, stats) = simulate(&events, 4, pk0);
+        let (batches, bounds) = simulate(&events, 4, pk0);
         assert_eq!(
             batches,
             vec![vec![Lsn(0), Lsn(1)], vec![Lsn(2), Lsn(3)]],
             "planner never skips a conflicting event to batch a later one"
         );
-        assert_eq!(stats.conflict_bounded, 1);
+        assert_eq!(bounds, vec![BatchBound::Conflict, BatchBound::Drained]);
     }
 
     #[test]
@@ -342,13 +282,20 @@ mod tests {
             row_event(3, "t", 3),
             row_event(4, "t", 4),
         ];
-        let (batches, stats) = simulate(&events, 8, pk0);
+        let (batches, bounds) = simulate(&events, 8, pk0);
         assert_eq!(
             batches,
             vec![vec![Lsn(0), Lsn(1)], vec![Lsn(2)], vec![Lsn(3), Lsn(4)],],
             "DDL runs alone: drains the batch before it, blocks the one after"
         );
-        assert_eq!(stats.barrier_batches, 1);
+        assert_eq!(
+            bounds,
+            vec![
+                BatchBound::Conflict,
+                BatchBound::Barrier,
+                BatchBound::Drained
+            ]
+        );
     }
 
     #[test]
@@ -356,9 +303,9 @@ mod tests {
         let events: Vec<_> = (0..6)
             .map(|i| stmt_event(i, "UPDATE t SET v = 1 WHERE id = 2"))
             .collect();
-        let (batches, stats) = simulate(&events, 8, pk0);
+        let (batches, bounds) = simulate(&events, 8, pk0);
         assert!(batches.iter().all(|b| b.len() == 1));
-        assert_eq!(stats.barrier_batches, 6);
+        assert_eq!(bounds, vec![BatchBound::Barrier; 6]);
     }
 
     #[test]
@@ -374,15 +321,15 @@ mod tests {
         }
         let pk = |t: &str| if t == "heap" { None } else { Some(0) };
         for workers in [1usize, 2, 4, 8] {
-            let (batches, stats) = simulate(&events, workers, pk);
+            let (batches, bounds) = simulate(&events, workers, pk);
             let flat: Vec<Lsn> = batches.iter().flatten().copied().collect();
             assert_eq!(
                 flat,
                 (0..40).map(Lsn).collect::<Vec<_>>(),
                 "workers={workers}: flattened batches must be the LSN sequence"
             );
-            assert_eq!(stats.events, 40);
-            assert!(stats.largest_batch as usize <= workers);
+            assert_eq!(bounds.len(), batches.len());
+            assert!(batches.iter().all(|b| b.len() <= workers));
         }
     }
 
@@ -416,9 +363,9 @@ mod tests {
     #[test]
     fn planning_is_deterministic() {
         let events: Vec<_> = (0..64).map(|i| row_event(i, "t", (i % 9) as i64)).collect();
-        let (a, sa) = simulate(&events, 4, pk0);
-        let (b, sb) = simulate(&events, 4, pk0);
+        let (a, ba) = simulate(&events, 4, pk0);
+        let (b, bb) = simulate(&events, 4, pk0);
         assert_eq!(a, b);
-        assert_eq!(sa, sb);
+        assert_eq!(ba, bb);
     }
 }

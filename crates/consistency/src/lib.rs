@@ -11,16 +11,14 @@
 //!   tier stamps every shipped writeset with a monotone sequence (the binlog
 //!   LSN *is* that sequence); each slave's SQL thread advances an
 //!   `applied_seq` as it drains its relay log. The proxy tier keeps, per
-//!   slave, the apply progress, an EWMA of the observed apply rate, and a
-//!   ring of commit stamps, from which it estimates each slave's staleness
-//!   without touching the slave.
+//!   slave, the apply progress and a ring of commit stamps, from which it
+//!   estimates each slave's staleness without touching the slave.
 //! * [`SessionToken`] — per-user session state (`last_write_seq`,
 //!   `last_read_seq`) giving Cloudstone users read-your-writes and monotonic
 //!   reads over an eventually-consistent slave tier.
-//! * [`ConsistencyPolicy`] + [`FallbackPolicy`] — freshness-bounded routing:
-//!   a policy filter that wraps *any* existing balancer, restricting its
-//!   choice to the eligible slaves and, when none qualify, either redirecting
-//!   to the master or waiting (with a deadline) for a slave to catch up.
+//! * [`ConsistencyPolicy`] — freshness-bounded routing: a policy filter
+//!   that wraps *any* existing balancer, restricting its choice to the
+//!   eligible slaves and, when none qualify, redirecting to the master.
 //!
 //! The decision procedure ([`ConsistencyConfig::decide_read`]) is pure
 //! bookkeeping over [`amdb_proxy::Proxy`] state: it schedules nothing and consumes no
@@ -32,7 +30,7 @@ mod router;
 mod session;
 mod watermark;
 
-pub use router::{ConsistencyConfig, ConsistencyPolicy, FallbackPolicy, ReadDecision};
+pub use router::{ConsistencyConfig, ConsistencyPolicy, ReadDecision};
 pub use session::SessionToken;
 pub use watermark::WatermarkTable;
 

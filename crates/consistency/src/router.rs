@@ -30,26 +30,6 @@ impl ConsistencyPolicy {
     }
 }
 
-/// What to do when live slaves exist but none qualifies.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FallbackPolicy {
-    /// Serve the read from the master immediately (fresh by definition).
-    RedirectToMaster,
-    /// Park the read and re-evaluate once a slave should have caught up;
-    /// past the deadline, redirect to the master after all.
-    WaitForCatchup { deadline_ms: f64 },
-}
-
-impl FallbackPolicy {
-    /// Display name for reports.
-    pub fn label(&self) -> String {
-        match self {
-            FallbackPolicy::RedirectToMaster => "redirect-to-master".into(),
-            FallbackPolicy::WaitForCatchup { deadline_ms } => format!("wait({deadline_ms:.0}ms)"),
-        }
-    }
-}
-
 /// The policy layer's verdict for one read.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ReadDecision {
@@ -57,43 +37,26 @@ pub enum ReadDecision {
     /// proxy's own master fallback when no slave is even alive). Proxy
     /// counters are already updated.
     Route(Route),
-    /// Live slaves exist but none qualifies: re-evaluate in `recheck_ms`.
-    WaitRetry { recheck_ms: f64 },
-    /// Live slaves exist but none qualifies (or the wait deadline passed):
-    /// serve from the master. Counted by the *policy* layer, distinct from
-    /// the proxy's no-slave-alive fallback.
+    /// Live slaves exist but none qualifies: serve from the master (fresh
+    /// by definition). Counted by the *policy* layer, distinct from the
+    /// proxy's no-slave-alive fallback.
     RedirectMaster,
 }
-
-/// Floor for wait-for-catchup rechecks (ms), so a near-zero ETA cannot
-/// busy-spin the scheduler.
-const MIN_WAIT_MS: f64 = 5.0;
 
 /// The complete policy configuration for a deployment.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConsistencyConfig {
     pub policy: ConsistencyPolicy,
-    pub fallback: FallbackPolicy,
 }
 
 impl ConsistencyConfig {
-    /// Policy with the redirect fallback.
+    /// Policy with the master-redirect fallback.
     pub fn new(policy: ConsistencyPolicy) -> Self {
-        Self {
-            policy,
-            fallback: FallbackPolicy::RedirectToMaster,
-        }
+        Self { policy }
     }
 
-    /// Same policy, wait-for-catchup fallback with the given deadline.
-    pub fn with_wait(mut self, deadline_ms: f64) -> Self {
-        self.fallback = FallbackPolicy::WaitForCatchup { deadline_ms };
-        self
-    }
-
-    /// Decide one read. `waited_ms` is how long this read has already been
-    /// parked by earlier [`ReadDecision::WaitRetry`] verdicts (0 on first
-    /// attempt).
+    /// Decide one read. `_waited_ms` is unused: it keeps the arity the
+    /// repo benchmark's layer drive calls this with.
     ///
     /// Pure bookkeeping: no scheduling, no randomness beyond the single
     /// balancer pick. `Eventual` takes the exact unfiltered
@@ -105,7 +68,7 @@ impl ConsistencyConfig {
         wm: &WatermarkTable,
         session: &SessionToken,
         now_ms: f64,
-        waited_ms: f64,
+        _waited_ms: f64,
     ) -> ReadDecision {
         if self.policy == ConsistencyPolicy::Eventual {
             return ReadDecision::Route(proxy.route(OpClass::Read));
@@ -133,35 +96,11 @@ impl ConsistencyConfig {
             return ReadDecision::Route(proxy.route_read_among(&eligible));
         }
         if !any_alive {
-            // Nothing to wait for: the proxy's own dead-slave fallback path
+            // No live slave at all: the proxy's own dead-slave fallback path
             // (which counts `reads_fallback_master`) is authoritative here.
             return ReadDecision::Route(proxy.route(OpClass::Read));
         }
-        match self.fallback {
-            FallbackPolicy::RedirectToMaster => ReadDecision::RedirectMaster,
-            FallbackPolicy::WaitForCatchup { deadline_ms } => {
-                if waited_ms >= deadline_ms {
-                    return ReadDecision::RedirectMaster;
-                }
-                let eta = (0..n)
-                    .filter(|&s| proxy.slave_status(s).alive)
-                    .map(|s| self.eta_to_eligible_ms(wm, session, s))
-                    .fold(f64::INFINITY, f64::min);
-                let budget = deadline_ms - waited_ms;
-                let recheck_ms = eta.clamp(MIN_WAIT_MS, budget.max(MIN_WAIT_MS));
-                ReadDecision::WaitRetry { recheck_ms }
-            }
-        }
-    }
-
-    /// Estimated time until slave `s` qualifies under the active policy.
-    fn eta_to_eligible_ms(&self, wm: &WatermarkTable, session: &SessionToken, s: usize) -> f64 {
-        match self.policy {
-            ConsistencyPolicy::Eventual => 0.0,
-            ConsistencyPolicy::BoundedStaleness { .. } => wm.eta_catchup_ms(s),
-            ConsistencyPolicy::ReadYourWrites => wm.eta_to_seq_ms(s, session.last_write_seq()),
-            ConsistencyPolicy::Monotonic => wm.eta_to_seq_ms(s, session.last_read_seq()),
-        }
+        ReadDecision::RedirectMaster
     }
 }
 
@@ -255,45 +194,6 @@ mod tests {
     }
 
     #[test]
-    fn wait_fallback_schedules_then_deadlines_to_master() {
-        let mut p = proxy(1);
-        let mut wm = WatermarkTable::new(1, 0);
-        wm.set_default_interval_ms(10.0);
-        wm.note_master_seq(3, 0.0);
-        let cfg = ConsistencyConfig::new(ConsistencyPolicy::BoundedStaleness { max_ms: 1.0 })
-            .with_wait(100.0);
-        let d = cfg.decide_read(&mut p, &wm, &SessionToken::new(), 5.0, 0.0);
-        // ETA = 3 events × 10 ms.
-        assert_eq!(d, ReadDecision::WaitRetry { recheck_ms: 30.0 });
-        // Past the deadline: give up and redirect.
-        let d = cfg.decide_read(&mut p, &wm, &SessionToken::new(), 5.0, 100.0);
-        assert_eq!(d, ReadDecision::RedirectMaster);
-    }
-
-    #[test]
-    fn wait_recheck_respects_floor_and_budget() {
-        let mut p = proxy(1);
-        let mut wm = WatermarkTable::new(1, 0);
-        wm.set_default_interval_ms(0.001); // near-zero ETA
-        wm.note_master_seq(1, 0.0);
-        let cfg = ConsistencyConfig::new(ConsistencyPolicy::BoundedStaleness { max_ms: 0.0 })
-            .with_wait(50.0);
-        let ReadDecision::WaitRetry { recheck_ms } =
-            cfg.decide_read(&mut p, &wm, &SessionToken::new(), 0.0, 0.0)
-        else {
-            panic!("must wait")
-        };
-        assert!(recheck_ms >= MIN_WAIT_MS, "floor applies: {recheck_ms}");
-        // Nearly exhausted budget still clamps to the floor, not below.
-        let ReadDecision::WaitRetry { recheck_ms } =
-            cfg.decide_read(&mut p, &wm, &SessionToken::new(), 0.0, 49.9)
-        else {
-            panic!("must wait")
-        };
-        assert!(recheck_ms >= MIN_WAIT_MS);
-    }
-
-    #[test]
     fn no_live_slaves_uses_proxy_fallback_counter() {
         let mut p = proxy(2);
         p.set_alive(0, false);
@@ -325,14 +225,6 @@ mod tests {
         assert_eq!(
             ConsistencyPolicy::BoundedStaleness { max_ms: 250.0 }.label(),
             "bounded(250ms)"
-        );
-        assert_eq!(
-            FallbackPolicy::RedirectToMaster.label(),
-            "redirect-to-master"
-        );
-        assert_eq!(
-            FallbackPolicy::WaitForCatchup { deadline_ms: 500.0 }.label(),
-            "wait(500ms)"
         );
     }
 }

@@ -3,55 +3,19 @@
 
 use std::collections::VecDeque;
 
-/// EWMA smoothing factor for the observed per-event apply interval.
-const APPLY_EWMA_ALPHA: f64 = 0.2;
-
 /// How many commit stamps the ring retains. Beyond this, the oldest known
 /// stamp lower-bounds the age of evicted sequences (a slave that far behind
 /// is ineligible under any realistic bound anyway).
 const STAMP_RING_CAP: usize = 4096;
-
-#[derive(Debug, Clone)]
-struct SlaveWatermark {
-    /// Writesets applied so far (sequence numbers are 1-based counts, so
-    /// this is also the highest applied sequence).
-    applied_seq: u64,
-    /// When the last apply was observed (ms).
-    last_apply_ms: f64,
-    /// Whether `last_apply_ms` is meaningful yet.
-    seen_apply: bool,
-    /// EWMA of the per-event apply interval (ms/event), sampled only from
-    /// busy periods (see [`WatermarkTable::note_applied`]).
-    ewma_interval_ms: f64,
-    /// Samples feeding the EWMA.
-    samples: u64,
-}
-
-impl SlaveWatermark {
-    fn at(seq: u64) -> Self {
-        Self {
-            applied_seq: seq,
-            last_apply_ms: 0.0,
-            seen_apply: false,
-            ewma_interval_ms: 0.0,
-            samples: 0,
-        }
-    }
-}
 
 /// Per-slave apply progress and staleness estimation.
 ///
 /// The master side stamps each committed writeset sequence with its commit
 /// time ([`Self::note_master_seq`]); each slave's apply thread advances its
 /// watermark ([`Self::note_applied`]). From those two signals the table
-/// derives, per slave:
-///
-/// * **estimated staleness** — how old the slave's view is: the age of the
-///   first *unapplied* writeset's commit stamp ("seq lag × observed apply
-///   rate" is what closes the gap; the stamp ring is what anchors it to
-///   wall-clock age). Zero when fully caught up.
-/// * **catch-up ETA** — sequence lag × the observed per-event apply
-///   interval, used to schedule wait-for-catchup retries.
+/// derives each slave's **estimated staleness**: how old the slave's view
+/// is, the age of the first *unapplied* writeset's commit stamp. Zero when
+/// fully caught up.
 #[derive(Debug, Clone)]
 pub struct WatermarkTable {
     master_seq: u64,
@@ -59,10 +23,9 @@ pub struct WatermarkTable {
     first_stamped: u64,
     /// Commit stamp (ms) per sequence, oldest first.
     stamps: VecDeque<f64>,
-    slaves: Vec<SlaveWatermark>,
-    /// Cold-start per-event apply interval (ms) used until a slave has
-    /// produced at least one busy-period sample.
-    default_interval_ms: f64,
+    /// Highest applied sequence per slave (sequence numbers are 1-based
+    /// counts, so this is also the number of writesets applied).
+    applied: Vec<u64>,
 }
 
 impl WatermarkTable {
@@ -73,21 +36,13 @@ impl WatermarkTable {
             master_seq: start_seq,
             first_stamped: start_seq + 1,
             stamps: VecDeque::new(),
-            slaves: (0..n_slaves)
-                .map(|_| SlaveWatermark::at(start_seq))
-                .collect(),
-            default_interval_ms: 1.0,
+            applied: vec![start_seq; n_slaves],
         }
-    }
-
-    /// Override the cold-start apply interval (ms/event).
-    pub fn set_default_interval_ms(&mut self, ms: f64) {
-        self.default_interval_ms = ms.max(0.0);
     }
 
     /// Number of tracked slaves.
     pub fn n_slaves(&self) -> usize {
-        self.slaves.len()
+        self.applied.len()
     }
 
     /// Highest stamped (committed) sequence on the master.
@@ -97,14 +52,14 @@ impl WatermarkTable {
 
     /// Highest sequence slave `s` has applied.
     pub fn applied_seq(&self, s: usize) -> u64 {
-        self.slaves[s].applied_seq
+        self.applied[s]
     }
 
     /// Sequence lag of slave `s` (events committed but not yet applied).
     /// Saturating: a freshly resynced slave can briefly be *ahead* of the
     /// last stamped commit.
     pub fn lag(&self, s: usize) -> u64 {
-        self.master_seq.saturating_sub(self.slaves[s].applied_seq)
+        self.master_seq.saturating_sub(self.applied[s])
     }
 
     /// The master committed up to `seq` at time `now_ms`: stamp every new
@@ -120,28 +75,12 @@ impl WatermarkTable {
         }
     }
 
-    /// Slave `s` has applied up to `seq` at `now_ms`. `backlogged` reports
-    /// whether the slave still has queued writesets *after* this apply: only
-    /// busy-period intervals feed the apply-rate EWMA, so think-time gaps
-    /// between writes don't masquerade as slow applies.
-    pub fn note_applied(&mut self, s: usize, seq: u64, now_ms: f64, backlogged: bool) {
-        let w = &mut self.slaves[s];
-        if seq <= w.applied_seq {
-            return;
-        }
-        let events = seq - w.applied_seq;
-        if w.seen_apply && (backlogged || events > 1) {
-            let per_event = (now_ms - w.last_apply_ms).max(0.0) / events as f64;
-            w.ewma_interval_ms = if w.samples == 0 {
-                per_event
-            } else {
-                APPLY_EWMA_ALPHA * per_event + (1.0 - APPLY_EWMA_ALPHA) * w.ewma_interval_ms
-            };
-            w.samples += 1;
-        }
-        w.applied_seq = seq;
-        w.last_apply_ms = now_ms;
-        w.seen_apply = true;
+    /// Slave `s` has applied up to `seq`. Monotone: a stale (backward)
+    /// report is a no-op. `_now_ms` and `_backlogged` are unused; they keep
+    /// the arity the repo benchmark's layer drive calls this with.
+    pub fn note_applied(&mut self, s: usize, seq: u64, _now_ms: f64, _backlogged: bool) {
+        let a = &mut self.applied[s];
+        *a = (*a).max(seq);
     }
 
     /// Estimated staleness of slave `s` at `now_ms` (ms): the age of the
@@ -152,7 +91,7 @@ impl WatermarkTable {
         if self.lag(s) == 0 {
             return 0.0;
         }
-        let first_unapplied = self.slaves[s].applied_seq + 1;
+        let first_unapplied = self.applied[s] + 1;
         let stamp = if first_unapplied < self.first_stamped {
             self.stamps.front().copied()
         } else {
@@ -166,39 +105,16 @@ impl WatermarkTable {
         }
     }
 
-    /// Observed per-event apply interval for slave `s` (ms/event), falling
-    /// back to the cold-start default before any busy-period sample.
-    pub fn apply_interval_ms(&self, s: usize) -> f64 {
-        let w = &self.slaves[s];
-        if w.samples > 0 {
-            w.ewma_interval_ms
-        } else {
-            self.default_interval_ms
-        }
-    }
-
-    /// Estimated time (ms) for slave `s` to apply everything committed so
-    /// far: sequence lag × observed apply rate.
-    pub fn eta_catchup_ms(&self, s: usize) -> f64 {
-        self.eta_to_seq_ms(s, self.master_seq)
-    }
-
-    /// Estimated time (ms) for slave `s` to reach `target_seq`.
-    pub fn eta_to_seq_ms(&self, s: usize, target_seq: u64) -> f64 {
-        let needed = target_seq.saturating_sub(self.slaves[s].applied_seq);
-        needed as f64 * self.apply_interval_ms(s)
-    }
-
     /// Slave `s` was replaced by a replica current as of `seq` (snapshot
-    /// resync): its watermark restarts there with a cold apply history.
+    /// resync): its watermark restarts there.
     pub fn reset_slave(&mut self, s: usize, seq: u64) {
-        self.slaves[s] = SlaveWatermark::at(seq);
+        self.applied[s] = seq;
     }
 
     /// A new slave joined, current as of `seq`. Returns its index.
     pub fn push_slave(&mut self, seq: u64) -> usize {
-        self.slaves.push(SlaveWatermark::at(seq));
-        self.slaves.len() - 1
+        self.applied.push(seq);
+        self.applied.len() - 1
     }
 
     /// Failover: the new master starts a fresh sequence space at
@@ -216,9 +132,7 @@ impl WatermarkTable {
         self.master_seq = start_seq;
         self.first_stamped = start_seq + 1;
         self.stamps.clear();
-        for w in &mut self.slaves {
-            *w = SlaveWatermark::at(start_seq);
-        }
+        self.applied.fill(start_seq);
     }
 }
 
@@ -256,34 +170,6 @@ mod tests {
         assert_eq!(wm.master_seq(), 5);
         // All five sequences stamped at t=10.
         assert_eq!(wm.est_staleness_ms(0, 110.0), 100.0);
-    }
-
-    #[test]
-    fn apply_rate_ewma_only_samples_busy_periods() {
-        let mut wm = WatermarkTable::new(1, 0);
-        wm.note_master_seq(10, 0.0);
-        wm.note_applied(0, 1, 0.0, true);
-        // 2 ms per event while backlogged.
-        wm.note_applied(0, 2, 2.0, true);
-        assert_eq!(wm.apply_interval_ms(0), 2.0);
-        // A 5-second idle gap then one apply that fully catches up must NOT
-        // feed the EWMA (it would look like a 5000 ms apply).
-        wm.note_applied(0, 3, 5002.0, false);
-        assert_eq!(wm.apply_interval_ms(0), 2.0);
-        // Multi-event applies count even if they end caught-up.
-        wm.note_applied(0, 10, 5016.0, false);
-        let e = wm.apply_interval_ms(0);
-        assert!((e - (0.2 * 2.0 + 0.8 * 2.0)).abs() < 1e-12, "got {e}");
-    }
-
-    #[test]
-    fn eta_scales_with_lag() {
-        let mut wm = WatermarkTable::new(1, 0);
-        wm.set_default_interval_ms(3.0);
-        wm.note_master_seq(4, 0.0);
-        assert_eq!(wm.eta_catchup_ms(0), 12.0);
-        wm.note_applied(0, 2, 1.0, true);
-        assert_eq!(wm.eta_to_seq_ms(0, 3), 3.0);
     }
 
     #[test]

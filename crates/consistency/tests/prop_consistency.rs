@@ -10,26 +10,37 @@ use proptest::prelude::*;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Replaying any interleaving of master commits and slave applies keeps
-    /// the table's core invariants: applied ≤ master, lag consistent,
-    /// staleness zero exactly when caught up, and everything monotone.
+    /// Replaying any interleaving of master commits and slave applies —
+    /// forward ones and stale (backward) ones — keeps the table's core
+    /// invariants: applied ≤ master, lag consistent, staleness zero exactly
+    /// when caught up, and every applied sequence monotone.
     #[test]
     fn watermark_invariants_hold_under_any_interleaving(
-        steps in prop::collection::vec((0..3usize, 1..5u64), 1..60)
+        steps in prop::collection::vec((0..5usize, 1..5u64), 1..60)
     ) {
         let mut wm = WatermarkTable::new(2, 0);
         let mut now_ms = 0.0;
         for (kind, amount) in steps {
             now_ms += amount as f64;
+            let before = [wm.applied_seq(0), wm.applied_seq(1)];
             match kind {
                 0 => wm.note_master_seq(wm.master_seq() + amount, now_ms),
-                s => {
-                    let s = s - 1;
+                // Forward apply on slave 0 or 1.
+                1 | 2 => {
+                    let s = kind - 1;
                     let target = (wm.applied_seq(s) + amount).min(wm.master_seq());
                     wm.note_applied(s, target, now_ms, true);
                 }
+                // Stale apply on slave 0 or 1: a report behind what it
+                // already applied.
+                _ => {
+                    let s = kind - 3;
+                    let target = wm.applied_seq(s).saturating_sub(amount);
+                    wm.note_applied(s, target, now_ms, false);
+                }
             }
-            for s in 0..2 {
+            for (s, &was) in before.iter().enumerate() {
+                prop_assert!(wm.applied_seq(s) >= was, "applied_seq decreased");
                 prop_assert!(wm.applied_seq(s) <= wm.master_seq());
                 prop_assert_eq!(wm.lag(s), wm.master_seq() - wm.applied_seq(s));
                 let st = wm.est_staleness_ms(s, now_ms);
@@ -40,7 +51,6 @@ proptest! {
                     // Staleness grows with the clock while nothing applies.
                     prop_assert!(wm.est_staleness_ms(s, now_ms + 10.0) >= st);
                 }
-                prop_assert!(wm.eta_catchup_ms(s) >= 0.0);
             }
         }
     }

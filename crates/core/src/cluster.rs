@@ -172,12 +172,6 @@ pub enum ClusterEvent {
         epoch: u64,
         events: Vec<BinlogEvent>,
     },
-    /// A consistency-layer read retries after its wait interval.
-    DispatchWithWait {
-        origin: Origin,
-        op: Operation,
-        waited_ms: f64,
-    },
     /// A shared-log replica's append acknowledgement lands at the master
     /// (shared-log backend only; instants come from [`LogStore::append_at`]).
     LogAck { replica: usize, upto: Lsn },
@@ -247,11 +241,6 @@ impl ClusterEvent {
                 epoch,
                 events,
             } => w.deliver(sim, slave, epoch, events),
-            ClusterEvent::DispatchWithWait {
-                origin,
-                op,
-                waited_ms,
-            } => w.dispatch(sim, origin, op, waited_ms, false),
             ClusterEvent::LogAck { replica, upto } => w.log_ack(sim, replica, upto),
             ClusterEvent::NtpTick => w.ntp_tick(sim),
             ClusterEvent::HeartbeatTick => w.heartbeat_tick(sim),
@@ -328,10 +317,9 @@ struct SyncWait {
 }
 
 /// The application-managed consistency layer: watermark table, per-user
-/// session tokens, and the fallback counters. Pure bookkeeping — it
-/// schedules no events of its own (wait-for-catchup re-dispatches ride the
-/// ordinary dispatch path) and consumes no randomness, so a cluster with
-/// `Some(Eventual)` runs byte-identically to one with `None`.
+/// session tokens, and the redirect counters. Pure bookkeeping — it
+/// schedules no events of its own and consumes no randomness, so a cluster
+/// with `Some(Eventual)` runs byte-identically to one with `None`.
 struct ConsistencyLayer {
     cfg: ConsistencyConfig,
     wm: WatermarkTable,
@@ -339,8 +327,6 @@ struct ConsistencyLayer {
     /// closed-loop request chain.
     sessions: Vec<SessionToken>,
     redirects_master: u64,
-    waits: u64,
-    wait_ms_total: f64,
     sla_violations: u64,
     sla_violations_steady: u64,
     /// True staleness (vs the master binlog) of every slave-served read,
@@ -359,8 +345,6 @@ impl ConsistencyLayer {
             wm: WatermarkTable::new(n_slaves, start_seq),
             sessions: vec![SessionToken::new(); n_users as usize],
             redirects_master: 0,
-            waits: 0,
-            wait_ms_total: 0.0,
             sla_violations: 0,
             sla_violations_steady: 0,
             served_staleness: OnlineStats::new(),
@@ -443,8 +427,8 @@ struct Stats {
     steady_peak_queue: Vec<usize>,
     /// (heartbeat id, emission sim-time) pairs.
     hb_emitted: Vec<(i64, SimTime)>,
-    /// Apply batches dispatched across all slaves (== events applied when
-    /// `apply_workers == 1`; smaller when group commit batches events).
+    /// Apply batches dispatched across all slaves (== events applied with
+    /// serial apply; smaller when group commit batches events).
     apply_batches: u64,
     /// Binlog events applied across all slaves.
     apply_events: u64,
@@ -493,13 +477,10 @@ pub struct Cluster {
     users: UserLoop,
     hb: HeartbeatPlugin,
     mode: ReplMode,
-    /// Apply workers per slave; 1 = the classic serial SQL thread.
-    apply_workers: usize,
     /// Writeset-dependency batch planner, shared across slaves (planning is
     /// a pure function of each relay's queue, so per-slave state is not
-    /// needed and the counters aggregate cluster-wide). Unused when
-    /// `apply_workers == 1`.
-    sched: amdb_apply::ApplyScheduler,
+    /// needed). `None` with one apply worker: the classic serial SQL thread.
+    sched: Option<amdb_apply::ApplyScheduler>,
     pending_sync: Vec<SyncWait>,
     rng_ntp: Rng,
     /// Provider handle kept for dynamic slave launches (failover/autoscale).
@@ -673,8 +654,8 @@ impl Cluster {
             cost: cfg.cost.clone(),
             client_zone: cfg.client_zone.unwrap_or(master_zone),
             mode: cfg.mode,
-            apply_workers: cfg.apply_workers.max(1),
-            sched: amdb_apply::ApplyScheduler::new(cfg.apply_workers.max(1)),
+            sched: (cfg.apply_workers > 1)
+                .then(|| amdb_apply::ApplyScheduler::new(cfg.apply_workers)),
             cfg,
             phases,
             net,
@@ -938,15 +919,13 @@ impl Cluster {
                 .base_one_way(Proximity::of(self.cfg.master_zone, slave_zone))
                 .as_millis_f64();
         let rtt_class = self.cfg.placement.label(self.cfg.master_zone);
-        // `ops_per_s` and `pool_waiting` sample this cluster's own user
-        // loop. Under a sharded front that loop is idle, so both read 0
-        // and the per-shard `throughput_collapse` / `pool_backlog` rules
-        // cannot fire (EXPERIMENTS.md, deviation 6).
+        // `ops_per_s` samples this cluster's own user loop. Under a sharded
+        // front that loop is idle, so it reads 0 and the per-shard
+        // `throughput_collapse` rule cannot fire (EXPERIMENTS.md, deviation 6).
         let fired = tl.t.slo.observe(&SloSample {
             at: now,
             delay_ms: &delay_ms,
             cpu_util: &cpu_util,
-            pool_waiting: self.users.pool().waiting() as f64,
             ops_per_s,
             sla_violation_rate: sla_rate,
             rows: &rows,
@@ -997,24 +976,21 @@ impl Cluster {
 
     fn user_next_op(&mut self, sim: &mut dyn ClusterHost, user: u32) {
         let issued = sim.now();
-        if let Some(op) = self.users.next_op(issued, user, &mut self.obs) {
-            self.dispatch(sim, Origin::User { user, issued }, op, 0.0, false);
+        if let Some(op) = self.users.next_op(issued) {
+            self.dispatch(sim, Origin::User { user, issued }, op, false);
         }
     }
 
     /// Dispatch one client operation: route it — reads through the
     /// consistency layer when one is configured — and send it to the chosen
-    /// node. `waited_ms` accumulates across wait-for-catchup parks of the
-    /// same read (0 on first attempt). `pin_master` bypasses the balancer
-    /// and the consistency router: the sharded front's all-legs-filtered
-    /// fallback re-runs a scattered read against this tree's master, whose
-    /// copy is fresh by definition.
+    /// node. `pin_master` bypasses the balancer and the consistency router:
+    /// the sharded front's all-legs-filtered fallback re-runs a scattered
+    /// read against this tree's master, whose copy is fresh by definition.
     pub(crate) fn dispatch(
         &mut self,
         sim: &mut dyn ClusterHost,
         origin: Origin,
         op: Operation,
-        waited_ms: f64,
         pin_master: bool,
     ) {
         let class = match op.class {
@@ -1031,30 +1007,12 @@ impl Cluster {
                     Origin::User { user, .. } => &layer.sessions[user as usize],
                     Origin::Front { .. } => &layer.front,
                 };
-                let decision =
-                    layer
-                        .cfg
-                        .decide_read(&mut self.proxy, &layer.wm, session, now_ms, waited_ms);
-                match (decision, origin) {
-                    (ReadDecision::Route(r), _) => r,
-                    // A user's read parks here and retries; the front holds
-                    // no per-leg retry timer, so it trades the wait for the
-                    // master's fresh copy.
-                    (ReadDecision::WaitRetry { recheck_ms }, Origin::User { .. }) => {
-                        layer.waits += 1;
-                        layer.wait_ms_total += recheck_ms;
-                        self.obs.incr(Component::Proxy, 0, "consistency_waits", 1);
-                        sim.schedule_event_in(
-                            SimDuration::from_millis_f64(recheck_ms),
-                            ClusterEvent::DispatchWithWait {
-                                origin,
-                                op,
-                                waited_ms: waited_ms + recheck_ms,
-                            },
-                        );
-                        return;
-                    }
-                    (ReadDecision::RedirectMaster | ReadDecision::WaitRetry { .. }, _) => {
+                match layer
+                    .cfg
+                    .decide_read(&mut self.proxy, &layer.wm, session, now_ms, 0.0)
+                {
+                    ReadDecision::Route(r) => r,
+                    ReadDecision::RedirectMaster => {
                         layer.redirects_master += 1;
                         self.obs
                             .incr(Component::Proxy, 0, "consistency_redirect_master", 1);
@@ -1085,9 +1043,11 @@ impl Cluster {
             Some(tl) if op.class == OpClass::Write && routed_slave.is_none() => {
                 let routed = sim.now();
                 let issued = match origin {
+                    // A user's write that parked for a failed master shows
+                    // the park as its issue → route leg.
                     Origin::User { issued, .. } => issued,
-                    // The front already spent its pool wait and routing hop
-                    // before the op reached this tree: issue == route time.
+                    // The front's routing hop is over before the op reaches
+                    // this tree: issue == route time.
                     Origin::Front { .. } => routed,
                 };
                 tl.t.waterfall.begin_write(issued, routed)
@@ -1138,7 +1098,7 @@ impl Cluster {
             let dropped: Vec<Job> = self.nodes[node_idx].queue.drain(..).collect();
             for job in dropped {
                 if let Job::ClientOp { origin, op, .. } = job {
-                    self.dispatch(sim, origin, op, 0.0, false);
+                    self.dispatch(sim, origin, op, false);
                 }
             }
             return;
@@ -1150,8 +1110,8 @@ impl Cluster {
             // One Apply job is enqueued per delivered event, but a group-
             // commit batch consumes several events at once; wake-ups whose
             // event was already drained by an earlier batch are skipped.
-            // With `apply_workers == 1` batches have size 1 and this guard
-            // never fires — the serial pipeline is untouched.
+            // With serial apply batches have size 1 and this guard never
+            // fires — the serial pipeline is untouched.
             if let Job::Apply { slave } = &job {
                 if self.relays[*slave].peek_next().is_none() {
                     continue;
@@ -1186,16 +1146,15 @@ impl Cluster {
             Job::Apply { slave } => {
                 // Plan the group-commit batch: a contiguous prefix of at
                 // most `apply_workers` pairwise-non-conflicting events.
-                // Serial apply (workers == 1) bypasses the planner entirely.
-                let (batch_len, bound) = if self.apply_workers > 1 {
-                    let engine = &self.nodes[node_idx].engine;
-                    let relay = &self.relays[slave];
-                    let plan = self
-                        .sched
-                        .plan_batch(relay.iter(), |t| engine.pk_index_of(t));
-                    (plan.len, Some(plan.bound))
-                } else {
-                    (1, None)
+                // Serial apply (no planner) takes one event at a time.
+                let (batch_len, bound) = match self.sched.as_mut() {
+                    Some(sched) => {
+                        let engine = &self.nodes[node_idx].engine;
+                        let relay = &self.relays[slave];
+                        let plan = sched.plan_batch(relay.iter(), |t| engine.pk_index_of(t));
+                        (plan.len, Some(plan.bound))
+                    }
+                    None => (1, None),
                 };
                 let node = &mut self.nodes[node_idx];
                 let now_micros = node.inst.clock.read(now).0;
@@ -1698,16 +1657,9 @@ impl Cluster {
             self.obs
                 .observe_sketch(Component::Proxy, inst, "client_latency_ms", latency_ms);
         }
-        let (handoff, think) =
-            self.users
-                .complete(now, class, issued, routed_slave.is_some(), &mut self.obs);
-        if let Some((parked, op, queued_at)) = handoff {
-            let origin = Origin::User {
-                user: parked,
-                issued: queued_at,
-            };
-            self.dispatch(sim, origin, op, 0.0, false);
-        }
+        let think = self
+            .users
+            .complete(now, class, issued, routed_slave.is_some());
         sim.schedule_event_in(think, ClusterEvent::UserNextOp { user });
     }
 
@@ -1755,17 +1707,12 @@ impl Cluster {
                 }
             }
         }
-        // The slave's SQL thread finished one event: advance its watermark.
-        // `backlogged` gates the apply-rate EWMA to busy periods; after a
-        // failover reset the relay's own cursor (not the in-flight job's
-        // old-epoch LSN) is authoritative.
-        if self.consistency.is_some() {
+        // The slave's SQL thread finished one batch: advance its watermark.
+        // After a failover reset the relay's own cursor (not the in-flight
+        // job's old-epoch LSN) is authoritative.
+        if let Some(layer) = self.consistency.as_mut() {
             let seq = self.relays[slave].applied_upto().0;
-            let backlogged = self.relays[slave].backlog() > 0;
-            let now_ms = sim.now().as_millis_f64();
-            if let Some(layer) = self.consistency.as_mut() {
-                layer.wm.note_applied(slave, seq, now_ms, backlogged);
-            }
+            layer.wm.note_applied(slave, seq, 0.0, false);
         }
         // Sync-mode acks.
         if self.mode == ReplMode::Sync && !self.pending_sync.is_empty() {
@@ -2057,7 +2004,7 @@ impl Cluster {
                 if let Some(rs) = routed_slave {
                     self.proxy.read_done(rs, 1.0);
                 }
-                self.dispatch(sim, origin, op, 0.0, false);
+                self.dispatch(sim, origin, op, false);
             }
         }
     }
@@ -2216,7 +2163,7 @@ impl Cluster {
 
         // Release parked writes.
         for (origin, op) in std::mem::take(&mut self.awaiting_master) {
-            self.dispatch(sim, origin, op, 0.0, false);
+            self.dispatch(sim, origin, op, false);
         }
     }
 
@@ -2564,10 +2511,7 @@ impl Cluster {
             pool_stats: (pool.total_acquired(), pool.total_waited()),
             consistency: self.consistency.as_ref().map(|l| ConsistencyReport {
                 policy: l.cfg.policy.label(),
-                fallback: l.cfg.fallback.label(),
                 redirects_master: l.redirects_master,
-                waits: l.waits,
-                wait_ms_total: l.wait_ms_total,
                 sla_violations: l.sla_violations,
                 sla_violations_steady: l.sla_violations_steady,
                 served_staleness_mean_ms: l.served_staleness.mean(),
@@ -2656,14 +2600,10 @@ impl Cluster {
                     .unwrap_or(0),
             });
         }
-        // Pool "utilization": peak checkouts over capacity. Saturation here
-        // means users queue for connections before any CPU is even asked.
-        let (peak_active, _) = self.users.pool().peaks();
-        let capacity = if self.cfg.pool_max_active == 0 {
-            self.cfg.workload.concurrent_users as usize
-        } else {
-            self.cfg.pool_max_active
-        };
+        // Pool "utilization": peak checkouts over capacity, one connection
+        // per user — so it never queues and never saturates.
+        let (peak_active, peak_waiting) = self.users.pool().peaks();
+        let capacity = self.cfg.workload.concurrent_users as usize;
         rep.push(ResourceUsage {
             comp: Component::Pool,
             inst: 0,
@@ -2673,7 +2613,7 @@ impl Cluster {
             } else {
                 0.0
             },
-            peak_queue: self.users.stats().steady_peak_waiting,
+            peak_queue: peak_waiting,
         });
         rep
     }

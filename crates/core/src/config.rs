@@ -273,8 +273,6 @@ pub struct ClusterConfig {
     /// client hops from the *front's* zone even when its master is placed
     /// elsewhere.
     pub client_zone: Option<Zone>,
-    /// Pool size; defaults to one connection per emulated user.
-    pub pool_max_active: usize,
     pub cost: CostModel,
     /// Pin every slave to a specific physical host model (the §IV-A
     /// performance-variation experiment); `None` samples the fleet mix.
@@ -460,7 +458,6 @@ impl Default for ClusterBuilder {
                 balancer: BalancerKind::RoundRobin,
                 balancer_start: 0,
                 client_zone: None,
-                pool_max_active: 0, // 0 = one per user
                 cost: CostModel::default(),
                 pin_slave_host: Some(CpuModel::XeonE5430),
                 faults: Vec::new(),
@@ -554,12 +551,6 @@ impl ClusterBuilder {
     pub fn apply_workers(mut self, n: usize) -> Self {
         assert!(n >= 1, "apply requires at least one worker");
         self.cfg.apply_workers = n;
-        self
-    }
-
-    /// Connection-pool size (0 = one per user).
-    pub fn pool_max_active(mut self, n: usize) -> Self {
-        self.cfg.pool_max_active = n;
         self
     }
 

@@ -35,7 +35,7 @@ pub mod report;
 pub mod sharded;
 mod users;
 
-pub use amdb_consistency::{ConsistencyConfig, ConsistencyPolicy, FallbackPolicy};
+pub use amdb_consistency::{ConsistencyConfig, ConsistencyPolicy};
 pub use amdb_obs::ObsConfig;
 pub use amdb_repl::{BackendKind, FaultTimeline, LogStoreConfig, RetryPolicy};
 pub use amdb_telemetry::{Telemetry, TelemetryConfig};

@@ -26,16 +26,10 @@ pub struct DelayReport {
 pub struct ConsistencyReport {
     /// Active policy label (e.g. `bounded(250ms)`).
     pub policy: String,
-    /// Active fallback label (e.g. `redirect-to-master`).
-    pub fallback: String,
     /// Reads the policy layer redirected to the master because live slaves
     /// existed but none qualified (distinct from the proxy's no-slave-alive
     /// fallback).
     pub redirects_master: u64,
-    /// Wait-for-catchup parks issued (one read can park repeatedly).
-    pub waits: u64,
-    /// Total time reads spent parked waiting for catch-up (ms).
-    pub wait_ms_total: f64,
     /// Slave-served reads whose *true* staleness at service start exceeded
     /// the bound (BoundedStaleness only) — the estimator let them through.
     pub sla_violations: u64,

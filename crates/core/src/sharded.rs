@@ -28,21 +28,20 @@
 //!
 //! # What a front-issued op does differently
 //!
-//! Five decisions in `cluster.rs` look at the origin, each pinned by
+//! Four decisions in `cluster.rs` look at the origin, each pinned by
 //! `front_origin_divergences_are_deliberate` below:
 //!
 //! * **session token** — the front is one client of a tree, so all its ops
 //!   share one tree-wide token where standalone users have one each;
-//! * **wait-for-catchup** — the front holds no per-leg retry timer, so a
-//!   `WaitRetry` verdict becomes a master redirect;
 //! * **write ack** — at master commit under every `ReplMode` and backend: a
 //!   scatter leg cannot block on per-tree sync or quorum acks without a
 //!   front-side ack protocol (DESIGN.md, "Sharding");
 //! * **completion** — reported to the front through
 //!   [`ClusterHost::notify_front`] with the serving replica's
 //!   heartbeat-observed staleness, instead of a tree-local `Respond`;
-//! * **traced write's issue time** — the dispatch instant: the front's pool
-//!   wait and routing hop are over before the op reaches the tree.
+//! * **traced write's issue time** — the instant the tree routes the write,
+//!   so a front write parked for a failed master shows no issue → route
+//!   leg, where a user's write shows the park.
 //!
 //! # Determinism
 //!
@@ -311,7 +310,7 @@ impl ShardedWorld {
 
     fn user_next_op(&mut self, sim: &mut ShardedSim, user: u32) {
         let now = sim.now();
-        if let Some(op) = self.front.users.next_op(now, user, &mut self.front.obs) {
+        if let Some(op) = self.front.users.next_op(now) {
             self.dispatch_front(sim, user, op, now);
         }
     }
@@ -359,7 +358,7 @@ impl ShardedWorld {
                     sim: &mut *sim,
                     shard: k as u32,
                 };
-                self.trees[k].dispatch(&mut host, Origin::Front { id }, op.clone(), 0.0, false);
+                self.trees[k].dispatch(&mut host, Origin::Front { id }, op.clone(), false);
             }
         } else {
             let shard = self.front.map.shard_of_opt(shard_key_of(&op)) as usize;
@@ -379,13 +378,13 @@ impl ShardedWorld {
                 sim: &mut *sim,
                 shard: shard as u32,
             };
-            self.trees[shard].dispatch(&mut host, Origin::Front { id }, op, 0.0, false);
+            self.trees[shard].dispatch(&mut host, Origin::Front { id }, op, false);
         }
     }
 
     /// One leg of an in-flight op completed on `shard`: per-leg balancer
     /// feedback, gather bookkeeping, and — once the last leg is in — the
-    /// user loop's completion (stats, pool handoff, think), in the order a
+    /// user loop's completion (stats, pool release, think), in the order a
     /// standalone cluster's `respond` runs them.
     fn op_done(&mut self, sim: &mut ShardedSim, shard: u32, done: InjectedDone) {
         let now = sim.now();
@@ -482,7 +481,7 @@ impl ShardedWorld {
                     shard: home as u32,
                 };
                 let origin = Origin::Front { id: done.id };
-                self.trees[home].dispatch(&mut host, origin, op, 0.0, true);
+                self.trees[home].dispatch(&mut host, origin, op, true);
                 return;
             }
         }
@@ -523,13 +522,10 @@ impl ShardedWorld {
                     .tsdb_observe(Component::Proxy, 0, "scatter_tax_ms", now, tax_ms);
             }
         }
-        let (handoff, think) =
-            self.front
-                .users
-                .complete(now, fl.class, fl.issued, fl.all_slave, &mut self.front.obs);
-        if let Some((parked, op, queued_at)) = handoff {
-            self.dispatch_front(sim, parked, op, queued_at);
-        }
+        let think = self
+            .front
+            .users
+            .complete(now, fl.class, fl.issued, fl.all_slave);
         sim.schedule_event_at(now + think, ShardedEvent::UserNextOp { user: fl.user });
     }
 
@@ -885,27 +881,22 @@ mod tests {
         assert_eq!(sharded.per_shard[0].lost_writes, 0);
         assert_eq!(solo.lost_writes, 0);
 
-        // WaitRetry: the front holds no per-leg retry timer, so a wait
-        // verdict becomes a master redirect.
-        let wait = ConsistencyConfig::new(ConsistencyPolicy::BoundedStaleness { max_ms: 0.0 })
-            .with_wait(200.0);
-        let (solo, sharded) = both(quick().consistency(wait).build());
-        assert!(solo.consistency.as_ref().expect("layer on").waits > 0);
-        let tree = sharded.per_shard[0].consistency.as_ref().expect("layer on");
-        assert_eq!(tree.waits, 0);
-        assert!(tree.redirects_master > 0);
-
-        // Traced write's issue time: a user's waterfall shows its pool wait
-        // as the issue → route leg; the front's pool wait is over before
-        // the op reaches the tree, so there the leg is zero.
-        let pooled = quick().pool_max_active(4).build();
-        let mut traced = pooled.clone();
+        // Traced write's issue time: a user's write that parked while the
+        // master was down shows the park as its issue → route leg; the
+        // front's op is issued to the tree when it is routed, so there the
+        // leg is zero.
+        let failover = quick()
+            .master_fault(MasterFaultPlan {
+                fail_at: SimDuration::from_secs(90),
+                detection_delay: SimDuration::from_secs(2),
+            })
+            .build();
+        let mut traced = failover.clone();
         traced.telemetry.enabled = true;
         let solo = crate::cluster::run_cell(traced, None).expect("valid config");
-        assert!(solo.report.pool_stats.1 > 0, "the pool made users wait");
         let t = solo.telemetry.expect("telemetry on");
         assert!(t.waterfall.client().route_ms.max() > Some(0.0));
-        let (_, fleet) = run_sharded_telemetry(ShardedConfig::new(1, pooled));
+        let (_, fleet) = run_sharded_telemetry(ShardedConfig::new(1, failover));
         let (_, t) = fleet.telemetry.shards().next().expect("one tree");
         assert_eq!(t.waterfall.client().route_ms.max(), Some(0.0));
     }

@@ -1,20 +1,17 @@
 //! The closed-loop user half of the client path: think → generate an
 //! operation → check out a pooled connection → (the owner dispatches it) →
-//! completion → steady-window stats → hand the connection to a parked user
-//! → think again.
+//! completion → steady-window stats → return the connection → think again.
 //!
 //! A standalone [`Cluster`](crate::cluster::Cluster) and the sharded
 //! front each own one [`UserLoop`] and supply only their own dispatch and
 //! their own agenda event for "think time elapsed". A tree under a front
 //! owns one too, with zero users: it never issues an op, so everything read
-//! off it (steady ops, pool waiters) is 0 there.
+//! off it (steady ops, pool checkouts) is 0 there.
 
 use crate::config::ClusterConfig;
 use amdb_cloudstone::{MixConfig, OpClass, OpGenerator, Operation, Phases, Web10Generator};
-use amdb_obs::{Component, Obs};
-use amdb_pool::{Acquire, PoolConfig, SimPool, Ticket};
+use amdb_pool::{Acquire, PoolConfig, SimPool};
 use amdb_sim::{Rng, SimDuration, SimTime};
-use std::collections::HashMap;
 
 /// The active operation generator (the two workload classes).
 pub(crate) enum WorkGen {
@@ -39,12 +36,7 @@ pub(crate) struct UserStats {
     pub steady_writes: u64,
     pub steady_slave_reads: u64,
     pub latencies_ms: Vec<f64>,
-    /// Peak pool-waiter count over the steady window.
-    pub steady_peak_waiting: usize,
 }
-
-/// An operation together with the user that issued it and when.
-pub(crate) type IssuedOp = (u32, Operation, SimTime);
 
 pub(crate) struct UserLoop {
     phases: Phases,
@@ -52,9 +44,9 @@ pub(crate) struct UserLoop {
     think_time: SimDuration,
     users: u32,
     gen: WorkGen,
+    /// Sized one connection per user (the paper's DBCP sized to the
+    /// workload), so a checkout never queues.
     pool: SimPool,
-    /// Users queued for a connection, by pool ticket.
-    parked: HashMap<Ticket, IssuedOp>,
     rng_think: Rng,
     stats: UserStats,
 }
@@ -64,19 +56,15 @@ impl UserLoop {
     /// derives from `root`.
     pub(crate) fn new(cfg: &ClusterConfig, gen: WorkGen, root: &Rng) -> Self {
         let users = cfg.workload.concurrent_users;
-        let max_active = if cfg.pool_max_active == 0 {
-            users as usize
-        } else {
-            cfg.pool_max_active
-        };
         Self {
             phases: cfg.workload.phases,
             mix: cfg.mix,
             think_time: cfg.workload.think_time,
             users,
             gen,
-            pool: SimPool::new(PoolConfig { max_active }),
-            parked: HashMap::new(),
+            pool: SimPool::new(PoolConfig {
+                max_active: users as usize,
+            }),
             rng_think: root.derive("think"),
             stats: UserStats::default(),
         }
@@ -108,42 +96,36 @@ impl UserLoop {
         })
     }
 
-    /// `user`'s think time elapsed at `now`: generate its next operation and
-    /// check out a connection. Returns the operation when it can dispatch
-    /// right away; `None` when the user retired (ramp-down) or parked for a
-    /// connection (its op then comes out of a later [`Self::complete`]).
-    pub(crate) fn next_op(&mut self, now: SimTime, user: u32, obs: &mut Obs) -> Option<Operation> {
+    /// A user's think time elapsed at `now`: generate its next operation and
+    /// check out a connection. Returns the operation to dispatch; `None` when
+    /// the user retired (ramp-down).
+    ///
+    /// # Panics
+    /// Panics if the checkout queues. It cannot: the pool holds one
+    /// connection per user, and a closed-loop user has at most one
+    /// operation in flight.
+    pub(crate) fn next_op(&mut self, now: SimTime) -> Option<Operation> {
         if now >= self.phases.load_end() {
             return None;
         }
         let op = self.gen.generate(self.mix);
-        match self.pool.acquire(now) {
-            Acquire::Ready => Some(op),
-            Acquire::Queued(t) => {
-                obs.incr(Component::Pool, 0, "checkout_waits", 1);
-                if self.phases.in_steady(now) {
-                    self.stats.steady_peak_waiting =
-                        self.stats.steady_peak_waiting.max(self.pool.waiting());
-                }
-                self.parked.insert(t, (user, op, now));
-                None
-            }
-        }
+        assert_eq!(
+            self.pool.acquire(now),
+            Acquire::Ready,
+            "one connection per user never queues"
+        );
+        Some(op)
     }
 
     /// An operation issued at `issued` completed at `now`: record it, return
-    /// its connection, and draw the user's next think time. The connection
-    /// goes straight to a parked user if any — the caller dispatches that
-    /// user's returned op *before* scheduling the think, which keeps the
-    /// agenda order of the two.
+    /// its connection, and draw the user's next think time.
     pub(crate) fn complete(
         &mut self,
         now: SimTime,
         class: OpClass,
         issued: SimTime,
         slave_served: bool,
-        obs: &mut Obs,
-    ) -> (Option<IssuedOp>, SimDuration) {
+    ) -> SimDuration {
         if self.phases.in_steady(now) {
             self.stats.steady_ops += 1;
             match class {
@@ -157,18 +139,8 @@ impl UserLoop {
             }
             self.stats.latencies_ms.push((now - issued).as_millis_f64());
         }
-        let handoff = self
-            .pool
-            .release(now)
-            .and_then(|ticket| self.parked.remove(&ticket));
-        if let Some((_, _, queued_at)) = &handoff {
-            // The parked user queued at `queued_at`; the handoff ends its
-            // checkout wait.
-            let wait_ms = (now - *queued_at).as_millis_f64();
-            obs.observe_sketch(Component::Pool, 0, "checkout_wait_ms", wait_ms);
-        }
-        let think = SimDuration::from_secs_f64(self.rng_think.exp(self.think_time.as_secs_f64()));
-        (handoff, think)
+        self.pool.release(now);
+        SimDuration::from_secs_f64(self.rng_think.exp(self.think_time.as_secs_f64()))
     }
 
     /// Check out a connection for a hand-built read, as [`Self::next_op`]

@@ -7,8 +7,9 @@
 //!
 //! [`SimPool`] is a deterministic, event-loop-friendly pool used inside the
 //! discrete-event simulation: acquisition either succeeds immediately or
-//! returns a ticket that the caller parks until a release wakes it (the
-//! DES harness resumes the waiter).
+//! returns a ticket that the caller parks until a release wakes it. The
+//! cluster sizes it one connection per closed-loop user, so there it always
+//! succeeds immediately.
 
 use amdb_sim::SimTime;
 use std::collections::VecDeque;

@@ -193,14 +193,6 @@ impl Engine {
             .pk_index()
     }
 
-    /// Last-writer LSN of the row with primary key `key` (0 = base-load
-    /// data never touched by row apply; `None` = no such row / no pk).
-    pub fn row_version_of(&self, table: &str, key: &Value) -> Option<u64> {
-        let t = self.catalog.get(&table.to_ascii_lowercase())?;
-        let rid = t.pk_lookup(key)?;
-        t.row_version(rid)
-    }
-
     /// Local apply instant (µs on this replica's clock) of the row with
     /// primary key `key`, if it was written through the row-apply path.
     /// `None` for locally-executed rows: under the *statement* binlog format
@@ -596,7 +588,7 @@ impl Engine {
             EventPayload::Rows { changes } => {
                 let mut res = QueryResult::default();
                 for change in changes {
-                    self.apply_row_change(change, event.lsn, now_micros)?;
+                    self.apply_row_change(change, now_micros)?;
                     res.rows_affected += 1;
                     res.rows_examined += 1;
                 }
@@ -605,12 +597,7 @@ impl Engine {
         }
     }
 
-    fn apply_row_change(
-        &mut self,
-        change: &RowChange,
-        lsn: Lsn,
-        now_micros: i64,
-    ) -> Result<(), SqlError> {
+    fn apply_row_change(&mut self, change: &RowChange, now_micros: i64) -> Result<(), SqlError> {
         let table = crate::exec::get_table_mut(&mut self.catalog, &change.table)?;
         let pk = table.schema().pk_index();
         let find = |table: &Table, image: &[Value]| -> Option<crate::storage::RowId> {
@@ -625,7 +612,6 @@ impl Engine {
         match &change.kind {
             RowChangeKind::Insert { row } => {
                 let rid = table.insert(row.clone())?;
-                table.stamp_version(rid, lsn.0);
                 table.stamp_applied_at(rid, now_micros.max(0) as u64);
             }
             RowChangeKind::Update { before, after } => {
@@ -636,7 +622,6 @@ impl Engine {
                     ))
                 })?;
                 table.update(rid, after.clone())?;
-                table.stamp_version(rid, lsn.0);
                 table.stamp_applied_at(rid, now_micros.max(0) as u64);
             }
             RowChangeKind::Delete { row } => {
@@ -1005,36 +990,6 @@ mod tests {
             .unwrap();
         stmt_master.execute(&mut ss, "COMMIT", &[]).unwrap();
         assert_eq!(stmt_master.binlog_from(head).len(), 2);
-    }
-
-    #[test]
-    fn row_apply_stamps_last_writer_lsn() {
-        let mut master = Engine::new_master(BinlogFormat::Row);
-        let mut ms = Session::new();
-        master
-            .execute_batch(&mut ms, "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
-            .unwrap();
-        master
-            .execute(&mut ms, "INSERT INTO t VALUES (1, 10)", &[])
-            .unwrap();
-        master
-            .execute(&mut ms, "INSERT INTO t VALUES (2, 20)", &[])
-            .unwrap();
-        master
-            .execute(&mut ms, "UPDATE t SET v = 11 WHERE id = 1", &[])
-            .unwrap();
-
-        let mut slave = Engine::new_slave();
-        let events = master.binlog_from(Lsn(0)).to_vec();
-        for ev in &events {
-            slave.apply_event(ev, 0).unwrap();
-        }
-        // Events: DDL(0), insert1(1), insert2(2), update1(3).
-        assert_eq!(slave.row_version_of("t", &Value::Int(1)), Some(3));
-        assert_eq!(slave.row_version_of("t", &Value::Int(2)), Some(2));
-        assert_eq!(slave.row_version_of("t", &Value::Int(9)), None);
-        // Master executed locally, never row-applied: base version 0.
-        assert_eq!(master.row_version_of("t", &Value::Int(1)), Some(0));
     }
 
     #[test]

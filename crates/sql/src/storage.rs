@@ -485,17 +485,8 @@ pub struct Table {
     /// the stamp of every table they depend on and are revalidated against
     /// it, so DDL invalidates exactly the affected cache entries.
     schema_serial: u64,
-    /// Last-writer LSN per row, stamped by the replica row-apply path (the
-    /// `is_tuple_visible`-style visibility hook for parallel apply): slot 0
-    /// means "written by base load / local execution" and carries version 0.
-    /// In-order batch commit keeps each stamp the true last writer;
-    /// [`Table::row_visible_at`] then answers "had LSN x been applied, would
-    /// this row version be visible?" deterministically regardless of how
-    /// many workers raced on the batch.
-    versions: Vec<u64>,
     /// Local apply time (µs of simulated time) per row, stamped by the
-    /// replica row-apply path alongside `versions`. 0 means "never
-    /// row-applied". This is what heartbeat delay measurement reads: under
+    /// replica row-apply path. 0 means "never row-applied". This is what heartbeat delay measurement reads: under
     /// the row binlog format the shipped row image carries the *master's*
     /// materialized timestamp verbatim, so the slave-side apply instant must
     /// be recorded out of band.
@@ -518,7 +509,6 @@ impl Table {
             next_auto_inc: 1,
             secondary: Vec::new(),
             schema_serial: 0,
-            versions: Vec::new(),
             applied_at: Vec::new(),
         }
     }
@@ -824,22 +814,6 @@ impl Table {
         Ok(old)
     }
 
-    /// Stamp a row's last-writer LSN (replica row-apply path).
-    pub fn stamp_version(&mut self, rid: RowId, lsn: u64) {
-        let i = rid.0 as usize;
-        if i >= self.versions.len() {
-            self.versions.resize(i + 1, 0);
-        }
-        self.versions[i] = lsn;
-    }
-
-    /// Last-writer LSN of a row: 0 for rows never touched by row apply
-    /// (base-load data), `None` when the row does not exist.
-    pub fn row_version(&self, rid: RowId) -> Option<u64> {
-        self.get(rid)?;
-        Some(self.versions.get(rid.0 as usize).copied().unwrap_or(0))
-    }
-
     /// Stamp the local apply instant (µs simulated time) of a row-applied
     /// write — read back by heartbeat delay measurement, where the stored
     /// row carries the *master's* timestamp.
@@ -861,16 +835,6 @@ impl Table {
         }
     }
 
-    /// Would this row version be visible to a reader positioned at
-    /// `applied_lsn`? True iff its last writer committed at or before that
-    /// LSN — the deterministic visibility rule parallel apply relies on.
-    pub fn row_visible_at(&self, rid: RowId, applied_lsn: u64) -> bool {
-        match self.row_version(rid) {
-            Some(v) => v <= applied_lsn,
-            None => false,
-        }
-    }
-
     /// Delete a row by id; returns the deleted image (shared, not cloned).
     pub fn delete(&mut self, rid: RowId) -> Option<Arc<[Value]>> {
         self.get(rid)?;
@@ -878,9 +842,6 @@ impl Table {
         let row = self.slot_mut(rid).take().expect("live row");
         self.live -= 1;
         let i = rid.0 as usize;
-        if i < self.versions.len() {
-            self.versions[i] = 0;
-        }
         if i < self.applied_at.len() {
             self.applied_at[i] = 0;
         }

@@ -156,7 +156,6 @@ mod tests {
             at: SimTime::from_millis(fire_at_ms),
             delay_ms: &[400.0],
             cpu_util: &[],
-            pool_waiting: 0.0,
             ops_per_s: 0.0,
             sla_violation_rate: 0.0,
             rows: &rows,

@@ -45,7 +45,7 @@ use std::collections::VecDeque;
 /// Which side of the threshold is unhealthy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Direction {
-    /// Fire when the windowed mean rises to `fire_at` (delay, CPU, waits).
+    /// Fire when the windowed mean rises to `fire_at` (delay, CPU, SLA).
     Above,
     /// Fire when the windowed mean falls to `fire_at` (throughput floors).
     Below,
@@ -59,8 +59,6 @@ pub enum SloMetric {
     ReplicationDelayMs,
     /// Interval CPU utilization per node (0 = master, `s+1` = slave `s`).
     CpuUtilization,
-    /// Connections waiting on the pool (cluster-wide).
-    PoolWaiting,
     /// Completed operations per second over the sample interval.
     ThroughputOps,
     /// Consistency-SLA violations per second over the sample interval.
@@ -73,7 +71,6 @@ impl SloMetric {
         match self {
             SloMetric::ReplicationDelayMs => "replication_delay_ms",
             SloMetric::CpuUtilization => "cpu_utilization",
-            SloMetric::PoolWaiting => "pool_waiting",
             SloMetric::ThroughputOps => "throughput_ops",
             SloMetric::SlaViolationRate => "sla_violation_rate",
         }
@@ -118,15 +115,6 @@ pub fn paper_rules() -> Vec<SloRule> {
             direction: Direction::Above,
             fire_at: 0.95,
             clear_at: 0.80,
-            window: 4,
-            arm_above: None,
-        },
-        SloRule {
-            name: "pool_backlog",
-            metric: SloMetric::PoolWaiting,
-            direction: Direction::Above,
-            fire_at: 4.0,
-            clear_at: 1.0,
             window: 4,
             arm_above: None,
         },
@@ -184,8 +172,6 @@ pub struct SloSample<'a> {
     pub delay_ms: &'a [f64],
     /// Interval CPU utilization per node (0 = master, then slaves).
     pub cpu_util: &'a [f64],
-    /// Connections currently waiting on the pool.
-    pub pool_waiting: f64,
     /// Completed operations per second over the last interval.
     pub ops_per_s: f64,
     /// Consistency-SLA violations per second over the last interval.
@@ -278,7 +264,6 @@ impl SloEngine {
                         self.step(ri, &rule, i as u32, v, s, &mut out);
                     }
                 }
-                SloMetric::PoolWaiting => self.step(ri, &rule, 0, s.pool_waiting, s, &mut out),
                 SloMetric::ThroughputOps => self.step(ri, &rule, 0, s.ops_per_s, s, &mut out),
                 SloMetric::SlaViolationRate => {
                     self.step(ri, &rule, 0, s.sla_violation_rate, s, &mut out)
@@ -415,7 +400,6 @@ mod tests {
             at: SimTime::from_millis(at_ms),
             delay_ms: delays,
             cpu_util: &[],
-            pool_waiting: 0.0,
             ops_per_s: 0.0,
             sla_violation_rate: 0.0,
             rows,
@@ -545,7 +529,6 @@ mod tests {
         for m in [
             SloMetric::ReplicationDelayMs,
             SloMetric::CpuUtilization,
-            SloMetric::PoolWaiting,
             SloMetric::ThroughputOps,
             SloMetric::SlaViolationRate,
         ] {
