@@ -120,6 +120,7 @@ fig5|--jobs 1|--backend statement --jobs 1|
 extensions_consistency|--jobs 1|--jobs 2|
 extensions_parallel_apply|--jobs 1|--jobs 2|extensions_parallel_apply.csv
 obs_slo|--jobs 1|--jobs 2|obs_slo_alerts.csv
+obs_slo|--shards 2 --jobs 1|--shards 2 --jobs 2|obs_slo_alerts_shards2.csv
 fig2_sharded|--jobs 1|--jobs 2|fig2_sharded.csv fig2_sharded_p95.csv fig2_sharded_cross_ablation.csv fig2_sharded_cross_ablation_p95.csv
 extensions_shared_log|--jobs 1|--jobs 2|extensions_shared_log_backends.csv extensions_shared_log_failover.csv extensions_shared_log_faults.csv
 fleet_report|--jobs 1|--jobs 2|fleet_report.csv fleet_alerts.csv fleet_metrics.prom

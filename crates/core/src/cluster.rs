@@ -12,8 +12,9 @@
 //! The user half of that loop (think, generate, pool, stats) is the
 //! `users::UserLoop`. From the proxy onward there is one chain —
 //! `dispatch` → [`Job::ClientOp`] → [`ClusterEvent::ClientOpDone`] →
-//! `schedule_response` — and every client operation takes it, whether one
-//! of this cluster's users or the sharded front issued it ([`Origin`]).
+//! `schedule_response` — and every client operation takes it carrying its
+//! user and issue time, whether this cluster's user loop or the sharded
+//! front issued it ([`Origin`]).
 //!
 //! Master writes append binlog events; at the write's *commit* (job
 //! completion) new events ship to every slave over the network (FIFO per
@@ -56,26 +57,29 @@ use amdb_telemetry::{AlertKind, SloSample, Telemetry};
 
 pub type S = Sim<Cluster, ClusterEvent>;
 
-/// Who issued a client operation. Every op carries its origin through the
-/// one dispatch → service → completion chain; only the decisions that
-/// really differ between the two look at it, each a commented `match`.
+/// Who issued a client operation and when. Every op carries its origin
+/// through the one dispatch → service → completion chain: the user's
+/// session token judges its reads and a traced write's waterfall starts at
+/// `issued`, whoever ran the user loop. Only the write ack and the
+/// completion look at `front`.
 #[derive(Debug, Clone, Copy)]
-pub enum Origin {
-    /// One of this cluster's own closed-loop users, who issued it at
-    /// `issued`.
-    User { user: u32, issued: SimTime },
-    /// The sharded front, which correlates the completion by `id` (one id
-    /// per logical op; scatter-gather reuses it across every fan-out leg).
-    Front { id: u64 },
+pub struct Origin {
+    /// The closed-loop user the op belongs to.
+    pub user: u32,
+    /// When the user issued it.
+    pub issued: SimTime,
+    /// The sharded front issued the op on the user's behalf, so its
+    /// completion goes back to the front.
+    pub front: bool,
 }
 
-/// A completed [`Origin::Front`] operation, reported back to the sharded
-/// front router (see [`ClusterHost::notify_front`]).
+/// A completed front-issued operation, reported back to the sharded front
+/// router (see [`ClusterHost::notify_front`]).
 #[derive(Debug, Clone, Copy)]
 pub struct InjectedDone {
-    /// The front's operation id (one id per logical op; scatter-gather
-    /// reuses it across every fan-out leg).
-    pub id: u64,
+    /// The op's user. A closed-loop user has one op in flight, so the
+    /// front correlates every leg of it by user.
+    pub user: u32,
     /// Slave index that served the op, `None` for the master.
     pub routed_slave: Option<usize>,
     /// Heartbeat-observed staleness of the serving replica at response time
@@ -100,7 +104,7 @@ pub trait ClusterHost {
     fn now(&self) -> SimTime;
     /// Schedule a typed cluster event at an absolute instant.
     fn schedule_event_at(&mut self, at: SimTime, ev: ClusterEvent);
-    /// Deliver a completed [`Origin::Front`] operation back to the front
+    /// Deliver a completed front-issued operation back to the front
     /// router at `at`. Only a sharded host routes these; a standalone
     /// cluster has no front, so its kernel implementation is unreachable.
     fn notify_front(&mut self, at: SimTime, done: InjectedDone);
@@ -159,9 +163,8 @@ pub enum ClusterEvent {
     MasterJobDone { node_idx: usize, gen: u64 },
     /// The response for a user's operation reaches the user.
     Respond {
-        user: u32,
+        origin: Origin,
         class: OpClass,
-        issued: SimTime,
         routed_slave: Option<usize>,
     },
     /// A user's think time elapsed; generate the next operation.
@@ -230,11 +233,10 @@ impl ClusterEvent {
             } => w.apply_done(sim, node_idx, gen, slave, first_lsn, last_lsn),
             ClusterEvent::MasterJobDone { node_idx, gen } => w.master_job_done(sim, node_idx, gen),
             ClusterEvent::Respond {
-                user,
+                origin,
                 class,
-                issued,
                 routed_slave,
-            } => w.respond(sim, user, class, issued, routed_slave),
+            } => w.respond(sim, origin, class, routed_slave),
             ClusterEvent::UserNextOp { user } => w.user_next_op(sim, user),
             ClusterEvent::Deliver {
                 slave,
@@ -306,14 +308,24 @@ pub enum Job {
 
 /// A write waiting for synchronous acknowledgements (Sync mode).
 struct SyncWait {
-    user: u32,
-    issued: SimTime,
+    origin: Origin,
     routed_slave: Option<usize>,
     class: OpClass,
     /// The last LSN this write appended; a slave acks once applied past it.
     last_lsn: Lsn,
     acked: Vec<bool>,
     latest_ack: SimTime,
+}
+
+impl SyncWait {
+    /// The write's response, once it is acknowledged.
+    fn respond(&self) -> ClusterEvent {
+        ClusterEvent::Respond {
+            origin: self.origin,
+            class: self.class,
+            routed_slave: self.routed_slave,
+        }
+    }
 }
 
 /// The application-managed consistency layer: watermark table, per-user
@@ -332,24 +344,30 @@ struct ConsistencyLayer {
     /// True staleness (vs the master binlog) of every slave-served read,
     /// measured at CPU-service start.
     served_staleness: OnlineStats,
-    /// Session token shared by all [`Origin::Front`] operations: the front
-    /// is one logical client of the tree, so its session guarantees span
-    /// every op it issues.
-    front: SessionToken,
 }
 
 impl ConsistencyLayer {
-    fn new(cfg: ConsistencyConfig, n_slaves: usize, start_seq: u64, n_users: u32) -> Self {
+    fn new(cfg: ConsistencyConfig, n_slaves: usize, start_seq: u64) -> Self {
         Self {
             cfg,
             wm: WatermarkTable::new(n_slaves, start_seq),
-            sessions: vec![SessionToken::new(); n_users as usize],
+            sessions: Vec::new(),
             redirects_master: 0,
             sla_violations: 0,
             sla_violations_steady: 0,
             served_staleness: OnlineStats::new(),
-            front: SessionToken::new(),
         }
+    }
+
+    /// `user`'s session token, fresh until the user's first op completes. A
+    /// tree behind the sharded front has no users of its own: it keeps one
+    /// token per front user, met as their ops arrive.
+    fn session(&mut self, user: u32) -> &mut SessionToken {
+        let i = user as usize;
+        if i >= self.sessions.len() {
+            self.sessions.resize(i + 1, SessionToken::new());
+        }
+        &mut self.sessions[i]
     }
 }
 
@@ -599,7 +617,7 @@ impl Cluster {
         let obs = Obs::from_config(&cfg.obs);
         let consistency = cfg
             .consistency
-            .map(|c| ConsistencyLayer::new(c, n, shipped0.0, cfg.workload.concurrent_users));
+            .map(|c| ConsistencyLayer::new(c, n, shipped0.0));
         let telemetry = cfg
             .telemetry
             .enabled
@@ -919,9 +937,6 @@ impl Cluster {
                 .base_one_way(Proximity::of(self.cfg.master_zone, slave_zone))
                 .as_millis_f64();
         let rtt_class = self.cfg.placement.label(self.cfg.master_zone);
-        // `ops_per_s` samples this cluster's own user loop. Under a sharded
-        // front that loop is idle, so it reads 0 and the per-shard
-        // `throughput_collapse` rule cannot fire (EXPERIMENTS.md, deviation 6).
         let fired = tl.t.slo.observe(&SloSample {
             at: now,
             delay_ms: &delay_ms,
@@ -977,7 +992,12 @@ impl Cluster {
     fn user_next_op(&mut self, sim: &mut dyn ClusterHost, user: u32) {
         let issued = sim.now();
         if let Some(op) = self.users.next_op(issued) {
-            self.dispatch(sim, Origin::User { user, issued }, op, false);
+            let origin = Origin {
+                user,
+                issued,
+                front: false,
+            };
+            self.dispatch(sim, origin, op, false);
         }
     }
 
@@ -1001,15 +1021,10 @@ impl Cluster {
             _ if pin_master => Route::Master,
             (Some(layer), ProxyClass::Read) => {
                 let now_ms = sim.now().as_millis_f64();
-                let session = match origin {
-                    // Session guarantees are per client: each user has its
-                    // own token, and the front is one client of this tree.
-                    Origin::User { user, .. } => &layer.sessions[user as usize],
-                    Origin::Front { .. } => &layer.front,
-                };
+                let session = *layer.session(origin.user);
                 match layer
                     .cfg
-                    .decide_read(&mut self.proxy, &layer.wm, session, now_ms, 0.0)
+                    .decide_read(&mut self.proxy, &layer.wm, &session, now_ms, 0.0)
                 {
                     ReadDecision::Route(r) => r,
                     ReadDecision::RedirectMaster => {
@@ -1038,19 +1053,12 @@ impl Cluster {
             }
         };
         // Telemetry: open a causal trace for every master-routed write.
-        // The proxy's routing decision happens here, at `sim.now()`.
+        // The proxy's routing decision happens here, at `sim.now()`; a
+        // write that parked for a failed master shows the park as its
+        // issue → route leg.
         let trace = match self.telemetry.as_mut() {
             Some(tl) if op.class == OpClass::Write && routed_slave.is_none() => {
-                let routed = sim.now();
-                let issued = match origin {
-                    // A user's write that parked for a failed master shows
-                    // the park as its issue → route leg.
-                    Origin::User { issued, .. } => issued,
-                    // The front's routing hop is over before the op reaches
-                    // this tree: issue == route time.
-                    Origin::Front { .. } => routed,
-                };
-                tl.t.waterfall.begin_write(issued, routed)
+                tl.t.waterfall.begin_write(origin.issued, sim.now())
             }
             _ => 0,
         };
@@ -1464,12 +1472,7 @@ impl Cluster {
                 _ => self.nodes[0].engine.binlog().head().0,
             };
             if let Some(layer) = self.consistency.as_mut() {
-                let token = match origin {
-                    // The same per-client token the op's read was judged
-                    // by in `dispatch`.
-                    Origin::User { user, .. } => &mut layer.sessions[user as usize],
-                    Origin::Front { .. } => &mut layer.front,
-                };
+                let token = layer.session(origin.user);
                 match class {
                     OpClass::Write => token.observe_write(seq),
                     OpClass::Read => token.observe_read(seq),
@@ -1492,22 +1495,17 @@ impl Cluster {
             }
             // Master job: commit point — ship new binlog events.
             let deliveries = self.ship_new(sim);
-            match origin {
-                // The front's durability contract is ack-at-commit under
-                // every `ReplMode` and backend: a scatter leg cannot block
-                // on per-tree acks without a front-side ack protocol
-                // (DESIGN.md, "Sharding").
-                Origin::Front { .. } => {}
-                // A user's write is acknowledged when its durability
-                // setting says so; `true` means that ack is now scheduled.
-                Origin::User { user, issued } => {
-                    if class == OpClass::Write
-                        && self.hold_write_ack(sim, user, issued, routed_slave, &deliveries)
-                    {
-                        self.try_start(sim, node_idx);
-                        return;
-                    }
-                }
+            // A write is acknowledged when its durability setting says so;
+            // `true` means that ack is now scheduled. A front write acks at
+            // commit under every `ReplMode` and backend: a scatter leg
+            // cannot block on per-tree acks without a front-side ack
+            // protocol (DESIGN.md, "Sharding").
+            if !origin.front
+                && class == OpClass::Write
+                && self.hold_write_ack(sim, origin, routed_slave, &deliveries)
+            {
+                self.try_start(sim, node_idx);
+                return;
             }
         }
 
@@ -1522,13 +1520,11 @@ impl Cluster {
     fn hold_write_ack(
         &mut self,
         sim: &mut dyn ClusterHost,
-        user: u32,
-        issued: SimTime,
+        origin: Origin,
         routed_slave: Option<usize>,
         deliveries: &[(usize, SimTime)],
     ) -> bool {
         let (now, class) = (sim.now(), OpClass::Write);
-        let origin = Origin::User { user, issued };
         // Shared-log backend: a write is acknowledged at its quorum
         // instant, whatever the ReplMode — durability lives in the log
         // service, not in slave receipt/apply acks.
@@ -1554,9 +1550,8 @@ impl Cluster {
                 sim.schedule_event_at(
                     at,
                     ClusterEvent::Respond {
-                        user,
+                        origin,
                         class,
-                        issued,
                         routed_slave,
                     },
                 );
@@ -1578,8 +1573,7 @@ impl Cluster {
                     self.schedule_response(sim, now, origin, class, routed_slave);
                 } else {
                     self.pending_sync.push(SyncWait {
-                        user,
-                        issued,
+                        origin,
                         routed_slave,
                         class,
                         last_lsn,
@@ -1609,42 +1603,50 @@ impl Cluster {
         };
         let back = self.net.delay(from, self.client_zone);
         let respond_at = at.max(sim.now()) + back;
-        match origin {
-            // A user's response re-enters this cluster's own user loop.
-            Origin::User { user, issued } => sim.schedule_event_at(
-                respond_at,
-                ClusterEvent::Respond {
-                    user,
-                    class,
-                    issued,
-                    routed_slave,
-                },
-            ),
+        if origin.front {
             // The front runs the user loop: hand the completion to it, with
             // the serving replica's heartbeat-observed staleness — exactly
             // the signal an application-managed router would have to judge
             // a scatter leg by.
-            Origin::Front { id } => sim.notify_front(
-                respond_at,
-                InjectedDone {
-                    id,
-                    routed_slave,
-                    staleness_ms: routed_slave.map_or(0.0, |s| self.observed_staleness_ms(s)),
-                },
-            ),
+            let staleness_ms = routed_slave.map_or(0.0, |s| self.observed_staleness_ms(s));
+            let done = InjectedDone {
+                user: origin.user,
+                routed_slave,
+                staleness_ms,
+            };
+            sim.notify_front(respond_at, done);
+        } else {
+            // A user's response re-enters this cluster's own user loop.
+            let respond = ClusterEvent::Respond {
+                origin,
+                class,
+                routed_slave,
+            };
+            sim.schedule_event_at(respond_at, respond);
         }
     }
 
     fn respond(
         &mut self,
         sim: &mut dyn ClusterHost,
-        user: u32,
+        origin: Origin,
         class: OpClass,
-        issued: SimTime,
         routed_slave: Option<usize>,
     ) {
-        let now = sim.now();
-        let latency_ms = (now - issued).as_millis_f64();
+        let (now, Origin { user, issued, .. }) = (sim.now(), origin);
+        self.note_response(routed_slave, (now - issued).as_millis_f64());
+        let think = self
+            .users
+            .complete(now, class, issued, routed_slave.is_some());
+        sim.schedule_event_in(think, ClusterEvent::UserNextOp { user });
+    }
+
+    /// A response reached its client `latency_ms` after the op was issued,
+    /// served by slave `routed_slave` (`None`: the master): feedback to the
+    /// balancer and, with telemetry on, the completed-op count the SLO
+    /// engine samples plus the client latency sketch. The sharded front
+    /// calls this on the serving tree once per leg.
+    pub(crate) fn note_response(&mut self, routed_slave: Option<usize>, latency_ms: f64) {
         if let Some(s) = routed_slave {
             self.proxy.read_done(s, latency_ms);
         }
@@ -1657,10 +1659,6 @@ impl Cluster {
             self.obs
                 .observe_sketch(Component::Proxy, inst, "client_latency_ms", latency_ms);
         }
-        let think = self
-            .users
-            .complete(now, class, issued, routed_slave.is_some());
-        sim.schedule_event_in(think, ClusterEvent::UserNextOp { user });
     }
 
     fn master_job_done(&mut self, sim: &mut dyn ClusterHost, node_idx: usize, gen: u64) {
@@ -1732,18 +1730,7 @@ impl Cluster {
             }
             for i in completed.into_iter().rev() {
                 let wait = self.pending_sync.swap_remove(i);
-                let at = wait.latest_ack;
-                let (user, class, issued, routed) =
-                    (wait.user, wait.class, wait.issued, wait.routed_slave);
-                sim.schedule_event_at(
-                    at.max(now),
-                    ClusterEvent::Respond {
-                        user,
-                        class,
-                        issued,
-                        routed_slave: routed,
-                    },
-                );
+                sim.schedule_event_at(wait.latest_ack.max(now), wait.respond());
             }
         }
         self.try_start(sim, node_idx);
@@ -2089,15 +2076,7 @@ impl Cluster {
         self.events_log.push((sim.now(), "master failed".into()));
         let now = sim.now();
         for wait in std::mem::take(&mut self.pending_sync) {
-            sim.schedule_event_at(
-                now,
-                ClusterEvent::Respond {
-                    user: wait.user,
-                    class: wait.class,
-                    issued: wait.issued,
-                    routed_slave: wait.routed_slave,
-                },
-            );
+            sim.schedule_event_at(now, wait.respond());
         }
         // Drop queued master work (heartbeats pause; client writes that were
         // already queued re-enter dispatch and park).
@@ -2187,7 +2166,6 @@ impl Cluster {
             for token in &mut layer.sessions {
                 token.reset();
             }
-            layer.front = SessionToken::new();
         }
         self.repl_epoch += 1;
         self.shipped_upto = Lsn(0);
@@ -2311,13 +2289,6 @@ impl Cluster {
             published.0, self.lost_writes
         );
         (replay_done, "slave_reattached", line)
-    }
-
-    /// Record a per-leg read completion in this tree's proxy latency EWMA —
-    /// the sharded front calls this once per scatter leg so each tree's
-    /// latency-aware balancer sees the latencies it actually produced.
-    pub(crate) fn note_read_done(&mut self, s: usize, latency_ms: f64) {
-        self.proxy.read_done(s, latency_ms);
     }
 
     /// Launch an additional slave (scale-out).
@@ -2703,6 +2674,10 @@ mod tests {
     /// into the run. Both are refused before anything is built.
     #[test]
     fn runner_rejects_bad_configs_up_front() {
+        assert_eq!(
+            run_cell(quick_cfg(0, 2), None).err(),
+            Some(ConfigError::ZeroUsers)
+        );
         let mut cfg = quick_cfg(4, 2);
         cfg.autoscale = Some(crate::config::AutoscaleConfig {
             check_interval: SimDuration::ZERO,

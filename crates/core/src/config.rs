@@ -306,6 +306,9 @@ impl ClusterConfig {
     /// Reject a config that would hang the run or die late in it. The
     /// runners call this once, before anything is built.
     pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.workload.concurrent_users == 0 {
+            return Err(ConfigError::ZeroUsers);
+        }
         // The autoscale tick re-schedules itself `check_interval` after it
         // fires; at 0 that is the same instant, forever.
         if matches!(&self.autoscale, Some(a) if a.check_interval == SimDuration::ZERO) {
@@ -354,6 +357,9 @@ impl ClusterConfig {
 /// Why a [`ClusterConfig`] or a `ShardedConfig` cannot be run.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ConfigError {
+    /// `workload.concurrent_users` is zero: no op is ever issued, so the
+    /// steady window measures nothing.
+    ZeroUsers,
     /// `autoscale.check_interval` is zero: the autoscale tick never advances.
     ZeroAutoscaleInterval,
     /// `Placement::DifferentRegion` names the master's own region.
@@ -386,6 +392,7 @@ pub enum ConfigError {
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            Self::ZeroUsers => write!(f, "workload.concurrent_users must be at least 1"),
             Self::ZeroAutoscaleInterval => {
                 write!(f, "autoscale.check_interval must be positive")
             }
@@ -668,6 +675,12 @@ mod tests {
     fn validate_names_each_way_a_config_cannot_run() {
         let ok = || ClusterConfig::builder().slaves(2);
         assert_eq!(ok().build().validate(), Ok(()));
+        let idle = ok().workload(WorkloadConfig::quick(0)).build().validate();
+        assert_eq!(idle, Err(ConfigError::ZeroUsers));
+        assert_eq!(
+            idle.unwrap_err().to_string(),
+            "workload.concurrent_users must be at least 1"
+        );
         let autoscale = |check_interval| {
             ok().autoscale(AutoscaleConfig {
                 check_interval,

@@ -19,29 +19,26 @@
 //! wrapped as [`ShardedEvent::Tree`] and dispatched back through
 //! `ClusterEvent::fire_on` with a per-tree `TreeHost`. The front owns
 //! the run's users — the same `UserLoop` a standalone cluster drives — and
-//! hands each operation to a tree's one `Cluster::dispatch` tagged
-//! [`Origin::Front`]; the tree's own user loop has zero users and stays
-//! idle. With `shards = 1` and a config that reaches none of the
-//! `Origin::Front` arms below, the world is the standalone cluster: same
-//! seed, same RNG stream labels, same event order — byte-identical reports
-//! (pinned by a test below).
+//! hands each operation to a tree's one `Cluster::dispatch` as that user's
+//! op: its [`Origin`] carries the user and issue time, so the tree judges
+//! it by the user's own session token. The tree's own user loop has zero
+//! users and stays idle; each completed leg reaches the serving tree's
+//! `Cluster::note_response`, as a standalone response does. With
+//! `shards = 1` and a config whose writes ack at commit, the world is the
+//! standalone cluster: same seed, same RNG stream labels, same event order —
+//! byte-identical reports, alerts and waterfalls (pinned by a test below).
 //!
 //! # What a front-issued op does differently
 //!
-//! Four decisions in `cluster.rs` look at the origin, each pinned by
-//! `front_origin_divergences_are_deliberate` below:
+//! Two decisions in `cluster.rs` look at `Origin::front`:
 //!
-//! * **session token** — the front is one client of a tree, so all its ops
-//!   share one tree-wide token where standalone users have one each;
 //! * **write ack** — at master commit under every `ReplMode` and backend: a
 //!   scatter leg cannot block on per-tree sync or quorum acks without a
-//!   front-side ack protocol (DESIGN.md, "Sharding");
+//!   front-side ack protocol (DESIGN.md, "Sharding"); pinned by
+//!   `front_origin_divergences_are_deliberate` below;
 //! * **completion** — reported to the front through
 //!   [`ClusterHost::notify_front`] with the serving replica's
-//!   heartbeat-observed staleness, instead of a tree-local `Respond`;
-//! * **traced write's issue time** — the instant the tree routes the write,
-//!   so a front write parked for a failed master shows no issue → route
-//!   leg, where a user's write shows the park.
+//!   heartbeat-observed staleness, instead of a tree-local `Respond`.
 //!
 //! # Determinism
 //!
@@ -216,9 +213,11 @@ impl ClusterHost for TreeHost<'_> {
 /// One in-flight front operation (single-shard: one leg; scattered: one
 /// leg per shard under the same id).
 struct InFlight {
-    user: u32,
+    /// The op's id, naming its scatter-gather flow in the trace.
+    id: u64,
+    /// The user and issue time every leg is dispatched with.
+    origin: Origin,
     class: OpClass,
-    issued: SimTime,
     /// Legs still outstanding.
     pending: u32,
     /// True while every completed leg was slave-served (the standalone
@@ -255,7 +254,8 @@ struct Front {
     leg_policy: ConsistencyPolicy,
     rng_cross: Rng,
     next_id: u64,
-    inflight: HashMap<u64, InFlight>,
+    /// In-flight ops by user: a closed-loop user has at most one.
+    inflight: HashMap<u32, InFlight>,
     stats: FrontStats,
     obs: Obs,
 }
@@ -320,6 +320,11 @@ impl ShardedWorld {
     fn dispatch_front(&mut self, sim: &mut ShardedSim, user: u32, op: Operation, issued: SimTime) {
         let id = self.front.next_id;
         self.front.next_id += 1;
+        let origin = Origin {
+            user,
+            issued,
+            front: true,
+        };
         let n = self.trees.len();
         // Gated on `n > 1` so a one-shard run never consults the cross
         // stream — part of the shards=1 identity contract.
@@ -342,11 +347,11 @@ impl ShardedWorld {
                 id,
             );
             self.front.inflight.insert(
-                id,
+                user,
                 InFlight {
-                    user,
+                    id,
+                    origin,
                     class: op.class,
-                    issued,
                     pending: n as u32,
                     all_slave: true,
                     gather: Some(Gather::new(n, self.front.leg_policy)),
@@ -358,16 +363,16 @@ impl ShardedWorld {
                     sim: &mut *sim,
                     shard: k as u32,
                 };
-                self.trees[k].dispatch(&mut host, Origin::Front { id }, op.clone(), false);
+                self.trees[k].dispatch(&mut host, origin, op.clone(), false);
             }
         } else {
             let shard = self.front.map.shard_of_opt(shard_key_of(&op)) as usize;
             self.front.inflight.insert(
-                id,
+                user,
                 InFlight {
-                    user,
+                    id,
+                    origin,
                     class: op.class,
-                    issued,
                     pending: 1,
                     all_slave: true,
                     gather: None,
@@ -378,23 +383,23 @@ impl ShardedWorld {
                 sim: &mut *sim,
                 shard: shard as u32,
             };
-            self.trees[shard].dispatch(&mut host, Origin::Front { id }, op, false);
+            self.trees[shard].dispatch(&mut host, origin, op, false);
         }
     }
 
-    /// One leg of an in-flight op completed on `shard`: per-leg balancer
-    /// feedback, gather bookkeeping, and — once the last leg is in — the
-    /// user loop's completion (stats, pool release, think), in the order a
-    /// standalone cluster's `respond` runs them.
+    /// One leg of an in-flight op completed on `shard`: gather bookkeeping,
+    /// the serving tree's per-leg completion, and — once the last leg is in
+    /// — the user loop's completion (stats, pool release, think), in the
+    /// order a standalone cluster's `respond` runs them.
     fn op_done(&mut self, sim: &mut ShardedSim, shard: u32, done: InjectedDone) {
         let now = sim.now();
         let fl = self
             .front
             .inflight
-            .get_mut(&done.id)
+            .get_mut(&done.user)
             .expect("completion for an unknown op id");
-        let leg_latency_ms = (now - fl.issued).as_millis_f64();
-        let issued = fl.issued;
+        let (id, issued) = (fl.id, fl.origin.issued);
+        let leg_latency_ms = (now - issued).as_millis_f64();
         if done.routed_slave.is_none() {
             fl.all_slave = false;
         }
@@ -424,7 +429,7 @@ impl ShardedWorld {
                 shard,
                 "scatter_gather",
                 now,
-                done.id,
+                id,
             );
             self.front.obs.observe_sketch(
                 Component::Proxy,
@@ -433,11 +438,10 @@ impl ShardedWorld {
                 leg_latency_ms,
             );
         }
-        // Per-leg feedback into the serving tree's balancer, before any
-        // stats — where a standalone cluster's `respond` does it.
-        if let Some(s) = done.routed_slave {
-            self.trees[shard as usize].note_read_done(s, leg_latency_ms);
-        }
+        // The serving tree sees the leg complete — balancer feedback,
+        // completed-op count, latency sketch — before any user stats, where
+        // a standalone cluster's `respond` does it.
+        self.trees[shard as usize].note_response(done.routed_slave, leg_latency_ms);
         if pending == 0 {
             // All-legs-filtered fallback: the consistency filter dropped
             // every leg, so completing now would hand the user an empty
@@ -450,18 +454,19 @@ impl ShardedWorld {
                 let fl = self
                     .front
                     .inflight
-                    .get_mut(&done.id)
+                    .get_mut(&done.user)
                     .expect("entry existed above");
                 if fl.gather.as_ref().is_some_and(|g| g.all_legs_filtered()) {
                     let g = fl.gather.take().expect("checked above");
                     fl.pending = 1;
                     fl.all_slave = false;
-                    Some((g, fl.op.take().expect("scattered ops retain their op")))
+                    let op = fl.op.take().expect("scattered ops retain their op");
+                    Some((g, op, fl.origin))
                 } else {
                     None
                 }
             };
-            if let Some((g, op)) = fallback {
+            if let Some((g, op, origin)) = fallback {
                 self.front.stats.scatter_filtered_legs += u64::from(g.filtered_legs());
                 self.front.stats.scatter_master_fallbacks += 1;
                 let home = self.front.map.shard_of_opt(shard_key_of(&op)) as usize;
@@ -474,13 +479,12 @@ impl ShardedWorld {
                     home as u32,
                     "scatter_gather",
                     now,
-                    done.id,
+                    id,
                 );
                 let mut host = TreeHost {
                     sim: &mut *sim,
                     shard: home as u32,
                 };
-                let origin = Origin::Front { id: done.id };
                 self.trees[home].dispatch(&mut host, origin, op, true);
                 return;
             }
@@ -491,7 +495,7 @@ impl ShardedWorld {
         let fl = self
             .front
             .inflight
-            .remove(&done.id)
+            .remove(&done.user)
             .expect("entry existed above");
         if let Some(g) = &fl.gather {
             debug_assert!(g.is_complete(), "final leg completes the gather");
@@ -502,7 +506,7 @@ impl ShardedWorld {
                 0,
                 "scatter_gather",
                 now,
-                done.id,
+                id,
             );
             if self.front.obs.is_enabled() {
                 // Scatter-gather tax decomposition: name the leg the whole
@@ -525,8 +529,9 @@ impl ShardedWorld {
         let think = self
             .front
             .users
-            .complete(now, fl.class, fl.issued, fl.all_slave);
-        sim.schedule_event_at(now + think, ShardedEvent::UserNextOp { user: fl.user });
+            .complete(now, fl.class, issued, fl.all_slave);
+        let user = fl.origin.user;
+        sim.schedule_event_at(now + think, ShardedEvent::UserNextOp { user });
     }
 
     /// Detach every observability artifact of the run into one fleet
@@ -763,6 +768,14 @@ mod tests {
         let cfg = |shards| ShardedConfig::new(shards, quick_cfg(8, 1, 3));
         assert_eq!(cfg(2).validate(), Ok(()));
         assert_eq!(cfg(0).validate(), Err(ConfigError::ZeroShards));
+        // Users live at the front; the trees' own zero-user configs are
+        // never validated.
+        let mut idle = cfg(2);
+        idle.base.workload.concurrent_users = 0;
+        assert_eq!(
+            run_sharded_cell(&idle, None).err(),
+            Some(ConfigError::ZeroUsers)
+        );
         for bad in [-0.1, 1.5, f64::NAN] {
             assert!(matches!(
                 run_sharded_cell(&cfg(2).cross_shard_read_fraction(bad), None).err(),
@@ -799,8 +812,10 @@ mod tests {
 
     /// The headline identity: one shard replays the standalone cluster's
     /// event sequence bit-for-bit — same ops, same routing, same latencies,
-    /// same heartbeat-measured replication delays — on the default config
-    /// and through the apply and consistency planes.
+    /// same heartbeat-measured replication delays — on the default config,
+    /// through the apply plane and under every read policy (each front user
+    /// keeps its own session token), and with telemetry on: the same alert
+    /// timeline and staleness waterfall, a master failover included.
     #[test]
     fn one_shard_is_bit_identical_to_the_standalone_cluster() {
         let quick = || {
@@ -810,11 +825,13 @@ mod tests {
                 .data_size(DataSize { scale: 30 })
                 .seed(7)
         };
-        let bounded = ConsistencyPolicy::BoundedStaleness { max_ms: 250.0 };
+        let policy = |p| quick().consistency(ConsistencyConfig::new(p)).build();
         for base in [
             quick().build(),
             quick().backend(BackendKind::Row).apply_workers(4).build(),
-            quick().consistency(ConsistencyConfig::new(bounded)).build(),
+            policy(ConsistencyPolicy::BoundedStaleness { max_ms: 250.0 }),
+            policy(ConsistencyPolicy::ReadYourWrites),
+            policy(ConsistencyPolicy::Monotonic),
         ] {
             let solo = run_cluster(base.clone());
             let sharded = run_sharded_cluster(ShardedConfig::new(1, base));
@@ -837,15 +854,44 @@ mod tests {
                 "replication-delay measurements must match"
             );
             assert_eq!(tree.reads_per_slave, solo.reads_per_slave);
+            assert_eq!(
+                format!("{:?}", tree.consistency),
+                format!("{:?}", solo.consistency)
+            );
             assert_eq!(sharded.scatter_reads, 0, "one shard never scatters");
             assert_eq!(sharded.pool_stats, solo.pool_stats);
         }
+        let failover = quick()
+            .master_fault(MasterFaultPlan {
+                fail_at: SimDuration::from_secs(90),
+                detection_delay: SimDuration::from_secs(2),
+            })
+            .build();
+        for base in [quick().build(), failover] {
+            let mut traced = base.clone();
+            traced.telemetry.enabled = true;
+            let solo = crate::cluster::run_cell(traced, None).expect("valid config");
+            let solo = solo.telemetry.expect("telemetry on");
+            let (_, fleet) = run_sharded_telemetry(ShardedConfig::new(1, base));
+            let (_, tree) = fleet.telemetry.shards().next().expect("one tree");
+            assert_eq!(tree.alert_table().to_csv(), solo.alert_table().to_csv());
+            assert_eq!(
+                tree.waterfall.table().render(),
+                solo.waterfall.table().render()
+            );
+            // A write parked for the failed master shows the park as its
+            // issue → route leg, whoever ran its user.
+            let route =
+                |t: &amdb_telemetry::Telemetry| format!("{:?}", t.waterfall.client().route_ms);
+            assert_eq!(route(tree), route(&solo));
+        }
     }
 
-    /// Where a one-shard world is *not* the standalone cluster: one case
-    /// per `Origin::Front` arm in `cluster.rs`. Each divergence is a
-    /// documented contract of the front (DESIGN.md, "Sharding"), pinned here
-    /// so a refactor of the shared client-operation path cannot move it.
+    /// Where a one-shard world is *not* the standalone cluster: the write
+    /// ack, the one `Origin::front` decision that changes what a client
+    /// sees. It is a documented contract of the front (DESIGN.md,
+    /// "Sharding"), pinned here so a refactor of the shared client-operation
+    /// path cannot move it.
     #[test]
     fn front_origin_divergences_are_deliberate() {
         let quick = || {
@@ -861,14 +907,6 @@ mod tests {
         };
         let mean = |s: &Option<Summary>| s.as_ref().expect("latencies recorded").mean;
 
-        // Session token: the front is one client of the tree, so every
-        // user's write raises the floor every other user's read is held to.
-        let ryw = ConsistencyConfig::new(ConsistencyPolicy::ReadYourWrites);
-        let (solo, sharded) = both(quick().consistency(ryw).build());
-        let redirects = |r: &RunReport| r.consistency.as_ref().expect("layer on").redirects_master;
-        assert!(redirects(&sharded.per_shard[0]) > redirects(&solo));
-        assert_ne!(sharded.steady_ops, solo.steady_ops);
-
         // Write ack: front writes respond at master commit, not when every
         // slave has applied them.
         let (solo, sharded) = both(quick().mode(ReplMode::Sync).build());
@@ -880,25 +918,6 @@ mod tests {
         assert!(mean(&sharded.latency_ms) < mean(&solo.latency_ms));
         assert_eq!(sharded.per_shard[0].lost_writes, 0);
         assert_eq!(solo.lost_writes, 0);
-
-        // Traced write's issue time: a user's write that parked while the
-        // master was down shows the park as its issue → route leg; the
-        // front's op is issued to the tree when it is routed, so there the
-        // leg is zero.
-        let failover = quick()
-            .master_fault(MasterFaultPlan {
-                fail_at: SimDuration::from_secs(90),
-                detection_delay: SimDuration::from_secs(2),
-            })
-            .build();
-        let mut traced = failover.clone();
-        traced.telemetry.enabled = true;
-        let solo = crate::cluster::run_cell(traced, None).expect("valid config");
-        let t = solo.telemetry.expect("telemetry on");
-        assert!(t.waterfall.client().route_ms.max() > Some(0.0));
-        let (_, fleet) = run_sharded_telemetry(ShardedConfig::new(1, failover));
-        let (_, t) = fleet.telemetry.shards().next().expect("one tree");
-        assert_eq!(t.waterfall.client().route_ms.max(), Some(0.0));
     }
 
     /// Control-plane events under the sharded host: every tree's planned
@@ -971,11 +990,15 @@ mod tests {
         let mut g = Gather::new(2, ConsistencyPolicy::BoundedStaleness { max_ms: 1.0 });
         g.offer(0, 50.0, Vec::new());
         world.front.inflight.insert(
-            99,
+            0,
             InFlight {
-                user: 0,
+                id: 99,
+                origin: Origin {
+                    user: 0,
+                    issued: sim.now(),
+                    front: true,
+                },
                 class: OpClass::Read,
-                issued: sim.now(),
                 pending: 1,
                 all_slave: true,
                 gather: Some(g),
@@ -986,7 +1009,7 @@ mod tests {
             &mut sim,
             1,
             InjectedDone {
-                id: 99,
+                user: 0,
                 // `None` keeps the balancer's outstanding counts honest —
                 // this synthetic leg was never routed through the proxy.
                 routed_slave: None,
@@ -995,7 +1018,7 @@ mod tests {
         );
         assert_eq!(world.front.stats.scatter_master_fallbacks, 1);
         assert_eq!(world.front.stats.scatter_filtered_legs, 2);
-        let fl = world.front.inflight.get(&99).expect("still in flight");
+        let fl = world.front.inflight.get(&0).expect("still in flight");
         assert_eq!(fl.pending, 1, "one fallback leg outstanding");
         assert!(fl.gather.is_none(), "fallback completes as a plain read");
         assert!(!fl.all_slave, "fallback leg is master-served");
@@ -1003,7 +1026,7 @@ mod tests {
         // hands off to then runs the rest of the workload).
         sim.run(&mut world);
         assert!(
-            !world.front.inflight.contains_key(&99),
+            !world.front.inflight.contains_key(&0),
             "fallback leg completed the read"
         );
         assert_eq!(world.front.stats.scatter_master_fallbacks, 1);

@@ -398,26 +398,28 @@ fn obs_report_sharded(shards: u32, users: u32, slave_counts: &[usize]) {
 fn obs_slo_alerts(a: &Args) {
     let spec = obs_slo::ObsSloSpec::paper_set(a.fidelity);
     let opts = SweepOptions::with_progress(a.jobs, "[obs_slo] ");
-    // Sharded alerts carry `(shard, component, instance)` and land in a CSV
-    // of their own — the flat one is untouched.
-    if let Some(shards) = a.shards.filter(|&n| n > 1) {
-        let cells = obs_slo::run_sharded(&spec, shards, &opts);
-        let t = obs_slo::sharded_table(&spec, shards, &cells);
-        return emit("obs_slo", &format!("alerts_shards{shards}"), &t);
-    }
-    let cells = obs_slo::run(&spec, &opts);
+    let shards = a.shards.unwrap_or(1);
+    let cells = obs_slo::run(&spec, shards, &opts);
     let t = obs_slo::table(&spec, &cells);
     println!("{}", t.render());
-    // The waterfall of the last (largest same-grid) cell shows where the
+    // The waterfalls of the last (largest same-grid) cell show where the
     // replication delay the alerts watch actually accrues.
     if let Some(last) = cells.last() {
-        println!(
-            "staleness waterfall — {} slaves, {} users:",
-            last.slaves, last.users
-        );
-        println!("{}", last.telemetry.waterfall.table().render());
+        for (k, tree) in last.fleet.shards() {
+            let shard = (shards > 1).then(|| format!(", shard {k}"));
+            let shard = shard.unwrap_or_default();
+            println!(
+                "staleness waterfall — {} slaves, {} users{shard}:",
+                last.slaves, last.users
+            );
+            println!("{}", tree.waterfall.table().render());
+        }
     }
-    write_results_csv("obs_slo", "alerts", &t);
+    // Sharded alerts carry `(shard, component, instance)` and land in a CSV
+    // of their own.
+    let suffix = (shards > 1).then(|| format!("_shards{shards}"));
+    let label = format!("alerts{}", suffix.unwrap_or_default());
+    write_results_csv("obs_slo", &label, &t);
 }
 
 fn fleet_report(a: &Args) {

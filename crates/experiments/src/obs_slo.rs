@@ -14,15 +14,13 @@
 //! byte-identical for any `--jobs` count.
 
 use crate::calib::paper_cost_model;
-use crate::grid::{cross3, run_fleet, run_grid, run_tree, SweepOptions};
+use crate::grid::{cross3, run_fleet, run_grid, SweepOptions};
 use crate::Fidelity;
 use amdb_cloudstone::{DataSize, MixConfig, Phases, WorkloadConfig};
-use amdb_core::{
-    load_template, ClusterConfig, ObsConfig, Placement, RunReport, ShardedConfig, Telemetry,
-};
+use amdb_core::{load_template, ClusterConfig, ObsConfig, Placement, ShardedConfig, ShardedReport};
 use amdb_metrics::Table;
 use amdb_sim::Rng;
-use amdb_telemetry::{AlertEvent, AlertKind};
+use amdb_telemetry::{AlertEvent, AlertKind, FleetTelemetry};
 
 /// Grid specification for the SLO sweep.
 #[derive(Debug, Clone)]
@@ -93,22 +91,35 @@ impl ObsSloSpec {
     }
 }
 
-/// One cell's outcome: the run report plus the telemetry bundle.
+/// One cell's outcome: the sharded report plus every tree's telemetry
+/// bundle (waterfall + shard-stamped SLO engine).
 pub struct ObsSloCell {
     pub placement: Placement,
     pub slaves: usize,
     pub users: u32,
-    pub report: RunReport,
-    pub telemetry: Telemetry,
+    pub report: ShardedReport,
+    pub fleet: FleetTelemetry,
 }
 
 impl ObsSloCell {
+    /// Every tree's alert transitions in time order, shard by shard within
+    /// one instant and in rule order within one tree's sample — the
+    /// standalone engine's own order at one shard, where the fleet timeline
+    /// would sort same-instant rules by name.
+    pub fn alerts(&self) -> Vec<&AlertEvent> {
+        let mut alerts: Vec<&AlertEvent> = self
+            .fleet
+            .shards()
+            .flat_map(|(_, t)| t.slo.alerts())
+            .collect();
+        alerts.sort_by_key(|a| (a.at, a.shard));
+        alerts
+    }
+
     /// The first `delay_surge` fire of the run, if any.
     pub fn first_delay_surge(&self) -> Option<&AlertEvent> {
-        self.telemetry
-            .slo
-            .alerts()
-            .iter()
+        self.alerts()
+            .into_iter()
             .find(|a| a.rule == "delay_surge" && a.kind == AlertKind::Fire)
     }
 }
@@ -120,28 +131,33 @@ impl ObsSloSpec {
     }
 }
 
-/// Run the sweep, fanning cells across `opts.jobs` workers. Cells gather
-/// in (placement, slaves, users) grid order.
-pub fn run(spec: &ObsSloSpec, opts: &SweepOptions) -> Vec<ObsSloCell> {
+/// Run the sweep with every cell behind a `shards`-tree front (no
+/// scatter-gather: the story here is per-shard surge attribution,
+/// `(shard, component, instance)` on every alert), all forking the grid's
+/// one template and fanned across `opts.jobs` workers. One shard is the
+/// standalone cluster byte for byte. Cells gather in (placement, slaves,
+/// users) grid order.
+pub fn run(spec: &ObsSloSpec, shards: u32, opts: &SweepOptions) -> Vec<ObsSloCell> {
     let template = load_template(spec.seed, DataSize::SMALL);
     run_grid(&spec.keys(), opts, |&(placement, slaves, users)| {
-        let cfg = spec.cell_config(placement, slaves, users);
-        let label = placement.label(cfg.master_zone);
-        let run = run_tree(cfg, Some(&template));
+        let base = spec.cell_config(placement, slaves, users);
+        let label = placement.label(base.master_zone);
+        let (report, bundle) = run_fleet(&ShardedConfig::new(shards, base), Some(&template));
         let cell = ObsSloCell {
             placement,
             slaves,
             users,
-            report: run.report,
-            telemetry: run.telemetry.expect("the cell config enables telemetry"),
+            report,
+            fleet: bundle.telemetry,
         };
-        let alerts = cell.telemetry.slo.alerts();
+        let alerts = cell.alerts();
         let surges = alerts
             .iter()
             .filter(|a| a.rule == "delay_surge" && a.kind == AlertKind::Fire)
             .count();
         let line = format!(
-            "{label} slaves={slaves} users={users}: {:.1} ops/s, {} alert transition(s), {} delay surge(s)",
+            "{label} shards={shards} slaves={slaves} users={users}: {:.1} ops/s, \
+             {} alert transition(s), {} delay surge(s)",
             cell.report.throughput_ops_s,
             alerts.len(),
             surges,
@@ -150,53 +166,18 @@ pub fn run(spec: &ObsSloSpec, opts: &SweepOptions) -> Vec<ObsSloCell> {
     })
 }
 
-/// One sharded cell's outcome: the sharded report plus the fleet alert
-/// rollup (per-tree SLO engines merged into one shard-stamped timeline).
-pub struct ObsSloShardedCell {
-    pub placement: Placement,
-    pub slaves: usize,
-    pub users: u32,
-    pub report: amdb_core::ShardedReport,
-    pub fleet: amdb_telemetry::FleetTelemetry,
-}
-
-/// Run the sweep's grid with every cell wrapped in a `shards`-tree sharded
-/// front (no scatter-gather: the story here is per-shard surge attribution,
-/// `(shard, component, instance)` on every alert).
-pub fn run_sharded(spec: &ObsSloSpec, shards: u32, opts: &SweepOptions) -> Vec<ObsSloShardedCell> {
-    run_grid(&spec.keys(), opts, |&(placement, slaves, users)| {
-        let base = spec.cell_config(placement, slaves, users);
-        let label = placement.label(base.master_zone);
-        let (report, bundle) = run_fleet(&ShardedConfig::new(shards, base), None);
-        let line = format!(
-            "{label} shards={shards} slaves={slaves} users={users}: {:.1} ops/s, \
-             {} fleet alert transition(s)",
-            report.throughput_ops_s,
-            bundle.telemetry.alerts().len(),
-        );
-        let cell = ObsSloShardedCell {
-            placement,
-            slaves,
-            users,
-            report,
-            fleet: bundle.telemetry,
-        };
-        (cell, line)
-    })
-}
-
-/// One grid cell's key and its alert transitions in time order.
-type CellAlerts<'a> = ((Placement, usize, u32), Vec<&'a AlertEvent>);
-
-/// The alert-timeline table: per cell one row per fire, carrying the time of
-/// the next clear of the same `(shard, rule, inst)` when the rule cleared
-/// before the run ended, or one `no alerts` row for a quiet cell. The
-/// sharded table has a `shard` column after the cell key.
-fn timeline_table<'a>(
-    title: String,
-    shard_column: bool,
-    cells: impl Iterator<Item = CellAlerts<'a>>,
-) -> Table {
+/// Render the sweep as an alert table: per cell one row per fire, carrying
+/// the time of the next clear of the same `(shard, rule, inst)` when the
+/// rule cleared before the run ended, or one `no alerts` row for a quiet
+/// cell. Behind more than one shard a `shard` column follows the cell key.
+pub fn table(spec: &ObsSloSpec, cells: &[ObsSloCell]) -> Table {
+    let shards = cells.first().map_or(1, |c| c.report.shards);
+    let shard_column = shards > 1;
+    let title = if shard_column {
+        format!("{} — fleet alert timeline ({shards} shards)", spec.name)
+    } else {
+        format!("{} — alert timeline per cell", spec.name)
+    };
     let shard_header = shard_column.then_some("shard");
     let header = ["placement", "slaves", "users"]
         .into_iter()
@@ -212,15 +193,19 @@ fn timeline_table<'a>(
     let mut t = Table::new(title, header.map(String::from).collect());
     let t_clear = t.header().len() - 3;
     let zone = ClusterConfig::builder().build().master_zone;
-    for ((placement, slaves, users), alerts) in cells {
-        let lead = [placement.label(zone), slaves.to_string(), users.to_string()];
+    for cell in cells {
+        let lead = [
+            cell.placement.label(zone),
+            cell.slaves.to_string(),
+            cell.users.to_string(),
+        ];
         let row = |shard: String, rest: [String; 6]| -> Vec<String> {
             let shard = shard_column.then_some(shard);
             lead.iter().cloned().chain(shard).chain(rest).collect()
         };
         let mut open: std::collections::BTreeMap<(u32, &str, u32), usize> = Default::default();
         let mut rows: Vec<Vec<String>> = Vec::new();
-        for a in alerts {
+        for a in cell.alerts() {
             match a.kind {
                 AlertKind::Fire => {
                     open.insert((a.shard, a.rule, a.inst), rows.len());
@@ -255,27 +240,6 @@ fn timeline_table<'a>(
     t
 }
 
-/// Render the sharded sweep as an alert table: the flat table's columns
-/// plus a `shard` column, fires paired per `(shard, rule, inst)`.
-pub fn sharded_table(spec: &ObsSloSpec, shards: u32, cells: &[ObsSloShardedCell]) -> Table {
-    let title = format!("{} — fleet alert timeline ({shards} shards)", spec.name);
-    let cells = cells
-        .iter()
-        .map(|c| ((c.placement, c.slaves, c.users), c.fleet.alerts()));
-    timeline_table(title, true, cells)
-}
-
-/// Render the sweep as an alert table: one row per fire, with the matching
-/// clear time when the rule cleared before the run ended.
-pub fn table(spec: &ObsSloSpec, cells: &[ObsSloCell]) -> Table {
-    let title = format!("{} — alert timeline per cell", spec.name);
-    let cells = cells.iter().map(|c| {
-        let alerts = c.telemetry.slo.alerts().iter().collect();
-        ((c.placement, c.slaves, c.users), alerts)
-    });
-    timeline_table(title, false, cells)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -293,7 +257,7 @@ mod tests {
         // three slaves (reads spread out; writes + per-slave dump threads
         // concentrate) — §IV-A's saturation migration, caught online.
         let spec = quick_spec();
-        let cells = run(&spec, &SweepOptions::serial());
+        let cells = run(&spec, 1, &SweepOptions::serial());
         let same_zone = |slaves: usize| {
             cells
                 .iter()
@@ -321,11 +285,12 @@ mod tests {
     #[test]
     fn sweep_is_byte_identical_for_any_jobs_count() {
         let spec = quick_spec();
-        let serial = table(&spec, &run(&spec, &SweepOptions::serial()));
+        let serial = table(&spec, &run(&spec, 1, &SweepOptions::serial()));
         let parallel = table(
             &spec,
             &run(
                 &spec,
+                1,
                 &SweepOptions {
                     jobs: 3,
                     progress: Progress::Silent,
