@@ -124,6 +124,7 @@ obs_slo|--shards 2 --jobs 1|--shards 2 --jobs 2|obs_slo_alerts_shards2.csv
 fig2_sharded|--jobs 1|--jobs 2|fig2_sharded.csv fig2_sharded_p95.csv fig2_sharded_cross_ablation.csv fig2_sharded_cross_ablation_p95.csv
 extensions_shared_log|--jobs 1|--jobs 2|extensions_shared_log_backends.csv extensions_shared_log_failover.csv extensions_shared_log_faults.csv
 fleet_report|--jobs 1|--jobs 2|fleet_report.csv fleet_alerts.csv fleet_metrics.prom
+extensions|--jobs 1|--jobs 2|extensions_failover.csv extensions_autoscale.csv extensions_master_failover.csv extensions_workload_classes.csv
 TABLE
 # A command line amdb cannot parse exits 2; it never falls back to a default run.
 for line in nosuch "fig2 --job 2" "rtt --backend row"; do

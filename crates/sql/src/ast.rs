@@ -233,11 +233,10 @@ pub enum Expr {
     },
     /// `?` positional parameter (0-based position).
     Param(usize),
-    /// Column reference pre-resolved by the SELECT planner to positional
-    /// `(FROM binding, column)` indices. Never produced by the parser;
-    /// name resolution depends only on the plan's bindings, so the planner
-    /// rewrites every [`Expr::Column`] it can resolve unambiguously and
-    /// leaves the rest named (their lookup errors must stay per-row).
+    /// Column reference bound at prepare to positional `(FROM binding,
+    /// column)` indices. Never produced by the parser; the binder
+    /// (`exec::bind`) rewrites every [`Expr::Column`] of a row
+    /// statement into one, or fails the statement.
     Resolved {
         binding: usize,
         col: usize,

@@ -1,34 +1,36 @@
-//! Statement→plan cache: parse and plan once per distinct SQL text.
+//! Statement→plan cache: parse and bind once per distinct SQL text.
 //!
-//! Keyed by the raw SQL string. Each entry holds the parsed [`Statement`]
-//! and, for SELECTs, the full [`SelectPlan`]; parameters bind at execute
-//! time, so one entry serves every execution of a parameterized statement.
-//! This is what makes the statement-based replication redo path cheap: a
-//! slave re-applying the workload's handful of distinct statement shapes
-//! pays one parse+plan per shape, then a hash lookup per event.
+//! Keyed by the raw SQL string. Each entry holds the [`Plan`] the binder
+//! (`exec::bind`) made of the statement: SELECT, EXPLAIN, INSERT,
+//! UPDATE and DELETE with every column bound to a position and every access
+//! path chosen, DDL and transaction control as parsed. Parameters bind at
+//! execute time, so one entry serves every execution of a parameterized
+//! statement. This is what makes the statement-based replication redo path
+//! cheap: a slave re-applying the workload's handful of distinct statement
+//! shapes pays one parse+bind per shape, then a hash lookup per event.
 //!
 //! Entries are validated against the owning engine's DDL serial before
 //! reuse. Any schema-affecting DDL bumps the serial; an entry whose last
-//! validation is older re-checks its recorded table dependencies (table
-//! still present, schema serial unmoved) and is evicted when one moved.
+//! validation is older re-checks its table dependencies (table still
+//! present, schema serial unmoved) and is evicted when one moved — the same
+//! check for every statement that binds a table.
 //! Eviction is LRU over a fixed capacity, driven by an explicit clock tick —
 //! never by hash iteration order or wall time — so cache behaviour is fully
 //! deterministic.
 
-use crate::ast::Statement;
-use crate::exec::SelectPlan;
+use crate::exec::{Deps, Plan};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// A parsed (and, for SELECT, planned) statement. Shared via `Arc` so the
-/// borrow on the cache ends before execution begins.
+/// A prepared statement: its bound plan and the tables the plan depends on.
+/// Shared via `Arc` so the borrow on the cache ends before execution begins.
 #[derive(Debug)]
 pub struct CachedPlan {
-    /// The parsed statement.
-    pub stmt: Statement,
-    /// The access-path plan, when the statement is a SELECT. Non-SELECT
-    /// statements resolve table names at execute time and need no plan.
-    pub select: Option<SelectPlan>,
+    /// The statement as the binder left it.
+    pub plan: Plan,
+    /// Every table the plan binds, with its schema serial at bind time;
+    /// empty for DDL and transaction control, which cannot go stale.
+    pub deps: Deps,
     /// Number of `?` placeholders, checked against the bound parameters
     /// when the statement is binlogged.
     pub param_count: usize,
@@ -175,11 +177,12 @@ impl PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::Statement;
 
     fn plan() -> Arc<CachedPlan> {
         Arc::new(CachedPlan {
-            stmt: Statement::Begin,
-            select: None,
+            plan: Plan::Unbound(Statement::Begin),
+            deps: Deps::new(),
             param_count: 0,
         })
     }

@@ -6,8 +6,8 @@ use crate::binlog::{Binlog, BinlogEvent, BinlogFormat, EventPayload, Lsn};
 use crate::cache::{CacheStats, CachedPlan, PlanCache};
 use crate::error::SqlError;
 use crate::exec::{
-    exec_delete, exec_insert, exec_select_planned, exec_update, plan_select, Capture, Catalog,
-    QueryResult, RowChange, RowChangeKind, Undo, UndoEntry, WriteOutcome,
+    bind, column_index, exec_delete, exec_insert, exec_select_planned, exec_update, Capture,
+    Catalog, Plan, QueryResult, RowChange, RowChangeKind, Undo, UndoEntry, WriteOutcome,
 };
 use crate::expr::EvalCtx;
 use crate::parser::parse;
@@ -272,36 +272,28 @@ impl Engine {
         self.execute_plan(session, &plan, sql, params)
     }
 
-    /// Parse and plan `sql`, consulting the plan cache. Cache entries are
-    /// revalidated against the engine's DDL serial; plans whose table
-    /// dependencies moved are rebuilt. Statements that fail to parse or
-    /// plan are never cached.
+    /// Parse and bind `sql`, consulting the plan cache. Binding resolves
+    /// every table and column a row statement names, so an unknown one fails
+    /// here, before any row is read. Cache entries are revalidated against
+    /// the engine's DDL serial; plans whose table dependencies moved are
+    /// rebuilt. Statements that fail to parse or bind are never cached.
     pub fn prepare(&mut self, sql: &str) -> Result<Arc<CachedPlan>, SqlError> {
         if self.plan_cache.capacity() != 0 {
             let catalog = &self.catalog;
-            if let Some(plan) =
-                self.plan_cache
-                    .get_validated(sql, self.ddl_serial, |p| match &p.select {
-                        Some(sel) => sel.deps().iter().all(|(key, serial)| {
-                            catalog.get(key).map(Table::schema_serial) == Some(*serial)
-                        }),
-                        // Non-SELECT statements resolve table names at
-                        // execute time; the cached AST cannot go stale.
-                        None => true,
-                    })
-            {
+            if let Some(plan) = self.plan_cache.get_validated(sql, self.ddl_serial, |p| {
+                p.deps.iter().all(|(key, serial)| {
+                    catalog.get(key).map(Table::schema_serial) == Some(*serial)
+                })
+            }) {
                 return Ok(plan);
             }
         }
         let stmt = parse(sql)?;
-        let select = match &stmt {
-            Statement::Select(sel) => Some(plan_select(&self.catalog, sel)?),
-            _ => None,
-        };
         let param_count = stmt.param_count();
+        let (plan, deps) = bind(&self.catalog, stmt)?;
         let plan = Arc::new(CachedPlan {
-            stmt,
-            select,
+            plan,
+            deps,
             param_count,
         });
         self.plan_cache
@@ -349,20 +341,32 @@ impl Engine {
             params,
             now_micros: session.now_micros,
         };
-        match &plan.stmt {
-            Statement::Select(_) => {
-                let select = plan.select.as_ref().expect("prepare plans every SELECT");
-                exec_select_planned(&self.catalog, select, &ctx)
+        match &plan.plan {
+            Plan::Select(select) => exec_select_planned(&self.catalog, select, &ctx),
+            Plan::Explain(res) => Ok(res.clone()),
+            Plan::Insert(insert) => {
+                let cap = self.write_capture(session);
+                let out = exec_insert(&mut self.catalog, insert, &ctx, cap)?;
+                self.finish_write(session, sql, plan.param_count, params, out)
             }
-            Statement::Explain(sel) => crate::exec::explain_select(&self.catalog, sel),
-            Statement::Begin => {
+            Plan::Update(update) => {
+                let cap = self.write_capture(session);
+                let out = exec_update(&mut self.catalog, update, &ctx, cap)?;
+                self.finish_write(session, sql, plan.param_count, params, out)
+            }
+            Plan::Delete(scan) => {
+                let cap = self.write_capture(session);
+                let out = exec_delete(&mut self.catalog, scan, &ctx, cap)?;
+                self.finish_write(session, sql, plan.param_count, params, out)
+            }
+            Plan::Unbound(Statement::Begin) => {
                 if session.in_txn {
                     return Err(SqlError::Transaction("transaction already open".into()));
                 }
                 session.in_txn = true;
                 Ok(QueryResult::default())
             }
-            Statement::Commit => {
+            Plan::Unbound(Statement::Commit) => {
                 if !session.in_txn {
                     return Err(SqlError::Transaction("COMMIT without BEGIN".into()));
                 }
@@ -371,7 +375,7 @@ impl Engine {
                 self.flush_pending(session);
                 Ok(QueryResult::default())
             }
-            Statement::Rollback => {
+            Plan::Unbound(Statement::Rollback) => {
                 if !session.in_txn {
                     return Err(SqlError::Transaction("ROLLBACK without BEGIN".into()));
                 }
@@ -381,10 +385,10 @@ impl Engine {
                 self.apply_undo(undo);
                 Ok(QueryResult::default())
             }
-            Statement::CreateTable {
+            Plan::Unbound(Statement::CreateTable {
                 schema,
                 if_not_exists,
-            } => {
+            }) => {
                 let key = schema.name.to_ascii_lowercase();
                 if self.catalog.contains_key(&key) {
                     if *if_not_exists {
@@ -399,24 +403,21 @@ impl Engine {
                 self.log_ddl(session, sql, plan.param_count, params)?;
                 Ok(QueryResult::default())
             }
-            Statement::CreateIndex {
+            Plan::Unbound(Statement::CreateIndex {
                 name,
                 table,
                 column,
                 unique,
-            } => {
+            }) => {
                 let t = crate::exec::get_table_mut(&mut self.catalog, table)?;
-                let col = t
-                    .schema()
-                    .column_index(column)
-                    .ok_or_else(|| SqlError::UnknownColumn(column.clone()))?;
+                let col = column_index(t, column)?;
                 t.create_index(name.clone(), col, *unique)?;
                 self.ddl_serial += 1;
                 t.set_schema_serial(self.ddl_serial);
                 self.log_ddl(session, sql, plan.param_count, params)?;
                 Ok(QueryResult::default())
             }
-            Statement::DropTable { name, if_exists } => {
+            Plan::Unbound(Statement::DropTable { name, if_exists }) => {
                 let key = name.to_ascii_lowercase();
                 if self.catalog.remove(&key).is_none() && !*if_exists {
                     return Err(SqlError::UnknownTable(name.clone()));
@@ -427,29 +428,7 @@ impl Engine {
                 self.log_ddl(session, sql, plan.param_count, params)?;
                 Ok(QueryResult::default())
             }
-            Statement::Insert {
-                table,
-                columns,
-                rows,
-            } => {
-                let cap = self.write_capture(session);
-                let out = exec_insert(&mut self.catalog, table, columns, rows, &ctx, cap)?;
-                self.finish_write(session, sql, plan.param_count, params, out)
-            }
-            Statement::Update {
-                table,
-                sets,
-                filter,
-            } => {
-                let cap = self.write_capture(session);
-                let out = exec_update(&mut self.catalog, table, sets, filter.as_ref(), &ctx, cap)?;
-                self.finish_write(session, sql, plan.param_count, params, out)
-            }
-            Statement::Delete { table, filter } => {
-                let cap = self.write_capture(session);
-                let out = exec_delete(&mut self.catalog, table, filter.as_ref(), &ctx, cap)?;
-                self.finish_write(session, sql, plan.param_count, params, out)
-            }
+            Plan::Unbound(_) => unreachable!("prepare binds every row statement"),
         }
     }
 

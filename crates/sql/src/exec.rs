@@ -2,9 +2,7 @@
 
 use crate::ast::*;
 use crate::error::SqlError;
-use crate::expr::{
-    eval, eval_cow, eval_truth, ColumnResolver, EvalCtx, NoColumns, Truth, NULL_VALUE,
-};
+use crate::expr::{eval, eval_cow, eval_truth, unknown_column, EvalCtx, Truth, NULL_VALUE};
 use crate::plan::{choose_path, into_conjuncts, Path};
 use crate::storage::{Postings, RowId, Table};
 use crate::value::{DataType, Value};
@@ -127,12 +125,14 @@ impl Capture {
 }
 
 // ---------------------------------------------------------------------------
-// Scopes
+// Binding
 // ---------------------------------------------------------------------------
 
-/// One bound table in a FROM clause. Column names are the table's shared
+/// One table a statement names, as the binder sees it: the name it binds
+/// in the statement and its columns. Column names are the table's shared
 /// list ([`Table::col_names`]): binding a table costs a refcount bump, not
-/// one `String` clone per column.
+/// one `String` clone per column. Bindings live only while a statement is
+/// bound; execution reads rows by position.
 #[derive(Debug, Clone)]
 pub(crate) struct Binding {
     name: String,
@@ -145,70 +145,6 @@ impl Binding {
             name: name.to_string(),
             columns: table.col_names(),
         }
-    }
-}
-
-/// Row scope across all FROM bindings; `None` = NULL-extended (LEFT JOIN) or
-/// not yet bound. Rows are *borrowed* from storage — the join pipeline never
-/// clones a row to evaluate predicates or projections over it.
-struct Scope<'a> {
-    bindings: &'a [Binding],
-    rows: &'a [Option<&'a [Value]>],
-}
-
-impl ColumnResolver for Scope<'_> {
-    fn resolve(&self, qualifier: Option<&str>, name: &str) -> Result<Value, SqlError> {
-        match qualifier {
-            Some(q) => {
-                let (i, b) = self
-                    .bindings
-                    .iter()
-                    .enumerate()
-                    .find(|(_, b)| b.name.eq_ignore_ascii_case(q))
-                    .ok_or_else(|| SqlError::UnknownColumn(format!("{q}.{name}")))?;
-                let col = b
-                    .columns
-                    .iter()
-                    .position(|c| c.eq_ignore_ascii_case(name))
-                    .ok_or_else(|| SqlError::UnknownColumn(format!("{q}.{name}")))?;
-                Ok(match self.rows[i] {
-                    Some(row) => row[col].clone(),
-                    None => Value::Null,
-                })
-            }
-            None => {
-                let mut hit: Option<(usize, usize)> = None;
-                for (i, b) in self.bindings.iter().enumerate() {
-                    if let Some(col) = b.columns.iter().position(|c| c.eq_ignore_ascii_case(name)) {
-                        if hit.is_some() {
-                            return Err(SqlError::UnknownColumn(format!(
-                                "ambiguous column '{name}'"
-                            )));
-                        }
-                        hit = Some((i, col));
-                    }
-                }
-                let (i, col) = hit.ok_or_else(|| SqlError::UnknownColumn(name.to_string()))?;
-                Ok(match self.rows[i] {
-                    Some(row) => row[col].clone(),
-                    None => Value::Null,
-                })
-            }
-        }
-    }
-
-    fn resolve_idx(&self, binding: usize, col: usize) -> Result<Value, SqlError> {
-        Ok(match self.rows[binding] {
-            Some(row) => row[col].clone(),
-            None => Value::Null,
-        })
-    }
-
-    fn resolve_idx_ref(&self, binding: usize, col: usize) -> Result<&Value, SqlError> {
-        Ok(match self.rows[binding] {
-            Some(row) => &row[col],
-            None => &NULL_VALUE,
-        })
     }
 }
 
@@ -303,7 +239,7 @@ fn candidates<'t>(
     table: &'t Table,
     path: &Path,
     ctx: &EvalCtx,
-    scope: &Scope<'_>,
+    scope: &[Option<&[Value]>],
 ) -> Result<(Cands<'t>, bool), SqlError> {
     let col_ty = |col: usize| table.schema().columns[col].ty;
     Ok(match path {
@@ -353,7 +289,7 @@ type EvaluatedBound = Option<(Value, bool)>;
 fn eval_bound(
     bound: &Option<(Expr, bool)>,
     ctx: &EvalCtx,
-    scope: &Scope<'_>,
+    scope: &[Option<&[Value]>],
 ) -> Result<EvaluatedBound, SqlError> {
     let Some((e, inclusive)) = bound else {
         return Ok(None);
@@ -415,13 +351,11 @@ enum KeySrc {
 
 /// A fully planned SELECT — everything about the statement that does not
 /// depend on row data: FROM sources with access paths over positional keys,
-/// predicates split into conjuncts, the expanded projection list, located
-/// sort keys, and the schema stamp of every table the plan reads (for cache
-/// invalidation).
+/// predicates split into conjuncts, the expanded projection list and the
+/// located sort keys.
 #[derive(Debug, Clone)]
 pub struct SelectPlan {
     sources: Vec<PlannedSource>,
-    bindings: Vec<Binding>,
     /// Conjuncts of the WHERE predicate.
     filter: Vec<Expr>,
     out_cols: std::sync::Arc<[String]>,
@@ -435,126 +369,286 @@ pub struct SelectPlan {
     distinct: bool,
     limit: Option<u64>,
     offset: Option<u64>,
-    deps: Vec<(String, u64)>,
 }
 
-impl SelectPlan {
-    /// Tables this plan reads, as `(catalog key, schema serial at plan
-    /// time)` pairs. A cached plan is stale once any serial has moved.
-    pub fn deps(&self) -> &[(String, u64)] {
-        &self.deps
-    }
+/// The rows an UPDATE or DELETE touches: its WHERE conjuncts bound to the
+/// statement's one table, and the access path chosen for them.
+#[derive(Debug)]
+pub struct RowScan {
+    /// Lower-cased catalog key.
+    table_key: String,
+    filter: Vec<Expr>,
+    path: Path,
+    /// The conjunct an exact probe on `path` decides (as in a SELECT source).
+    consumed: Option<usize>,
 }
 
-/// Rewrite every [`Expr::Column`] whose name resolves uniquely against the
-/// plan's bindings into a positional [`Expr::Resolved`] reference. Name
-/// resolution depends only on the bindings (never on row data), so this is a
-/// pure fast path: per-plan scans replace per-row scans. Unknown and
-/// ambiguous names are left as-is — [`Scope::resolve`] must still raise the
-/// same error at the same point in execution.
-pub(crate) fn resolve_columns(e: &mut Expr, bindings: &[Binding]) {
-    match e {
-        Expr::Column { qualifier, name } => {
-            let hit = match qualifier {
-                Some(q) => bindings
+/// A bound UPDATE: the rows to change and, per SET clause, the column it
+/// writes and its expression over the old row.
+#[derive(Debug)]
+pub struct UpdatePlan {
+    scan: RowScan,
+    sets: Vec<(usize, Expr)>,
+}
+
+/// A bound INSERT: the schema position each value of a row fills, and the
+/// rows of value expressions (which can name no column).
+#[derive(Debug)]
+pub struct InsertPlan {
+    /// Lower-cased catalog key.
+    table_key: String,
+    positions: Vec<usize>,
+    rows: Vec<Vec<Expr>>,
+}
+
+/// A statement as prepare leaves it. Every statement that reads or writes
+/// rows is bound: its column names are positions and its access paths are
+/// chosen. DDL and transaction control run from the parsed statement.
+#[derive(Debug)]
+pub enum Plan {
+    Select(SelectPlan),
+    /// EXPLAIN's answer, which depends only on the SELECT's plan.
+    Explain(QueryResult),
+    Insert(InsertPlan),
+    Update(UpdatePlan),
+    Delete(RowScan),
+    Unbound(Statement),
+}
+
+/// `(catalog key, schema serial at bind time)` of every table a plan binds.
+/// A cached plan is stale once any of these serials has moved.
+pub type Deps = Vec<(String, u64)>;
+
+/// Bind a parsed statement against the catalog. This is the engine's one
+/// binder: every table and column a row statement names resolves here, once
+/// per prepare, and execution reads positions only. An unknown table is an
+/// [`SqlError::UnknownTable`] and an unknown or ambiguous column an
+/// [`SqlError::UnknownColumn`], whether or not the statement would touch a
+/// row. Returns the plan and the tables it depends on.
+pub(crate) fn bind(catalog: &Catalog, stmt: Statement) -> Result<(Plan, Deps), SqlError> {
+    let mut deps = Deps::new();
+    let plan = match stmt {
+        Statement::Select(sel) => Plan::Select(plan_select(catalog, &sel, &mut deps)?),
+        Statement::Explain(sel) => {
+            let plan = plan_select(catalog, &sel, &mut deps)?;
+            Plan::Explain(explain(&plan, &sel))
+        }
+        Statement::Insert {
+            table,
+            columns,
+            mut rows,
+        } => {
+            let (table_key, t) = bind_table(catalog, &table, &mut deps)?;
+            let positions: Vec<usize> = if columns.is_empty() {
+                (0..t.schema().arity()).collect()
+            } else {
+                let positions = columns
                     .iter()
-                    .enumerate()
-                    .find(|(_, b)| b.name.eq_ignore_ascii_case(q))
-                    .and_then(|(i, b)| {
-                        b.columns
-                            .iter()
-                            .position(|c| c.eq_ignore_ascii_case(name))
-                            .map(|col| (i, col))
-                    }),
-                None => {
-                    let mut hit = None;
-                    let mut ambiguous = false;
-                    for (i, b) in bindings.iter().enumerate() {
-                        if let Some(col) =
-                            b.columns.iter().position(|c| c.eq_ignore_ascii_case(name))
-                        {
-                            ambiguous |= hit.is_some();
-                            hit = Some((i, col));
-                        }
-                    }
-                    if ambiguous {
-                        None
-                    } else {
-                        hit
+                    .map(|c| column_index(t, c))
+                    .collect::<Result<Vec<_>, _>>()?;
+                for (i, c) in columns.iter().enumerate() {
+                    if positions[..i].contains(&positions[i]) {
+                        return Err(SqlError::Constraint(format!(
+                            "column '{c}' specified twice"
+                        )));
                     }
                 }
+                positions
             };
-            if let Some((binding, col)) = hit {
-                *e = Expr::Resolved { binding, col };
+            for row in &mut rows {
+                if row.len() != positions.len() {
+                    return Err(SqlError::Constraint(format!(
+                        "INSERT has {} values for {} columns",
+                        row.len(),
+                        positions.len()
+                    )));
+                }
+                for e in row {
+                    resolve_columns(e, &[])?;
+                }
             }
+            Plan::Insert(InsertPlan {
+                table_key,
+                positions,
+                rows,
+            })
         }
-        Expr::Unary(_, inner) => resolve_columns(inner, bindings),
-        Expr::Binary(a, _, b) => {
-            resolve_columns(a, bindings);
-            resolve_columns(b, bindings);
+        Statement::Update {
+            table,
+            sets,
+            filter,
+        } => {
+            let (table_key, t) = bind_table(catalog, &table, &mut deps)?;
+            let bindings = [Binding::new(&table, t)];
+            let sets = sets
+                .into_iter()
+                .map(|(c, mut e)| {
+                    let pos = column_index(t, &c)?;
+                    resolve_columns(&mut e, &bindings)?;
+                    Ok((pos, e))
+                })
+                .collect::<Result<_, SqlError>>()?;
+            let scan = bind_scan(table_key, t, &bindings, filter)?;
+            Plan::Update(UpdatePlan { scan, sets })
+        }
+        Statement::Delete { table, filter } => {
+            let (table_key, t) = bind_table(catalog, &table, &mut deps)?;
+            Plan::Delete(bind_scan(table_key, t, &[Binding::new(&table, t)], filter)?)
+        }
+        other => Plan::Unbound(other),
+    };
+    Ok((plan, deps))
+}
+
+/// Look up a table the statement names, recording it in `deps`; returns
+/// its catalog key.
+fn bind_table<'c>(
+    catalog: &'c Catalog,
+    name: &str,
+    deps: &mut Deps,
+) -> Result<(String, &'c Table), SqlError> {
+    let table = get_table(catalog, name)?;
+    let key = table_key(name).into_owned();
+    deps.push((key.clone(), table.schema_serial()));
+    Ok((key, table))
+}
+
+/// The schema position of column `name` of `table`.
+pub(crate) fn column_index(table: &Table, name: &str) -> Result<usize, SqlError> {
+    table
+        .schema()
+        .column_index(name)
+        .ok_or_else(|| SqlError::UnknownColumn(name.to_string()))
+}
+
+/// Bind the WHERE of an UPDATE or DELETE and choose its access path.
+fn bind_scan(
+    table_key: String,
+    table: &Table,
+    bindings: &[Binding],
+    filter: Option<Expr>,
+) -> Result<RowScan, SqlError> {
+    let filter = bound_conjuncts(filter, bindings)?;
+    let (path, consumed) = choose_path(table, 0, &filter);
+    Ok(RowScan {
+        table_key,
+        filter,
+        path,
+        consumed,
+    })
+}
+
+/// The `(binding, column)` position that `qualifier.name`, or a bare `name`,
+/// names among `bindings`. A qualifier picks the first binding of that name;
+/// a bare name must be a column of exactly one binding.
+fn column_position(
+    bindings: &[Binding],
+    qualifier: Option<&str>,
+    name: &str,
+) -> Result<(usize, usize), SqlError> {
+    let col = |b: &Binding| b.columns.iter().position(|c| c.eq_ignore_ascii_case(name));
+    match qualifier {
+        Some(q) => bindings
+            .iter()
+            .position(|b| b.name.eq_ignore_ascii_case(q))
+            .and_then(|i| Some((i, col(&bindings[i])?))),
+        None => {
+            let mut hits = bindings
+                .iter()
+                .enumerate()
+                .filter_map(|(i, b)| Some((i, col(b)?)));
+            let hit = hits.next();
+            if hits.next().is_some() {
+                return Err(SqlError::UnknownColumn(format!(
+                    "ambiguous column '{name}'"
+                )));
+            }
+            hit
+        }
+    }
+    .ok_or_else(|| unknown_column(qualifier, name))
+}
+
+/// Rewrite every [`Expr::Column`] in `e` into the positional
+/// [`Expr::Resolved`] it names among `bindings`, the statement's tables in
+/// FROM order (none for INSERT values). This is the engine's only name
+/// lookup; an unknown or ambiguous name is an [`SqlError::UnknownColumn`].
+pub(crate) fn resolve_columns(e: &mut Expr, bindings: &[Binding]) -> Result<(), SqlError> {
+    match e {
+        Expr::Column { qualifier, name } => {
+            let (binding, col) = column_position(bindings, qualifier.as_deref(), name)?;
+            *e = Expr::Resolved { binding, col };
+        }
+        Expr::Unary(_, inner) | Expr::IsNull { expr: inner, .. } => {
+            resolve_columns(inner, bindings)?
+        }
+        Expr::Binary(a, _, b)
+        | Expr::Like {
+            expr: a,
+            pattern: b,
+            ..
+        } => {
+            resolve_columns(a, bindings)?;
+            resolve_columns(b, bindings)?;
         }
         Expr::Func { args, .. } => {
             for a in args {
-                resolve_columns(a, bindings);
+                resolve_columns(a, bindings)?;
             }
         }
-        Expr::IsNull { expr, .. } => resolve_columns(expr, bindings),
-        Expr::Like { expr, pattern, .. } => {
-            resolve_columns(expr, bindings);
-            resolve_columns(pattern, bindings);
-        }
         Expr::InList { expr, list, .. } => {
-            resolve_columns(expr, bindings);
+            resolve_columns(expr, bindings)?;
             for i in list {
-                resolve_columns(i, bindings);
+                resolve_columns(i, bindings)?;
             }
         }
         Expr::Between { expr, lo, hi } => {
-            resolve_columns(expr, bindings);
-            resolve_columns(lo, bindings);
-            resolve_columns(hi, bindings);
+            resolve_columns(expr, bindings)?;
+            resolve_columns(lo, bindings)?;
+            resolve_columns(hi, bindings)?;
         }
         Expr::Literal(_) | Expr::Param(_) | Expr::Resolved { .. } => {}
     }
+    Ok(())
 }
 
 /// A predicate as the planner and executor want it: names resolved to
 /// positions, split into conjuncts.
-fn resolved_conjuncts(pred: Option<&Expr>, bindings: &[Binding]) -> Vec<Expr> {
-    let Some(pred) = pred else {
-        return Vec::new();
+fn bound_conjuncts(pred: Option<Expr>, bindings: &[Binding]) -> Result<Vec<Expr>, SqlError> {
+    let Some(mut pred) = pred else {
+        return Ok(Vec::new());
     };
-    let mut pred = pred.clone();
-    resolve_columns(&mut pred, bindings);
-    into_conjuncts(pred)
+    resolve_columns(&mut pred, bindings)?;
+    Ok(into_conjuncts(pred))
 }
 
 /// Plan a SELECT: resolve tables and column names, choose access paths,
 /// expand the projection, locate the sort keys. Everything here depends only
 /// on catalog schemas and index definitions, so the result stays valid until
 /// a schema-affecting DDL runs.
-pub fn plan_select(catalog: &Catalog, sel: &SelectStmt) -> Result<SelectPlan, SqlError> {
+fn plan_select(
+    catalog: &Catalog,
+    sel: &SelectStmt,
+    deps: &mut Deps,
+) -> Result<SelectPlan, SqlError> {
     // FROM: every binding first, so that predicates resolve against all.
     let mut refs: Vec<(&TableRef, JoinKind, Option<&Expr>)> = Vec::new();
     if let Some(from) = &sel.from {
         refs.push((&from.base, JoinKind::Inner, None));
         refs.extend(from.joins.iter().map(|j| (&j.table, j.kind, Some(&j.on))));
     }
-    let mut tables: Vec<&Table> = Vec::with_capacity(refs.len());
+    let mut tables: Vec<(String, &Table)> = Vec::with_capacity(refs.len());
     let mut bindings: Vec<Binding> = Vec::with_capacity(refs.len());
     for (r, ..) in &refs {
-        let table = get_table(catalog, &r.table)?;
+        let (key, table) = bind_table(catalog, &r.table, deps)?;
         bindings.push(Binding::new(r.binding(), table));
-        tables.push(table);
+        tables.push((key, table));
     }
-    let filter = resolved_conjuncts(sel.filter.as_ref(), &bindings);
+    let filter = bound_conjuncts(sel.filter.clone(), &bindings)?;
     let mut sources: Vec<PlannedSource> = Vec::with_capacity(refs.len());
-    let mut deps: Vec<(String, u64)> = Vec::with_capacity(refs.len());
-    for (i, (r, kind, on)) in refs.iter().enumerate() {
-        let on = resolved_conjuncts(*on, &bindings);
-        let (path, consumed) = choose_path(tables[i], i, if i == 0 { &filter } else { &on });
-        let table_key = r.table.to_ascii_lowercase();
-        deps.push((table_key.clone(), tables[i].schema_serial()));
+    for (i, ((_, kind, on), (table_key, table))) in refs.iter().zip(tables).enumerate() {
+        let on = bound_conjuncts(on.cloned(), &bindings)?;
+        let (path, consumed) = choose_path(table, i, if i == 0 { &filter } else { &on });
         sources.push(PlannedSource {
             table_key,
             kind: *kind,
@@ -585,7 +679,7 @@ pub fn plan_select(catalog: &Catalog, sel: &SelectStmt) -> Result<SelectPlan, Sq
                 });
                 out_cols.push(name.clone());
                 let mut expr = expr.clone();
-                resolve_columns(&mut expr, &bindings);
+                resolve_columns(&mut expr, &bindings)?;
                 item_exprs.push((expr, name));
             }
         }
@@ -602,11 +696,11 @@ pub fn plan_select(catalog: &Catalog, sel: &SelectStmt) -> Result<SelectPlan, Sq
 
     let mut group_by = sel.group_by.clone();
     for g in &mut group_by {
-        resolve_columns(g, &bindings);
+        resolve_columns(g, &bindings)?;
     }
     let mut having = sel.having.clone();
     if let Some(h) = &mut having {
-        resolve_columns(h, &bindings);
+        resolve_columns(h, &bindings)?;
     }
 
     // ORDER BY keys resolve output names ahead of table columns; a key that
@@ -625,7 +719,7 @@ pub fn plan_select(catalog: &Catalog, sel: &SelectStmt) -> Result<SelectPlan, Sq
             Some(pos) => item_exprs[pos].0.clone(),
             None => {
                 let mut expr = ok.expr.clone();
-                resolve_columns(&mut expr, &bindings);
+                resolve_columns(&mut expr, &bindings)?;
                 expr
             }
         };
@@ -645,7 +739,6 @@ pub fn plan_select(catalog: &Catalog, sel: &SelectStmt) -> Result<SelectPlan, Sq
 
     Ok(SelectPlan {
         sources,
-        bindings,
         filter,
         out_cols: out_cols.into(),
         item_exprs,
@@ -657,7 +750,6 @@ pub fn plan_select(catalog: &Catalog, sel: &SelectStmt) -> Result<SelectPlan, Sq
         distinct: sel.distinct,
         limit: sel.limit,
         offset: sel.offset,
-        deps,
     })
 }
 
@@ -674,7 +766,7 @@ fn all_true(
     conjuncts: &[Expr],
     skip: Option<usize>,
     ctx: &EvalCtx,
-    scope: &Scope<'_>,
+    scope: &[Option<&[Value]>],
 ) -> Result<bool, SqlError> {
     let mut all = true;
     for (i, conjunct) in conjuncts.iter().enumerate() {
@@ -723,26 +815,15 @@ impl<'t> Join<'_, 't> {
         sink: &mut RowSink<'_, 't>,
     ) -> Result<(), SqlError> {
         let (plan, ctx) = (self.plan, self.ctx);
-        let bindings = &plan.bindings[..];
         if idx == plan.sources.len() {
-            let scope = Scope {
-                bindings,
-                rows: scope_rows,
-            };
-            if all_true(&plan.filter, self.where_skip, ctx, &scope)? {
+            if all_true(&plan.filter, self.where_skip, ctx, scope_rows)? {
                 sink(scope_rows)?;
             }
             return Ok(());
         }
         let src = &plan.sources[idx];
         let table = self.tables[idx];
-        let (cands, exact) = {
-            let scope = Scope {
-                bindings,
-                rows: scope_rows,
-            };
-            candidates(table, &src.path, ctx, &scope)?
-        };
+        let (cands, exact) = candidates(table, &src.path, ctx, scope_rows)?;
         // An exact probe has decided its conjunct for every candidate; the
         // rest of the predicate (the path may be a superset) is evaluated.
         let skip = if exact { src.consumed } else { None };
@@ -753,11 +834,7 @@ impl<'t> Join<'_, 't> {
         for (_rid, row) in cands.rows(table) {
             self.rows_examined += 1;
             scope_rows[idx] = Some(row);
-            let scope = Scope {
-                bindings,
-                rows: scope_rows,
-            };
-            if all_true(&src.on, skip, ctx, &scope)? {
+            if all_true(&src.on, skip, ctx, scope_rows)? {
                 matched = true;
                 self.recurse(idx + 1, scope_rows, sink)?;
             }
@@ -776,13 +853,9 @@ fn project(
     ctx: &EvalCtx,
     scope_rows: &[Option<&[Value]>],
 ) -> Result<Vec<Value>, SqlError> {
-    let scope = Scope {
-        bindings: &plan.bindings,
-        rows: scope_rows,
-    };
     let mut out_row = Vec::with_capacity(plan.item_exprs.len());
     for (e, _) in &plan.item_exprs {
-        out_row.push(eval(e, ctx, &scope)?);
+        out_row.push(eval(e, ctx, scope_rows)?);
     }
     Ok(out_row)
 }
@@ -844,7 +917,6 @@ pub fn exec_select_planned<'c>(
         where_skip: None,
         rows_examined: 0,
     };
-    let bindings = &plan.bindings;
 
     // What the join leaves behind, one entry per emitted row: the borrowed
     // scope rows (`flat`, chunks of `n_srcs`) unless aggregating, the
@@ -871,10 +943,6 @@ pub fn exec_select_planned<'c>(
         // without a lookup.
         let global = plan.group_by.is_empty();
         let mut sink = |scope_rows: &[Option<&'c [Value]>]| -> Result<(), SqlError> {
-            let scope = Scope {
-                bindings,
-                rows: scope_rows,
-            };
             let gi = if global {
                 if groups.is_empty() {
                     groups.push((specs.iter().map(AggAcc::new).collect(), scope_rows.to_vec()));
@@ -883,7 +951,7 @@ pub fn exec_select_planned<'c>(
             } else {
                 let mut key = Vec::with_capacity(plan.group_by.len());
                 for g in &plan.group_by {
-                    key.push(ValueKey::from(eval(g, ctx, &scope)?));
+                    key.push(ValueKey::from(eval(g, ctx, scope_rows)?));
                 }
                 let key = GroupKey(key);
                 match group_index.get(&key) {
@@ -896,7 +964,7 @@ pub fn exec_select_planned<'c>(
                 }
             };
             for (acc, spec) in groups[gi].0.iter_mut().zip(&specs) {
-                acc.update(spec, ctx, &scope)?;
+                acc.update(spec, ctx, scope_rows)?;
             }
             Ok(())
         };
@@ -905,34 +973,30 @@ pub fn exec_select_planned<'c>(
         if groups.is_empty() && global {
             groups.push((
                 specs.iter().map(AggAcc::new).collect(),
-                vec![None; bindings.len()],
+                vec![None; plan.sources.len()],
             ));
         }
 
-        for (accs, rep_rows) in &groups {
-            let scope = Scope {
-                bindings,
-                rows: rep_rows,
-            };
+        for (accs, scope) in &groups {
             let agg_values: Vec<Value> = accs.iter().map(|a| a.finish()).collect();
             // HAVING filters whole groups; aggregates inside it substitute.
             if let Some(h) = &plan.having {
                 let rewritten = substitute_aggs(h, &specs, &agg_values);
-                if eval_truth(&rewritten, ctx, &scope)? != Truth::True {
+                if eval_truth(&rewritten, ctx, scope)? != Truth::True {
                     continue;
                 }
             }
             let mut out_row = Vec::with_capacity(plan.item_exprs.len());
             for (e, _) in &plan.item_exprs {
                 let rewritten = substitute_aggs(e, &specs, &agg_values);
-                out_row.push(eval(&rewritten, ctx, &scope)?);
+                out_row.push(eval(&rewritten, ctx, scope)?);
             }
             // Sort keys may contain aggregates too.
             for sk in &plan.order_by {
                 if let KeySrc::Computed { expr, output, .. } = &sk.src {
                     computed.push(match output {
                         Some(pos) => out_row[*pos].clone(),
-                        None => eval(&substitute_aggs(expr, &specs, &agg_values), ctx, &scope)?,
+                        None => eval(&substitute_aggs(expr, &specs, &agg_values), ctx, scope)?,
                     });
                 }
             }
@@ -949,13 +1013,9 @@ pub fn exec_select_planned<'c>(
         })?;
         if plan.computed_keys > 0 || plan.distinct {
             for scope_rows in flat.chunks(n_srcs) {
-                let scope = Scope {
-                    bindings,
-                    rows: scope_rows,
-                };
                 for sk in &plan.order_by {
                     if let KeySrc::Computed { expr, .. } = &sk.src {
-                        computed.push(eval(expr, ctx, &scope)?);
+                        computed.push(eval(expr, ctx, scope_rows)?);
                     }
                 }
                 if plan.distinct {
@@ -1044,23 +1104,17 @@ impl From<Value> for ValueKey {
     }
 }
 
-/// Execute an EXPLAIN: report each table access of the plan a SELECT
-/// would run, with its chosen path.
-pub fn explain_select(catalog: &Catalog, sel: &SelectStmt) -> Result<QueryResult, SqlError> {
+/// EXPLAIN's answer: each table access of `plan`, the plan of `sel`, with
+/// its chosen path.
+fn explain(plan: &SelectPlan, sel: &SelectStmt) -> QueryResult {
     let mut res = QueryResult {
         columns: vec!["table".into(), "binding".into(), "access".into()].into(),
         ..QueryResult::default()
     };
-    let Some(from) = &sel.from else {
-        res.rows.push(vec![
-            Value::Text("(no table)".into()),
-            Value::Null,
-            Value::Text("constant".into()),
-        ]);
-        return Ok(res);
-    };
-    let plan = plan_select(catalog, sel)?;
-    let refs = std::iter::once(&from.base).chain(from.joins.iter().map(|j| &j.table));
+    let refs = sel
+        .from
+        .iter()
+        .flat_map(|from| std::iter::once(&from.base).chain(from.joins.iter().map(|j| &j.table)));
     for (r, src) in refs.zip(&plan.sources) {
         res.rows.push(vec![
             Value::Text(r.table.clone()),
@@ -1068,7 +1122,14 @@ pub fn explain_select(catalog: &Catalog, sel: &SelectStmt) -> Result<QueryResult
             Value::Text(src.path.describe()),
         ]);
     }
-    Ok(res)
+    if res.rows.is_empty() {
+        res.rows.push(vec![
+            Value::Text("(no table)".into()),
+            Value::Null,
+            Value::Text("constant".into()),
+        ]);
+    }
+    res
 }
 
 // ---------------------------------------------------------------------------
@@ -1208,7 +1269,7 @@ impl AggAcc {
         &mut self,
         spec: &AggSpec,
         ctx: &EvalCtx,
-        scope: &dyn ColumnResolver,
+        scope: &[Option<&[Value]>],
     ) -> Result<(), SqlError> {
         let arg_val = if spec.star {
             Some(Value::Int(1))
@@ -1306,54 +1367,27 @@ impl AggAcc {
 // DML
 // ---------------------------------------------------------------------------
 
-/// Execute an INSERT.
+/// Execute a bound INSERT.
 pub fn exec_insert(
     catalog: &mut Catalog,
-    table_name: &str,
-    columns: &[String],
-    rows: &[Vec<Expr>],
+    plan: &InsertPlan,
     ctx: &EvalCtx,
     cap: Capture,
 ) -> Result<WriteOutcome, SqlError> {
-    let table = get_table_mut(catalog, table_name)?;
-
-    // Map insert column list to schema positions. The schema borrows end
-    // before the mutating insert loop starts, so no clone of the schema is
-    // needed.
-    let (arity, positions, pk_auto) = {
+    let table = get_table_mut(catalog, &plan.table_key)?;
+    let (arity, pk_auto) = {
         let schema = table.schema();
-        let positions: Vec<usize> = if columns.is_empty() {
-            (0..schema.arity()).collect()
-        } else {
-            let mut out = Vec::with_capacity(columns.len());
-            for c in columns {
-                out.push(
-                    schema
-                        .column_index(c)
-                        .ok_or_else(|| SqlError::UnknownColumn(c.clone()))?,
-                );
-            }
-            out
-        };
         let pk_auto = schema
             .pk_index()
             .filter(|&pk| schema.columns[pk].auto_increment);
-        (schema.arity(), positions, pk_auto)
+        (schema.arity(), pk_auto)
     };
 
     let mut outcome = WriteOutcome::default();
-    let key = table_key(table_name);
-    for value_exprs in rows {
-        if value_exprs.len() != positions.len() {
-            return Err(SqlError::Constraint(format!(
-                "INSERT has {} values for {} columns",
-                value_exprs.len(),
-                positions.len()
-            )));
-        }
+    for value_exprs in &plan.rows {
         let mut full = vec![Value::Null; arity];
-        for (pos, e) in positions.iter().zip(value_exprs) {
-            full[*pos] = eval(e, ctx, &NoColumns)?;
+        for (pos, e) in plan.positions.iter().zip(value_exprs) {
+            full[*pos] = eval(e, ctx, &[])?;
         }
         let rid = table.insert(full)?;
         let stored = table.get(rid).expect("just inserted");
@@ -1366,13 +1400,13 @@ pub fn exec_insert(
         }
         if cap.undo {
             outcome.undo.push(UndoEntry {
-                table: key.clone().into_owned(),
+                table: plan.table_key.clone(),
                 undo: Undo::Inserted(rid),
             });
         }
         if cap.changes {
             outcome.changes.push(RowChange {
-                table: key.clone().into_owned(),
+                table: plan.table_key.clone(),
                 kind: RowChangeKind::Insert {
                     row: stored.to_vec(),
                 },
@@ -1383,85 +1417,43 @@ pub fn exec_insert(
     Ok(outcome)
 }
 
-/// Shared row-matching for UPDATE and DELETE.
+/// The rows of `table` a bound UPDATE or DELETE matches.
 fn matching_rows(
     table: &Table,
-    binding: &str,
-    filter: Option<&Expr>,
+    scan: &RowScan,
     ctx: &EvalCtx,
     rows_examined: &mut u64,
 ) -> Result<Vec<RowId>, SqlError> {
-    let bindings = [Binding::new(binding, table)];
-    let filter = resolved_conjuncts(filter, &bindings);
-    let (path, consumed) = choose_path(table, 0, &filter);
-    let scope = Scope {
-        bindings: &bindings,
-        rows: &[None],
-    };
-    let (cands, exact) = candidates(table, &path, ctx, &scope)?;
-    let skip = if exact { consumed } else { None };
+    let (cands, exact) = candidates(table, &scan.path, ctx, &[None])?;
+    let skip = if exact { scan.consumed } else { None };
     let mut out = Vec::new();
     for (rid, row) in cands.rows(table) {
         *rows_examined += 1;
-        let scope = Scope {
-            bindings: &bindings,
-            rows: &[Some(row)],
-        };
-        if all_true(&filter, skip, ctx, &scope)? {
+        if all_true(&scan.filter, skip, ctx, &[Some(row)])? {
             out.push(rid);
         }
     }
     Ok(out)
 }
 
-/// Execute an UPDATE.
+/// Execute a bound UPDATE.
 pub fn exec_update(
     catalog: &mut Catalog,
-    table_name: &str,
-    sets: &[(String, Expr)],
-    filter: Option<&Expr>,
+    plan: &UpdatePlan,
     ctx: &EvalCtx,
     cap: Capture,
 ) -> Result<WriteOutcome, SqlError> {
-    let table = get_table_mut(catalog, table_name)?;
-    let (set_positions, bindings) = {
-        let schema = table.schema();
-        let mut set_positions = Vec::with_capacity(sets.len());
-        for (c, _) in sets {
-            set_positions.push(
-                schema
-                    .column_index(c)
-                    .ok_or_else(|| SqlError::UnknownColumn(c.clone()))?,
-            );
-        }
-        (set_positions, [Binding::new(table_name, table)])
-    };
-
+    let key = &plan.scan.table_key;
+    let table = get_table_mut(catalog, key)?;
     let mut outcome = WriteOutcome::default();
-    let rids = matching_rows(
-        table,
-        table_name,
-        filter,
-        ctx,
-        &mut outcome.result.rows_examined,
-    )?;
-
-    let key = table_key(table_name);
+    let rids = matching_rows(table, &plan.scan, ctx, &mut outcome.result.rows_examined)?;
     for rid in rids {
         // One clone builds the new image; the SET expressions evaluate
         // against the borrowed old row.
-        let mut new_row;
-        {
-            let old = table.get(rid).expect("matched row valid");
-            new_row = old.to_vec();
-            let rows_holder = [Some(old)];
-            let scope = Scope {
-                bindings: &bindings,
-                rows: &rows_holder,
-            };
-            for (pos, (_, e)) in set_positions.iter().zip(sets) {
-                new_row[*pos] = eval(e, ctx, &scope)?;
-            }
+        let old = table.get(rid).expect("matched row valid");
+        let mut new_row = old.to_vec();
+        for (pos, e) in &plan.sets {
+            new_row[*pos] = eval(e, ctx, &[Some(old)])?;
         }
         let old_row = table.update(rid, new_row)?;
         if cap.changes {
@@ -1469,12 +1461,12 @@ pub fn exec_update(
             let after = table.get(rid).expect("updated row valid").to_vec();
             if cap.undo {
                 outcome.undo.push(UndoEntry {
-                    table: key.clone().into_owned(),
+                    table: key.clone(),
                     undo: Undo::Updated(rid, old_row.clone()),
                 });
             }
             outcome.changes.push(RowChange {
-                table: key.clone().into_owned(),
+                table: key.clone(),
                 kind: RowChangeKind::Update {
                     before: old_row.to_vec(),
                     after,
@@ -1482,7 +1474,7 @@ pub fn exec_update(
             });
         } else if cap.undo {
             outcome.undo.push(UndoEntry {
-                table: key.clone().into_owned(),
+                table: key.clone(),
                 undo: Undo::Updated(rid, old_row),
             });
         }
@@ -1491,43 +1483,36 @@ pub fn exec_update(
     Ok(outcome)
 }
 
-/// Execute a DELETE.
+/// Execute a bound DELETE.
 pub fn exec_delete(
     catalog: &mut Catalog,
-    table_name: &str,
-    filter: Option<&Expr>,
+    scan: &RowScan,
     ctx: &EvalCtx,
     cap: Capture,
 ) -> Result<WriteOutcome, SqlError> {
-    let table = get_table_mut(catalog, table_name)?;
+    let key = &scan.table_key;
+    let table = get_table_mut(catalog, key)?;
     let mut outcome = WriteOutcome::default();
-    let rids = matching_rows(
-        table,
-        table_name,
-        filter,
-        ctx,
-        &mut outcome.result.rows_examined,
-    )?;
-    let key = table_key(table_name);
+    let rids = matching_rows(table, scan, ctx, &mut outcome.result.rows_examined)?;
     for rid in rids {
         let row = table.delete(rid).expect("matched row valid");
         match (cap.undo, cap.changes) {
             (true, true) => {
                 outcome.undo.push(UndoEntry {
-                    table: key.clone().into_owned(),
+                    table: key.clone(),
                     undo: Undo::Deleted(rid, row.clone()),
                 });
                 outcome.changes.push(RowChange {
-                    table: key.clone().into_owned(),
+                    table: key.clone(),
                     kind: RowChangeKind::Delete { row: row.to_vec() },
                 });
             }
             (true, false) => outcome.undo.push(UndoEntry {
-                table: key.clone().into_owned(),
+                table: key.clone(),
                 undo: Undo::Deleted(rid, row),
             }),
             (false, true) => outcome.changes.push(RowChange {
-                table: key.clone().into_owned(),
+                table: key.clone(),
                 kind: RowChangeKind::Delete { row: row.to_vec() },
             }),
             (false, false) => {}

@@ -6,7 +6,7 @@ use crate::value::Value;
 use std::borrow::Cow;
 use std::cmp::Ordering;
 
-/// Shared NULL for resolvers that hand out references (NULL-extended rows).
+/// Shared NULL that a NULL-extended (LEFT JOIN) row reads as.
 pub(crate) static NULL_VALUE: Value = Value::Null;
 
 /// Evaluation context: bound parameters plus the session clock reading.
@@ -31,76 +31,58 @@ impl<'a> EvalCtx<'a> {
     }
 }
 
-/// Resolves column references against the current row scope.
-pub trait ColumnResolver {
-    /// Look up `qualifier.name` (or bare `name`).
-    fn resolve(&self, qualifier: Option<&str>, name: &str) -> Result<Value, SqlError>;
-
-    /// Look up a planner-resolved `(binding, column)` position — the fast
-    /// path for [`Expr::Resolved`]. Resolvers without a positional scope
-    /// reject it (such a node can only reach them through a logic error).
-    fn resolve_idx(&self, binding: usize, col: usize) -> Result<Value, SqlError> {
-        Err(SqlError::UnknownColumn(format!("#{binding}.{col}")))
-    }
-
-    /// Borrowing variant of [`ColumnResolver::resolve_idx`]: returns a
-    /// reference into the scoped row instead of a clone, so predicate
-    /// evaluation over Text columns costs no allocation. Resolvers that can
-    /// hand out references override this; the default signals "no borrowed
-    /// scope" and [`eval_cow`] falls back to the owning path.
-    fn resolve_idx_ref(&self, binding: usize, col: usize) -> Result<&Value, SqlError> {
-        let _ = (binding, col);
-        Err(SqlError::Unsupported("no borrowed scope".into()))
-    }
+/// The error for a column name that binds to nothing: `q.name`, or `name`.
+pub(crate) fn unknown_column(qualifier: Option<&str>, name: &str) -> SqlError {
+    SqlError::UnknownColumn(match qualifier {
+        Some(q) => format!("{q}.{name}"),
+        None => name.to_string(),
+    })
 }
 
-/// A resolver for scopes with no columns (e.g. `SELECT 1 + 1`).
-pub struct NoColumns;
-
-impl ColumnResolver for NoColumns {
-    fn resolve(&self, qualifier: Option<&str>, name: &str) -> Result<Value, SqlError> {
-        let q = qualifier.map(|q| format!("{q}.")).unwrap_or_default();
-        Err(SqlError::UnknownColumn(format!("{q}{name}")))
-    }
-}
-
-/// Evaluate an expression to an owned value.
-pub fn eval(expr: &Expr, ctx: &EvalCtx, row: &dyn ColumnResolver) -> Result<Value, SqlError> {
-    eval_cow(expr, ctx, row).map(Cow::into_owned)
+/// Evaluate an expression to an owned value. `scope` holds one row per FROM
+/// binding, in plan order; `None` reads as NULL (a NULL-extended LEFT JOIN
+/// row). Column references must already be bound to positions
+/// ([`Expr::Resolved`]): the evaluator looks up no name.
+pub fn eval(expr: &Expr, ctx: &EvalCtx, scope: &[Option<&[Value]>]) -> Result<Value, SqlError> {
+    eval_cow(expr, ctx, scope).map(Cow::into_owned)
 }
 
 /// Evaluate an expression's SQL truth without materializing the value —
 /// the predicate fast path (filters, JOIN conditions, HAVING).
-pub fn eval_truth(expr: &Expr, ctx: &EvalCtx, row: &dyn ColumnResolver) -> Result<Truth, SqlError> {
-    let v = eval_cow(expr, ctx, row)?;
+pub fn eval_truth(
+    expr: &Expr,
+    ctx: &EvalCtx,
+    scope: &[Option<&[Value]>],
+) -> Result<Truth, SqlError> {
+    let v = eval_cow(expr, ctx, scope)?;
     Ok(truth(&v))
 }
 
 /// Evaluate an expression, borrowing the result where it already lives in
-/// the row scope, the parameter list, or the expression tree itself
-/// (planner-resolved columns, params, literals). Comparisons and predicates
+/// the scope's rows, the parameter list, or the expression tree itself
+/// (bound columns, params, literals). Comparisons and predicates
 /// over Text columns therefore allocate nothing; only computed values
 /// (arithmetic, functions) are owned.
 pub fn eval_cow<'e>(
     expr: &'e Expr,
     ctx: &'e EvalCtx,
-    row: &'e dyn ColumnResolver,
+    scope: &'e [Option<&'e [Value]>],
 ) -> Result<Cow<'e, Value>, SqlError> {
     match expr {
         Expr::Literal(v) => Ok(Cow::Borrowed(v)),
-        Expr::Column { qualifier, name } => row.resolve(qualifier.as_deref(), name).map(Cow::Owned),
-        Expr::Resolved { binding, col } => match row.resolve_idx_ref(*binding, *col) {
-            Ok(v) => Ok(Cow::Borrowed(v)),
-            Err(SqlError::Unsupported(_)) => row.resolve_idx(*binding, *col).map(Cow::Owned),
-            Err(e) => Err(e),
-        },
+        // Prepare binds every name; one that was not has no row to read.
+        Expr::Column { qualifier, name } => Err(unknown_column(qualifier.as_deref(), name)),
+        Expr::Resolved { binding, col } => Ok(Cow::Borrowed(match scope[*binding] {
+            Some(values) => &values[*col],
+            None => &NULL_VALUE,
+        })),
         Expr::Param(i) => ctx
             .params
             .get(*i)
             .map(Cow::Borrowed)
             .ok_or_else(|| SqlError::BadParameter(format!("parameter ?{} not bound", i + 1))),
         Expr::Unary(op, inner) => {
-            let v = eval_cow(inner, ctx, row)?;
+            let v = eval_cow(inner, ctx, scope)?;
             match op {
                 UnOp::Neg => match v.as_ref() {
                     Value::Null => Ok(Cow::Owned(Value::Null)),
@@ -115,10 +97,10 @@ pub fn eval_cow<'e>(
                 })),
             }
         }
-        Expr::Binary(a, op, b) => eval_binary(a, *op, b, ctx, row),
-        Expr::Func { name, args, star } => eval_func(name, args, *star, ctx, row).map(Cow::Owned),
+        Expr::Binary(a, op, b) => eval_binary(a, *op, b, ctx, scope),
+        Expr::Func { name, args, star } => eval_func(name, args, *star, ctx, scope).map(Cow::Owned),
         Expr::IsNull { expr, negated } => {
-            let v = eval_cow(expr, ctx, row)?;
+            let v = eval_cow(expr, ctx, scope)?;
             Ok(Cow::Owned(Value::Bool(v.is_null() != *negated)))
         }
         Expr::Like {
@@ -126,8 +108,8 @@ pub fn eval_cow<'e>(
             pattern,
             negated,
         } => {
-            let v = eval_cow(expr, ctx, row)?;
-            let p = eval_cow(pattern, ctx, row)?;
+            let v = eval_cow(expr, ctx, scope)?;
+            let p = eval_cow(pattern, ctx, scope)?;
             match (v.as_ref(), p.as_ref()) {
                 (Value::Null, _) | (_, Value::Null) => Ok(Cow::Owned(Value::Null)),
                 (Value::Text(s), Value::Text(pat)) => {
@@ -143,13 +125,13 @@ pub fn eval_cow<'e>(
             list,
             negated,
         } => {
-            let v = eval_cow(expr, ctx, row)?;
+            let v = eval_cow(expr, ctx, scope)?;
             if v.is_null() {
                 return Ok(Cow::Owned(Value::Null));
             }
             let mut saw_null = false;
             for item in list {
-                let iv = eval_cow(item, ctx, row)?;
+                let iv = eval_cow(item, ctx, scope)?;
                 if iv.is_null() {
                     saw_null = true;
                     continue;
@@ -165,9 +147,9 @@ pub fn eval_cow<'e>(
             }
         }
         Expr::Between { expr, lo, hi } => {
-            let v = eval_cow(expr, ctx, row)?;
-            let l = eval_cow(lo, ctx, row)?;
-            let h = eval_cow(hi, ctx, row)?;
+            let v = eval_cow(expr, ctx, scope)?;
+            let l = eval_cow(lo, ctx, scope)?;
+            let h = eval_cow(hi, ctx, scope)?;
             if v.is_null() || l.is_null() || h.is_null() {
                 return Ok(Cow::Owned(Value::Null));
             }
@@ -210,17 +192,17 @@ fn eval_binary<'e>(
     op: BinOp,
     b: &'e Expr,
     ctx: &'e EvalCtx,
-    row: &'e dyn ColumnResolver,
+    scope: &'e [Option<&'e [Value]>],
 ) -> Result<Cow<'e, Value>, SqlError> {
     let owned = |v: Value| Ok(Cow::Owned(v));
     match op {
         BinOp::And => {
-            let lv = eval_cow(a, ctx, row)?;
+            let lv = eval_cow(a, ctx, scope)?;
             let l = truth(&lv);
             if l == Truth::False {
                 return owned(Value::Bool(false));
             }
-            let rv = eval_cow(b, ctx, row)?;
+            let rv = eval_cow(b, ctx, scope)?;
             let r = truth(&rv);
             owned(match (l, r) {
                 (Truth::True, Truth::True) => Value::Bool(true),
@@ -229,12 +211,12 @@ fn eval_binary<'e>(
             })
         }
         BinOp::Or => {
-            let lv = eval_cow(a, ctx, row)?;
+            let lv = eval_cow(a, ctx, scope)?;
             let l = truth(&lv);
             if l == Truth::True {
                 return owned(Value::Bool(true));
             }
-            let rv = eval_cow(b, ctx, row)?;
+            let rv = eval_cow(b, ctx, scope)?;
             let r = truth(&rv);
             owned(match (l, r) {
                 (_, Truth::True) => Value::Bool(true),
@@ -243,8 +225,8 @@ fn eval_binary<'e>(
             })
         }
         BinOp::Eq | BinOp::NotEq | BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq => {
-            let l = eval_cow(a, ctx, row)?;
-            let r = eval_cow(b, ctx, row)?;
+            let l = eval_cow(a, ctx, scope)?;
+            let r = eval_cow(b, ctx, scope)?;
             match l.sql_cmp(&r) {
                 None => owned(Value::Null),
                 Some(ord) => {
@@ -262,8 +244,8 @@ fn eval_binary<'e>(
             }
         }
         BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => {
-            let l = eval_cow(a, ctx, row)?;
-            let r = eval_cow(b, ctx, row)?;
+            let l = eval_cow(a, ctx, scope)?;
+            let r = eval_cow(b, ctx, scope)?;
             arith(&l, op, &r).map(Cow::Owned)
         }
     }
@@ -319,7 +301,7 @@ fn eval_func(
     args: &[Expr],
     star: bool,
     ctx: &EvalCtx,
-    row: &dyn ColumnResolver,
+    scope: &[Option<&[Value]>],
 ) -> Result<Value, SqlError> {
     let upper = name.to_ascii_uppercase();
     if is_aggregate_name(&upper) {
@@ -334,7 +316,7 @@ fn eval_func(
     }
     let mut vals = Vec::with_capacity(args.len());
     for a in args {
-        vals.push(eval(a, ctx, row)?);
+        vals.push(eval(a, ctx, scope)?);
     }
     let argc = |n: usize| -> Result<(), SqlError> {
         if vals.len() == n {
@@ -573,7 +555,7 @@ mod tests {
                         params,
                         now_micros: 1_000_000,
                     };
-                    eval(expr, &ctx, &NoColumns)
+                    eval(expr, &ctx, &[])
                 }
                 _ => panic!(),
             },

@@ -64,15 +64,13 @@ pub fn into_conjuncts(expr: Expr) -> Vec<Expr> {
 }
 
 /// Can `key` be evaluated before source `source` is scanned? Only if every
-/// column in it is bound by an earlier source. A name the planner could not
-/// resolve disqualifies the key too: the predicate must still reach the
-/// evaluator and raise its error there.
+/// column in it is bound by an earlier source.
 fn bound_before(key: &Expr, source: usize) -> bool {
     let mut ok = true;
-    key.walk(&mut |e| match e {
-        Expr::Resolved { binding, .. } => ok &= *binding < source,
-        Expr::Column { .. } => ok = false,
-        _ => {}
+    key.walk(&mut |e| {
+        if let Expr::Resolved { binding, .. } = e {
+            ok &= *binding < source;
+        }
     });
     ok
 }
@@ -249,7 +247,7 @@ mod tests {
         match parse(sql).unwrap() {
             crate::ast::Statement::Select(s) => {
                 let mut f = s.filter.unwrap();
-                resolve_columns(&mut f, &bindings);
+                resolve_columns(&mut f, &bindings).unwrap();
                 into_conjuncts(f)
             }
             _ => panic!(),
@@ -355,8 +353,8 @@ mod tests {
     #[test]
     fn conjuncts_split() {
         let f = where_of(
-            "SELECT * FROM t WHERE a = 1 AND b = 2 AND (c = 3 OR d = 4)",
-            &[],
+            "SELECT * FROM events WHERE id = 1 AND title = 'x' AND (id = 3 OR created_by = 4)",
+            &["events"],
         );
         assert_eq!(f.len(), 3);
     }

@@ -90,8 +90,8 @@ fn mysql_style_limit_comma() {
 #[test]
 fn ambiguous_unqualified_column_is_an_error() {
     let (mut e, mut s) = engine();
-    // Note: ambiguity is detected at evaluation time, so the join must
-    // produce at least one row (a column binder would catch it earlier).
+    // Both tables have an `id` column, so the bare name binds to neither.
+    // The binder rejects the statement at prepare, before any row is read.
     e.execute_batch(
         &mut s,
         "CREATE TABLE u (id INT PRIMARY KEY, other TEXT);
@@ -526,4 +526,89 @@ fn sarg_key_over_a_later_table_does_not_drive_the_lookup() {
         let r = rows_of(&mut e, &mut s, &format!("{join} WHERE {filter}"), &[]);
         assert_eq!(r, [[Value::Int(1), Value::Int(1)]], "WHERE {filter}");
     }
+}
+
+/// An empty table `t (id INT PRIMARY KEY, v INT)`.
+fn empty_engine() -> (Engine, Session) {
+    let mut e = Engine::new_master(BinlogFormat::Statement);
+    let mut s = Session::new();
+    e.execute_batch(&mut s, "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+        .expect("setup");
+    (e, s)
+}
+
+#[test]
+fn unknown_columns_fail_at_bind_time_even_when_no_row_is_touched() {
+    let (mut e, mut s) = empty_engine();
+    for (sql, params) in [
+        ("SELECT nosuch FROM t", vec![]),
+        ("DELETE FROM t WHERE nosuch = 1", vec![]),
+        ("UPDATE t SET v = nosuch WHERE id = ?", vec![Value::Int(1)]),
+    ] {
+        let err = e.execute(&mut s, sql, &params).unwrap_err();
+        assert_eq!(err, SqlError::UnknownColumn("nosuch".into()), "{sql}");
+    }
+    assert_eq!(e.binlog().len(), 1, "only the CREATE TABLE was logged");
+}
+
+#[test]
+fn insert_naming_a_column_twice_is_rejected() {
+    let (mut e, mut s) = empty_engine();
+    let err = e
+        .execute(&mut s, "INSERT INTO t (id, id) VALUES (1, 2)", &[])
+        .unwrap_err();
+    assert!(
+        matches!(err, SqlError::Constraint(ref m) if m.contains("'id' specified twice")),
+        "got {err}"
+    );
+    assert_eq!(e.table_rows("t"), Some(0));
+}
+
+#[test]
+fn insert_with_a_short_row_inserts_nothing() {
+    let (mut e, mut s) = empty_engine();
+    let err = e
+        .execute(&mut s, "INSERT INTO t VALUES (1, 2), (3)", &[])
+        .unwrap_err();
+    assert!(matches!(err, SqlError::Constraint(_)), "got {err}");
+    assert_eq!(e.table_rows("t"), Some(0), "the full first row is not kept");
+}
+
+#[test]
+fn create_index_replans_a_cached_update() {
+    let (mut e, mut s) = empty_engine();
+    e.execute_batch(
+        &mut s,
+        "CREATE TABLE items (id INT PRIMARY KEY, c INT, v INT);
+         INSERT INTO items VALUES (1, 10, 0), (2, 10, 0), (3, 20, 0)",
+    )
+    .unwrap();
+    let sql = "UPDATE items SET v = v + 1 WHERE c = ?";
+    for _ in 0..2 {
+        let r = e.execute(&mut s, sql, &[Value::Int(10)]).unwrap();
+        assert_eq!((r.rows_affected, r.rows_examined), (2, 3), "full scan");
+    }
+    let hits = e.plan_cache_stats().hits;
+    let r = e.execute(&mut s, sql, &[Value::Int(10)]).unwrap();
+    assert_eq!(e.plan_cache_stats().hits, hits + 1, "the plan is cached");
+    assert_eq!(r.rows_examined, 3);
+    e.execute(&mut s, "CREATE INDEX idx_c ON items (c)", &[])
+        .unwrap();
+    let r = e.execute(&mut s, sql, &[Value::Int(10)]).unwrap();
+    assert_eq!(
+        (r.rows_affected, r.rows_examined),
+        (2, 2),
+        "the DDL serial replanned the cached UPDATE to an index probe"
+    );
+    let r = e
+        .execute(&mut s, "SELECT v FROM items ORDER BY id", &[])
+        .unwrap();
+    assert_eq!(
+        r.rows,
+        vec![
+            vec![Value::Int(4)],
+            vec![Value::Int(4)],
+            vec![Value::Int(0)]
+        ]
+    );
 }

@@ -2,7 +2,7 @@
 //! expression trees, and algebraic identities hold.
 
 use amdb_sql::ast::{BinOp, Expr, UnOp};
-use amdb_sql::expr::{eval, EvalCtx, NoColumns};
+use amdb_sql::expr::{eval, EvalCtx};
 use amdb_sql::Value;
 use proptest::prelude::*;
 
@@ -59,7 +59,7 @@ proptest! {
     #[test]
     fn eval_never_panics(e in arb_expr()) {
         let ctx = EvalCtx::bare(123);
-        let _ = eval(&e, &ctx, &NoColumns);
+        let _ = eval(&e, &ctx, &[]);
     }
 
     /// Double negation is identity on boolean-valued expressions.
@@ -73,7 +73,7 @@ proptest! {
                 Box::new(Expr::Literal(Value::Bool(b))),
             )),
         );
-        prop_assert_eq!(eval(&e, &ctx, &NoColumns).unwrap(), Value::Bool(b));
+        prop_assert_eq!(eval(&e, &ctx, &[]).unwrap(), Value::Bool(b));
     }
 
     /// x = x is TRUE for any non-null comparable literal.
@@ -82,7 +82,7 @@ proptest! {
         let ctx = EvalCtx::bare(0);
         let lit = Expr::Literal(Value::Int(i));
         let e = Expr::Binary(Box::new(lit.clone()), BinOp::Eq, Box::new(lit));
-        prop_assert_eq!(eval(&e, &ctx, &NoColumns).unwrap(), Value::Bool(true));
+        prop_assert_eq!(eval(&e, &ctx, &[]).unwrap(), Value::Bool(true));
     }
 
     /// Integer addition in-range matches Rust's.
@@ -94,7 +94,7 @@ proptest! {
             BinOp::Add,
             Box::new(Expr::Literal(Value::Int(b))),
         );
-        prop_assert_eq!(eval(&e, &ctx, &NoColumns).unwrap(), Value::Int(a + b));
+        prop_assert_eq!(eval(&e, &ctx, &[]).unwrap(), Value::Int(a + b));
     }
 
     /// AND is commutative in outcome for any pair of literals.
@@ -104,7 +104,7 @@ proptest! {
         let ab = Expr::Binary(Box::new(a.clone()), BinOp::And, Box::new(b.clone()));
         let ba = Expr::Binary(Box::new(b), BinOp::And, Box::new(a));
         // Both either error together or agree.
-        match (eval(&ab, &ctx, &NoColumns), eval(&ba, &ctx, &NoColumns)) {
+        match (eval(&ab, &ctx, &[]), eval(&ba, &ctx, &[])) {
             (Ok(x), Ok(y)) => prop_assert_eq!(x, y),
             (Err(_), _) | (_, Err(_)) => {} // type-dependent errors allowed
         }

@@ -86,7 +86,7 @@ proptest! {
                 amdb_sql::ast::SelectItem::Expr { expr, .. } => {
                     // Negative literals parse as Neg(positive); evaluate both.
                     let ctx = amdb_sql::expr::EvalCtx::bare(0);
-                    let got = amdb_sql::expr::eval(expr, &ctx, &amdb_sql::expr::NoColumns)
+                    let got = amdb_sql::expr::eval(expr, &ctx, &[])
                         .expect("evaluates");
                     prop_assert_eq!(got, amdb_sql::Value::Int(v));
                 }
