@@ -63,17 +63,28 @@ awk '$1 == "metric" || $1 == "exact" { m[$2] = $3 }
 # its tracing pass runs here): a SELECT costs at most 8 INSERTs. Both numbers
 # come from one process, so host speed cancels; it was 10-13 x before the
 # plan-time SELECT pipeline (DESIGN.md, "SQL engine hot path"), 4-5 x with it.
-# And a fork costs at most 20 INSERTs: ~1 000 x while a fork copied the
-# template's tables, ~2 x since forks share its frozen base (DESIGN.md, "Storage").
-benchmark/run.sh --workload paper_8020 --trace 1 --smoke --out benchmark/out/smoke >/dev/null
-awk '$1 == "metric" || $1 == "exact" { m[$2] = $3 }
-  END { r = m["sql.read_ns_per_stmt"]; w = m["sql.write_ns_per_stmt"]; f = m["sql.fork_us"]
-        q = m["pool.waited_share"]; if (q == "" || q + 0 != 0) { print "pool.waited_share = " q ", want 0"; exit 1 }
-        if (r == "" || w == "" || r + 0 > 8 * w) {
-          print "sql.read_ns_per_stmt = " r " > 8 x sql.write_ns_per_stmt = " w; exit 1 }
-        if (f == "" || f * 1000 > 20 * w) {
-          print "sql.fork_us = " f " > 20 x sql.write_ns_per_stmt = " w " ns"; exit 1 } }' \
-  benchmark/out/smoke/paper_8020.trace1.txt
+# One pass reads anywhere in 5-9 x on a 2-core host, so unchanged code failed
+# a single-pass gate about half the time: three passes run, and their median
+# is gated. And on every pass a fork costs at most 20 INSERTs: ~1 000 x while
+# a fork copied the template's tables, ~2 x since forks share its frozen base
+# (DESIGN.md, "Storage").
+ratios=()
+for pass in 1 2 3; do
+  out=benchmark/out/read_ratio$pass
+  benchmark/run.sh --workload paper_8020 --trace 1 --smoke --out "$out" >/dev/null
+  ratio=$(awk '$1 == "metric" || $1 == "exact" { m[$2] = $3 }
+    END { r = m["sql.read_ns_per_stmt"]; w = m["sql.write_ns_per_stmt"]; f = m["sql.fork_us"]
+          q = m["pool.waited_share"]; if (q == "" || q + 0 != 0) { print "pool.waited_share = " q ", want 0"; exit 1 }
+          if (r == "" || w == "" || w + 0 <= 0) { print "no sql.read_ns_per_stmt / sql.write_ns_per_stmt"; exit 1 }
+          if (f == "" || f * 1000 > 20 * w) {
+            print "sql.fork_us = " f " > 20 x sql.write_ns_per_stmt = " w " ns"; exit 1 }
+          printf "%.2f\n", r / w }' "$out/paper_8020.trace1.txt") || { echo "$ratio"; exit 1; }
+  ratios+=("$ratio")
+done
+median=$(printf '%s\n' "${ratios[@]}" | sort -n | sed -n 2p)
+echo "sql.read_ns_per_stmt / sql.write_ns_per_stmt: ${ratios[*]} (median $median)"
+awk -v m="$median" 'BEGIN { exit !(m + 0 <= 8) }' \
+  || { echo "median read/write ratio $median > 8"; exit 1; }
 
 echo "== byte-identity table: same tables and CSVs for any --jobs, AMDB_JOBS, --backend statement =="
 # amdb writes results/ relative to cwd; each (subcommand, flags) pair runs

@@ -243,7 +243,9 @@ pub enum Expr {
     },
     Unary(UnOp, Box<Expr>),
     Binary(Box<Expr>, BinOp, Box<Expr>),
-    /// Function call; `COUNT(*)` is `Func("COUNT", [])` with `star = true`.
+    /// Function call. The parser upper-cases `name`, and everything that
+    /// matches on it (the binder's aggregate lookup, the evaluator) relies
+    /// on that. `COUNT(*)` is `Func("COUNT", [])` with `star = true`.
     Func {
         name: String,
         args: Vec<Expr>,
@@ -332,21 +334,35 @@ impl Expr {
         let mut found = false;
         self.walk(&mut |e| {
             if let Expr::Func { name, .. } = e {
-                if is_aggregate_name(name) {
-                    found = true;
-                }
+                found |= AggKind::of(name).is_some();
             }
         });
         found
     }
 }
 
-/// Whether a function name denotes an aggregate.
-pub fn is_aggregate_name(name: &str) -> bool {
-    matches!(
-        name.to_ascii_uppercase().as_str(),
-        "COUNT" | "SUM" | "AVG" | "MIN" | "MAX"
-    )
+/// The aggregate functions: each folds the rows of a group into one value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AggKind {
+    Count,
+    Sum,
+    Avg,
+    Min,
+    Max,
+}
+
+impl AggKind {
+    /// The aggregate an upper-case function name denotes, if any.
+    pub fn of(name: &str) -> Option<AggKind> {
+        Some(match name {
+            "COUNT" => AggKind::Count,
+            "SUM" => AggKind::Sum,
+            "AVG" => AggKind::Avg,
+            "MIN" => AggKind::Min,
+            "MAX" => AggKind::Max,
+            _ => return None,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -392,7 +408,7 @@ mod tests {
     #[test]
     fn aggregate_detection() {
         let agg = Expr::Func {
-            name: "count".into(),
+            name: "COUNT".into(),
             args: vec![],
             star: true,
         };

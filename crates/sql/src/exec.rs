@@ -2,7 +2,10 @@
 
 use crate::ast::*;
 use crate::error::SqlError;
-use crate::expr::{eval, eval_cow, eval_truth, unknown_column, EvalCtx, Truth, NULL_VALUE};
+use crate::expr::{
+    arith, eval, eval_cow, eval_truth, misplaced_aggregate, unknown_column, EvalCtx, Truth,
+    NULL_VALUE,
+};
 use crate::plan::{choose_path, into_conjuncts, Path};
 use crate::storage::{Postings, RowId, Table};
 use crate::value::{DataType, Value};
@@ -336,23 +339,23 @@ struct SortKey {
 
 #[derive(Debug, Clone)]
 enum KeySrc {
-    /// A plain column: compared in place in the borrowed scope row.
+    /// A plain column, or a bare aggregate (a column of a group's aggregate
+    /// entry): compared in place in the borrowed scope row.
     Stored { binding: usize, col: usize },
-    /// Anything else (always, in aggregate mode): evaluated once per row
-    /// into slot `slot` of that row's stretch of the computed-key buffer. A
-    /// key that names an output column carries that item's expression and,
-    /// for aggregate results, which already hold its value, the position.
-    Computed {
-        expr: Expr,
-        output: Option<usize>,
-        slot: usize,
-    },
+    /// Anything else: evaluated once per row into slot `slot` of that row's
+    /// stretch of the computed-key buffer. A key that names an output
+    /// column carries that item's expression.
+    Computed { expr: Expr, slot: usize },
 }
 
 /// A fully planned SELECT — everything about the statement that does not
 /// depend on row data: FROM sources with access paths over positional keys,
-/// predicates split into conjuncts, the expanded projection list and the
-/// located sort keys.
+/// predicates split into conjuncts, the expanded projection list, the
+/// aggregate calls and the located sort keys.
+///
+/// Every expression reads one scope row: an entry per FROM source and, when
+/// the SELECT aggregates, one more, entry `sources.len()`, holding a group's
+/// aggregate values in `aggs` order.
 #[derive(Debug, Clone)]
 pub struct SelectPlan {
     sources: Vec<PlannedSource>,
@@ -360,7 +363,10 @@ pub struct SelectPlan {
     filter: Vec<Expr>,
     out_cols: std::sync::Arc<[String]>,
     item_exprs: Vec<(Expr, String)>, // (expr, name) expanded
-    aggregate_mode: bool,
+    /// `Some` when the SELECT aggregates (GROUP BY, HAVING, or an aggregate
+    /// in its select list): every distinct aggregate call of its select
+    /// list, HAVING and ORDER BY, in the order the binder met them.
+    aggs: Option<Vec<AggSpec>>,
     group_by: Vec<Expr>,
     having: Option<Expr>,
     order_by: Vec<SortKey>,
@@ -573,14 +579,66 @@ fn column_position(
 /// [`Expr::Resolved`] it names among `bindings`, the statement's tables in
 /// FROM order (none for INSERT values). This is the engine's only name
 /// lookup; an unknown or ambiguous name is an [`SqlError::UnknownColumn`].
+/// `e` may call no aggregate.
 pub(crate) fn resolve_columns(e: &mut Expr, bindings: &[Binding]) -> Result<(), SqlError> {
+    bind_expr(e, bindings, None)
+}
+
+/// [`resolve_columns`], where `aggs` is `Some` in the positions an
+/// aggregating SELECT folds groups for (its select list, HAVING and ORDER
+/// BY). There each aggregate call is entered in `aggs` once and becomes
+/// column `i` of scope entry `bindings.len()`, which holds a group's
+/// aggregate values. An aggregate anywhere else fails the statement.
+fn bind_expr(
+    e: &mut Expr,
+    bindings: &[Binding],
+    mut aggs: Option<&mut Vec<AggSpec>>,
+) -> Result<(), SqlError> {
     match e {
         Expr::Column { qualifier, name } => {
             let (binding, col) = column_position(bindings, qualifier.as_deref(), name)?;
             *e = Expr::Resolved { binding, col };
         }
+        Expr::Func { name, args, star } => match (AggKind::of(name), aggs) {
+            (None, mut aggs) => {
+                for a in args {
+                    bind_expr(a, bindings, aggs.as_deref_mut())?;
+                }
+            }
+            (Some(_), None) => return Err(misplaced_aggregate(name)),
+            (Some(kind), Some(aggs)) => {
+                let arg = match (kind, *star, args.as_mut_slice()) {
+                    (AggKind::Count, true, _) => None,
+                    (_, true, _) => {
+                        return Err(SqlError::Parse(format!("{name}(*) is not a function")))
+                    }
+                    (_, false, [arg]) => {
+                        resolve_columns(arg, bindings)?;
+                        Some(arg.clone())
+                    }
+                    (_, false, args) => {
+                        return Err(SqlError::BadParameter(format!(
+                            "{name} expects 1 argument(s), got {}",
+                            args.len()
+                        )))
+                    }
+                };
+                let spec = AggSpec { kind, arg };
+                let col = match aggs.iter().position(|a| *a == spec) {
+                    Some(col) => col,
+                    None => {
+                        aggs.push(spec);
+                        aggs.len() - 1
+                    }
+                };
+                *e = Expr::Resolved {
+                    binding: bindings.len(),
+                    col,
+                };
+            }
+        },
         Expr::Unary(_, inner) | Expr::IsNull { expr: inner, .. } => {
-            resolve_columns(inner, bindings)?
+            bind_expr(inner, bindings, aggs)?
         }
         Expr::Binary(a, _, b)
         | Expr::Like {
@@ -588,24 +646,19 @@ pub(crate) fn resolve_columns(e: &mut Expr, bindings: &[Binding]) -> Result<(), 
             pattern: b,
             ..
         } => {
-            resolve_columns(a, bindings)?;
-            resolve_columns(b, bindings)?;
-        }
-        Expr::Func { args, .. } => {
-            for a in args {
-                resolve_columns(a, bindings)?;
-            }
+            bind_expr(a, bindings, aggs.as_deref_mut())?;
+            bind_expr(b, bindings, aggs)?;
         }
         Expr::InList { expr, list, .. } => {
-            resolve_columns(expr, bindings)?;
+            bind_expr(expr, bindings, aggs.as_deref_mut())?;
             for i in list {
-                resolve_columns(i, bindings)?;
+                bind_expr(i, bindings, aggs.as_deref_mut())?;
             }
         }
         Expr::Between { expr, lo, hi } => {
-            resolve_columns(expr, bindings)?;
-            resolve_columns(lo, bindings)?;
-            resolve_columns(hi, bindings)?;
+            bind_expr(expr, bindings, aggs.as_deref_mut())?;
+            bind_expr(lo, bindings, aggs.as_deref_mut())?;
+            bind_expr(hi, bindings, aggs)?;
         }
         Expr::Literal(_) | Expr::Param(_) | Expr::Resolved { .. } => {}
     }
@@ -623,9 +676,9 @@ fn bound_conjuncts(pred: Option<Expr>, bindings: &[Binding]) -> Result<Vec<Expr>
 }
 
 /// Plan a SELECT: resolve tables and column names, choose access paths,
-/// expand the projection, locate the sort keys. Everything here depends only
-/// on catalog schemas and index definitions, so the result stays valid until
-/// a schema-affecting DDL runs.
+/// expand the projection, enter the aggregate calls, locate the sort keys.
+/// Everything here depends only on catalog schemas and index definitions,
+/// so the result stays valid until a schema-affecting DDL runs.
 fn plan_select(
     catalog: &Catalog,
     sel: &SelectStmt,
@@ -658,6 +711,18 @@ fn plan_select(
         });
     }
 
+    if sel.having.is_some() && sel.group_by.is_empty() {
+        return Err(SqlError::Unsupported(
+            "HAVING requires GROUP BY in this engine".into(),
+        ));
+    }
+    let aggregating = !sel.group_by.is_empty()
+        || sel.items.iter().any(|item| match item {
+            SelectItem::Expr { expr, .. } => expr.contains_aggregate(),
+            SelectItem::Wildcard => false,
+        });
+    let mut aggs = aggregating.then(Vec::new);
+
     // Output columns.
     let mut out_cols: Vec<String> = Vec::new();
     let mut item_exprs: Vec<(Expr, String)> = Vec::new(); // (expr, name) expanded
@@ -679,19 +744,10 @@ fn plan_select(
                 });
                 out_cols.push(name.clone());
                 let mut expr = expr.clone();
-                resolve_columns(&mut expr, &bindings)?;
+                bind_expr(&mut expr, &bindings, aggs.as_mut())?;
                 item_exprs.push((expr, name));
             }
         }
-    }
-
-    let aggregate_mode = !sel.group_by.is_empty()
-        || item_exprs.iter().any(|(e, _)| e.contains_aggregate())
-        || sel.having.is_some();
-    if sel.having.is_some() && sel.group_by.is_empty() {
-        return Err(SqlError::Unsupported(
-            "HAVING requires GROUP BY in this engine".into(),
-        ));
     }
 
     let mut group_by = sel.group_by.clone();
@@ -700,7 +756,7 @@ fn plan_select(
     }
     let mut having = sel.having.clone();
     if let Some(h) = &mut having {
-        resolve_columns(h, &bindings)?;
+        bind_expr(h, &bindings, aggs.as_mut())?;
     }
 
     // ORDER BY keys resolve output names ahead of table columns; a key that
@@ -719,17 +775,16 @@ fn plan_select(
             Some(pos) => item_exprs[pos].0.clone(),
             None => {
                 let mut expr = ok.expr.clone();
-                resolve_columns(&mut expr, &bindings)?;
+                bind_expr(&mut expr, &bindings, aggs.as_mut())?;
                 expr
             }
         };
         let src = match expr {
-            Expr::Resolved { binding, col } if !aggregate_mode => KeySrc::Stored { binding, col },
+            Expr::Resolved { binding, col } => KeySrc::Stored { binding, col },
             expr => {
                 computed_keys += 1;
                 KeySrc::Computed {
                     expr,
-                    output,
                     slot: computed_keys - 1,
                 }
             }
@@ -742,7 +797,7 @@ fn plan_select(
         filter,
         out_cols: out_cols.into(),
         item_exprs,
-        aggregate_mode,
+        aggs,
         group_by,
         having,
         order_by,
@@ -754,7 +809,7 @@ fn plan_select(
 }
 
 /// One aggregation group: accumulators plus the representative scope row
-/// (the group's first, used to evaluate non-aggregate expressions).
+/// (the group's first, which non-aggregate expressions read).
 type AggGroup<'t> = (Vec<AggAcc>, Vec<Option<&'t [Value]>>);
 
 /// Sink receiving each surviving scope row from the join driver.
@@ -799,9 +854,8 @@ impl<'t> Join<'_, 't> {
     /// Feed each joined scope row that passes WHERE to `sink`.
     fn run(&mut self, sink: &mut RowSink<'_, 't>) -> Result<(), SqlError> {
         if self.plan.sources.is_empty() {
-            // A FROM-less SELECT yields exactly one row over an empty scope;
-            // the padding entry is never read (there are no bindings).
-            return sink(&[None]);
+            // A FROM-less SELECT yields exactly one row, over an empty scope.
+            return sink(&[]);
         }
         let mut scope_rows = vec![None; self.plan.sources.len()];
         self.recurse(0, &mut scope_rows, sink)
@@ -918,119 +972,60 @@ pub fn exec_select_planned<'c>(
         rows_examined: 0,
     };
 
-    // What the join leaves behind, one entry per emitted row: the borrowed
-    // scope rows (`flat`, chunks of `n_srcs`) unless aggregating, the
-    // projected row where it had to be materialised (aggregates, DISTINCT),
-    // and the computed sort keys (chunks of `plan.computed_keys`).
-    let n_srcs = plan.sources.len().max(1);
-    let mut flat: Vec<Option<&'c [Value]>> = Vec::new();
-    let mut out_rows: Vec<Vec<Value>> = Vec::new();
-    let mut computed: Vec<Value> = Vec::new();
-
-    if plan.aggregate_mode {
-        let key_exprs = plan.order_by.iter().filter_map(|sk| match &sk.src {
-            KeySrc::Computed { expr, .. } => Some(expr),
-            KeySrc::Stored { .. } => None,
-        });
-        let specs = collect_agg_specs(&plan.item_exprs, key_exprs, plan.having.as_ref());
-        // (accumulators, representative scope rows); output order is group
-        // discovery order, so the index map can be an unordered HashMap.
-        let mut groups: Vec<AggGroup<'c>> = Vec::new();
-        let mut group_index: HashMap<GroupKey, usize> = HashMap::new();
-        // Rows stream straight into accumulators; only each group's first row
-        // is kept (as the group's representative scope). A global aggregate
-        // (no GROUP BY) skips the key hashing entirely — one group, found
-        // without a lookup.
-        let global = plan.group_by.is_empty();
-        let mut sink = |scope_rows: &[Option<&'c [Value]>]| -> Result<(), SqlError> {
-            let gi = if global {
-                if groups.is_empty() {
-                    groups.push((specs.iter().map(AggAcc::new).collect(), scope_rows.to_vec()));
-                }
-                0
-            } else {
-                let mut key = Vec::with_capacity(plan.group_by.len());
-                for g in &plan.group_by {
-                    key.push(ValueKey::from(eval(g, ctx, scope_rows)?));
-                }
-                let key = GroupKey(key);
-                match group_index.get(&key) {
-                    Some(&gi) => gi,
-                    None => {
-                        groups.push((specs.iter().map(AggAcc::new).collect(), scope_rows.to_vec()));
-                        group_index.insert(key, groups.len() - 1);
-                        groups.len() - 1
-                    }
-                }
-            };
-            for (acc, spec) in groups[gi].0.iter_mut().zip(&specs) {
-                acc.update(spec, ctx, scope_rows)?;
-            }
-            Ok(())
-        };
-        join.run(&mut sink)?;
-        // A global aggregate over zero rows still yields one group.
-        if groups.is_empty() && global {
-            groups.push((
-                specs.iter().map(AggAcc::new).collect(),
-                vec![None; plan.sources.len()],
-            ));
-        }
-
-        for (accs, scope) in &groups {
-            let agg_values: Vec<Value> = accs.iter().map(|a| a.finish()).collect();
-            // HAVING filters whole groups; aggregates inside it substitute.
-            if let Some(h) = &plan.having {
-                let rewritten = substitute_aggs(h, &specs, &agg_values);
-                if eval_truth(&rewritten, ctx, scope)? != Truth::True {
-                    continue;
-                }
-            }
-            let mut out_row = Vec::with_capacity(plan.item_exprs.len());
-            for (e, _) in &plan.item_exprs {
-                let rewritten = substitute_aggs(e, &specs, &agg_values);
-                out_row.push(eval(&rewritten, ctx, scope)?);
-            }
-            // Sort keys may contain aggregates too.
-            for sk in &plan.order_by {
-                if let KeySrc::Computed { expr, output, .. } = &sk.src {
-                    computed.push(match output {
-                        Some(pos) => out_row[*pos].clone(),
-                        None => eval(&substitute_aggs(expr, &specs, &agg_values), ctx, scope)?,
-                    });
-                }
-            }
-            out_rows.push(out_row);
-        }
-    } else {
-        // Sorting needs every emitted row at once, so the non-aggregate path
-        // materializes — but as borrowed row slices in one flat buffer, not
-        // a Vec-per-row, and unprojected: projection clones every value, so
-        // it waits until the window is known.
-        join.run(&mut |scope_rows| {
+    // Sorting needs every emitted row at once, so the rows are materialised
+    // — but as borrowed scope rows, `width` entries each, in one flat
+    // buffer, and unprojected: projection clones every value, so it waits
+    // until the window is known. A plain SELECT emits the join's rows; an
+    // aggregating one emits each group that passes HAVING, as its
+    // representative row plus its aggregate values (`agg_rows`).
+    let width = plan.sources.len() + usize::from(plan.aggs.is_some());
+    let agg_rows: Vec<Vec<Value>>;
+    let mut flat: Vec<Option<&[Value]>> = Vec::new();
+    let mut emitted = 0;
+    match &plan.aggs {
+        None => join.run(&mut |scope_rows| {
             flat.extend_from_slice(scope_rows);
+            emitted += 1;
             Ok(())
-        })?;
-        if plan.computed_keys > 0 || plan.distinct {
-            for scope_rows in flat.chunks(n_srcs) {
-                for sk in &plan.order_by {
-                    if let KeySrc::Computed { expr, .. } = &sk.src {
-                        computed.push(eval(expr, ctx, scope_rows)?);
+        })?,
+        Some(aggs) => {
+            let groups = fold_groups(&mut join, aggs)?;
+            agg_rows = groups
+                .iter()
+                .map(|(accs, _)| accs.iter().map(AggAcc::finish).collect())
+                .collect();
+            for ((_, rep), values) in groups.iter().zip(&agg_rows) {
+                let start = flat.len();
+                flat.extend_from_slice(rep);
+                flat.push(Some(values));
+                match &plan.having {
+                    Some(h) if eval_truth(h, ctx, &flat[start..])? != Truth::True => {
+                        flat.truncate(start)
                     }
-                }
-                if plan.distinct {
-                    out_rows.push(project(plan, ctx, scope_rows)?);
+                    _ => emitted += 1,
                 }
             }
         }
     }
+    let row = |i: usize| &flat[i * width..(i + 1) * width];
 
-    let materialised = plan.aggregate_mode || plan.distinct;
-    let emitted = if materialised {
-        out_rows.len()
-    } else {
-        flat.len() / n_srcs
-    };
+    // The computed sort keys (chunks of `plan.computed_keys`) and, for
+    // DISTINCT, the projected rows, one per emitted row.
+    let mut computed: Vec<Value> = Vec::new();
+    let mut out_rows: Vec<Vec<Value>> = Vec::new();
+    if plan.computed_keys > 0 || plan.distinct {
+        for i in 0..emitted {
+            for sk in &plan.order_by {
+                if let KeySrc::Computed { expr, .. } = &sk.src {
+                    computed.push(eval(expr, ctx, row(i))?);
+                }
+            }
+            if plan.distinct {
+                out_rows.push(project(plan, ctx, row(i))?);
+            }
+        }
+    }
+
     let mut order: Vec<usize> = (0..emitted).collect();
     // DISTINCT: keep the first occurrence of each projected row.
     if plan.distinct {
@@ -1044,19 +1039,19 @@ pub fn exec_select_planned<'c>(
             ))
         });
     }
-    let order = sorted_window(order, plan, |row, k| match &plan.order_by[k].src {
-        KeySrc::Stored { binding, col } => match flat[row * n_srcs + binding] {
+    let order = sorted_window(order, plan, |i, k| match &plan.order_by[k].src {
+        KeySrc::Stored { binding, col } => match row(i)[*binding] {
             Some(values) => &values[*col],
             None => &NULL_VALUE,
         },
-        KeySrc::Computed { slot, .. } => &computed[row * plan.computed_keys + slot],
+        KeySrc::Computed { slot, .. } => &computed[i * plan.computed_keys + slot],
     });
     let mut rows = Vec::with_capacity(order.len());
     for i in order {
-        rows.push(if materialised {
+        rows.push(if plan.distinct {
             std::mem::take(&mut out_rows[i])
         } else {
-            project(plan, ctx, &flat[i * n_srcs..(i + 1) * n_srcs])?
+            project(plan, ctx, row(i))?
         });
     }
 
@@ -1067,6 +1062,48 @@ pub fn exec_select_planned<'c>(
         last_insert_id: None,
         rows_examined: join.rows_examined,
     })
+}
+
+/// Run the join, folding its rows into the groups of `join.plan`'s GROUP BY
+/// — in discovery order, so the index map can be an unordered `HashMap` —
+/// over the aggregate calls `aggs`. Rows stream straight into
+/// accumulators; only each group's first row is kept. A global aggregate
+/// (no GROUP BY) skips the key hashing and yields its one group even over
+/// zero rows.
+fn fold_groups<'t>(
+    join: &mut Join<'_, 't>,
+    aggs: &[AggSpec],
+) -> Result<Vec<AggGroup<'t>>, SqlError> {
+    let (plan, ctx) = (join.plan, join.ctx);
+    let new_accs = || aggs.iter().map(|a| AggAcc::new(a.kind)).collect();
+    let mut groups: Vec<AggGroup<'t>> = Vec::new();
+    let mut group_index: HashMap<GroupKey, usize> = HashMap::new();
+    let global = plan.group_by.is_empty();
+    join.run(&mut |scope_rows| {
+        let gi = if global {
+            if groups.is_empty() {
+                groups.push((new_accs(), scope_rows.to_vec()));
+            }
+            0
+        } else {
+            let mut key = Vec::with_capacity(plan.group_by.len());
+            for g in &plan.group_by {
+                key.push(ValueKey::from(eval(g, ctx, scope_rows)?));
+            }
+            *group_index.entry(GroupKey(key)).or_insert_with(|| {
+                groups.push((new_accs(), scope_rows.to_vec()));
+                groups.len() - 1
+            })
+        };
+        for (acc, agg) in groups[gi].0.iter_mut().zip(aggs) {
+            acc.update(agg.arg.as_ref(), ctx, scope_rows)?;
+        }
+        Ok(())
+    })?;
+    if groups.is_empty() && global {
+        groups.push((new_accs(), vec![None; plan.sources.len()]));
+    }
+    Ok(groups)
 }
 
 /// Exact-value grouping / DISTINCT key. Equality must distinguish exactly
@@ -1136,203 +1173,77 @@ fn explain(plan: &SelectPlan, sel: &SelectStmt) -> QueryResult {
 // Aggregates
 // ---------------------------------------------------------------------------
 
+/// One aggregate call of a SELECT, bound at prepare: its kind and its
+/// argument over the FROM bindings (`None` for `COUNT(*)`).
 #[derive(Debug, Clone, PartialEq)]
 struct AggSpec {
-    name: String,
+    kind: AggKind,
     arg: Option<Expr>,
-    star: bool,
 }
 
-fn collect_agg_specs<'e>(
-    items: &[(Expr, String)],
-    order_by: impl Iterator<Item = &'e Expr>,
-    having: Option<&Expr>,
-) -> Vec<AggSpec> {
-    let mut specs: Vec<AggSpec> = Vec::new();
-    let mut add_from = |e: &Expr| {
-        e.walk(&mut |node| {
-            if let Expr::Func { name, args, star } = node {
-                if is_aggregate_name(name) {
-                    let spec = AggSpec {
-                        name: name.to_ascii_uppercase(),
-                        arg: args.first().cloned(),
-                        star: *star,
-                    };
-                    if !specs.contains(&spec) {
-                        specs.push(spec);
-                    }
-                }
-            }
-        });
-    };
-    for (e, _) in items {
-        add_from(e);
-    }
-    for e in order_by {
-        add_from(e);
-    }
-    if let Some(h) = having {
-        add_from(h);
-    }
-    specs
-}
-
-/// Replace aggregate calls with their computed values.
-fn substitute_aggs(e: &Expr, specs: &[AggSpec], values: &[Value]) -> Expr {
-    if let Expr::Func { name, args, star } = e {
-        if is_aggregate_name(name) {
-            let spec = AggSpec {
-                name: name.to_ascii_uppercase(),
-                arg: args.first().cloned(),
-                star: *star,
-            };
-            if let Some(i) = specs.iter().position(|s| *s == spec) {
-                return Expr::Literal(values[i].clone());
-            }
-        }
-    }
-    match e {
-        Expr::Unary(op, inner) => Expr::Unary(*op, Box::new(substitute_aggs(inner, specs, values))),
-        Expr::Binary(a, op, b) => Expr::Binary(
-            Box::new(substitute_aggs(a, specs, values)),
-            *op,
-            Box::new(substitute_aggs(b, specs, values)),
-        ),
-        Expr::Func { name, args, star } => Expr::Func {
-            name: name.clone(),
-            args: args
-                .iter()
-                .map(|a| substitute_aggs(a, specs, values))
-                .collect(),
-            star: *star,
-        },
-        Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: Box::new(substitute_aggs(expr, specs, values)),
-            negated: *negated,
-        },
-        Expr::Like {
-            expr,
-            pattern,
-            negated,
-        } => Expr::Like {
-            expr: Box::new(substitute_aggs(expr, specs, values)),
-            pattern: Box::new(substitute_aggs(pattern, specs, values)),
-            negated: *negated,
-        },
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => Expr::InList {
-            expr: Box::new(substitute_aggs(expr, specs, values)),
-            list: list
-                .iter()
-                .map(|i| substitute_aggs(i, specs, values))
-                .collect(),
-            negated: *negated,
-        },
-        Expr::Between { expr, lo, hi } => Expr::Between {
-            expr: Box::new(substitute_aggs(expr, specs, values)),
-            lo: Box::new(substitute_aggs(lo, specs, values)),
-            hi: Box::new(substitute_aggs(hi, specs, values)),
-        },
-        other => other.clone(),
-    }
-}
-
-#[derive(Debug, Clone)]
+/// One aggregate's running value over a group. Every aggregate skips NULL;
+/// SUM, MIN and MAX are NULL until their first value, and SUM is exact while
+/// every value is an INT.
+#[derive(Debug)]
 enum AggAcc {
     Count(i64),
-    Sum { sum: f64, any: bool, int: bool },
+    Sum(Value),
     Avg { sum: f64, n: i64 },
-    Min(Option<Value>),
-    Max(Option<Value>),
+    Min(Value),
+    Max(Value),
 }
 
 impl AggAcc {
-    fn new(spec: &AggSpec) -> AggAcc {
-        match spec.name.as_str() {
-            "COUNT" => AggAcc::Count(0),
-            "SUM" => AggAcc::Sum {
-                sum: 0.0,
-                any: false,
-                int: true,
-            },
-            "AVG" => AggAcc::Avg { sum: 0.0, n: 0 },
-            "MIN" => AggAcc::Min(None),
-            "MAX" => AggAcc::Max(None),
-            other => unreachable!("non-aggregate {other}"),
+    fn new(kind: AggKind) -> AggAcc {
+        match kind {
+            AggKind::Count => AggAcc::Count(0),
+            AggKind::Sum => AggAcc::Sum(Value::Null),
+            AggKind::Avg => AggAcc::Avg { sum: 0.0, n: 0 },
+            AggKind::Min => AggAcc::Min(Value::Null),
+            AggKind::Max => AggAcc::Max(Value::Null),
         }
     }
 
+    /// Fold in one row's value of `arg` (`None`: `COUNT(*)`, which counts
+    /// every row).
     fn update(
         &mut self,
-        spec: &AggSpec,
+        arg: Option<&Expr>,
         ctx: &EvalCtx,
         scope: &[Option<&[Value]>],
     ) -> Result<(), SqlError> {
-        let arg_val = if spec.star {
-            Some(Value::Int(1))
-        } else if let Some(arg) = &spec.arg {
-            Some(eval(arg, ctx, scope)?)
-        } else {
-            None
+        let v = match arg {
+            Some(arg) => eval_cow(arg, ctx, scope)?,
+            None => std::borrow::Cow::Owned(Value::Int(1)),
         };
+        if v.is_null() {
+            return Ok(());
+        }
         match self {
-            AggAcc::Count(n) => match arg_val {
-                Some(Value::Null) => {}
-                Some(_) => *n += 1,
-                None => return Err(SqlError::BadParameter("COUNT needs an argument".into())),
+            AggAcc::Count(n) => *n += 1,
+            AggAcc::Sum(sum) => match v.as_ref() {
+                Value::Int(_) | Value::Double(_) => {
+                    let acc = if sum.is_null() { &Value::Int(0) } else { &*sum };
+                    *sum = arith(acc, BinOp::Add, &v)?;
+                }
+                v => return Err(SqlError::TypeMismatch(format!("SUM over {v:?}"))),
             },
-            AggAcc::Sum { sum, any, int } => match arg_val {
-                Some(Value::Null) | None => {}
-                Some(Value::Int(i)) => {
-                    *sum += i as f64;
-                    *any = true;
-                }
-                Some(Value::Double(d)) => {
-                    *sum += d;
-                    *any = true;
-                    *int = false;
-                }
-                Some(v) => {
-                    return Err(SqlError::TypeMismatch(format!("SUM over {v:?}")));
-                }
-            },
-            AggAcc::Avg { sum, n } => match arg_val {
-                Some(Value::Null) | None => {}
-                Some(Value::Int(i)) => {
-                    *sum += i as f64;
-                    *n += 1;
-                }
-                Some(Value::Double(d)) => {
-                    *sum += d;
-                    *n += 1;
-                }
-                Some(v) => {
-                    return Err(SqlError::TypeMismatch(format!("AVG over {v:?}")));
-                }
-            },
+            AggAcc::Avg { sum, n } => {
+                *sum += match v.as_ref() {
+                    Value::Int(i) => *i as f64,
+                    Value::Double(d) => *d,
+                    v => return Err(SqlError::TypeMismatch(format!("AVG over {v:?}"))),
+                };
+                *n += 1;
+            }
             AggAcc::Min(cur) => {
-                if let Some(v) = arg_val {
-                    if !v.is_null()
-                        && (cur.is_none()
-                            || v.sql_cmp(cur.as_ref().expect("checked"))
-                                == Some(std::cmp::Ordering::Less))
-                    {
-                        *cur = Some(v);
-                    }
+                if cur.is_null() || v.sql_cmp(cur) == Some(std::cmp::Ordering::Less) {
+                    *cur = v.into_owned();
                 }
             }
             AggAcc::Max(cur) => {
-                if let Some(v) = arg_val {
-                    if !v.is_null()
-                        && (cur.is_none()
-                            || v.sql_cmp(cur.as_ref().expect("checked"))
-                                == Some(std::cmp::Ordering::Greater))
-                    {
-                        *cur = Some(v);
-                    }
+                if cur.is_null() || v.sql_cmp(cur) == Some(std::cmp::Ordering::Greater) {
+                    *cur = v.into_owned();
                 }
             }
         }
@@ -1342,23 +1253,9 @@ impl AggAcc {
     fn finish(&self) -> Value {
         match self {
             AggAcc::Count(n) => Value::Int(*n),
-            AggAcc::Sum { sum, any, int } => {
-                if !any {
-                    Value::Null
-                } else if *int {
-                    Value::Int(*sum as i64)
-                } else {
-                    Value::Double(*sum)
-                }
-            }
-            AggAcc::Avg { sum, n } => {
-                if *n == 0 {
-                    Value::Null
-                } else {
-                    Value::Double(sum / *n as f64)
-                }
-            }
-            AggAcc::Min(v) | AggAcc::Max(v) => v.clone().unwrap_or(Value::Null),
+            AggAcc::Avg { n: 0, .. } => Value::Null,
+            AggAcc::Avg { sum, n } => Value::Double(sum / *n as f64),
+            AggAcc::Sum(v) | AggAcc::Min(v) | AggAcc::Max(v) => v.clone(),
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Scalar expression evaluation with SQL three-valued logic.
 
-use crate::ast::{is_aggregate_name, BinOp, Expr, UnOp};
+use crate::ast::{AggKind, BinOp, Expr, UnOp};
 use crate::error::SqlError;
 use crate::value::Value;
 use std::borrow::Cow;
@@ -37,6 +37,17 @@ pub(crate) fn unknown_column(qualifier: Option<&str>, name: &str) -> SqlError {
         Some(q) => format!("{q}.{name}"),
         None => name.to_string(),
     })
+}
+
+/// The error for an aggregate call where no group is being folded; the
+/// binder raises it at prepare.
+pub(crate) fn misplaced_aggregate(name: &str) -> SqlError {
+    SqlError::Unsupported(format!("aggregate {name} used in a non-aggregate context"))
+}
+
+/// The error for an integer result outside `i64` (MySQL's BIGINT).
+fn out_of_range(expr: std::fmt::Arguments) -> SqlError {
+    SqlError::TypeMismatch(format!("BIGINT value is out of range in '{expr}'"))
 }
 
 /// Evaluate an expression to an owned value. `scope` holds one row per FROM
@@ -86,7 +97,10 @@ pub fn eval_cow<'e>(
             match op {
                 UnOp::Neg => match v.as_ref() {
                     Value::Null => Ok(Cow::Owned(Value::Null)),
-                    Value::Int(i) => Ok(Cow::Owned(Value::Int(-i))),
+                    Value::Int(i) => match i.checked_neg() {
+                        Some(n) => Ok(Cow::Owned(Value::Int(n))),
+                        None => Err(out_of_range(format_args!("-({i})"))),
+                    },
                     Value::Double(d) => Ok(Cow::Owned(Value::Double(-d))),
                     other => Err(SqlError::TypeMismatch(format!("cannot negate {other:?}"))),
                 },
@@ -251,49 +265,49 @@ fn eval_binary<'e>(
     }
 }
 
-fn arith(l: &Value, op: BinOp, r: &Value) -> Result<Value, SqlError> {
+/// `l op r` for an arithmetic `op`. Two integers (INT or TIMESTAMP) give an
+/// exact INT, or an out-of-range error; `/`, and anything with a DOUBLE,
+/// computes in `f64`. Division or modulo by zero is NULL, as in MySQL.
+pub(crate) fn arith(l: &Value, op: BinOp, r: &Value) -> Result<Value, SqlError> {
     use Value::*;
     if l.is_null() || r.is_null() {
         return Ok(Null);
     }
-    // Text concatenation via + is not SQL; reject non-numeric.
-    let as_pair = |l: &Value, r: &Value| -> Option<(f64, f64, bool)> {
-        let f = |v: &Value| match v {
-            Int(i) => Some((*i as f64, true)),
-            Timestamp(t) => Some((*t as f64, true)),
-            Double(d) => Some((*d, false)),
-            _ => None,
+    if let (Int(a) | Timestamp(a), Int(b) | Timestamp(b), false) = (l, r, op == BinOp::Div) {
+        let (a, b) = (*a, *b);
+        let (v, sym) = match op {
+            BinOp::Add => (a.checked_add(b), '+'),
+            BinOp::Sub => (a.checked_sub(b), '-'),
+            BinOp::Mul => (a.checked_mul(b), '*'),
+            BinOp::Mod if b == 0 => return Ok(Null),
+            // `i64::MIN % -1` is 0, not an overflow.
+            BinOp::Mod => (Some(a.wrapping_rem(b)), '%'),
+            _ => unreachable!(),
         };
-        let (a, ai) = f(l)?;
-        let (b, bi) = f(r)?;
-        Some((a, b, ai && bi))
-    };
-    let (a, b, both_int) = as_pair(l, r).ok_or_else(|| {
-        SqlError::TypeMismatch(format!("arithmetic on non-numeric values {l:?}, {r:?}"))
-    })?;
-    let v = match op {
-        BinOp::Add => a + b,
-        BinOp::Sub => a - b,
-        BinOp::Mul => a * b,
-        BinOp::Div => {
-            if b == 0.0 {
-                return Ok(Null); // MySQL: division by zero yields NULL
-            }
-            a / b
-        }
-        BinOp::Mod => {
-            if b == 0.0 {
-                return Ok(Null);
-            }
-            a % b
-        }
-        _ => unreachable!(),
-    };
-    if both_int && op != BinOp::Div && v.abs() < (i64::MAX as f64) {
-        Ok(Int(v as i64))
-    } else {
-        Ok(Double(v))
+        return v
+            .map(Int)
+            .ok_or_else(|| out_of_range(format_args!("({a} {sym} {b})")));
     }
+    // Text concatenation via + is not SQL; reject non-numeric.
+    let f = |v: &Value| match v {
+        Int(i) | Timestamp(i) => Some(*i as f64),
+        Double(d) => Some(*d),
+        _ => None,
+    };
+    let (Some(a), Some(b)) = (f(l), f(r)) else {
+        return Err(SqlError::TypeMismatch(format!(
+            "arithmetic on non-numeric values {l:?}, {r:?}"
+        )));
+    };
+    Ok(match op {
+        BinOp::Add => Double(a + b),
+        BinOp::Sub => Double(a - b),
+        BinOp::Mul => Double(a * b),
+        BinOp::Div | BinOp::Mod if b == 0.0 => Null,
+        BinOp::Div => Double(a / b),
+        BinOp::Mod => Double(a % b),
+        _ => unreachable!(),
+    })
 }
 
 fn eval_func(
@@ -303,16 +317,13 @@ fn eval_func(
     ctx: &EvalCtx,
     scope: &[Option<&[Value]>],
 ) -> Result<Value, SqlError> {
-    let upper = name.to_ascii_uppercase();
-    if is_aggregate_name(&upper) {
-        // Aggregates are folded by the executor; reaching here means the
-        // query used one outside an aggregation context.
-        return Err(SqlError::Unsupported(format!(
-            "aggregate {upper} used in a non-aggregate context"
-        )));
+    if AggKind::of(name).is_some() {
+        // The binder turns every aggregate call it accepts into a column of
+        // the group's scope entry.
+        return Err(misplaced_aggregate(name));
     }
     if star {
-        return Err(SqlError::Parse(format!("{upper}(*) is not a function")));
+        return Err(SqlError::Parse(format!("{name}(*) is not a function")));
     }
     let mut vals = Vec::with_capacity(args.len());
     for a in args {
@@ -323,12 +334,12 @@ fn eval_func(
             Ok(())
         } else {
             Err(SqlError::BadParameter(format!(
-                "{upper} expects {n} argument(s), got {}",
+                "{name} expects {n} argument(s), got {}",
                 vals.len()
             )))
         }
     };
-    match upper.as_str() {
+    match name {
         // The paper's microsecond-resolution timestamp UDF (their workaround
         // for MySQL bug #8523).
         "NOW_MICROS" => {
@@ -388,7 +399,7 @@ fn eval_func(
         }
         "COALESCE" | "IFNULL" => {
             if vals.is_empty() {
-                return Err(SqlError::BadParameter(format!("{upper} needs arguments")));
+                return Err(SqlError::BadParameter(format!("{name} needs arguments")));
             }
             Ok(vals
                 .into_iter()
@@ -399,7 +410,7 @@ fn eval_func(
             // SUBSTRING(str, pos [, len]) — 1-based pos like MySQL.
             if vals.len() < 2 || vals.len() > 3 {
                 return Err(SqlError::BadParameter(format!(
-                    "{upper} expects 2 or 3 arguments, got {}",
+                    "{name} expects 2 or 3 arguments, got {}",
                     vals.len()
                 )));
             }
@@ -486,12 +497,12 @@ fn eval_func(
         }
         "GREATEST" | "LEAST" => {
             if vals.is_empty() {
-                return Err(SqlError::BadParameter(format!("{upper} needs arguments")));
+                return Err(SqlError::BadParameter(format!("{name} needs arguments")));
             }
             if vals.iter().any(Value::is_null) {
                 return Ok(Value::Null);
             }
-            let want_greater = upper == "GREATEST";
+            let want_greater = name == "GREATEST";
             let mut best = vals[0].clone();
             for v in &vals[1..] {
                 match v.sql_cmp(&best) {
@@ -499,7 +510,7 @@ fn eval_func(
                     Some(std::cmp::Ordering::Less) if !want_greater => best = v.clone(),
                     None => {
                         return Err(SqlError::TypeMismatch(format!(
-                            "{upper} operands incomparable"
+                            "{name} operands incomparable"
                         )))
                     }
                     _ => {}

@@ -612,3 +612,89 @@ fn create_index_replans_a_cached_update() {
         ]
     );
 }
+
+#[test]
+fn aggregates_outside_an_aggregate_context_fail_at_bind_time() {
+    let (mut e, mut s) = empty_engine();
+    for sql in [
+        "SELECT id FROM t WHERE COUNT(*) > 1",
+        "SELECT id FROM t ORDER BY COUNT(*)",
+        "SELECT id FROM t GROUP BY COUNT(*)",
+        "SELECT COUNT(SUM(v)) FROM t",
+        "DELETE FROM t WHERE COUNT(*) > 1",
+        "UPDATE t SET v = SUM(v)",
+    ] {
+        let err = e.execute(&mut s, sql, &[]).unwrap_err();
+        assert!(
+            matches!(err, SqlError::Unsupported(ref m) if m.contains("non-aggregate context")),
+            "{sql}: {err}"
+        );
+    }
+    assert_eq!(e.binlog().len(), 1, "only the CREATE TABLE was logged");
+}
+
+#[test]
+fn aggregate_arguments_are_checked_at_bind_time() {
+    let (mut e, mut s) = empty_engine();
+    let err = e.execute(&mut s, "SELECT SUM(*) FROM t", &[]).unwrap_err();
+    assert_eq!(err, SqlError::Parse("SUM(*) is not a function".into()));
+    for sql in ["SELECT COUNT() FROM t", "SELECT MAX(id, v) FROM t"] {
+        let err = e.execute(&mut s, sql, &[]).unwrap_err();
+        assert!(matches!(err, SqlError::BadParameter(_)), "{sql}: {err}");
+    }
+}
+
+/// The one value of a one-row, one-column result.
+fn scalar(e: &mut Engine, s: &mut Session, sql: &str) -> Result<Value, SqlError> {
+    e.execute(s, sql, &[]).map(|r| r.rows[0][0].clone())
+}
+
+fn out_of_range(r: Result<Value, SqlError>) -> bool {
+    matches!(r, Err(SqlError::TypeMismatch(ref m)) if m.starts_with("BIGINT value is out of range"))
+}
+
+#[test]
+fn integer_arithmetic_is_exact() {
+    let (mut e, mut s) = empty_engine();
+    assert_eq!(
+        scalar(&mut e, &mut s, "SELECT 9007199254740993 + 0"),
+        Ok(Value::Int(9_007_199_254_740_993))
+    );
+    assert_eq!(
+        scalar(&mut e, &mut s, "SELECT -9223372036854775807 - 1"),
+        Ok(Value::Int(i64::MIN))
+    );
+    assert_eq!(
+        scalar(&mut e, &mut s, "SELECT (-9223372036854775807 - 1) % -1"),
+        Ok(Value::Int(0))
+    );
+    assert_eq!(scalar(&mut e, &mut s, "SELECT 7 % 0"), Ok(Value::Null));
+}
+
+#[test]
+fn integer_overflow_is_an_error() {
+    let (mut e, mut s) = empty_engine();
+    for sql in [
+        "SELECT 9223372036854775807 + 1",
+        "SELECT -9223372036854775807 - 2",
+        "SELECT 4611686018427387904 * 2",
+    ] {
+        let r = scalar(&mut e, &mut s, sql);
+        assert!(out_of_range(r.clone()), "{sql}: {r:?}");
+    }
+}
+
+#[test]
+fn integer_sum_is_exact_and_checked() {
+    let (mut e, mut s) = empty_engine();
+    e.execute(&mut s, "INSERT INTO t VALUES (1, 9007199254740993)", &[])
+        .unwrap();
+    assert_eq!(
+        scalar(&mut e, &mut s, "SELECT SUM(v) FROM t"),
+        Ok(Value::Int(9_007_199_254_740_993))
+    );
+    e.execute(&mut s, "INSERT INTO t VALUES (2, 9223372036854775807)", &[])
+        .unwrap();
+    let r = scalar(&mut e, &mut s, "SELECT SUM(v) FROM t");
+    assert!(out_of_range(r.clone()), "{r:?}");
+}

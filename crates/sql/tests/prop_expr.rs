@@ -3,8 +3,14 @@
 
 use amdb_sql::ast::{BinOp, Expr, UnOp};
 use amdb_sql::expr::{eval, EvalCtx};
-use amdb_sql::Value;
+use amdb_sql::{SqlError, Value};
 use proptest::prelude::*;
+
+/// Any `i64`, half the time a small one, so that products fit as often as
+/// they overflow.
+fn arb_i64() -> impl Strategy<Value = i64> {
+    prop_oneof![any::<i64>(), -3_037_000_499i64..3_037_000_500]
+}
 
 fn arb_leaf() -> impl Strategy<Value = Expr> {
     prop_oneof![
@@ -85,16 +91,30 @@ proptest! {
         prop_assert_eq!(eval(&e, &ctx, &[]).unwrap(), Value::Bool(true));
     }
 
-    /// Integer addition in-range matches Rust's.
+    /// Integer `+`, `-` and `*` over all of `i64` match Rust's checked
+    /// arithmetic: the exact `Int` where it fits, an out-of-range error
+    /// where it does not.
     #[test]
-    fn int_addition_matches(a in -1_000_000i64..1_000_000, b in -1_000_000i64..1_000_000) {
+    fn int_addition_matches(a in arb_i64(), b in arb_i64(), op in 0u8..3) {
+        let (op, want) = match op {
+            0 => (BinOp::Add, a.checked_add(b)),
+            1 => (BinOp::Sub, a.checked_sub(b)),
+            _ => (BinOp::Mul, a.checked_mul(b)),
+        };
         let ctx = EvalCtx::bare(0);
         let e = Expr::Binary(
             Box::new(Expr::Literal(Value::Int(a))),
-            BinOp::Add,
+            op,
             Box::new(Expr::Literal(Value::Int(b))),
         );
-        prop_assert_eq!(eval(&e, &ctx, &[]).unwrap(), Value::Int(a + b));
+        let got = eval(&e, &ctx, &[]);
+        match want {
+            Some(v) => prop_assert_eq!(got, Ok(Value::Int(v))),
+            None => prop_assert!(
+                matches!(got, Err(SqlError::TypeMismatch(ref m)) if m.starts_with("BIGINT value is out of range")),
+                "{a} {op:?} {b}: {got:?}"
+            ),
+        }
     }
 
     /// AND is commutative in outcome for any pair of literals.
