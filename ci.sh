@@ -128,6 +128,7 @@ fig2|--jobs 1|--jobs 2|
 fig5|--jobs 1|AMDB_JOBS=2|
 fig2|--jobs 1|--backend statement --jobs 1|
 fig5|--jobs 1|--backend statement --jobs 1|
+ablations|--jobs 1|--jobs 2|ablations_a1_sync_modes.csv ablations_a2_balancers.csv ablations_a3_binlog_formats.csv
 extensions_consistency|--jobs 1|--jobs 2|
 extensions_parallel_apply|--jobs 1|--jobs 2|extensions_parallel_apply.csv
 obs_slo|--jobs 1|--jobs 2|obs_slo_alerts.csv

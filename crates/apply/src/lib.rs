@@ -9,9 +9,10 @@
 //! the same idea further. This crate is that mechanism for amdb:
 //!
 //! * [`writeset`] — extracts the *conflict footprint* of a binlog event:
-//!   interned table ids plus primary-key-keyed before/after row images
-//!   ([`RowEvent`]). Statement events (including all DDL) have no computable
-//!   footprint and act as full barriers.
+//!   interned table ids plus the primary keys of each change's before and
+//!   after images, read straight from the event's shared row images.
+//!   Statement events (including all DDL) have no computable footprint and
+//!   act as full barriers.
 //! * [`scheduler`] — the deterministic group-commit planner:
 //!   [`ApplyScheduler`] forms batches of up to N pairwise-non-conflicting
 //!   transactions from the head of the relay queue, dispatches them to N
@@ -29,4 +30,4 @@ pub mod scheduler;
 pub mod writeset;
 
 pub use scheduler::{simulate, ApplyPlan, ApplyScheduler, BatchBound};
-pub use writeset::{writeset_of, RowEvent, RowKey, TableId, TableInterner, Writeset};
+pub use writeset::{writeset_of, RowKey, TableId, TableInterner, Writeset};

@@ -188,9 +188,9 @@ mod tests {
             commit_ts_micros: 0,
             payload: EventPayload::Rows {
                 changes: vec![RowChange {
-                    table: table.to_string(),
+                    table: table.into(),
                     kind: RowChangeKind::Insert {
-                        row: vec![Value::Int(pk), Value::Text("x".into())],
+                        row: vec![Value::Int(pk), Value::Text("x".into())].into(),
                     },
                 }],
             },

@@ -15,7 +15,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use amdb_sql::exec::{RowChange, RowChangeKind};
+use amdb_sql::exec::RowChangeKind;
 use amdb_sql::{BinlogEvent, EventPayload, Value};
 
 /// Dense id for a table name, assigned by a [`TableInterner`].
@@ -125,75 +125,6 @@ impl fmt::Display for RowKey {
     }
 }
 
-/// One row mutation in conflict-key form: table id plus before/after images
-/// keyed by primary key. This is the scheduler's view of a
-/// [`RowChange`] — images are kept so tests and tooling can reconstruct the
-/// mutation, keys are what planning compares.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RowEvent {
-    /// Interned table the change applies to.
-    pub table: TableId,
-    /// Primary key of the pre-image (updates and deletes).
-    pub before_key: Option<RowKey>,
-    /// Primary key of the post-image (inserts and updates).
-    pub after_key: Option<RowKey>,
-    /// Full pre-image row, when the change has one.
-    pub before: Option<Vec<Value>>,
-    /// Full post-image row, when the change has one.
-    pub after: Option<Vec<Value>>,
-}
-
-impl RowEvent {
-    /// Build from a [`RowChange`], given the table's primary-key column
-    /// index. Returns `None` when the table has no primary key — the caller
-    /// must treat the containing event as a barrier.
-    pub fn from_change(
-        change: &RowChange,
-        table: TableId,
-        pk_idx: Option<usize>,
-    ) -> Option<RowEvent> {
-        let pk = pk_idx?;
-        let key_of = |row: &[Value]| row.get(pk).map(RowKey::encode);
-        match &change.kind {
-            RowChangeKind::Insert { row } => Some(RowEvent {
-                table,
-                before_key: None,
-                after_key: key_of(row),
-                before: None,
-                after: Some(row.clone()),
-            }),
-            RowChangeKind::Update { before, after } => Some(RowEvent {
-                table,
-                before_key: key_of(before),
-                after_key: key_of(after),
-                before: Some(before.clone()),
-                after: Some(after.clone()),
-            }),
-            RowChangeKind::Delete { row } => Some(RowEvent {
-                table,
-                before_key: key_of(row),
-                after_key: None,
-                before: Some(row.clone()),
-                after: None,
-            }),
-        }
-    }
-
-    /// Conflict keys this mutation contributes (1 for insert/delete, up to 2
-    /// for an update that moves the primary key).
-    pub fn keys(&self) -> impl Iterator<Item = (TableId, &RowKey)> {
-        let table = self.table;
-        self.before_key
-            .iter()
-            .chain(
-                self.after_key
-                    .iter()
-                    .filter(|a| Some(*a) != self.before_key.as_ref()),
-            )
-            .map(move |k| (table, k))
-    }
-}
-
 /// Conflict footprint of one binlog event.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Writeset {
@@ -241,11 +172,19 @@ pub fn writeset_of(
             let mut keys: Vec<(TableId, RowKey)> = Vec::with_capacity(changes.len());
             for change in changes {
                 let table = interner.intern(&change.table);
-                let Some(ev) = RowEvent::from_change(change, table, pk_of(&change.table)) else {
+                let Some(pk) = pk_of(&change.table) else {
                     return Writeset::Barrier;
                 };
-                for (t, k) in ev.keys() {
-                    let pair = (t, k.clone());
+                let key_of = |row: &[Value]| row.get(pk).map(RowKey::encode);
+                let (before, after) = match &change.kind {
+                    RowChangeKind::Insert { row } => (None, key_of(row)),
+                    RowChangeKind::Update { before, after } => (key_of(before), key_of(after)),
+                    RowChangeKind::Delete { row } => (key_of(row), None),
+                };
+                // An update that keeps its key contributes it once.
+                let after = after.filter(|a| Some(a) != before.as_ref());
+                for key in before.into_iter().chain(after) {
+                    let pair = (table, key);
                     if !keys.contains(&pair) {
                         keys.push(pair);
                     }
@@ -259,13 +198,14 @@ pub fn writeset_of(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use amdb_sql::exec::RowChange;
     use amdb_sql::Lsn;
 
     fn ins(table: &str, pk: i64) -> RowChange {
         RowChange {
-            table: table.to_string(),
+            table: table.into(),
             kind: RowChangeKind::Insert {
-                row: vec![Value::Int(pk), Value::Text("x".into())],
+                row: vec![Value::Int(pk), Value::Text("x".into())].into(),
             },
         }
     }
@@ -350,10 +290,10 @@ mod tests {
     #[test]
     fn pk_moving_update_contributes_both_keys() {
         let change = RowChange {
-            table: "users".to_string(),
+            table: "users".into(),
             kind: RowChangeKind::Update {
-                before: vec![Value::Int(1), Value::Text("a".into())],
-                after: vec![Value::Int(9), Value::Text("a".into())],
+                before: vec![Value::Int(1), Value::Text("a".into())].into(),
+                after: vec![Value::Int(9), Value::Text("a".into())].into(),
             },
         };
         let mut it = TableInterner::new();
@@ -371,10 +311,10 @@ mod tests {
     #[test]
     fn in_place_update_contributes_one_key() {
         let change = RowChange {
-            table: "users".to_string(),
+            table: "users".into(),
             kind: RowChangeKind::Update {
-                before: vec![Value::Int(1), Value::Text("a".into())],
-                after: vec![Value::Int(1), Value::Text("b".into())],
+                before: vec![Value::Int(1), Value::Text("a".into())].into(),
+                after: vec![Value::Int(1), Value::Text("b".into())].into(),
             },
         };
         let mut it = TableInterner::new();

@@ -116,17 +116,24 @@ impl BinlogEvent {
                 for _ in 0..n {
                     let table = r.str()?;
                     let kind = match r.u8()? {
-                        0 => RowChangeKind::Insert { row: r.row()? },
-                        1 => RowChangeKind::Update {
-                            before: r.row()?,
-                            after: r.row()?,
+                        0 => RowChangeKind::Insert {
+                            row: r.row()?.into(),
                         },
-                        2 => RowChangeKind::Delete { row: r.row()? },
+                        1 => RowChangeKind::Update {
+                            before: r.row()?.into(),
+                            after: r.row()?.into(),
+                        },
+                        2 => RowChangeKind::Delete {
+                            row: r.row()?.into(),
+                        },
                         t => {
                             return Err(SqlError::BinlogCorrupt(format!("unknown change tag {t}")))
                         }
                     };
-                    changes.push(RowChange { table, kind });
+                    changes.push(RowChange {
+                        table: table.into(),
+                        kind,
+                    });
                 }
                 EventPayload::Rows { changes }
             }
@@ -337,20 +344,21 @@ mod tests {
                                 Value::Double(2.5),
                                 Value::Bool(true),
                                 Value::Timestamp(99),
-                            ],
+                            ]
+                            .into(),
                         },
                     },
                     RowChange {
                         table: "events".into(),
                         kind: RowChangeKind::Update {
-                            before: vec![Value::Int(1)],
-                            after: vec![Value::Int(2)],
+                            before: vec![Value::Int(1)].into(),
+                            after: vec![Value::Int(2)].into(),
                         },
                     },
                     RowChange {
                         table: "events".into(),
                         kind: RowChangeKind::Delete {
-                            row: vec![Value::Int(2)],
+                            row: vec![Value::Int(2)].into(),
                         },
                     },
                 ],

@@ -6,8 +6,8 @@ use crate::binlog::{Binlog, BinlogEvent, BinlogFormat, EventPayload, Lsn};
 use crate::cache::{CacheStats, CachedPlan, PlanCache};
 use crate::error::SqlError;
 use crate::exec::{
-    bind, column_index, exec_delete, exec_insert, exec_select_planned, exec_update, Capture,
-    Catalog, Plan, QueryResult, RowChange, RowChangeKind, Undo, UndoEntry, WriteOutcome,
+    bind, column_index, exec_delete, exec_insert, exec_select_planned, exec_update, table_key,
+    Catalog, Plan, QueryResult, RowChange, RowChangeKind, WriteLog,
 };
 use crate::expr::EvalCtx;
 use crate::parser::parse;
@@ -15,8 +15,8 @@ use crate::storage::Table;
 use crate::value::Value;
 use std::sync::Arc;
 
-/// A client session: clock context, transaction state, pending binlog
-/// payloads. The *caller* supplies `now_micros` (ultimately from the owning
+/// A client session: clock context, transaction state and the open write
+/// record. The *caller* supplies `now_micros` (ultimately from the owning
 /// VM's drifting clock) before each statement — the engine never reads host
 /// time.
 #[derive(Debug, Default)]
@@ -25,7 +25,12 @@ pub struct Session {
     /// commit timestamp of binlog events.
     pub now_micros: i64,
     in_txn: bool,
-    undo: Vec<UndoEntry>,
+    /// Every row the open transaction changed (outside one: the running
+    /// statement), in order. It is the one record of a write: undone in
+    /// reverse when a statement fails or on ROLLBACK, shipped as one `Rows`
+    /// event at commit by a row-logging master.
+    log: WriteLog,
+    /// Statement events a statement-logging master holds back until COMMIT.
     pending: Vec<EventPayload>,
     last_insert_id: Option<i64>,
 }
@@ -73,6 +78,9 @@ pub struct Engine {
     /// stamped with it on CREATE TABLE / CREATE INDEX; cached plans record
     /// the stamps they were planned against (see [`crate::cache`]).
     ddl_serial: u64,
+    /// The session shipped statement events run in, like a replica's one
+    /// SQL thread: its write log keeps its capacity from event to event.
+    applier: Session,
 }
 
 /// Default plan-cache capacity per engine. The workloads in this repo use a
@@ -90,6 +98,7 @@ impl Engine {
             log_writes: true,
             plan_cache: PlanCache::new(DEFAULT_PLAN_CACHE_CAPACITY),
             ddl_serial: 0,
+            applier: Session::new(),
         }
     }
 
@@ -102,6 +111,7 @@ impl Engine {
             log_writes: false,
             plan_cache: PlanCache::new(DEFAULT_PLAN_CACHE_CAPACITY),
             ddl_serial: 0,
+            applier: Session::new(),
         }
     }
 
@@ -148,6 +158,7 @@ impl Engine {
             // and per-fork caches keep the fork cost proportional to data.
             plan_cache: PlanCache::new(self.plan_cache.capacity()),
             ddl_serial: self.ddl_serial,
+            applier: Session::new(),
         }
     }
 
@@ -179,7 +190,7 @@ impl Engine {
     /// Row count of a table (testing/monitoring aid).
     pub fn table_rows(&self, name: &str) -> Option<usize> {
         self.catalog
-            .get(&name.to_ascii_lowercase())
+            .get(table_key(name).as_ref())
             .map(Table::row_count)
     }
 
@@ -188,7 +199,7 @@ impl Engine {
     /// this to turn row images into conflict keys.
     pub fn pk_index_of(&self, name: &str) -> Option<usize> {
         self.catalog
-            .get(&name.to_ascii_lowercase())?
+            .get(table_key(name).as_ref())?
             .schema()
             .pk_index()
     }
@@ -202,7 +213,7 @@ impl Engine {
     /// verbatim, and reading delay from stored data alone would make every
     /// heartbeat look like it arrived instantly.
     pub fn apply_time_of(&self, table: &str, key: &Value) -> Option<u64> {
-        let t = self.catalog.get(&table.to_ascii_lowercase())?;
+        let t = self.catalog.get(table_key(table).as_ref())?;
         let rid = t.pk_lookup(key)?;
         t.applied_at_of(rid)
     }
@@ -344,21 +355,15 @@ impl Engine {
         match &plan.plan {
             Plan::Select(select) => exec_select_planned(&self.catalog, select, &ctx),
             Plan::Explain(res) => Ok(res.clone()),
-            Plan::Insert(insert) => {
-                let cap = self.write_capture(session);
-                let out = exec_insert(&mut self.catalog, insert, &ctx, cap)?;
-                self.finish_write(session, sql, plan.param_count, params, out)
-            }
-            Plan::Update(update) => {
-                let cap = self.write_capture(session);
-                let out = exec_update(&mut self.catalog, update, &ctx, cap)?;
-                self.finish_write(session, sql, plan.param_count, params, out)
-            }
-            Plan::Delete(scan) => {
-                let cap = self.write_capture(session);
-                let out = exec_delete(&mut self.catalog, scan, &ctx, cap)?;
-                self.finish_write(session, sql, plan.param_count, params, out)
-            }
+            Plan::Insert(insert) => self.write(session, plan, sql, params, |catalog, log| {
+                exec_insert(catalog, insert, &ctx, log)
+            }),
+            Plan::Update(update) => self.write(session, plan, sql, params, |catalog, log| {
+                exec_update(catalog, update, &ctx, log)
+            }),
+            Plan::Delete(scan) => self.write(session, plan, sql, params, |catalog, log| {
+                exec_delete(catalog, scan, &ctx, log)
+            }),
             Plan::Unbound(Statement::Begin) => {
                 if session.in_txn {
                     return Err(SqlError::Transaction("transaction already open".into()));
@@ -371,8 +376,7 @@ impl Engine {
                     return Err(SqlError::Transaction("COMMIT without BEGIN".into()));
                 }
                 session.in_txn = false;
-                session.undo.clear();
-                self.flush_pending(session);
+                self.commit(session);
                 Ok(QueryResult::default())
             }
             Plan::Unbound(Statement::Rollback) => {
@@ -381,8 +385,7 @@ impl Engine {
                 }
                 session.in_txn = false;
                 session.pending.clear();
-                let undo = std::mem::take(&mut session.undo);
-                self.apply_undo(undo);
+                self.undo(&mut session.log, 0);
                 Ok(QueryResult::default())
             }
             Plan::Unbound(Statement::CreateTable {
@@ -432,49 +435,47 @@ impl Engine {
         }
     }
 
-    /// What a write must capture for *this* engine and session: undo only
-    /// inside an explicit transaction, row images only when this engine
-    /// row-logs. Autocommit statement-format writes skip both.
-    fn write_capture(&self, session: &Session) -> Capture {
-        Capture {
-            undo: session.in_txn,
-            changes: self.log_writes && self.format == BinlogFormat::Row,
-        }
-    }
-
-    /// Record a write's binlog payload and undo, honoring autocommit.
-    fn finish_write(
+    /// Run one write statement, atomically: `exec` records every row it
+    /// changes in the session's log. If it fails, or its statement event
+    /// cannot be logged, its own entries are undone and the error returned;
+    /// outside a transaction a success commits at once.
+    fn write(
         &mut self,
         session: &mut Session,
+        plan: &CachedPlan,
         sql: &str,
-        param_count: usize,
         params: &[Value],
-        out: WriteOutcome,
+        exec: impl FnOnce(&mut Catalog, &mut WriteLog) -> Result<QueryResult, SqlError>,
     ) -> Result<QueryResult, SqlError> {
-        if out.result.last_insert_id.is_some() {
-            session.last_insert_id = out.result.last_insert_id;
-        }
-        if self.log_writes && out.result.rows_affected > 0 {
-            let payload = match self.format {
-                BinlogFormat::Statement => EventPayload::Statement {
+        let mark = session.log.len();
+        let logged = exec(&mut self.catalog, &mut session.log).and_then(|result| {
+            if self.log_writes && self.format == BinlogFormat::Statement && result.rows_affected > 0
+            {
+                session.pending.push(EventPayload::Statement {
                     sql: sql.to_string(),
-                    params: log_params(param_count, params)?,
-                },
-                BinlogFormat::Row => EventPayload::Rows {
-                    changes: out.changes,
-                },
-            };
-            session.pending.push(payload);
+                    params: log_params(plan.param_count, params)?,
+                });
+            }
+            Ok(result)
+        });
+        let result = match logged {
+            Ok(result) => result,
+            Err(err) => {
+                self.undo(&mut session.log, mark);
+                return Err(err);
+            }
+        };
+        if result.last_insert_id.is_some() {
+            session.last_insert_id = result.last_insert_id;
         }
-        if session.in_txn {
-            session.undo.extend(out.undo);
-        } else {
-            self.flush_pending(session);
+        if !session.in_txn {
+            self.commit(session);
         }
-        Ok(out.result)
+        Ok(result)
     }
 
-    /// DDL is always statement-logged and implicitly commits (as in MySQL).
+    /// DDL is always statement-logged and implicitly commits (as in MySQL):
+    /// the open transaction commits first, then the DDL logs itself.
     fn log_ddl(
         &mut self,
         session: &mut Session,
@@ -482,60 +483,53 @@ impl Engine {
         param_count: usize,
         params: &[Value],
     ) -> Result<(), SqlError> {
-        if self.log_writes {
-            session.pending.push(EventPayload::Statement {
-                sql: sql.to_string(),
-                params: log_params(param_count, params)?,
-            });
-        }
-        session.undo.clear();
+        let logged = self
+            .log_writes
+            .then(|| log_params(param_count, params))
+            .transpose()?;
         session.in_txn = false;
-        self.flush_pending(session);
+        self.commit(session);
+        if let Some(params) = logged {
+            let sql = sql.to_string();
+            self.binlog
+                .append(session.now_micros, EventPayload::Statement { sql, params });
+        }
         Ok(())
     }
 
-    fn flush_pending(&mut self, session: &mut Session) {
-        // Row payloads flushed together belong to one committed transaction:
-        // coalesce adjacent ones into a single commit-atomic `Rows` event so
-        // the slave applies (and the parallel-apply scheduler batches) whole
-        // transactions, never a prefix of one. Statement payloads keep their
-        // one-event-per-statement shape — statement format replays each
-        // statement against the slave clock individually, and autocommit
-        // flushes (the timed workloads' only case) carry a single payload
-        // either way, so this is a no-op for them.
-        let mut payloads = session.pending.drain(..);
-        if let Some(mut current) = payloads.next() {
-            for payload in payloads {
-                match (&mut current, payload) {
-                    (EventPayload::Rows { changes }, EventPayload::Rows { changes: more }) => {
-                        changes.extend(more);
-                    }
-                    (_, next) => {
-                        let done = std::mem::replace(&mut current, next);
-                        self.binlog.append(session.now_micros, done);
-                    }
-                }
-            }
-            self.binlog.append(session.now_micros, current);
+    /// Commit the session's write record: a statement-logging master
+    /// appends the statements it held back, a row-logging master one `Rows`
+    /// event of the whole log, so a slave applies (and the parallel-apply
+    /// scheduler batches) whole transactions, never a prefix of one.
+    fn commit(&mut self, session: &mut Session) {
+        for payload in session.pending.drain(..) {
+            self.binlog.append(session.now_micros, payload);
         }
-        session.undo.clear();
+        if self.log_writes && self.format == BinlogFormat::Row && !session.log.is_empty() {
+            let changes = session.log.drain(..).map(|(_, change)| change).collect();
+            self.binlog
+                .append(session.now_micros, EventPayload::Rows { changes });
+        }
+        session.log.clear();
     }
 
-    fn apply_undo(&mut self, undo: Vec<UndoEntry>) {
-        for entry in undo.into_iter().rev() {
-            let Some(table) = self.catalog.get_mut(&entry.table) else {
-                continue; // table dropped by DDL after the write; nothing to undo
-            };
-            match entry.undo {
-                Undo::Inserted(rid) => {
+    /// Undo `log[from..]` in reverse through the tables' own delete, update
+    /// and restore, so row ids and scan order are what they were before.
+    /// Auto-increment counters are not rewound, as in InnoDB.
+    fn undo(&mut self, log: &mut WriteLog, from: usize) {
+        for (rid, change) in log.drain(from..).rev() {
+            let table = self
+                .catalog
+                .get_mut(&*change.table)
+                .expect("DDL commits the log, so every table it names exists");
+            match change.kind {
+                RowChangeKind::Insert { .. } => {
                     table.delete(rid);
                 }
-                Undo::Updated(rid, old) => {
-                    let _ = table.update(rid, old.to_vec());
+                RowChangeKind::Update { before, .. } => {
+                    let _ = table.update(rid, before.to_vec());
                 }
-                Undo::Deleted(rid, old) => {
-                    table.restore(rid, old);
-                }
+                RowChangeKind::Delete { row } => table.restore(rid, row),
             }
         }
     }
@@ -558,11 +552,11 @@ impl Engine {
                 // Fast path: the statement text is the cache key, so a slave
                 // re-applying the workload's repeated statement shapes hits
                 // its plan cache and skips the parse entirely.
-                let mut session = Session {
-                    now_micros,
-                    ..Session::default()
-                };
-                self.execute(&mut session, sql, params)
+                let mut applier = std::mem::take(&mut self.applier);
+                applier.now_micros = now_micros;
+                let res = self.execute(&mut applier, sql, params);
+                self.applier = applier;
+                res
             }
             EventPayload::Rows { changes } => {
                 let mut res = QueryResult::default();
@@ -590,7 +584,7 @@ impl Engine {
         };
         match &change.kind {
             RowChangeKind::Insert { row } => {
-                let rid = table.insert(row.clone())?;
+                let rid = table.insert(row.to_vec())?;
                 table.stamp_applied_at(rid, now_micros.max(0) as u64);
             }
             RowChangeKind::Update { before, after } => {
@@ -600,7 +594,7 @@ impl Engine {
                         change.table
                     ))
                 })?;
-                table.update(rid, after.clone())?;
+                table.update(rid, after.to_vec())?;
                 table.stamp_applied_at(rid, now_micros.max(0) as u64);
             }
             RowChangeKind::Delete { row } => {

@@ -1,4 +1,5 @@
-//! Query execution: SELECT pipelines, DML, undo logging, row-change capture.
+//! Query execution: SELECT pipelines, and DML that records every row it
+//! changes.
 
 use crate::ast::*;
 use crate::error::SqlError;
@@ -11,6 +12,7 @@ use crate::storage::{Postings, RowId, Table};
 use crate::value::{DataType, Value};
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
+use std::sync::Arc;
 
 /// The table catalog: lower-cased table name → table.
 pub type Catalog = BTreeMap<String, Table>;
@@ -57,29 +59,14 @@ pub struct QueryResult {
     pub rows_examined: u64,
 }
 
-/// Undo information for transaction rollback, in execution order.
-#[derive(Debug, Clone)]
-pub struct UndoEntry {
-    pub table: String,
-    pub undo: Undo,
-}
-
-/// One reversible mutation. Old images are the storage layer's shared
-/// `Arc<[Value]>` handles, so logging undo never copies a row.
-#[derive(Debug, Clone)]
-pub enum Undo {
-    /// Row was inserted; undo deletes it.
-    Inserted(RowId),
-    /// Row was updated; undo restores the old image.
-    Updated(RowId, std::sync::Arc<[Value]>),
-    /// Row was deleted; undo re-inserts the old image.
-    Deleted(RowId, std::sync::Arc<[Value]>),
-}
-
-/// A captured row mutation for row-based binlogging.
+/// One changed row, as a write records it and the row binlog ships it.
+/// Images are the table's own `Arc<[Value]>` handles, so recording a row,
+/// shipping it and fanning it out to slaves copies no value.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RowChange {
-    pub table: String,
+    /// Catalog key (lower-cased name) of the changed table, shared with the
+    /// plan that wrote it.
+    pub table: Arc<str>,
     pub kind: RowChangeKind,
 }
 
@@ -87,45 +74,22 @@ pub struct RowChange {
 #[derive(Debug, Clone, PartialEq)]
 pub enum RowChangeKind {
     Insert {
-        row: Vec<Value>,
+        row: Arc<[Value]>,
     },
     Update {
-        before: Vec<Value>,
-        after: Vec<Value>,
+        before: Arc<[Value]>,
+        after: Arc<[Value]>,
     },
     Delete {
-        row: Vec<Value>,
+        row: Arc<[Value]>,
     },
 }
 
-/// Output of a write statement: result plus undo and row-change logs.
-#[derive(Debug, Clone, Default)]
-pub struct WriteOutcome {
-    pub result: QueryResult,
-    pub undo: Vec<UndoEntry>,
-    pub changes: Vec<RowChange>,
-}
-
-/// What a write statement must materialize beyond the data mutation itself.
-/// Undo entries only matter inside an explicit transaction and row-change
-/// images only when a master logs in row format; the dominant autocommit
-/// statement-format path needs neither, so the executor skips the per-row
-/// image clones entirely.
-#[derive(Debug, Clone, Copy)]
-pub struct Capture {
-    /// Keep undo entries (session is inside an explicit transaction).
-    pub undo: bool,
-    /// Keep row-change images (row-format binlogging on a master).
-    pub changes: bool,
-}
-
-impl Capture {
-    /// Capture everything — the conservative default for direct callers.
-    pub const ALL: Capture = Capture {
-        undo: true,
-        changes: true,
-    };
-}
+/// The write record: every row a statement (or an open transaction)
+/// changed, in order, with its row id. The engine undoes it in reverse when
+/// a statement fails or a transaction rolls back, and a row-logging master
+/// ships its changes as one `Rows` event at commit.
+pub type WriteLog = Vec<(RowId, RowChange)>;
 
 // ---------------------------------------------------------------------------
 // Binding
@@ -381,8 +345,8 @@ pub struct SelectPlan {
 /// statement's one table, and the access path chosen for them.
 #[derive(Debug)]
 pub struct RowScan {
-    /// Lower-cased catalog key.
-    table_key: String,
+    /// Lower-cased catalog key, shared with every row change it records.
+    table_key: Arc<str>,
     filter: Vec<Expr>,
     path: Path,
     /// The conjunct an exact probe on `path` decides (as in a SELECT source).
@@ -401,8 +365,8 @@ pub struct UpdatePlan {
 /// rows of value expressions (which can name no column).
 #[derive(Debug)]
 pub struct InsertPlan {
-    /// Lower-cased catalog key.
-    table_key: String,
+    /// Lower-cased catalog key, shared with every row change it records.
+    table_key: Arc<str>,
     positions: Vec<usize>,
     rows: Vec<Vec<Expr>>,
 }
@@ -474,7 +438,7 @@ pub(crate) fn bind(catalog: &Catalog, stmt: Statement) -> Result<(Plan, Deps), S
                 }
             }
             Plan::Insert(InsertPlan {
-                table_key,
+                table_key: table_key.into(),
                 positions,
                 rows,
             })
@@ -537,7 +501,7 @@ fn bind_scan(
     let filter = bound_conjuncts(filter, bindings)?;
     let (path, consumed) = choose_path(table, 0, &filter);
     Ok(RowScan {
-        table_key,
+        table_key: table_key.into(),
         filter,
         path,
         consumed,
@@ -1264,13 +1228,13 @@ impl AggAcc {
 // DML
 // ---------------------------------------------------------------------------
 
-/// Execute a bound INSERT.
+/// Execute a bound INSERT, recording each inserted row in `log`.
 pub fn exec_insert(
     catalog: &mut Catalog,
     plan: &InsertPlan,
     ctx: &EvalCtx,
-    cap: Capture,
-) -> Result<WriteOutcome, SqlError> {
+    log: &mut WriteLog,
+) -> Result<QueryResult, SqlError> {
     let table = get_table_mut(catalog, &plan.table_key)?;
     let (arity, pk_auto) = {
         let schema = table.schema();
@@ -1280,38 +1244,31 @@ pub fn exec_insert(
         (schema.arity(), pk_auto)
     };
 
-    let mut outcome = WriteOutcome::default();
+    let mut result = QueryResult::default();
     for value_exprs in &plan.rows {
         let mut full = vec![Value::Null; arity];
         for (pos, e) in plan.positions.iter().zip(value_exprs) {
             full[*pos] = eval(e, ctx, &[])?;
         }
         let rid = table.insert(full)?;
-        let stored = table.get(rid).expect("just inserted");
+        let row = Arc::clone(table.handle(rid).expect("just inserted"));
         if let Some(pk) = pk_auto {
             // TIMESTAMP auto-increment keys store `Timestamp`; the assigned
             // id is still reported through last_insert_id.
-            if let Value::Int(v) | Value::Timestamp(v) = stored[pk] {
-                outcome.result.last_insert_id = Some(v);
+            if let Value::Int(v) | Value::Timestamp(v) = row[pk] {
+                result.last_insert_id = Some(v);
             }
         }
-        if cap.undo {
-            outcome.undo.push(UndoEntry {
-                table: plan.table_key.clone(),
-                undo: Undo::Inserted(rid),
-            });
-        }
-        if cap.changes {
-            outcome.changes.push(RowChange {
-                table: plan.table_key.clone(),
-                kind: RowChangeKind::Insert {
-                    row: stored.to_vec(),
-                },
-            });
-        }
-        outcome.result.rows_affected += 1;
+        log.push((
+            rid,
+            RowChange {
+                table: Arc::clone(&plan.table_key),
+                kind: RowChangeKind::Insert { row },
+            },
+        ));
+        result.rows_affected += 1;
     }
-    Ok(outcome)
+    Ok(result)
 }
 
 /// The rows of `table` a bound UPDATE or DELETE matches.
@@ -1333,17 +1290,17 @@ fn matching_rows(
     Ok(out)
 }
 
-/// Execute a bound UPDATE.
+/// Execute a bound UPDATE, recording each updated row in `log`.
 pub fn exec_update(
     catalog: &mut Catalog,
     plan: &UpdatePlan,
     ctx: &EvalCtx,
-    cap: Capture,
-) -> Result<WriteOutcome, SqlError> {
+    log: &mut WriteLog,
+) -> Result<QueryResult, SqlError> {
     let key = &plan.scan.table_key;
     let table = get_table_mut(catalog, key)?;
-    let mut outcome = WriteOutcome::default();
-    let rids = matching_rows(table, &plan.scan, ctx, &mut outcome.result.rows_examined)?;
+    let mut result = QueryResult::default();
+    let rids = matching_rows(table, &plan.scan, ctx, &mut result.rows_examined)?;
     for rid in rids {
         // One clone builds the new image; the SET expressions evaluate
         // against the borrowed old row.
@@ -1352,69 +1309,41 @@ pub fn exec_update(
         for (pos, e) in &plan.sets {
             new_row[*pos] = eval(e, ctx, &[Some(old)])?;
         }
-        let old_row = table.update(rid, new_row)?;
-        if cap.changes {
-            // Shipped images are owned copies; the undo log shares the Arc.
-            let after = table.get(rid).expect("updated row valid").to_vec();
-            if cap.undo {
-                outcome.undo.push(UndoEntry {
-                    table: key.clone(),
-                    undo: Undo::Updated(rid, old_row.clone()),
-                });
-            }
-            outcome.changes.push(RowChange {
-                table: key.clone(),
-                kind: RowChangeKind::Update {
-                    before: old_row.to_vec(),
-                    after,
-                },
-            });
-        } else if cap.undo {
-            outcome.undo.push(UndoEntry {
-                table: key.clone(),
-                undo: Undo::Updated(rid, old_row),
-            });
-        }
-        outcome.result.rows_affected += 1;
+        let before = table.update(rid, new_row)?;
+        let after = Arc::clone(table.handle(rid).expect("updated row valid"));
+        log.push((
+            rid,
+            RowChange {
+                table: Arc::clone(key),
+                kind: RowChangeKind::Update { before, after },
+            },
+        ));
+        result.rows_affected += 1;
     }
-    Ok(outcome)
+    Ok(result)
 }
 
-/// Execute a bound DELETE.
+/// Execute a bound DELETE, recording each deleted row in `log`.
 pub fn exec_delete(
     catalog: &mut Catalog,
     scan: &RowScan,
     ctx: &EvalCtx,
-    cap: Capture,
-) -> Result<WriteOutcome, SqlError> {
+    log: &mut WriteLog,
+) -> Result<QueryResult, SqlError> {
     let key = &scan.table_key;
     let table = get_table_mut(catalog, key)?;
-    let mut outcome = WriteOutcome::default();
-    let rids = matching_rows(table, scan, ctx, &mut outcome.result.rows_examined)?;
+    let mut result = QueryResult::default();
+    let rids = matching_rows(table, scan, ctx, &mut result.rows_examined)?;
     for rid in rids {
         let row = table.delete(rid).expect("matched row valid");
-        match (cap.undo, cap.changes) {
-            (true, true) => {
-                outcome.undo.push(UndoEntry {
-                    table: key.clone(),
-                    undo: Undo::Deleted(rid, row.clone()),
-                });
-                outcome.changes.push(RowChange {
-                    table: key.clone(),
-                    kind: RowChangeKind::Delete { row: row.to_vec() },
-                });
-            }
-            (true, false) => outcome.undo.push(UndoEntry {
-                table: key.clone(),
-                undo: Undo::Deleted(rid, row),
-            }),
-            (false, true) => outcome.changes.push(RowChange {
-                table: key.clone(),
-                kind: RowChangeKind::Delete { row: row.to_vec() },
-            }),
-            (false, false) => {}
-        }
-        outcome.result.rows_affected += 1;
+        log.push((
+            rid,
+            RowChange {
+                table: Arc::clone(key),
+                kind: RowChangeKind::Delete { row },
+            },
+        ));
+        result.rows_affected += 1;
     }
-    Ok(outcome)
+    Ok(result)
 }

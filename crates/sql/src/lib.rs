@@ -16,8 +16,9 @@
 //!   with B-tree primary and secondary indexes, fronted by a per-engine
 //!   statement→plan [`cache`] so repeated statement texts (including every
 //!   statement-format binlog event a slave re-applies) skip the parser;
-//! * sessions with autocommit or explicit transactions and rollback via undo
-//!   logs;
+//! * sessions with autocommit or explicit transactions, over one write
+//!   record per session that undoes a failed statement or a ROLLBACK and
+//!   becomes the row binlog's event at commit;
 //! * a binary log with **statement-based** and **row-based** event formats,
 //!   binary-encoded (see [`binlog`]), consumed by `amdb-repl`;
 //! * a microsecond `NOW_MICROS()` function bound to the *session clock* —

@@ -485,12 +485,14 @@ pub struct Table {
     /// the stamp of every table they depend on and are revalidated against
     /// it, so DDL invalidates exactly the affected cache entries.
     schema_serial: u64,
-    /// Local apply time (µs of simulated time) per row, stamped by the
-    /// replica row-apply path. 0 means "never row-applied". This is what heartbeat delay measurement reads: under
-    /// the row binlog format the shipped row image carries the *master's*
-    /// materialized timestamp verbatim, so the slave-side apply instant must
-    /// be recorded out of band.
-    applied_at: Vec<u64>,
+    /// Local apply time (µs of simulated time) by row id, stamped by the
+    /// replica row-apply path; a row without an entry (or stamped 0) was
+    /// never row-applied. This is what heartbeat delay measurement reads:
+    /// under the row binlog format the shipped row image carries the
+    /// *master's* materialized timestamp verbatim, so the slave-side apply
+    /// instant must be recorded out of band. Sparse, so a stamp on a delta
+    /// row costs one entry, not a vector as long as the frozen base.
+    applied_at: BTreeMap<u64, u64>,
 }
 
 impl Table {
@@ -509,7 +511,7 @@ impl Table {
             next_auto_inc: 1,
             secondary: Vec::new(),
             schema_serial: 0,
-            applied_at: Vec::new(),
+            applied_at: BTreeMap::new(),
         }
     }
 
@@ -770,8 +772,14 @@ impl Table {
         self.slot(rid)?.as_deref()
     }
 
+    /// The stored image of a row, as the handle the table holds: a write
+    /// record keeps it for a refcount bump, copying no value.
+    pub fn handle(&self, rid: RowId) -> Option<&Arc<[Value]>> {
+        self.slot(rid)?.as_ref()
+    }
+
     /// Replace a row in place (same id). Returns the old image (shared, not
-    /// cloned — undo logs hold it for free).
+    /// cloned — the write record holds it for free).
     pub fn update(&mut self, rid: RowId, new_row: Vec<Value>) -> Result<Arc<[Value]>, SqlError> {
         let new_row = self.validate(new_row)?;
         let pk_idx = self.schema.pk_index();
@@ -818,21 +826,14 @@ impl Table {
     /// write — read back by heartbeat delay measurement, where the stored
     /// row carries the *master's* timestamp.
     pub fn stamp_applied_at(&mut self, rid: RowId, at_micros: u64) {
-        let i = rid.0 as usize;
-        if i >= self.applied_at.len() {
-            self.applied_at.resize(i + 1, 0);
-        }
-        self.applied_at[i] = at_micros;
+        self.applied_at.insert(rid.0, at_micros);
     }
 
     /// Local apply instant of a row, if it was written through the row-apply
     /// path (`None` for base-load / locally-executed rows).
     pub fn applied_at_of(&self, rid: RowId) -> Option<u64> {
         self.get(rid)?;
-        match self.applied_at.get(rid.0 as usize).copied().unwrap_or(0) {
-            0 => None,
-            at => Some(at),
-        }
+        self.applied_at.get(&rid.0).copied().filter(|&at| at != 0)
     }
 
     /// Delete a row by id; returns the deleted image (shared, not cloned).
@@ -841,10 +842,7 @@ impl Table {
         let in_delta = self.in_delta(rid);
         let row = self.slot_mut(rid).take().expect("live row");
         self.live -= 1;
-        let i = rid.0 as usize;
-        if i < self.applied_at.len() {
-            self.applied_at[i] = 0;
-        }
+        self.applied_at.remove(&rid.0);
         if let (true, Some(pk), Some(p)) = (in_delta, &mut self.pk, self.schema.pk_index()) {
             pk.remove(&row[p]);
         }
@@ -852,7 +850,7 @@ impl Table {
         Some(row)
     }
 
-    /// Re-insert a row under a specific id (used by transaction rollback;
+    /// Re-insert a row under a specific id (how undo brings back a deleted row;
     /// the row must have been previously validated by this table). A key
     /// some other row has taken meanwhile stays that row's.
     pub fn restore(&mut self, rid: RowId, row: Arc<[Value]>) {

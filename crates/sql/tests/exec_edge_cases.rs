@@ -1,6 +1,6 @@
 //! Executor edge cases: ordering, projection, joins, aggregates, coercion.
 
-use amdb_sql::{BinlogFormat, Engine, Session, SqlError, Value};
+use amdb_sql::{BinlogFormat, Engine, Lsn, Session, SqlError, Value};
 
 fn engine() -> (Engine, Session) {
     let mut e = Engine::new_master(BinlogFormat::Statement);
@@ -697,4 +697,111 @@ fn integer_sum_is_exact_and_checked() {
         .unwrap();
     let r = scalar(&mut e, &mut s, "SELECT SUM(v) FROM t");
     assert!(out_of_range(r.clone()), "{r:?}");
+}
+
+/// `t (id INT PRIMARY KEY, v BIGINT)` holding id 5 on a master of `format`.
+fn master_with_five(format: BinlogFormat) -> (Engine, Session) {
+    let mut e = Engine::new_master(format);
+    let mut s = Session::new();
+    e.execute_batch(
+        &mut s,
+        "CREATE TABLE t (id INT PRIMARY KEY, v BIGINT);
+         INSERT INTO t VALUES (5, 50)",
+    )
+    .expect("setup");
+    (e, s)
+}
+
+/// What a failed statement must leave as it found: the master's table, its
+/// binlog length, and a slave that replays that binlog.
+#[derive(Debug, PartialEq)]
+struct Trace {
+    rows: Vec<Vec<Value>>,
+    binlog_len: usize,
+    replayed: u64,
+}
+
+fn trace(e: &mut Engine, s: &mut Session) -> Trace {
+    let rows = rows_of(e, s, "SELECT id, v FROM t ORDER BY id", &[]);
+    let mut slave = Engine::new_slave();
+    for ev in e.binlog_from(Lsn(0)) {
+        slave.apply_event(ev, 0).expect("replay");
+    }
+    Trace {
+        rows,
+        binlog_len: e.binlog().len(),
+        replayed: slave.fingerprint(),
+    }
+}
+
+const FORMATS: [BinlogFormat; 2] = [BinlogFormat::Statement, BinlogFormat::Row];
+
+#[test]
+fn a_failed_autocommit_insert_leaves_no_trace() {
+    for format in FORMATS {
+        let (mut e, mut s) = master_with_five(format);
+        let before = trace(&mut e, &mut s);
+        assert_eq!(before.replayed, e.fingerprint(), "{format:?}");
+        let err = e
+            .execute(&mut s, "INSERT INTO t (id, v) VALUES (1, 1), (5, 2)", &[])
+            .unwrap_err();
+        assert!(
+            matches!(err, SqlError::DuplicateKey(_)),
+            "{format:?}: {err}"
+        );
+        assert_eq!(trace(&mut e, &mut s), before, "{format:?}: row 1 is gone");
+        assert_eq!(e.fingerprint(), before.replayed, "{format:?}");
+    }
+}
+
+#[test]
+fn a_failed_statement_inside_a_transaction_undoes_only_itself() {
+    for format in FORMATS {
+        for end in ["COMMIT", "ROLLBACK"] {
+            let (mut e, mut s) = master_with_five(format);
+            e.execute(&mut s, "BEGIN", &[]).unwrap();
+            e.execute(&mut s, "INSERT INTO t VALUES (3, 30)", &[])
+                .unwrap();
+            let before = trace(&mut e, &mut s);
+            let err = e
+                .execute(&mut s, "INSERT INTO t (id, v) VALUES (2, 1), (5, 2)", &[])
+                .unwrap_err();
+            assert!(
+                matches!(err, SqlError::DuplicateKey(_)),
+                "{format:?}: {err}"
+            );
+            assert!(s.in_transaction(), "{format:?}: the transaction stays open");
+            assert_eq!(trace(&mut e, &mut s), before, "{format:?}: row 2 is gone");
+
+            e.execute(&mut s, end, &[]).unwrap();
+            let after = trace(&mut e, &mut s);
+            let ids: Vec<&Value> = after.rows.iter().map(|r| &r[0]).collect();
+            let want = if end == "COMMIT" {
+                vec![&Value::Int(3), &Value::Int(5)]
+            } else {
+                vec![&Value::Int(5)]
+            };
+            assert_eq!(ids, want, "{format:?} {end}");
+            assert_eq!(after.replayed, e.fingerprint(), "{format:?} {end}");
+        }
+    }
+}
+
+#[test]
+fn a_failed_update_leaves_no_trace() {
+    for format in FORMATS {
+        let (mut e, mut s) = master_with_five(format);
+        e.execute(&mut s, "INSERT INTO t VALUES (7, 9223372036854775807)", &[])
+            .unwrap();
+        let before = trace(&mut e, &mut s);
+        let r = e
+            .execute(&mut s, "UPDATE t SET v = v + 1 WHERE id >= 5", &[])
+            .map(|r| r.rows_affected);
+        assert!(
+            matches!(r, Err(SqlError::TypeMismatch(ref m)) if m.starts_with("BIGINT value is out of range")),
+            "{format:?}: {r:?}"
+        );
+        assert_eq!(trace(&mut e, &mut s), before, "{format:?}: id 5 keeps v");
+        assert_eq!(e.fingerprint(), before.replayed, "{format:?}");
+    }
 }

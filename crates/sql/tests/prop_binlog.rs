@@ -25,14 +25,14 @@ fn arb_row() -> impl Strategy<Value = Vec<Value>> {
 
 fn arb_change() -> impl Strategy<Value = RowChange> {
     ("[a-z]{1,12}", arb_row(), arb_row(), 0..3u8).prop_map(|(table, a, b, kind)| RowChange {
-        table,
+        table: table.into(),
         kind: match kind {
-            0 => RowChangeKind::Insert { row: a },
+            0 => RowChangeKind::Insert { row: a.into() },
             1 => RowChangeKind::Update {
-                before: a,
-                after: b,
+                before: a.into(),
+                after: b.into(),
             },
-            _ => RowChangeKind::Delete { row: a },
+            _ => RowChangeKind::Delete { row: a.into() },
         },
     })
 }

@@ -4,6 +4,8 @@
 //! the table exactly equal to a model that buffers uncommitted work, and
 //! the binlog must contain exactly the committed writes (rolled-back work
 //! never replicates — the invariant the cluster's convergence rests on).
+//! A statement that fails part-way changes nothing, in or out of a
+//! transaction, under either binlog format.
 
 use amdb_sql::{BinlogFormat, Engine, Lsn, Session, Value};
 use proptest::prelude::*;
@@ -14,9 +16,24 @@ enum Act {
     Begin,
     Commit,
     Rollback,
-    Insert { id: i64, v: i64 },
-    Update { id: i64, v: i64 },
-    Delete { id: i64 },
+    Insert {
+        id: i64,
+        v: i64,
+    },
+    /// A two-row INSERT; the second id may collide with the first or with a
+    /// stored row, and then neither row may stay.
+    InsertPair {
+        id: i64,
+        second: i64,
+        v: i64,
+    },
+    Update {
+        id: i64,
+        v: i64,
+    },
+    Delete {
+        id: i64,
+    },
 }
 
 fn arb_act() -> impl Strategy<Value = Act> {
@@ -25,6 +42,8 @@ fn arb_act() -> impl Strategy<Value = Act> {
         1 => Just(Act::Commit),
         1 => Just(Act::Rollback),
         3 => (0..30i64, any::<i64>()).prop_map(|(id, v)| Act::Insert { id, v }),
+        2 => (0..30i64, 0..30i64, any::<i64>())
+            .prop_map(|(id, second, v)| Act::InsertPair { id, second, v }),
         2 => (0..30i64, any::<i64>()).prop_map(|(id, v)| Act::Update { id, v }),
         2 => (0..30i64).prop_map(|id| Act::Delete { id }),
     ]
@@ -50,8 +69,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn transactions_match_shadow_model(acts in prop::collection::vec(arb_act(), 0..80)) {
-        let mut engine = Engine::new_master(BinlogFormat::Statement);
+    fn transactions_match_shadow_model(
+        acts in prop::collection::vec(arb_act(), 0..80),
+        format in prop_oneof![Just(BinlogFormat::Statement), Just(BinlogFormat::Row)],
+    ) {
+        let mut engine = Engine::new_master(format);
         let mut session = Session::new();
         engine
             .execute(&mut session, "CREATE TABLE t (id INT PRIMARY KEY, v BIGINT)", &[])
@@ -97,6 +119,26 @@ proptest! {
                     } else {
                         prop_assert!(res.is_ok());
                         model.view_mut().insert(id, v);
+                    }
+                }
+                Act::InsertPair { id, second, v } => {
+                    let res = engine.execute(
+                        &mut session,
+                        "INSERT INTO t (id, v) VALUES (?, ?), (?, ?)",
+                        &[Value::Int(id), Value::Int(v), Value::Int(second), Value::Int(v)],
+                    );
+                    let view = model.view();
+                    if id == second || view.contains_key(&id) || view.contains_key(&second) {
+                        prop_assert!(res.is_err(), "duplicate pk rejected");
+                        prop_assert_eq!(
+                            session.in_transaction(),
+                            model.txn.is_some(),
+                            "a failed statement leaves the transaction as it was"
+                        );
+                    } else {
+                        prop_assert!(res.is_ok());
+                        model.view_mut().insert(id, v);
+                        model.view_mut().insert(second, v);
                     }
                 }
                 Act::Update { id, v } => {
