@@ -139,7 +139,7 @@ fleet_report|--jobs 1|--jobs 2|fleet_report.csv fleet_alerts.csv fleet_metrics.p
 extensions|--jobs 1|--jobs 2|extensions_failover.csv extensions_autoscale.csv extensions_master_failover.csv extensions_workload_classes.csv
 TABLE
 # A command line amdb cannot parse exits 2; it never falls back to a default run.
-for line in nosuch "fig2 --job 2" "rtt --backend row"; do
+for line in nosuch "fig2 --job 2" "rtt --backend row" "fig2 --jobs 0" "obs_slo --shards 0"; do
   # shellcheck disable=SC2086 # line is a space-separated command line
   (cd "$SMOKE" && "$BIN/amdb" $line >/dev/null 2>&1) && status=0 || status=$?
   [ "$status" = 2 ] || { echo "amdb $line: exit $status, want 2"; exit 1; }
@@ -180,11 +180,12 @@ dirty=$(git status --porcelain results/ benchmark/ ':!benchmark/Cargo.lock' 'BEN
 
 echo "== non-test lines per crate (each file up to its first #[cfg(test)]; informational) =="
 # The one line count CHANGES.md quotes; it never fails the run. `workspace`
-# sums crates/* only; vendor/ and examples/ are listed after it.
+# sums crates/* only; core/cluster.rs, vendor/ and examples/ are listed after it.
 count='FNR == 1 { t = 0 } /#\[cfg\(test\)\]/ { t = 1 } !t { n++ } END { printf "%-14s %6d\n", c, n }'
 for crate in crates/*/; do
   find "${crate}src" -name '*.rs' -print0 | xargs -0 awk -v c="$(basename "$crate")" "$count"
 done | awk '{ print; s += $2 } END { printf "%-14s %6d\n", "workspace", s }' || true
+awk -v c=core/cluster.rs "$count" crates/core/src/cluster.rs || true
 for dir in vendor examples; do
   find "$dir" -name '*.rs' -print0 | xargs -0 awk -v c="$dir" "$count" || true
 done

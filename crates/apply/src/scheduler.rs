@@ -20,8 +20,9 @@
 //!    primary keys. No clocks, no randomness, no worker state — replaying
 //!    the same binlog always yields the same batch boundaries.
 //!
-//! With `workers = 1` every batch has exactly one event, reproducing the
-//! classic single-threaded SQL apply thread byte-for-byte.
+//! With `workers = 1` every batch is the head event alone, planned without
+//! a writeset (bound `Capacity` or `Drained`, never `Barrier`), reproducing
+//! the classic single-threaded SQL apply thread byte-for-byte.
 
 use amdb_sql::{BinlogEvent, Lsn};
 
@@ -108,6 +109,14 @@ impl ApplyScheduler {
                 bound: BatchBound::Drained,
             };
         };
+        if self.workers == 1 {
+            let bound = if iter.next().is_some() {
+                BatchBound::Capacity
+            } else {
+                BatchBound::Drained
+            };
+            return ApplyPlan { len: 1, bound };
+        }
         let first_ws = writeset_of(first, &mut self.interner, &pk_of);
         if first_ws.is_barrier() {
             return ApplyPlan {
@@ -238,6 +247,20 @@ mod tests {
         assert_eq!(batches.len(), 20);
         assert!(batches.iter().all(|b| b.len() == 1));
         assert!(!bounds.contains(&BatchBound::Conflict));
+    }
+
+    #[test]
+    fn workers_one_computes_no_writeset() {
+        // The serial planner never looks up a primary key, so `pk_of` may
+        // panic; the statement event is not labelled a barrier either.
+        let events = [stmt_event(0, "UPDATE t SET v = 0"), row_event(1, "t", 1)];
+        let mut s = ApplyScheduler::new(1);
+        let no_pk = |_: &str| -> Option<usize> { panic!("serial plan looked up a key") };
+        let first = s.plan_batch(events.iter(), no_pk);
+        assert_eq!((first.len, first.bound), (1, BatchBound::Capacity));
+        let last = s.plan_batch(events[1..].iter(), no_pk);
+        assert_eq!((last.len, last.bound), (1, BatchBound::Drained));
+        assert_eq!(s.plan_batch(events[2..].iter(), no_pk).len, 0);
     }
 
     #[test]

@@ -23,8 +23,8 @@
 //! The decision procedure ([`ConsistencyConfig::decide_read`]) is pure
 //! bookkeeping over [`amdb_proxy::Proxy`] state: it schedules nothing and consumes no
 //! randomness beyond the one balancer pick the unfiltered proxy would make,
-//! so wiring it into a deterministic simulation cannot perturb runs that do
-//! not opt in — and `Eventual` is byte-identical to no policy at all.
+//! and `Eventual` is byte-identical to no policy at all — which is why the
+//! cluster runs every read through it, with `Eventual` when no policy is set.
 
 mod router;
 mod session;

@@ -329,9 +329,9 @@ impl SyncWait {
 }
 
 /// The application-managed consistency layer: watermark table, per-user
-/// session tokens, and the redirect counters. Pure bookkeeping — it
-/// schedules no events of its own and consumes no randomness, so a cluster
-/// with `Some(Eventual)` runs byte-identically to one with `None`.
+/// session tokens, and the redirect counters. Without a configured policy
+/// it runs `Eventual`, which routes reads exactly as the plain proxy does.
+/// Pure bookkeeping: it schedules no events and draws no randomness of its own.
 struct ConsistencyLayer {
     cfg: ConsistencyConfig,
     wm: WatermarkTable,
@@ -347,9 +347,10 @@ struct ConsistencyLayer {
 }
 
 impl ConsistencyLayer {
-    fn new(cfg: ConsistencyConfig, n_slaves: usize, start_seq: u64) -> Self {
+    /// The layer enforcing `cfg`'s policy, `Eventual` when it sets none.
+    fn new(cfg: Option<ConsistencyConfig>, n_slaves: usize, start_seq: u64) -> Self {
         Self {
-            cfg,
+            cfg: cfg.unwrap_or(ConsistencyConfig::new(ConsistencyPolicy::Eventual)),
             wm: WatermarkTable::new(n_slaves, start_seq),
             sessions: Vec::new(),
             redirects_master: 0,
@@ -371,10 +372,19 @@ impl ConsistencyLayer {
     }
 }
 
-/// Timed state of the shared-log replication backend. `None` unless
-/// `cfg.backend == SharedLog` — every hot-path probe is a single `Option`
-/// discriminant test and the branch schedules nothing and draws no RNG when
-/// absent, so binlog-backend runs stay bit-identical to pre-backend builds.
+/// Where committed events go. Each backend decision — the published cursor
+/// and fan-out width, what a commit ships, the write-ack gate, what survives
+/// a failover — is one `match` on it. (One per cluster: no need to box.)
+#[allow(clippy::large_enum_variant)]
+enum Backend {
+    /// Statement or row binlog: dump threads ship every commit to each
+    /// slave's relay.
+    Binlog,
+    /// The shared log: commits publish to a quorum-replicated log service.
+    SharedLog(SharedLogState),
+}
+
+/// Timed state of the shared-log replication backend.
 ///
 /// The flow (Taurus-style, PAPERS.md arXiv 2412.02792): at each master
 /// commit the new binlog events are *published* — appended to a
@@ -396,13 +406,100 @@ struct SharedLogState {
     /// `client_op_done` reads right after `ship_new`. `None` when the last
     /// publish appended nothing.
     last_publish_quorum: Option<SimTime>,
-    /// Publish batches appended to the log, and the records in them.
-    appends: u64,
+    /// Records appended to the log.
     records: u64,
-    /// Client-visible quorum wait per publish (ms).
+    /// Client-visible quorum wait per publish (ms), one per append batch.
     quorum_waits: OnlineStats,
     /// Set by the reattach recovery path: (reattach LSN, events replayed).
     recovery: Option<(Lsn, u64)>,
+}
+
+impl SharedLogState {
+    /// The log service for `cfg`, its replicas' fault schedules drawn from
+    /// `root`'s `"logstore"` streams. The binlog's pre-loaded prefix up to
+    /// `shipped0` (the web10 loader's events) is durable before t=0, which
+    /// aligns the log's LSN space with the binlog's.
+    fn new(cfg: &ClusterConfig, root: &Rng, shipped0: Lsn) -> Self {
+        let horizon_us = cfg.workload.phases.hard_end().as_micros();
+        let log_rng = root.derive("logstore");
+        let timelines: Vec<FaultTimeline> = (0..cfg.log_store.replicas)
+            .map(|r| match &cfg.log_faults {
+                None => FaultTimeline::healthy(),
+                Some(plan) => {
+                    let mut rng = log_rng.derive(&format!("replica{r}"));
+                    plan.timeline(&mut rng, horizon_us)
+                }
+            })
+            .collect();
+        let mut log = LogStore::with_timelines(cfg.log_store, timelines);
+        if shipped0.0 > 0 {
+            log.append(shipped0.0);
+            for rep in 0..cfg.log_store.replicas {
+                log.ack(rep, shipped0);
+            }
+        }
+        Self {
+            log,
+            last_publish_quorum: None,
+            records: 0,
+            quorum_waits: OnlineStats::new(),
+            recovery: None,
+        }
+    }
+
+    /// Publish the master's binlog up to `head` to the log: one timed
+    /// append ([`LogStore::append_at`] computes each log replica's ack
+    /// instant and the quorum instant — the write's durability point and
+    /// client-ack gate), one [`ClusterEvent::LogAck`] per replica.
+    fn publish(&mut self, sim: &mut dyn ClusterHost, head: Lsn, obs: &mut Obs) {
+        let new = head.0 - self.log.appended_upto().0;
+        if new == 0 {
+            self.last_publish_quorum = None;
+            return;
+        }
+        let now = sim.now();
+        let timing = self.log.append_at(new, now.as_micros());
+        self.records += new;
+        for (replica, at) in timing.acks_us.iter().enumerate() {
+            if let Some(at) = *at {
+                let ack = ClusterEvent::LogAck {
+                    replica,
+                    upto: head,
+                };
+                sim.schedule_event_at(SimTime::from_micros(at), ack);
+            }
+        }
+        let quorum_at = SimTime::from_micros(timing.quorum_at_us);
+        self.last_publish_quorum = Some(quorum_at);
+        let wait_ms = (quorum_at - now).as_millis_f64();
+        self.quorum_waits.push(wait_ms);
+        if obs.is_enabled() {
+            let lag = head.0 - self.log.durable_upto().0;
+            obs.span(Component::Repl, 0, "quorum_wait", now, quorum_at);
+            obs.observe_sketch(Component::Repl, 0, "quorum_wait_ms", wait_ms);
+            obs.tsdb_observe(Component::Repl, 0, "log_durable_lag", now, lag as f64);
+        }
+    }
+
+    /// The run's shared-log report over a run ending at `horizon_us`.
+    fn report(&self, horizon_us: u64) -> SharedLogReport {
+        let acks = self.log.ack_stats();
+        SharedLogReport {
+            appends: self.quorum_waits.count(),
+            records: self.records,
+            durable_lsn: self.log.durable_upto().0,
+            published_lsn: self.log.appended_upto().0,
+            quorum_wait_mean_ms: self.quorum_waits.mean(),
+            quorum_wait_max_ms: self.quorum_waits.max(),
+            ack_retries: acks.retries,
+            ack_resends: acks.resends,
+            quorum_failures: acks.quorum_failures,
+            replica_downtime_ms: (0..self.log.config().replicas)
+                .map(|r| self.log.timeline(r).downtime_us(horizon_us) as f64 / 1_000.0)
+                .collect(),
+            recovery: self.recovery.map(|(lsn, replayed)| (lsn.0, replayed)),
+        }
+    }
 }
 
 /// Cluster-side telemetry state: the `amdb-telemetry` bundle plus the
@@ -497,8 +594,9 @@ pub struct Cluster {
     mode: ReplMode,
     /// Writeset-dependency batch planner, shared across slaves (planning is
     /// a pure function of each relay's queue, so per-slave state is not
-    /// needed). `None` with one apply worker: the classic serial SQL thread.
-    sched: Option<amdb_apply::ApplyScheduler>,
+    /// needed). With one apply worker it plans one-event batches: the
+    /// classic serial SQL thread.
+    sched: amdb_apply::ApplyScheduler,
     pending_sync: Vec<SyncWait>,
     rng_ntp: Rng,
     /// Provider handle kept for dynamic slave launches (failover/autoscale).
@@ -524,13 +622,13 @@ pub struct Cluster {
     /// name-addressed probes would create; grows with dynamic slave
     /// launches.
     sketch_ids: Vec<[Option<MetricId>; 3]>,
-    /// Consistency layer; `None` unless `cfg.consistency` opted in.
-    consistency: Option<ConsistencyLayer>,
+    /// Consistency layer, `Eventual` unless `cfg.consistency` sets a policy.
+    consistency: ConsistencyLayer,
     /// Telemetry layer; `None` unless `cfg.telemetry.enabled` — every probe
     /// site below is then a single `Option` discriminant test.
     telemetry: Option<TelemetryLayer>,
-    /// Shared-log backend state; `None` unless `cfg.backend == SharedLog`.
-    shared_log: Option<SharedLogState>,
+    /// Replication backend state, after `cfg.backend`.
+    backend: Backend,
     /// When the master failed (recovery-time measurement).
     master_failed_at: Option<SimTime>,
     /// Master failure → cluster fully recovered (writes accepted and every
@@ -615,49 +713,20 @@ impl Cluster {
         let phases = cfg.workload.phases;
         let n = cfg.n_slaves;
         let obs = Obs::from_config(&cfg.obs);
-        let consistency = cfg
-            .consistency
-            .map(|c| ConsistencyLayer::new(c, n, shipped0.0));
+        let consistency = ConsistencyLayer::new(cfg.consistency, n, shipped0.0);
         let telemetry = cfg
             .telemetry
             .enabled
             .then(|| TelemetryLayer::new(&cfg.telemetry, n));
-        // Shared-log backend: the fault schedules and the log service exist
-        // only when opted in — this whole block draws no RNG and allocates
-        // nothing otherwise, keeping binlog-backend runs bit-identical.
-        let shared_log = (cfg.backend == BackendKind::SharedLog).then(|| {
-            let horizon_us = phases.hard_end().as_micros();
-            let log_rng = root.derive("logstore");
-            let timelines: Vec<FaultTimeline> = (0..cfg.log_store.replicas)
-                .map(|r| match &cfg.log_faults {
-                    None => FaultTimeline::healthy(),
-                    Some(plan) => {
-                        let mut rng = log_rng.derive(&format!("replica{r}"));
-                        plan.timeline(&mut rng, horizon_us)
-                    }
-                })
-                .collect();
-            let mut log = LogStore::with_timelines(cfg.log_store, timelines);
-            // Pre-loaded data (web10 loader events) is durable before t=0:
-            // align the log's LSN space with the binlog's.
-            if shipped0.0 > 0 {
-                log.append(shipped0.0);
-                for rep in 0..cfg.log_store.replicas {
-                    log.ack(rep, shipped0);
-                }
+        let backend = match cfg.backend {
+            BackendKind::SharedLog => {
+                Backend::SharedLog(SharedLogState::new(&cfg, &root, shipped0))
             }
-            SharedLogState {
-                log,
-                last_publish_quorum: None,
-                appends: 0,
-                records: 0,
-                quorum_waits: OnlineStats::new(),
-                recovery: None,
-            }
-        });
+            BackendKind::Statement | BackendKind::Row => Backend::Binlog,
+        };
         let users = UserLoop::new(&cfg, gen, &root);
         Self {
-            shared_log,
+            backend,
             master_failed_at: None,
             recovery_ms: None,
             obs,
@@ -672,8 +741,7 @@ impl Cluster {
             cost: cfg.cost.clone(),
             client_zone: cfg.client_zone.unwrap_or(master_zone),
             mode: cfg.mode,
-            sched: (cfg.apply_workers > 1)
-                .then(|| amdb_apply::ApplyScheduler::new(cfg.apply_workers)),
+            sched: amdb_apply::ApplyScheduler::new(cfg.apply_workers),
             cfg,
             phases,
             net,
@@ -924,7 +992,7 @@ impl Cluster {
         } else {
             0.0
         };
-        let sla_now = self.consistency.as_ref().map_or(0, |l| l.sla_violations);
+        let sla_now = self.consistency.sla_violations;
         let sla_rate = if elapsed > 0.0 {
             (sla_now - tl.prev_sla) as f64 / elapsed
         } else {
@@ -1002,10 +1070,10 @@ impl Cluster {
     }
 
     /// Dispatch one client operation: route it — reads through the
-    /// consistency layer when one is configured — and send it to the chosen
-    /// node. `pin_master` bypasses the balancer and the consistency router:
-    /// the sharded front's all-legs-filtered fallback re-runs a scattered
-    /// read against this tree's master, whose copy is fresh by definition.
+    /// consistency layer — and send it to the chosen node. `pin_master`
+    /// bypasses the balancer and the consistency router: the sharded
+    /// front's all-legs-filtered fallback re-runs a scattered read against
+    /// this tree's master, whose copy is fresh by definition.
     pub(crate) fn dispatch(
         &mut self,
         sim: &mut dyn ClusterHost,
@@ -1017,9 +1085,11 @@ impl Cluster {
             OpClass::Read => ProxyClass::Read,
             OpClass::Write => ProxyClass::Write,
         };
-        let route = match (&mut self.consistency, class) {
+        let route = match class {
             _ if pin_master => Route::Master,
-            (Some(layer), ProxyClass::Read) => {
+            ProxyClass::Write => self.proxy.route(class),
+            ProxyClass::Read => {
+                let layer = &mut self.consistency;
                 let now_ms = sim.now().as_millis_f64();
                 let session = *layer.session(origin.user);
                 match layer
@@ -1035,7 +1105,6 @@ impl Cluster {
                     }
                 }
             }
-            _ => self.proxy.route(class),
         };
         let (node_idx, routed_slave) = match route {
             Route::Master => {
@@ -1153,17 +1222,12 @@ impl Cluster {
             }
             Job::Apply { slave } => {
                 // Plan the group-commit batch: a contiguous prefix of at
-                // most `apply_workers` pairwise-non-conflicting events.
-                // Serial apply (no planner) takes one event at a time.
-                let (batch_len, bound) = match self.sched.as_mut() {
-                    Some(sched) => {
-                        let engine = &self.nodes[node_idx].engine;
-                        let relay = &self.relays[slave];
-                        let plan = sched.plan_batch(relay.iter(), |t| engine.pk_index_of(t));
-                        (plan.len, Some(plan.bound))
-                    }
-                    None => (1, None),
-                };
+                // most `apply_workers` pairwise-non-conflicting events (one
+                // event at a time with the serial SQL thread).
+                let engine = &self.nodes[node_idx].engine;
+                let pending = self.relays[slave].iter();
+                let plan = self.sched.plan_batch(pending, |t| engine.pk_index_of(t));
+                let batch_len = plan.len;
                 let node = &mut self.nodes[node_idx];
                 let now_micros = node.inst.clock.read(now).0;
                 let mut results = Vec::with_capacity(batch_len);
@@ -1209,7 +1273,7 @@ impl Cluster {
                         .span(Component::Repl, slave as u32, "apply", now, done);
                     let id = self.demand_sketch_id(node_idx, SK_APPLY, "demand_apply_us");
                     self.obs.observe_sketch_id(id, demand_us);
-                    if let Some(bound) = bound {
+                    if self.cfg.apply_workers > 1 {
                         // Parallel apply: decompose the batch into per-worker
                         // spans (one per event, real per-event demand), name
                         // what closed the batch, and measure each worker's
@@ -1218,7 +1282,7 @@ impl Cluster {
                         // waited on the slowest sibling.
                         let batch_id = self.stats.apply_batches;
                         let slave_u = slave as u32;
-                        let bound_counter = match bound {
+                        let bound_counter = match plan.bound {
                             amdb_apply::BatchBound::Drained => "apply_batch_drained",
                             amdb_apply::BatchBound::Conflict => "apply_conflict_bounded",
                             amdb_apply::BatchBound::Capacity => "apply_capacity_bounded",
@@ -1307,18 +1371,16 @@ impl Cluster {
                     _ => unreachable!(),
                 };
                 self.stats.hb_emitted.push((id, now));
+                let (_, fanout) = self.ship_cursor();
                 let node = &mut self.nodes[node_idx];
                 node.session.now_micros = node.inst.clock.read(now).0;
                 let res = node
                     .engine
                     .execute(&mut node.session, &sql, &params)
                     .unwrap_or_else(|e| panic!("heartbeat insert failed: {e}"));
-                let mut demand_us = self.cost.statement_demand_us(&res, true) + self.cost.commit_us;
-                let fanout = match self.shared_log.as_ref() {
-                    Some(sl) => sl.log.config().replicas,
-                    None => self.relays.len(),
-                };
-                demand_us += self.cost.ship_demand_us() * fanout as f64;
+                let demand_us = self.cost.statement_demand_us(&res, true)
+                    + self.cost.commit_us
+                    + self.cost.ship_demand_us() * fanout as f64;
                 let done = node
                     .inst
                     .cpu
@@ -1344,18 +1406,23 @@ impl Cluster {
         }
         if op.class == OpClass::Write {
             demand_us += self.cost.commit_us;
-            // Binlog dump threads consume master CPU per slave per event.
-            // Under the shared log the master appends to the log replicas
-            // instead and slaves tail the log service — its commit cost is
-            // independent of the slave count (the disaggregation offload).
-            let (published, fanout) = match self.shared_log.as_ref() {
-                Some(sl) => (sl.log.appended_upto(), sl.log.config().replicas),
-                None => (self.shipped_upto, self.relays.len()),
-            };
-            let new_events = node.engine.binlog().head().0 - published.0;
+            let (published, fanout) = self.ship_cursor();
+            let new_events = self.nodes[node_idx].engine.binlog().head().0 - published.0;
             demand_us += self.cost.ship_demand_us() * new_events as f64 * fanout as f64;
         }
         demand_us
+    }
+
+    /// The master's shipping cursor and how many streams each new event
+    /// costs it. Binlog dump threads ship every event to every slave; under
+    /// the shared log the master appends to the log replicas instead and
+    /// slaves tail the log service, so its commit cost is independent of
+    /// the slave count (the disaggregation offload).
+    fn ship_cursor(&self) -> (Lsn, usize) {
+        match &self.backend {
+            Backend::Binlog => (self.shipped_upto, self.relays.len()),
+            Backend::SharedLog(sl) => (sl.log.appended_upto(), sl.log.config().replicas),
+        }
     }
 
     /// Begin functional service of a client operation on `node_idx`:
@@ -1384,26 +1451,18 @@ impl Cluster {
         // Consistency accounting: the *true* staleness a slave read
         // observes is fixed here, at service start, where statements
         // execute functionally. Pure measurement — no events, no RNG.
-        if self.consistency.is_some() && op.class == OpClass::Read {
-            if let Some(s) = routed_slave {
-                let st_ms = self.true_staleness_ms(s, now);
-                let steady = self.phases.in_steady(now);
-                if let Some(layer) = self.consistency.as_mut() {
-                    layer.served_staleness.push(st_ms);
-                    if let ConsistencyPolicy::BoundedStaleness { max_ms } = layer.cfg.policy {
-                        if st_ms > max_ms {
-                            layer.sla_violations += 1;
-                            if steady {
-                                layer.sla_violations_steady += 1;
-                            }
-                            self.obs.incr(
-                                Component::Proxy,
-                                s as u32,
-                                "consistency_sla_violation",
-                                1,
-                            );
-                        }
+        if let (OpClass::Read, Some(s)) = (op.class, routed_slave) {
+            let st_ms = self.true_staleness_ms(s, now);
+            let layer = &mut self.consistency;
+            layer.served_staleness.push(st_ms);
+            if let ConsistencyPolicy::BoundedStaleness { max_ms } = layer.cfg.policy {
+                if st_ms > max_ms {
+                    layer.sla_violations += 1;
+                    if self.phases.in_steady(now) {
+                        layer.sla_violations_steady += 1;
                     }
+                    self.obs
+                        .incr(Component::Proxy, s as u32, "consistency_sla_violation", 1);
                 }
             }
         }
@@ -1466,18 +1525,14 @@ impl Cluster {
         // Session guarantees: record what this completed op established.
         // Both marks are conservative over-approximations (the serving
         // replica's watermark, not the exact rows touched).
-        if self.consistency.is_some() {
-            let seq = match (class, routed_slave) {
-                (OpClass::Read, Some(s)) => self.relays[s].applied_upto().0,
-                _ => self.nodes[0].engine.binlog().head().0,
-            };
-            if let Some(layer) = self.consistency.as_mut() {
-                let token = layer.session(origin.user);
-                match class {
-                    OpClass::Write => token.observe_write(seq),
-                    OpClass::Read => token.observe_read(seq),
-                }
-            }
+        let seq = match (class, routed_slave) {
+            (OpClass::Read, Some(s)) => self.relays[s].applied_upto().0,
+            _ => self.nodes[0].engine.binlog().head().0,
+        };
+        let token = self.consistency.session(origin.user);
+        match class {
+            OpClass::Write => token.observe_write(seq),
+            OpClass::Read => token.observe_read(seq),
         }
 
         if node_idx == 0 {
@@ -1528,10 +1583,10 @@ impl Cluster {
         // Shared-log backend: a write is acknowledged at its quorum
         // instant, whatever the ReplMode — durability lives in the log
         // service, not in slave receipt/apply acks.
-        if let Some(q_at) = self
-            .shared_log
-            .as_ref()
-            .and_then(|sl| sl.last_publish_quorum)
+        if let Backend::SharedLog(SharedLogState {
+            last_publish_quorum: Some(q_at),
+            ..
+        }) = self.backend
         {
             self.schedule_response(sim, q_at, origin, class, routed_slave);
             return true;
@@ -1708,10 +1763,8 @@ impl Cluster {
         // The slave's SQL thread finished one batch: advance its watermark.
         // After a failover reset the relay's own cursor (not the in-flight
         // job's old-epoch LSN) is authoritative.
-        if let Some(layer) = self.consistency.as_mut() {
-            let seq = self.relays[slave].applied_upto().0;
-            layer.wm.note_applied(slave, seq, 0.0, false);
-        }
+        let seq = self.relays[slave].applied_upto().0;
+        self.consistency.wm.note_applied(slave, seq, 0.0, false);
         // Sync-mode acks.
         if self.mode == ReplMode::Sync && !self.pending_sync.is_empty() {
             let now = sim.now();
@@ -1747,16 +1800,16 @@ impl Cluster {
     /// to the log service and returns no deliveries — slaves receive the
     /// batch when its quorum forms (see [`Self::log_ack`]).
     fn ship_new(&mut self, sim: &mut dyn ClusterHost) -> Vec<(usize, SimTime)> {
-        if self.shared_log.is_some() {
-            self.publish_to_log(sim);
+        let head = self.nodes[0].engine.binlog().head();
+        if let Backend::SharedLog(sl) = &mut self.backend {
+            sl.publish(sim, head, &mut self.obs);
             return Vec::new();
         }
-        let head = self.nodes[0].engine.binlog().head();
         // GTID-style watermarks: stamp every newly committed sequence with
         // the commit (= ship-point) time. Monotone no-op when nothing is new.
-        if let Some(layer) = self.consistency.as_mut() {
-            layer.wm.note_master_seq(head.0, sim.now().as_millis_f64());
-        }
+        self.consistency
+            .wm
+            .note_master_seq(head.0, sim.now().as_millis_f64());
         if head == self.shipped_upto || self.relays.is_empty() {
             self.shipped_upto = head;
             return Vec::new();
@@ -1869,56 +1922,13 @@ impl Cluster {
     // Shared-log backend: publish → quorum → tail delivery
     // ------------------------------------------------------------------
 
-    /// Publish the master's new binlog events to the shared log: one timed
-    /// append ([`LogStore::append_at`] computes each log replica's ack
-    /// instant and the quorum instant — the write's durability point and
-    /// client-ack gate), one [`ClusterEvent::LogAck`] per replica.
-    fn publish_to_log(&mut self, sim: &mut dyn ClusterHost) {
-        let head = self.nodes[0].engine.binlog().head();
-        let sl = self
-            .shared_log
-            .as_mut()
-            .expect("publish_to_log is gated on the shared-log backend");
-        let new = head.0 - sl.log.appended_upto().0;
-        if new == 0 {
-            sl.last_publish_quorum = None;
-            return;
-        }
-        let now = sim.now();
-        let timing = sl.log.append_at(new, now.as_micros());
-        sl.appends += 1;
-        sl.records += new;
-        for (replica, at) in timing.acks_us.iter().enumerate() {
-            if let Some(at) = *at {
-                let ack = ClusterEvent::LogAck {
-                    replica,
-                    upto: head,
-                };
-                sim.schedule_event_at(SimTime::from_micros(at), ack);
-            }
-        }
-        let quorum_at = SimTime::from_micros(timing.quorum_at_us);
-        sl.last_publish_quorum = Some(quorum_at);
-        let wait_ms = (quorum_at - now).as_millis_f64();
-        sl.quorum_waits.push(wait_ms);
-        if self.obs.is_enabled() {
-            let lag = head.0 - sl.log.durable_upto().0;
-            self.obs
-                .span(Component::Repl, 0, "quorum_wait", now, quorum_at);
-            self.obs
-                .observe_sketch(Component::Repl, 0, "quorum_wait_ms", wait_ms);
-            self.obs
-                .tsdb_observe(Component::Repl, 0, "log_durable_lag", now, lag as f64);
-        }
-    }
-
     /// A log replica's ack lands: advance the quorum state machine, and
     /// when the durable prefix moves, release the newly durable events.
     fn log_ack(&mut self, sim: &mut dyn ClusterHost, replica: usize, upto: Lsn) {
-        let sl = self
-            .shared_log
-            .as_mut()
-            .expect("LogAck events only exist under the shared-log backend");
+        // Only a shared-log publish schedules log acks.
+        let Backend::SharedLog(sl) = &mut self.backend else {
+            return;
+        };
         let was = sl.log.durable_upto();
         let result = sl.log.ack(replica, upto);
         let counter = match result {
@@ -1948,9 +1958,9 @@ impl Cluster {
         durable: Lsn,
     ) {
         let now = sim.now();
-        if let Some(layer) = self.consistency.as_mut() {
-            layer.wm.note_master_seq(durable.0, now.as_millis_f64());
-        }
+        self.consistency
+            .wm
+            .note_master_seq(durable.0, now.as_millis_f64());
         if self.obs.is_enabled() {
             self.obs.tsdb_observe(
                 Component::Repl,
@@ -2030,17 +2040,13 @@ impl Cluster {
                 self.nodes[node_idx] = node;
                 self.relays[s] = relay;
                 self.chan_clear[s] = now;
-                if let Some(layer) = self.consistency.as_mut() {
-                    layer.wm.reset_slave(s, head.0);
-                }
+                self.consistency.wm.reset_slave(s, head.0);
             }
             None => {
                 self.nodes.push(node);
                 self.relays.push(relay);
                 self.chan_clear.push(now);
-                if let Some(layer) = self.consistency.as_mut() {
-                    layer.wm.push_slave(head.0);
-                }
+                self.consistency.wm.push_slave(head.0);
             }
         }
         head
@@ -2103,8 +2109,10 @@ impl Cluster {
         // had applied. The shared log keeps everything published to it:
         // writes the dead master committed locally but never published were
         // never client-acked either (the quorum gate fires after publish).
-        let published = self.shared_log.as_ref().map(|sl| sl.log.appended_upto());
-        let survives = published.unwrap_or_else(|| self.relays[best].applied_upto());
+        let survives = match &self.backend {
+            Backend::Binlog => self.relays[best].applied_upto(),
+            Backend::SharedLog(sl) => sl.log.appended_upto(),
+        };
         let old_head = self.nodes[0].engine.binlog().head();
         self.lost_writes += old_head.0.saturating_sub(survives.0);
 
@@ -2129,9 +2137,20 @@ impl Cluster {
             self.redispatch_queue(sim, node);
         }
 
-        let (recovered_at, probe, line) = match published {
-            Some(published) => self.reattach_from_log(sim, best, published),
-            None => self.rebuild_from_master(sim, best),
+        let (recovered_at, probe, line) = match &mut self.backend {
+            Backend::Binlog => self.rebuild_from_master(sim, best),
+            Backend::SharedLog(sl) => {
+                // The surviving log replicas hold everything published, so
+                // it all turns durable (acks still in flight for it land as
+                // duplicates).
+                let was = sl.log.durable_upto();
+                for r in 0..sl.log.config().replicas {
+                    sl.log.ack(r, survives);
+                }
+                let replayed = survives.0 - self.relays[best].applied_upto().0;
+                sl.recovery = Some((survives, replayed));
+                self.reattach_from_log(sim, best, was, survives, replayed)
+            }
         };
         if let Some(failed_at) = self.master_failed_at.take() {
             self.recovery_ms = Some((recovered_at - failed_at).as_millis_f64());
@@ -2161,11 +2180,9 @@ impl Cluster {
         // The old sequence space is void, and with it every session
         // guarantee (lost writes cannot be read-your-writes'd back into
         // existence).
-        if let Some(layer) = self.consistency.as_mut() {
-            layer.wm.reset_all(0);
-            for token in &mut layer.sessions {
-                token.reset();
-            }
+        self.consistency.wm.reset_all(0);
+        for token in &mut self.consistency.sessions {
+            token.reset();
         }
         self.repl_epoch += 1;
         self.shipped_upto = Lsn(0);
@@ -2214,31 +2231,26 @@ impl Cluster {
         (recovered_at, "slave_promoted", line)
     }
 
-    /// Shared-log failover, after slave `best` took slot 0: *reattach* it to
-    /// the log at `published`. The log — not the dead master — is the
-    /// database: everything published survives, the LSN space continues, and
-    /// therefore the watermark table, session tokens and replication epoch
-    /// all survive too — no snapshot resync, no `reset_all`. Returns when
-    /// the cluster has recovered, the trace instant's name and the
-    /// membership line.
+    /// Shared-log failover, after slave `best` took slot 0 and the log made
+    /// everything up to `published` durable (it was durable up to `was`):
+    /// *reattach* the new master (`replayed` events behind) at `published`. The log — not
+    /// the dead master — is the database: everything published survives,
+    /// the LSN space continues, and therefore the watermark table, session
+    /// tokens and replication epoch all survive too — no snapshot resync, no
+    /// `reset_all`. Returns when the cluster has recovered, the trace
+    /// instant's name and the membership line.
     fn reattach_from_log(
         &mut self,
         sim: &mut dyn ClusterHost,
         best: usize,
+        was: Lsn,
         published: Lsn,
+        replayed: u64,
     ) -> (SimTime, &'static str, String) {
         let now = sim.now();
         let corpse = self.slave_node(best);
-        let sl = self.shared_log.as_mut().expect("caller probed");
-
-        // Published but not yet quorum-acked at the failure: the log's
-        // surviving replicas hold it, so the reattach makes it durable (acks
-        // still in flight for it land as duplicates) and the other slaves
-        // tail it like any durable range.
-        let was = sl.log.durable_upto();
-        for r in 0..sl.log.config().replicas {
-            sl.log.ack(r, published);
-        }
+        // Published but not yet quorum-acked at the failure: the other
+        // slaves tail it like any durable range.
         if published > was {
             self.release_durable(sim, corpse, was, published);
         }
@@ -2248,8 +2260,7 @@ impl Cluster {
         // (same record bytes the log holds — the sim keeps one copy), then
         // the new master's binlog continues the LSN space at `published`.
         let applied = self.relays[best].applied_upto();
-        let missing = (published.0 - applied.0) as usize;
-        let tail = self.nodes[corpse].engine.binlog_from(applied)[..missing].to_vec();
+        let tail = self.nodes[corpse].engine.binlog_from(applied)[..replayed as usize].to_vec();
         let mut replay_demand_us = 0.0;
         let now_micros = self.nodes[0].inst.clock.read(now).0;
         for ev in &tail {
@@ -2279,13 +2290,9 @@ impl Cluster {
         // space lives.
         self.relays[best] = RelayQueue::starting_at(published);
         self.chan_clear[best] = now;
-        if let Some(layer) = self.consistency.as_mut() {
-            layer.wm.reset_slave(best, published.0);
-        }
-        let sl = self.shared_log.as_mut().expect("caller probed");
-        sl.recovery = Some((published, missing as u64));
+        self.consistency.wm.reset_slave(best, published.0);
         let line = format!(
-            "slave {best} promoted via log reattach at lsn {} ({missing} event(s) replayed, {} lost)",
+            "slave {best} promoted via log reattach at lsn {} ({replayed} event(s) replayed, {} lost)",
             published.0, self.lost_writes
         );
         (replay_done, "slave_reattached", line)
@@ -2480,34 +2487,23 @@ impl Cluster {
             apply_batches: self.stats.apply_batches,
             apply_events: self.stats.apply_events,
             pool_stats: (pool.total_acquired(), pool.total_waited()),
-            consistency: self.consistency.as_ref().map(|l| ConsistencyReport {
-                policy: l.cfg.policy.label(),
-                redirects_master: l.redirects_master,
-                sla_violations: l.sla_violations,
-                sla_violations_steady: l.sla_violations_steady,
-                served_staleness_mean_ms: l.served_staleness.mean(),
-                served_staleness_max_ms: l.served_staleness.max(),
-                served_staleness_samples: l.served_staleness.count(),
-            }),
-            shared_log: self.shared_log.as_ref().map(|sl| {
-                let horizon_us = self.phases.hard_end().as_micros();
-                let acks = sl.log.ack_stats();
-                SharedLogReport {
-                    appends: sl.appends,
-                    records: sl.records,
-                    durable_lsn: sl.log.durable_upto().0,
-                    published_lsn: sl.log.appended_upto().0,
-                    quorum_wait_mean_ms: sl.quorum_waits.mean(),
-                    quorum_wait_max_ms: sl.quorum_waits.max(),
-                    ack_retries: acks.retries,
-                    ack_resends: acks.resends,
-                    quorum_failures: acks.quorum_failures,
-                    replica_downtime_ms: (0..sl.log.config().replicas)
-                        .map(|r| sl.log.timeline(r).downtime_us(horizon_us) as f64 / 1_000.0)
-                        .collect(),
-                    recovery: sl.recovery.map(|(lsn, replayed)| (lsn.0, replayed)),
+            // A run with no policy set reports none, though it ran `Eventual`.
+            consistency: self.cfg.consistency.map(|_| {
+                let l = &self.consistency;
+                ConsistencyReport {
+                    policy: l.cfg.policy.label(),
+                    redirects_master: l.redirects_master,
+                    sla_violations: l.sla_violations,
+                    sla_violations_steady: l.sla_violations_steady,
+                    served_staleness_mean_ms: l.served_staleness.mean(),
+                    served_staleness_max_ms: l.served_staleness.max(),
+                    served_staleness_samples: l.served_staleness.count(),
                 }
             }),
+            shared_log: match &self.backend {
+                Backend::Binlog => None,
+                Backend::SharedLog(sl) => Some(sl.report(phases.hard_end().as_micros())),
+            },
             recovery_ms: self.recovery_ms,
             sim_events,
         }
@@ -2825,10 +2821,20 @@ mod tests {
         assert!(r.delays.is_empty());
     }
 
+    /// The paper's cell runs every plane at its neutral value, and reports
+    /// none of them: no consistency or shared-log section, one event per
+    /// apply batch, no telemetry.
     #[test]
     fn default_config_keeps_observability_off() {
         let world = Cluster::new(quick_cfg(5, 1));
         assert!(!world.obs().is_enabled(), "obs must be opt-in");
+        let run = run_cell(quick_cfg(5, 1), None).expect("valid config");
+        let r = &run.report;
+        assert!(r.consistency.is_none(), "{:?}", r.consistency);
+        assert!(r.shared_log.is_none(), "{:?}", r.shared_log);
+        assert!(r.apply_events > 0);
+        assert_eq!(r.apply_batches, r.apply_events, "serial apply");
+        assert!(run.telemetry.is_none());
     }
 
     #[test]

@@ -291,8 +291,8 @@ pub struct ClusterConfig {
     /// records through the same recorder.
     pub telemetry: TelemetryConfig,
     /// Application-managed read-consistency policy. `None` (the default)
-    /// routes every read through the plain proxy; `Some(Eventual)` is
-    /// byte-identical to `None` (the policy layer only does bookkeeping).
+    /// runs `Eventual` — every read routes as the plain proxy routes it —
+    /// and leaves the report's consistency section out.
     pub consistency: Option<ConsistencyConfig>,
     pub seed: u64,
 }
@@ -604,7 +604,7 @@ impl ClusterBuilder {
         self
     }
 
-    /// Read-consistency policy for the routing tier (None = plain proxy).
+    /// Read-consistency policy for the routing tier (unset = `Eventual`).
     pub fn consistency(mut self, c: ConsistencyConfig) -> Self {
         self.cfg.consistency = Some(c);
         self

@@ -122,9 +122,9 @@ pub fn parse(argv: &[String]) -> Result<Invocation, String> {
         // A trailing `--k` reads as the empty value, which no flag accepts.
         let mut value = || inline.unwrap_or_else(|| words.next().map_or("", String::as_str));
         let bad = |what: &str, v: &str| format!("{name}: expected {what}, got '{v}'");
-        // Counts clamp to at least 1.
-        let count = |what: &str, v: &str| match v.parse::<u32>() {
-            Ok(n) => Ok(n.max(1)),
+        // A count of zero would run nothing; it is refused, not clamped.
+        let count = |what: &str, v: &str| match v.parse::<std::num::NonZeroU32>() {
+            Ok(n) => Ok(n.get()),
             Err(_) => Err(bad(what, v)),
         };
         match name {
@@ -491,7 +491,10 @@ mod tests {
         let jobs = |line: &str| parsed(line).map(|a| a.jobs);
         assert_eq!(jobs("fig2 --full --jobs 3"), Ok(3));
         assert_eq!(jobs("fig2 --jobs=4 --full"), Ok(4));
-        assert_eq!(jobs("fig2 --jobs 0"), Ok(1), "clamped, as --shards is");
+        assert_eq!(
+            jobs("fig2 --jobs 0"),
+            Err("--jobs: expected a job count, got '0'".to_string())
+        );
         assert_eq!(
             jobs("fig2 --jobs x"),
             Err("--jobs: expected a job count, got 'x'".to_string())
@@ -503,8 +506,12 @@ mod tests {
         assert_eq!(a.backend, Some(BackendKind::SharedLog));
         assert_eq!(a.fidelity, Fidelity::Quick);
         assert!(parsed("fig2 --backend shard-log").is_err());
-        let a = parsed("obs_slo --shards=0 --full").expect("parses");
-        assert_eq!((a.shards, a.fidelity), (Some(1), Fidelity::Full));
+        let a = parsed("obs_slo --shards=3 --full").expect("parses");
+        assert_eq!((a.shards, a.fidelity), (Some(3), Fidelity::Full));
+        assert!(
+            parsed("obs_slo --shards 0").is_err(),
+            "zero shards run nothing"
+        );
     }
 
     #[test]

@@ -128,9 +128,9 @@ impl ReplicatedDb {
 
     /// Set the simulated apply-worker count per slave. With `n > 1`,
     /// [`Self::apply_all`] drains each relay in writeset-dependency batches
-    /// planned by `amdb-apply` (still committing in LSN order); with 1 it
-    /// uses the plain serial loop. Final contents are identical either way —
-    /// the regression tests pin that.
+    /// planned by `amdb-apply` (still committing in LSN order); with 1 the
+    /// planner hands out one event at a time, the serial SQL thread. Final
+    /// contents are identical either way — the regression tests pin that.
     ///
     /// # Panics
     /// Panics when `n == 0`.
@@ -205,29 +205,20 @@ impl ReplicatedDb {
     pub fn apply_all(&mut self) -> Result<usize, SqlError> {
         let mut applied = 0;
         for (engine, relay) in &mut self.slaves {
-            if self.apply_workers <= 1 {
-                // Classic single SQL thread.
-                while let Some(ev) = relay.pop_next() {
+            let mut sched = amdb_apply::ApplyScheduler::new(self.apply_workers);
+            loop {
+                let plan = sched.plan_batch(relay.iter(), |t| engine.pk_index_of(t));
+                if plan.len == 0 {
+                    break;
+                }
+                // The batch commits in LSN order: pop order *is* LSN order,
+                // and no later event is touched before every earlier one in
+                // the batch has applied.
+                for _ in 0..plan.len {
+                    let ev = relay.pop_next().expect("planned events are queued");
                     engine.apply_event(&ev, self.now_micros)?;
                     relay.mark_applied(ev.lsn);
                     applied += 1;
-                }
-            } else {
-                let mut sched = amdb_apply::ApplyScheduler::new(self.apply_workers);
-                loop {
-                    let plan = sched.plan_batch(relay.iter(), |t| engine.pk_index_of(t));
-                    if plan.len == 0 {
-                        break;
-                    }
-                    // The batch commits in LSN order: pop order *is* LSN
-                    // order, and no later event is touched before every
-                    // earlier one in the batch has applied.
-                    for _ in 0..plan.len {
-                        let ev = relay.pop_next().expect("planned events are queued");
-                        engine.apply_event(&ev, self.now_micros)?;
-                        relay.mark_applied(ev.lsn);
-                        applied += 1;
-                    }
                 }
             }
         }

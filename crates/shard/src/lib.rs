@@ -3,7 +3,7 @@
 //! The paper's fig2 curve flattens because a single master absorbs every
 //! write. This crate holds the *pure* machinery for going past that ceiling
 //! by partitioning the Cloudstone schema across N independent replication
-//! trees (ROADMAP item 2):
+//! trees behind a scatter-gather front:
 //!
 //! * [`ShardMap`] — consistent-hash placement (Lamping–Veach jump hash, so
 //!   growing the shard count remaps only ~1/n of the keyspace) over

@@ -337,3 +337,92 @@ fn flow_events_appear_only_with_telemetry() {
     assert!(json.contains("\"ph\":\"s\""), "flow start events present");
     assert!(json.contains("\"ph\":\"f\""), "flow end events present");
 }
+
+/// FNV-1a over every byte a run exports: its Chrome trace, its time-series
+/// CSV, its report and its telemetry waterfall.
+fn run_digest(cfg: ClusterConfig) -> u64 {
+    let CellRun {
+        report,
+        mut obs,
+        telemetry,
+        ..
+    } = run(cfg);
+    let parts = [
+        obs.chrome_trace().unwrap_or_default(),
+        obs.take_tsdb().map(|t| t.csv()).unwrap_or_default(),
+        format!("{report:?}"),
+        format!("{:?}", telemetry.as_ref().map(|t| &t.waterfall)),
+    ];
+    parts
+        .iter()
+        .flat_map(|p| p.bytes().chain([0xff]))
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+/// The trace, series, report and waterfall bytes of three plane-heavy
+/// cells, pinned: (a) parallel row apply under bounded staleness with a
+/// slave fault, (b) the shared log with log-replica faults, a master
+/// failover, read-your-writes and two apply workers, (c) the paper's
+/// serial statement cell, whose `apply` spans carry no batch flows or bound
+/// counters. The constants were recorded before the planes became values.
+#[test]
+fn plane_trace_bytes_are_pinned() {
+    use amdb::core::{
+        BackendKind, ConsistencyConfig, ConsistencyPolicy, FaultPlan, LogFaultPlan, MasterFaultPlan,
+    };
+    use amdb::sim::SimDuration;
+    let steady = WorkloadConfig::quick(1).phases.steady_start() - amdb::sim::SimTime::ZERO;
+
+    let mut a = row_apply_cfg(4, true, 7);
+    a.consistency = Some(ConsistencyConfig::new(
+        ConsistencyPolicy::BoundedStaleness { max_ms: 250.0 },
+    ));
+    a.faults.push(FaultPlan {
+        slave: 0,
+        fail_at: steady,
+        recover_after: Some(SimDuration::from_secs(30)),
+    });
+
+    let b = ClusterConfig::builder()
+        .slaves(3)
+        .mix(MixConfig::RW_50_50)
+        .data_size(DataSize { scale: 100 })
+        .workload(WorkloadConfig::quick(60))
+        .backend(BackendKind::SharedLog)
+        .log_faults(LogFaultPlan {
+            mtbf: SimDuration::from_secs(30),
+            mttr: SimDuration::from_secs(5),
+            slow_mtbf: Some(SimDuration::from_secs(45)),
+            slow_mttr: SimDuration::from_secs(5),
+            slow_factor: 8.0,
+        })
+        .master_fault(MasterFaultPlan {
+            fail_at: steady,
+            detection_delay: SimDuration::from_secs(10),
+        })
+        .consistency(ConsistencyConfig::new(ConsistencyPolicy::ReadYourWrites))
+        .apply_workers(2)
+        .observability(ObsConfig {
+            enabled: true,
+            sample_interval_ms: 1_000,
+            tsdb: true,
+        })
+        .telemetry_on(true)
+        .seed(7)
+        .build();
+
+    let c = observed_cfg(30, 2, 7);
+
+    let digests = [a, b, c].map(run_digest);
+    assert_eq!(
+        digests,
+        [
+            0xe9a9_0292_edb1_4895,
+            0x332d_75e9_62b2_1a5a,
+            0xa12f_16f8_dc63_50b6
+        ],
+        "a plane's trace, series, report or waterfall bytes moved"
+    );
+}
