@@ -19,8 +19,9 @@ cargo build --release --offline
 # The root package build skips workspace-member bins; the table below
 # drives the one experiment binary, `amdb`, so build it explicitly.
 cargo build --release --offline -p amdb-experiments
-# The quickstart example regenerates the quickstart_trace.json artifact.
-cargo build --release --offline --example quickstart
+# The quickstart example regenerates the quickstart_trace.json artifact;
+# read_shapes profiles the read statement shapes (run below).
+cargo build --release --offline --example quickstart --example read_shapes
 
 echo "== tier-1: tests =="
 cargo test -q --offline
@@ -34,6 +35,12 @@ cargo test -q --release --offline -p amdb-experiments --test simcore_fingerprint
 # fired is invisible to the debug run above, and release is what every
 # experiment runs.
 cargo test -q --release --offline --test shared_log
+
+echo "== read shapes: examine and execute examine the same rows =="
+# The simulator costs statements through Engine::examine; the example exits
+# non-zero if any read statement examines a different row count under it
+# than under execute. Its timings are informational.
+target/release/examples/read_shapes 10
 
 echo "== repo benchmark (BENCHMARK.json): unit tests, smoke, frozen cell fingerprints =="
 # benchmark/ is a package of its own, outside the workspace. The smoke runs

@@ -401,7 +401,9 @@ mod tests {
     }
 
     /// Σ `rows_examined` and Σ returned rows per read statement shape
-    /// (`op#statement`) over 2 000 `generate_read()` ops.
+    /// (`op#statement`) over 2 000 `generate_read()` ops. Every statement
+    /// also runs through `Engine::examine`, which must examine and affect
+    /// exactly as many rows as `execute`.
     fn read_shape_totals(size: DataSize, seed: u64) -> Vec<(String, u64, u64)> {
         let (mut g, mut engine) = generator_at(size, seed);
         let mut session = Session::new();
@@ -410,6 +412,13 @@ mod tests {
             let op = g.generate_read();
             for (i, (sql, params)) in op.statements.iter().enumerate() {
                 let res = engine.execute(&mut session, sql, params).unwrap();
+                let costed = engine.examine(&mut session, sql, params).unwrap();
+                assert_eq!(
+                    (costed.rows_examined, costed.rows_affected),
+                    (res.rows_examined, res.rows_affected),
+                    "{}#{i}: examine costs it as execute does",
+                    op.name
+                );
                 let t = totals.entry(format!("{}#{i}", op.name)).or_default();
                 t.0 += res.rows_examined;
                 t.1 += res.rows.len() as u64;
@@ -459,6 +468,32 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Two forks run one 50/50 op stream, one through `execute` and one
+    /// through `examine`, writes in a transaction as the cluster's master
+    /// runs them: every statement costs the same, and the forks end equal.
+    #[test]
+    fn examine_and_execute_cost_the_write_mix_alike() {
+        let (mut g, mut executed) = generator();
+        let (_, mut examined) = generator();
+        let (mut s1, mut s2) = (Session::new(), Session::new());
+        let cost = amdb_sql::cost::CostModel::default();
+        let demand =
+            |r: &amdb_sql::QueryResult| cost.statement_demand_us(r, r.rows_affected > 0).to_bits();
+        for i in 0..1_000 {
+            let op = g.generate(MixConfig::RW_50_50);
+            let txn = op.class == OpClass::Write;
+            let begin = txn.then(|| ("BEGIN".to_string(), vec![]));
+            let commit = txn.then(|| ("COMMIT".to_string(), vec![]));
+            for (sql, params) in begin.iter().chain(&op.statements).chain(&commit) {
+                let a = executed.execute(&mut s1, sql, params).unwrap();
+                let b = examined.examine(&mut s2, sql, params).unwrap();
+                assert_eq!(demand(&b), demand(&a), "op {i} ({}): {sql}", op.name);
+            }
+        }
+        assert_eq!(examined.fingerprint(), executed.fingerprint());
+        assert_eq!(examined.binlog().head(), executed.binlog().head());
     }
 
     #[test]

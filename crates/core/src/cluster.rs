@@ -27,7 +27,10 @@
 //! heartbeat rows, not a model. (Timestamps are therefore stamped at service
 //! start rather than commit — a bounded error of one service time, identical
 //! in the idle baseline and thus cancelled by the paper's relative-delay
-//! metric.)
+//! metric.) Reads are *costed*, not answered: with the web tier gone, all a
+//! read produces is its CPU demand, so every statement goes through
+//! `Engine::examine`, which counts the rows a SELECT examines and builds no
+//! result rows. Writes change the replica exactly as `execute` would.
 
 use crate::config::{BalancerKind, ClusterConfig, ConfigError};
 use crate::report::{ConsistencyReport, DelayReport, RunReport, SharedLogReport};
@@ -1376,7 +1379,7 @@ impl Cluster {
                 node.session.now_micros = node.inst.clock.read(now).0;
                 let res = node
                     .engine
-                    .execute(&mut node.session, &sql, &params)
+                    .examine(&mut node.session, &sql, &params)
                     .unwrap_or_else(|e| panic!("heartbeat insert failed: {e}"));
                 let demand_us = self.cost.statement_demand_us(&res, true)
                     + self.cost.commit_us
@@ -1393,6 +1396,8 @@ impl Cluster {
 
     /// Execute an operation's statements functionally and return the total
     /// CPU demand in µs (statements + per-op commit + shipping for writes).
+    /// Statements run through `Engine::examine`: the demand is all a read
+    /// produces here, so its result rows are never built.
     fn exec_client_op(&mut self, node_idx: usize, op: &Operation, now: SimTime) -> f64 {
         let node = &mut self.nodes[node_idx];
         node.session.now_micros = node.inst.clock.read(now).0;
@@ -1400,7 +1405,7 @@ impl Cluster {
         for (sql, params) in &op.statements {
             let res = node
                 .engine
-                .execute(&mut node.session, sql, params)
+                .examine(&mut node.session, sql, params)
                 .unwrap_or_else(|e| panic!("op '{}' failed: {e}\nSQL: {sql}", op.name));
             demand_us += self.cost.statement_demand_us(&res, res.rows_affected > 0);
         }

@@ -37,7 +37,8 @@ mod tests {
     use amdb_sql::{ForkRole, Session};
 
     /// Measure the mean demand (ms) of reads / writes / applies for a mix
-    /// and data size by executing a few hundred generated operations.
+    /// and data size by executing a few hundred generated operations,
+    /// through `Engine::examine` as the cluster costs them.
     fn measure(mix: MixConfig, size: DataSize) -> (f64, f64, f64) {
         let cost = paper_cost_model();
         let mut rng = Rng::new(99);
@@ -54,7 +55,7 @@ mod tests {
             let op = gen.generate(mix);
             let mut demand = 0.0;
             for (sql, params) in &op.statements {
-                let res = master.execute(&mut session, sql, params).unwrap();
+                let res = master.examine(&mut session, sql, params).unwrap();
                 demand += cost.statement_demand_us(&res, res.rows_affected > 0);
             }
             match op.class {

@@ -59,9 +59,12 @@ impl Default for CostModel {
 }
 
 impl CostModel {
-    /// Demand of executing one statement, given its result. `is_write` adds
-    /// the per-row write term; the per-transaction [`Self::commit_us`] is
-    /// charged separately, once per operation.
+    /// Demand of executing one statement, given its result. It reads
+    /// `res.rows_examined` and, when `is_write`, `res.rows_affected` (the
+    /// per-row write term) — never the result rows, so the result of
+    /// [`crate::Engine::examine`] costs the same as that of `execute`. The
+    /// per-transaction [`Self::commit_us`] is charged separately, once per
+    /// operation.
     pub fn statement_demand_us(&self, res: &QueryResult, is_write: bool) -> f64 {
         let mut us = self.stmt_overhead_us + self.per_row_examined_us * res.rows_examined as f64;
         if is_write {

@@ -6,8 +6,8 @@ use crate::binlog::{Binlog, BinlogEvent, BinlogFormat, EventPayload, Lsn};
 use crate::cache::{CacheStats, CachedPlan, PlanCache};
 use crate::error::SqlError;
 use crate::exec::{
-    bind, column_index, exec_delete, exec_insert, exec_select_planned, exec_update, table_key,
-    Catalog, Plan, QueryResult, RowChange, RowChangeKind, WriteLog,
+    bind, column_index, examine_select_planned, exec_delete, exec_insert, exec_select_planned,
+    exec_update, table_key, Catalog, Plan, QueryResult, RowChange, RowChangeKind, WriteLog,
 };
 use crate::expr::EvalCtx;
 use crate::parser::parse;
@@ -281,6 +281,34 @@ impl Engine {
     ) -> Result<QueryResult, SqlError> {
         let plan = self.prepare(sql)?;
         self.execute_plan(session, &plan, sql, params)
+    }
+
+    /// Execute one statement for what it costs: what the cost model reads
+    /// of the result (`rows_examined`, `rows_affected`) is exactly what
+    /// [`Self::execute`] returns, and so is every error and every change to
+    /// the engine. Writes, DDL and transaction control run as `execute`
+    /// runs them. A SELECT whose outputs are plain columns or literals runs
+    /// its join only and returns no rows: nothing is sorted, windowed or
+    /// projected (see [`examine_select_planned`]); any other SELECT runs in
+    /// full. The simulator costs every statement it times through this
+    /// entry.
+    pub fn examine(
+        &mut self,
+        session: &mut Session,
+        sql: &str,
+        params: &[Value],
+    ) -> Result<QueryResult, SqlError> {
+        let plan = self.prepare(sql)?;
+        match &plan.plan {
+            Plan::Select(select) => {
+                let ctx = EvalCtx {
+                    params,
+                    now_micros: session.now_micros,
+                };
+                examine_select_planned(&self.catalog, select, &ctx)
+            }
+            _ => self.execute_plan(session, &plan, sql, params),
+        }
     }
 
     /// Parse and bind `sql`, consulting the plan cache. Binding resolves

@@ -339,6 +339,11 @@ pub struct SelectPlan {
     distinct: bool,
     limit: Option<u64>,
     offset: Option<u64>,
+    /// The SELECT neither aggregates nor is DISTINCT, and its select list
+    /// and ORDER BY keys are all columns or literals: nothing after the join
+    /// can fail or change `rows_examined`, so [`examine_select_planned`]
+    /// may count the join's rows instead of building the answer.
+    plain_output: bool,
 }
 
 /// The rows an UPDATE or DELETE touches: its WHERE conjuncts bound to the
@@ -755,6 +760,14 @@ fn plan_select(
         };
         order_by.push(SortKey { src, desc: ok.desc });
     }
+    let plain = |e: &Expr| matches!(e, Expr::Resolved { .. } | Expr::Literal(_));
+    let plain_output = aggs.is_none()
+        && !sel.distinct
+        && item_exprs.iter().all(|(e, _)| plain(e))
+        && order_by.iter().all(|k| match &k.src {
+            KeySrc::Stored { .. } => true,
+            KeySrc::Computed { expr, .. } => plain(expr),
+        });
 
     Ok(SelectPlan {
         sources,
@@ -769,6 +782,7 @@ fn plan_select(
         distinct: sel.distinct,
         limit: sel.limit,
         offset: sel.offset,
+        plain_output,
     })
 }
 
@@ -814,7 +828,31 @@ struct Join<'a, 't> {
     rows_examined: u64,
 }
 
-impl<'t> Join<'_, 't> {
+impl<'a, 't> Join<'a, 't> {
+    /// The join of `plan`, its tables re-resolved against the live catalog.
+    fn new(
+        catalog: &'t Catalog,
+        plan: &'a SelectPlan,
+        ctx: &'a EvalCtx<'a>,
+    ) -> Result<Self, SqlError> {
+        let tables = plan
+            .sources
+            .iter()
+            .map(|s| {
+                catalog
+                    .get(&s.table_key)
+                    .ok_or_else(|| SqlError::UnknownTable(s.table_key.clone()))
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(Join {
+            plan,
+            tables,
+            ctx,
+            where_skip: None,
+            rows_examined: 0,
+        })
+    }
+
     /// Feed each joined scope row that passes WHERE to `sink`.
     fn run(&mut self, sink: &mut RowSink<'_, 't>) -> Result<(), SqlError> {
         if self.plan.sources.is_empty() {
@@ -914,27 +952,38 @@ fn sorted_window<'v>(
     order
 }
 
-/// Execute a previously planned SELECT against the catalog.
-pub fn exec_select_planned<'c>(
-    catalog: &'c Catalog,
+/// Run a planned SELECT for what it costs: its `rows_examined` (and
+/// `columns`) are those of [`exec_select_planned`]. A SELECT that neither
+/// aggregates nor is DISTINCT, and whose select list and ORDER BY keys are
+/// all columns or literals, runs its join — WHERE and ON evaluated as ever,
+/// every candidate fetched and counted — into a sink that keeps nothing, and
+/// returns no rows: none is sorted, windowed or projected. Any other SELECT
+/// is executed in full, so an aggregate, DISTINCT or a computed output fails
+/// exactly where it would.
+pub fn examine_select_planned(
+    catalog: &Catalog,
     plan: &SelectPlan,
     ctx: &EvalCtx,
 ) -> Result<QueryResult, SqlError> {
-    let mut tables: Vec<&'c Table> = Vec::with_capacity(plan.sources.len());
-    for s in &plan.sources {
-        tables.push(
-            catalog
-                .get(&s.table_key)
-                .ok_or_else(|| SqlError::UnknownTable(s.table_key.clone()))?,
-        );
+    if !plan.plain_output {
+        return exec_select_planned(catalog, plan, ctx);
     }
-    let mut join = Join {
-        plan,
-        tables,
-        ctx,
-        where_skip: None,
-        rows_examined: 0,
-    };
+    let mut join = Join::new(catalog, plan, ctx)?;
+    join.run(&mut |_| Ok(()))?;
+    Ok(QueryResult {
+        columns: plan.out_cols.clone(),
+        rows_examined: join.rows_examined,
+        ..QueryResult::default()
+    })
+}
+
+/// Execute a previously planned SELECT against the catalog.
+pub fn exec_select_planned(
+    catalog: &Catalog,
+    plan: &SelectPlan,
+    ctx: &EvalCtx,
+) -> Result<QueryResult, SqlError> {
+    let mut join = Join::new(catalog, plan, ctx)?;
 
     // Sorting needs every emitted row at once, so the rows are materialised
     // — but as borrowed scope rows, `width` entries each, in one flat

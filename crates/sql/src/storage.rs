@@ -284,8 +284,7 @@ impl PkIndex {
                 .map(|(k, r)| (Key(Value::Int(k)), RowId(r)))
                 .filter(|(k, _)| key_in_bounds(&k.0, lo, hi))
                 .collect(),
-            PkIndex::General(m) => m
-                .range((key_bound(lo), key_bound(hi)))
+            PkIndex::General(m) => range_of(m, lo, hi)
                 .map(|(k, &rid)| (k.clone(), rid))
                 .collect(),
         }
@@ -382,19 +381,13 @@ impl<'t> IndexView<'t> {
         lo: Bound<&Value>,
         hi: Bound<&Value>,
     ) -> impl Iterator<Item = RowId> + 't {
-        let range = (key_bound(lo), key_bound(hi));
         let base = self
             .base
             .into_iter()
-            .flat_map(|ix| ix.map.range(range.clone()));
+            .flat_map(|ix| range_of(&ix.map, lo, hi));
         let mut runs: Vec<(&Key, Postings<'t>)> = base
             .map(|(k, rids)| (k, self.postings(rids, &[])))
-            .chain(
-                self.delta
-                    .map
-                    .range(range.clone())
-                    .map(|(k, rids)| (k, self.postings(&[], rids))),
-            )
+            .chain(range_of(&self.delta.map, lo, hi).map(|(k, rids)| (k, self.postings(&[], rids))))
             .collect();
         // Stable: a key present in both keeps its base postings first.
         runs.sort_by(|a, b| a.0.cmp(b.0));
@@ -423,6 +416,28 @@ impl Iterator for Postings<'_> {
         }
         self.delta.next().copied()
     }
+}
+
+/// The entries of `map` whose key lies within the bounds. Bounds that admit
+/// no key (`z > 9 AND z < 2`, `z > 5 AND z < 5`) have none: `BTreeMap::range`
+/// would panic on them.
+fn range_of<'m, V>(
+    map: &'m BTreeMap<Key, V>,
+    lo: Bound<&Value>,
+    hi: Bound<&Value>,
+) -> std::collections::btree_map::Range<'m, Key, V> {
+    use std::cmp::Ordering::*;
+    let empty = match (lo, hi) {
+        (Bound::Included(l), Bound::Included(h)) => l.index_cmp(h) == Greater,
+        (Bound::Included(l) | Bound::Excluded(l), Bound::Included(h) | Bound::Excluded(h)) => {
+            l.index_cmp(h) != Less
+        }
+        _ => false,
+    };
+    if empty {
+        return Default::default();
+    }
+    map.range((key_bound(lo), key_bound(hi)))
 }
 
 #[inline]

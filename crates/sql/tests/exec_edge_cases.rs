@@ -1,6 +1,6 @@
 //! Executor edge cases: ordering, projection, joins, aggregates, coercion.
 
-use amdb_sql::{BinlogFormat, Engine, Lsn, Session, SqlError, Value};
+use amdb_sql::{BinlogFormat, Engine, Lsn, QueryResult, Session, SqlError, Value};
 
 fn engine() -> (Engine, Session) {
     let mut e = Engine::new_master(BinlogFormat::Statement);
@@ -804,4 +804,197 @@ fn a_failed_update_leaves_no_trace() {
         assert_eq!(trace(&mut e, &mut s), before, "{format:?}: id 5 keeps v");
         assert_eq!(e.fingerprint(), before.replayed, "{format:?}");
     }
+}
+
+// ---------------------------------------------------------------------------
+// Empty and inverted ranges
+// ---------------------------------------------------------------------------
+
+/// `(rows, rows_examined, rows_affected)` of the SELECT `sql` under
+/// `execute`, after checking that `examine` costs it alike.
+fn costed(e: &mut Engine, s: &mut Session, sql: &str) -> (Vec<Vec<Value>>, u64, u64) {
+    examine_agrees(e, s, sql, &[]).unwrap_or_else(|err| panic!("{sql}: {err}"));
+    let r = e.execute(s, sql, &[]).unwrap();
+    (r.rows, r.rows_examined, r.rows_affected)
+}
+
+#[test]
+fn an_empty_or_inverted_index_range_has_no_candidates() {
+    let (mut e, mut s) = indexed_engine();
+    for sql in [
+        "SELECT id FROM events WHERE zip > 5 AND zip < 5",
+        "SELECT id FROM events WHERE zip > 7 AND zip < 7",
+        "SELECT id FROM events WHERE zip >= 7 AND zip < 7",
+        "SELECT id FROM events WHERE zip > 9 AND zip < 2",
+        "SELECT id FROM events WHERE zip BETWEEN 9 AND 2",
+        "SELECT id FROM events WHERE title > 'e4' AND title < 'e2'",
+        "SELECT id FROM events WHERE id > 4 AND id < 2",
+        "SELECT id FROM events WHERE id BETWEEN 4 AND 2",
+    ] {
+        assert_eq!(costed(&mut e, &mut s, sql), (vec![], 0, 0), "{sql}");
+    }
+    // A range that is one key wide still finds that key's rows.
+    let (rows, examined, _) = costed(
+        &mut e,
+        &mut s,
+        "SELECT id FROM events WHERE zip >= 8 AND zip <= 8",
+    );
+    assert_eq!((rows, examined), (vec![vec![Value::Int(4)]], 1));
+}
+
+#[test]
+fn an_inverted_text_primary_key_range_has_no_candidates() {
+    let mut e = Engine::new_master(BinlogFormat::Statement);
+    let mut s = Session::new();
+    e.execute_batch(
+        &mut s,
+        "CREATE TABLE kv (k TEXT PRIMARY KEY, v INT);
+         INSERT INTO kv VALUES ('a', 1), ('b', 2), ('c', 3)",
+    )
+    .expect("setup");
+    for sql in [
+        "SELECT v FROM kv WHERE k > 'b' AND k < 'a'",
+        "SELECT v FROM kv WHERE k > 'b' AND k < 'b'",
+        "SELECT v FROM kv WHERE k BETWEEN 'c' AND 'a'",
+    ] {
+        assert_eq!(costed(&mut e, &mut s, sql), (vec![], 0, 0), "{sql}");
+    }
+    let (rows, examined, _) = costed(&mut e, &mut s, "SELECT v FROM kv WHERE k > 'a' AND k < 'c'");
+    assert_eq!((rows, examined), (vec![vec![Value::Int(2)]], 1));
+}
+
+#[test]
+fn a_delete_over_an_inverted_range_deletes_nothing() {
+    let (mut e, mut s) = indexed_engine();
+    let (before, head) = (e.fingerprint(), e.binlog().head());
+    let r = e
+        .execute(&mut s, "DELETE FROM events WHERE zip > 9 AND zip < 2", &[])
+        .unwrap();
+    assert_eq!((r.rows_examined, r.rows_affected), (0, 0));
+    let r = e
+        .examine(
+            &mut s,
+            "UPDATE events SET zip = 1 WHERE zip BETWEEN 9 AND 2",
+            &[],
+        )
+        .unwrap();
+    assert_eq!((r.rows_examined, r.rows_affected), (0, 0));
+    assert_eq!(e.fingerprint(), before);
+    assert_eq!(e.binlog().head(), head, "nothing changed, nothing logged");
+}
+
+// ---------------------------------------------------------------------------
+// Cost-only reads: `examine` costs every statement as `execute` does
+// ---------------------------------------------------------------------------
+
+/// `examine` and `execute` give the SELECT `sql` the same `(rows_examined,
+/// rows_affected)`, or the same error; returns `examine`'s result.
+fn examine_agrees(
+    e: &mut Engine,
+    s: &mut Session,
+    sql: &str,
+    params: &[Value],
+) -> Result<QueryResult, SqlError> {
+    let cost = |r: &QueryResult| (r.rows_examined, r.rows_affected);
+    let executed = e.execute(s, sql, params);
+    let examined = e.examine(s, sql, params);
+    assert_eq!(
+        examined.as_ref().map(cost),
+        executed.as_ref().map(cost),
+        "{sql} {params:?}"
+    );
+    examined
+}
+
+#[test]
+fn examine_counts_a_plain_select_without_building_its_rows() {
+    let (mut e, mut s) = indexed_engine();
+    for sql in [
+        "SELECT id, title FROM events WHERE zip = 7 ORDER BY ts DESC LIMIT 2",
+        "SELECT e.id, n.stars FROM events e LEFT JOIN notes n ON n.event_id = e.id ORDER BY n.stars",
+        "SELECT id, 'x', NULL FROM events ORDER BY 2",
+        "SELECT * FROM events LIMIT 3 OFFSET 99",
+    ] {
+        let r = examine_agrees(&mut e, &mut s, sql, &[]).unwrap();
+        assert!(r.rows.is_empty(), "{sql}: no row is built");
+        assert!(r.rows_examined > 0, "{sql}");
+        let executed = e.execute(&mut s, sql, &[]).unwrap();
+        assert_eq!(r.columns, executed.columns, "{sql}: the header is kept");
+    }
+    // The LEFT JOIN's null-extended rows fetch nothing of `notes`: one
+    // candidate per event, plus each of the three notes that match one.
+    let r = examine_agrees(
+        &mut e,
+        &mut s,
+        "SELECT e.id, n.stars FROM events e LEFT JOIN notes n ON n.event_id = e.id",
+        &[],
+    )
+    .unwrap();
+    assert_eq!(r.rows_examined, 5 + 3);
+}
+
+#[test]
+fn examine_runs_every_other_select_in_full_with_its_errors() {
+    let (mut e, mut s) = engine();
+    let overflow = |r: &Result<QueryResult, SqlError>| matches!(r, Err(SqlError::TypeMismatch(m)) if m.starts_with("BIGINT value is out of range"));
+    for sql in [
+        "SELECT id * 9223372036854775807 FROM t",
+        "SELECT id FROM t ORDER BY id * 9223372036854775807",
+        "SELECT id FROM t WHERE id * 9223372036854775807 > 0",
+        "SELECT flag FROM t GROUP BY flag HAVING SUM(id) * 9223372036854775807 > 0",
+    ] {
+        let r = examine_agrees(&mut e, &mut s, sql, &[]);
+        assert!(overflow(&r), "{sql}: {r:?}");
+    }
+    // Aggregates and DISTINCT are answered in full.
+    for (sql, want) in [
+        (
+            "SELECT COUNT(*) FROM t WHERE flag = TRUE",
+            vec![vec![Value::Int(3)]],
+        ),
+        (
+            "SELECT flag, COUNT(*) FROM t GROUP BY flag HAVING COUNT(*) > 2",
+            vec![vec![Value::Bool(true), Value::Int(3)]],
+        ),
+        (
+            "SELECT DISTINCT flag FROM t ORDER BY flag",
+            vec![vec![Value::Bool(false)], vec![Value::Bool(true)]],
+        ),
+    ] {
+        let r = examine_agrees(&mut e, &mut s, sql, &[]).unwrap();
+        assert_eq!((r.rows, r.rows_examined), (want, 5), "{sql}");
+    }
+    // An unbound parameter fails wherever it is evaluated.
+    for sql in ["SELECT id, ? FROM t", "SELECT id FROM t WHERE id = ?"] {
+        let r = examine_agrees(&mut e, &mut s, sql, &[]);
+        assert_eq!(
+            r,
+            Err(SqlError::BadParameter("parameter ?1 not bound".into())),
+            "{sql}"
+        );
+    }
+    let r = examine_agrees(&mut e, &mut s, "SELECT id FROM nosuch", &[]);
+    assert_eq!(r, Err(SqlError::UnknownTable("nosuch".into())));
+}
+
+#[test]
+fn examine_writes_as_execute_does() {
+    let (mut a, mut sa) = engine();
+    let (mut b, mut sb) = engine();
+    for sql in [
+        "INSERT INTO t VALUES (6, 'echo', 5.0, FALSE)",
+        "BEGIN",
+        "UPDATE t SET score = score + 1 WHERE id >= 4",
+        "DELETE FROM t WHERE flag = TRUE AND id > 2",
+        "ROLLBACK",
+        "UPDATE t SET name = 'zulu' WHERE id = 2",
+        "CREATE INDEX ix_name ON t (name)",
+        "INSERT INTO t VALUES (6, 'dup', 0.0, TRUE)",
+    ] {
+        let executed = a.execute(&mut sa, sql, &[]);
+        let examined = b.examine(&mut sb, sql, &[]);
+        assert_eq!(examined, executed, "{sql}");
+        assert_eq!(b.fingerprint(), a.fingerprint(), "{sql}");
+    }
+    assert_eq!(b.binlog().head(), a.binlog().head());
 }
