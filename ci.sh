@@ -39,8 +39,12 @@ cargo test -q --release --offline --test shared_log
 echo "== read shapes: examine and execute examine the same rows =="
 # The simulator costs statements through Engine::examine; the example exits
 # non-zero if any read statement examines a different row count under it
-# than under execute. Its timings are informational.
+# than under execute. Its timings are informational. At scale 10 no join
+# stage fills a batch (32 scope rows); at scale 300, after 5000 write ops
+# have grown the fork's delta, tag_search's stages and upcoming_by_zip's
+# index probe fan out past it.
 target/release/examples/read_shapes 10
+target/release/examples/read_shapes 300 5000
 
 echo "== repo benchmark (BENCHMARK.json): unit tests, smoke, frozen cell fingerprints =="
 # benchmark/ is a package of its own, outside the workspace. The smoke runs

@@ -8,8 +8,9 @@ use crate::expr::{
     NULL_VALUE,
 };
 use crate::plan::{choose_path, into_conjuncts, Path};
-use crate::storage::{Postings, RowId, Table};
+use crate::storage::{IndexView, Postings, RowId, Table};
 use crate::value::{DataType, Value};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
 use std::sync::Arc;
@@ -119,63 +120,27 @@ impl Binding {
 // Candidate iteration (access paths)
 // ---------------------------------------------------------------------------
 
-/// Candidate rows for one table access. Point lookups iterate the index's
-/// postings in place instead of materializing a fresh `Vec` per access —
-/// on the index-nested-loop join path that is one allocation per outer row.
-/// Full scans iterate storage directly, skipping both the row-id `Vec` and
-/// the per-id B-tree lookup an id list would cost.
+/// Candidate rows for one table access. A primary-key probe holds its one
+/// row; index postings are iterated in place instead of materializing a
+/// fresh `Vec` per access; full scans iterate storage directly, skipping
+/// both the row-id `Vec` and the per-id lookup an id list would cost.
 enum Cands<'t> {
-    Empty,
-    One(RowId),
-    Postings(Postings<'t>),
-    Owned(Vec<RowId>),
-    Scan,
-}
-
-impl Cands<'_> {
-    /// Iterate `(rid, row)` pairs against the table the candidates came from.
-    fn rows<'t>(&self, table: &'t Table) -> CandsIter<'t, '_> {
-        match self {
-            Cands::Empty => CandsIter::Ids(table, IdIter::One(None)),
-            Cands::One(rid) => CandsIter::Ids(table, IdIter::One(Some(*rid))),
-            Cands::Postings(p) => CandsIter::Ids(table, IdIter::Postings(p.clone())),
-            Cands::Owned(v) => CandsIter::Ids(table, IdIter::Slice(v.iter())),
-            Cands::Scan => CandsIter::Scan(table.scan()),
-        }
-    }
-}
-
-enum IdIter<'a> {
-    One(Option<RowId>),
-    Postings(Postings<'a>),
-    Slice(std::slice::Iter<'a, RowId>),
-}
-
-impl Iterator for IdIter<'_> {
-    type Item = RowId;
-    fn next(&mut self) -> Option<RowId> {
-        match self {
-            IdIter::One(o) => o.take(),
-            IdIter::Postings(it) => it.next(),
-            IdIter::Slice(it) => it.next().copied(),
-        }
-    }
-}
-
-enum CandsIter<'t, 'c> {
-    Ids(&'t Table, IdIter<'c>),
+    One(Option<(RowId, &'t [Value])>),
+    Postings(&'t Table, Postings<'t>),
+    Ids(&'t Table, std::vec::IntoIter<RowId>),
     Scan(crate::storage::ScanIter<'t>),
 }
 
-impl<'t> Iterator for CandsIter<'t, '_> {
+impl<'t> Iterator for Cands<'t> {
     type Item = (RowId, &'t [Value]);
+
+    #[inline]
     fn next(&mut self) -> Option<(RowId, &'t [Value])> {
         match self {
-            CandsIter::Ids(table, ids) => {
-                let rid = ids.next()?;
-                Some((rid, table.get(rid).expect("candidate rid valid")))
-            }
-            CandsIter::Scan(it) => it.next(),
+            Cands::One(hit) => hit.take(),
+            Cands::Postings(table, ids) => ids.find_map(|rid| Some((rid, table.get(rid)?))),
+            Cands::Ids(table, ids) => ids.find_map(|rid| Some((rid, table.get(rid)?))),
+            Cands::Scan(rows) => rows.next(),
         }
     }
 }
@@ -198,55 +163,113 @@ fn probe_is_exact(ty: DataType, key: &Value) -> bool {
     )
 }
 
-/// Produce candidate rows for a table access along the planned path, and
-/// whether the probe was exact ([`probe_is_exact`]; range probes and scans
-/// never are). The planner only accepts keys over earlier bindings, so a key
-/// always evaluates in `scope`.
-fn candidates<'t>(
-    table: &'t Table,
-    path: &Path,
-    ctx: &EvalCtx,
-    scope: &[Option<&[Value]>],
-) -> Result<(Cands<'t>, bool), SqlError> {
-    let col_ty = |col: usize| table.schema().columns[col].ty;
-    Ok(match path {
-        Path::FullScan => (Cands::Scan, false),
-        // Keys evaluate through the borrowing evaluator: an equality probe
-        // against a `Text` literal or parameter must not clone the string
-        // just to hash it.
-        Path::PkEq { key } => {
-            let v = eval_cow(key, ctx, scope)?;
-            let cands = match table.pk_lookup(&v) {
-                Some(rid) if !v.is_null() => Cands::One(rid),
-                _ => Cands::Empty,
-            };
-            let pk = table.schema().pk_index().expect("planned pk exists");
-            (cands, probe_is_exact(col_ty(pk), &v))
-        }
-        Path::IndexEq { column, key } => {
-            let v = eval_cow(key, ctx, scope)?;
-            let cands = if v.is_null() {
-                Cands::Empty
-            } else {
-                let ix = table.index_on(*column).expect("planned index exists");
-                Cands::Postings(ix.lookup_eq(&v))
-            };
-            (cands, probe_is_exact(col_ty(*column), &v))
-        }
-        Path::PkRange { lo, hi } => {
-            let (lo, hi) = (eval_bound(lo, ctx, scope)?, eval_bound(hi, ctx, scope)?);
-            match table.pk_range(as_bound(&lo), as_bound(&hi)) {
-                Some(iter) => (Cands::Owned(iter.collect()), false),
-                None => (Cands::Scan, false),
+/// A planned access path resolved against the live table once per
+/// statement: the primary key's type, or the index's view. A cached plan
+/// is re-planned after any DDL on its tables, so the key or index it names
+/// exists; a missing one is an error, not a panic.
+#[derive(Clone, Copy)]
+enum Access<'a, 't> {
+    Scan,
+    PkEq {
+        key: &'a Expr,
+        ty: DataType,
+    },
+    IndexEq {
+        key: &'a Expr,
+        ty: DataType,
+        index: IndexView<'t>,
+    },
+    PkRange {
+        lo: &'a Option<(Expr, bool)>,
+        hi: &'a Option<(Expr, bool)>,
+    },
+    IndexRange {
+        index: IndexView<'t>,
+        lo: &'a Option<(Expr, bool)>,
+        hi: &'a Option<(Expr, bool)>,
+    },
+}
+
+impl<'a, 't> Access<'a, 't> {
+    /// `path` resolved against `table`.
+    fn resolve(table: &'t Table, path: &'a Path) -> Result<Self, SqlError> {
+        let schema = table.schema();
+        let gone = |what: &str| {
+            SqlError::Unsupported(format!(
+                "the plan probes a {what} '{}' does not have",
+                schema.name
+            ))
+        };
+        let index = |column: usize| table.index_on(column).ok_or_else(|| gone("index"));
+        Ok(match path {
+            Path::FullScan => Access::Scan,
+            Path::PkEq { key } => {
+                let pk = schema.pk_index().ok_or_else(|| gone("primary key"))?;
+                let ty = schema.columns[pk].ty;
+                Access::PkEq { key, ty }
             }
-        }
-        Path::IndexRange { column, lo, hi } => {
-            let (lo, hi) = (eval_bound(lo, ctx, scope)?, eval_bound(hi, ctx, scope)?);
-            let ix = table.index_on(*column).expect("planned index exists");
-            let rids = ix.lookup_range(as_bound(&lo), as_bound(&hi)).collect();
-            (Cands::Owned(rids), false)
-        }
-    })
+            Path::IndexEq { column, key } => Access::IndexEq {
+                key,
+                ty: schema.columns[*column].ty,
+                index: index(*column)?,
+            },
+            Path::PkRange { lo, hi } => Access::PkRange { lo, hi },
+            Path::IndexRange { column, lo, hi } => Access::IndexRange {
+                index: index(*column)?,
+                lo,
+                hi,
+            },
+        })
+    }
+
+    /// The candidate rows of `table` for one scope row, and whether the
+    /// probe was exact ([`probe_is_exact`]; range probes and scans never
+    /// are). The planner only accepts keys over earlier bindings, so a key
+    /// always evaluates in `scope`.
+    fn candidates(
+        self,
+        table: &'t Table,
+        ctx: &EvalCtx,
+        scope: &[Option<&[Value]>],
+    ) -> Result<(Cands<'t>, bool), SqlError> {
+        Ok(match self {
+            Access::Scan => (Cands::Scan(table.scan()), false),
+            // Keys evaluate through the borrowing evaluator: an equality
+            // probe against a `Text` literal or parameter must not clone the
+            // string just to hash it.
+            Access::PkEq { key, ty } => {
+                let v = eval_cow(key, ctx, scope)?;
+                let rid = if v.is_null() {
+                    None
+                } else {
+                    table.pk_lookup(&v)
+                };
+                let hit = rid.and_then(|rid| Some((rid, table.get(rid)?)));
+                (Cands::One(hit), probe_is_exact(ty, &v))
+            }
+            Access::IndexEq { key, ty, index } => {
+                let v = eval_cow(key, ctx, scope)?;
+                let cands = if v.is_null() {
+                    Cands::One(None)
+                } else {
+                    Cands::Postings(table, index.lookup_eq(&v))
+                };
+                (cands, probe_is_exact(ty, &v))
+            }
+            Access::PkRange { lo, hi } => {
+                let (lo, hi) = (eval_bound(lo, ctx, scope)?, eval_bound(hi, ctx, scope)?);
+                match table.pk_range(as_bound(&lo), as_bound(&hi)) {
+                    Some(rids) => (Cands::Ids(table, rids), false),
+                    None => (Cands::Scan(table.scan()), false),
+                }
+            }
+            Access::IndexRange { index, lo, hi } => {
+                let (lo, hi) = (eval_bound(lo, ctx, scope)?, eval_bound(hi, ctx, scope)?);
+                let rids: Vec<RowId> = index.lookup_range(as_bound(&lo), as_bound(&hi)).collect();
+                (Cands::Ids(table, rids.into_iter()), false)
+            }
+        })
+    }
 }
 
 type EvaluatedBound = Option<(Value, bool)>;
@@ -814,13 +837,41 @@ fn all_true(
     Ok(all)
 }
 
-/// Index-nested-loop join over the planned sources. Rows are borrowed
-/// straight out of storage; nothing is cloned until a sink decides it must
-/// keep something.
+/// Scope rows per batch between two join stages: enough independent outer
+/// rows for their probes' cache misses to overlap, few enough that a
+/// statement's batches stay a few KiB.
+const BATCH: usize = 32;
+
+/// One FROM source as the join runs it: its table, re-resolved against the
+/// live catalog, and its access path, resolved against that table.
+#[derive(Clone, Copy)]
+struct Stage<'a, 't> {
+    src: &'a PlannedSource,
+    table: &'t Table,
+    access: Access<'a, 't>,
+}
+
+/// Index-nested-loop join over the planned sources, run stage by stage
+/// over batches of scope rows. Stage `k` binds source `k`: it expands each
+/// scope row of its input batch, in order, into its output batch — one row
+/// per candidate that passes the ON predicate, or the null-extended row of
+/// a LEFT JOIN that has none — and hands a full batch to stage `k + 1`
+/// before it continues. The last stage hands each row straight to WHERE
+/// and the sink. So the sink sees the rows of a depth-first nested loop, in
+/// its order, and every candidate is fetched and counted once, as there;
+/// but up to [`BATCH`] independent outer rows probe back to back, and
+/// their cache misses overlap (a primary-key stage probes its whole batch
+/// in phases: [`Join::probe_pk`]).
+///
+/// A stage that fails first pushes the rows it has produced through the
+/// later stages and the sink: a failure there comes earlier in depth-first
+/// order, so the error returned is the one a nested loop returns.
+///
+/// Rows are borrowed straight out of storage; nothing is cloned until a
+/// sink decides it must keep something.
 struct Join<'a, 't> {
     plan: &'a SelectPlan,
-    /// The planned tables, re-resolved against the live catalog.
-    tables: Vec<&'t Table>,
+    stages: Vec<Stage<'a, 't>>,
     ctx: &'a EvalCtx<'a>,
     /// The WHERE conjunct the base table's probe has decided, if it has.
     where_skip: Option<usize>,
@@ -828,25 +879,39 @@ struct Join<'a, 't> {
     rows_examined: u64,
 }
 
+/// Scope rows, `stages.len()` entries each, end to end.
+type Batch<'t> = [Option<&'t [Value]>];
+
+/// Where a stage puts the rows it produces: its output batch, the rows of it
+/// filled so far, and the batches of the stages after it.
+struct Output<'b, 't> {
+    batch: &'b mut Batch<'t>,
+    filled: usize,
+    rest: &'b mut Batch<'t>,
+}
+
 impl<'a, 't> Join<'a, 't> {
-    /// The join of `plan`, its tables re-resolved against the live catalog.
+    /// The join of `plan`, its tables re-resolved against the live catalog
+    /// and their access paths against the tables.
     fn new(
         catalog: &'t Catalog,
         plan: &'a SelectPlan,
         ctx: &'a EvalCtx<'a>,
     ) -> Result<Self, SqlError> {
-        let tables = plan
+        let stages = plan
             .sources
             .iter()
-            .map(|s| {
-                catalog
-                    .get(&s.table_key)
-                    .ok_or_else(|| SqlError::UnknownTable(s.table_key.clone()))
+            .map(|src| {
+                let table = catalog
+                    .get(&src.table_key)
+                    .ok_or_else(|| SqlError::UnknownTable(src.table_key.clone()))?;
+                let access = Access::resolve(table, &src.path)?;
+                Ok(Stage { src, table, access })
             })
-            .collect::<Result<_, _>>()?;
+            .collect::<Result<_, SqlError>>()?;
         Ok(Join {
             plan,
-            tables,
+            stages,
             ctx,
             where_skip: None,
             rows_examined: 0,
@@ -855,51 +920,172 @@ impl<'a, 't> Join<'a, 't> {
 
     /// Feed each joined scope row that passes WHERE to `sink`.
     fn run(&mut self, sink: &mut RowSink<'_, 't>) -> Result<(), SqlError> {
-        if self.plan.sources.is_empty() {
+        let width = self.stages.len();
+        if width == 0 {
             // A FROM-less SELECT yields exactly one row, over an empty scope.
             return sink(&[]);
         }
-        let mut scope_rows = vec![None; self.plan.sources.len()];
-        self.recurse(0, &mut scope_rows, sink)
+        // One allocation: the empty scope row stage 0 expands, then the
+        // output batch of every stage but the last.
+        let mut rows = vec![None; width + (width - 1) * BATCH * width];
+        let (root, batches) = rows.split_at_mut(width);
+        self.stage(0, root, batches, sink)
     }
 
-    /// Bind source `idx` to each of its candidates in turn.
-    fn recurse(
+    /// Run stage `k` over the scope rows of `input`; `batches` holds the
+    /// output batches of stages `k..`.
+    fn stage(
         &mut self,
-        idx: usize,
-        scope_rows: &mut Vec<Option<&'t [Value]>>,
+        k: usize,
+        input: &mut Batch<'t>,
+        batches: &mut Batch<'t>,
         sink: &mut RowSink<'_, 't>,
     ) -> Result<(), SqlError> {
-        let (plan, ctx) = (self.plan, self.ctx);
-        if idx == plan.sources.len() {
-            if all_true(&plan.filter, self.where_skip, ctx, scope_rows)? {
-                sink(scope_rows)?;
+        let width = self.stages.len();
+        let last = k + 1 == width;
+        let (batch, rest) = batches.split_at_mut(if last { 0 } else { BATCH * width });
+        let out = &mut Output {
+            batch,
+            filled: 0,
+            rest,
+        };
+        let Stage { table, access, .. } = self.stages[k];
+        let expanded = match access {
+            Access::PkEq { key, ty } => self.probe_pk(k, key, ty, input, out, sink),
+            _ => input.chunks_exact_mut(width).try_for_each(|scope| {
+                let (cands, exact) = access.candidates(table, self.ctx, scope)?;
+                let cands = cands.map(|(_rid, row)| row);
+                self.bind(k, scope, cands, exact, out, sink)
+            }),
+        };
+        // On a failure, the rows produced before it go first.
+        self.flush(k, out, sink)?;
+        expanded
+    }
+
+    /// Stage `k` over a primary-key probe, in phases over the whole batch:
+    /// evaluate every key, probe the key index with each, fetch each hit,
+    /// then bind each row to its hit in order. Each phase is a short loop
+    /// whose iterations do not wait on each other, so the cache misses of
+    /// up to [`BATCH`] probes overlap. A key that fails ends the first
+    /// phase; the rows before it still bind, and its error follows theirs.
+    fn probe_pk(
+        &mut self,
+        k: usize,
+        key: &Expr,
+        ty: DataType,
+        input: &mut Batch<'t>,
+        out: &mut Output<'_, 't>,
+        sink: &mut RowSink<'_, 't>,
+    ) -> Result<(), SqlError> {
+        let (table, width) = (self.stages[k].table, self.stages.len());
+        let mut rids: [(Option<RowId>, bool); BATCH] = [(None, false); BATCH];
+        let mut probed = 0;
+        let mut failed = Ok(());
+        {
+            let mut keys: [Cow<Value>; BATCH] = [const { Cow::Borrowed(&NULL_VALUE) }; BATCH];
+            for scope in input.chunks_exact(width) {
+                match eval_cow(key, self.ctx, scope) {
+                    Ok(v) => keys[probed] = v,
+                    Err(e) => {
+                        failed = Err(e);
+                        break;
+                    }
+                }
+                probed += 1;
             }
-            return Ok(());
+            for (rid, v) in rids.iter_mut().zip(&keys[..probed]) {
+                let hit = if v.is_null() {
+                    None
+                } else {
+                    table.pk_lookup(v)
+                };
+                *rid = (hit, probe_is_exact(ty, v));
+            }
         }
-        let src = &plan.sources[idx];
-        let table = self.tables[idx];
-        let (cands, exact) = candidates(table, &src.path, ctx, scope_rows)?;
+        let mut hits: [(Option<&'t [Value]>, bool); BATCH] = [(None, false); BATCH];
+        for (hit, &(rid, exact)) in hits.iter_mut().zip(&rids[..probed]) {
+            *hit = (rid.and_then(|rid| table.get(rid)), exact);
+        }
+        for (scope, &(hit, exact)) in input.chunks_exact_mut(width).zip(&hits[..probed]) {
+            self.bind(k, scope, hit, exact, out, sink)?;
+        }
+        failed
+    }
+
+    /// Bind source `k` of `scope` to each of its candidates in turn, and
+    /// emit each scope row that passes the ON predicate; `exact` says
+    /// whether the probe that found them was.
+    fn bind(
+        &mut self,
+        k: usize,
+        scope: &mut [Option<&'t [Value]>],
+        cands: impl IntoIterator<Item = &'t [Value]>,
+        exact: bool,
+        out: &mut Output<'_, 't>,
+        sink: &mut RowSink<'_, 't>,
+    ) -> Result<(), SqlError> {
+        let (src, ctx) = (self.stages[k].src, self.ctx);
         // An exact probe has decided its conjunct for every candidate; the
         // rest of the predicate (the path may be a superset) is evaluated.
         let skip = if exact { src.consumed } else { None };
-        if idx == 0 {
+        if k == 0 {
             self.where_skip = skip;
         }
         let mut matched = false;
-        for (_rid, row) in cands.rows(table) {
+        for row in cands {
             self.rows_examined += 1;
-            scope_rows[idx] = Some(row);
-            if all_true(&src.on, skip, ctx, scope_rows)? {
+            scope[k] = Some(row);
+            if all_true(&src.on, skip, ctx, scope)? {
                 matched = true;
-                self.recurse(idx + 1, scope_rows, sink)?;
+                self.emit(k, scope, out, sink)?;
             }
         }
-        scope_rows[idx] = None;
+        scope[k] = None;
         if !matched && src.kind == JoinKind::Left {
-            self.recurse(idx + 1, scope_rows, sink)?;
+            self.emit(k, scope, out, sink)?;
         }
         Ok(())
+    }
+
+    /// Emit a scope row stage `k` produced: into its output batch, which
+    /// runs through stage `k + 1` once full, or, from the last stage, to
+    /// WHERE and the sink.
+    fn emit(
+        &mut self,
+        k: usize,
+        scope: &[Option<&'t [Value]>],
+        out: &mut Output<'_, 't>,
+        sink: &mut RowSink<'_, 't>,
+    ) -> Result<(), SqlError> {
+        let width = self.stages.len();
+        if k + 1 == width {
+            if all_true(&self.plan.filter, self.where_skip, self.ctx, scope)? {
+                sink(scope)?;
+            }
+            return Ok(());
+        }
+        out.batch[out.filled * width..][..width].copy_from_slice(scope);
+        out.filled += 1;
+        if out.filled == BATCH {
+            self.flush(k, out, sink)?;
+        }
+        Ok(())
+    }
+
+    /// Run the rows of stage `k`'s output batch through the later stages,
+    /// emptying it first: after a failure there, nothing is left to flush.
+    fn flush(
+        &mut self,
+        k: usize,
+        out: &mut Output<'_, 't>,
+        sink: &mut RowSink<'_, 't>,
+    ) -> Result<(), SqlError> {
+        let rows = std::mem::take(&mut out.filled) * self.stages.len();
+        if rows == 0 {
+            return Ok(());
+        }
+        self.stage(k + 1, &mut out.batch[..rows], out.rest, sink)
     }
 }
 
@@ -1327,10 +1513,11 @@ fn matching_rows(
     ctx: &EvalCtx,
     rows_examined: &mut u64,
 ) -> Result<Vec<RowId>, SqlError> {
-    let (cands, exact) = candidates(table, &scan.path, ctx, &[None])?;
+    let access = Access::resolve(table, &scan.path)?;
+    let (cands, exact) = access.candidates(table, ctx, &[None])?;
     let skip = if exact { scan.consumed } else { None };
     let mut out = Vec::new();
-    for (rid, row) in cands.rows(table) {
+    for (rid, row) in cands {
         *rows_examined += 1;
         if all_true(&scan.filter, skip, ctx, &[Some(row)])? {
             out.push(rid);

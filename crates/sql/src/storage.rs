@@ -8,9 +8,15 @@
 //! delta pk index, delta secondary indexes of the same names and columns (an
 //! index created after the freeze lives only there), and a `shadow` map of
 //! base rows overwritten since — `Some` for an updated or restored row,
-//! which the delta then indexes, `None` for a deleted one. Reads probe the
-//! delta, then the base, dropping base hits on shadowed rows (no check while
-//! the shadow is empty, as under every Cloudstone workload).
+//! which the delta then indexes, `None` for a deleted one. Index reads list
+//! base postings, dropping shadowed rows (no check while the shadow is
+//! empty, as under every Cloudstone workload), then delta postings. A
+//! primary-key probe reads the base first and stops at an unshadowed hit:
+//! the base never changes and every write to a base row shadows it, so such
+//! a row is live and holds the key, and a key claim in the delta fails while
+//! a live base row holds the key — the hit is the one row with that key.
+//! Only a base miss or a shadowed hit probes the delta, whose map grows with
+//! every write a replica applies.
 //!
 //! Two rules hold. **The base is shared, never copied**: a fork, a write and
 //! a drop touch only the delta. **Scan and posting order are unchanged**:
@@ -892,13 +898,14 @@ impl Table {
         }
     }
 
-    /// Look up row ids by primary key: the delta first, then the base.
+    /// Look up a row id by primary key: the base first, then the delta. A
+    /// live, unshadowed base hit is final — the delta never claims a key a
+    /// live base row holds — so only a base miss or a shadowed hit reads
+    /// the delta.
     #[inline]
     pub fn pk_lookup(&self, key: &Value) -> Option<RowId> {
-        self.pk
-            .as_ref()?
-            .probe(key)
-            .or_else(|| self.base_pk_hit(key))
+        let delta = self.pk.as_ref()?;
+        self.base_pk_hit(key).or_else(|| delta.probe(key))
     }
 
     /// Look up row ids by primary key range, in key order. Collects and

@@ -998,3 +998,174 @@ fn examine_writes_as_execute_does() {
     }
     assert_eq!(b.binlog().head(), a.binlog().head());
 }
+
+// ---------------------------------------------------------------------------
+// Joins whose stages fan out past a batch of scope rows
+// ---------------------------------------------------------------------------
+
+/// `a` (100 rows) → `b` (six rows for each `a.id` in 1..=10, one for each
+/// other id but 32, 33, 46, 47, 64 and 65) → `c` (120 rows over 60 `b`
+/// ids). The join hands scope rows from stage to stage in batches of 32, so
+/// every join below fans out past at least one batch boundary, and a full
+/// scan of `a` LEFT JOINed to `b` emits its null-extended rows for ids 32
+/// and 33 at stage positions 81–82 and for 46 and 47 at 95–96, the last row
+/// of one batch and the first of the next.
+fn fan_out_engine() -> (Engine, Session) {
+    let mut e = Engine::new_master(BinlogFormat::Statement);
+    let mut s = Session::new();
+    let mut sql = String::from(
+        "CREATE TABLE a (id INT PRIMARY KEY, grp INT, v INT, e INT);
+         CREATE INDEX idx_a_grp ON a (grp);
+         CREATE TABLE b (id INT PRIMARY KEY, a_id INT, w INT, f INT);
+         CREATE INDEX idx_b_a ON b (a_id);
+         CREATE TABLE c (id INT PRIMARY KEY, b_id INT, x INT);
+         CREATE INDEX idx_c_b ON c (b_id);",
+    );
+    let rows = |rows: Vec<String>| rows.join(", ");
+    let a = (1..=100).map(|id| format!("({id}, {}, {}, 0)", id % 3, id % 7));
+    sql += &format!("INSERT INTO a VALUES {};", rows(a.collect()));
+    let b_parents = (1..=100i64)
+        .filter(|id| ![32, 33, 46, 47, 64, 65].contains(id))
+        .flat_map(|id| std::iter::repeat_n(id, if id <= 10 { 6 } else { 1 }));
+    let b = b_parents
+        .enumerate()
+        .map(|(i, a_id)| format!("({}, {a_id}, {}, 0)", i + 1, i % 4));
+    sql += &format!("INSERT INTO b VALUES {};", rows(b.collect()));
+    let c = (1..=120).map(|id| format!("({id}, {}, {})", id % 60 + 1, id % 9));
+    sql += &format!("INSERT INTO c VALUES {}", rows(c.collect()));
+    e.execute_batch(&mut s, &sql).expect("setup");
+    (e, s)
+}
+
+/// Joins over every kind of stage, each with the access path of each
+/// source, as EXPLAIN names them.
+const FAN_OUT_JOINS: &[(&str, &[&str])] = &[
+    (
+        "SELECT a.id, b.id, c.id FROM a INNER JOIN b ON b.a_id = a.id \
+         INNER JOIN c ON c.id = b.id",
+        &["full scan", "index eq col1", "pk eq"],
+    ),
+    (
+        "SELECT a.id, b.w, c.x FROM a INNER JOIN b ON b.id = a.id \
+         INNER JOIN c ON c.b_id = b.id WHERE a.grp = 1",
+        &["index eq col1", "pk eq", "index eq col1"],
+    ),
+    (
+        "SELECT a.id, b.id FROM a INNER JOIN b ON b.a_id = a.id \
+         INNER JOIN c ON c.id = b.id + 3 WHERE a.id > 5 AND a.id <= 90",
+        &["pk range", "index eq col1", "pk eq"],
+    ),
+    (
+        "SELECT a.id, c.id, b.w FROM a INNER JOIN c ON c.b_id = a.id \
+         INNER JOIN b ON b.id = c.id WHERE a.grp >= 1 AND a.grp < 3",
+        &["index range col1", "index eq col1", "pk eq"],
+    ),
+    (
+        "SELECT a.id, b.id, c.x FROM a INNER JOIN b ON b.id >= a.id AND b.id < a.id + 40 \
+         INNER JOIN c ON c.id = b.id WHERE a.id <= 3",
+        &["pk range", "pk range", "pk eq"],
+    ),
+    (
+        "SELECT a.id, b.id, c.id FROM a INNER JOIN b ON b.a_id > a.id AND b.a_id <= a.id + 20 \
+         INNER JOIN c ON c.id = b.id WHERE a.id < 4",
+        &["pk range", "index range col1", "pk eq"],
+    ),
+    (
+        "SELECT a.id, c.id, b.a_id FROM a INNER JOIN c ON c.x = a.v \
+         INNER JOIN b ON b.id = c.id WHERE a.id <= 10",
+        &["pk range", "full scan", "pk eq"],
+    ),
+    (
+        "SELECT a.id, b.id, c.id FROM a LEFT JOIN b ON b.a_id = a.id \
+         LEFT JOIN c ON c.id = b.id",
+        &["full scan", "index eq col1", "pk eq"],
+    ),
+    (
+        "SELECT a.id, b.id, c.id FROM a LEFT JOIN b ON b.a_id = a.id AND b.w <> 1 \
+         LEFT JOIN c ON c.b_id = b.id WHERE c.x IS NULL OR c.x > 2",
+        &["full scan", "index eq col1", "index eq col1"],
+    ),
+    (
+        "SELECT a.id, b.id, b.w FROM a INNER JOIN b ON b.a_id = a.id \
+         ORDER BY b.w DESC, a.id LIMIT 7 OFFSET 3",
+        &["full scan", "index eq col1"],
+    ),
+    (
+        "SELECT a.grp, COUNT(*), SUM(b.w), MIN(c.x), COUNT(c.id) FROM a \
+         INNER JOIN b ON b.a_id = a.id LEFT JOIN c ON c.b_id = b.id GROUP BY a.grp",
+        &["full scan", "index eq col1", "index eq col1"],
+    ),
+    (
+        "SELECT COUNT(*), MAX(c.id) FROM a INNER JOIN b ON b.a_id = a.id \
+         INNER JOIN c ON c.id = b.id",
+        &["full scan", "index eq col1", "pk eq"],
+    ),
+];
+
+/// FNV-1a over `Debug` of `(rows, rows_examined)` under `execute`, then
+/// under `examine`, of every join in [`FAN_OUT_JOINS`].
+const FAN_OUT_PINNED: u64 = 15_539_527_007_607_592_312;
+
+fn fnv1a(hash: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *hash ^= u64::from(b);
+        *hash = hash.wrapping_mul(0x0100_0000_01b3);
+    }
+}
+
+#[test]
+fn joins_that_fan_out_past_a_batch_keep_their_rows_order_and_cost() {
+    let (mut e, mut s) = fan_out_engine();
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut seen = String::new();
+    for (sql, paths) in FAN_OUT_JOINS {
+        let plan = e.execute(&mut s, &format!("EXPLAIN {sql}"), &[]).unwrap();
+        let got: Vec<&Value> = plan.rows.iter().map(|row| &row[2]).collect();
+        let want: Vec<Value> = paths.iter().map(|p| Value::Text(p.to_string())).collect();
+        assert_eq!(got, want.iter().collect::<Vec<_>>(), "{sql}");
+        let executed = e.execute(&mut s, sql, &[]).unwrap();
+        let examined = examine_agrees(&mut e, &mut s, sql, &[]).unwrap();
+        assert!(executed.rows_examined > 40, "{sql}: crosses a batch");
+        let line = format!(
+            "{:?}",
+            (
+                &executed.rows,
+                executed.rows_examined,
+                &examined.rows,
+                examined.rows_examined
+            )
+        );
+        fnv1a(&mut hash, line.as_bytes());
+        seen.push_str(&format!("{sql}\n  {line}\n"));
+    }
+    assert_eq!(hash, FAN_OUT_PINNED, "results moved:\n{seen}");
+}
+
+/// Two scope rows fail at different stages: the one a depth-first join
+/// reaches first decides the statement's error, whichever stage fails
+/// first in time. `a.e = 3` overflows stage 1's ON conjunct; `b.f = 9`
+/// overflows stage 2's probe key.
+#[test]
+fn the_first_failure_in_row_order_is_the_statements_error() {
+    let (mut e, mut s) = fan_out_engine();
+    let sql = "SELECT a.id, b.id, c.id FROM a \
+               INNER JOIN b ON b.a_id = a.id AND a.e * 4611686018427387904 >= 0 \
+               INNER JOIN c ON c.id = b.f + 9223372036854775800";
+    let mut errors = Vec::new();
+    // (a.id whose ON overflows, a_id of the b rows whose probe key overflows)
+    for (on_fails, probe_fails) in [(9, 7), (7, 9), (40, 12), (12, 40)] {
+        e.execute_batch(
+            &mut s,
+            &format!(
+                "UPDATE a SET e = 0; UPDATE a SET e = 3 WHERE id = {on_fails};
+                 UPDATE b SET f = 0; UPDATE b SET f = 9 WHERE a_id = {probe_fails}"
+            ),
+        )
+        .unwrap();
+        let err = examine_agrees(&mut e, &mut s, sql, &[]).unwrap_err();
+        errors.push(err.to_string());
+    }
+    let on = "type mismatch: BIGINT value is out of range in '(3 * 4611686018427387904)'";
+    let probe = "type mismatch: BIGINT value is out of range in '(9 + 9223372036854775800)'";
+    assert_eq!(errors, [probe, on, probe, on]);
+}

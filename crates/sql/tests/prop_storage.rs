@@ -1,7 +1,8 @@
 //! Property tests over table storage: after any sequence of inserts,
 //! updates and deletes, secondary indexes stay exactly consistent with a
-//! full scan, and primary-key lookups agree with the heap; and a clone of a
-//! frozen table answers every read exactly as a table never frozen does.
+//! full scan, and primary-key lookups agree with the heap; a clone of a
+//! frozen table answers every read exactly as a table never frozen does;
+//! and a fork's base-first primary-key probes agree with a scan.
 
 use amdb_sql::schema::{Column, TableSchema};
 use amdb_sql::storage::{RowId, Table};
@@ -299,8 +300,9 @@ proptest! {
         prop_assert_eq!(total, ids.len());
     }
 
-    /// The only test of the shadow path (base rows updated, deleted and
-    /// restored after the freeze): no workload drives it.
+    /// With `pk_lookup_agrees_with_a_scan_on_a_fork`, the only test of the
+    /// shadow path (base rows updated, deleted and restored after the
+    /// freeze): no workload drives it.
     #[test]
     fn frozen_fork_behaves_like_an_unfrozen_table(
         ops in prop::collection::vec(arb_ref_op(), 0..90),
@@ -325,5 +327,111 @@ proptest! {
             prop_assert_eq!(observe(&fork), observe(&reference), "reads after step {}", split + step);
         }
         prop_assert_eq!(observe(&source), frozen, "the frozen source never changes");
+    }
+}
+
+/// One write to a fork, as `pk_lookup_agrees_with_a_scan_on_a_fork` draws
+/// it. Victims are picked among the live rows, base and delta alike.
+#[derive(Debug, Clone)]
+enum ForkOp {
+    Insert {
+        id: i64,
+    },
+    /// Give a row a new key (a duplicate is refused).
+    Rekey {
+        victim: usize,
+        id: i64,
+    },
+    /// Rewrite a row's other column, keeping its key.
+    Touch {
+        victim: usize,
+        group: i64,
+    },
+    Delete {
+        victim: usize,
+    },
+    /// Bring back the most recently deleted row, unless its key is taken.
+    Restore,
+}
+
+fn arb_fork_op() -> impl Strategy<Value = ForkOp> {
+    prop_oneof![
+        3 => (0..40i64).prop_map(|id| ForkOp::Insert { id }),
+        3 => (any::<usize>(), 0..40i64).prop_map(|(victim, id)| ForkOp::Rekey { victim, id }),
+        2 => (any::<usize>(), 0..10i64).prop_map(|(victim, group)| ForkOp::Touch { victim, group }),
+        2 => any::<usize>().prop_map(|victim| ForkOp::Delete { victim }),
+        2 => Just(ForkOp::Restore),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A primary-key probe reads the frozen base first and stops at a live,
+    /// unshadowed hit; only a miss or a shadowed hit reads the fork's delta.
+    /// On a fork whose base rows and delta rows are re-keyed, rewritten,
+    /// deleted and restored, every probe — of live keys, keys re-keyed
+    /// away, deleted keys and keys never used — names the one live row a
+    /// scan finds with that key.
+    #[test]
+    fn pk_lookup_agrees_with_a_scan_on_a_fork(
+        base_ids in prop::collection::btree_set(0..40i64, 0..30),
+        ops in prop::collection::vec(arb_fork_op(), 0..80),
+    ) {
+        let mut source = table();
+        for &id in &base_ids {
+            source.insert(vec![Value::Int(id), Value::Int(id % 10)]).expect("insert");
+        }
+        source.freeze();
+        let mut fork = source.clone();
+        let mut deleted: Vec<(RowId, Arc<[Value]>)> = Vec::new();
+        for (step, op) in ops.iter().enumerate() {
+            let live: Vec<RowId> = fork.scan().map(|(rid, _)| rid).collect();
+            let pick = |victim: usize| live.get(victim % live.len().max(1)).copied();
+            match *op {
+                ForkOp::Insert { id } => {
+                    let _ = fork.insert(vec![Value::Int(id), Value::Int(0)]);
+                }
+                ForkOp::Rekey { victim, id } => {
+                    if let Some(rid) = pick(victim) {
+                        let mut row = fork.get(rid).expect("live").to_vec();
+                        row[0] = Value::Int(id);
+                        let _ = fork.update(rid, row);
+                    }
+                }
+                ForkOp::Touch { victim, group } => {
+                    if let Some(rid) = pick(victim) {
+                        let mut row = fork.get(rid).expect("live").to_vec();
+                        row[1] = Value::Int(group);
+                        fork.update(rid, row).expect("the key is unchanged");
+                    }
+                }
+                ForkOp::Delete { victim } => {
+                    if let Some(rid) = pick(victim) {
+                        deleted.push((rid, fork.delete(rid).expect("live")));
+                    }
+                }
+                ForkOp::Restore => {
+                    if let Some((rid, row)) = deleted.pop() {
+                        if fork.pk_lookup(&row[0]).is_none() {
+                            fork.restore(rid, row);
+                        }
+                    }
+                }
+            }
+            for key in 0..45 {
+                let scanned: Vec<RowId> = fork
+                    .scan()
+                    .filter(|(_, row)| row[0] == Value::Int(key))
+                    .map(|(rid, _)| rid)
+                    .collect();
+                prop_assert!(scanned.len() <= 1, "key {} held twice: {:?}", key, scanned);
+                prop_assert_eq!(
+                    fork.pk_lookup(&Value::Int(key)),
+                    scanned.first().copied(),
+                    "key {} after step {} ({:?})", key, step, op
+                );
+            }
+        }
     }
 }

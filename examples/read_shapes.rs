@@ -3,18 +3,21 @@
 //! `Engine::examine`.
 //!
 //! ```text
-//! cargo run --release --example read_shapes            # DataSize::LARGE (600)
-//! cargo run --release --example read_shapes -- 10      # any size, by scale
+//! cargo run --release --example read_shapes              # DataSize::LARGE (600)
+//! cargo run --release --example read_shapes -- 10        # any size, by scale
+//! cargo run --release --example read_shapes -- 600 20000 # after 20000 write ops
 //! ```
 //!
 //! Builds the frozen template of the given size, forks a slave from it as a
-//! cluster does, and drives a fixed stream of generated read operations
+//! cluster does, applies the given number of generated write operations to
+//! the fork (none by default) — so that its delta has grown as a replica's
+//! has mid-run — and drives a fixed stream of generated read operations
 //! through both entries. For each of the nine read statement shapes
 //! (`op#statement`) it prints the statement count, `rows_examined` per
-//! statement and host ns per statement under each entry (the fastest of a
-//! few passes). It exits 1 if the two entries disagree on any statement's
-//! `rows_examined`: the cost model reads that count, so `examine` must
-//! reproduce it exactly.
+//! statement, and host ns per statement and per examined row under each
+//! entry (the fastest of a few passes). It exits 1 if the two entries
+//! disagree on any statement's `rows_examined`: the cost model reads that
+//! count, so `examine` must reproduce it exactly.
 
 use amdb::cloudstone::{build_template, DataSize, OpGenerator};
 use amdb::sim::Rng;
@@ -29,35 +32,58 @@ const PASSES: usize = 5;
 
 type Statement = (String, Vec<Value>);
 
-/// One table row: per-statement means of a shape's (or all reads') totals.
+/// One table row: per-statement and per-examined-row means of a shape's
+/// (or all reads') totals.
 fn print_row(shape: &str, n: usize, examined: u64, exec_ns: u128, exam_ns: u128) {
+    let per_row = |ns: u128| ns as f64 / examined.max(1) as f64;
     println!(
-        "{:<20} {:>7} {:>14.1} {:>12.0} {:>12.0} {:>7.2}x",
+        "{:<20} {:>7} {:>14.1} {:>12.0} {:>12.0} {:>8.1} {:>8.1} {:>7.2}x",
         shape,
         n,
         examined as f64 / n as f64,
         exec_ns as f64 / n as f64,
         exam_ns as f64 / n as f64,
+        per_row(exec_ns),
+        per_row(exam_ns),
         exec_ns as f64 / exam_ns as f64
     );
 }
 
+fn usage() -> ! {
+    eprintln!(
+        "usage: read_shapes [SCALE [WRITES]]  (a positive data size, default 600; \
+         write ops applied to the fork before timing, default 0)"
+    );
+    std::process::exit(2);
+}
+
 fn main() {
-    let size = match std::env::args().nth(1) {
+    let mut args = std::env::args().skip(1);
+    let size = match args.next().map(|arg| arg.parse()) {
         None => DataSize::LARGE,
-        Some(arg) => match arg.parse() {
-            Ok(scale) if scale > 0 => DataSize { scale },
-            _ => {
-                eprintln!("usage: read_shapes [SCALE]  (a positive data size; default 600)");
-                std::process::exit(2);
-            }
-        },
+        Some(Ok(scale)) if scale > 0 => DataSize { scale },
+        Some(_) => usage(),
     };
+    let writes: usize = match args.next().map(|arg| arg.parse()) {
+        None => 0,
+        Some(Ok(writes)) => writes,
+        Some(Err(_)) => usage(),
+    };
+    if args.next().is_some() {
+        usage();
+    }
     let mut rng = Rng::new(42);
     let (template, counters) = build_template(size, &mut rng);
     let mut engine = template.fork(ForkRole::Slave);
     let mut session = Session::new();
     let mut gen = OpGenerator::new(counters, rng.derive("ops"));
+    for _ in 0..writes {
+        for (sql, params) in gen.generate_write().statements {
+            if let Err(e) = engine.execute(&mut session, &sql, &params) {
+                panic!("write: {e}\nSQL: {sql}");
+            }
+        }
+    }
 
     let mut shapes: BTreeMap<String, Vec<Statement>> = BTreeMap::new();
     for _ in 0..OPS {
@@ -71,12 +97,19 @@ fn main() {
     }
 
     println!(
-        "read statement shapes at data size {}, {OPS} read ops",
+        "read statement shapes at data size {}, {OPS} read ops after {writes} write ops",
         size.scale
     );
     println!(
-        "{:<20} {:>7} {:>14} {:>12} {:>12} {:>8}",
-        "shape", "stmts", "examined/stmt", "execute ns", "examine ns", "speedup"
+        "{:<20} {:>7} {:>14} {:>12} {:>12} {:>8} {:>8} {:>8}",
+        "shape",
+        "stmts",
+        "examined/stmt",
+        "execute ns",
+        "examine ns",
+        "exec/row",
+        "exam/row",
+        "speedup"
     );
     let (mut n_all, mut examined_all, mut exec_all, mut exam_all) = (0usize, 0u64, 0u128, 0u128);
     let mut disagreements = 0;
