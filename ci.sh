@@ -166,16 +166,19 @@ tail -n 1 "$dir/results/fleet_metrics.prom" | grep -qx '# EOF' \
 
 echo "== trace artifacts regenerate deterministically =="
 # quickstart_trace.json (the quickstart example) and results/obs_trace.json +
-# obs_series.csv (amdb obs_report) are regenerable, gitignored artifacts: two
-# fresh regenerations must agree byte-for-byte, stdout included, and a
-# repo-root copy — when present — must be fresh.
+# obs_series.csv (amdb obs_report), and their *_shards2 twins (amdb obs_report
+# --shards 2), are regenerable, gitignored artifacts: two fresh regenerations
+# must agree byte-for-byte, stdout included, and a repo-root copy — when
+# present — must be fresh.
 for run in art1 art2; do
   mkdir -p "$SMOKE/$run"
   (cd "$SMOKE/$run" && "$BIN/examples/quickstart" >quickstart.out 2>/dev/null \
-    && "$BIN/amdb" obs_report >obs_report.out 2>/dev/null)
+    && "$BIN/amdb" obs_report >obs_report.out 2>/dev/null \
+    && "$BIN/amdb" obs_report --shards 2 >obs_report_shards2.out 2>/dev/null)
 done
 for art in quickstart.out quickstart_trace.json obs_report.out \
-  results/obs_trace.json results/obs_series.csv; do
+  results/obs_trace.json results/obs_series.csv obs_report_shards2.out \
+  results/obs_trace_shards2.json results/obs_series_shards2.csv; do
   cmp "$SMOKE/art1/$art" "$SMOKE/art2/$art" || { echo "$art not deterministic"; exit 1; }
   if [ -f "$art" ]; then
     cmp "$art" "$SMOKE/art1/$art" || { echo "stale $art — regenerate it"; exit 1; }

@@ -283,12 +283,15 @@ pub struct ClusterConfig {
     pub master_fault: Option<MasterFaultPlan>,
     /// Staleness-driven autoscaling, if enabled.
     pub autoscale: Option<AutoscaleConfig>,
-    /// Observability: tracing/metrics collection (off by default — the
-    /// disabled path costs a single branch per probe).
+    /// Observability, the one switch for the whole measurement plane:
+    /// trace, metrics registry, time-series store, staleness waterfall and
+    /// SLO engine (off by default — the disabled path costs a single branch
+    /// per probe).
     pub obs: ObsConfig,
-    /// Telemetry: causal write tracing, staleness waterfall, SLO/alert
-    /// engine (off by default). Enabling it forces `obs` on — telemetry
-    /// records through the same recorder.
+    /// The tree's fleet coordinates for its telemetry (causal write
+    /// tracing, staleness waterfall, SLO/alert engine), which runs whenever
+    /// `obs` is enabled. A sharded front stamps them; a standalone cluster
+    /// keeps the default.
     pub telemetry: TelemetryConfig,
     /// Application-managed read-consistency policy. `None` (the default)
     /// runs `Eventual` — every read routes as the plain proxy routes it —
@@ -598,9 +601,10 @@ impl ClusterBuilder {
         self
     }
 
-    /// Switch telemetry on or off. Enabling telemetry implies observability.
+    /// Switch observability — and with it telemetry — on or off, keeping
+    /// the rest of the [`ObsConfig`].
     pub fn telemetry_on(mut self, enabled: bool) -> Self {
-        self.cfg.telemetry.enabled = enabled;
+        self.cfg.obs.enabled = enabled;
         self
     }
 

@@ -668,7 +668,7 @@ pub struct FleetObsBundle {
     /// The front recorder's own store (scatter-tax series), when attached.
     pub front_tsdb: Option<Tsdb>,
     /// Per-shard telemetry bundles (waterfalls + SLO engines) rolled into
-    /// the fleet view; empty when telemetry was off.
+    /// the fleet view; empty when observability was off.
     pub telemetry: FleetTelemetry,
 }
 
@@ -705,7 +705,7 @@ impl FleetObsBundle {
 /// `template` (or load one from `cfg.base.seed` when `None`), run all trees
 /// and the front on one kernel until the agenda drains, and detach the
 /// report plus every observability artifact. What the bundle holds follows
-/// `cfg.base.obs` / `cfg.base.telemetry`; with both off it is empty.
+/// `cfg.base.obs`; with it off the bundle is empty.
 pub fn run_sharded_cell(
     cfg: &ShardedConfig,
     template: Option<&Template>,
@@ -727,15 +727,14 @@ pub fn run_sharded_cell(
     Ok((report, world.take_fleet_obs()))
 }
 
-/// [`run_sharded_cell`] with observability and telemetry forced on in every
-/// tree: each runs its own waterfall + shard-stamped SLO engine, rolled into
-/// the bundle's [`FleetTelemetry`].
+/// [`run_sharded_cell`] with observability forced on in every tree: each
+/// runs its own waterfall + shard-stamped SLO engine, rolled into the
+/// bundle's [`FleetTelemetry`].
 ///
 /// # Panics
 /// Panics when `cfg` does not validate.
 pub fn run_sharded_telemetry(mut cfg: ShardedConfig) -> (ShardedReport, FleetObsBundle) {
     cfg.base.obs.enabled = true;
-    cfg.base.telemetry.enabled = true;
     run_sharded_cell(&cfg, None).unwrap_or_else(|e| panic!("{e}"))
 }
 
@@ -814,7 +813,7 @@ mod tests {
     /// event sequence bit-for-bit — same ops, same routing, same latencies,
     /// same heartbeat-measured replication delays — on the default config,
     /// through the apply plane and under every read policy (each front user
-    /// keeps its own session token), and with telemetry on: the same alert
+    /// keeps its own session token), and with observability on: the same alert
     /// timeline and staleness waterfall, a master failover included.
     #[test]
     fn one_shard_is_bit_identical_to_the_standalone_cluster() {
@@ -869,7 +868,7 @@ mod tests {
             .build();
         for base in [quick().build(), failover] {
             let mut traced = base.clone();
-            traced.telemetry.enabled = true;
+            traced.obs.enabled = true;
             let solo = crate::cluster::run_cell(traced, None).expect("valid config");
             let solo = solo.telemetry.expect("telemetry on");
             let (_, fleet) = run_sharded_telemetry(ShardedConfig::new(1, base));

@@ -9,7 +9,7 @@
 //!   fires later (or never) — the paper's Fig 5/6 surge flattening.
 
 use amdb_cloudstone::{DataSize, MixConfig, WorkloadConfig};
-use amdb_core::{run_cell, run_cluster, BackendKind, ClusterConfig, RunReport};
+use amdb_core::{run_cell, run_cluster, BackendKind, ClusterConfig, ObsConfig, RunReport};
 use amdb_telemetry::AlertKind;
 use proptest::prelude::*;
 
@@ -81,7 +81,7 @@ fn surge_cfg(workers: usize) -> ClusterConfig {
         .data_size(DataSize::SMALL)
         .backend(BackendKind::Row)
         .apply_workers(workers)
-        .telemetry_on(true)
+        .observability(ObsConfig::enabled())
         .build()
 }
 
@@ -93,7 +93,7 @@ fn waterfall_apply_delay_shrinks_and_surge_onset_recedes() {
     let runs: Vec<(RunReport, amdb_telemetry::Telemetry)> = [1usize, 2, 4]
         .into_iter()
         .map(|w| run_cell(surge_cfg(w), None).expect("valid config"))
-        .map(|run| (run.report, run.telemetry.expect("telemetry on")))
+        .map(|run| (run.report, run.telemetry.expect("obs on")))
         .collect();
 
     // The waterfall's per-slave delay decomposition: the queueing leg

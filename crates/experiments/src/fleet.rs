@@ -82,8 +82,8 @@ impl FleetSpec {
     }
 
     /// The sharded config for one cell: fig2-style 50/50 trees with
-    /// row-format binlog, parallel apply, telemetry, and the time-series
-    /// store enabled.
+    /// row-format binlog, parallel apply, and observability — telemetry and
+    /// the time-series store included — enabled.
     pub fn cell_config(&self, slaves: usize, users: u32) -> ShardedConfig {
         let mut workload = WorkloadConfig::paper(users);
         workload.phases = self.phases;
@@ -100,7 +100,6 @@ impl FleetSpec {
                 sample_interval_ms: self.sample_interval_ms,
                 tsdb: true,
             })
-            .telemetry_on(true)
             .seed(self.cell_seed(slaves, users))
             .build();
         ShardedConfig::new(self.shards, base).cross_shard_read_fraction(self.cross_fraction)

@@ -69,7 +69,7 @@ impl ObsSloSpec {
     }
 
     /// The cluster config for one cell: fig2-style 50/50 cell with
-    /// telemetry (and therefore observability) enabled.
+    /// observability (and therefore telemetry) enabled.
     pub fn cell_config(&self, placement: Placement, slaves: usize, users: u32) -> ClusterConfig {
         let mut workload = WorkloadConfig::paper(users);
         workload.phases = self.phases;
@@ -85,7 +85,6 @@ impl ObsSloSpec {
                 sample_interval_ms: self.sample_interval_ms,
                 tsdb: true,
             })
-            .telemetry_on(true)
             .seed(self.cell_seed(placement, slaves, users))
             .build()
     }

@@ -138,12 +138,7 @@ mod tests {
     }
 
     fn shard_telemetry(shard: u32, fire_at_ms: u64) -> Telemetry {
-        let cfg = TelemetryConfig {
-            enabled: true,
-            shard,
-            shards: 4,
-        };
-        let mut t = Telemetry::new(&cfg, 1);
+        let mut t = Telemetry::new(&TelemetryConfig { shard, shards: 4 }, 1);
         t.slo = SloEngine::new(vec![surge_rule()], DEFAULT_SATURATION_THRESHOLD).with_shard(shard);
         let rows = [ResourceUsage {
             comp: Component::Cpu,

@@ -14,8 +14,8 @@
 //!   the sampled series, including the **delay-surge detector** that
 //!   attributes each surge to the saturated resource via the bottleneck
 //!   attributor's rows at surge onset;
-//! * [`Telemetry`] — the bundle the cluster owns when the
-//!   [`TelemetryConfig`] knob is on.
+//! * [`Telemetry`] — the bundle the cluster feeds while observability is
+//!   on; [`TelemetryConfig`] places it in a fleet.
 //!
 //! ## Determinism contract
 //!
@@ -23,9 +23,9 @@
 //! never mutates anything the workload observes, and stores its state in
 //! ordered containers — so enabling it changes no run result, and its own
 //! outputs (alert timeline, waterfall, flow events) are byte-identical
-//! across runs and `--jobs` counts. When the knob is off the cluster holds
-//! no `Telemetry` at all and every probe site is a single `Option`
-//! discriminant test, preserving the `Obs::Null` zero-cost path.
+//! across runs and `--jobs` counts. With observability off the cluster
+//! never feeds it: every probe site is the one `Obs::Null` discriminant
+//! test the observability probes already pay.
 
 pub mod fleet;
 pub mod slo;
@@ -41,12 +41,11 @@ pub use waterfall::{ClientLeg, SlaveLeg, StalenessWaterfall, DEFAULT_MAX_INFLIGH
 use amdb_metrics::Table;
 use amdb_obs::bottleneck::DEFAULT_SATURATION_THRESHOLD;
 
-/// Telemetry configuration knob carried in `ClusterConfig`. Enabling it
-/// forces observability on (telemetry records through the same recorder).
+/// Where a cluster's telemetry sits in a fleet, carried in
+/// `ClusterConfig`. Telemetry runs whenever observability does; a sharded
+/// front stamps these coordinates on each tree.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetryConfig {
-    /// Trace writes, run the SLO engine, emit flow events.
-    pub enabled: bool,
     /// Which shard tree this telemetry instance watches (0 unsharded);
     /// stamped into every alert so fleet timelines name `(shard,
     /// component, instance)`.
@@ -60,19 +59,8 @@ pub struct TelemetryConfig {
 impl Default for TelemetryConfig {
     fn default() -> Self {
         Self {
-            enabled: false,
             shard: 0,
             shards: 1,
-        }
-    }
-}
-
-impl TelemetryConfig {
-    /// Telemetry on.
-    pub fn enabled() -> Self {
-        Self {
-            enabled: true,
-            ..Self::default()
         }
     }
 }
@@ -143,16 +131,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_config_is_off_with_paper_rules() {
-        assert!(!TelemetryConfig::default().enabled);
-        assert!(TelemetryConfig::enabled().enabled);
-        let t = Telemetry::new(&TelemetryConfig::enabled(), 2);
+    fn default_config_is_one_tree_with_paper_rules() {
+        let t = Telemetry::new(&TelemetryConfig::default(), 2);
         assert_eq!(t.slo.rules(), paper_rules());
+        assert_eq!(t.slo.shard(), 0);
+        assert_eq!(t.waterfall.inflight_cap(), DEFAULT_MAX_INFLIGHT);
     }
 
     #[test]
     fn telemetry_bundle_renders_empty() {
-        let t = Telemetry::new(&TelemetryConfig::enabled(), 2);
+        let t = Telemetry::new(&TelemetryConfig::default(), 2);
         let r = t.render();
         assert!(r.contains("staleness waterfall"));
         assert!(r.contains("alert timeline"));

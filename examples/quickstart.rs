@@ -9,7 +9,7 @@
 //! to the master, reads to slaves, writesets ship via the binlog, and slaves
 //! are stale until the replication middleware pumps — exactly the
 //! asynchronous master-slave architecture the paper studies. Then runs a
-//! small *timed* cluster with observability and telemetry on: the online
+//! small *timed* cluster with observability on: the online
 //! SLO engine prints a deterministic alert timeline (delay surges come
 //! attributed to the saturated resource), the staleness waterfall shows
 //! where each slave's replication delay accrued, and the trace lands in
@@ -121,8 +121,8 @@ fn main() {
         println!("  {:>6}: {}", row[0], row[1]);
     }
 
-    // Part two: the timed simulation, with observability *and* telemetry
-    // on. Same architecture, but users/pool/proxy/CPUs/replication all run
+    // Part two: the timed simulation, with observability (and so
+    // telemetry) on. Same architecture, but users/pool/proxy/CPUs/replication all run
     // under the discrete-event clock, every layer traces what it does, and
     // the online SLO engine watches the replication delay as it runs.
     let CellRun {
@@ -143,13 +143,12 @@ fn main() {
                 sample_interval_ms: 1_000,
                 tsdb: true,
             })
-            .telemetry_on(true)
             .seed(42)
             .build(),
         None,
     )
     .expect("the config validates");
-    let telemetry = telemetry.expect("telemetry was enabled");
+    let telemetry = telemetry.expect("observability was enabled");
     println!();
     println!(
         "timed run: {:.1} ops/s steady, staleness {:?} ms",
