@@ -56,6 +56,16 @@ impl SlaveStage {
     fn done(&self) -> bool {
         self.applied.is_some() && self.first_read.is_some()
     }
+
+    /// The stage of a slave that does not owe the write (it joined, or was
+    /// re-seeded, after the commit): complete at commit, feeding no sketch.
+    fn waived(committed: SimTime) -> Self {
+        Self {
+            applied: Some(committed),
+            first_read: Some(committed),
+            ..Self::default()
+        }
+    }
 }
 
 /// One committed write in flight through the pipeline, keyed by LSN.
@@ -178,6 +188,12 @@ impl StalenessWaterfall {
         self.inflight.len()
     }
 
+    /// Commit instant of the oldest write still tracked: a write some slave
+    /// will never apply or read shows up here as an ever-older instant.
+    pub fn oldest_inflight(&self) -> Option<SimTime> {
+        self.inflight.first_key_value().map(|(_, w)| w.committed)
+    }
+
     /// Grow to `n` slaves (elastic scale-out). Existing in-flight writes
     /// gain an untracked stage row for the new slave — its legs only count
     /// writes committed after the join.
@@ -190,14 +206,22 @@ impl StalenessWaterfall {
         // rows complete so they neither feed its sketches nor block pruning.
         for w in self.inflight.values_mut() {
             while w.stages.len() < n {
-                w.stages.push(SlaveStage {
-                    delivered: None,
-                    apply_start: None,
-                    applied: Some(w.committed),
-                    first_read: Some(w.committed),
-                });
+                w.stages.push(SlaveStage::waived(w.committed));
             }
         }
+    }
+
+    /// Slave `slave` was re-seeded from a snapshot of the master's head (a
+    /// failed slave's replacement): the snapshot holds every write in
+    /// flight, so the slave will never deliver, apply or read them. Waive
+    /// its stage of each, as for a scale-out slave, and prune.
+    pub fn on_reseed(&mut self, slave: usize) {
+        for w in self.inflight.values_mut() {
+            if let Some(st) = w.stages.get_mut(slave) {
+                *st = SlaveStage::waived(w.committed);
+            }
+        }
+        self.prune();
     }
 
     /// Topology change that voids the LSN space (master failover): drop all
@@ -570,6 +594,36 @@ mod tests {
         w.on_slave_read(0, 1, t(4));
         assert_eq!(w.inflight(), 0, "new slave owes nothing for old writes");
         assert_eq!(w.legs()[1].e2e_ms.count(), 0);
+    }
+
+    #[test]
+    fn reseeded_slave_releases_the_writes_it_missed() {
+        let mut w = StalenessWaterfall::new(2);
+        for lsn in 1..=3 {
+            let tr = w.begin_write(t(lsn), t(lsn));
+            w.on_service_start(tr, t(lsn), lsn - 1, lsn);
+            w.on_commit(tr, t(lsn + 1));
+            w.on_deliver(1, lsn, t(10));
+            w.on_apply_start(1, lsn, t(10));
+            w.on_applied(1, lsn, t(11));
+        }
+        w.on_slave_read(1, 3, t(12));
+        // Slave 0 failed before any of it arrived.
+        assert_eq!(w.inflight(), 3, "slave 0 still owes every write");
+        assert_eq!(w.oldest_inflight(), Some(t(2)));
+        w.on_reseed(0);
+        assert_eq!(w.inflight(), 0, "the snapshot covered them");
+        assert_eq!(w.oldest_inflight(), None);
+        let leg = &w.legs()[0];
+        assert_eq!((leg.applied, leg.e2e_ms.count()), (0, 0), "no sketch fed");
+        assert_eq!(leg.first_read_ms.count(), 0);
+        // Writes after the re-seed are the replacement's to apply.
+        let tr = w.begin_write(t(20), t(20));
+        w.on_service_start(tr, t(20), 3, 4);
+        w.on_commit(tr, t(21));
+        assert_eq!(w.on_deliver(0, 4, t(22)), Some(tr));
+        assert_eq!(w.on_applied(0, 4, t(23)), Some(tr));
+        assert_eq!(w.legs()[0].applied, 1);
     }
 
     #[test]
