@@ -8,7 +8,7 @@
 
 use crate::schema::{DataSize, SCHEMA_SQL};
 use amdb_sim::Rng;
-use amdb_sql::{BinlogFormat, Engine, Session};
+use amdb_sql::{Engine, Session, Value};
 
 /// Client-side id counters for every entity the generator can create.
 /// Seed data occupies `1..=n`; operation-generated rows continue above.
@@ -40,182 +40,111 @@ impl DataCounters {
     }
 }
 
-/// Insert batch size (rows per multi-row INSERT during loading).
-const BATCH: usize = 500;
+// One single-row INSERT per seeded table: every seed row binds its values
+// to the same statement, so loading parses each table's INSERT once and
+// builds no SQL text per row.
+const INSERT_USER: &str = "INSERT INTO users (id, username, email, created_at) VALUES (?, ?, ?, ?)";
+const INSERT_TAG: &str = "INSERT INTO tags (id, name) VALUES (?, ?)";
+const INSERT_EVENT: &str = "INSERT INTO events \
+    (id, title, description, created_by, event_ts, zip, created_at) VALUES (?, ?, ?, ?, ?, ?, ?)";
+const INSERT_EVENT_TAG: &str = "INSERT INTO event_tags (id, event_id, tag_id) VALUES (?, ?, ?)";
+const INSERT_ATTENDEE: &str =
+    "INSERT INTO attendees (id, event_id, user_id, created_at) VALUES (?, ?, ?, ?)";
+const INSERT_COMMENT: &str = "INSERT INTO comments \
+    (id, event_id, user_id, rating, body, created_at) VALUES (?, ?, ?, ?, ?, ?)";
 
 /// Build a fully-loaded, frozen (`Engine::freeze`) template engine for
 /// `size`: its forks share the loaded tables. Deterministic in the RNG seed.
 /// Returns the engine and the post-load id counters.
+///
+/// The template is a non-logging engine: forks start with an empty binlog
+/// and an empty plan cache, so it keeps nothing of its load but the
+/// tables and the plans of the schema and the six seed INSERTs.
 pub fn build_template(size: DataSize, rng: &mut Rng) -> (Engine, DataCounters) {
-    let mut engine = Engine::new_master(BinlogFormat::Statement);
+    let mut engine = Engine::new_slave();
+    load(&mut engine, size, rng);
+    engine.freeze();
+    (engine, DataCounters::after_load(size))
+}
+
+/// Create the schema in `engine` and insert the seed rows of `size`.
+fn load(engine: &mut Engine, size: DataSize, rng: &mut Rng) {
+    use Value::{Int, Text};
     let mut session = Session::new();
     engine
         .execute_batch(&mut session, SCHEMA_SQL)
         .expect("schema loads");
-
+    let mut insert = |sql: &str, row: &[Value]| {
+        engine.execute(&mut session, sql, row).expect("seed insert");
+    };
     let now_us: i64 = 0; // seed rows predate the run; exact value irrelevant
 
-    // users
-    let mut rows: Vec<String> = Vec::with_capacity(BATCH);
-    let flush = |engine: &mut Engine,
-                 session: &mut Session,
-                 table: &str,
-                 cols: &str,
-                 rows: &mut Vec<String>| {
-        if rows.is_empty() {
-            return;
-        }
-        let sql = format!("INSERT INTO {table} ({cols}) VALUES {}", rows.join(", "));
-        engine.execute(session, &sql, &[]).expect("seed insert");
-        rows.clear();
-    };
-
     for uid in 1..=size.users() as i64 {
-        rows.push(format!(
-            "({uid}, 'user{uid}', 'user{uid}@example.com', {now_us})"
-        ));
-        if rows.len() == BATCH {
-            flush(
-                &mut engine,
-                &mut session,
-                "users",
-                "id, username, email, created_at",
-                &mut rows,
-            );
-        }
+        let (name, email) = (format!("user{uid}"), format!("user{uid}@example.com"));
+        insert(
+            INSERT_USER,
+            &[Int(uid), Text(name), Text(email), Int(now_us)],
+        );
     }
-    flush(
-        &mut engine,
-        &mut session,
-        "users",
-        "id, username, email, created_at",
-        &mut rows,
-    );
-
-    // tags
     for tid in 1..=size.tags() as i64 {
-        rows.push(format!("({tid}, 'tag{tid}')"));
-        if rows.len() == BATCH {
-            flush(&mut engine, &mut session, "tags", "id, name", &mut rows);
-        }
+        insert(INSERT_TAG, &[Int(tid), Text(format!("tag{tid}"))]);
     }
-    flush(&mut engine, &mut session, "tags", "id, name", &mut rows);
-
-    // events
     for eid in 1..=size.events() as i64 {
         let creator = rng.int_range(1, size.users() as i64);
         let zip = rng.int_range(0, size.zips() as i64 - 1);
         let ts = rng.int_range(0, 30 * 86_400) * 1_000_000;
-        rows.push(format!(
-            "({eid}, 'event {eid}', 'a social event', {creator}, {ts}, {zip}, {now_us})"
-        ));
-        if rows.len() == BATCH {
-            flush(
-                &mut engine,
-                &mut session,
-                "events",
-                "id, title, description, created_by, event_ts, zip, created_at",
-                &mut rows,
-            );
-        }
+        let title = Text(format!("event {eid}"));
+        let about = Text("a social event".into());
+        let row = [
+            Int(eid),
+            title,
+            about,
+            Int(creator),
+            Int(ts),
+            Int(zip),
+            Int(now_us),
+        ];
+        insert(INSERT_EVENT, &row);
     }
-    flush(
-        &mut engine,
-        &mut session,
-        "events",
-        "id, title, description, created_by, event_ts, zip, created_at",
-        &mut rows,
-    );
-
     // event_tags: tags_per_event random tags per event
     let mut etid: i64 = 1;
     for eid in 1..=size.events() as i64 {
         for _ in 0..size.tags_per_event() {
             let tid = rng.int_range(1, size.tags() as i64);
-            rows.push(format!("({etid}, {eid}, {tid})"));
+            insert(INSERT_EVENT_TAG, &[Int(etid), Int(eid), Int(tid)]);
             etid += 1;
-            if rows.len() == BATCH {
-                flush(
-                    &mut engine,
-                    &mut session,
-                    "event_tags",
-                    "id, event_id, tag_id",
-                    &mut rows,
-                );
-            }
         }
     }
-    flush(
-        &mut engine,
-        &mut session,
-        "event_tags",
-        "id, event_id, tag_id",
-        &mut rows,
-    );
-
     // attendees: attendances_per_user per user
     let mut aid: i64 = 1;
     for uid in 1..=size.users() as i64 {
         for _ in 0..size.attendances_per_user() {
             let eid = rng.int_range(1, size.events() as i64);
-            rows.push(format!("({aid}, {eid}, {uid}, {now_us})"));
+            insert(
+                INSERT_ATTENDEE,
+                &[Int(aid), Int(eid), Int(uid), Int(now_us)],
+            );
             aid += 1;
-            if rows.len() == BATCH {
-                flush(
-                    &mut engine,
-                    &mut session,
-                    "attendees",
-                    "id, event_id, user_id, created_at",
-                    &mut rows,
-                );
-            }
         }
     }
-    flush(
-        &mut engine,
-        &mut session,
-        "attendees",
-        "id, event_id, user_id, created_at",
-        &mut rows,
-    );
-
-    // comments
     let mut cid: i64 = 1;
     for eid in 1..=size.events() as i64 {
         for _ in 0..size.comments_per_event() {
             let uid = rng.int_range(1, size.users() as i64);
             let rating = rng.int_range(1, 5);
-            rows.push(format!(
-                "({cid}, {eid}, {uid}, {rating}, 'nice event', {now_us})"
-            ));
+            let body = Text("nice event".into());
+            let row = [Int(cid), Int(eid), Int(uid), Int(rating), body, Int(now_us)];
+            insert(INSERT_COMMENT, &row);
             cid += 1;
-            if rows.len() == BATCH {
-                flush(
-                    &mut engine,
-                    &mut session,
-                    "comments",
-                    "id, event_id, user_id, rating, body, created_at",
-                    &mut rows,
-                );
-            }
         }
     }
-    flush(
-        &mut engine,
-        &mut session,
-        "comments",
-        "id, event_id, user_id, rating, body, created_at",
-        &mut rows,
-    );
-
-    engine.freeze();
-    (engine, DataCounters::after_load(size))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amdb_sql::{ForkRole, Lsn, Value};
+    use amdb_sql::engine::split_statements;
+    use amdb_sql::{BinlogFormat, ForkRole};
 
     fn tiny() -> DataSize {
         DataSize { scale: 10 }
@@ -244,6 +173,23 @@ mod tests {
         assert_eq!(engine.table_rows("heartbeat"), Some(0));
         assert_eq!(counters.next_user, s.users() as i64 + 1);
         assert_eq!(counters.next_event, s.events() as i64 + 1);
+    }
+
+    #[test]
+    fn the_template_holds_its_tables_and_not_its_loads_sql() {
+        // Scale 30 seeds up to 1 200 rows per table.
+        let (template, _) = build_template(DataSize { scale: 30 }, &mut Rng::new(5));
+        assert_eq!(template.binlog().len(), 0, "the load logs nothing");
+        let schema_statements = split_statements(SCHEMA_SQL)
+            .iter()
+            .filter(|s| !s.trim().is_empty())
+            .count();
+        let tables = SCHEMA_SQL.matches("CREATE TABLE").count();
+        let plans = template.plan_cache_stats().entries;
+        assert!(
+            plans <= schema_statements + tables,
+            "{plans} plans: the schema's {schema_statements} and one INSERT per table at most"
+        );
     }
 
     #[test]
@@ -284,11 +230,9 @@ mod tests {
     #[test]
     fn base_row_writes_on_a_fork_stay_private_and_read_like_an_unfrozen_copy() {
         let (template, _) = build_template(tiny(), &mut Rng::new(4));
-        // The same load replayed into an engine that is never frozen.
+        // The same load into an engine that is never frozen.
         let mut unfrozen = Engine::new_slave();
-        for event in template.binlog_from(Lsn(0)) {
-            unfrozen.apply_event(event, 0).expect("replay");
-        }
+        load(&mut unfrozen, tiny(), &mut Rng::new(4));
         let pristine = template.fingerprint();
         assert_eq!(unfrozen.fingerprint(), pristine);
         let mut fork = template.fork(ForkRole::Master(BinlogFormat::Statement));

@@ -86,12 +86,21 @@ impl Default for SketchConfig {
 }
 
 /// Mergeable, bounded-memory quantile estimator over log-spaced buckets.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Only the window of buckets from the lowest to the highest one recorded
+/// is stored (`counts[j]` counts bucket `offset + j`), so both ends of a
+/// non-empty window are non-zero and a sketch of a few nearby values holds
+/// a few counters, not every bucket below them. An empty sketch has
+/// `offset` 0 and no counters, so equal contents compare equal.
+#[derive(Clone, PartialEq)]
 pub struct QuantileSketch {
     cfg: SketchConfig,
     /// Count of values below `cfg.min` (including zero and negatives).
     low: u64,
-    /// Logarithmic bucket counters, grown lazily up to `cfg.max_buckets`.
+    /// Index of the logarithmic bucket `counts[0]` counts.
+    offset: usize,
+    /// Counters of buckets `offset..offset + counts.len()`, widened by
+    /// [`Self::record`] and [`Self::merge`] up to `cfg.max_buckets`.
     counts: Vec<u64>,
     count: u64,
     sum: f64,
@@ -108,6 +117,7 @@ impl QuantileSketch {
         Self {
             cfg,
             low: 0,
+            offset: 0,
             counts: Vec::new(),
             count: 0,
             sum: 0.0,
@@ -134,16 +144,28 @@ impl QuantileSketch {
         match self.cfg.index(v) {
             None => self.low += 1,
             Some(i) => {
-                if self.counts.len() <= i {
-                    self.counts.resize(i + 1, 0);
-                }
-                self.counts[i] += 1;
+                self.widen(i, i + 1);
+                self.counts[i - self.offset] += 1;
             }
         }
         self.count += 1;
         self.sum += v;
         self.min_seen = self.min_seen.min(v);
         self.max_seen = self.max_seen.max(v);
+    }
+
+    /// Widen the counter window to cover buckets `lo..hi`.
+    fn widen(&mut self, lo: usize, hi: usize) {
+        if self.counts.is_empty() {
+            self.offset = lo;
+        } else if lo < self.offset {
+            let grow = self.offset - lo;
+            self.counts.splice(0..0, std::iter::repeat_n(0, grow));
+            self.offset = lo;
+        }
+        if hi > self.offset + self.counts.len() {
+            self.counts.resize(hi - self.offset, 0);
+        }
     }
 
     /// Total observations recorded.
@@ -177,14 +199,14 @@ impl QuantileSketch {
             return None;
         }
         let mut cum = self.low;
-        for (i, &c) in self.counts.iter().enumerate() {
+        for (j, &c) in self.counts.iter().enumerate() {
             cum += c;
             if k < cum {
-                return Some(i);
+                return Some(self.offset + j);
             }
         }
         // Unreachable for k < count; defend with the last non-empty bucket.
-        Some(self.counts.len().saturating_sub(1))
+        Some((self.offset + self.counts.len()).saturating_sub(1))
     }
 
     /// Estimated value of the 0-based `k`-th smallest observation, clamped
@@ -233,11 +255,12 @@ impl QuantileSketch {
             self.cfg, other.cfg,
             "cannot merge sketches with different layouts"
         );
-        if self.counts.len() < other.counts.len() {
-            self.counts.resize(other.counts.len(), 0);
-        }
-        for (i, &c) in other.counts.iter().enumerate() {
-            self.counts[i] += c;
+        if !other.counts.is_empty() {
+            self.widen(other.offset, other.offset + other.counts.len());
+            let at = other.offset - self.offset;
+            for (mine, &c) in self.counts[at..].iter_mut().zip(&other.counts) {
+                *mine += c;
+            }
         }
         self.low += other.low;
         self.count += other.count;
@@ -258,10 +281,35 @@ impl QuantileSketch {
         out
     }
 
-    /// Bytes of counter state currently allocated (bounded by
-    /// `max_buckets × 8`), for memory accounting in reports.
+    /// Bytes of counter state currently held (the window's counters,
+    /// bounded by `max_buckets × 8`), for memory accounting in reports.
     pub fn state_bytes(&self) -> usize {
         self.counts.len() * std::mem::size_of::<u64>()
+    }
+}
+
+/// Prints the dense layout — every bucket from 0 up to the highest one
+/// recorded — so a sketch's `{:?}` does not depend on how it is stored.
+impl std::fmt::Debug for QuantileSketch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        struct Dense<'a>(&'a QuantileSketch);
+        impl std::fmt::Debug for Dense<'_> {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                f.debug_list()
+                    .entries(std::iter::repeat_n(&0u64, self.0.offset))
+                    .entries(&self.0.counts)
+                    .finish()
+            }
+        }
+        f.debug_struct("QuantileSketch")
+            .field("cfg", &self.cfg)
+            .field("low", &self.low)
+            .field("counts", &Dense(self))
+            .field("count", &self.count)
+            .field("sum", &self.sum)
+            .field("min_seen", &self.min_seen)
+            .field("max_seen", &self.max_seen)
+            .finish()
     }
 }
 
