@@ -1221,8 +1221,10 @@ impl Cluster {
                     .cpu
                     .submit(now, SimDuration::from_micros(demand_us.round() as u64));
                 if self.obs.is_enabled() {
-                    for lsn in first_lsn.0..=last_lsn.0 {
-                        self.telemetry.waterfall.on_apply_start(slave, lsn, now);
+                    // Keyed, as commit, deliver and read are, by the binlog
+                    // head after each event: its LSN + 1.
+                    for key in first_lsn.0 + 1..=last_lsn.0 + 1 {
+                        self.telemetry.waterfall.on_apply_start(slave, key, now);
                     }
                     self.obs
                         .span(Component::Repl, slave as u32, "apply", now, done);
@@ -1688,8 +1690,8 @@ impl Cluster {
         // arrow. (Serial apply: a one-event range, exactly the old shape.)
         if self.obs.is_enabled() {
             let now = sim.now();
-            for lsn in first_lsn.0..=last_lsn.0 {
-                if let Some(trace) = self.telemetry.waterfall.on_applied(slave, lsn, now) {
+            for key in first_lsn.0 + 1..=last_lsn.0 + 1 {
+                if let Some(trace) = self.telemetry.waterfall.on_applied(slave, key, now) {
                     self.obs.flow(
                         FlowPhase::End,
                         Component::Repl,

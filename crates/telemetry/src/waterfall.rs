@@ -364,11 +364,15 @@ impl StalenessWaterfall {
         // Only LSNs with live entries matter; range over the map, not the
         // (potentially huge) numeric interval.
         let mut touched = false;
-        for (_, w) in self.inflight.range_mut((from + 1)..=applied_upto) {
+        for (key, w) in self.inflight.range_mut((from + 1)..=applied_upto) {
             let Some(st) = w.stages.get_mut(slave) else {
                 continue;
             };
             if st.first_read.is_none() {
+                debug_assert!(
+                    st.applied.is_some(),
+                    "slave {slave} read the write at key {key} before applying it"
+                );
                 st.first_read = Some(now);
                 self.legs[slave]
                     .first_read_ms
@@ -624,6 +628,21 @@ mod tests {
         assert_eq!(w.on_deliver(0, 4, t(22)), Some(tr));
         assert_eq!(w.on_applied(0, 4, t(23)), Some(tr));
         assert_eq!(w.legs()[0].applied, 1);
+    }
+
+    /// The first read of a write on a slave comes after that slave applied
+    /// it; a read that gets there first means a stage was keyed to the
+    /// wrong event.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "before applying it")]
+    fn a_read_before_the_apply_is_a_keying_bug() {
+        let mut w = StalenessWaterfall::new(1);
+        let tr = w.begin_write(t(0), t(0));
+        w.on_service_start(tr, t(0), 0, 1);
+        w.on_commit(tr, t(1));
+        w.on_deliver(0, 1, t(2));
+        w.on_slave_read(0, 1, t(3));
     }
 
     #[test]

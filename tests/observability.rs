@@ -412,7 +412,10 @@ fn a_replaced_slave_leaves_no_write_trace_in_flight() {
 /// counters. The constants were recorded before the planes became values;
 /// (c)'s was recorded then with telemetry switched on as well, which
 /// observability now implies, and (a)'s moved once more when a replaced
-/// slave stopped owing the waterfall the writes its snapshot holds.
+/// slave stopped owing the waterfall the writes its snapshot holds. All
+/// three moved when the apply stages were keyed, like commit, deliver and
+/// read, by the head after each event: only the waterfall and the
+/// `writeset` flow ends changed.
 #[test]
 fn plane_trace_bytes_are_pinned() {
     use amdb::core::{
@@ -456,9 +459,9 @@ fn plane_trace_bytes_are_pinned() {
     assert_eq!(
         digests,
         [
-            0xa033_c8cc_f25b_ed50,
-            0x332d_75e9_62b2_1a5a,
-            0x4463_a7e4_9f73_0210
+            0xe7c9_209c_3da5_340d,
+            0x03d5_d42a_1181_d6a7,
+            0xef25_4e09_0ae2_0492
         ],
         "a plane's trace, series, report or waterfall bytes moved"
     );
