@@ -353,7 +353,7 @@ fn obs_report_cells(a: &Args) {
         write_artifact("obs_trace.json", &json, TRACE_NOTE);
     }
     if let Some(rec) = obs.recorder() {
-        write_artifact("obs_series.csv", &rec.registry().series_csv(), "");
+        write_artifact("obs_series.csv", &rec.series_csv(), "");
         println!();
         println!("{}", rec.registry().summary_table().render());
     }

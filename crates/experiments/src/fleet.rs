@@ -273,19 +273,19 @@ pub fn combined_table(spec: &FleetSpec, cells: &[FleetCell]) -> Table {
     t
 }
 
-/// The OpenMetrics exposition for one cell: the front's registry plus every
+/// The OpenMetrics exposition for one cell: the front's recorder plus every
 /// tree's, each part labeled with its shard tag.
 pub fn openmetrics_dump(cell: &FleetCell) -> String {
-    let mut parts: Vec<(String, &amdb_obs::MetricsRegistry)> = Vec::new();
+    let mut parts: Vec<(String, &amdb_obs::TraceRecorder)> = Vec::new();
     if let Some(rec) = cell.bundle.front.recorder() {
-        parts.push(("front".to_string(), rec.registry()));
+        parts.push(("front".to_string(), rec));
     }
     for (k, o) in cell.bundle.trees.iter().enumerate() {
         if let Some(rec) = o.recorder() {
-            parts.push((k.to_string(), rec.registry()));
+            parts.push((k.to_string(), rec));
         }
     }
-    let borrowed: Vec<(&str, &amdb_obs::MetricsRegistry)> =
+    let borrowed: Vec<(&str, &amdb_obs::TraceRecorder)> =
         parts.iter().map(|(s, r)| (s.as_str(), *r)).collect();
     openmetrics_text_multi(&borrowed)
 }

@@ -50,16 +50,18 @@ fn num(v: f64) -> String {
     }
 }
 
-/// Serialize records to a Chrome trace-format JSON document.
-pub fn chrome_trace_json(records: &[Record]) -> String {
-    let mut out = String::with_capacity(64 + records.len() * 96);
+/// Serialize records (a recorder's decoded log, or any record sequence)
+/// to a Chrome trace-format JSON document.
+pub fn chrome_trace_json(records: impl IntoIterator<Item = Record>) -> String {
+    let records = records.into_iter();
+    let mut out = String::with_capacity(64 + records.size_hint().0 * 96);
     out.push_str("{\"traceEvents\":[");
-    for (i, r) in records.iter().enumerate() {
+    for (i, r) in records.enumerate() {
         if i > 0 {
             out.push(',');
         }
         out.push('\n');
-        match *r {
+        match r {
             Record::Span {
                 comp,
                 inst,
@@ -178,7 +180,7 @@ mod tests {
 
     #[test]
     fn emits_all_phases() {
-        let j = chrome_trace_json(&sample());
+        let j = chrome_trace_json(sample());
         assert!(j.contains("\"ph\":\"X\",\"ts\":100,\"dur\":250,\"pid\":1,\"tid\":1"));
         assert!(j.contains("\"ph\":\"i\",\"ts\":500"));
         assert!(j.contains("\"args\":{\"relay_depth\":3.5}"));
@@ -188,7 +190,7 @@ mod tests {
 
     #[test]
     fn output_is_reproducible() {
-        assert_eq!(chrome_trace_json(&sample()), chrome_trace_json(&sample()));
+        assert_eq!(chrome_trace_json(sample()), chrome_trace_json(sample()));
     }
 
     #[test]
@@ -225,7 +227,7 @@ mod tests {
             name: Box::leak(hostile.to_string().into_boxed_str()),
             at: SimTime::ZERO,
         }];
-        let j = chrome_trace_json(&r);
+        let j = chrome_trace_json(r);
         assert_eq!(j.matches("\"pid\":").count(), 1);
     }
 
@@ -257,7 +259,7 @@ mod tests {
                 phase: FlowPhase::End,
             },
         ];
-        let j = chrome_trace_json(&r);
+        let j = chrome_trace_json(r);
         assert!(j.contains("\"ph\":\"s\",\"ts\":10,\"pid\":1,\"tid\":0,\"id\":42"));
         assert!(j.contains("\"ph\":\"t\",\"ts\":30,\"pid\":4,\"tid\":1,\"id\":42"));
         assert!(j.contains("\"ph\":\"f\",\"ts\":55,\"pid\":4,\"tid\":1,\"id\":42,\"bp\":\"e\""));
@@ -272,13 +274,13 @@ mod tests {
             at: SimTime::ZERO,
             value: f64::NAN,
         }];
-        let j = chrome_trace_json(&r);
+        let j = chrome_trace_json(r);
         assert!(j.contains("\"args\":{\"x\":0}"));
     }
 
     #[test]
     fn empty_trace_is_valid() {
-        let j = chrome_trace_json(&[]);
+        let j = chrome_trace_json(std::iter::empty());
         assert!(j.contains("\"traceEvents\":["));
     }
 }

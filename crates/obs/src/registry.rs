@@ -2,11 +2,12 @@
 //!
 //! Metrics are keyed by `(component, instance, name)` in a `BTreeMap`, so
 //! every iteration — and every table/CSV export built from one — visits keys
-//! in the same order on every run. Sketches and time series reuse the
-//! `amdb-metrics` implementations.
+//! in the same order on every run. Sketches reuse the `amdb-metrics`
+//! implementation. Counter-track samples are not held here: they live once,
+//! in the trace recorder's log, and their series export derives from it.
 
 use crate::Component;
-use amdb_metrics::{QuantileSketch, Table, TimeSeries};
+use amdb_metrics::{QuantileSketch, Table};
 use std::collections::BTreeMap;
 
 /// Registry key: which metric on which component instance.
@@ -27,8 +28,6 @@ pub enum Metric {
     Counter(u64),
     /// Last-written value plus the maximum ever written.
     Gauge { last: f64, max: f64 },
-    /// Timestamped samples (seconds of simulated time).
-    Series(TimeSeries),
     /// Log-bucket streaming quantile sketch — the bounded-memory
     /// replacement for full-sample percentile paths on hot probes.
     Sketch(QuantileSketch),
@@ -41,8 +40,7 @@ pub enum Metric {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MetricId(usize);
 
-/// Deterministically ordered collection of counters, gauges, series, and
-/// sketches.
+/// Deterministically ordered collection of counters, gauges and sketches.
 ///
 /// Storage is split: `slots` holds the metric values (probe writes are an
 /// index away), `index` maps keys to slots and — being a `BTreeMap` —
@@ -133,15 +131,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Append a `(t_seconds, value)` sample to a time series.
-    pub fn sample(&mut self, comp: Component, inst: u32, name: &'static str, t: f64, value: f64) {
-        let i = self.slot_of(comp, inst, name, || Metric::Series(TimeSeries::new()));
-        match &mut self.slots[i] {
-            Metric::Series(s) => s.push(t, value),
-            other => panic!("metric {comp}/{inst}/{name} is not a series: {other:?}"),
-        }
-    }
-
     /// Record an observation into a streaming quantile sketch, created with
     /// the [`amdb_metrics::SketchConfig::LATENCY`] layout on first use.
     /// Memory is bounded and the quantile estimate tracks the exact
@@ -186,8 +175,9 @@ impl MetricsRegistry {
         self.index.is_empty()
     }
 
-    /// Scalar summary table: one row per counter/gauge/sketch (series are
-    /// exported separately by [`Self::series_table`]).
+    /// Scalar summary table: one row per counter/gauge/sketch (counter
+    /// series are exported separately by
+    /// [`crate::TraceRecorder::series_table`]).
     pub fn summary_table(&self) -> Table {
         let mut t = Table::new(
             "metrics",
@@ -212,7 +202,6 @@ impl MetricsRegistry {
                         None => "-".to_string(),
                     },
                 ),
-                Metric::Series(_) => continue,
             };
             t.push_row(vec![
                 k.comp.as_str().to_string(),
@@ -224,40 +213,6 @@ impl MetricsRegistry {
             ]);
         }
         t
-    }
-
-    /// Long-format time-series table (`component,instance,metric,t_seconds,
-    /// value`) suitable for CSV export; sample order within a series is
-    /// recording order, series order is key order — fully deterministic.
-    pub fn series_table(&self) -> Table {
-        let mut t = Table::new(
-            "timeseries",
-            vec![
-                "component".into(),
-                "instance".into(),
-                "metric".into(),
-                "t_seconds".into(),
-                "value".into(),
-            ],
-        );
-        for (k, m) in self.iter() {
-            let Metric::Series(s) = m else { continue };
-            for &(ts, v) in s.points() {
-                t.push_row(vec![
-                    k.comp.as_str().to_string(),
-                    k.inst.to_string(),
-                    k.name.to_string(),
-                    format!("{ts:.6}"),
-                    format!("{v}"),
-                ]);
-            }
-        }
-        t
-    }
-
-    /// CSV of the long-format time series.
-    pub fn series_csv(&self) -> String {
-        self.series_table().to_csv()
     }
 }
 
@@ -352,14 +307,8 @@ mod tests {
         let mut r = MetricsRegistry::new();
         r.incr(Component::Proxy, 0, "routed", 7);
         r.gauge(Component::Pool, 0, "active", 3.0);
-        r.sample(Component::Repl, 1, "relay_depth", 0.5, 2.0);
-        r.sample(Component::Repl, 1, "relay_depth", 1.0, 4.0);
         let summary = r.summary_table().to_csv();
         assert!(summary.contains("pool,0,active,gauge,3.000,3.000"));
         assert!(summary.contains("proxy,0,routed,counter,7,-"));
-        assert!(!summary.contains("relay_depth"), "series not in summary");
-        let series = r.series_csv();
-        assert!(series.contains("repl,1,relay_depth,0.500000,2"));
-        assert!(series.contains("repl,1,relay_depth,1.000000,4"));
     }
 }
