@@ -129,6 +129,10 @@ pub struct StalenessWaterfall {
     inflight: BTreeMap<u64, WriteTrace>,
     /// Per slave: LSNs `<= cursor` have had their first read assigned.
     read_cursor: Vec<u64>,
+    /// Per slave: the slot holds no replica that will ever apply a write
+    /// (a failed master took it), so every stage it is given is waived.
+    /// Grown on the first such slot; a slot past its end is up.
+    down: Vec<bool>,
     legs: Vec<SlaveLeg>,
     client: ClientLeg,
     /// Writes that reached commit (traced end of the client half).
@@ -152,6 +156,7 @@ impl StalenessWaterfall {
             pending: BTreeMap::new(),
             inflight: BTreeMap::new(),
             read_cursor: vec![0; n_slaves],
+            down: Vec::new(),
             legs: (0..n_slaves).map(|_| SlaveLeg::new()).collect(),
             client: ClientLeg {
                 route_ms: QuantileSketch::latency(),
@@ -216,6 +221,24 @@ impl StalenessWaterfall {
     /// flight, so the slave will never deliver, apply or read them. Waive
     /// its stage of each, as for a scale-out slave, and prune.
     pub fn on_reseed(&mut self, slave: usize) {
+        if let Some(down) = self.down.get_mut(slave) {
+            *down = false;
+        }
+        self.waive(slave);
+    }
+
+    /// Slot `slave` lost its replica for good (a failed master was swapped
+    /// into it): waive its stage of every write in flight, and of every
+    /// write committed until a re-seed ([`Self::on_reseed`]) fills the slot.
+    pub fn on_slot_down(&mut self, slave: usize) {
+        if slave < self.legs.len() {
+            self.down.resize(self.down.len().max(slave + 1), false);
+            self.down[slave] = true;
+        }
+        self.waive(slave);
+    }
+
+    fn waive(&mut self, slave: usize) {
         for w in self.inflight.values_mut() {
             if let Some(st) = w.stages.get_mut(slave) {
                 *st = SlaveStage::waived(w.committed);
@@ -225,12 +248,13 @@ impl StalenessWaterfall {
     }
 
     /// Topology change that voids the LSN space (master failover): drop all
-    /// in-flight state and restart cursors. Leg sketches survive — they
-    /// describe the run, not the epoch.
+    /// in-flight state and restart cursors. Leg sketches and down slots
+    /// survive — they describe the run, not the epoch.
     pub fn on_epoch_reset(&mut self, n_slaves: usize) {
         self.pending.clear();
         self.inflight.clear();
         self.read_cursor = vec![0; n_slaves];
+        self.down.truncate(n_slaves);
         while self.legs.len() < n_slaves {
             self.legs.push(SlaveLeg::new());
         }
@@ -282,14 +306,20 @@ impl StalenessWaterfall {
             return None;
         }
         for lsn in (from + 1)..=to {
-            self.inflight.insert(
-                lsn,
-                WriteTrace {
-                    trace,
-                    committed: now,
-                    stages: vec![SlaveStage::default(); self.legs.len()],
-                },
-            );
+            let stages = (0..self.legs.len())
+                .map(|s| match self.down.get(s) {
+                    Some(true) => SlaveStage::waived(now),
+                    _ => SlaveStage::default(),
+                })
+                .collect();
+            let w = WriteTrace {
+                trace,
+                committed: now,
+                stages,
+            };
+            if !w.done() {
+                self.inflight.insert(lsn, w);
+            }
         }
         while self.inflight.len() > self.max_inflight {
             self.inflight.pop_first();
@@ -628,6 +658,53 @@ mod tests {
         assert_eq!(w.on_deliver(0, 4, t(22)), Some(tr));
         assert_eq!(w.on_applied(0, 4, t(23)), Some(tr));
         assert_eq!(w.legs()[0].applied, 1);
+    }
+
+    /// A write slave `slave` applies and reads through every stage.
+    fn apply_and_read(w: &mut StalenessWaterfall, slave: usize, lsn: u64, at: u64) {
+        w.on_deliver(slave, lsn, t(at));
+        w.on_apply_start(slave, lsn, t(at));
+        w.on_applied(slave, lsn, t(at + 1));
+        w.on_slave_read(slave, lsn, t(at + 2));
+    }
+
+    #[test]
+    fn a_down_slot_owes_no_stage_until_reseeded() {
+        let mut w = StalenessWaterfall::new(2);
+        let commit = |w: &mut StalenessWaterfall, lsn: u64| {
+            let tr = w.begin_write(t(lsn), t(lsn));
+            w.on_service_start(tr, t(lsn), lsn - 1, lsn);
+            w.on_commit(tr, t(lsn));
+        };
+        commit(&mut w, 1);
+        apply_and_read(&mut w, 1, 1, 5);
+        assert_eq!(w.inflight(), 1, "slave 0 owes write 1");
+        // A failed master takes slot 0: the write in flight is waived …
+        w.on_slot_down(0);
+        assert_eq!(w.inflight(), 0);
+        // … and so is every write committed while the slot is down.
+        commit(&mut w, 2);
+        apply_and_read(&mut w, 1, 2, 10);
+        assert_eq!(w.inflight(), 0, "write 2 waits on no down slot");
+        // A master failover's epoch reset keeps the slot down.
+        w.on_epoch_reset(2);
+        commit(&mut w, 1);
+        apply_and_read(&mut w, 1, 1, 20);
+        assert_eq!(w.inflight(), 0);
+        assert_eq!(w.legs()[0].applied, 0, "a down slot feeds no sketch");
+        // A replacement fills the slot: later writes are its to apply.
+        w.on_reseed(0);
+        commit(&mut w, 2);
+        apply_and_read(&mut w, 1, 2, 30);
+        assert_eq!(w.inflight(), 1, "the replacement owes write 2");
+        apply_and_read(&mut w, 0, 2, 31);
+        assert_eq!(w.inflight(), 0);
+        assert_eq!(w.legs()[0].applied, 1);
+        // With every slot down a commit leaves nothing in flight.
+        let mut solo = StalenessWaterfall::new(1);
+        solo.on_slot_down(0);
+        commit(&mut solo, 1);
+        assert_eq!(solo.inflight(), 0);
     }
 
     /// The first read of a write on a slave comes after that slave applied
