@@ -1,15 +1,15 @@
-//! The timed cluster simulation: users → pool → proxy → replicas, with
+//! The timed cluster simulation: users → proxy → replicas, with
 //! binlog shipping, apply threads, heartbeats, and NTP, all over the
 //! discrete-event kernel.
 //!
 //! # Event flow
 //!
-//! Each emulated user loops: think → generate operation → acquire pooled
-//! connection → proxy routes (write→master, read→slave) → request travels
+//! Each emulated user loops: think → generate operation → proxy routes
+//! (write→master, read→slave) → request travels
 //! the network → the target VM executes the operation's statements when its
 //! FIFO CPU reaches the job → response travels back → stats → next think.
 //!
-//! The user half of that loop (think, generate, pool, stats) is the
+//! The user half of that loop (think, generate, stats) is the
 //! `users::UserLoop`. From the proxy onward there is one chain —
 //! `dispatch` → [`Job::ClientOp`] → [`ClusterEvent::ClientOpDone`] →
 //! `schedule_response` — and every client operation takes it carrying its
@@ -850,7 +850,7 @@ impl Cluster {
         sim.schedule_event_at(self.phases.steady_end(), ClusterEvent::SteadyEnd);
 
         // Observability sampler: periodic gauges for queue depths,
-        // utilization, pool occupancy, relay backlogs, and staleness.
+        // utilization, relay backlogs, and staleness.
         if self.obs.is_enabled() {
             sim.schedule_event_at(SimTime::ZERO, ClusterEvent::ObsSampleTick);
         }
@@ -900,11 +900,6 @@ impl Cluster {
                 .busy_now
                 .push(node.inst.cpu.busy_in_window().as_secs_f64());
         }
-        let pool = self.users.pool();
-        self.obs
-            .counter(Component::Pool, 0, "active", now, pool.active() as f64);
-        self.obs
-            .counter(Component::Pool, 0, "waiting", now, pool.waiting() as f64);
         sampled.delay_ms.clear();
         for s in 0..self.relays.len() {
             let inst = s as u32;
@@ -2433,7 +2428,6 @@ impl Cluster {
         }
 
         let users = self.users.stats();
-        let pool = self.users.pool();
         RunReport {
             users: self.cfg.workload.concurrent_users,
             n_slaves: self.cfg.n_slaves,
@@ -2457,7 +2451,7 @@ impl Cluster {
             peak_relay_backlog: self.stats.peak_relay_backlog,
             apply_batches: self.stats.apply_batches,
             apply_events: self.stats.apply_events,
-            pool_stats: (pool.total_acquired(), pool.total_waited()),
+            pool_stats: (self.users.issued(), 0),
             // A run with no policy set reports none, though it ran `Eventual`.
             consistency: self.cfg.consistency.map(|_| {
                 let l = &self.consistency;
@@ -2517,8 +2511,7 @@ impl Cluster {
     }
 
     /// Steady-window bottleneck attribution: one row per CPU (master and
-    /// each slave slot) plus the connection pool, naming the saturated
-    /// resource. Meaningful once the steady window has ended (utilizations
+    /// each slave slot), naming the saturated resource. Meaningful once the steady window has ended (utilizations
     /// are captured by the `steady_end` marker).
     pub fn bottleneck_report(&self) -> BottleneckReport {
         let mut rep = BottleneckReport::with_default_threshold();
@@ -2527,21 +2520,6 @@ impl Cluster {
             let peak_queue = self.stats.steady_peak_queue.get(i).copied().unwrap_or(0);
             rep.push(cpu_row(i, util, peak_queue));
         }
-        // Pool "utilization": peak checkouts over capacity, one connection
-        // per user — so it never queues and never saturates.
-        let (peak_active, peak_waiting) = self.users.pool().peaks();
-        let capacity = self.cfg.workload.concurrent_users as usize;
-        rep.push(ResourceUsage {
-            comp: Component::Pool,
-            inst: 0,
-            label: "connection pool".to_string(),
-            utilization: if capacity > 0 {
-                peak_active as f64 / capacity as f64
-            } else {
-                0.0
-            },
-            peak_queue: peak_waiting,
-        });
         rep
     }
 }
@@ -2810,13 +2788,13 @@ mod tests {
         assert!(!rec.is_empty());
         let comps: std::collections::BTreeSet<&str> =
             rec.records().map(|x| x.component().as_str()).collect();
-        for c in ["cpu", "pool", "proxy", "repl", "sql", "cluster"] {
+        for c in ["cpu", "proxy", "repl", "sql", "cluster"] {
             let present =
                 comps.contains(c) || rec.registry().iter().any(|(k, _)| k.comp.as_str() == c);
             assert!(present, "component {c} missing from trace and registry");
         }
-        // master + 2 slaves + pool
-        assert_eq!(bn.rows().len(), 4);
+        // master + 2 slaves
+        assert_eq!(bn.rows().len(), 3);
         assert!(bn.rows().iter().any(|row| row.label == "master cpu"));
     }
 

@@ -2,9 +2,10 @@
 //!
 //! This crate is the paper's *system*: a master-slave replicated database
 //! tier whose replicas run in virtual machines of a (simulated) public
-//! cloud, fronted by a connection pool and a read/write-splitting proxy, and
-//! driven by the modified Cloudstone workload — the full three-layer
-//! experiment setup of §III-B, as a library.
+//! cloud, fronted by a read/write-splitting proxy, and driven by the
+//! modified Cloudstone workload — the full three-layer experiment setup of
+//! §III-B, as a library. The paper's connection pool is not modelled: it
+//! saved connection-setup cost, which this model never charges.
 //!
 //! The main entry points:
 //!

@@ -131,7 +131,9 @@ pub struct RunReport {
     pub apply_batches: u64,
     /// Binlog events applied across all slaves over the whole run.
     pub apply_events: u64,
-    /// Pool statistics: (total acquired, total that had to wait).
+    /// (ops issued over the whole run, 0). The second half is always 0 and
+    /// stays only because the benchmark reads both; the benchmark's
+    /// re-freeze shrinks this to the issued count.
     pub pool_stats: (u64, u64),
     /// Consistency-layer statistics (None unless the run opted in).
     pub consistency: Option<ConsistencyReport>,

@@ -389,8 +389,8 @@ impl ShardedWorld {
 
     /// One leg of an in-flight op completed on `shard`: gather bookkeeping,
     /// the serving tree's per-leg completion, and — once the last leg is in
-    /// — the user loop's completion (stats, pool release, think), in the
-    /// order a standalone cluster's `respond` runs them.
+    /// — the user loop's completion (stats, think), in the order a
+    /// standalone cluster's `respond` runs them.
     fn op_done(&mut self, sim: &mut ShardedSim, shard: u32, done: InjectedDone) {
         let now = sim.now();
         let fl = self
@@ -580,7 +580,6 @@ impl ShardedWorld {
             .collect();
         let s = &self.front.stats;
         let users = self.front.users.stats();
-        let pool = self.front.users.pool();
         ShardedReport {
             shards: self.trees.len() as u32,
             users: self.front.users.users(),
@@ -595,7 +594,7 @@ impl ShardedWorld {
             scatter_legs: s.scatter_legs,
             scatter_filtered_legs: s.scatter_filtered_legs,
             scatter_master_fallbacks: s.scatter_master_fallbacks,
-            pool_stats: (pool.total_acquired(), pool.total_waited()),
+            pool_stats: (self.front.users.issued(), 0),
             per_shard,
             per_shard_bottleneck,
             sim_events,
@@ -625,7 +624,9 @@ pub struct ShardedReport {
     /// Scattered reads that re-ran as a master fallback leg because every
     /// scatter leg was filtered.
     pub scatter_master_fallbacks: u64,
-    /// (total acquired, total waited) at the front's connection pool.
+    /// (ops the front's users issued, 0). The second half is always 0 and
+    /// stays only because the benchmark reads both; the benchmark's
+    /// re-freeze shrinks this to the issued count.
     pub pool_stats: (u64, u64),
     /// One standalone-format report per tree (tree `users` is 0 — users
     /// live at the front; steady op counts are front-side).
@@ -658,7 +659,7 @@ impl ShardedReport {
 /// tree, the per-tree time-series stores, and the fleet telemetry rollup.
 pub struct FleetObsBundle {
     /// The front's recorder: scatter-gather flows/spans, per-leg latency
-    /// sketches, slowest-shard counters, and the front pool metrics.
+    /// sketches and slowest-shard counters.
     pub front: Obs,
     /// Per-tree recorders in shard order (registry + trace events; their
     /// time-series stores are detached into [`Self::tsdbs`]).
@@ -983,9 +984,9 @@ mod tests {
         let mut world = ShardedWorld::new(&cfg, &template, counters);
         // One scattered read in flight, bound 1 ms; shard 0's leg already
         // arrived 50 ms stale (filtered), shard 1's is about to.
-        // The completion path releases a pool slot, so the synthetic op
-        // holds one like a generated op would.
-        let op = world.front.users.checkout_read(sim.now());
+        // The completion path counts the op completed, so the synthetic op
+        // is issued like a generated op would be.
+        let op = world.front.users.issue_read();
         let mut g = Gather::new(2, ConsistencyPolicy::BoundedStaleness { max_ms: 1.0 });
         g.offer(0, 50.0, Vec::new());
         world.front.inflight.insert(

@@ -1,16 +1,15 @@
 //! The closed-loop user half of the client path: think → generate an
-//! operation → check out a pooled connection → (the owner dispatches it) →
-//! completion → steady-window stats → return the connection → think again.
+//! operation → (the owner dispatches it) → completion → steady-window stats
+//! → think again.
 //!
 //! A standalone [`Cluster`](crate::cluster::Cluster) and the sharded
 //! front each own one [`UserLoop`] and supply only their own dispatch and
 //! their own agenda event for "think time elapsed". A tree under a front
 //! owns one too, with zero users: it never issues an op, so everything read
-//! off it (steady ops, pool checkouts) is 0 there.
+//! off it (steady ops, ops issued) is 0 there.
 
 use crate::config::ClusterConfig;
 use amdb_cloudstone::{MixConfig, OpClass, OpGenerator, Operation, Phases, Web10Generator};
-use amdb_pool::{Acquire, PoolConfig, SimPool};
 use amdb_sim::{Rng, SimDuration, SimTime};
 
 /// The active operation generator (the two workload classes).
@@ -44,9 +43,10 @@ pub(crate) struct UserLoop {
     think_time: SimDuration,
     users: u32,
     gen: WorkGen,
-    /// Sized one connection per user (the paper's DBCP sized to the
-    /// workload), so a checkout never queues.
-    pool: SimPool,
+    /// Operations issued and completed so far; their difference is the
+    /// number in flight, at most one per user.
+    issued: u64,
+    completed: u64,
     rng_think: Rng,
     stats: UserStats,
 }
@@ -62,9 +62,8 @@ impl UserLoop {
             think_time: cfg.workload.think_time,
             users,
             gen,
-            pool: SimPool::new(PoolConfig {
-                max_active: users as usize,
-            }),
+            issued: 0,
+            completed: 0,
             rng_think: root.derive("think"),
             stats: UserStats::default(),
         }
@@ -78,8 +77,9 @@ impl UserLoop {
         self.users
     }
 
-    pub(crate) fn pool(&self) -> &SimPool {
-        &self.pool
+    /// Operations issued over the whole run.
+    pub(crate) fn issued(&self) -> u64 {
+        self.issued
     }
 
     pub(crate) fn stats(&self) -> &UserStats {
@@ -96,29 +96,33 @@ impl UserLoop {
         })
     }
 
-    /// A user's think time elapsed at `now`: generate its next operation and
-    /// check out a connection. Returns the operation to dispatch; `None` when
-    /// the user retired (ramp-down).
-    ///
-    /// # Panics
-    /// Panics if the checkout queues. It cannot: the pool holds one
-    /// connection per user, and a closed-loop user has at most one
-    /// operation in flight.
+    /// A user's think time elapsed at `now`: generate and issue its next
+    /// operation. Returns the operation to dispatch; `None` when the user
+    /// retired (ramp-down).
     pub(crate) fn next_op(&mut self, now: SimTime) -> Option<Operation> {
         if now >= self.phases.load_end() {
             return None;
         }
         let op = self.gen.generate(self.mix);
-        assert_eq!(
-            self.pool.acquire(now),
-            Acquire::Ready,
-            "one connection per user never queues"
-        );
+        self.issue();
         Some(op)
     }
 
-    /// An operation issued at `issued` completed at `now`: record it, return
-    /// its connection, and draw the user's next think time.
+    /// Count one more operation in flight.
+    ///
+    /// # Panics
+    /// Panics if `users` operations are already in flight: a closed-loop
+    /// user has at most one.
+    fn issue(&mut self) {
+        assert!(
+            self.issued - self.completed < u64::from(self.users),
+            "a closed-loop user issued with its last operation in flight"
+        );
+        self.issued += 1;
+    }
+
+    /// An operation issued at `issued` completed at `now`: record it and
+    /// draw the user's next think time.
     pub(crate) fn complete(
         &mut self,
         now: SimTime,
@@ -139,18 +143,52 @@ impl UserLoop {
             }
             self.stats.latencies_ms.push((now - issued).as_millis_f64());
         }
-        self.pool.release(now);
+        self.completed += 1;
         SimDuration::from_secs_f64(self.rng_think.exp(self.think_time.as_secs_f64()))
     }
 
-    /// Check out a connection for a hand-built read, as [`Self::next_op`]
-    /// would have for a generated one.
+    /// Issue a hand-built read, as [`Self::next_op`] would a generated one.
     #[cfg(test)]
-    pub(crate) fn checkout_read(&mut self, now: SimTime) -> Operation {
-        assert!(matches!(self.pool.acquire(now), Acquire::Ready));
+    pub(crate) fn issue_read(&mut self) -> Operation {
+        self.issue();
         match &mut self.gen {
             WorkGen::Cloudstone(g) => g.generate_read(),
             WorkGen::Web10(_) => unreachable!("the sharded front is Cloudstone-only"),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use amdb_cloudstone::WorkloadConfig;
+
+    fn two_users() -> UserLoop {
+        let cfg = ClusterConfig::builder()
+            .workload(WorkloadConfig::quick(2))
+            .build();
+        let gen = WorkGen::Web10(Web10Generator::new(10, Rng::new(1)));
+        UserLoop::new(&cfg, gen, &Rng::new(1))
+    }
+
+    #[test]
+    fn a_completion_frees_its_users_slot() {
+        let mut u = two_users();
+        let now = u.phases().load_start();
+        let op = u.next_op(now).expect("the load is on");
+        u.next_op(now).expect("the load is on");
+        u.complete(now, op.class, now, false);
+        assert!(u.next_op(now).is_some());
+        assert_eq!(u.issued(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "in flight")]
+    fn issuing_while_every_user_is_in_flight_panics() {
+        let mut u = two_users();
+        let now = u.phases().load_start();
+        for _ in 0..3 {
+            u.next_op(now);
         }
     }
 }

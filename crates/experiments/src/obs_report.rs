@@ -64,7 +64,7 @@ mod tests {
         let cell = run_observed_cell(1, 20, 42);
         assert!(cell.report.steady_ops > 0);
         assert!(cell.obs.is_enabled());
-        assert_eq!(cell.bottleneck.rows().len(), 3, "master + slave + pool");
+        assert_eq!(cell.bottleneck.rows().len(), 2, "master + slave");
         let json = cell.obs.chrome_trace().expect("trace present");
         assert!(json.contains("\"traceEvents\""));
     }

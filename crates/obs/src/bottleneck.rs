@@ -215,9 +215,9 @@ mod tests {
         let mut fwd = BottleneckReport::new(0.9);
         fwd.push(keyed(Component::Cpu, 0, "master cpu", 1.0));
         fwd.push(keyed(Component::Cpu, 3, "slave2 cpu", 1.0));
-        fwd.push(keyed(Component::Pool, 0, "connection pool", 1.0));
+        fwd.push(keyed(Component::Proxy, 0, "proxy", 1.0));
         let mut rev = BottleneckReport::new(0.9);
-        rev.push(keyed(Component::Pool, 0, "connection pool", 1.0));
+        rev.push(keyed(Component::Proxy, 0, "proxy", 1.0));
         rev.push(keyed(Component::Cpu, 3, "slave2 cpu", 1.0));
         rev.push(keyed(Component::Cpu, 0, "master cpu", 1.0));
         assert_eq!(fwd.bottleneck().unwrap().label, "master cpu");

@@ -268,7 +268,7 @@ mod tests {
     #[test]
     fn non_finite_counters_sanitized() {
         let r = [Record::Counter {
-            comp: Component::Pool,
+            comp: Component::Proxy,
             inst: 0,
             name: "x",
             at: SimTime::ZERO,

@@ -56,8 +56,6 @@ use amdb_sim::SimTime;
 pub enum Component {
     /// A virtual machine's FIFO CPU server (`amdb-sim::FifoCpu`).
     Cpu,
-    /// The connection pool (`amdb-pool`).
-    Pool,
     /// The read/write-splitting proxy (`amdb-proxy`).
     Proxy,
     /// Replication: relay logs, apply threads, heartbeats (`amdb-repl`).
@@ -73,7 +71,6 @@ impl Component {
     pub fn as_str(self) -> &'static str {
         match self {
             Component::Cpu => "cpu",
-            Component::Pool => "pool",
             Component::Proxy => "proxy",
             Component::Repl => "repl",
             Component::Sql => "sql",
@@ -81,11 +78,11 @@ impl Component {
         }
     }
 
-    /// Small integer id, used as the Chrome-trace `pid`.
+    /// Small integer id, used as the Chrome-trace `pid`. Ids never change,
+    /// so traces stay comparable across versions; 2 is retired.
     pub fn id(self) -> u32 {
         match self {
             Component::Cpu => 1,
-            Component::Pool => 2,
             Component::Proxy => 3,
             Component::Repl => 4,
             Component::Sql => 5,
@@ -107,7 +104,7 @@ pub struct ObsConfig {
     /// [`Obs::Null`] and every probe is a single branch.
     pub enabled: bool,
     /// Period of the background sampler that records queue depths,
-    /// utilizations, pool occupancy, and staleness gauges (milliseconds of
+    /// utilizations, relay backlogs, and staleness gauges (milliseconds of
     /// simulated time).
     pub sample_interval_ms: u64,
     /// Attach the fixed-interval time-series store ([`Tsdb`], slotted on
@@ -365,7 +362,7 @@ mod tests {
             SimTime::ZERO,
             SimTime::from_millis(1),
         );
-        obs.incr(Component::Pool, 0, "c", 1);
+        obs.incr(Component::Proxy, 0, "c", 1);
         assert!(!obs.is_enabled());
         assert!(obs.recorder().is_none());
         assert!(obs.chrome_trace().is_none());
@@ -405,7 +402,7 @@ mod tests {
     fn component_labels_are_stable() {
         assert_eq!(Component::Cpu.as_str(), "cpu");
         assert_eq!(Component::Cluster.id(), 6);
-        assert!(Component::Cpu < Component::Pool);
+        assert!(Component::Cpu < Component::Proxy);
     }
 
     #[test]

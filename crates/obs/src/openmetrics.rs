@@ -175,8 +175,8 @@ mod tests {
         let mut t = TraceRecorder::new();
         let r = t.registry_mut();
         r.incr(Component::Proxy, 0, "routed_reads", 7);
-        r.gauge(Component::Pool, 0, "active", 3.0);
-        r.gauge(Component::Pool, 0, "active", 2.0);
+        r.gauge(Component::Proxy, 0, "active", 3.0);
+        r.gauge(Component::Proxy, 0, "active", 2.0);
         for i in 0..50 {
             r.observe_sketch(Component::Repl, 1, "apply_ms", (i + 1) as f64);
         }
@@ -226,9 +226,9 @@ mod tests {
         assert!(
             text.contains("amdb_proxy_routed_reads_total{component=\"proxy\",instance=\"0\"} 7")
         );
-        assert!(text.contains("# TYPE amdb_pool_active gauge"));
-        assert!(text.contains("amdb_pool_active{component=\"pool\",instance=\"0\"} 2"));
-        assert!(text.contains("amdb_pool_active_max{component=\"pool\",instance=\"0\"} 3"));
+        assert!(text.contains("# TYPE amdb_proxy_active gauge"));
+        assert!(text.contains("amdb_proxy_active{component=\"proxy\",instance=\"0\"} 2"));
+        assert!(text.contains("amdb_proxy_active_max{component=\"proxy\",instance=\"0\"} 3"));
         assert!(text.contains("# TYPE amdb_repl_apply_ms summary"));
         assert!(text.contains("quantile=\"0.95\""));
         assert!(text.contains("amdb_repl_apply_ms_count{component=\"repl\",instance=\"1\"} 50"));

@@ -232,11 +232,11 @@ mod tests {
     #[test]
     fn gauges_track_last_and_max() {
         let mut r = MetricsRegistry::new();
-        r.gauge(Component::Pool, 0, "waiters", 4.0);
-        r.gauge(Component::Pool, 0, "waiters", 9.0);
-        r.gauge(Component::Pool, 0, "waiters", 2.0);
+        r.gauge(Component::Proxy, 0, "waiters", 4.0);
+        r.gauge(Component::Proxy, 0, "waiters", 9.0);
+        r.gauge(Component::Proxy, 0, "waiters", 2.0);
         assert!(matches!(
-            r.get(Component::Pool, 0, "waiters"),
+            r.get(Component::Proxy, 0, "waiters"),
             Some(Metric::Gauge { last, max }) if (*last, *max) == (2.0, 9.0)
         ));
     }
@@ -306,9 +306,9 @@ mod tests {
     fn tables_export_deterministically() {
         let mut r = MetricsRegistry::new();
         r.incr(Component::Proxy, 0, "routed", 7);
-        r.gauge(Component::Pool, 0, "active", 3.0);
+        r.gauge(Component::Proxy, 0, "active", 3.0);
         let summary = r.summary_table().to_csv();
-        assert!(summary.contains("pool,0,active,gauge,3.000,3.000"));
+        assert!(summary.contains("proxy,0,active,gauge,3.000,3.000"));
         assert!(summary.contains("proxy,0,routed,counter,7,-"));
     }
 }

@@ -95,11 +95,9 @@ const KIND_FLOW: u8 = 3;
 /// Longest encoded record: header, two 5-byte and two 10-byte varints.
 const MAX_RECORD_BYTES: usize = 1 + 5 + 5 + 10 + 10;
 
-/// Header codes: a component is coded by [`Component::id`] (its position
-/// here + 1), a flow phase by its position here.
-const COMPONENTS: [Component; 6] = [
+/// Header codes: a component or a flow phase is coded by its position here.
+const COMPONENTS: [Component; 5] = [
     Component::Cpu,
-    Component::Pool,
     Component::Proxy,
     Component::Repl,
     Component::Sql,
@@ -165,8 +163,8 @@ impl Hasher for AddrHasher {
 
 /// The recorder's append-only record log. Each record is encoded as
 ///
-/// * a header byte: kind (bits 0–1), [`Component::id`] (bits 2–4) and,
-///   for flows, the [`FlowPhase`] (bits 5–6);
+/// * a header byte: kind (bits 0–1), the component's position in
+///   `COMPONENTS` (bits 2–4) and, for flows, the [`FlowPhase`] (bits 5–6);
 /// * the instance, as a varint;
 /// * the name, as a varint index into `names`. The table is keyed by the
 ///   `&'static str`'s address and length, so the same text at two
@@ -212,7 +210,7 @@ impl RecordLog {
         | Record::Flow { inst, name, .. }) = *r;
         let at = r.at().as_micros();
         let mut buf = [0u8; MAX_RECORD_BYTES];
-        buf[0] = kind | ((r.component().id() as u8) << 2) | (phase << 5);
+        buf[0] = kind | ((r.component() as u8) << 2) | (phase << 5);
         let mut n = 1;
         put_varint(&mut buf, &mut n, u64::from(inst));
         put_varint(&mut buf, &mut n, u64::from(self.name_id(name)));
@@ -252,7 +250,7 @@ impl Iterator for Records<'_> {
         let bytes = &self.log.bytes[..];
         let header = bytes[self.pos];
         self.pos += 1;
-        let comp = COMPONENTS[usize::from((header >> 2) & 0b111) - 1];
+        let comp = COMPONENTS[usize::from((header >> 2) & 0b111)];
         let inst = get_varint(bytes, &mut self.pos) as u32;
         let name = self.log.names[get_varint(bytes, &mut self.pos) as usize];
         let delta = unzigzag(get_varint(bytes, &mut self.pos));
@@ -562,19 +560,19 @@ mod tests {
     #[test]
     fn counter_series_derive_from_the_records() {
         let mut t = TraceRecorder::new();
-        t.counter(Component::Pool, 0, "waiters", SimTime::from_secs(2), 7.0);
+        t.counter(Component::Sql, 0, "waiters", SimTime::from_secs(2), 7.0);
         t.instant(Component::Cluster, 0, "mark", SimTime::from_secs(3));
         t.counter(Component::Cpu, 1, "util", SimTime::from_secs(3), 0.5);
-        t.counter(Component::Pool, 0, "waiters", SimTime::from_secs(1), 4.0);
+        t.counter(Component::Sql, 0, "waiters", SimTime::from_secs(1), 4.0);
         let series = t.counter_series();
         let keys: Vec<_> = series.keys().map(|k| (k.comp, k.inst, k.name)).collect();
         assert_eq!(
             keys,
-            [(Component::Cpu, 1, "util"), (Component::Pool, 0, "waiters")],
+            [(Component::Cpu, 1, "util"), (Component::Sql, 0, "waiters")],
             "key order"
         );
         let waiters = &series[&MetricKey {
-            comp: Component::Pool,
+            comp: Component::Sql,
             inst: 0,
             name: "waiters",
         }];
@@ -582,20 +580,20 @@ mod tests {
         assert!(t.registry().is_empty(), "counters are not mirrored");
         assert!(t
             .series_csv()
-            .contains("pool,0,waiters,2.000000,7\npool,0,waiters,1.000000,4"));
+            .contains("sql,0,waiters,2.000000,7\nsql,0,waiters,1.000000,4"));
     }
 
     #[test]
     fn tsdb_is_an_explicit_opt_in_plane() {
         let mut t = TraceRecorder::new();
-        t.tsdb_record(Component::Pool, 0, "waiters", SimTime::from_millis(10), 1.0);
+        t.tsdb_record(Component::Sql, 0, "waiters", SimTime::from_millis(10), 1.0);
         assert!(t.tsdb().is_none(), "tsdb is opt-in");
         t.enable_tsdb(250);
-        t.tsdb_record(Component::Pool, 0, "waiters", SimTime::from_millis(20), 7.0);
+        t.tsdb_record(Component::Sql, 0, "waiters", SimTime::from_millis(20), 7.0);
         t.tsdb_observe(Component::Repl, 1, "lat_ms", SimTime::from_millis(20), 4.0);
         // Counters feed the trace only — the store is curated, so a plain
         // counter probe must not grow it.
-        t.counter(Component::Pool, 0, "waiters", SimTime::from_millis(20), 7.0);
+        t.counter(Component::Sql, 0, "waiters", SimTime::from_millis(20), 7.0);
         t.counter(
             Component::Cpu,
             0,
@@ -605,13 +603,13 @@ mod tests {
         );
         let db = t.tsdb().unwrap();
         assert_eq!(db.len(), 2, "only explicit tsdb probes create tracks");
-        assert_eq!(db.mean_series(Component::Pool, 0, "waiters"), [(0.0, 7.0)]);
+        assert_eq!(db.mean_series(Component::Sql, 0, "waiters"), [(0.0, 7.0)]);
         let track = db.track(Component::Repl, 1, "lat_ms").unwrap();
         assert_eq!(track.samples().next().unwrap().1.count(), 1);
         // The counter series is unaffected by the tsdb.
         let series = t.counter_series();
         let waiters = MetricKey {
-            comp: Component::Pool,
+            comp: Component::Sql,
             inst: 0,
             name: "waiters",
         };
@@ -722,7 +720,6 @@ mod tests {
         let names = ["serve", "dup", shared, "", "relay_depth", "x\"y"];
         let comps = [
             Component::Cpu,
-            Component::Pool,
             Component::Proxy,
             Component::Repl,
             Component::Sql,

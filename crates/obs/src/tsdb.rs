@@ -476,9 +476,9 @@ mod tests {
     fn ring_capacity_evicts_oldest_and_counts() {
         let mut db = Tsdb::with_capacity(100, 4);
         for i in 0..10u64 {
-            db.record(Component::Pool, 0, "waiting", at(i * 100), i as f64);
+            db.record(Component::Proxy, 0, "waiting", at(i * 100), i as f64);
         }
-        let track = db.track(Component::Pool, 0, "waiting").unwrap();
+        let track = db.track(Component::Proxy, 0, "waiting").unwrap();
         assert_eq!(track.len(), 4);
         assert_eq!(db.total_evicted(), 6);
         let first_live = track.samples().next().unwrap().0;

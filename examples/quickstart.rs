@@ -122,9 +122,9 @@ fn main() {
     }
 
     // Part two: the timed simulation, with observability (and so
-    // telemetry) on. Same architecture, but users/pool/proxy/CPUs/replication all run
-    // under the discrete-event clock, every layer traces what it does, and
-    // the online SLO engine watches the replication delay as it runs.
+    // telemetry) on. Same architecture, but users/proxy/CPUs/replication all
+    // run under the discrete-event clock, every layer traces what it does,
+    // and the online SLO engine watches the replication delay as it runs.
     let CellRun {
         report,
         obs,

@@ -13,7 +13,6 @@ pub use amdb_experiments as experiments;
 pub use amdb_metrics as metrics;
 pub use amdb_net as net;
 pub use amdb_obs as obs;
-pub use amdb_pool as pool;
 pub use amdb_proxy as proxy;
 pub use amdb_repl as repl;
 pub use amdb_sim as sim;

@@ -129,7 +129,6 @@ fn umbrella_reexports_compile() {
     let _ = amdb::net::Region::UsEast1;
     let _ = amdb::clock::DriftingClock::perfect();
     let _ = amdb::metrics::OnlineStats::new();
-    let _ = amdb::pool::PoolConfig::default();
     let _ = amdb::cloudstone::DataSize::SMALL;
     let _ = amdb::core::ClusterConfig::builder();
 }
