@@ -12,46 +12,42 @@
 //! value.
 
 use crate::trace::{FlowPhase, Record};
+use std::fmt::{self, Write};
 
-/// Escape a string for inclusion in a JSON string literal.
+/// A string escaped for inclusion in a JSON string literal, written
+/// straight into the formatter.
 ///
 /// Beyond the mandatory set (quote, backslash, C0 controls), this also
 /// escapes DEL and the U+2028/U+2029 line separators: both are legal in
 /// JSON strings but break when the document is pasted into a JavaScript
 /// context (as trace JSON routinely is), so emitting them raw would make
 /// the export viewer-hostile for names containing them.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{8}' => out.push_str("\\b"),
-            '\u{c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 || c == '\u{7f}' || c == '\u{2028}' || c == '\u{2029}' => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+struct Escaped<'a>(&'a str);
 
-/// Render a counter value: finite floats via `Display` (shortest
-/// round-trip), non-finite as 0 — Chrome's JSON parser rejects `NaN`.
-fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
+impl fmt::Display for Escaped<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for c in self.0.chars() {
+            match c {
+                '"' => f.write_str("\\\"")?,
+                '\\' => f.write_str("\\\\")?,
+                '\n' => f.write_str("\\n")?,
+                '\r' => f.write_str("\\r")?,
+                '\t' => f.write_str("\\t")?,
+                '\u{8}' => f.write_str("\\b")?,
+                '\u{c}' => f.write_str("\\f")?,
+                c if (c as u32) < 0x20 || c == '\u{7f}' || c == '\u{2028}' || c == '\u{2029}' => {
+                    write!(f, "\\u{:04x}", c as u32)?
+                }
+                c => f.write_char(c)?,
+            }
+        }
+        Ok(())
     }
 }
 
 /// Serialize records (a recorder's decoded log, or any record sequence)
-/// to a Chrome trace-format JSON document.
+/// to a Chrome trace-format JSON document. Each record is written straight
+/// into the document, with no per-record temporary.
 pub fn chrome_trace_json(records: impl IntoIterator<Item = Record>) -> String {
     let records = records.into_iter();
     let mut out = String::with_capacity(64 + records.size_hint().0 * 96);
@@ -61,90 +57,96 @@ pub fn chrome_trace_json(records: impl IntoIterator<Item = Record>) -> String {
             out.push(',');
         }
         out.push('\n');
-        match r {
-            Record::Span {
-                comp,
-                inst,
-                name,
-                start,
-                dur,
-            } => {
-                out.push_str(&format!(
-                    "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{},\"tid\":{}}}",
-                    escape(name),
-                    comp.as_str(),
-                    start.as_micros(),
-                    dur.as_micros(),
-                    comp.id(),
-                    inst,
-                ));
-            }
-            Record::Instant {
-                comp,
-                inst,
-                name,
-                at,
-            } => {
-                out.push_str(&format!(
-                    "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"i\",\"ts\":{},\"pid\":{},\"tid\":{},\"s\":\"p\"}}",
-                    escape(name),
-                    comp.as_str(),
-                    at.as_micros(),
-                    comp.id(),
-                    inst,
-                ));
-            }
-            Record::Counter {
-                comp,
-                inst,
-                name,
-                at,
-                value,
-            } => {
-                out.push_str(&format!(
-                    "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"C\",\"ts\":{},\"pid\":{},\"tid\":{},\"args\":{{\"{}\":{}}}}}",
-                    escape(name),
-                    comp.as_str(),
-                    at.as_micros(),
-                    comp.id(),
-                    inst,
-                    escape(name),
-                    num(value),
-                ));
-            }
-            Record::Flow {
-                comp,
-                inst,
-                name,
-                at,
-                id,
-                phase,
-            } => {
-                // Flow arrows: "s" starts a chain, "t" continues it, "f"
-                // ends it; `bp:"e"` binds the terminus to the enclosing
-                // slice so the arrow lands on the apply span rather than
-                // the next event on that track.
-                let (ph, bp) = match phase {
-                    FlowPhase::Start => ("s", ""),
-                    FlowPhase::Step => ("t", ""),
-                    FlowPhase::End => ("f", ",\"bp\":\"e\""),
-                };
-                out.push_str(&format!(
-                    "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"{}\",\"ts\":{},\"pid\":{},\"tid\":{},\"id\":{}{}}}",
-                    escape(name),
-                    comp.as_str(),
-                    ph,
-                    at.as_micros(),
-                    comp.id(),
-                    inst,
-                    id,
-                    bp,
-                ));
-            }
-        }
+        write_record(&mut out, r).expect("writing to a String cannot fail");
     }
     out.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
     out
+}
+
+fn write_record(out: &mut String, r: Record) -> fmt::Result {
+    match r {
+        Record::Span {
+            comp,
+            inst,
+            name,
+            start,
+            dur,
+        } => write!(
+            out,
+            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{},\"tid\":{}}}",
+            Escaped(name),
+            comp.as_str(),
+            start.as_micros(),
+            dur.as_micros(),
+            comp.id(),
+            inst,
+        ),
+        Record::Instant {
+            comp,
+            inst,
+            name,
+            at,
+        } => write!(
+            out,
+            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"i\",\"ts\":{},\"pid\":{},\"tid\":{},\"s\":\"p\"}}",
+            Escaped(name),
+            comp.as_str(),
+            at.as_micros(),
+            comp.id(),
+            inst,
+        ),
+        Record::Counter {
+            comp,
+            inst,
+            name,
+            at,
+            value,
+        } => {
+            // Non-finite values as 0: Chrome's JSON parser rejects `NaN`.
+            let value = if value.is_finite() { value } else { 0.0 };
+            write!(
+                out,
+                "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"C\",\"ts\":{},\"pid\":{},\"tid\":{},\"args\":{{\"{}\":{}}}}}",
+                Escaped(name),
+                comp.as_str(),
+                at.as_micros(),
+                comp.id(),
+                inst,
+                Escaped(name),
+                value,
+            )
+        }
+        Record::Flow {
+            comp,
+            inst,
+            name,
+            at,
+            id,
+            phase,
+        } => {
+            // Flow arrows: "s" starts a chain, "t" continues it, "f"
+            // ends it; `bp:"e"` binds the terminus to the enclosing
+            // slice so the arrow lands on the apply span rather than
+            // the next event on that track.
+            let (ph, bp) = match phase {
+                FlowPhase::Start => ("s", ""),
+                FlowPhase::Step => ("t", ""),
+                FlowPhase::End => ("f", ",\"bp\":\"e\""),
+            };
+            write!(
+                out,
+                "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"{}\",\"ts\":{},\"pid\":{},\"tid\":{},\"id\":{}{}}}",
+                Escaped(name),
+                comp.as_str(),
+                ph,
+                at.as_micros(),
+                comp.id(),
+                inst,
+                id,
+                bp,
+            )
+        }
+    }
 }
 
 #[cfg(test)]
@@ -195,8 +197,8 @@ mod tests {
 
     #[test]
     fn escape_handles_specials() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
+        assert_eq!(Escaped("a\"b\\c\nd").to_string(), "a\\\"b\\\\c\\nd");
+        assert_eq!(Escaped("\u{1}").to_string(), "\\u0001");
     }
 
     #[test]
@@ -205,7 +207,7 @@ mod tests {
         // quote + key/value forgery, raw backslash, every short-form
         // control, DEL, and the JS line separators.
         let hostile = "x\",\"pid\":666,\"y\":\"\\ \n\r\t\u{8}\u{c}\u{0}\u{7f}\u{2028}\u{2029}z";
-        let escaped = escape(hostile);
+        let escaped = Escaped(hostile).to_string();
         assert_eq!(
             escaped,
             "x\\\",\\\"pid\\\":666,\\\"y\\\":\\\"\\\\ \\n\\r\\t\\b\\f\\u0000\\u007f\\u2028\\u2029z"
