@@ -603,7 +603,9 @@ mod tests {
         );
         let db = t.tsdb().unwrap();
         assert_eq!(db.len(), 2, "only explicit tsdb probes create tracks");
-        assert_eq!(db.mean_series(Component::Sql, 0, "waiters"), [(0.0, 7.0)]);
+        let waiting = db.track(Component::Sql, 0, "waiters").unwrap();
+        let means: Vec<_> = waiting.samples().map(|(s, c)| (s, c.mean())).collect();
+        assert_eq!(means, [(0, 7.0)]);
         let track = db.track(Component::Repl, 1, "lat_ms").unwrap();
         assert_eq!(track.samples().next().unwrap().1.count(), 1);
         // The counter series is unaffected by the tsdb.

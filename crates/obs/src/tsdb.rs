@@ -351,17 +351,6 @@ impl Tsdb {
         self.tracks.is_empty()
     }
 
-    /// `(slot start seconds, interval mean)` series for one track.
-    pub fn mean_series(&self, comp: Component, inst: u32, name: &'static str) -> Vec<(f64, f64)> {
-        self.track(comp, inst, name)
-            .map(|t| {
-                t.samples()
-                    .map(|(s, c)| (self.slot_start_secs(s), c.mean()))
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
     /// Total slots evicted across all tracks (0 means no data was lost).
     pub fn total_evicted(&self) -> u64 {
         self.tracks.values().map(|t| t.evicted).sum()
@@ -453,9 +442,11 @@ mod tests {
         db.record(Component::Cpu, 0, "util", at(300), 0.9);
         let track = db.track(Component::Cpu, 0, "util").unwrap();
         assert_eq!(track.len(), 2, "two 250 ms slots touched");
-        let series = db.mean_series(Component::Cpu, 0, "util");
-        assert_eq!(series[0], (0.0, 0.6));
-        assert_eq!(series[1], (0.25, 0.9));
+        let series: Vec<_> = track
+            .samples()
+            .map(|(s, c)| (db.slot_start_secs(s), c.mean()))
+            .collect();
+        assert_eq!(series, [(0.0, 0.6), (0.25, 0.9)]);
     }
 
     #[test]

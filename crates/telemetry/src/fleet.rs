@@ -75,11 +75,6 @@ impl FleetTelemetry {
         self.shards.iter().map(|(_, t)| t.waterfall.committed).sum()
     }
 
-    /// Traces lost to the FIFO caps across the fleet.
-    pub fn total_evicted(&self) -> u64 {
-        self.shards.iter().map(|(_, t)| t.waterfall.evicted).sum()
-    }
-
     /// The fleet alert timeline as a table — the per-tree
     /// [`Telemetry::alert_table`] columns plus a leading `shard` column.
     pub fn alert_table(&self) -> Table {
@@ -191,6 +186,5 @@ mod tests {
         f.absorb(0, shard_telemetry(0, 100));
         f.absorb(1, shard_telemetry(1, 100));
         assert_eq!(f.total_committed(), 2);
-        assert_eq!(f.total_evicted(), 0);
     }
 }

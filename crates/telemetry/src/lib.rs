@@ -117,13 +117,6 @@ impl Telemetry {
         }
         t
     }
-
-    /// Terminal rendering: waterfall plus alert timeline.
-    pub fn render(&self) -> String {
-        let mut out = self.waterfall.table().render();
-        out.push_str(&self.alert_table().render());
-        out
-    }
 }
 
 #[cfg(test)]
@@ -141,8 +134,7 @@ mod tests {
     #[test]
     fn telemetry_bundle_renders_empty() {
         let t = Telemetry::new(&TelemetryConfig::default(), 2);
-        let r = t.render();
-        assert!(r.contains("staleness waterfall"));
-        assert!(r.contains("alert timeline"));
+        assert!(t.waterfall.table().render().contains("staleness waterfall"));
+        assert!(t.alert_table().render().contains("alert timeline"));
     }
 }

@@ -155,7 +155,8 @@ fn telemetry_outputs_are_byte_identical_for_same_seed() {
     let outputs = |seed: u64| {
         let CellRun { obs, telemetry, .. } = run(observed_cfg(30, 2, seed));
         let t = telemetry.expect("obs on");
-        (obs.chrome_trace().expect("trace"), t.render())
+        let render = t.waterfall.table().render() + &t.alert_table().render();
+        (obs.chrome_trace().expect("trace"), render)
     };
     let (trace_a, render_a) = outputs(7);
     let (trace_b, render_b) = outputs(7);
