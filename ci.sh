@@ -14,6 +14,12 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== cargo doc (a dangling intra-doc link is an error) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --exclude proptest
 
+echo "== amdb-pool is a leaf: no workspace crate depends on it =="
+# The cluster does not model a connection pool. The crate stays only because
+# benchmark/, a package outside the workspace, still drives SimPool.
+dependents=$(cargo tree --workspace --offline -i amdb-pool -e normal,build,dev --prefix none | sed 1d)
+[ -z "$dependents" ] || { echo "amdb-pool has workspace dependents:"; echo "$dependents"; exit 1; }
+
 echo "== tier-1: release build =="
 cargo build --release --offline
 # The root package build skips workspace-member bins; the table below
@@ -63,7 +69,9 @@ done
 # Timing contracts, read from the smoke's layer ledger rather than
 # re-measured: a disabled obs probe is a discriminant test (sub-ns), and a
 # plan-cache hit beats parse+plan by at least 5x. Both awk checks also hold
-# the exact pool.waited_share at 0: one connection per user never queues.
+# the exact pool.waited_share at 0. The cluster has no pool, and the report
+# fills the waited half of pool_stats with 0, so the row is 0 by
+# construction until the benchmark re-freeze removes it.
 awk '$1 == "metric" || $1 == "exact" { m[$2] = $3 }
   END { p = m["obs.disabled_probe_ns"]; c = m["sql.prepare_cold_ns"]; h = m["sql.prepare_hit_ns"]
         if (p == "" || p + 0 >= 1) { print "obs.disabled_probe_ns = " p ", want < 1"; bad = 1 }
