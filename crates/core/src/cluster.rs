@@ -1978,6 +1978,11 @@ impl Cluster {
             .instant(Component::Cluster, s as u32, "slave_failed", sim.now());
         self.events_log
             .push((sim.now(), format!("slave {s} failed")));
+        // The failed VM applies and serves nothing more: the waterfall owes
+        // it no stage until a replacement re-seeds the slot.
+        if self.obs.is_enabled() {
+            self.telemetry.waterfall.on_slot_down(s);
+        }
         // Drain its queue now (in-flight CPU job, if any, still completes —
         // modelling responses already on the wire).
         self.try_start(sim, node_idx);

@@ -466,14 +466,16 @@ fn fnv_parts(parts: &[String]) -> u64 {
 /// (a) and (c)), and (b), whose master fails, holds 14 write traces in
 /// flight at run end instead of 2 090. All three moved when the connection
 /// pool left the model: the trace lost its `pool` counter tracks, and
-/// nothing else changed.
+/// nothing else changed. (a) moved once more when a failed slave's slot was
+/// waived at the failure, not only at the replacement's re-seed: its
+/// waterfall's `{:?}` prints `down: [false]` for the slot it cleared.
 #[test]
 fn plane_trace_bytes_are_pinned() {
     let digests = pinned_cells().map(run_digest);
     assert_eq!(
         digests,
         [
-            0x3e08_9484_271c_5ac9,
+            0x9e64_aec0_7afc_95ec,
             0x1463_97b4_f168_4d5b,
             0x70a7_2a31_fefd_15e1
         ],
@@ -525,4 +527,30 @@ fn a_failed_masters_slot_leaves_no_write_trace_in_flight() {
             t.waterfall.inflight()
         );
     }
+}
+
+/// A failed slave that is never replaced applies and serves nothing more,
+/// so the waterfall owes it no stage: like the cell with the replacement,
+/// the cell ends with only the writes of the load's last second, which no
+/// read followed, still in flight — not every write committed after the
+/// failure.
+#[test]
+fn a_failed_slave_leaves_no_write_trace_in_flight() {
+    use amdb::core::FaultPlan;
+    let mut cfg = row_apply_cfg(4, true, 7);
+    let (fail_at, _) = slave_fault();
+    cfg.faults.push(FaultPlan {
+        slave: 0,
+        fail_at,
+        recover_after: None,
+    });
+    let load_end = cfg.workload.phases.load_end().as_micros();
+    let tail_from = amdb::sim::SimTime::from_micros(load_end - 1_000_000);
+    let t = run(cfg).telemetry.expect("obs on");
+    let oldest = t.waterfall.oldest_inflight();
+    assert!(
+        oldest.is_none_or(|at| at >= tail_from),
+        "{} writes in flight, the oldest committed at {oldest:?}",
+        t.waterfall.inflight()
+    );
 }
