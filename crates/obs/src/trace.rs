@@ -92,6 +92,10 @@ const KIND_INSTANT: u8 = 1;
 const KIND_COUNTER: u8 = 2;
 const KIND_FLOW: u8 = 3;
 
+/// Counter header bit 5: the value is a whole number below 2^53, stored as
+/// a varint instead of its raw bits.
+const COUNTER_VARINT: u8 = 1 << 5;
+
 /// Longest encoded record: header, two 5-byte and two 10-byte varints.
 const MAX_RECORD_BYTES: usize = 1 + 5 + 5 + 10 + 10;
 
@@ -165,6 +169,7 @@ impl Hasher for AddrHasher {
 ///
 /// * a header byte: kind (bits 0–1), the component's position in
 ///   `COMPONENTS` (bits 2–4) and, for flows, the [`FlowPhase`] (bits 5–6);
+///   for counters, bit 5 is `COUNTER_VARINT`;
 /// * the instance, as a varint;
 /// * the name, as a varint index into `names`. The table is keyed by the
 ///   `&'static str`'s address and length, so the same text at two
@@ -173,8 +178,11 @@ impl Hasher for AddrHasher {
 ///   previous record's, in µs: a span or flow may lie before or after the
 ///   record recorded just ahead of it;
 /// * the payload: a span's duration as a varint, a flow's id as a varint,
-///   a counter value's raw `f64` bits (little-endian), nothing for an
-///   instant.
+///   a counter value as a varint when it is a whole number in `[0, 2^53)`
+///   that round-trips bit-exactly through `u64` (most tick counters are
+///   small depths and backlogs), otherwise its raw `f64` bits
+///   (little-endian; `-0.0`, fractions, non-finite and huge values);
+///   nothing for an instant.
 #[derive(Debug, Default)]
 struct RecordLog {
     bytes: Vec<u8>,
@@ -198,11 +206,18 @@ impl RecordLog {
     }
 
     fn push(&mut self, r: &Record) {
-        let (kind, phase, payload) = match *r {
+        let (kind, flags, payload) = match *r {
             Record::Span { dur, .. } => (KIND_SPAN, 0, dur.as_micros()),
             Record::Instant { .. } => (KIND_INSTANT, 0, 0),
-            Record::Counter { value, .. } => (KIND_COUNTER, 0, value.to_bits()),
-            Record::Flow { id, phase, .. } => (KIND_FLOW, phase as u8, id),
+            Record::Counter { value, .. } => {
+                let whole = value as u64;
+                if whole < 1 << 53 && (whole as f64).to_bits() == value.to_bits() {
+                    (KIND_COUNTER, COUNTER_VARINT, whole)
+                } else {
+                    (KIND_COUNTER, 0, value.to_bits())
+                }
+            }
+            Record::Flow { id, phase, .. } => (KIND_FLOW, (phase as u8) << 5, id),
         };
         let (Record::Span { inst, name, .. }
         | Record::Instant { inst, name, .. }
@@ -210,7 +225,7 @@ impl RecordLog {
         | Record::Flow { inst, name, .. }) = *r;
         let at = r.at().as_micros();
         let mut buf = [0u8; MAX_RECORD_BYTES];
-        buf[0] = kind | ((r.component() as u8) << 2) | (phase << 5);
+        buf[0] = kind | ((r.component() as u8) << 2) | flags;
         let mut n = 1;
         put_varint(&mut buf, &mut n, u64::from(inst));
         put_varint(&mut buf, &mut n, u64::from(self.name_id(name)));
@@ -219,7 +234,7 @@ impl RecordLog {
             &mut n,
             zigzag(at.wrapping_sub(self.last_us) as i64),
         );
-        if kind == KIND_COUNTER {
+        if kind == KIND_COUNTER && flags == 0 {
             buf[n..n + 8].copy_from_slice(&payload.to_le_bytes());
             n += 8;
         } else if kind != KIND_INSTANT {
@@ -271,14 +286,19 @@ impl Iterator for Records<'_> {
                 at,
             },
             KIND_COUNTER => {
-                let raw = bytes[self.pos..self.pos + 8].try_into().expect("8 bytes");
-                self.pos += 8;
+                let value = if header & COUNTER_VARINT != 0 {
+                    get_varint(bytes, &mut self.pos) as f64
+                } else {
+                    let raw = bytes[self.pos..self.pos + 8].try_into().expect("8 bytes");
+                    self.pos += 8;
+                    f64::from_bits(u64::from_le_bytes(raw))
+                };
                 Record::Counter {
                     comp,
                     inst,
                     name,
                     at,
-                    value: f64::from_bits(u64::from_le_bytes(raw)),
+                    value,
                 }
             }
             _ => Record::Flow {
@@ -712,8 +732,8 @@ mod tests {
 
     /// Every record kind, component and flow phase; times that step back
     /// and forward by small and huge amounts; `inst` and `id` at their
-    /// extremes; non-finite, negative-zero and arbitrary-bit counter
-    /// values; one name text at two addresses. The log decodes each to an
+    /// extremes; non-finite, negative-zero, arbitrary-bit and whole counter
+    /// values on both sides of 2^53; one name text at two addresses. The log decodes each to an
     /// equal record (the same `&'static str` included), and the Chrome
     /// export of the decoded stream equals that of the reference vector.
     #[test]
@@ -741,6 +761,12 @@ mod tests {
             f64::MIN_POSITIVE,
             f64::MAX,
             f64::from_bits(0x7ff8_dead_beef_0001),
+            1.0,
+            127.0,
+            128.0,
+            9_007_199_254_740_991.0,
+            9_007_199_254_740_992.0,
+            1e300,
         ];
         let times = [0, 1, 250_000, 0, u64::MAX, 3, u64::MAX - 1, 1 << 40, 5];
         let mut rng = Lcg(42);
@@ -881,6 +907,36 @@ mod tests {
             let mut pos = 0;
             assert_eq!(get_varint(&buf, &mut pos), v);
             assert_eq!(pos, n);
+        }
+    }
+
+    /// A whole counter value below 2^53 costs its varint; anything else —
+    /// `-0.0`, a fraction, 2^53 and up, a non-finite value — its 8 raw
+    /// bytes. Each decodes bit-exactly.
+    #[test]
+    fn whole_counter_values_encode_as_varints() {
+        let two_53 = 9_007_199_254_740_992.0;
+        for (value, payload) in [
+            (0.0, 1),
+            (3.0, 1),
+            (127.0, 1),
+            (128.0, 2),
+            (two_53 - 1.0, 8),
+            (two_53, 8),
+            (-0.0, 8),
+            (0.5, 8),
+            (-1.0, 8),
+            (f64::NAN, 8),
+            (f64::INFINITY, 8),
+            (1e300, 8),
+        ] {
+            let mut t = TraceRecorder::new();
+            t.counter(Component::Repl, 0, "backlog", SimTime::ZERO, value);
+            assert_eq!(t.encoded_bytes(), 4 + payload, "value {value:?}");
+            let Some(Record::Counter { value: back, .. }) = t.records().next() else {
+                panic!("expected a counter");
+            };
+            assert_eq!(back.to_bits(), value.to_bits(), "value {value:?}");
         }
     }
 }
