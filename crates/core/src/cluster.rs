@@ -43,7 +43,7 @@ use amdb_consistency::{
 };
 use amdb_metrics::{trimmed_mean, OnlineStats, Summary};
 use amdb_net::{NetModel, Proximity, Zone};
-use amdb_obs::{BottleneckReport, Component, FlowPhase, MetricId, Obs, ResourceUsage};
+use amdb_obs::{BottleneckReport, Component, FlowPhase, Obs, ResourceUsage};
 use amdb_proxy::{
     Balancer, LatencyAware, LeastOutstanding, OpClass as ProxyClass, Proxy, RandomPick, RoundRobin,
     Route,
@@ -550,11 +550,6 @@ struct Sampled {
     rtt_class: String,
 }
 
-/// Slots in a node's cached demand-sketch handle array.
-const SK_READ: usize = 0;
-const SK_WRITE: usize = 1;
-const SK_APPLY: usize = 2;
-
 /// The paper's fixed environment (§III-B): every instance's clock is
 /// NTP-disciplined once a second, the master inserts one heartbeat row a
 /// second, and the master runs on one host model so its capacity is the same
@@ -633,12 +628,6 @@ pub struct Cluster {
     stats: Stats,
     /// Observability recorder; `Obs::Null` unless `cfg.obs.enabled`.
     obs: Obs,
-    /// Cached per-node handles for the demand sketches on the hot
-    /// job-service path (`SK_READ`/`SK_WRITE`/`SK_APPLY`). Resolved lazily
-    /// on first record so the registry holds exactly the metrics the
-    /// name-addressed probes would create; grows with dynamic slave
-    /// launches.
-    sketch_ids: Vec<[Option<MetricId>; 3]>,
     /// Consistency layer, `Eventual` unless `cfg.consistency` sets a policy.
     consistency: ConsistencyLayer,
     /// Staleness waterfall and SLO engine. Fed only with observability on:
@@ -764,26 +753,6 @@ impl Cluster {
             pending_sync: Vec::new(),
             rng_ntp: root.derive("ntp"),
             stats: Stats::default(),
-            sketch_ids: Vec::new(),
-        }
-    }
-
-    /// Pre-resolved handle for one of a node's demand sketches. Only called
-    /// with tracing on.
-    fn demand_sketch_id(&mut self, node_idx: usize, which: usize, name: &'static str) -> MetricId {
-        if self.sketch_ids.len() <= node_idx {
-            self.sketch_ids.resize(node_idx + 1, [None; 3]);
-        }
-        match self.sketch_ids[node_idx][which] {
-            Some(id) => id,
-            None => {
-                let id = self
-                    .obs
-                    .sketch_handle(Component::Sql, node_idx as u32, name)
-                    .expect("demand sketches are only recorded with tracing on");
-                self.sketch_ids[node_idx][which] = Some(id);
-                id
-            }
         }
     }
 
@@ -1249,8 +1218,12 @@ impl Cluster {
                     }
                     self.obs
                         .span(Component::Repl, slave as u32, "apply", now, done);
-                    let id = self.demand_sketch_id(node_idx, SK_APPLY, "demand_apply_us");
-                    self.obs.observe_sketch_id(id, demand_us);
+                    self.obs.observe_sketch(
+                        Component::Sql,
+                        node_idx as u32,
+                        "demand_apply_us",
+                        demand_us,
+                    );
                     if self.cfg.apply_workers > 1 {
                         // Parallel apply: decompose the batch into per-worker
                         // spans (one per event, real per-event demand), name
@@ -1458,14 +1431,14 @@ impl Cluster {
             .cpu
             .submit(now, SimDuration::from_micros(demand_us.round() as u64));
         if self.obs.is_enabled() {
-            let (span, which, hist) = match op.class {
-                OpClass::Read => ("serve_read", SK_READ, "demand_read_us"),
-                OpClass::Write => ("serve_write", SK_WRITE, "demand_write_us"),
+            let (span, hist) = match op.class {
+                OpClass::Read => ("serve_read", "demand_read_us"),
+                OpClass::Write => ("serve_write", "demand_write_us"),
             };
+            let inst = node_idx as u32;
+            self.obs.span(Component::Cpu, inst, span, now, done);
             self.obs
-                .span(Component::Cpu, node_idx as u32, span, now, done);
-            let id = self.demand_sketch_id(node_idx, which, hist);
-            self.obs.observe_sketch_id(id, demand_us);
+                .observe_sketch(Component::Sql, inst, hist, demand_us);
         }
         done
     }

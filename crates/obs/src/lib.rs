@@ -14,9 +14,7 @@
 //! * [`Obs`] — the off-or-recording dispatcher whose methods compile to a
 //!   single discriminant test (and nothing else) when disabled;
 //! * [`MetricsRegistry`] — counters, gauges and quantile sketches (reusing
-//!   [`amdb_metrics`]) keyed by `(component, instance, name)` in a
-//!   `BTreeMap`, so iteration order — and therefore every export — is
-//!   deterministic;
+//!   [`amdb_metrics`]) keyed by `(component, instance, name)`;
 //! * [`Tsdb`] — a fixed-interval, bounded-memory time-series store whose
 //!   per-slot cells merge across shard trees, the substrate for fleet
 //!   rollups (per-shard and fleet-wide staleness/throughput/utilization
@@ -31,9 +29,18 @@
 //!   paper's central observation made legible: *"the observed saturation
 //!   point … appearing in slaves at the beginning … eventually the
 //!   saturation will transit from slaves to the master"* (§IV-A).
+//!
+//! The registry and the tsdb hold their values in dense slots behind one
+//! private key index, which every probe goes through by name: it finds a
+//! key by the name's address and length with a one-multiply hash, falls
+//! back to the name's text on a miss (the same text at two addresses is
+//! one metric, one track), and iterates in key order, so every export is
+//! deterministic. The trace log's name table uses the same hash.
+
 
 pub mod bottleneck;
 pub mod chrome;
+mod index;
 pub mod openmetrics;
 pub mod registry;
 pub mod trace;
@@ -42,7 +49,7 @@ pub mod tsdb;
 pub use bottleneck::{BottleneckReport, ResourceUsage};
 pub use chrome::chrome_trace_json;
 pub use openmetrics::{openmetrics_text, openmetrics_text_multi};
-pub use registry::{Metric, MetricId, MetricKey, MetricsRegistry};
+pub use registry::{Metric, MetricKey, MetricsRegistry};
 pub use trace::{FlowPhase, Record, TraceRecorder};
 pub use tsdb::{Tsdb, TsdbCell, TsdbTrack};
 
@@ -237,31 +244,6 @@ impl Obs {
     pub fn observe_sketch(&mut self, comp: Component, inst: u32, name: &'static str, value: f64) {
         if let Obs::Trace(t) = self {
             t.registry_mut().observe_sketch(comp, inst, name, value);
-        }
-    }
-
-    /// Pre-resolve a sketch handle for a hot probe site. Returns `None` when
-    /// tracing is off; the metric is created on resolution, so resolve lazily
-    /// (at first record, not at construction) to keep exports identical to
-    /// the name-addressed path.
-    pub fn sketch_handle(
-        &mut self,
-        comp: Component,
-        inst: u32,
-        name: &'static str,
-    ) -> Option<MetricId> {
-        match self {
-            Obs::Trace(t) => Some(t.registry_mut().sketch_handle(comp, inst, name)),
-            _ => None,
-        }
-    }
-
-    /// Record into a pre-resolved sketch — one array index instead of a
-    /// keyed map lookup per observation.
-    #[inline]
-    pub fn observe_sketch_id(&mut self, id: MetricId, value: f64) {
-        if let Obs::Trace(t) = self {
-            t.registry_mut().observe_sketch_id(id, value);
         }
     }
 

@@ -1,14 +1,15 @@
 //! Deterministic metrics registry.
 //!
-//! Metrics are keyed by `(component, instance, name)` in a `BTreeMap`, so
-//! every iteration — and every table/CSV export built from one — visits keys
-//! in the same order on every run. Sketches reuse the `amdb-metrics`
+//! Metrics are keyed by `(component, instance, name)` through the crate's
+//! one key index: a probe finds its slot by the name's address (its text on
+//! a miss), and every iteration — and every table/CSV export built from one
+//! — visits keys in text order, the same on every run. Sketches reuse the `amdb-metrics`
 //! implementation. Counter-track samples are not held here: they live once,
 //! in the trace recorder's log, and their series export derives from it.
 
+use crate::index::KeyIndex;
 use crate::Component;
 use amdb_metrics::{QuantileSketch, Table};
-use std::collections::BTreeMap;
 
 /// Registry key: which metric on which component instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -33,22 +34,13 @@ pub enum Metric {
     Sketch(QuantileSketch),
 }
 
-/// Pre-resolved handle to one registered metric: a direct index into the
-/// registry's slot vector, skipping the per-probe `BTreeMap` descent (and
-/// its three-word key comparisons). Handles are only valid for the registry
-/// that issued them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MetricId(usize);
-
-/// Deterministically ordered collection of counters, gauges and sketches.
-///
-/// Storage is split: `slots` holds the metric values (probe writes are an
-/// index away), `index` maps keys to slots and — being a `BTreeMap` —
-/// fixes every export's iteration order regardless of registration order.
+/// Deterministically ordered collection of counters, gauges and sketches:
+/// the values in dense slots behind the crate's one key index, which
+/// resolves a probe's key by its name's address (by its text on a miss) and
+/// iterates in key order whatever the registration order.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    index: BTreeMap<MetricKey, usize>,
-    slots: Vec<Metric>,
+    metrics: KeyIndex<Metric>,
 }
 
 impl MetricsRegistry {
@@ -57,58 +49,16 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    fn key(comp: Component, inst: u32, name: &'static str) -> MetricKey {
-        MetricKey { comp, inst, name }
-    }
-
-    /// Slot index for a key, creating the metric via `mk` on first use.
-    fn slot_of(
-        &mut self,
-        comp: Component,
-        inst: u32,
-        name: &'static str,
-        mk: impl FnOnce() -> Metric,
-    ) -> usize {
-        match self.index.entry(Self::key(comp, inst, name)) {
-            std::collections::btree_map::Entry::Occupied(e) => *e.get(),
-            std::collections::btree_map::Entry::Vacant(v) => {
-                let i = self.slots.len();
-                self.slots.push(mk());
-                v.insert(i);
-                i
-            }
-        }
-    }
-
-    /// Pre-resolve a sketch handle (creating the sketch on first call). Hot
-    /// probes hold the [`MetricId`] and call [`Self::observe_sketch_id`] per
-    /// event.
-    pub fn sketch_handle(&mut self, comp: Component, inst: u32, name: &'static str) -> MetricId {
-        MetricId(self.slot_of(comp, inst, name, || {
-            Metric::Sketch(QuantileSketch::latency())
-        }))
-    }
-
-    /// Record into a pre-resolved sketch.
-    ///
-    /// # Panics
-    /// Panics if the handle names a non-sketch (handle/probe kind bug).
-    #[inline]
-    pub fn observe_sketch_id(&mut self, id: MetricId, value: f64) {
-        match &mut self.slots[id.0] {
-            Metric::Sketch(s) => s.record(value),
-            other => panic!("MetricId does not name a sketch: {other:?}"),
-        }
-    }
-
     /// Add `by` to a counter, creating it at zero on first use.
     ///
     /// # Panics
     /// Panics if the key is already registered as a different metric kind
     /// (probe bug: one name, one kind).
     pub fn incr(&mut self, comp: Component, inst: u32, name: &'static str, by: u64) {
-        let i = self.slot_of(comp, inst, name, || Metric::Counter(0));
-        match &mut self.slots[i] {
+        match self
+            .metrics
+            .get_or_insert_with(comp, inst, name, || Metric::Counter(0))
+        {
             Metric::Counter(c) => *c += by,
             other => panic!("metric {comp}/{inst}/{name} is not a counter: {other:?}"),
         }
@@ -116,11 +66,11 @@ impl MetricsRegistry {
 
     /// Set a gauge; tracks the maximum across all writes.
     pub fn gauge(&mut self, comp: Component, inst: u32, name: &'static str, value: f64) {
-        let i = self.slot_of(comp, inst, name, || Metric::Gauge {
+        let mk = || Metric::Gauge {
             last: value,
             max: value,
-        });
-        match &mut self.slots[i] {
+        };
+        match self.metrics.get_or_insert_with(comp, inst, name, mk) {
             Metric::Gauge { last, max } => {
                 *last = value;
                 if value > *max {
@@ -136,10 +86,8 @@ impl MetricsRegistry {
     /// Memory is bounded and the quantile estimate tracks the exact
     /// percentile to within one bucket width.
     pub fn observe_sketch(&mut self, comp: Component, inst: u32, name: &'static str, value: f64) {
-        let i = self.slot_of(comp, inst, name, || {
-            Metric::Sketch(QuantileSketch::latency())
-        });
-        match &mut self.slots[i] {
+        let mk = || Metric::Sketch(QuantileSketch::latency());
+        match self.metrics.get_or_insert_with(comp, inst, name, mk) {
             Metric::Sketch(s) => s.record(value),
             other => panic!("metric {comp}/{inst}/{name} is not a sketch: {other:?}"),
         }
@@ -147,9 +95,7 @@ impl MetricsRegistry {
 
     /// Look up a metric.
     pub fn get(&self, comp: Component, inst: u32, name: &'static str) -> Option<&Metric> {
-        self.index
-            .get(&Self::key(comp, inst, name))
-            .map(|&i| &self.slots[i])
+        self.metrics.get(comp, inst, name)
     }
 
     /// Counter value, or 0 when absent / not a counter.
@@ -162,17 +108,17 @@ impl MetricsRegistry {
 
     /// All metrics in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&MetricKey, &Metric)> {
-        self.index.iter().map(|(k, &i)| (k, &self.slots[i]))
+        self.metrics.iter()
     }
 
     /// Number of registered metrics.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.metrics.len()
     }
 
     /// True when nothing has been registered.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.metrics.is_empty()
     }
 
     /// Scalar summary table: one row per counter/gauge/sketch (counter
@@ -272,17 +218,28 @@ mod tests {
         r.incr(Component::Cpu, 0, "x", 1);
     }
 
+    /// A name probed at a second address — a leaked `String` here, another
+    /// crate's literal in a run — is the literal's metric, and exports once.
     #[test]
-    fn handles_alias_the_name_addressed_metric() {
+    fn a_name_at_a_second_address_is_the_same_metric() {
+        let other: &'static str = Box::leak(String::from("routed").into_boxed_str());
+        assert!(!std::ptr::eq(other, "routed"));
         let mut r = MetricsRegistry::new();
-        let s = r.sketch_handle(Component::Sql, 1, "demand_read_us");
-        r.observe_sketch_id(s, 10.0);
-        r.observe_sketch(Component::Sql, 1, "demand_read_us", 20.0);
-        let Some(Metric::Sketch(sk)) = r.get(Component::Sql, 1, "demand_read_us") else {
+        r.incr(Component::Proxy, 0, "routed", 2);
+        r.incr(Component::Proxy, 0, other, 3);
+        r.observe_sketch(Component::Sql, 1, "demand", 20.0);
+        r.observe_sketch(Component::Sql, 1, Box::leak("demand".into()), 30.0);
+        assert_eq!(r.len(), 2);
+        assert_eq!(r.counter_value(Component::Proxy, 0, "routed"), 5);
+        assert_eq!(r.counter_value(Component::Proxy, 0, other), 5);
+        let Some(Metric::Sketch(s)) = r.get(Component::Sql, 1, "demand") else {
             panic!("expected sketch");
         };
-        assert_eq!(sk.count(), 2);
-        assert_eq!(r.sketch_handle(Component::Sql, 1, "demand_read_us"), s);
+        assert_eq!(s.count(), 2);
+        assert_eq!(
+            r.summary_table().to_csv().matches("routed,counter").count(),
+            1
+        );
     }
 
     #[test]

@@ -5,13 +5,13 @@
 //! order for a given seed, the record stream — and any export derived from
 //! it — is bit-identical across same-seed runs.
 
+use crate::index::AddrMap;
 use crate::registry::{MetricKey, MetricsRegistry};
 use crate::tsdb::Tsdb;
 use crate::Component;
 use amdb_metrics::Table;
 use amdb_sim::{SimDuration, SimTime};
-use std::collections::{BTreeMap, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::BTreeMap;
 
 /// One observability record.
 #[derive(Debug, Clone, PartialEq)]
@@ -144,36 +144,16 @@ fn unzigzag(z: u64) -> i64 {
     (z >> 1) as i64 ^ -((z & 1) as i64)
 }
 
-/// Hashes a name's `(address, length)` key: one multiply per word. Names
-/// are static probe labels, so the table stays small and lookups hot.
-#[derive(Default)]
-struct AddrHasher(u64);
-
-impl Hasher for AddrHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_usize(usize::from(b));
-        }
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.0 = (self.0.rotate_left(29) ^ n as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
-}
-
 /// The recorder's append-only record log. Each record is encoded as
 ///
 /// * a header byte: kind (bits 0–1), the component's position in
 ///   `COMPONENTS` (bits 2–4) and, for flows, the [`FlowPhase`] (bits 5–6);
 ///   for counters, bit 5 is `COUNTER_VARINT`;
 /// * the instance, as a varint;
-/// * the name, as a varint index into `names`. The table is keyed by the
-///   `&'static str`'s address and length, so the same text at two
-///   addresses takes two entries, each decoding to its own string;
+/// * the name, as a varint index into `names`. The table is keyed, as the
+///   key index's first probe is, by the `&'static str`'s address and
+///   length, so the same text at two addresses takes two entries, each
+///   decoding to its own string;
 /// * the time (span start for spans) as a zigzag varint delta from the
 ///   previous record's, in µs: a span or flow may lie before or after the
 ///   record recorded just ahead of it;
@@ -188,7 +168,7 @@ struct RecordLog {
     bytes: Vec<u8>,
     len: usize,
     names: Vec<&'static str>,
-    name_ids: HashMap<(usize, usize), u32, BuildHasherDefault<AddrHasher>>,
+    name_ids: AddrMap<(usize, usize), u32>,
     /// Time of the last record appended (µs).
     last_us: u64,
 }

@@ -15,48 +15,21 @@
 //! * the ring evicts its oldest slots beyond a fixed capacity and counts
 //!   the evictions — silent data loss is visible, memory cannot grow with
 //!   run length;
-//! * iteration follows the registry's `(component, instance, name)` key
-//!   order, so every export is byte-deterministic.
+//! * tracks sit behind the crate's one key index, as registry metrics do:
+//!   a probe finds its track by the name's address (by its text on a miss,
+//!   so stores whose names live at different addresses still merge track
+//!   for track), and iteration follows the `(component, instance, name)`
+//!   key order, so every export is byte-deterministic.
 //!
 //! Timestamps are **simulated** time, so a store's contents are a pure
 //! function of the seed — merging per-shard stores in any order yields the
 //! same fleet rollup.
 
+use crate::index::KeyIndex;
 use crate::{Component, MetricKey};
 use amdb_metrics::{QuantileSketch, Table};
 use amdb_sim::SimTime;
-use std::collections::HashMap;
 use std::collections::VecDeque;
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// FNV-1a hasher for track keys. The record path pays one hash per
-/// sample; FNV over the short `(comp, inst, name)` key costs a few ns where
-/// the default SipHash costs tens, and — unlike the default's per-map
-/// random seed — it is a fixed function, so probe order never varies
-/// between runs. (Keys are trusted static probe names, not attacker input.)
-#[derive(Default)]
-pub struct FnvHasher(u64);
-
-impl Hasher for FnvHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        let mut h = if self.0 == 0 {
-            0xcbf2_9ce4_8422_2325
-        } else {
-            self.0
-        };
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        self.0 = h;
-    }
-}
-
-type FnvBuild = BuildHasherDefault<FnvHasher>;
 
 /// Default ring capacity per track: at the default 250 ms interval this
 /// covers ~17 minutes of simulated time, far beyond any paper-scale run.
@@ -264,16 +237,16 @@ impl TsdbTrack {
 
 /// The store: fixed-interval tracks keyed like registry metrics.
 ///
-/// Tracks live in a hash map — the record path runs at probe rate (every
-/// opted-in sample pays one lookup), and hashing the short static
-/// key is several times cheaper than a `BTreeMap` walk. Every read path
-/// that iterates (export, merge) sorts by key first, so exports
-/// stay byte-deterministic and float folds always sum in key order.
+/// Tracks live in dense slots behind the crate's one key index, as registry
+/// metrics do: the record path runs at probe rate and finds its track by
+/// the name's address, and every read path that iterates (export, merge)
+/// visits tracks in key order, so exports stay byte-deterministic and float
+/// folds always sum in key order.
 #[derive(Debug, Clone)]
 pub struct Tsdb {
     interval_us: u64,
     cap: usize,
-    tracks: HashMap<MetricKey, TsdbTrack, FnvBuild>,
+    tracks: KeyIndex<TsdbTrack>,
 }
 
 impl Tsdb {
@@ -288,7 +261,7 @@ impl Tsdb {
         Self {
             interval_us: interval_ms.max(1) * 1_000,
             cap: slots_per_track,
-            tracks: HashMap::default(),
+            tracks: KeyIndex::default(),
         }
     }
 
@@ -312,8 +285,7 @@ impl Tsdb {
         let slot = self.slot_of(at);
         let track = self
             .tracks
-            .entry(MetricKey { comp, inst, name })
-            .or_default();
+            .get_or_insert_with(comp, inst, name, TsdbTrack::default);
         track.upsert(slot, v, TsdbCell::value);
         track.trim(self.cap);
     }
@@ -323,22 +295,19 @@ impl Tsdb {
         let slot = self.slot_of(at);
         let track = self
             .tracks
-            .entry(MetricKey { comp, inst, name })
-            .or_default();
+            .get_or_insert_with(comp, inst, name, TsdbTrack::default);
         track.upsert(slot, v, TsdbCell::sketch);
         track.trim(self.cap);
     }
 
     /// One track, when present.
     pub fn track(&self, comp: Component, inst: u32, name: &'static str) -> Option<&TsdbTrack> {
-        self.tracks.get(&MetricKey { comp, inst, name })
+        self.tracks.get(comp, inst, name)
     }
 
     /// All tracks in key order.
     pub fn tracks(&self) -> impl Iterator<Item = (&MetricKey, &TsdbTrack)> {
-        let mut v: Vec<_> = self.tracks.iter().collect();
-        v.sort_by_key(|(k, _)| **k);
-        v.into_iter()
+        self.tracks.iter()
     }
 
     /// Number of tracks.
@@ -372,7 +341,9 @@ impl Tsdb {
             "cannot merge tsdbs with different intervals"
         );
         for (key, track) in other.tracks() {
-            let mine = self.tracks.entry(*key).or_default();
+            let mine =
+                self.tracks
+                    .get_or_insert_with(key.comp, key.inst, key.name, TsdbTrack::default);
             for (slot, cell) in track.samples() {
                 mine.merge_cell(slot, cell);
             }
@@ -526,6 +497,50 @@ mod tests {
             sketch,
             48 + std::mem::size_of::<QuantileSketch>() + std::mem::size_of::<u64>(),
             "a sketch cell holds its slot, its boxed sketch and one counter"
+        );
+    }
+
+    /// `text` at an address of its own, never a literal's.
+    fn leaked(text: &str) -> &'static str {
+        Box::leak(text.to_owned().into_boxed_str())
+    }
+
+    #[test]
+    fn a_name_at_a_second_address_is_the_same_track() {
+        let backlog = leaked("backlog");
+        let mut db = Tsdb::new(250);
+        db.record(Component::Repl, 1, "backlog", at(0), 2.0);
+        db.record(Component::Repl, 1, backlog, at(100), 4.0);
+        db.record(Component::Repl, 1, backlog, at(300), 6.0);
+        assert_eq!(db.len(), 1);
+        let track = db.track(Component::Repl, 1, leaked("backlog")).unwrap();
+        let means: Vec<_> = track.samples().map(|(s, c)| (s, c.mean())).collect();
+        assert_eq!(means, [(0, 3.0), (1, 6.0)]);
+    }
+
+    /// Two stores whose names live at different addresses — two trees
+    /// merged by another crate — fold into one track per name.
+    #[test]
+    fn stores_whose_names_differ_in_address_merge_track_for_track() {
+        let mut a = Tsdb::new(250);
+        let mut b = Tsdb::new(250);
+        a.record(Component::Cpu, 0, "util", at(0), 0.5);
+        a.observe(Component::Repl, 2, "lat_ms", at(0), 3.0);
+        b.record(Component::Cpu, 0, leaked("util"), at(0), 0.7);
+        b.observe(Component::Repl, 2, leaked("lat_ms"), at(300), 5.0);
+        let mut merged = Tsdb::new(250);
+        merged.merge(&a);
+        merged.merge(&b);
+        assert_eq!(merged.len(), 2);
+        let util = merged.track(Component::Cpu, 0, "util").unwrap();
+        let (_, cell) = util.samples().next().unwrap();
+        assert_eq!((util.len(), cell.count()), (1, 2));
+        let lat = merged.track(Component::Repl, 2, "lat_ms").unwrap();
+        assert_eq!(lat.len(), 2);
+        assert_eq!(
+            merged.csv().lines().count(),
+            1 + 3,
+            "one header, one row per slot of each of the two tracks"
         );
     }
 
