@@ -874,7 +874,7 @@ mod tests {
             let solo = solo.telemetry.expect("telemetry on");
             let (_, fleet) = run_sharded_telemetry(ShardedConfig::new(1, base));
             let (_, tree) = fleet.telemetry.shards().next().expect("one tree");
-            assert_eq!(tree.alert_table().to_csv(), solo.alert_table().to_csv());
+            assert_eq!(tree.slo.alerts(), solo.slo.alerts());
             assert_eq!(
                 tree.waterfall.table().render(),
                 solo.waterfall.table().render()

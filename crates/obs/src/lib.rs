@@ -19,9 +19,9 @@
 //!   per-slot cells merge across shard trees, the substrate for fleet
 //!   rollups (per-shard and fleet-wide staleness/throughput/utilization
 //!   series queryable at run end);
-//! * [`openmetrics_text`] / [`openmetrics_text_multi`] — OpenMetrics text
-//!   exposition of one recorder (its registry and its counter tracks' last
-//!   samples) or a whole fleet of shard-tagged ones;
+//! * [`openmetrics_text_multi`] — OpenMetrics text exposition of one
+//!   recorder (its registry and its counter tracks' last samples) or a
+//!   whole fleet of shard-tagged ones;
 //! * [`chrome_trace_json`] — Chrome trace-format (`chrome://tracing`,
 //!   Perfetto) JSON export of the record stream;
 //! * [`BottleneckReport`] — per-instance utilization / queue-depth rows over
@@ -37,7 +37,6 @@
 //! one metric, one track), and iterates in key order, so every export is
 //! deterministic. The trace log's name table uses the same hash.
 
-
 pub mod bottleneck;
 pub mod chrome;
 mod index;
@@ -48,7 +47,7 @@ pub mod tsdb;
 
 pub use bottleneck::{BottleneckReport, ResourceUsage};
 pub use chrome::chrome_trace_json;
-pub use openmetrics::{openmetrics_text, openmetrics_text_multi};
+pub use openmetrics::openmetrics_text_multi;
 pub use registry::{Metric, MetricKey, MetricsRegistry};
 pub use trace::{FlowPhase, Record, TraceRecorder};
 pub use tsdb::{Tsdb, TsdbCell, TsdbTrack};
@@ -156,11 +155,6 @@ pub enum Obs {
 }
 
 impl Obs {
-    /// An active recorder.
-    pub fn trace() -> Self {
-        Obs::Trace(Box::new(TraceRecorder::new()))
-    }
-
     /// Build from a config knob.
     pub fn from_config(cfg: &ObsConfig) -> Self {
         if cfg.enabled {
@@ -352,7 +346,7 @@ mod tests {
 
     #[test]
     fn trace_obs_collects_in_order() {
-        let mut obs = Obs::trace();
+        let mut obs = Obs::Trace(Box::new(TraceRecorder::new()));
         obs.span(
             Component::Cpu,
             1,

@@ -75,15 +75,10 @@ enum Source<'a> {
     LastSample(f64, f64),
 }
 
-/// Render one recorder. Equivalent to a single-part
-/// [`openmetrics_text_multi`] without the `shard` label.
-pub fn openmetrics_text(rec: &TraceRecorder) -> String {
-    openmetrics_text_multi(&[("", rec)])
-}
-
 /// Render several recorders into one exposition. Each part is
 /// `(shard tag, recorder)`; a non-empty tag becomes a `shard="<tag>"`
-/// label on every sample from that part, letting per-tree recorders and
+/// label on every sample from that part (one recorder with the tag `""`
+/// renders without it), letting per-tree recorders and
 /// the front's recorder share one dump without name collisions.
 ///
 /// # Panics
@@ -188,8 +183,8 @@ mod tests {
     #[test]
     fn exposition_is_terminated_and_deterministic() {
         let r = seeded();
-        let a = openmetrics_text(&r);
-        let b = openmetrics_text(&r);
+        let a = openmetrics_text_multi(&[("", &r)]);
+        let b = openmetrics_text_multi(&[("", &r)]);
         assert_eq!(a, b);
         assert!(a.ends_with("# EOF\n"));
         assert_eq!(a.matches("# EOF").count(), 1);
@@ -197,7 +192,7 @@ mod tests {
 
     #[test]
     fn families_are_typed_once_and_never_interleaved() {
-        let text = openmetrics_text(&seeded());
+        let text = openmetrics_text_multi(&[("", &seeded())]);
         let mut seen = std::collections::BTreeSet::new();
         let mut current: Option<String> = None;
         for line in text.lines() {
@@ -221,7 +216,7 @@ mod tests {
 
     #[test]
     fn kinds_map_to_openmetrics_types() {
-        let text = openmetrics_text(&seeded());
+        let text = openmetrics_text_multi(&[("", &seeded())]);
         assert!(text.contains("# TYPE amdb_proxy_routed_reads counter"));
         assert!(
             text.contains("amdb_proxy_routed_reads_total{component=\"proxy\",instance=\"0\"} 7")
@@ -266,7 +261,7 @@ mod tests {
         t.counter(Component::Cpu, 2, "util", SimTime::from_secs(1), 0.5);
         t.registry_mut().gauge(Component::Cpu, 1, "util", 0.25);
         t.counter(Component::Cpu, 0, "util", SimTime::from_secs(2), 0.75);
-        let text = openmetrics_text(&t);
+        let text = openmetrics_text_multi(&[("", &t)]);
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(
             lines[..4],

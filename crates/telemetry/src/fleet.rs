@@ -75,8 +75,9 @@ impl FleetTelemetry {
         self.shards.iter().map(|(_, t)| t.waterfall.committed).sum()
     }
 
-    /// The fleet alert timeline as a table — the per-tree
-    /// [`Telemetry::alert_table`] columns plus a leading `shard` column.
+    /// The fleet alert timeline as a table, one row per fire/clear
+    /// transition: time, shard, rule, metric, instance, event, value and
+    /// attribution.
     pub fn alert_table(&self) -> Table {
         let mut t = Table::new(
             "fleet alert timeline",

@@ -38,7 +38,6 @@ pub use slo::{
 };
 pub use waterfall::{ClientLeg, SlaveLeg, StalenessWaterfall, DEFAULT_MAX_INFLIGHT};
 
-use amdb_metrics::Table;
 use amdb_obs::bottleneck::DEFAULT_SATURATION_THRESHOLD;
 
 /// Where a cluster's telemetry sits in a fleet, carried in
@@ -86,37 +85,6 @@ impl Telemetry {
             slo: SloEngine::new(paper_rules(), DEFAULT_SATURATION_THRESHOLD).with_shard(cfg.shard),
         }
     }
-
-    /// The alert timeline as a table (one row per fire/clear transition).
-    pub fn alert_table(&self) -> Table {
-        let mut t = Table::new(
-            "alert timeline",
-            vec![
-                "t (s)".into(),
-                "rule".into(),
-                "metric".into(),
-                "inst".into(),
-                "event".into(),
-                "value".into(),
-                "attribution".into(),
-            ],
-        );
-        for a in self.slo.alerts() {
-            t.push_row(vec![
-                format!("{:.3}", a.at.as_micros() as f64 / 1e6),
-                a.rule.to_string(),
-                a.metric.as_str().to_string(),
-                a.inst.to_string(),
-                match a.kind {
-                    AlertKind::Fire => "FIRE".into(),
-                    AlertKind::Clear => "clear".into(),
-                },
-                format!("{:.1}", a.value),
-                a.attribution.clone().unwrap_or_else(|| "-".into()),
-            ]);
-        }
-        t
-    }
 }
 
 #[cfg(test)]
@@ -126,8 +94,8 @@ mod tests {
     #[test]
     fn default_config_is_one_tree_with_paper_rules() {
         let t = Telemetry::new(&TelemetryConfig::default(), 2);
-        assert_eq!(t.slo.rules(), paper_rules());
-        assert_eq!(t.slo.shard(), 0);
+        let paper = SloEngine::new(paper_rules(), DEFAULT_SATURATION_THRESHOLD);
+        assert_eq!(format!("{:?}", t.slo), format!("{paper:?}"));
         assert_eq!(t.waterfall.inflight_cap(), DEFAULT_MAX_INFLIGHT);
     }
 
@@ -135,6 +103,6 @@ mod tests {
     fn telemetry_bundle_renders_empty() {
         let t = Telemetry::new(&TelemetryConfig::default(), 2);
         assert!(t.waterfall.table().render().contains("staleness waterfall"));
-        assert!(t.alert_table().render().contains("alert timeline"));
+        assert!(t.slo.alerts().is_empty());
     }
 }

@@ -223,16 +223,6 @@ impl SloEngine {
         self
     }
 
-    /// The shard this engine's alerts are attributed to.
-    pub fn shard(&self) -> u32 {
-        self.shard
-    }
-
-    /// The configured rules.
-    pub fn rules(&self) -> &[SloRule] {
-        &self.rules
-    }
-
     /// The full alert log, in firing order.
     pub fn alerts(&self) -> &[AlertEvent] {
         &self.alerts
@@ -434,7 +424,6 @@ mod tests {
     #[test]
     fn shard_stamp_lands_on_every_alert() {
         let mut e = SloEngine::new(vec![delay_rule(100.0, 25.0, 1)], 0.9).with_shard(3);
-        assert_eq!(e.shard(), 3);
         let rows = [row(Component::Cpu, 1, "slave0 cpu", 1.0)];
         let evs = e.observe(&sample(0, &[500.0], &rows));
         assert_eq!(evs[0].shard, 3);

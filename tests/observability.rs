@@ -155,7 +155,7 @@ fn telemetry_outputs_are_byte_identical_for_same_seed() {
     let outputs = |seed: u64| {
         let CellRun { obs, telemetry, .. } = run(observed_cfg(30, 2, seed));
         let t = telemetry.expect("obs on");
-        let render = t.waterfall.table().render() + &t.alert_table().render();
+        let render = format!("{}{:?}", t.waterfall.table().render(), t.slo.alerts());
         (obs.chrome_trace().expect("trace"), render)
     };
     let (trace_a, render_a) = outputs(7);
@@ -293,12 +293,12 @@ fn tsdb_store_is_deterministic_and_config_gated() {
         } = run(row_apply_cfg(4, tsdb, 11));
         let telemetry = telemetry.expect("obs on");
         let results = format!(
-            "ops={} tput={:016x} delays={:?}\n{}\n{}",
+            "ops={} tput={:016x} delays={:?}\n{}\n{:?}",
             report.steady_ops,
             report.throughput_ops_s.to_bits(),
             report.delays,
             bottleneck.render(),
-            telemetry.alert_table().to_csv(),
+            telemetry.slo.alerts(),
         );
         (results, obs.take_tsdb())
     };
@@ -493,7 +493,10 @@ fn series_and_openmetrics_bytes_are_pinned() {
     let digests = pinned_cells().map(|cfg| {
         let obs = run(cfg).obs;
         let rec = obs.recorder().expect("obs on");
-        fnv_parts(&[rec.series_csv(), amdb::obs::openmetrics_text(rec)])
+        fnv_parts(&[
+            rec.series_csv(),
+            amdb::obs::openmetrics_text_multi(&[("", rec)]),
+        ])
     });
     assert_eq!(
         digests,
