@@ -1,29 +1,21 @@
-//! The one key index every keyed store in this crate shares.
+//! The one key index the registry and the tsdb share.
 //!
-//! A probe names its metric by `(Component, instance, &'static str)`.
-//! [`KeyIndex`] resolves that key to a dense slot of a `Vec` of values in
-//! two steps:
-//!
-//! * first by the name's **address and length**, hashed with
-//!   [`AddrHasher`] (one multiply per word): a probe site passes the same
-//!   literal every time, so almost every probe ends here;
-//! * on a miss, by the name's **text**, in a `BTreeMap` — the same text at
-//!   a second address (a leaked `String`, a literal of another crate)
-//!   lands on the slot the first address made, and is remembered so its
-//!   next probe takes the first step.
-//!
-//! The text map also fixes iteration order: [`KeyIndex::iter`] visits
-//! slots in `(component, instance, name)` order, whatever order they were
-//! made in, so every export built from it is deterministic.
+//! [`KeyIndex`] maps `(Component, instance, &'static str)` to a dense slot
+//! of a `Vec`. It probes first by the name's address and length, hashed
+//! with [`AddrHasher`]: a probe site passes the same literal every time. On
+//! a miss it looks the name's text up in a `BTreeMap`, so the same text at
+//! a second address (a leaked `String`, another crate's literal) lands on
+//! the first address's slot. That map also fixes iteration order: slots
+//! are visited in `(component, instance, name)` order, so every export is
+//! deterministic.
 
 use crate::registry::MetricKey;
 use crate::Component;
 use std::collections::{BTreeMap, HashMap};
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hasher};
 
-/// Hashes address-keyed probe keys: one multiply per word. Keys are static
-/// probe labels, not attacker input, and it is a fixed function, so probe
-/// order never varies between runs.
+/// One multiply per word. Keys are static probe labels, not attacker
+/// input, and a fixed function keeps probe order the same on every run.
 #[derive(Default)]
 pub(crate) struct AddrHasher(u64);
 
@@ -33,9 +25,7 @@ impl Hasher for AddrHasher {
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
     }
 
     fn write_u64(&mut self, n: u64) {
@@ -50,36 +40,15 @@ impl Hasher for AddrHasher {
 /// A `HashMap` keyed through [`AddrHasher`].
 pub(crate) type AddrMap<K, V> = HashMap<K, V, BuildHasherDefault<AddrHasher>>;
 
-/// A probe key with its name reduced to `(address, length)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct AddrKey {
-    comp: Component,
-    inst: u32,
-    addr: usize,
-    len: usize,
+/// `((component << 32) | instance, name address, name length)`.
+type AddrKey = (u64, usize, usize);
+
+fn addr_key(comp: Component, inst: u32, name: &'static str) -> AddrKey {
+    let tag = ((comp as u64) << 32) | u64::from(inst);
+    (tag, name.as_ptr() as usize, name.len())
 }
 
-impl AddrKey {
-    fn new(comp: Component, inst: u32, name: &'static str) -> Self {
-        Self {
-            comp,
-            inst,
-            addr: name.as_ptr() as usize,
-            len: name.len(),
-        }
-    }
-}
-
-impl Hash for AddrKey {
-    fn hash<H: Hasher>(&self, h: &mut H) {
-        h.write_u64(((self.comp as u64) << 32) | u64::from(self.inst));
-        h.write_usize(self.addr);
-        h.write_usize(self.len);
-    }
-}
-
-/// Values of type `V` in dense slots, keyed by `(Component, instance,
-/// name)` (see the module docs for the two-step probe).
+/// Values of type `V` in dense slots behind the two-step key probe.
 #[derive(Debug, Clone)]
 pub(crate) struct KeyIndex<V> {
     by_addr: AddrMap<AddrKey, u32>,
@@ -107,7 +76,7 @@ impl<V> KeyIndex<V> {
         name: &'static str,
         mk: impl FnOnce() -> V,
     ) -> &mut V {
-        let addr = AddrKey::new(comp, inst, name);
+        let addr = addr_key(comp, inst, name);
         let slot = match self.by_addr.get(&addr) {
             Some(&slot) => slot,
             None => self.insert(addr, MetricKey { comp, inst, name }, mk),
@@ -115,8 +84,8 @@ impl<V> KeyIndex<V> {
         &mut self.values[slot as usize]
     }
 
-    /// The address miss: find the key's text, or give it the next slot,
-    /// and remember this address for it.
+    /// The address miss: the text's slot, or the next one; either way this
+    /// address finds it from now on.
     #[cold]
     fn insert(&mut self, addr: AddrKey, key: MetricKey, mk: impl FnOnce() -> V) -> u32 {
         let next = self.values.len() as u32;
@@ -128,9 +97,9 @@ impl<V> KeyIndex<V> {
         slot
     }
 
-    /// The value under a key, if any probe made it.
+    /// The value under a key, if a probe made it.
     pub(crate) fn get(&self, comp: Component, inst: u32, name: &'static str) -> Option<&V> {
-        let slot = match self.by_addr.get(&AddrKey::new(comp, inst, name)) {
+        let slot = match self.by_addr.get(&addr_key(comp, inst, name)) {
             Some(&slot) => slot,
             None => *self.by_text.get(&MetricKey { comp, inst, name })?,
         };
@@ -144,70 +113,8 @@ impl<V> KeyIndex<V> {
             .map(|(k, &slot)| (k, &self.values[slot as usize]))
     }
 
-    /// Every value, in slot order (for folds that do not depend on order).
-    pub(crate) fn values(&self) -> std::slice::Iter<'_, V> {
-        self.values.iter()
-    }
-
     /// Number of keys.
     pub(crate) fn len(&self) -> usize {
         self.values.len()
-    }
-
-    /// True when no key has been probed.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// `text` at an address of its own, never a literal's.
-    fn leaked(text: &str) -> &'static str {
-        Box::leak(text.to_owned().into_boxed_str())
-    }
-
-    #[test]
-    fn one_text_at_two_addresses_shares_a_slot() {
-        let mut ix = KeyIndex::<u32>::default();
-        let other = leaked("depth");
-        assert!(!std::ptr::eq(other, "depth"));
-        *ix.get_or_insert_with(Component::Repl, 1, "depth", || 0) += 1;
-        *ix.get_or_insert_with(Component::Repl, 1, other, || 0) += 10;
-        *ix.get_or_insert_with(Component::Repl, 2, other, || 0) += 100;
-        assert_eq!(ix.len(), 2);
-        assert_eq!(ix.get(Component::Repl, 1, "depth"), Some(&11));
-        assert_eq!(ix.get(Component::Repl, 1, leaked("depth")), Some(&11));
-        assert_eq!(ix.get(Component::Repl, 2, "depth"), Some(&100));
-        assert_eq!(ix.get(Component::Repl, 3, "depth"), None);
-    }
-
-    #[test]
-    fn iteration_follows_key_order_not_slot_order() {
-        let mut ix = KeyIndex::default();
-        for (comp, inst, name) in [
-            (Component::Sql, 3, "z"),
-            (Component::Cpu, 1, "b"),
-            (Component::Cpu, 1, "a"),
-            (Component::Cpu, 0, "b"),
-        ] {
-            ix.get_or_insert_with(comp, inst, name, || name);
-        }
-        let keys: Vec<_> = ix.iter().map(|(k, v)| (k.comp, k.inst, *v)).collect();
-        assert_eq!(
-            keys,
-            [
-                (Component::Cpu, 0, "b"),
-                (Component::Cpu, 1, "a"),
-                (Component::Cpu, 1, "b"),
-                (Component::Sql, 3, "z"),
-            ]
-        );
-        assert_eq!(
-            ix.values().copied().collect::<Vec<_>>(),
-            ["z", "b", "a", "b"]
-        );
     }
 }

@@ -30,12 +30,9 @@
 //!   point … appearing in slaves at the beginning … eventually the
 //!   saturation will transit from slaves to the master"* (§IV-A).
 //!
-//! The registry and the tsdb hold their values in dense slots behind one
-//! private key index, which every probe goes through by name: it finds a
-//! key by the name's address and length with a one-multiply hash, falls
-//! back to the name's text on a miss (the same text at two addresses is
-//! one metric, one track), and iterates in key order, so every export is
-//! deterministic. The trace log's name table uses the same hash.
+//! The registry and the tsdb hold their values behind one private key
+//! index: every probe finds its key by the name's address, or by its text
+//! on a miss, and every export iterates in key order.
 
 pub mod bottleneck;
 pub mod chrome;

@@ -158,11 +158,9 @@ fn unzigzag(z: u64) -> i64 {
 ///   previous record's, in µs: a span or flow may lie before or after the
 ///   record recorded just ahead of it;
 /// * the payload: a span's duration as a varint, a flow's id as a varint,
-///   a counter value as a varint when it is a whole number in `[0, 2^53)`
-///   that round-trips bit-exactly through `u64` (most tick counters are
-///   small depths and backlogs), otherwise its raw `f64` bits
-///   (little-endian; `-0.0`, fractions, non-finite and huge values);
-///   nothing for an instant.
+///   a counter value as a varint if it is a whole number below 2^53 that
+///   round-trips bit-exactly through `u64`, else as its raw `f64` bits
+///   (little-endian); nothing for an instant.
 #[derive(Debug, Default)]
 struct RecordLog {
     bytes: Vec<u8>,

@@ -15,11 +15,9 @@
 //! * the ring evicts its oldest slots beyond a fixed capacity and counts
 //!   the evictions — silent data loss is visible, memory cannot grow with
 //!   run length;
-//! * tracks sit behind the crate's one key index, as registry metrics do:
-//!   a probe finds its track by the name's address (by its text on a miss,
-//!   so stores whose names live at different addresses still merge track
-//!   for track), and iteration follows the `(component, instance, name)`
-//!   key order, so every export is byte-deterministic.
+//! * tracks sit behind the registry's key index (by name address, by text
+//!   on a miss) and iterate in `(component, instance, name)` key order, so
+//!   every export is byte-deterministic.
 //!
 //! Timestamps are **simulated** time, so a store's contents are a pure
 //! function of the seed — merging per-shard stores in any order yields the
@@ -317,17 +315,17 @@ impl Tsdb {
 
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.tracks.is_empty()
+        self.tracks.len() == 0
     }
 
     /// Total slots evicted across all tracks (0 means no data was lost).
     pub fn total_evicted(&self) -> u64 {
-        self.tracks.values().map(|t| t.evicted).sum()
+        self.tracks.iter().map(|(_, t)| t.evicted).sum()
     }
 
     /// Bytes of cell state held across all tracks.
     pub fn state_bytes(&self) -> usize {
-        self.tracks.values().map(TsdbTrack::state_bytes).sum()
+        self.tracks.iter().map(|(_, t)| t.state_bytes()).sum()
     }
 
     /// Fold another store in, aligning tracks by key and cells by slot.
@@ -388,12 +386,6 @@ impl Tsdb {
     /// CSV of [`Self::table`].
     pub fn csv(&self) -> String {
         self.table().to_csv()
-    }
-}
-
-impl Default for Tsdb {
-    fn default() -> Self {
-        Self::new(250)
     }
 }
 
