@@ -78,6 +78,10 @@ awk '$1 == "metric" || $1 == "exact" { m[$2] = $3 }
         if (h == "" || c + 0 < 5 * h) { print "sql.prepare_cold_ns = " c " < 5 x sql.prepare_hit_ns = " h; bad = 1 }
         q = m["pool.waited_share"]; if (q == "" || q + 0 != 0) { print "pool.waited_share = " q ", want 0"; bad = 1 }
         exit bad }' benchmark/out/smoke/paper_5050.trace1.txt
+# Informational, never a gate: what an enabled probe volley and a tsdb
+# record cost, the by-name key lookups of amdb-obs included.
+awk '$1 == "metric" && ($2 == "obs.enabled_probe_ns" || $2 == "obs.tsdb_record_ns") {
+  print $2 " = " $3 " " $4 " (informational)" }' benchmark/out/smoke/paper_5050.trace1.txt || true
 # A third, on the read-heavy workload (the smoke traces only paper_5050, so
 # its tracing pass runs here): a SELECT costs at most 8 INSERTs. Both numbers
 # come from one process, so host speed cancels; it was 10-13 x before the
