@@ -14,8 +14,9 @@ use crate::Component;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// One multiply per word. Keys are static probe labels, not attacker
-/// input, and a fixed function keeps probe order the same on every run.
+/// One multiply per word. Keys are static probe labels, not attacker input;
+/// nothing iterates an [`AddrMap`], so the addresses it hashes never reach
+/// an export.
 #[derive(Default)]
 pub(crate) struct AddrHasher(u64);
 

@@ -3,9 +3,10 @@
 //! Metrics are keyed by `(component, instance, name)` through the crate's
 //! one key index: a probe finds its slot by the name's address (its text on
 //! a miss), and every iteration — and every table/CSV export built from one
-//! — visits keys in text order, the same on every run. Sketches reuse the `amdb-metrics`
-//! implementation. Counter-track samples are not held here: they live once,
-//! in the trace recorder's log, and their series export derives from it.
+//! — visits keys in text order, the same on every run. Sketches reuse the
+//! `amdb-metrics` implementation. Counter-track samples are not held here:
+//! they live once, in the trace recorder's log, and their series export
+//! derives from it.
 
 use crate::index::KeyIndex;
 use crate::Component;
