@@ -14,11 +14,21 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== cargo doc (a dangling intra-doc link is an error) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --exclude proptest
 
-echo "== amdb-pool is a leaf: no workspace crate depends on it =="
-# The cluster does not model a connection pool. The crate stays only because
-# benchmark/, a package outside the workspace, still drives SimPool.
-dependents=$(cargo tree --workspace --offline -i amdb-pool -e normal,build,dev --prefix none | sed 1d)
-[ -z "$dependents" ] || { echo "amdb-pool has workspace dependents:"; echo "$dependents"; exit 1; }
+echo "== amdb-pool and the three re-export shims are leaves: no workspace crate depends on them =="
+# benchmark/, a package outside the workspace, still names these crates: it
+# drives SimPool (the cluster models no connection pool), and imports from
+# the shims what now lives in amdb_obs::{metrics, telemetry} and
+# amdb_cloud::net. Workspace code uses the new homes.
+for leaf in amdb-pool amdb-metrics amdb-telemetry amdb-net; do
+  dependents=$(cargo tree --workspace --offline -i "$leaf" -e normal,build,dev --prefix none | sed 1d)
+  [ -z "$dependents" ] || { echo "$leaf has workspace dependents:"; echo "$dependents"; exit 1; }
+done
+echo "== the shims hold nothing but comments and pub use lines =="
+for shim in metrics telemetry net; do
+  extra=$(grep -Ev '^[[:space:]]*(//.*)?$|^pub use [^;]*;$' "crates/$shim/src/lib.rs") || true
+  [ -z "$extra" ] || { echo "crates/$shim/src/lib.rs holds more than re-exports:"; echo "$extra"; exit 1; }
+  [ "$(find "crates/$shim/src" -name '*.rs' | wc -l)" = 1 ] || { echo "crates/$shim/src holds more than lib.rs"; exit 1; }
+done
 
 echo "== tier-1: release build =="
 cargo build --release --offline

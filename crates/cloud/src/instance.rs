@@ -1,7 +1,7 @@
 //! Instance types, physical CPU models, and the launched-instance handle.
 
 use crate::clock::{DriftingClock, NtpClient};
-use amdb_net::Zone;
+use crate::net::Zone;
 use amdb_sim::FifoCpu;
 
 /// Opaque identifier for a launched instance, unique per provider.

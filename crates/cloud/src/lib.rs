@@ -10,7 +10,7 @@
 //!    al.'s 21 % coefficient of variation for small-instance CPU performance.
 //!    A slow host can dominate placement effects.
 //! 2. **Placement** across availability zones and regions, which drives
-//!    network latency (see `amdb-net`).
+//!    network latency ([`net`]: regions, zones and the ½-RTT model).
 //!
 //! [`Provider::launch`] reproduces both: each launched instance draws a
 //! physical CPU model from a weighted catalog plus residual multiplicative
@@ -19,6 +19,7 @@
 
 pub mod clock;
 pub mod instance;
+pub mod net;
 pub mod provider;
 
 pub use instance::{CpuModel, Instance, InstanceId, InstanceType};

@@ -2,7 +2,7 @@
 
 use crate::clock::{DriftingClock, NtpClient, NtpConfig};
 use crate::instance::{CpuModel, Instance, InstanceId, InstanceType};
-use amdb_net::Zone;
+use crate::net::Zone;
 use amdb_sim::{FifoCpu, Rng};
 
 /// Provider-level knobs.
@@ -123,7 +123,7 @@ impl Provider {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amdb_net::Region;
+    use crate::net::Region;
 
     fn zone() -> Zone {
         Zone::new(Region::UsEast1, 'a')

@@ -36,13 +36,14 @@ use crate::config::{BalancerKind, ClusterConfig, ConfigError};
 use crate::report::{ConsistencyReport, DelayReport, RunReport, SharedLogReport};
 use crate::users::{UserLoop, WorkGen};
 use amdb_cloud::clock::WALL_EPOCH_MICROS;
+use amdb_cloud::net::{NetModel, Proximity, Zone};
 use amdb_cloud::{CpuModel, Instance, InstanceType, Provider};
 use amdb_cloudstone::{build_template, OpClass, OpGenerator, Operation, Phases};
 use amdb_consistency::{
     ConsistencyConfig, ConsistencyPolicy, ReadDecision, SessionToken, WatermarkTable,
 };
-use amdb_metrics::{trimmed_mean, OnlineStats, Summary};
-use amdb_net::{NetModel, Proximity, Zone};
+use amdb_obs::metrics::{trimmed_mean, OnlineStats, Summary};
+use amdb_obs::telemetry::{AlertKind, SloSample, Telemetry};
 use amdb_obs::{BottleneckReport, Component, FlowPhase, Obs, ResourceUsage};
 use amdb_proxy::{
     Balancer, LatencyAware, LeastOutstanding, OpClass as ProxyClass, Proxy, RandomPick, RoundRobin,
@@ -56,7 +57,6 @@ use amdb_sim::{Event, Rng, Sim, SimDuration, SimTime};
 use amdb_sql::binlog::{BinlogEvent, Lsn};
 use amdb_sql::cost::CostModel;
 use amdb_sql::{Engine, ForkRole, Session};
-use amdb_telemetry::{AlertKind, SloSample, Telemetry};
 
 pub type S = Sim<Cluster, ClusterEvent>;
 
@@ -2603,7 +2603,7 @@ mod tests {
         assert_eq!(
             run_cell(cfg, None).err(),
             Some(ConfigError::PlacementRegionIsMasters(
-                amdb_net::Region::UsWest1
+                amdb_cloud::net::Region::UsWest1
             ))
         );
         let mut cfg = quick_cfg(4, 2);
@@ -2833,7 +2833,7 @@ mod tests {
         // error contract: p50 ≤ p95 ≤ p99 ≤ max, and the mean is finite.
         let CellRun { report, obs, .. } = run_observed(quick_cfg(8, 1));
         let rec = obs.recorder().unwrap();
-        let mut total = amdb_metrics::QuantileSketch::latency();
+        let mut total = amdb_obs::metrics::QuantileSketch::latency();
         for (key, metric) in rec.registry().iter() {
             if key.name == "client_latency_ms" {
                 if let amdb_obs::Metric::Sketch(s) = metric {

@@ -1,14 +1,14 @@
 //! Cluster configuration and builder.
 
+use amdb_cloud::net::{Region, Zone};
 use amdb_cloud::CpuModel;
 use amdb_cloudstone::{DataSize, MixConfig, WorkloadConfig};
 use amdb_consistency::ConsistencyConfig;
-use amdb_net::{Region, Zone};
+use amdb_obs::telemetry::TelemetryConfig;
 use amdb_obs::ObsConfig;
 use amdb_repl::{BackendKind, FaultTimeline, LogStoreConfig, ReplMode};
 use amdb_sim::SimDuration;
 use amdb_sql::cost::CostModel;
-use amdb_telemetry::TelemetryConfig;
 
 /// Geographic placement of the slaves relative to the master, matching the
 /// paper's three configurations (§III-A): *"same zone, all slaves are

@@ -37,9 +37,9 @@ pub mod sharded;
 mod users;
 
 pub use amdb_consistency::{ConsistencyConfig, ConsistencyPolicy};
+pub use amdb_obs::telemetry::{Telemetry, TelemetryConfig};
 pub use amdb_obs::ObsConfig;
 pub use amdb_repl::{BackendKind, FaultTimeline, LogStoreConfig, RetryPolicy};
-pub use amdb_telemetry::{Telemetry, TelemetryConfig};
 pub use cluster::{load_template, run_cell, run_cluster, CellRun, Cluster, Template};
 pub use config::{
     AutoscaleConfig, BalancerKind, ClusterBuilder, ClusterConfig, ConfigError, FaultPlan,

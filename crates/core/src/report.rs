@@ -1,6 +1,6 @@
 //! Run results.
 
-use amdb_metrics::Summary;
+use amdb_obs::metrics::Summary;
 
 /// Replication-delay measurements for one slave.
 #[derive(Debug, Clone)]

@@ -55,15 +55,15 @@ use crate::cluster::{
 use crate::config::{ClusterConfig, ConfigError, WorkloadKind};
 use crate::report::RunReport;
 use crate::users::{UserLoop, WorkGen};
+use amdb_cloud::net::Zone;
 use amdb_cloudstone::{shard_key_of, DataCounters, OpClass, OpGenerator, Operation};
 use amdb_consistency::ConsistencyPolicy;
-use amdb_metrics::Summary;
-use amdb_net::Zone;
+use amdb_obs::metrics::Summary;
+use amdb_obs::telemetry::FleetTelemetry;
 use amdb_obs::{Component, FlowPhase, Obs, Tsdb};
 use amdb_shard::{Gather, ShardMap};
 use amdb_sim::{Event, Rng, Sim, SimTime};
 use amdb_sql::Engine;
-use amdb_telemetry::FleetTelemetry;
 use std::collections::HashMap;
 
 pub type ShardedSim = Sim<ShardedWorld, ShardedEvent>;
@@ -744,9 +744,9 @@ mod tests {
     use super::*;
     use crate::cluster::run_cluster;
     use crate::config::{FaultPlan, MasterFaultPlan, Placement};
+    use amdb_cloud::net::Region;
     use amdb_cloudstone::{DataSize, WorkloadConfig};
     use amdb_consistency::ConsistencyConfig;
-    use amdb_net::Region;
     use amdb_repl::{BackendKind, ReplMode};
     use amdb_sim::SimDuration;
 
@@ -882,7 +882,7 @@ mod tests {
             // A write parked for the failed master shows the park as its
             // issue → route leg, whoever ran its user.
             let route =
-                |t: &amdb_telemetry::Telemetry| format!("{:?}", t.waterfall.client().route_ms);
+                |t: &amdb_obs::telemetry::Telemetry| format!("{:?}", t.waterfall.client().route_ms);
             assert_eq!(route(tree), route(&solo));
         }
     }

@@ -149,7 +149,7 @@ fn bounded_staleness_counts_violations_against_ground_truth() {
     let r = run_cluster(
         quick_cfg(12, 2, 19)
             .placement(amdb_core::Placement::DifferentRegion(
-                amdb_net::Region::EuWest1,
+                amdb_cloud::net::Region::EuWest1,
             ))
             .consistency(ConsistencyConfig::new(
                 ConsistencyPolicy::BoundedStaleness { max_ms: 200.0 },

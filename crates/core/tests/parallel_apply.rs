@@ -10,7 +10,7 @@
 
 use amdb_cloudstone::{DataSize, MixConfig, WorkloadConfig};
 use amdb_core::{run_cell, run_cluster, BackendKind, ClusterConfig, ObsConfig, RunReport};
-use amdb_telemetry::AlertKind;
+use amdb_obs::telemetry::AlertKind;
 use proptest::prelude::*;
 
 fn quick_cfg(users: u32, slaves: usize, seed: u64) -> amdb_core::ClusterBuilder {
@@ -90,7 +90,7 @@ fn waterfall_apply_delay_shrinks_and_surge_onset_recedes() {
     // One saturated cell at 1, 2 and 4 workers. The workload replays
     // identically (the seed does not depend on the worker count), so every
     // delta below is the scheduler's doing.
-    let runs: Vec<(RunReport, amdb_telemetry::Telemetry)> = [1usize, 2, 4]
+    let runs: Vec<(RunReport, amdb_obs::telemetry::Telemetry)> = [1usize, 2, 4]
         .into_iter()
         .map(|w| run_cell(surge_cfg(w), None).expect("valid config"))
         .map(|run| (run.report, run.telemetry.expect("obs on")))
@@ -140,7 +140,7 @@ fn waterfall_apply_delay_shrinks_and_surge_onset_recedes() {
 
     // The delay-surge alert: fires on the serial baseline; with 4 workers
     // the onset moves later, or the alert never fires at all.
-    let onset = |t: &amdb_telemetry::Telemetry| {
+    let onset = |t: &amdb_obs::telemetry::Telemetry| {
         t.slo
             .alerts()
             .iter()

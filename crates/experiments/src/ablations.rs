@@ -14,7 +14,7 @@ use crate::Fidelity;
 
 use amdb_cloudstone::{DataSize, MixConfig};
 use amdb_core::{run_cluster, BalancerKind, ClusterConfig, Placement, RunReport};
-use amdb_metrics::Table;
+use amdb_obs::metrics::Table;
 use amdb_repl::{BackendKind, ReplMode};
 
 fn base_cfg(users: u32, slaves: usize, fidelity: Fidelity) -> ClusterConfig {
@@ -43,7 +43,7 @@ pub fn sync_modes(fidelity: Fidelity, jobs: usize) -> Vec<(ReplMode, RunReport)>
         cfg.mode = mode;
         // Make the commit-latency effect visible: slaves in another
         // region, as geo-replication is where sync modes really hurt.
-        cfg.placement = Placement::DifferentRegion(amdb_net::Region::EuWest1);
+        cfg.placement = Placement::DifferentRegion(amdb_cloud::net::Region::EuWest1);
         (mode, run_cluster(cfg))
     })
 }

@@ -23,7 +23,7 @@ use amdb_cloudstone::{DataSize, MixConfig, Phases, WorkloadConfig};
 use amdb_core::{
     load_template, ClusterConfig, ConsistencyConfig, ConsistencyPolicy, Placement, RunReport,
 };
-use amdb_metrics::Table;
+use amdb_obs::metrics::Table;
 use amdb_sim::Rng;
 
 /// The swept staleness bounds: `Some(ms)` = `BoundedStaleness`, `None` =

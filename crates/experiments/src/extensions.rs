@@ -13,7 +13,7 @@ use crate::grid::cross2;
 use crate::Fidelity;
 use amdb_cloudstone::{DataSize, MixConfig};
 use amdb_core::{run_cluster, AutoscaleConfig, ClusterConfig, FaultPlan, Placement, RunReport};
-use amdb_metrics::Table;
+use amdb_obs::metrics::Table;
 use amdb_sim::SimDuration;
 
 /// Run the failover experiment: 3 slaves, one fails at the start of the

@@ -7,7 +7,7 @@
 //! millisecond and 8 milliseconds" (median 3.30 ms, σ 1.19).
 
 use amdb_cloud::clock::{DriftingClock, NtpClient};
-use amdb_metrics::{median, stddev, Table, TimeSeries};
+use amdb_obs::metrics::{median, stddev, Table};
 use amdb_sim::{Rng, SimTime};
 
 /// Parameters of the two-instance clock experiment.
@@ -48,6 +48,73 @@ pub struct Fig4Result {
     pub sync_every_second: ClockRun,
 }
 
+/// A time series of `(t_seconds, value)` samples, kept in insertion order.
+#[derive(Debug, Clone, Default)]
+pub struct TimeSeries {
+    points: Vec<(f64, f64)>,
+}
+
+impl TimeSeries {
+    /// Append a sample taken at `t` seconds.
+    pub fn push(&mut self, t: f64, value: f64) {
+        self.points.push((t, value));
+    }
+
+    /// All points in insertion order.
+    pub fn points(&self) -> &[(f64, f64)] {
+        &self.points
+    }
+
+    /// Values only (drops timestamps).
+    pub fn values(&self) -> Vec<f64> {
+        self.points.iter().map(|&(_, v)| v).collect()
+    }
+
+    /// Least-squares linear fit `value ≈ a + b·t`; returns `(a, b)`.
+    ///
+    /// Verifies the linear clock-drift trend ("the time difference ...
+    /// surges linearly from 7 ms up to 50 ms"). Returns `None` with fewer
+    /// than two points or zero time variance.
+    pub fn linear_fit(&self) -> Option<(f64, f64)> {
+        let n = self.points.len();
+        if n < 2 {
+            return None;
+        }
+        let nf = n as f64;
+        let (st, sv): (f64, f64) = self
+            .points
+            .iter()
+            .fold((0.0, 0.0), |(a, b), &(t, v)| (a + t, b + v));
+        let (mt, mv) = (st / nf, sv / nf);
+        let mut cov = 0.0;
+        let mut var = 0.0;
+        for &(t, v) in &self.points {
+            cov += (t - mt) * (v - mv);
+            var += (t - mt) * (t - mt);
+        }
+        if var == 0.0 {
+            return None;
+        }
+        let b = cov / var;
+        Some((mv - b * mt, b))
+    }
+
+    /// Downsample by averaging consecutive groups of `k` samples
+    /// (timestamp = group mean). `k == 0` is treated as 1.
+    pub fn downsample(&self, k: usize) -> TimeSeries {
+        let k = k.max(1);
+        let mut out = TimeSeries::default();
+        for chunk in self.points.chunks(k) {
+            let n = chunk.len() as f64;
+            let (st, sv) = chunk
+                .iter()
+                .fold((0.0, 0.0), |(a, b), &(t, v)| (a + t, b + v));
+            out.push(st / n, sv / n);
+        }
+        out
+    }
+}
+
 /// Build the two instances the paper measured: clock parameters chosen to
 /// match its observed pair (initial difference ≈ 7 ms, relative drift
 /// ≈ 36 ppm, per-second-NTP residuals of a few ms).
@@ -67,7 +134,7 @@ fn paper_pair(rng: &mut Rng) -> ((DriftingClock, NtpClient), (DriftingClock, Ntp
 fn run_arm(spec: &Fig4Spec, sync_every_sample: bool) -> ClockRun {
     let mut rng = Rng::new(spec.seed).derive("fig4");
     let ((mut clock_a, mut ntp_a), (mut clock_b, mut ntp_b)) = paper_pair(&mut rng);
-    let mut series = TimeSeries::new();
+    let mut series = TimeSeries::default();
 
     // "Sync once at beginning": a single initial correction would *remove*
     // the initial offset, so (per the paper's description) the once arm
@@ -157,6 +224,48 @@ pub fn series_table(r: &Fig4Result) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn ramp() -> TimeSeries {
+        let mut s = TimeSeries::default();
+        for i in 0..100 {
+            s.push(i as f64, 5.0 + 2.0 * i as f64);
+        }
+        s
+    }
+
+    #[test]
+    fn linear_fit_recovers_slope_and_intercept() {
+        let (a, b) = ramp().linear_fit().unwrap();
+        assert!((a - 5.0).abs() < 1e-9);
+        assert!((b - 2.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn linear_fit_degenerate_cases() {
+        let mut s = TimeSeries::default();
+        assert_eq!(s.linear_fit(), None);
+        s.push(1.0, 1.0);
+        assert_eq!(s.linear_fit(), None);
+        s.push(1.0, 2.0); // zero time variance
+        assert_eq!(s.linear_fit(), None);
+    }
+
+    #[test]
+    fn downsample_averages_groups() {
+        let d = ramp().downsample(10);
+        assert_eq!(d.points().len(), 10);
+        // first group: t = 0..9 -> mean 4.5; v = 5 + 2t -> mean 14.0
+        assert!((d.points()[0].0 - 4.5).abs() < 1e-12);
+        assert!((d.points()[0].1 - 14.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn values_extracts_in_order() {
+        let mut s = TimeSeries::default();
+        s.push(0.0, 3.0);
+        s.push(1.0, 1.0);
+        assert_eq!(s.values(), vec![3.0, 1.0]);
+    }
 
     #[test]
     fn sync_once_drifts_linearly_7_to_50ms() {

@@ -21,7 +21,7 @@ use crate::Fidelity;
 use amdb_cloudstone::{DataSize, MixConfig, Phases, WorkloadConfig};
 use amdb_core::sharded::FleetObsBundle;
 use amdb_core::{BackendKind, ClusterConfig, ShardedConfig, ShardedReport};
-use amdb_metrics::{QuantileSketch, Table};
+use amdb_obs::metrics::{QuantileSketch, Table};
 use amdb_obs::{openmetrics_text_multi, Component, ObsConfig, Tsdb};
 use amdb_sim::Rng;
 

@@ -14,7 +14,7 @@ use amdb_core::{
     run_cell, run_sharded_cell, CellRun, ClusterConfig, FleetObsBundle, ShardedConfig,
     ShardedReport, Template,
 };
-use amdb_metrics::Table;
+use amdb_obs::metrics::Table;
 
 /// How a grid executes: worker count and progress reporting. The result is
 /// identical for every `jobs` value — options only affect wall-clock and

@@ -29,7 +29,7 @@ pub mod sharded;
 pub mod shared_log;
 pub mod sweep;
 
-use amdb_metrics::Table;
+use amdb_obs::metrics::Table;
 use std::path::{Path, PathBuf};
 
 /// Write `bytes` to `results/<name>` (relative to cwd), creating the

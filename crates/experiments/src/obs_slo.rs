@@ -18,9 +18,9 @@ use crate::grid::{cross3, run_fleet, run_grid, SweepOptions};
 use crate::Fidelity;
 use amdb_cloudstone::{DataSize, MixConfig, Phases, WorkloadConfig};
 use amdb_core::{load_template, ClusterConfig, ObsConfig, Placement, ShardedConfig, ShardedReport};
-use amdb_metrics::Table;
+use amdb_obs::metrics::Table;
+use amdb_obs::telemetry::{AlertEvent, AlertKind, FleetTelemetry};
 use amdb_sim::Rng;
-use amdb_telemetry::{AlertEvent, AlertKind, FleetTelemetry};
 
 /// Grid specification for the SLO sweep.
 #[derive(Debug, Clone)]
@@ -299,8 +299,8 @@ mod tests {
         assert_eq!(serial.render(), parallel.render());
         let mut a = Vec::new();
         let mut b = Vec::new();
-        amdb_metrics::write_csv(&serial, &mut a).unwrap();
-        amdb_metrics::write_csv(&parallel, &mut b).unwrap();
+        amdb_obs::metrics::write_csv(&serial, &mut a).unwrap();
+        amdb_obs::metrics::write_csv(&parallel, &mut b).unwrap();
         assert_eq!(a, b, "CSV bytes identical across jobs counts");
     }
 }

@@ -35,7 +35,7 @@ use amdb_core::{
     load_template, BackendKind, ClusterConfig, ConsistencyConfig, ConsistencyPolicy, Placement,
     RunReport, Template,
 };
-use amdb_metrics::Table;
+use amdb_obs::metrics::Table;
 use amdb_sim::Rng;
 
 /// One user-load column family: a mix, a data size and the user counts to

@@ -14,11 +14,11 @@
 use crate::calib::paper_cost_model;
 use crate::exec::{parallel_map, Progress};
 use crate::Fidelity;
+use amdb_cloud::net::{Region, Zone};
 use amdb_cloud::{CpuModel, InstanceType, Provider, ProviderConfig};
 use amdb_cloudstone::{DataSize, MixConfig, WorkloadConfig};
 use amdb_core::{run_cluster, ClusterConfig, Placement, RunReport};
-use amdb_metrics::{coefficient_of_variation, Table};
-use amdb_net::{Region, Zone};
+use amdb_obs::metrics::{coefficient_of_variation, Table};
 use amdb_sim::Rng;
 
 /// Fleet speed statistics.

@@ -2,9 +2,9 @@
 //! and a slave in each placement, "by running ping command every second for
 //! a 20-minute period". The paper reports averages of 16, 21, and 173 ms.
 
+use amdb_cloud::net::{NetModel, Region, Zone};
 use amdb_core::Placement;
-use amdb_metrics::{Summary, Table};
-use amdb_net::{NetModel, Region, Zone};
+use amdb_obs::metrics::{Summary, Table};
 use amdb_sim::Rng;
 
 /// One placement's ping statistics.
@@ -30,7 +30,7 @@ pub fn run(duration_s: u32, seed: u64) -> Vec<PingResult> {
             PingResult {
                 placement,
                 label: placement.label(master),
-                half_rtt_ms: Summary::of(&samples).expect("non-empty"),
+                half_rtt_ms: Summary::of(&samples).expect("non-empty, finite delays"),
             }
         })
         .collect()

@@ -20,7 +20,7 @@ use crate::grid::{counted, cross2, pivot_table, run_fleet, run_grid, SweepOption
 use crate::Fidelity;
 use amdb_cloudstone::{DataSize, MixConfig, Phases, WorkloadConfig};
 use amdb_core::{load_template, ClusterConfig, Placement, ShardedConfig, ShardedReport, Template};
-use amdb_metrics::Table;
+use amdb_obs::metrics::Table;
 use amdb_sim::Rng;
 
 /// Grid specification for one sharded sweep.

@@ -22,7 +22,7 @@ use amdb_cloudstone::{DataSize, MixConfig};
 use amdb_core::{
     run_cluster, BackendKind, ClusterConfig, LogFaultPlan, MasterFaultPlan, Placement, RunReport,
 };
-use amdb_metrics::Table;
+use amdb_obs::metrics::Table;
 use amdb_sim::SimDuration;
 
 /// The three backends, in presentation order.

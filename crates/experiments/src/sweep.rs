@@ -19,7 +19,7 @@ use crate::grid::{counted, cross3, pivot_table, run_grid, run_tree, SweepOptions
 use crate::Fidelity;
 use amdb_cloudstone::{DataCounters, DataSize, MixConfig, Phases, WorkloadConfig};
 use amdb_core::{load_template, BackendKind, ClusterConfig, Placement, RunReport};
-use amdb_metrics::Table;
+use amdb_obs::metrics::Table;
 use amdb_sim::Rng;
 use amdb_sql::Engine;
 

@@ -6,8 +6,8 @@
 //! This module turns per-instance steady-window utilizations and queue
 //! depths into a small report that names that resource.
 
+use crate::metrics::Table;
 use crate::Component;
-use amdb_metrics::Table;
 
 /// One resource's steady-window usage.
 #[derive(Debug, Clone, PartialEq)]

@@ -13,8 +13,9 @@
 //!   series CSV is derived from its counter records at export;
 //! * [`Obs`] — the off-or-recording dispatcher whose methods compile to a
 //!   single discriminant test (and nothing else) when disabled;
-//! * [`MetricsRegistry`] — counters, gauges and quantile sketches (reusing
-//!   [`amdb_metrics`]) keyed by `(component, instance, name)`;
+//! * [`MetricsRegistry`] — counters, gauges and quantile sketches (from
+//!   [`metrics`], the statistics, sketches and tables every crate above
+//!   uses) keyed by `(component, instance, name)`;
 //! * [`Tsdb`] — a fixed-interval, bounded-memory time-series store whose
 //!   per-slot cells merge across shard trees, the substrate for fleet
 //!   rollups (per-shard and fleet-wide staleness/throughput/utilization
@@ -28,7 +29,9 @@
 //!   the measured steady window, naming the saturated resource. This is the
 //!   paper's central observation made legible: *"the observed saturation
 //!   point … appearing in slaves at the beginning … eventually the
-//!   saturation will transit from slaves to the master"* (§IV-A).
+//!   saturation will transit from slaves to the master"* (§IV-A);
+//! * [`telemetry`] — the online layer a run feeds as it goes: the
+//!   per-write staleness waterfall and the SLO alert engine.
 //!
 //! The registry and the tsdb hold their values behind one private key
 //! index: every probe finds its key by the name's address, or by its text
@@ -37,8 +40,10 @@
 pub mod bottleneck;
 pub mod chrome;
 mod index;
+pub mod metrics;
 pub mod openmetrics;
 pub mod registry;
+pub mod telemetry;
 pub mod trace;
 pub mod tsdb;
 

@@ -1,15 +1,15 @@
 //! Streaming quantile sketch with logarithmic buckets.
 //!
-//! The full-sample percentile path in this crate ([`crate::percentile`])
-//! keeps every observation in a `Vec<f64>` — exact, but memory grows with
-//! the run. Hot observability probes (per-statement service demands, pool
-//! waits, replication waterfall legs) want bounded state instead. This is
-//! the classic HDR-histogram / DDSketch compromise: fixed log-spaced
-//! buckets, so memory is bounded by the configured bucket count and the
-//! estimate error by the width of one bucket.
+//! The full-sample percentile path ([`super::percentile`]) keeps every
+//! observation in a `Vec<f64>` — exact, but memory grows with the run. Hot
+//! observability probes (per-statement service demands, replication
+//! waterfall legs) want bounded state instead. This is the classic
+//! HDR-histogram / DDSketch compromise: fixed log-spaced buckets, so memory
+//! is bounded by the bucket count and the estimate error by the width of
+//! one bucket.
 //!
 //! **Agreement contract.** [`QuantileSketch::quantile`] mirrors
-//! [`crate::percentile_sorted`]'s interpolation rule — rank
+//! [`super::percentile_sorted`]'s interpolation rule — rank
 //! `q × (n − 1)`, linear between the two adjacent order statistics — but
 //! evaluated over bucket *representatives* (arithmetic midpoints). Each
 //! order statistic is off by at most half its bucket's width, so the
@@ -17,75 +17,15 @@
 //! proptest suite (`tests/prop_sketch.rs`) pins this across constant,
 //! bimodal and heavy-tailed inputs.
 //!
-//! Sketches with the same [`SketchConfig`] merge losslessly (bucket-wise
-//! counter addition), so per-shard sketches can be combined after a
-//! parallel sweep without re-observing anything.
-
-/// Bucket layout of a [`QuantileSketch`].
-///
-/// Bucket `i` covers `[min·growth^i, min·growth^(i+1))`; one extra "low"
-/// bucket covers `[0, min)` (and receives non-positive values). Values
-/// beyond the last bucket clamp into it — size `max_buckets` to cover the
-/// physical range, the defaults span `1 µs` to beyond `10^9 ms`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SketchConfig {
-    /// Upper edge of the low bucket: smallest value resolved logarithmically.
-    pub min: f64,
-    /// Ratio between consecutive bucket edges (must be `> 1`).
-    pub growth: f64,
-    /// Number of logarithmic buckets (excluding the low bucket).
-    pub max_buckets: usize,
-}
-
-impl SketchConfig {
-    /// Latency preset: resolves `1 µs` to `~10^12 ms` at ±2.5 % relative
-    /// error (growth 1.05, 700 buckets ≈ 5.6 KiB of counters). Suits any
-    /// millisecond- or microsecond-denominated series in this repo.
-    pub const LATENCY: SketchConfig = SketchConfig {
-        min: 1e-3,
-        growth: 1.05,
-        max_buckets: 700,
-    };
-
-    /// Index of the logarithmic bucket holding `v` (`None` → low bucket).
-    fn index(&self, v: f64) -> Option<usize> {
-        if v.is_nan() || v < self.min {
-            // Non-positive, sub-min and NaN all land in the low bucket.
-            return None;
-        }
-        let i = ((v / self.min).ln() / self.growth.ln()).floor();
-        Some((i.max(0.0) as usize).min(self.max_buckets - 1))
-    }
-
-    /// Lower edge of logarithmic bucket `i`.
-    fn edge(&self, i: usize) -> f64 {
-        self.min * self.growth.powi(i as i32)
-    }
-
-    /// Width of the bucket that holds `v` — the agreement-contract unit.
-    pub fn bucket_width(&self, v: f64) -> f64 {
-        match self.index(v) {
-            None => self.min,
-            Some(i) => self.edge(i + 1) - self.edge(i),
-        }
-    }
-
-    /// Representative (arithmetic midpoint) of the bucket holding rank `k`.
-    fn representative(&self, bucket: Option<usize>) -> f64 {
-        match bucket {
-            None => self.min / 2.0,
-            Some(i) => (self.edge(i) + self.edge(i + 1)) / 2.0,
-        }
-    }
-}
-
-impl Default for SketchConfig {
-    fn default() -> Self {
-        SketchConfig::LATENCY
-    }
-}
+//! Sketches share one layout, so they merge losslessly (bucket-wise counter
+//! addition), and per-shard sketches can be combined after a parallel sweep
+//! without re-observing anything.
 
 /// Mergeable, bounded-memory quantile estimator over log-spaced buckets.
+///
+/// Logarithmic bucket `i` covers `[MIN·GROWTH^i, MIN·GROWTH^(i+1))`; one
+/// extra "low" bucket covers `[0, MIN)` (and receives non-positive values).
+/// Values beyond the last bucket clamp into it.
 ///
 /// Only the window of buckets from the lowest to the highest one recorded
 /// is stored (`counts[j]` counts bucket `offset + j`), so both ends of a
@@ -94,13 +34,12 @@ impl Default for SketchConfig {
 /// `offset` 0 and no counters, so equal contents compare equal.
 #[derive(Clone, PartialEq)]
 pub struct QuantileSketch {
-    cfg: SketchConfig,
-    /// Count of values below `cfg.min` (including zero and negatives).
+    /// Count of values below [`Self::MIN`] (including zero and negatives).
     low: u64,
     /// Index of the logarithmic bucket `counts[0]` counts.
     offset: usize,
     /// Counters of buckets `offset..offset + counts.len()`, widened by
-    /// [`Self::record`] and [`Self::merge`] up to `cfg.max_buckets`.
+    /// [`Self::record`] and [`Self::merge`] up to [`Self::MAX_BUCKETS`].
     counts: Vec<u64>,
     count: u64,
     sum: f64,
@@ -109,13 +48,51 @@ pub struct QuantileSketch {
 }
 
 impl QuantileSketch {
-    /// Empty sketch with the given layout.
-    pub fn new(cfg: SketchConfig) -> Self {
-        assert!(cfg.min > 0.0, "sketch min must be positive");
-        assert!(cfg.growth > 1.0, "sketch growth must exceed 1");
-        assert!(cfg.max_buckets > 0, "sketch needs at least one bucket");
+    /// Upper edge of the low bucket: the smallest value resolved
+    /// logarithmically (1 µs, in milliseconds).
+    pub const MIN: f64 = 1e-3;
+    /// Ratio between consecutive bucket edges: ±2.5 % relative error.
+    pub const GROWTH: f64 = 1.05;
+    /// Number of logarithmic buckets (excluding the low bucket): the layout
+    /// resolves `1 µs` to `~10^12 ms` in at most 700 × 8 B ≈ 5.6 KiB of
+    /// counters, enough for any millisecond- or microsecond-denominated
+    /// series in this repo.
+    pub const MAX_BUCKETS: usize = 700;
+
+    /// Index of the logarithmic bucket holding `v` (`None` → low bucket).
+    fn index(v: f64) -> Option<usize> {
+        if v.is_nan() || v < Self::MIN {
+            // Non-positive, sub-min and NaN all land in the low bucket.
+            return None;
+        }
+        let i = ((v / Self::MIN).ln() / Self::GROWTH.ln()).floor();
+        Some((i.max(0.0) as usize).min(Self::MAX_BUCKETS - 1))
+    }
+
+    /// Lower edge of logarithmic bucket `i`.
+    fn edge(i: usize) -> f64 {
+        Self::MIN * Self::GROWTH.powi(i as i32)
+    }
+
+    /// Width of the bucket that holds `v` — the agreement-contract unit.
+    pub fn bucket_width(v: f64) -> f64 {
+        match Self::index(v) {
+            None => Self::MIN,
+            Some(i) => Self::edge(i + 1) - Self::edge(i),
+        }
+    }
+
+    /// Representative (arithmetic midpoint) of a bucket.
+    fn representative(bucket: Option<usize>) -> f64 {
+        match bucket {
+            None => Self::MIN / 2.0,
+            Some(i) => (Self::edge(i) + Self::edge(i + 1)) / 2.0,
+        }
+    }
+
+    /// Empty sketch.
+    pub fn latency() -> Self {
         Self {
-            cfg,
             low: 0,
             offset: 0,
             counts: Vec::new(),
@@ -126,22 +103,12 @@ impl QuantileSketch {
         }
     }
 
-    /// Empty sketch with the [`SketchConfig::LATENCY`] layout.
-    pub fn latency() -> Self {
-        Self::new(SketchConfig::LATENCY)
-    }
-
-    /// The bucket layout.
-    pub fn config(&self) -> &SketchConfig {
-        &self.cfg
-    }
-
     /// Record one observation. NaN is ignored (it has no rank).
     pub fn record(&mut self, v: f64) {
         if v.is_nan() {
             return;
         }
-        match self.cfg.index(v) {
+        match Self::index(v) {
             None => self.low += 1,
             Some(i) => {
                 self.widen(i, i + 1);
@@ -212,13 +179,11 @@ impl QuantileSketch {
     /// Estimated value of the 0-based `k`-th smallest observation, clamped
     /// to the exact observed range.
     fn order_statistic(&self, k: u64) -> f64 {
-        self.cfg
-            .representative(self.bucket_of_rank(k))
-            .clamp(self.min_seen, self.max_seen)
+        Self::representative(self.bucket_of_rank(k)).clamp(self.min_seen, self.max_seen)
     }
 
     /// Estimated `q`-quantile, `q ∈ [0, 1]`. Mirrors
-    /// [`crate::percentile_sorted`]'s rank interpolation over bucket
+    /// [`super::percentile_sorted`]'s rank interpolation over bucket
     /// representatives; `None` when empty or `q` out of range.
     pub fn quantile(&self, q: f64) -> Option<f64> {
         if self.count == 0 || !(0.0..=1.0).contains(&q) {
@@ -239,7 +204,7 @@ impl QuantileSketch {
     }
 
     /// Estimated `p`-th percentile, `p ∈ [0, 100]` — the
-    /// [`crate::percentile`]-flavoured spelling of [`Self::quantile`].
+    /// [`super::percentile`]-flavoured spelling of [`Self::quantile`].
     pub fn percentile(&self, p: f64) -> Option<f64> {
         if !(0.0..=100.0).contains(&p) {
             return None;
@@ -247,14 +212,8 @@ impl QuantileSketch {
         self.quantile(p / 100.0)
     }
 
-    /// Fold another sketch into this one. Panics if the layouts differ —
-    /// merging incompatible sketches is a probe-wiring bug, the same policy
-    /// the metrics registry applies to kind mismatches.
+    /// Fold another sketch into this one.
     pub fn merge(&mut self, other: &QuantileSketch) {
-        assert_eq!(
-            self.cfg, other.cfg,
-            "cannot merge sketches with different layouts"
-        );
         if !other.counts.is_empty() {
             self.widen(other.offset, other.offset + other.counts.len());
             let at = other.offset - self.offset;
@@ -269,10 +228,8 @@ impl QuantileSketch {
         self.max_seen = self.max_seen.max(other.max_seen);
     }
 
-    /// Fold an iterator of sketches into one with the latency layout — the
-    /// fleet-rollup shape: per-shard leg sketches in, one fleet-wide
-    /// distribution out. Panics (via [`Self::merge`]) if any input uses a
-    /// different layout.
+    /// Fold an iterator of sketches into one — the fleet-rollup shape:
+    /// per-shard leg sketches in, one fleet-wide distribution out.
     pub fn merged<'a>(parts: impl IntoIterator<Item = &'a QuantileSketch>) -> QuantileSketch {
         let mut out = QuantileSketch::latency();
         for p in parts {
@@ -282,16 +239,28 @@ impl QuantileSketch {
     }
 
     /// Bytes of counter state currently held (the window's counters,
-    /// bounded by `max_buckets × 8`), for memory accounting in reports.
+    /// bounded by `MAX_BUCKETS × 8`), for memory accounting in reports.
     pub fn state_bytes(&self) -> usize {
         self.counts.len() * std::mem::size_of::<u64>()
     }
 }
 
 /// Prints the dense layout — every bucket from 0 up to the highest one
-/// recorded — so a sketch's `{:?}` does not depend on how it is stored.
+/// recorded — so a sketch's `{:?}` does not depend on how it is stored, and
+/// prints the layout constants as the `cfg` field a sketch once carried, so
+/// the bytes of every `{:?}` that holds a sketch predate the constants.
 impl std::fmt::Debug for QuantileSketch {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        struct Layout;
+        impl std::fmt::Debug for Layout {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                f.debug_struct("SketchConfig")
+                    .field("min", &QuantileSketch::MIN)
+                    .field("growth", &QuantileSketch::GROWTH)
+                    .field("max_buckets", &QuantileSketch::MAX_BUCKETS)
+                    .finish()
+            }
+        }
         struct Dense<'a>(&'a QuantileSketch);
         impl std::fmt::Debug for Dense<'_> {
             fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -302,7 +271,7 @@ impl std::fmt::Debug for QuantileSketch {
             }
         }
         f.debug_struct("QuantileSketch")
-            .field("cfg", &self.cfg)
+            .field("cfg", &Layout)
             .field("low", &self.low)
             .field("counts", &Dense(self))
             .field("count", &self.count)
@@ -322,7 +291,7 @@ impl Default for QuantileSketch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::percentile_sorted;
+    use crate::metrics::percentile_sorted;
 
     #[test]
     fn merged_folds_many_sketches_like_one() {
@@ -343,10 +312,7 @@ mod tests {
     fn assert_within_one_bucket(sketch: &QuantileSketch, sorted: &[f64], p: f64) {
         let exact = percentile_sorted(sorted, p).unwrap();
         let est = sketch.percentile(p).unwrap();
-        let width = sketch
-            .config()
-            .bucket_width(exact)
-            .max(sketch.config().bucket_width(est));
+        let width = QuantileSketch::bucket_width(exact).max(QuantileSketch::bucket_width(est));
         assert!(
             (est - exact).abs() <= width,
             "p{p}: est {est} vs exact {exact} (width {width})"
@@ -367,7 +333,7 @@ mod tests {
         let mut s = QuantileSketch::latency();
         s.record(42.0);
         let est = s.quantile(0.5).unwrap();
-        assert!((est - 42.0).abs() <= s.config().bucket_width(42.0));
+        assert!((est - 42.0).abs() <= QuantileSketch::bucket_width(42.0));
         assert_eq!(s.min(), Some(42.0));
         assert_eq!(s.max(), Some(42.0));
     }
@@ -393,7 +359,7 @@ mod tests {
         }
         // Exact p50 is 0; the estimate may sit anywhere in the low bucket.
         let est = s.quantile(0.5).unwrap();
-        assert!(est.abs() <= s.config().min);
+        assert!(est.abs() <= QuantileSketch::MIN);
         assert_eq!(s.count(), 10);
     }
 
@@ -407,15 +373,16 @@ mod tests {
 
     #[test]
     fn out_of_range_values_clamp_into_the_last_bucket() {
-        let mut s = QuantileSketch::new(SketchConfig {
-            min: 1.0,
-            growth: 2.0,
-            max_buckets: 4,
-        });
-        s.record(1e12); // far beyond 1·2^4
+        let mut s = QuantileSketch::latency();
+        // The last bucket's upper edge is MIN·GROWTH^700 ≈ 6.8e11 ms.
+        let beyond = 1e13;
+        assert!(beyond > QuantileSketch::edge(QuantileSketch::MAX_BUCKETS));
+        s.record(beyond);
         assert_eq!(s.count(), 1);
+        assert_eq!(s.counts.len(), 1, "one counter, in the last bucket");
+        assert_eq!(s.offset, QuantileSketch::MAX_BUCKETS - 1);
         // Clamped to the observed max, not the bucket midpoint.
-        assert_eq!(s.quantile(1.0), Some(1e12));
+        assert_eq!(s.quantile(1.0), Some(beyond));
     }
 
     #[test]
@@ -437,23 +404,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "different layouts")]
-    fn merging_mismatched_layouts_panics() {
-        let mut a = QuantileSketch::latency();
-        let b = QuantileSketch::new(SketchConfig {
-            min: 1.0,
-            growth: 2.0,
-            max_buckets: 8,
-        });
-        a.merge(&b);
-    }
-
-    #[test]
     fn memory_is_bounded_by_max_buckets() {
         let mut s = QuantileSketch::latency();
         for i in 0..100_000 {
             s.record((i % 977) as f64 * 13.7 + 0.001);
         }
-        assert!(s.state_bytes() <= SketchConfig::LATENCY.max_buckets * 8);
+        assert!(s.state_bytes() <= QuantileSketch::MAX_BUCKETS * 8);
     }
 }

@@ -102,27 +102,29 @@ pub struct Summary {
 }
 
 impl Summary {
-    /// Summarize a sample set. Returns `None` for an empty input.
+    /// Summarize a sample set. Returns `None` for an empty input, or one
+    /// that contains NaN: like [`super::percentile`], a bad sample reports
+    /// as an absent statistic rather than a panic.
     pub fn of(xs: &[f64]) -> Option<Self> {
-        if xs.is_empty() {
+        if xs.is_empty() || xs.iter().any(|x| x.is_nan()) {
             return None;
         }
         let mut v = xs.to_vec();
-        v.sort_by(|a, b| a.partial_cmp(b).expect("NaN in Summary input"));
-        let mean = crate::mean(&v).expect("non-empty");
+        v.sort_by(|a, b| a.partial_cmp(b).expect("NaN screened above"));
+        let mean = super::mean(&v).expect("non-empty");
         // `v` is non-empty here, so every percentile is defined.
-        let pct = |p: f64| crate::percentile_sorted(&v, p).expect("non-empty input");
+        let pct = |p: f64| super::percentile_sorted(&v, p).expect("non-empty input");
         Some(Summary {
             count: v.len(),
             mean,
             median: pct(50.0),
-            stddev: crate::stddev(&v).unwrap_or(0.0),
+            stddev: super::stddev(&v).unwrap_or(0.0),
             p5: pct(5.0),
             p95: pct(95.0),
             p99: pct(99.0),
             min: v[0],
             max: v[v.len() - 1],
-            trimmed_mean_5pct: crate::trimmed_mean(&v, 0.05).unwrap_or(mean),
+            trimmed_mean_5pct: super::trimmed_mean(&v, 0.05).unwrap_or(mean),
         })
     }
 }
@@ -139,8 +141,8 @@ mod tests {
             o.push(x);
         }
         assert_eq!(o.count(), 8);
-        assert!((o.mean().unwrap() - crate::mean(&xs).unwrap()).abs() < 1e-12);
-        assert!((o.stddev().unwrap() - crate::stddev(&xs).unwrap()).abs() < 1e-12);
+        assert!((o.mean().unwrap() - crate::metrics::mean(&xs).unwrap()).abs() < 1e-12);
+        assert!((o.stddev().unwrap() - crate::metrics::stddev(&xs).unwrap()).abs() < 1e-12);
         assert_eq!(o.min(), Some(1.0));
         assert_eq!(o.max(), Some(9.0));
     }
@@ -203,6 +205,12 @@ mod tests {
     #[test]
     fn summary_empty_is_none() {
         assert_eq!(Summary::of(&[]), None);
+    }
+
+    #[test]
+    fn summary_nan_input_is_none_not_panic() {
+        assert_eq!(Summary::of(&[1.0, f64::NAN, 3.0]), None);
+        assert_eq!(Summary::of(&[f64::NAN]), None);
     }
 
     #[test]

@@ -53,11 +53,6 @@ impl Table {
         self.push_row(row);
     }
 
-    /// Table title.
-    pub fn title(&self) -> &str {
-        &self.title
-    }
-
     /// Column headers.
     pub fn header(&self) -> &[String] {
         &self.header

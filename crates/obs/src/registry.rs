@@ -3,14 +3,14 @@
 //! Metrics are keyed by `(component, instance, name)` through the crate's
 //! one key index: a probe finds its slot by the name's address (its text on
 //! a miss), and every iteration — and every table/CSV export built from one
-//! — visits keys in text order, the same on every run. Sketches reuse the
-//! `amdb-metrics` implementation. Counter-track samples are not held here:
-//! they live once, in the trace recorder's log, and their series export
-//! derives from it.
+//! — visits keys in text order, the same on every run. Sketches are the
+//! [`QuantileSketch`] of [`crate::metrics`]. Counter-track samples are not
+//! held here: they live once, in the trace recorder's log, and their series
+//! export derives from it.
 
 use crate::index::KeyIndex;
+use crate::metrics::{QuantileSketch, Table};
 use crate::Component;
-use amdb_metrics::{QuantileSketch, Table};
 
 /// Registry key: which metric on which component instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -83,7 +83,7 @@ impl MetricsRegistry {
     }
 
     /// Record an observation into a streaming quantile sketch, created with
-    /// the [`amdb_metrics::SketchConfig::LATENCY`] layout on first use.
+    /// the fixed [`QuantileSketch`] layout on first use.
     /// Memory is bounded and the quantile estimate tracks the exact
     /// percentile to within one bucket width.
     pub fn observe_sketch(&mut self, comp: Component, inst: u32, name: &'static str, value: f64) {
@@ -198,7 +198,7 @@ mod tests {
         };
         assert_eq!(s.count(), 2);
         let p50 = s.quantile(0.5).unwrap();
-        assert!((p50 - 13.0).abs() <= s.config().bucket_width(13.0));
+        assert!((p50 - 13.0).abs() <= QuantileSketch::bucket_width(13.0));
         let summary = r.summary_table().to_csv();
         assert!(summary.contains("repl,2,wf_apply_ms,sketch,n=2"));
     }

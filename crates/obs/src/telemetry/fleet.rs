@@ -1,7 +1,7 @@
 //! Fleet-level telemetry rollup across shard trees.
 //!
 //! Each shard tree runs its own [`Telemetry`] bundle — waterfall plus
-//! per-shard [`SloEngine`](crate::SloEngine) — and the sharded front never
+//! per-shard [`SloEngine`](super::SloEngine) — and the sharded front never
 //! synchronizes them during a run (that would serialize the trees). After
 //! the run, [`FleetTelemetry`] absorbs the per-tree bundles and answers
 //! fleet questions:
@@ -12,9 +12,9 @@
 //! * total FIFO-evicted traces, so silent trace loss anywhere in the
 //!   fleet is visible in one number.
 
-use crate::slo::{AlertEvent, AlertKind};
-use crate::Telemetry;
-use amdb_metrics::Table;
+use super::slo::{AlertEvent, AlertKind};
+use super::Telemetry;
+use crate::metrics::Table;
 
 /// Per-shard telemetry bundles collected after a sharded run.
 #[derive(Debug, Clone, Default)]
@@ -114,11 +114,11 @@ impl FleetTelemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::slo::{Direction, SloEngine, SloMetric, SloRule, SloSample};
-    use crate::TelemetryConfig;
-    use amdb_obs::bottleneck::DEFAULT_SATURATION_THRESHOLD;
-    use amdb_obs::Component;
-    use amdb_obs::ResourceUsage;
+    use crate::bottleneck::DEFAULT_SATURATION_THRESHOLD;
+    use crate::telemetry::slo::{Direction, SloEngine, SloMetric, SloRule, SloSample};
+    use crate::telemetry::TelemetryConfig;
+    use crate::Component;
+    use crate::ResourceUsage;
     use amdb_sim::SimTime;
 
     fn surge_rule() -> SloRule {

@@ -37,7 +37,7 @@
 //! busiest CPU. This reproduces the paper's §IV reading: surges start at
 //! saturated slaves and migrate to the master as slaves are added.
 
-use amdb_obs::{BottleneckReport, ResourceUsage};
+use crate::{BottleneckReport, ResourceUsage};
 use amdb_sim::SimTime;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
@@ -361,7 +361,7 @@ pub fn attribute_surge(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amdb_obs::Component;
+    use crate::Component;
 
     fn delay_rule(fire: f64, clear: f64, window: usize) -> SloRule {
         SloRule {

@@ -23,7 +23,7 @@
 //! stragglers (e.g. a slave that stops reading) so memory cannot grow with
 //! run length.
 
-use amdb_metrics::{QuantileSketch, Table};
+use crate::metrics::{QuantileSketch, Table};
 use amdb_sim::SimTime;
 use std::collections::BTreeMap;
 
@@ -500,7 +500,7 @@ mod tests {
 
         let leg = &w.legs()[0];
         let within = |s: &QuantileSketch, v: f64| {
-            (s.quantile(0.5).unwrap() - v).abs() <= s.config().bucket_width(v)
+            (s.quantile(0.5).unwrap() - v).abs() <= QuantileSketch::bucket_width(v)
         };
         assert!(within(&leg.network_ms, 16.0), "commit(4) → deliver(20)");
         assert!(within(&leg.queue_ms, 9.0), "deliver(20) → start(29)");

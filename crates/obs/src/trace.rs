@@ -6,10 +6,10 @@
 //! it — is bit-identical across same-seed runs.
 
 use crate::index::AddrMap;
+use crate::metrics::Table;
 use crate::registry::{MetricKey, MetricsRegistry};
 use crate::tsdb::Tsdb;
 use crate::Component;
-use amdb_metrics::Table;
 use amdb_sim::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 

@@ -24,8 +24,8 @@
 //! same fleet rollup.
 
 use crate::index::KeyIndex;
+use crate::metrics::{QuantileSketch, Table};
 use crate::{Component, MetricKey};
-use amdb_metrics::{QuantileSketch, Table};
 use amdb_sim::SimTime;
 use std::collections::VecDeque;
 

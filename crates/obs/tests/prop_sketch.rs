@@ -6,13 +6,13 @@
 //! bucket window against a dense reference: same quantiles to the bit,
 //! same `{:?}` bytes, and merges that equal one sketch of everything.
 
-use amdb_metrics::{percentile_sorted, QuantileSketch, SketchConfig};
+use amdb_obs::metrics::{percentile_sorted, QuantileSketch};
 use proptest::prelude::*;
 
 /// The dense layout the sketch's bucket window replaces: one counter for
 /// every logarithmic bucket from 0 up to the highest one recorded. Bucket
 /// index, representative and rank interpolation follow the documented
-/// layout of [`SketchConfig`] and the agreement contract.
+/// layout of [`QuantileSketch`] and the agreement contract.
 #[derive(Default)]
 struct DenseSketch {
     low: u64,
@@ -23,22 +23,22 @@ struct DenseSketch {
     max_seen: f64,
 }
 
-impl DenseSketch {
-    const CFG: SketchConfig = SketchConfig::LATENCY;
+const MIN: f64 = QuantileSketch::MIN;
+const GROWTH: f64 = QuantileSketch::GROWTH;
 
+impl DenseSketch {
     fn of(vals: &[f64]) -> Self {
         let mut d = DenseSketch {
             min_seen: f64::INFINITY,
             max_seen: f64::NEG_INFINITY,
             ..Default::default()
         };
-        let cfg = Self::CFG;
         for &v in vals.iter().filter(|v| !v.is_nan()) {
-            if v < cfg.min {
+            if v < MIN {
                 d.low += 1;
             } else {
-                let i = ((v / cfg.min).ln() / cfg.growth.ln()).floor();
-                let i = (i.max(0.0) as usize).min(cfg.max_buckets - 1);
+                let i = ((v / MIN).ln() / GROWTH.ln()).floor();
+                let i = (i.max(0.0) as usize).min(QuantileSketch::MAX_BUCKETS - 1);
                 if d.counts.len() <= i {
                     d.counts.resize(i + 1, 0);
                 }
@@ -53,9 +53,8 @@ impl DenseSketch {
     }
 
     fn order_statistic(&self, k: u64) -> f64 {
-        let cfg = Self::CFG;
-        let edge = |i: usize| cfg.min * cfg.growth.powi(i as i32);
-        let mut rep = cfg.min / 2.0;
+        let edge = |i: usize| MIN * GROWTH.powi(i as i32);
+        let mut rep = MIN / 2.0;
         if k >= self.low {
             let mut cum = self.low;
             let i = self
@@ -85,12 +84,12 @@ impl DenseSketch {
         })
     }
 
-    /// The bytes the dense layout's derived `Debug` printed.
+    /// The bytes the dense layout's derived `Debug` printed, when each
+    /// sketch carried its layout as a `cfg` field.
     fn debug(&self) -> String {
         format!(
-            "QuantileSketch {{ cfg: {:?}, low: {:?}, counts: {:?}, count: {:?}, sum: {:?}, \
-             min_seen: {:?}, max_seen: {:?} }}",
-            Self::CFG,
+            "QuantileSketch {{ cfg: SketchConfig {{ min: 0.001, growth: 1.05, max_buckets: 700 }}, \
+             low: {:?}, counts: {:?}, count: {:?}, sum: {:?}, min_seen: {:?}, max_seen: {:?} }}",
             self.low,
             self.counts,
             self.count,
@@ -142,10 +141,7 @@ fn agrees_within_one_bucket(vals: &[f64]) -> Result<(), TestCaseError> {
     for p in [0.0, 50.0, 95.0, 99.0, 100.0] {
         let exact = percentile_sorted(&sorted, p).unwrap();
         let est = sketch.percentile(p).unwrap();
-        let width = sketch
-            .config()
-            .bucket_width(exact)
-            .max(sketch.config().bucket_width(est));
+        let width = QuantileSketch::bucket_width(exact).max(QuantileSketch::bucket_width(est));
         prop_assert!(
             (est - exact).abs() <= width,
             "p{}: est {} vs exact {} exceeds bucket width {}",

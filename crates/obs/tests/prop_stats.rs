@@ -1,6 +1,6 @@
 //! Property tests for the statistics helpers.
 
-use amdb_metrics::{mean, median, percentile, stddev, trimmed_mean, OnlineStats, Summary};
+use amdb_obs::metrics::{mean, median, percentile, stddev, trimmed_mean, OnlineStats, Summary};
 use proptest::prelude::*;
 
 fn finite_vec(max_len: usize) -> impl Strategy<Value = Vec<f64>> {

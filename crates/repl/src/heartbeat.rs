@@ -12,7 +12,7 @@
 //! `slave_time(i) − master_ts(i)` — polluted by the clock offset between
 //! the two VMs, which the paper cancels by reporting *relative* delay
 //! (loaded minus idle, both 5 %-per-tail trimmed; see
-//! `amdb-metrics::trimmed_mean`).
+//! `amdb_obs::metrics::trimmed_mean`).
 
 use amdb_sql::{Engine, Session, SqlError, Value};
 
