@@ -175,6 +175,7 @@ mod tests {
         // Used to panic inside the sort comparator on NaN.
         assert_eq!(percentile(&[1.0, f64::NAN, 3.0], 50.0), None);
         assert_eq!(trimmed_mean(&[1.0, f64::NAN, 3.0], 0.05), None);
+        assert_eq!(Summary::of(&[1.0, f64::NAN, 3.0]), None);
     }
 
     #[test]

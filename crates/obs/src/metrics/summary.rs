@@ -208,12 +208,6 @@ mod tests {
     }
 
     #[test]
-    fn summary_nan_input_is_none_not_panic() {
-        assert_eq!(Summary::of(&[1.0, f64::NAN, 3.0]), None);
-        assert_eq!(Summary::of(&[f64::NAN]), None);
-    }
-
-    #[test]
     fn summary_single_sample_is_degenerate_but_defined() {
         let s = Summary::of(&[7.0]).unwrap();
         assert_eq!(s.count, 1);
