@@ -2,10 +2,12 @@
 //! updates and deletes, secondary indexes stay exactly consistent with a
 //! full scan, and primary-key lookups agree with the heap; a clone of a
 //! frozen table answers every read exactly as a table never frozen does;
-//! and a fork's base-first primary-key probes agree with a scan.
+//! a fork's base-first primary-key probes agree with a scan; and the
+//! postings of indexes over INT and TIMESTAMP columns agree with an
+//! ordered model, unfrozen and on a fork.
 
 use amdb_sql::schema::{Column, TableSchema};
-use amdb_sql::storage::{RowId, Table};
+use amdb_sql::storage::{Key, RowId, Table};
 use amdb_sql::value::{DataType, Value};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -432,6 +434,222 @@ proptest! {
                     "key {} after step {} ({:?})", key, step, op
                 );
             }
+        }
+    }
+}
+
+/// One write to a table whose indexed INT and TIMESTAMP columns hold NULLs
+/// (`None`). Victims are picked among the live rows.
+#[derive(Debug, Clone)]
+enum IntOp {
+    Insert {
+        id: i64,
+        n: Option<i64>,
+        ts: Option<i64>,
+    },
+    Update {
+        victim: usize,
+        n: Option<i64>,
+        ts: Option<i64>,
+    },
+    Delete {
+        victim: usize,
+    },
+    /// Bring back the most recently deleted row, unless its key is taken.
+    Restore,
+}
+
+fn arb_nullable() -> impl Strategy<Value = Option<i64>> {
+    prop_oneof![1 => Just(None), 4 => (0..6i64).prop_map(Some)]
+}
+
+fn arb_int_op() -> impl Strategy<Value = IntOp> {
+    prop_oneof![
+        4 => (0..30i64, arb_nullable(), arb_nullable())
+            .prop_map(|(id, n, ts)| IntOp::Insert { id, n, ts }),
+        3 => (any::<usize>(), arb_nullable(), arb_nullable())
+            .prop_map(|(victim, n, ts)| IntOp::Update { victim, n, ts }),
+        2 => any::<usize>().prop_map(|victim| IntOp::Delete { victim }),
+        2 => Just(IntOp::Restore),
+    ]
+}
+
+/// `id` (pk), `n` (INT, indexed) and `ts` (TIMESTAMP, indexed).
+fn int_table() -> Table {
+    let schema = TableSchema::new(
+        "t",
+        vec![
+            Column::new("id", DataType::Int).primary_key(),
+            Column::new("n", DataType::Int),
+            Column::new("ts", DataType::Timestamp),
+        ],
+    )
+    .expect("valid schema");
+    let mut t = Table::new(schema);
+    t.create_index("idx_n", 1, false).expect("index");
+    t.create_index("idx_ts", 2, false).expect("index");
+    t
+}
+
+/// A row image, stored or removed under its row id.
+type Posted = (RowId, Arc<[Value]>);
+
+/// Apply `op` to `t`; returns the row image it took out of the indexes and
+/// the one it put in.
+fn apply_int(t: &mut Table, op: &IntOp, undo: &mut Undo) -> (Option<Posted>, Option<Posted>) {
+    let live: Vec<RowId> = t.scan().map(|(rid, _)| rid).collect();
+    let pick = |victim: usize| live.get(victim % live.len().max(1)).copied();
+    let nullable = |v: Option<i64>, wrap: fn(i64) -> Value| v.map_or(Value::Null, wrap);
+    let stored = |t: &Table, rid: RowId| (rid, Arc::clone(t.handle(rid).expect("live")));
+    match *op {
+        IntOp::Insert { id, n, ts } => {
+            let row = vec![
+                Value::Int(id),
+                nullable(n, Value::Int),
+                nullable(ts, Value::Timestamp),
+            ];
+            (None, t.insert(row).ok().map(|rid| stored(t, rid)))
+        }
+        IntOp::Update { victim, n, ts } => {
+            let Some(rid) = pick(victim) else {
+                return (None, None);
+            };
+            let mut row = t.get(rid).expect("live").to_vec();
+            row[1] = nullable(n, Value::Int);
+            row[2] = nullable(ts, Value::Timestamp);
+            let old = t.update(rid, row).expect("the key is unchanged");
+            (Some((rid, old)), Some(stored(t, rid)))
+        }
+        IntOp::Delete { victim } => {
+            let Some(rid) = pick(victim) else {
+                return (None, None);
+            };
+            let old = t.delete(rid).expect("live");
+            undo.push((rid, Arc::clone(&old)));
+            (Some((rid, old)), None)
+        }
+        IntOp::Restore => match undo.pop() {
+            Some((rid, row)) if t.pk_lookup(&row[0]).is_none() => {
+                t.restore(rid, Arc::clone(&row));
+                (None, Some((rid, row)))
+            }
+            _ => (None, None),
+        },
+    }
+}
+
+/// The reference postings of `n` and `ts`: each key's row ids in the order
+/// an index lists them (an update or a restore appends the row again).
+type IntModel = [BTreeMap<Key, Vec<RowId>>; 2];
+
+fn model_apply(model: &mut IntModel, (out, into): (Option<Posted>, Option<Posted>)) {
+    for (c, m) in model.iter_mut().enumerate() {
+        if let Some((rid, row)) = &out {
+            let key = Key(row[c + 1].clone());
+            let list = m.get_mut(&key).expect("posted");
+            list.retain(|r| r != rid);
+            if list.is_empty() {
+                m.remove(&key);
+            }
+        }
+        if let Some((rid, row)) = &into {
+            m.entry(Key(row[c + 1].clone())).or_default().push(*rid);
+        }
+    }
+}
+
+/// The model's answer to an equality probe: a whole double finds the
+/// integer it equals; any other double (fractional or NaN) finds nothing.
+fn model_eq(m: &BTreeMap<Key, Vec<RowId>>, probe: &Value) -> Vec<RowId> {
+    let probe = match *probe {
+        Value::Double(d) if d.fract() == 0.0 => Value::Int(d as i64),
+        Value::Double(_) => return Vec::new(),
+        ref v => v.clone(),
+    };
+    m.get(&Key(probe)).cloned().unwrap_or_default()
+}
+
+/// Every equality probe and range read of both indexes agrees with the
+/// model: postings in model order, ranges in key order with NULL first.
+fn check_int_postings(t: &Table, model: &IntModel) -> Result<(), TestCaseError> {
+    let mut probes: Vec<Value> = (-1..7).map(Value::Int).collect();
+    probes.extend((0..3).map(Value::Timestamp));
+    probes.extend([
+        Value::Null,
+        Value::Double(2.0),
+        Value::Double(2.5),
+        Value::Double(f64::NAN),
+        Value::Text("2".into()),
+    ]);
+    let (null, two, five, half) = (
+        Value::Null,
+        Value::Int(2),
+        Value::Int(5),
+        Value::Double(1.5),
+    );
+    let mut ranges = vec![
+        (Bound::Unbounded, Bound::Unbounded),
+        (Bound::Included(&two), Bound::Excluded(&five)),
+        (Bound::Excluded(&two), Bound::Included(&five)),
+        (Bound::Unbounded, Bound::Excluded(&five)),
+        (Bound::Excluded(&null), Bound::Unbounded),
+        (Bound::Included(&null), Bound::Included(&null)),
+    ];
+    for (c, m) in model.iter().enumerate() {
+        let ix = t.index_on(c + 1).expect("index");
+        for probe in &probes {
+            let got: Vec<RowId> = ix.lookup_eq(probe).collect();
+            prop_assert_eq!(got, model_eq(m, probe), "column {} = {:?}", c + 1, probe);
+        }
+        if c == 0 {
+            // A fractional bound orders among INT keys; against TIMESTAMP
+            // keys `index_cmp` calls it equal to each, so it is no order.
+            ranges.push((Bound::Included(&half), Bound::Included(&five)));
+        }
+        for &(lo, hi) in &ranges {
+            let key = |b: Bound<&Value>| b.map(|v| Key(v.clone()));
+            let want: Vec<RowId> = m
+                .range((key(lo), key(hi)))
+                .flat_map(|(_, l)| l.clone())
+                .collect();
+            let got: Vec<RowId> = ix.lookup_range(lo, hi).collect();
+            prop_assert_eq!(got, want, "column {} range {:?}..{:?}", c + 1, lo, hi);
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Integer-keyed postings against a `BTreeMap<Key, Vec<RowId>>` model,
+    /// on a table never frozen and on a fork of a frozen copy of it: every
+    /// probe (keys live, emptied by a delete, never used; NULL; a whole
+    /// double, which hits; a fractional double, NaN and text, which miss)
+    /// and every range, after every write.
+    #[test]
+    fn int_postings_agree_with_an_ordered_model(
+        ops in prop::collection::vec(arb_int_op(), 0..80),
+        freeze_at in 0..80usize,
+    ) {
+        let split = freeze_at.min(ops.len());
+        let mut model = IntModel::default();
+        let (mut plain, mut plain_undo) = (int_table(), Undo::new());
+        let (mut source, mut source_undo) = (int_table(), Undo::new());
+        for op in &ops[..split] {
+            model_apply(&mut model, apply_int(&mut plain, op, &mut plain_undo));
+            apply_int(&mut source, op, &mut source_undo);
+            check_int_postings(&plain, &model)?;
+        }
+        source.freeze();
+        let mut fork = source.clone();
+        check_int_postings(&fork, &model)?;
+        for op in &ops[split..] {
+            let change = apply_int(&mut plain, op, &mut plain_undo);
+            prop_assert_eq!(&apply_int(&mut fork, op, &mut source_undo), &change, "{:?}", op);
+            model_apply(&mut model, change);
+            check_int_postings(&plain, &model)?;
+            check_int_postings(&fork, &model)?;
         }
     }
 }
