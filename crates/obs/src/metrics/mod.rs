@@ -110,13 +110,22 @@ pub fn percentile_sorted(sorted: &[f64], p: f64) -> Option<f64> {
 /// half of a 3-sample window; do not "fix" this to `ceil` or rounding
 /// without recalibrating every committed result.
 pub fn trimmed_mean(xs: &[f64], trim_fraction: f64) -> Option<f64> {
-    if xs.is_empty() || !(0.0..0.5).contains(&trim_fraction) || xs.iter().any(|x| x.is_nan()) {
+    if xs.iter().any(|x| x.is_nan()) {
         return None;
     }
     let mut v: Vec<f64> = xs.to_vec();
     v.sort_by(|a, b| a.partial_cmp(b).expect("NaN screened above"));
-    let cut = (v.len() as f64 * trim_fraction).floor() as usize;
-    let kept = &v[cut..v.len() - cut];
+    trimmed_mean_sorted(&v, trim_fraction)
+}
+
+/// [`trimmed_mean`] of an already ascending-sorted, NaN-free slice: it
+/// copies and sorts nothing.
+pub(crate) fn trimmed_mean_sorted(sorted: &[f64], trim_fraction: f64) -> Option<f64> {
+    if !(0.0..0.5).contains(&trim_fraction) {
+        return None;
+    }
+    let cut = (sorted.len() as f64 * trim_fraction).floor() as usize;
+    let kept = &sorted[cut..sorted.len() - cut];
     if kept.is_empty() {
         return None;
     }

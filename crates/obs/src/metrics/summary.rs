@@ -124,7 +124,7 @@ impl Summary {
             p99: pct(99.0),
             min: v[0],
             max: v[v.len() - 1],
-            trimmed_mean_5pct: super::trimmed_mean(&v, 0.05).unwrap_or(mean),
+            trimmed_mean_5pct: super::trimmed_mean_sorted(&v, 0.05).unwrap_or(mean),
         })
     }
 }
