@@ -309,7 +309,8 @@ mod tests {
         assert_eq!(cells.len(), 1);
         let cell = &cells[0];
         assert_eq!(cell.bundle.trees.len(), 4);
-        assert_eq!(cell.bundle.telemetry.len(), 4, "telemetry per shard");
+        let shards: Vec<u32> = cell.bundle.telemetry.shards().map(|(s, _)| s).collect();
+        assert_eq!(shards, [0, 1, 2, 3], "telemetry per shard");
         assert_eq!(cell.bundle.tsdbs.len(), 4, "a tsdb per shard");
         assert!(cell.report.scatter_reads > 0, "20% of reads scatter");
         let top = top_table(&spec, cell);

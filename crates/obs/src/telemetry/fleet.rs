@@ -34,16 +34,6 @@ impl FleetTelemetry {
         self.shards.sort_by_key(|(s, _)| *s);
     }
 
-    /// Number of absorbed shard bundles.
-    pub fn len(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// True before any bundle is absorbed.
-    pub fn is_empty(&self) -> bool {
-        self.shards.is_empty()
-    }
-
     /// Per-shard bundles in shard order.
     pub fn shards(&self) -> impl Iterator<Item = (u32, &Telemetry)> {
         self.shards.iter().map(|(s, t)| (*s, t))
@@ -167,7 +157,7 @@ mod tests {
         // Absorb out of order; shard 2 fires earlier than shard 0.
         f.absorb(2, shard_telemetry(2, 100));
         f.absorb(0, shard_telemetry(0, 500));
-        assert_eq!(f.len(), 2);
+        assert_eq!(f.shards().map(|(s, _)| s).collect::<Vec<_>>(), [0, 2]);
         let alerts = f.alerts();
         assert_eq!(alerts.len(), 2);
         assert_eq!((alerts[0].shard, alerts[0].inst), (2, 0));

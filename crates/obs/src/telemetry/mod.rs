@@ -90,13 +90,22 @@ impl Telemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use amdb_sim::SimTime;
 
     #[test]
     fn default_config_is_one_tree_with_paper_rules() {
         let t = Telemetry::new(&TelemetryConfig::default(), 2);
         let paper = SloEngine::new(paper_rules(), DEFAULT_SATURATION_THRESHOLD);
         assert_eq!(format!("{:?}", t.slo), format!("{paper:?}"));
-        assert_eq!(t.waterfall.inflight_cap(), DEFAULT_MAX_INFLIGHT);
+        // The default cap holds DEFAULT_MAX_INFLIGHT writes and evicts the
+        // first write past it.
+        let mut w = t.waterfall;
+        for i in 0..=DEFAULT_MAX_INFLIGHT as u64 {
+            let tr = w.begin_write(SimTime::ZERO, SimTime::ZERO);
+            w.on_service_start(tr, SimTime::ZERO, i, i + 1);
+            w.on_commit(tr, SimTime::ZERO);
+        }
+        assert_eq!((w.inflight(), w.evicted), (DEFAULT_MAX_INFLIGHT, 1));
     }
 
     #[test]

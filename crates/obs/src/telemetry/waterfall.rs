@@ -168,11 +168,6 @@ impl StalenessWaterfall {
         }
     }
 
-    /// The FIFO eviction cap in force.
-    pub fn inflight_cap(&self) -> usize {
-        self.max_inflight
-    }
-
     /// Number of slaves currently tracked.
     pub fn n_slaves(&self) -> usize {
         self.legs.len()
@@ -583,19 +578,21 @@ mod tests {
 
     #[test]
     fn inflight_cap_scales_with_constructor() {
+        let commit = |w: &mut StalenessWaterfall, writes: u64| {
+            for i in 0..writes {
+                let tr = w.begin_write(t(0), t(0));
+                w.on_service_start(tr, t(0), i, i + 1);
+                w.on_commit(tr, t(0));
+            }
+        };
         let mut w = StalenessWaterfall::with_inflight_cap(1, 16);
-        assert_eq!(w.inflight_cap(), 16);
-        for i in 0..40u64 {
-            let tr = w.begin_write(t(0), t(0));
-            w.on_service_start(tr, t(0), i, i + 1);
-            w.on_commit(tr, t(0));
-        }
+        commit(&mut w, 40);
         assert_eq!(w.inflight(), 16);
         assert_eq!(w.evicted, 24);
-        assert_eq!(
-            StalenessWaterfall::with_inflight_cap(1, 0).inflight_cap(),
-            1
-        );
+        // A cap of 0 is raised to 1: every write but the last is evicted.
+        let mut w = StalenessWaterfall::with_inflight_cap(1, 0);
+        commit(&mut w, 3);
+        assert_eq!((w.inflight(), w.evicted), (1, 2));
     }
 
     #[test]
