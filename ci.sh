@@ -2,8 +2,19 @@
 # Local CI: formatting, lints, rustdoc, tier-1 build + full test suite, the repo
 # benchmark's own checks, the byte-identity table, artifact determinism.
 # Everything runs offline; the one dependency is the vendored proptest shim.
+#
+#   ./ci.sh           the default gates
+#   ./ci.sh --full    the default gates, then `amdb paper --jobs 2` in a
+#                     scratch directory, whose every CSV must equal results/
 set -euo pipefail
 cd "$(dirname "$0")"
+
+full=0
+case "$*" in
+"") ;;
+--full) full=1 ;;
+*) echo "usage: $0 [--full]" >&2; exit 2 ;;
+esac
 
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
@@ -225,5 +236,22 @@ awk -v c=core/cluster.rs "$count" crates/core/src/cluster.rs || true
 for dir in vendor examples; do
   find "$dir" -name '*.rs' -print0 | xargs -0 awk -v c="$dir" "$count" || true
 done
+
+if [ "$full" = 1 ]; then
+  echo "== --full: amdb paper regenerates the committed results/ byte for byte =="
+  # `paper` always runs at full fidelity; each CSV it writes must equal the
+  # committed copy, so a change that moves a paper figure cannot land with
+  # stale results.
+  start=$(date +%s)
+  once paper "--jobs 2"
+  compared=0
+  for csv in "$dir"/results/*.csv; do
+    name=results/$(basename "$csv")
+    cmp "$csv" "$name" || { echo "$name differs from a fresh amdb paper run"; exit 1; }
+    compared=$((compared + 1))
+  done
+  [ "$compared" -gt 0 ] || { echo "amdb paper wrote no CSV"; exit 1; }
+  echo "amdb paper --jobs 2: $compared CSVs identical to results/ in $(( $(date +%s) - start )) s"
+fi
 
 echo "CI OK"
